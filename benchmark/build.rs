@@ -1,0 +1,18 @@
+//! Records the compiler and profile the benchmark was built with, so
+//! every result file can state them.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    println!("cargo:rustc-env=BENCH_CARGO_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
