@@ -60,7 +60,7 @@ fn bench_router(c: &mut Criterion) {
 }
 
 /// The cycle engine itself: simulated cycles per second of host time in
-/// every engine mode, reported as Mcycles/s via the group throughput
+/// both engine modes, reported as Mcycles/s via the group throughput
 /// (one element = one simulated machine cycle). The saturated router
 /// isolates the hot step path (line cards offer a word every cycle, so
 /// event-skip never engages); the throttled drip-feed pipe isolates the
@@ -101,7 +101,7 @@ fn bench_sim_speed(c: &mut Criterion) {
 /// against the interpreted step on a bare always-busy machine (a
 /// saturated forwarding pipe across the top row — no line cards, no
 /// packet framing), construction excluded, rates in Mcycles/s.
-/// `compiled` must beat `event-skip` here or the specialization is
+/// `compiled` must beat `per-cycle` here or the specialization is
 /// regressing.
 fn bench_compiled_step(c: &mut Criterion) {
     use raw_sim::{

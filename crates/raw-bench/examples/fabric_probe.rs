@@ -1,11 +1,11 @@
 //! One-cell probe for sizing/wedge diagnosis:
-//! fabric_probe <topology> <spray> <epoch> <ppp> [threaded] [drain]
+//! fabric_probe <topology> <spray> <epoch> <ppp> [sharded] [drain]
 //!
 //! Default mode steps in 50-epoch chunks with per-chunk progress (so a
 //! wedged cell shows *where* it stopped moving); `drain` mode runs the
 //! exact `run_until_drained` path the fabric experiment uses.
 
-use raw_fabric::{FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
 fn main() {
@@ -22,7 +22,11 @@ fn main() {
     };
     let epoch: u64 = a[2].parse().unwrap();
     let ppp: usize = a[3].parse().unwrap();
-    let threaded = a.get(4).map(String::as_str) == Some("threaded");
+    let exec = if a.get(4).map(String::as_str) == Some("sharded") {
+        Executor::Sharded { shards: 0 }
+    } else {
+        Executor::Reference
+    };
     let cfg = FabricConfig {
         topology,
         epoch_cycles: epoch,
@@ -43,7 +47,7 @@ fn main() {
     }
     let t0 = std::time::Instant::now();
     if a.get(5).map(String::as_str) == Some("drain") {
-        let ok = fab.run_until_drained(500_000, threaded);
+        let ok = fab.run_until_drained_with(500_000, exec);
         eprintln!(
             "drained={ok} epochs {} delivered {}/{} dropped {} [{:?}]",
             fab.epochs_run(),
@@ -57,7 +61,7 @@ fn main() {
     }
     // Step in chunks so progress is visible.
     for chunk in 0..200 {
-        fab.run_epochs(50, threaded);
+        fab.run_epochs_with(50, exec);
         eprintln!(
             "chunk {chunk}: epochs {} cycle {} delivered {}/{} dropped {} [{:?}]",
             fab.epochs_run(),

@@ -20,6 +20,24 @@ fn fmt2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// A malformed subcommand argument: say what is wrong and print the
+/// subcommand's usage line on stderr, then exit 2 — what an unknown
+/// experiment name does.
+fn usage_exit(problem: &str, usage: &str) -> ! {
+    eprintln!("{problem}\nusage: repro -- {usage}");
+    std::process::exit(2);
+}
+
+/// Positional argument `idx` as a number (`default` when absent).
+fn num_arg<T: std::str::FromStr>(idx: usize, default: T, what: &str, usage: &str) -> T {
+    match std::env::args().nth(idx) {
+        None => default,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| usage_exit(&format!("'{s}' is not a {what}"), usage)),
+    }
+}
+
 fn run_fig7_1_peak() {
     println!("== Figure 7-1 (top): peak throughput vs packet size ==");
     let pts = peak_sweep();
@@ -361,18 +379,9 @@ fn run_simspeed() {
     // `repro -- simspeed [cycles] [repeats]`: a smaller span makes a
     // smoke test (CI); the defaults match the Figure 7-1 measurement
     // run with median-of-3 timing.
-    let cycles = match std::env::args().nth(2) {
-        None => 220_000,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("simspeed: '{s}' is not a cycle count")),
-    };
-    let repeats = match std::env::args().nth(3) {
-        None => 3,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("simspeed: '{s}' is not a repeat count")),
-    };
+    const USAGE: &str = "simspeed [cycles] [repeats]";
+    let cycles: u64 = num_arg(2, 220_000, "cycle count", USAGE);
+    let repeats: u32 = num_arg(3, 3, "repeat count", USAGE);
     println!(
         "== simulator performance: wall-clock per engine ({cycles} router cycles, \
          median of {repeats}) =="
@@ -404,9 +413,7 @@ fn run_simspeed() {
         .map(|s| {
             vec![
                 s.scenario.clone(),
-                format!("{:.2}x", s.event_skip_vs_per_cycle),
                 format!("{:.2}x", s.compiled_vs_per_cycle),
-                format!("{:.2}x", s.compiled_vs_event_skip),
                 if s.fingerprints_match {
                     "identical"
                 } else {
@@ -418,16 +425,7 @@ fn run_simspeed() {
         .collect();
     println!(
         "{}",
-        table(
-            &[
-                "scenario",
-                "skip/percyc",
-                "compiled/percyc",
-                "compiled/skip",
-                "results"
-            ],
-            &srows
-        )
+        table(&["scenario", "compiled/percyc", "results"], &srows)
     );
     for s in &rep.speedups {
         assert!(
@@ -437,20 +435,15 @@ fn run_simspeed() {
         );
     }
     write_json(&results_dir(), "simspeed", &rep).unwrap();
-    // CI-diffable digest at the repo root: the speedup matrix and
-    // per-engine throughput, without raw wall times.
+    // CI-diffable digest at the repo root: the speedup and per-engine
+    // throughput, without raw wall times.
     write_bench_digest("simspeed", &bench_digest(&rep)).unwrap();
 }
 
 fn run_telemetry() {
     // `repro -- telemetry [cycles]`: a smaller span makes a smoke test
     // (CI); the default matches the Figure 7-1 measurement span.
-    let cycles = match std::env::args().nth(2) {
-        None => 220_000,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("telemetry: '{s}' is not a cycle count")),
-    };
+    let cycles: u64 = num_arg(2, 220_000, "cycle count", "telemetry [cycles]");
     println!("== telemetry: per-stage latency breakdown & stall attribution ({cycles} cycles) ==");
     let (rep, trace) = telemetry_report(cycles);
     for run in &rep.runs {
@@ -526,12 +519,7 @@ fn run_telemetry() {
 fn run_chaos() {
     // `repro -- chaos [cycles]`: a smaller span makes a smoke test (CI);
     // the default matches the Figure 7-1 measurement span.
-    let cycles = match std::env::args().nth(2) {
-        None => 220_000,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("chaos: '{s}' is not a cycle count")),
-    };
+    let cycles: u64 = num_arg(2, 220_000, "cycle count", "chaos [cycles]");
     println!("== chaos: reference fault plan, graceful degradation soak ({cycles} cycles) ==");
     let rep = chaos_report(cycles);
     println!(
@@ -605,17 +593,19 @@ fn run_fabric() {
     // shrinks the per-cell run length for CI; the default is long
     // enough to amortize the epoch-boundary pipeline fill that the
     // aggregate-bandwidth headline depends on.
-    let (ppp, smoke) = match std::env::args().nth(2).as_deref() {
-        None => (1_000usize, false),
-        Some("--smoke") => (120, true),
-        Some(s) => (
-            s.parse()
-                .unwrap_or_else(|_| panic!("fabric: '{s}' is not a packet count")),
-            false,
-        ),
+    let smoke = std::env::args().nth(2).as_deref() == Some("--smoke");
+    let ppp: usize = if smoke {
+        120
+    } else {
+        num_arg(
+            2,
+            1_000,
+            "packet count",
+            "fabric [--smoke | <packets/port>]",
+        )
     };
     println!(
-        "== fabric: Clos composition of 4-port routers, threaded vs reference \
+        "== fabric: Clos composition of 4-port routers, sharded vs reference \
          ({ppp} packets/port) =="
     );
     let rep = fabric_study(ppp);
@@ -691,7 +681,7 @@ fn run_fabric() {
         rep.clos16_mpps, rep.clos_over_single
     );
     // Executor scaling curve: 4 -> 256 external ports, reference vs
-    // per-router threaded vs sharded coordinators.
+    // sharded coordinators.
     let srows: Vec<Vec<String>> = rep
         .scaling
         .points
@@ -735,11 +725,9 @@ fn run_fabric() {
         )
     );
     println!(
-        "sharded ({} shard{}) over threaded, wall clock: Clos64 {:.2}x, Clos256 {:.2}x",
+        "sharded points ran {} shard{}",
         rep.scaling.shards,
         if rep.scaling.shards == 1 { "" } else { "s" },
-        rep.scaling.clos64_sharded_over_threaded,
-        rep.scaling.clos256_sharded_over_threaded,
     );
     assert!(
         rep.all_fingerprints_match,
@@ -775,22 +763,12 @@ fn run_fabric() {
             "Clos16 only {:.2}x a single router (acceptance floor is 3x)",
             rep.clos_over_single
         );
-        // The sharding acceptance: at the 64-port Clos, partitioned
-        // coordinators must beat the one-thread-per-router executor on
-        // wall clock. (Not asserted in smoke mode, where the shortened
-        // runs leave the race inside timing noise.)
-        assert!(
-            rep.scaling.clos64_sharded_over_threaded > 1.0,
-            "sharded coordinators did not beat the per-router threaded executor at Clos64 \
-             ({:.2}x)",
-            rep.scaling.clos64_sharded_over_threaded
-        );
     }
     write_json(&results_dir(), "fabric", &rep).unwrap();
     write_bench_digest("fabric", &fabric_bench_digest(&rep)).unwrap();
     println!(
         "wrote results/fabric.json + BENCH_fabric.json (every cell fingerprint-verified \
-         on all executors)"
+         on both executors)"
     );
 }
 
@@ -801,7 +779,7 @@ fn run_sched() {
     let (cycles, ppp) = match std::env::args().nth(2).as_deref() {
         None => (240_000u64, 10_000usize),
         Some("--smoke") => (120_000, 4_000),
-        Some(s) => panic!("sched: unknown argument '{s}' (expected --smoke)"),
+        Some(s) => usage_exit(&format!("unknown argument '{s}'"), "sched [--smoke]"),
     };
     println!(
         "== sched: rotating token vs iSLIP vs crosspoint-queued, {} patterns x {} arbiters \

@@ -4,10 +4,10 @@
 //!
 //! Sweeps router count (1 / 6 / 12 via [`Topology`]), epoch size, and
 //! spray mode on saturated fabric-uniform traffic. Every cell runs
-//! twice — threaded executor and single-threaded reference — and the
-//! two fingerprints must agree bit-for-bit; the report then sets the
-//! ring-vs-Clos scaling story side by side using the
-//! [`raw_xbar::ScalingCurve`] ring model.
+//! twice — sharded one shard per router, and the single-threaded
+//! reference — and the two fingerprints must agree bit-for-bit; the
+//! report then sets the ring-vs-Clos scaling story side by side using
+//! the [`raw_xbar::ScalingCurve`] ring model.
 
 use std::time::Instant;
 
@@ -36,7 +36,7 @@ pub struct FabricCell {
     pub gbps: f64,
     pub backpressure_epochs: u64,
     pub fingerprint: String,
-    /// Threaded and single-threaded reference fingerprints agree.
+    /// Sharded and single-threaded reference fingerprints agree.
     pub fingerprints_match: bool,
 }
 
@@ -70,22 +70,22 @@ pub struct FabricReport {
     /// Full telemetry summary (per-link stats, per-stage latency) of
     /// the best Clos16 cell.
     pub best_clos: FabricSummary,
-    /// Executor scaling curve: 4 -> 256 ports, reference vs threaded vs
-    /// sharded coordinators, fingerprint-verified per point.
+    /// Executor scaling curve: 4 -> 256 ports, reference vs sharded
+    /// coordinators, fingerprint-verified per point.
     pub scaling: ScalingReport,
 }
 
 const EPOCH_SWEEP: [u64; 3] = [128, 512, 2048];
 const PACKET_BYTES: usize = 64;
 
-fn run_once(cfg: FabricConfig, w: &Workload, threaded: bool) -> RawFabric {
+fn run_once(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
     let nports = cfg.topology.ext_ports();
     let mut fab = RawFabric::try_new(cfg).expect("valid fabric config");
     for s in generate_n(w, nports) {
         fab.offer(s.port, s.release, &s.packet);
     }
     assert!(
-        fab.run_until_drained(500_000, threaded),
+        fab.run_until_drained_with(500_000, exec),
         "fabric wedged: {:?} delivered {}/{}",
         fab.summary().topology,
         fab.delivered_count(),
@@ -116,26 +116,29 @@ fn run_cell(
         seed: 42,
         ttl: 64,
     };
-    let reference = run_once(cfg.clone(), &w, false);
-    let threaded = run_once(cfg, &w, true);
-    let summary = threaded.summary();
-    let cycles = threaded.cycle();
+    let reference = run_once(cfg.clone(), &w, Executor::Reference);
+    // One shard per router: the multi-shard loop runs whatever the
+    // host's core count.
+    let shards = topology.routers();
+    let sharded = run_once(cfg, &w, Executor::Sharded { shards });
+    let summary = sharded.summary();
+    let cycles = sharded.cycle();
     let cell = FabricCell {
         topology: topology.name().into(),
         spray: spray.name().into(),
         epoch_cycles,
         routers: topology.routers(),
         ext_ports: topology.ext_ports(),
-        offered: threaded.offered(),
-        delivered: threaded.delivered_count(),
-        dropped: threaded.dropped_count(),
-        epochs: threaded.epochs_run(),
+        offered: sharded.offered(),
+        delivered: sharded.delivered_count(),
+        dropped: sharded.dropped_count(),
+        epochs: sharded.epochs_run(),
         cycles,
-        mpps: threaded.mpps(0, cycles),
-        gbps: threaded.gbps(0, cycles),
+        mpps: sharded.mpps(0, cycles),
+        gbps: sharded.gbps(0, cycles),
         backpressure_epochs: summary.backpressure_epochs,
-        fingerprint: format!("{:016x}", threaded.fingerprint()),
-        fingerprints_match: reference.fingerprint() == threaded.fingerprint(),
+        fingerprint: format!("{:016x}", sharded.fingerprint()),
+        fingerprints_match: reference.fingerprint() == sharded.fingerprint(),
     };
     (cell, summary)
 }
@@ -210,7 +213,7 @@ pub struct ScalingPoint {
     pub routers: usize,
     pub ext_ports: usize,
     pub executor: String,
-    /// Shard count (sharded executor only; 0 otherwise).
+    /// Shard count (sharded executor only; 0 for the reference).
     pub shards: usize,
     pub offered: u64,
     pub delivered: u64,
@@ -230,17 +233,13 @@ pub struct ScalingPoint {
 /// The executor scaling curve (`repro -- fabric` publishes this inside
 /// `results/fabric.json` and as the `BENCH_fabric.json` digest):
 /// every topology from the single router to the 7-stage 256-port Clos,
-/// each drained on all three executors.
+/// each drained on the reference and on the sharded executor.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScalingReport {
     /// Shard count used for the sharded points (the machine's available
     /// parallelism, capped by each fabric's router count).
     pub shards: usize,
     pub points: Vec<ScalingPoint>,
-    /// Wall-throughput ratio, sharded over per-router threaded, at the
-    /// 64-port Clos — the headline the sharding refactor must win.
-    pub clos64_sharded_over_threaded: f64,
-    pub clos256_sharded_over_threaded: f64,
     pub all_fingerprints_match: bool,
 }
 
@@ -318,7 +317,7 @@ fn scaling_point(
 }
 
 /// The full scaling sweep: 4 -> 256 external ports, reference vs
-/// per-router threaded vs sharded coordinators. `packets_per_port` is
+/// sharded coordinators. `packets_per_port` is
 /// scaled down on the big fabrics to keep total packet volume (and
 /// wall time) bounded — per-point sim throughput is unaffected because
 /// the run is saturated either way.
@@ -344,8 +343,6 @@ pub fn executor_scaling(packets_per_port: usize) -> ScalingReport {
         };
         let (reference, ref_fp) = scaling_point(topology, Executor::Reference, ppp, repeats, None);
         points.push(reference);
-        let (threaded, _) = scaling_point(topology, Executor::Threaded, ppp, repeats, Some(ref_fp));
-        points.push(threaded);
         let (sharded, _) = scaling_point(
             topology,
             Executor::Sharded { shards },
@@ -355,18 +352,8 @@ pub fn executor_scaling(packets_per_port: usize) -> ScalingReport {
         );
         points.push(sharded);
     }
-    let wall = |t: Topology, e: &str| -> f64 {
-        points
-            .iter()
-            .find(|p| p.topology == t.name() && p.executor == e)
-            .map(|p| p.wall_mpps)
-            .unwrap_or(0.0)
-    };
-    let ratio = |t: Topology| wall(t, "sharded") / wall(t, "threaded").max(1e-12);
     ScalingReport {
         shards,
-        clos64_sharded_over_threaded: ratio(Topology::Clos64),
-        clos256_sharded_over_threaded: ratio(Topology::Clos256),
         all_fingerprints_match: points.iter().all(|p| p.matches_reference),
         points,
     }
@@ -384,7 +371,6 @@ pub struct FabricBenchRow {
     pub sim_mpps_per_port: f64,
     /// Wall-clock executor race (machine-dependent; diff the trend, not
     /// the digits).
-    pub sharded_over_threaded_wall: f64,
     pub sharded_over_reference_wall: f64,
     pub fingerprints_match: bool,
 }
@@ -410,7 +396,6 @@ pub fn fabric_bench_digest(rep: &FabricReport) -> FabricBenchDigest {
         .iter()
         .filter_map(|t| {
             let reference = point(t.name(), "reference")?;
-            let threaded = point(t.name(), "threaded")?;
             let sharded = point(t.name(), "sharded")?;
             Some(FabricBenchRow {
                 topology: t.name().into(),
@@ -418,15 +403,10 @@ pub fn fabric_bench_digest(rep: &FabricReport) -> FabricBenchDigest {
                 ext_ports: reference.ext_ports,
                 sim_mpps: round3(reference.sim_mpps),
                 sim_mpps_per_port: round3(reference.sim_mpps_per_port),
-                sharded_over_threaded_wall: round3(
-                    sharded.wall_mpps / threaded.wall_mpps.max(1e-12),
-                ),
                 sharded_over_reference_wall: round3(
                     sharded.wall_mpps / reference.wall_mpps.max(1e-12),
                 ),
-                fingerprints_match: reference.matches_reference
-                    && threaded.matches_reference
-                    && sharded.matches_reference,
+                fingerprints_match: reference.matches_reference && sharded.matches_reference,
             })
         })
         .collect();

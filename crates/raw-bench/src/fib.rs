@@ -37,7 +37,7 @@ use raw_telemetry::{shared, with_sink, Recorder, SharedSink, TileState};
 use raw_workloads::{flow_churn_descs, generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::{RawRouter, RouterConfig};
 
-use raw_fabric::{FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 
 /// Base RNG seed of the whole study; every table/flow/address draw is
 /// salted from it, so one constant pins the entire results file.
@@ -356,7 +356,7 @@ fn fabric_point() -> FibFabricPoint {
         fab.offer(s.port, s.release, &s.packet);
     }
     assert!(
-        fab.run_until_drained(500_000, false),
+        fab.run_until_drained_with(500_000, Executor::Reference),
         "fib fabric point wedged: delivered {}/{}",
         fab.delivered_count(),
         fab.offered()

@@ -1,11 +1,11 @@
 //! Simulator-performance measurement (`repro -- simspeed`).
 //!
-//! Times representative workloads under all three cycle engines —
-//! per-cycle interpreter, event-skip, and the schedule-specialization
-//! compiled engine — and reports simulated Mcycles per wall-clock
-//! second. Each scenario also produces a result fingerprint so the
-//! table doubles as a determinism check: a speedup is only admissible
-//! if every engine computed the same thing.
+//! Times representative workloads under both cycle engines — the
+//! per-cycle interpreter and the compiled engine (schedule
+//! specialization plus event-skip over quiet stretches) — and reports
+//! simulated Mcycles per wall-clock second. Each scenario also produces
+//! a result fingerprint so the table doubles as a determinism check: a
+//! speedup is only admissible if both engines computed the same thing.
 //!
 //! Scenarios:
 //! - `router-peak-64B` / `router-peak-1024B`: the Figure 7-1 peak
@@ -38,17 +38,12 @@ use crate::experiment_table;
 
 /// The engine sweep order; per-cycle first so every later row's speedup
 /// denominator precedes it in the table.
-pub const ENGINES: [EngineMode; 3] = [
-    EngineMode::PerCycle,
-    EngineMode::EventSkip,
-    EngineMode::Compiled,
-];
+pub const ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::Compiled];
 
 /// Stable engine label used in reports and JSON.
 pub fn engine_name(e: EngineMode) -> &'static str {
     match e {
         EngineMode::PerCycle => "per-cycle",
-        EngineMode::EventSkip => "event-skip",
         EngineMode::Compiled => "compiled",
     }
 }
@@ -66,7 +61,7 @@ pub struct SpeedRow {
     /// consumer of this table uses, including the criterion group).
     pub mcycles_per_sec: f64,
     /// Scenario-defined digest of the simulation's observable results;
-    /// must match across all engine modes.
+    /// must match across both engine modes.
     pub fingerprint: String,
 }
 
@@ -82,16 +77,12 @@ pub struct SpeedReport {
     pub speedups: Vec<ScenarioSpeedup>,
 }
 
-/// Per-scenario speedup matrix, all ratios of median wall times.
+/// Per-scenario speedup, a ratio of median wall times.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScenarioSpeedup {
     pub scenario: String,
-    /// wall(per-cycle) / wall(event-skip).
-    pub event_skip_vs_per_cycle: f64,
     /// wall(per-cycle) / wall(compiled).
     pub compiled_vs_per_cycle: f64,
-    /// wall(event-skip) / wall(compiled) — the tentpole's headline.
-    pub compiled_vs_event_skip: f64,
     pub fingerprints_match: bool,
 }
 
@@ -129,8 +120,8 @@ fn router_scenario(w: &Workload, span: u64, engine: EngineMode) -> (u64, String)
         ..RouterConfig::default()
     };
     cfg.raw.engine = engine;
-    // `RawRouter` compiles its own fabric at construction when the
-    // compiled engine is selected, so nothing more to do here.
+    // `RawRouter` compiles its own schedule at construction under the
+    // compiled engine, so nothing more to do here.
     let mut r = RawRouter::new(cfg, experiment_table());
     for sp in generate(w) {
         r.offer(sp.port, sp.release, &sp.packet);
@@ -288,14 +279,11 @@ pub fn simspeed_with(router_cycles: u64, repeats: u32) -> SpeedReport {
                 fingerprint,
             });
         }
-        let (pc, es, co) = (&cells[0], &cells[1], &cells[2]);
+        let (pc, co) = (&cells[0], &cells[1]);
         speedups.push(ScenarioSpeedup {
             scenario: name.clone(),
-            event_skip_vs_per_cycle: pc.wall_ms / es.wall_ms,
             compiled_vs_per_cycle: pc.wall_ms / co.wall_ms,
-            compiled_vs_event_skip: es.wall_ms / co.wall_ms,
-            fingerprints_match: pc.fingerprint == es.fingerprint
-                && es.fingerprint == co.fingerprint,
+            fingerprints_match: pc.fingerprint == co.fingerprint,
         });
         rows.extend(cells);
     }
@@ -317,17 +305,14 @@ pub fn simspeed(router_cycles: u64) -> SpeedReport {
 pub struct BenchScenario {
     pub scenario: String,
     pub per_cycle_mcps: f64,
-    pub event_skip_mcps: f64,
     pub compiled_mcps: f64,
-    pub event_skip_vs_per_cycle: f64,
     pub compiled_vs_per_cycle: f64,
-    pub compiled_vs_event_skip: f64,
     pub fingerprints_match: bool,
 }
 
 /// The digest written to `BENCH_simspeed.json` at the repo root:
-/// per-scenario Mcycles/s per engine plus the speedup matrix, rounded
-/// to two decimals, with no raw wall times.
+/// per-scenario Mcycles/s per engine plus the speedup, rounded to two
+/// decimals, with no raw wall times.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct BenchDigest {
     pub router_cycles: u64,
@@ -353,11 +338,8 @@ pub fn bench_digest(rep: &SpeedReport) -> BenchDigest {
             .map(|s| BenchScenario {
                 scenario: s.scenario.clone(),
                 per_cycle_mcps: mcps(&s.scenario, "per-cycle"),
-                event_skip_mcps: mcps(&s.scenario, "event-skip"),
                 compiled_mcps: mcps(&s.scenario, "compiled"),
-                event_skip_vs_per_cycle: round2(s.event_skip_vs_per_cycle),
                 compiled_vs_per_cycle: round2(s.compiled_vs_per_cycle),
-                compiled_vs_event_skip: round2(s.compiled_vs_event_skip),
                 fingerprints_match: s.fingerprints_match,
             })
             .collect(),
@@ -378,8 +360,8 @@ mod tests {
                 s.scenario
             );
         }
-        // 6 scenarios × 3 engines.
-        assert_eq!(rep.rows.len(), 18);
+        // 6 scenarios × 2 engines.
+        assert_eq!(rep.rows.len(), 12);
         assert!(rep.rows.iter().all(|r| r.mcycles_per_sec > 0.0));
     }
 
@@ -387,13 +369,10 @@ mod tests {
     fn drip_feed_skips_most_cycles() {
         // The throttled pipe must produce identical deliveries in every
         // mode (the digest covers cycle stamps, not just values).
-        let (c1, fp1) = drip_scenario(256, 64, EngineMode::EventSkip);
-        let (c2, fp2) = drip_scenario(256, 64, EngineMode::PerCycle);
-        let (c3, fp3) = drip_scenario(256, 64, EngineMode::Compiled);
+        let (c1, fp1) = drip_scenario(256, 64, EngineMode::PerCycle);
+        let (c2, fp2) = drip_scenario(256, 64, EngineMode::Compiled);
         assert_eq!(c1, c2);
         assert_eq!(fp1, fp2);
-        assert_eq!(c1, c3);
-        assert_eq!(fp1, fp3);
         assert!(fp1.contains("delivered=256"));
     }
 }

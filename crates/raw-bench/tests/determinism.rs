@@ -3,8 +3,9 @@
 //! Two guarantees, both load-bearing for every number in `results/`:
 //! 1. Reproducibility — the same experiment run twice produces
 //!    byte-identical metrics and traces (no hidden host-dependent state).
-//! 2. Engine equivalence — event-skip fast-forwarding and the compiled
-//!    engine produce results bit-identical to per-cycle stepping:
+//! 2. Engine equivalence — the compiled engine (with its plan, and
+//!    with the plan dropped) produces results bit-identical to
+//!    per-cycle stepping:
 //!    throughput, per-tile activity statistics, switch stalls, the full
 //!    Figure 7-3 trace, and chaos-campaign fingerprints under an active
 //!    fault plan.
@@ -14,11 +15,7 @@ use raw_telemetry::{shared, NullSink, Recorder, SharedSink};
 use raw_workloads::{generate, Workload};
 use raw_xbar::{RawRouter, RouterConfig};
 
-const ALL_ENGINES: [EngineMode; 3] = [
-    EngineMode::PerCycle,
-    EngineMode::EventSkip,
-    EngineMode::Compiled,
-];
+const ALL_ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::Compiled];
 
 /// A fig7-1-peak-style run at one packet size with a fig7-3-style trace
 /// window, distilled to two strings: a metrics fingerprint and the full
@@ -32,6 +29,10 @@ fn traced_peak_with(
     engine: EngineMode,
     telemetry: Option<SharedSink>,
 ) -> (String, String) {
+    run_traced_peak(peak_router(bytes, engine, telemetry), bytes)
+}
+
+fn peak_router(bytes: usize, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
     let quantum = bytes / 4;
     let mut cfg = RouterConfig {
         quantum_words: quantum,
@@ -39,13 +40,17 @@ fn traced_peak_with(
         ..RouterConfig::default()
     };
     cfg.raw.engine = engine;
-    let mut r = RawRouter::try_new_with_telemetry(cfg, raw_bench::experiment_table(), telemetry)
+    let r = RawRouter::try_new_with_telemetry(cfg, raw_bench::experiment_table(), telemetry)
         .expect("router builds");
     assert_eq!(
         r.machine.has_compiled_plan(),
         engine == EngineMode::Compiled,
         "router must compile its fabric exactly when the compiled engine is selected"
     );
+    r
+}
+
+fn run_traced_peak(mut r: RawRouter, bytes: usize) -> (String, String) {
     for sp in generate(&Workload::peak(bytes, 800)) {
         r.offer(sp.port, sp.release, &sp.packet);
     }
@@ -78,20 +83,25 @@ fn traced_peak_with(
 #[test]
 fn peak_run_is_reproducible() {
     assert_eq!(
-        traced_peak(256, EngineMode::EventSkip),
-        traced_peak(256, EngineMode::EventSkip),
+        traced_peak(256, EngineMode::Compiled),
+        traced_peak(256, EngineMode::Compiled),
         "identical runs diverged"
     );
 }
 
 #[test]
-fn every_engine_matches_per_cycle_reference() {
+fn compiled_engine_matches_per_cycle_reference() {
     let (m_ref, t_ref) = traced_peak(256, EngineMode::PerCycle);
-    for engine in [EngineMode::EventSkip, EngineMode::Compiled] {
-        let (m, t) = traced_peak(256, engine);
-        assert_eq!(m, m_ref, "metrics diverged ({engine:?} vs per-cycle)");
-        assert_eq!(t, t_ref, "trace diverged ({engine:?} vs per-cycle)");
-    }
+    let (m, t) = traced_peak(256, EngineMode::Compiled);
+    assert_eq!(m, m_ref, "metrics diverged (compiled vs per-cycle)");
+    assert_eq!(t, t_ref, "trace diverged (compiled vs per-cycle)");
+    // The machine-wide fallback on the whole router: the fast engine
+    // after its plan is dropped interprets every switch.
+    let mut planless = peak_router(256, EngineMode::Compiled, None);
+    planless.machine.clear_compiled_plan();
+    let (m, t) = run_traced_peak(planless, 256);
+    assert_eq!(m, m_ref, "metrics diverged (compiled, plan dropped)");
+    assert_eq!(t, t_ref, "trace diverged (compiled, plan dropped)");
 }
 
 #[test]
@@ -156,10 +166,6 @@ fn engines_agree_under_an_active_fault_plan() {
     }
     assert_eq!(
         results[0], results[1],
-        "event-skip diverged from per-cycle under faults"
-    );
-    assert_eq!(
-        results[0], results[2],
         "compiled diverged from per-cycle under faults"
     );
 }

@@ -91,13 +91,15 @@ fn streaming_machine(engine: EngineMode) -> RawMachine {
 
 #[test]
 fn null_sink_steady_state_allocates_nothing() {
-    for engine in [
-        EngineMode::PerCycle,
-        EngineMode::EventSkip,
-        EngineMode::Compiled,
+    // Both engines, the fast one with and without a plan (the
+    // interpreter fallback has its own bulk-crediting path).
+    for (engine, compile) in [
+        (EngineMode::PerCycle, false),
+        (EngineMode::Compiled, false),
+        (EngineMode::Compiled, true),
     ] {
         let mut m = streaming_machine(engine);
-        if engine == EngineMode::Compiled {
+        if compile {
             raw_compile::compile_machine(&mut m, &raw_compile::CompileOptions::default())
                 .expect("streaming fabric compiles");
         }
@@ -110,7 +112,7 @@ fn null_sink_steady_state_allocates_nothing() {
         assert_eq!(
             after - before,
             0,
-            "steady-state cycles allocated with NullSink ({engine:?})"
+            "steady-state cycles allocated with NullSink ({engine:?}, plan: {compile})"
         );
     }
 }

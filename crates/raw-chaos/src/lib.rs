@@ -19,7 +19,7 @@
 //!
 //! Everything is driven by a [`FaultPlan`]: one seed plus per-class
 //! rates and windows. The same plan replays bit-identically, in both
-//! the per-cycle and event-skip engine modes, which is what makes an
+//! the per-cycle and compiled engines, which is what makes an
 //! adversarial campaign debuggable.
 //!
 //! Graceful degradation is checked, not hoped for:

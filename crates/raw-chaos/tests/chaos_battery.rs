@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use raw_chaos::*;
-use raw_fabric::{FabricConfig, Topology};
+use raw_fabric::{Executor, FabricConfig, Topology};
 use raw_net::{CorruptRng, Packet};
 use raw_sim::{EngineMode, RawConfig, NUM_STATIC_NETS};
 use raw_telemetry::{shared, with_sink, DropReason, Recorder, SharedSink};
@@ -111,7 +111,7 @@ proptest! {
         let plan = random_plan(seed);
         let sched = generate(&Workload::average(64, 40, wl_seed));
         let res = run_chaos(
-            voq_cfg(EngineMode::EventSkip), chaos_table(), &plan, &sched, 4_000_000,
+            voq_cfg(EngineMode::Compiled), chaos_table(), &plan, &sched, 4_000_000,
         ).unwrap();
         prop_assert!(res.errors.is_empty(), "plan seed {seed:#x}: {:?}", res.errors);
         prop_assert!(res.drained, "plan seed {seed:#x} wedged");
@@ -127,10 +127,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The same plan and traffic replay bit-identically: per-cycle,
-    /// event-skip, and compiled engines, and repeated runs of each, all
-    /// agree on the exact delivered words, arrival cycles, drop
-    /// counters, and final cycle count.
+    /// The same plan and traffic replay bit-identically: the per-cycle
+    /// and compiled engines, and a repeated run, all agree on the exact
+    /// delivered words, arrival cycles, drop counters, and final cycle
+    /// count.
     #[test]
     fn same_seed_reruns_are_bit_identical_in_every_engine_mode(
         seed in any::<u64>(),
@@ -138,14 +138,11 @@ proptest! {
     ) {
         let plan = random_plan(seed);
         let sched = generate(&Workload::average(64, 30, wl_seed));
-        let (ff_a, ff_streams) = chaos_streams(voq_cfg(EngineMode::EventSkip), &plan, &sched);
-        let (ff_b, _) = chaos_streams(voq_cfg(EngineMode::EventSkip), &plan, &sched);
+        let (co_a, co_streams) = chaos_streams(voq_cfg(EngineMode::Compiled), &plan, &sched);
+        let (co_b, _) = chaos_streams(voq_cfg(EngineMode::Compiled), &plan, &sched);
         let (pc, pc_streams) = chaos_streams(voq_cfg(EngineMode::PerCycle), &plan, &sched);
-        let (co, co_streams) = chaos_streams(voq_cfg(EngineMode::Compiled), &plan, &sched);
-        prop_assert_eq!(ff_a, ff_b, "fast-forward rerun diverged (seed {:#x})", seed);
-        prop_assert_eq!(ff_a, pc, "engine modes diverged (seed {:#x})", seed);
-        prop_assert_eq!(co, pc, "compiled engine diverged (seed {:#x})", seed);
-        prop_assert_eq!(ff_streams, pc_streams.clone());
+        prop_assert_eq!(co_a, co_b, "compiled rerun diverged (seed {:#x})", seed);
+        prop_assert_eq!(co_a, pc, "engine modes diverged (seed {:#x})", seed);
         prop_assert_eq!(co_streams, pc_streams);
     }
 }
@@ -158,11 +155,7 @@ fn zero_rate_plan_is_byte_identical_to_unwrapped_router() {
     let peak = generate(&Workload::peak(64, 60));
     let avg = generate(&Workload::average(64, 60, 42));
     for (name, sched) in [("fig7-1-peak", &peak), ("fig7-1-avg", &avg)] {
-        for engine in [
-            EngineMode::PerCycle,
-            EngineMode::EventSkip,
-            EngineMode::Compiled,
-        ] {
+        for engine in [EngineMode::PerCycle, EngineMode::Compiled] {
             let plan = FaultPlan::zero(0xC4A0);
             let (cf, cs) = chaos_streams(voq_cfg(engine), &plan, sched);
             let (pf, ps) = plain_streams(voq_cfg(engine), sched);
@@ -210,7 +203,7 @@ fn broken_drop_counters_are_caught_by_conservation() {
     for i in 0..DropReason::COUNT {
         let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
         let mut r = RawRouter::new_with_telemetry(
-            voq_cfg(EngineMode::EventSkip),
+            voq_cfg(EngineMode::Compiled),
             chaos_table(),
             sink.clone(),
         );
@@ -306,7 +299,7 @@ fn random_fabric_plan(seed: u64) -> FabricFaultPlan {
 }
 
 /// One full fabric chaos campaign; returns the fabric for inspection.
-fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, threaded: bool) -> ChaosFabric {
+fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> ChaosFabric {
     let cfg = FabricConfig {
         topology: Topology::Clos16,
         epoch_cycles: 256,
@@ -328,7 +321,7 @@ fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, threaded: bool) -> Cha
     for sp in generate_n(&w, 16) {
         cf.offer(sp.port, sp.release, &sp.packet);
     }
-    assert!(cf.fabric.run_until_drained(50_000, threaded), "wedged");
+    assert!(cf.fabric.run_until_drained_with(50_000, exec), "wedged");
     cf
 }
 
@@ -346,7 +339,7 @@ proptest! {
         wl_seed in any::<u64>(),
     ) {
         let plan = random_fabric_plan(seed);
-        let cf = run_chaos_fabric(&plan, wl_seed, false);
+        let cf = run_chaos_fabric(&plan, wl_seed, Executor::Reference);
         let errs = cf.fabric.conservation_errors();
         prop_assert!(errs.is_empty(), "plan seed {seed:#x}: {errs:?}");
         prop_assert_eq!(cf.fabric.offered(), 160);
@@ -356,7 +349,7 @@ proptest! {
                 "plan seed {:#x} reordered a flow", seed
             );
         }
-        let replay = run_chaos_fabric(&plan, wl_seed, true);
+        let replay = run_chaos_fabric(&plan, wl_seed, Executor::Sharded { shards: 4 });
         prop_assert_eq!(replay.injected, cf.injected);
         prop_assert_eq!(
             replay.fabric.fingerprint(), cf.fabric.fingerprint(),

@@ -23,8 +23,8 @@
 //! Compilation is conservative: a switch program this pass declines
 //! (see [`CompileOptions`]) simply stays on the interpreter — the
 //! compiled engine falls back per switch, and on any structural
-//! mutation the whole plan is dropped and execution degrades to
-//! event-skip transparently.
+//! mutation the whole plan is dropped and execution degrades to the
+//! interpreter transparently.
 
 use raw_sim::compiled::{
     CompiledDst, CompiledInstr, CompiledPlan, CompiledRoute, CompiledSrc, CompiledSwitch,
@@ -240,8 +240,9 @@ pub fn compile_machine(
 }
 
 /// Compile `machine` if (and only if) its engine is
-/// [`EngineMode::Compiled`] — the hook harness constructors call
-/// unconditionally. Returns the report when compilation ran.
+/// [`EngineMode::Compiled`] (the default) — the hook harness
+/// constructors call unconditionally. Returns the report when
+/// compilation ran.
 pub fn compile_if_enabled(machine: &mut RawMachine) -> Result<Option<CompileReport>, String> {
     if machine.config().engine == EngineMode::Compiled {
         compile_machine(machine, &CompileOptions::default()).map(Some)
@@ -249,14 +250,6 @@ pub fn compile_if_enabled(machine: &mut RawMachine) -> Result<Option<CompileRepo
         Ok(None)
     }
 }
-
-/// Pre-decode the instruction kernels of every [`raw_isa::IsaCore`]
-/// program. This is a no-op hook today: `IsaCore` pre-decodes its kernel
-/// IR (cached source/destination register sets) at construction time,
-/// so interpreted tile kernels already run decode-free. Kept as the
-/// compile-pass entry point so later kernel specializations slot in
-/// behind the same call.
-pub fn precompile_kernels(_machine: &mut RawMachine) {}
 
 #[cfg(test)]
 mod tests {
@@ -321,7 +314,7 @@ mod tests {
 
     #[test]
     fn compile_if_enabled_respects_engine() {
-        let mut m = machine(EngineMode::EventSkip);
+        let mut m = machine(EngineMode::PerCycle);
         assert!(compile_if_enabled(&mut m).unwrap().is_none());
         assert!(!m.has_compiled_plan());
         let mut m = machine(EngineMode::Compiled);

@@ -1,8 +1,8 @@
 //! Differential proptest: randomly generated switch schedules, device
-//! bindings, and fault windows must execute bit-identically on all three
-//! engines (per-cycle interpreter, event-skip, compiled), including with
-//! part of the fabric forced back onto the interpreter (mixed
-//! compiled/fallback execution).
+//! bindings, and fault windows must execute bit-identically on both
+//! engines (per-cycle interpreter, compiled), including with no plan
+//! installed (machine-wide fallback) and with part of the fabric forced
+//! back onto the interpreter (mixed compiled/fallback execution).
 
 use proptest::prelude::*;
 
@@ -145,16 +145,18 @@ fn fingerprint(m: &RawMachine) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// compiled == event-skip == per-cycle on arbitrary schedules.
+    /// compiled == per-cycle on arbitrary schedules, at every plan
+    /// coverage: none, full, partial.
     #[test]
     fn engines_agree_on_random_schedules(seed in any::<u64>(), span in 50u64..400) {
         let mut reference = build_machine(seed, EngineMode::PerCycle);
         reference.run(span);
         let expect = fingerprint(&reference);
 
-        let mut skip = build_machine(seed, EngineMode::EventSkip);
-        skip.run(span);
-        prop_assert_eq!(fingerprint(&skip), expect.clone());
+        let mut planless = build_machine(seed, EngineMode::Compiled);
+        planless.run(span);
+        prop_assert!(!planless.has_compiled_plan());
+        prop_assert_eq!(fingerprint(&planless), expect.clone());
 
         let mut compiled = build_machine(seed, EngineMode::Compiled);
         let report = compile_machine(&mut compiled, &CompileOptions::default()).unwrap();

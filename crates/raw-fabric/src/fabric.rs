@@ -7,13 +7,13 @@
 //! from egress collectors into link queues, draining link queues into
 //! the next stage's input line cards, injecting external arrivals, and
 //! scheduling credit-backpressure stalls — happen at the epoch boundary,
-//! in a single-threaded coordinator, in fixed link order. Because the
-//! boundary is sequential and deterministic and the intra-epoch work is
-//! independent per router, running the routers on worker threads (one
-//! per router, two [`std::sync::Barrier`] waits per epoch) produces
-//! *bit-identical* results to running them one after another on the
-//! coordinator thread. [`RawFabric::fingerprint`] digests everything
-//! observable so the equivalence is asserted, not assumed.
+//! in fixed link order on the caller's thread ([`Executor::Reference`]).
+//! Because per-link boundary work commutes and the intra-epoch work is
+//! independent per router, partitioning both across shard worker threads
+//! (see [`crate::shard`]) produces *bit-identical* results to running
+//! everything one after another on the caller's thread.
+//! [`RawFabric::fingerprint`] digests everything observable so the
+//! equivalence is asserted, not assumed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,7 +29,7 @@ use crate::link::FabricLink;
 use crate::shard::{partition_routers, Executor, LinkB, ShardMutant, ShardPlan};
 use crate::topology::{self, dst_ext_port, stamp_middle, Topology, TopologyPlan};
 
-// The threaded executor hands each router to a worker thread; everything
+// The sharded executor hands each router to a worker thread; everything
 // a router owns must therefore be Send. Checked here so a non-Send
 // device or sink added later fails at compile time, not at runtime.
 const _: fn() = || {
@@ -700,35 +700,6 @@ impl RawFabric {
         }
     }
 
-    /// The full single-threaded boundary at the start of epoch
-    /// `epochs_run`: phase A for every link, phase B for every link
-    /// (both in the shard plan's order), then the sequential tail. The
-    /// reference and threaded executors call this directly; the sharded
-    /// executor distributes phases A and B and runs only the tail here.
-    fn boundary_seq(
-        &mut self,
-        sp: &ShardPlan,
-        routers: &[Mutex<RawRouter>],
-        links: &[Mutex<FabricLink>],
-        link_cols: &[Arc<Mutex<OutCollector>>],
-    ) {
-        let epoch = self.epochs_run;
-        let t = epoch * self.cfg.epoch_cycles;
-        for sls in &sp.sender_links {
-            for &li in sls {
-                Self::collect_link(links, link_cols, li);
-            }
-        }
-        let mut events = Vec::new();
-        for rls in &sp.recv_links {
-            for lb in rls {
-                Self::drain_link(&self.cfg, routers, links, lb, epoch, t, &mut events);
-            }
-        }
-        self.apply_lat_events(t, events);
-        self.boundary_tail(routers, links, t);
-    }
-
     /// Everything offered is now delivered or dropped (and injection is
     /// complete).
     fn closed(&self, routers: &[Mutex<RawRouter>]) -> bool {
@@ -745,136 +716,104 @@ impl RawFabric {
 
     fn advance_with(&mut self, exec: Executor, max_epochs: u64, stop_when_closed: bool) -> bool {
         self.pending[self.next_pending..].sort_by_key(|p| (p.release, p.seq));
-        let k = self.cfg.epoch_cycles;
         let routers = std::mem::take(&mut self.routers);
         let links = std::mem::take(&mut self.links);
         let link_cols = std::mem::take(&mut self.link_cols);
-        let limit = max_epochs;
-        let done = match exec {
-            Executor::Reference => {
-                let sp = ShardPlan::build(
-                    &self.plan,
-                    &partition_routers(&self.plan, 1),
-                    ShardMutant::None,
-                );
-                let mut done = false;
-                while self.epochs_run < limit {
-                    self.boundary_seq(&sp, &routers, &links, &link_cols);
-                    if stop_when_closed && self.closed(&routers) {
-                        done = true;
-                        break;
-                    }
-                    for r in &routers {
-                        r.lock().unwrap().run(k);
-                    }
-                    self.epochs_run += 1;
-                }
-                done || (stop_when_closed && self.closed(&routers))
-            }
-            Executor::Threaded => {
-                let sp = ShardPlan::build(
-                    &self.plan,
-                    &partition_routers(&self.plan, 1),
-                    ShardMutant::None,
-                );
-                let barrier = Barrier::new(routers.len() + 1);
-                let stop = AtomicBool::new(false);
-                crossbeam::scope(|s| {
-                    for r in &routers {
-                        let barrier = &barrier;
-                        let stop = &stop;
-                        s.spawn(move |_| loop {
-                            barrier.wait();
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            r.lock().unwrap().run(k);
-                            barrier.wait();
-                        });
-                    }
-                    let mut done = false;
-                    while self.epochs_run < limit {
-                        self.boundary_seq(&sp, &routers, &links, &link_cols);
-                        if stop_when_closed && self.closed(&routers) {
-                            done = true;
-                            break;
-                        }
-                        barrier.wait(); // workers start the epoch
-                        barrier.wait(); // workers finished the epoch
-                        self.epochs_run += 1;
-                    }
-                    stop.store(true, Ordering::SeqCst);
-                    barrier.wait(); // release workers into the stop check
-                    done || (stop_when_closed && self.closed(&routers))
-                })
-                .expect("fabric worker panicked")
-            }
-            Executor::Sharded { shards } => {
-                let want = if shards == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    shards
-                };
-                let assign = partition_routers(&self.plan, want);
-                let sp = ShardPlan::build(&self.plan, &assign, self.shard_mutant);
-                if self.shard_mutant == ShardMutant::SkipBarrier {
-                    // The seeded missing-barrier bug, emulated
-                    // deterministically: each shard runs phase A then
-                    // phase B back-to-back in shard order, so an early
-                    // shard drains links whose sender lives in a later
-                    // shard before that shard has collected — exactly
-                    // the stale exchange the lost barrier would allow,
-                    // without the nondeterminism of a real race.
-                    let mut done = false;
-                    while self.epochs_run < limit {
-                        let epoch = self.epochs_run;
-                        let t = epoch * k;
-                        let mut events = Vec::new();
-                        for sh in 0..sp.routers_of.len() {
-                            for &li in &sp.sender_links[sh] {
-                                Self::collect_link(&links, &link_cols, li);
-                            }
-                            for lb in &sp.recv_links[sh] {
-                                Self::drain_link(
-                                    &self.cfg,
-                                    &routers,
-                                    &links,
-                                    lb,
-                                    epoch,
-                                    t,
-                                    &mut events,
-                                );
-                            }
-                        }
-                        self.apply_lat_events(t, events);
-                        self.boundary_tail(&routers, &links, t);
-                        if stop_when_closed && self.closed(&routers) {
-                            done = true;
-                            break;
-                        }
-                        for rs in &sp.routers_of {
-                            for &r in rs {
-                                routers[r].lock().unwrap().run(k);
-                            }
-                        }
-                        self.epochs_run += 1;
-                    }
-                    done || (stop_when_closed && self.closed(&routers))
-                } else {
-                    self.run_sharded(&sp, &routers, &links, &link_cols, limit, stop_when_closed)
-                }
-            }
+        // The one place an executor becomes a shard count. The reference
+        // is one shard with no seeded bug, whatever the test hook says:
+        // it is what the mutant battery compares against. Only the
+        // reference ignores the hook: `Threaded`, being a `Sharded`
+        // layout, runs the seeded bug like any other shard count (the
+        // per-router-thread executor it replaces did not).
+        let (shards, mutant) = match exec {
+            Executor::Reference => (1, ShardMutant::None),
+            Executor::Threaded => (routers.len(), self.shard_mutant),
+            Executor::Sharded { shards: 0 } => (
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1),
+                self.shard_mutant,
+            ),
+            Executor::Sharded { shards } => (shards, self.shard_mutant),
         };
+        let sp = ShardPlan::build(&self.plan, &partition_routers(&self.plan, shards), mutant);
+        let run = if sp.routers_of.len() == 1 || mutant == ShardMutant::SkipBarrier {
+            Self::run_inline
+        } else {
+            Self::run_sharded
+        };
+        let done = run(
+            self,
+            &sp,
+            mutant,
+            &routers,
+            &links,
+            &link_cols,
+            max_epochs,
+            stop_when_closed,
+        );
         self.routers = routers;
         self.links = links;
         self.link_cols = link_cols;
         done
     }
 
-    /// The sharded executor: one worker per shard runs phase A over its
-    /// sender-owned links, phase B over its receiver-owned links, and
+    /// The single-threaded epoch loop: every shard's phase A, phase B
+    /// and router runs on the caller, in shard order — no workers, no
+    /// barriers. With one shard (which owns every router and every link,
+    /// in index order) this is the reference schedule. With several it
+    /// is the seeded [`ShardMutant::SkipBarrier`] bug, emulated
+    /// deterministically: each shard runs phase A then phase B
+    /// back-to-back, so an early shard drains links whose sender lives
+    /// in a later shard before that shard has collected — exactly the
+    /// stale exchange the lost barrier would allow, without the
+    /// nondeterminism of a real race. (The DelayBoundaryLink mutant
+    /// applies here too: it is a phase-A bug, not a synchronization
+    /// bug.)
+    #[allow(clippy::too_many_arguments)]
+    fn run_inline(
+        &mut self,
+        sp: &ShardPlan,
+        mutant: ShardMutant,
+        routers: &[Mutex<RawRouter>],
+        links: &[Mutex<FabricLink>],
+        link_cols: &[Arc<Mutex<OutCollector>>],
+        limit: u64,
+        stop_when_closed: bool,
+    ) -> bool {
+        let k = self.cfg.epoch_cycles;
+        let mut stash: Vec<Packet> = Vec::new();
+        while self.epochs_run < limit {
+            let epoch = self.epochs_run;
+            let t = epoch * k;
+            let mut events = Vec::new();
+            for (sender_links, recv_links) in sp.sender_links.iter().zip(&sp.recv_links) {
+                for &li in sender_links {
+                    if mutant == ShardMutant::DelayBoundaryLink(li) {
+                        Self::collect_link_delayed(links, link_cols, li, &mut stash);
+                    } else {
+                        Self::collect_link(links, link_cols, li);
+                    }
+                }
+                for lb in recv_links {
+                    Self::drain_link(&self.cfg, routers, links, lb, epoch, t, &mut events);
+                }
+            }
+            self.apply_lat_events(t, events);
+            self.boundary_tail(routers, links, t);
+            if stop_when_closed && self.closed(routers) {
+                return true;
+            }
+            for &r in sp.routers_of.iter().flatten() {
+                routers[r].lock().unwrap().run(k);
+            }
+            self.epochs_run += 1;
+        }
+        stop_when_closed && self.closed(routers)
+    }
+
+    /// The multi-shard epoch loop: one worker per shard runs phase A over
+    /// its sender-owned links, phase B over its receiver-owned links, and
     /// its own routers' epochs, with five barrier waits per epoch; the
     /// coordinator runs the sequential tail between phases B and the
     /// router runs. See the `shard` module docs for why this is
@@ -883,6 +822,7 @@ impl RawFabric {
     fn run_sharded(
         &mut self,
         sp: &ShardPlan,
+        mutant: ShardMutant,
         routers: &[Mutex<RawRouter>],
         links: &[Mutex<FabricLink>],
         link_cols: &[Arc<Mutex<OutCollector>>],
@@ -891,43 +831,7 @@ impl RawFabric {
     ) -> bool {
         let s = sp.routers_of.len();
         let k = self.cfg.epoch_cycles;
-        if s == 1 {
-            // One shard owns every router and every link: there is
-            // nothing to synchronize with, so run the shard's schedule
-            // inline on the caller — no workers, no barriers. (The
-            // DelayBoundaryLink mutant still applies: it is a phase-A
-            // bug, not a synchronization bug.)
-            let mut stash: Vec<Packet> = Vec::new();
-            let mut done = false;
-            while self.epochs_run < limit {
-                let epoch = self.epochs_run;
-                let t = epoch * k;
-                for &li in &sp.sender_links[0] {
-                    if self.shard_mutant == ShardMutant::DelayBoundaryLink(li) {
-                        Self::collect_link_delayed(links, link_cols, li, &mut stash);
-                    } else {
-                        Self::collect_link(links, link_cols, li);
-                    }
-                }
-                let mut events = Vec::new();
-                for lb in &sp.recv_links[0] {
-                    Self::drain_link(&self.cfg, routers, links, lb, epoch, t, &mut events);
-                }
-                self.apply_lat_events(t, events);
-                self.boundary_tail(routers, links, t);
-                if stop_when_closed && self.closed(routers) {
-                    done = true;
-                    break;
-                }
-                for &r in &sp.routers_of[0] {
-                    routers[r].lock().unwrap().run(k);
-                }
-                self.epochs_run += 1;
-            }
-            return done || (stop_when_closed && self.closed(routers));
-        }
         let cfg = self.cfg.clone();
-        let mutant = self.shard_mutant;
         let barrier = Barrier::new(s + 1);
         let stop = AtomicBool::new(false);
         let skip_run = AtomicBool::new(false);
@@ -1018,38 +922,15 @@ impl RawFabric {
     }
 
     /// Advance exactly `n` more epochs (fixed horizon — for throughput
-    /// windows). `threaded` selects the per-router parallel executor;
-    /// results are bit-identical either way.
-    pub fn run_epochs(&mut self, n: u64, threaded: bool) {
-        self.run_epochs_with(
-            n,
-            if threaded {
-                Executor::Threaded
-            } else {
-                Executor::Reference
-            },
-        );
-    }
-
-    /// Advance exactly `n` more epochs on the chosen executor.
+    /// windows) on the chosen executor; results are bit-identical on
+    /// every executor.
     pub fn run_epochs_with(&mut self, n: u64, exec: Executor) {
         self.advance_with(exec, self.epochs_run + n, false);
     }
 
     /// Run until every offered packet is delivered or dropped, or
-    /// `max_epochs` total epochs pass. Returns true on full accounting.
-    pub fn run_until_drained(&mut self, max_epochs: u64, threaded: bool) -> bool {
-        self.run_until_drained_with(
-            max_epochs,
-            if threaded {
-                Executor::Threaded
-            } else {
-                Executor::Reference
-            },
-        )
-    }
-
-    /// [`RawFabric::run_until_drained`] on the chosen executor.
+    /// `max_epochs` total epochs pass, on the chosen executor. Returns
+    /// true on full accounting.
     pub fn run_until_drained_with(&mut self, max_epochs: u64, exec: Executor) -> bool {
         self.advance_with(exec, max_epochs, true)
     }
@@ -1220,8 +1101,8 @@ impl RawFabric {
 
     /// FNV-1a digest of everything observable: external delivery streams
     /// (cycle + exact words), per-router classified drops, offered
-    /// count, and the epoch clock. The threaded and single-threaded
-    /// executors must produce equal fingerprints.
+    /// count, and the epoch clock. Every executor must produce equal
+    /// fingerprints.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {

@@ -22,12 +22,13 @@
 //!   flow-pinned, preserving intra-flow order across the fabric;
 //! * **Deterministic parallelism** ([`RawFabric`]): each router advances
 //!   in barrier-synchronized epochs of K cycles, with every cross-router
-//!   transfer applied at the epoch boundary — by one sequential
-//!   coordinator ([`Executor::Reference`] / [`Executor::Threaded`]) or
-//!   by partitioned per-shard coordinators that exchange only
-//!   boundary-link state at the barriers ([`Executor::Sharded`], see
-//!   [`shard`]) — so every executor is bit-identical to the
-//!   single-threaded reference, asserted by [`RawFabric::fingerprint`];
+//!   transfer applied at the epoch boundary — sequentially on the
+//!   caller's thread ([`Executor::Reference`]) or by partitioned
+//!   per-shard coordinators that exchange only boundary-link state at
+//!   the barriers ([`Executor::Sharded`], see [`shard`];
+//!   [`Executor::Threaded`] is its one-shard-per-router layout) — so
+//!   every executor is bit-identical to the single-threaded reference,
+//!   asserted by [`RawFabric::fingerprint`];
 //! * **Scale** ([`Topology::Clos64`], [`Topology::Clos256`]): recursive
 //!   5- and 7-stage folded-Clos fabrics of 80 and 448 radix-4 routers,
 //!   the port counts Tiny Tera targets, still lowered through the same

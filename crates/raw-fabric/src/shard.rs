@@ -1,9 +1,9 @@
 //! Sharded coordinators: partitioning the fabric's link graph for the
 //! [`Executor::Sharded`] executor.
 //!
-//! The single-coordinator executors (reference and per-router threaded)
-//! funnel every cross-router transfer through one sequential boundary.
-//! The sharded executor splits that boundary: routers are partitioned
+//! The reference executor funnels every cross-router transfer through
+//! one sequential boundary on the caller's thread. The sharded executor
+//! splits that boundary: routers are partitioned
 //! into router-disjoint shards balanced by incident link count, and each
 //! shard's worker performs the boundary link work it owns — collecting
 //! its routers' egress collectors into link queues (phase A, keyed by
@@ -34,8 +34,11 @@ pub enum Executor {
     /// Single-threaded: boundary and routers on the caller's thread, in
     /// fixed order. The semantic reference everything else must match.
     Reference,
-    /// The historical parallel executor: one worker thread per router,
-    /// every boundary handled by one global sequential coordinator.
+    /// One shard per router: `Sharded { shards: routers }` under the
+    /// name of the historical per-router-thread executor. Kept because
+    /// the repo benchmark (`benchmark/src/workloads.rs`) matches on it.
+    /// Like every `Sharded` layout it honours the `ShardMutant` test
+    /// hook; only `Reference` ignores it.
     Threaded,
     /// Partitioned coordinators (see module docs). `shards == 0` picks
     /// the machine's available parallelism, capped by the router count.

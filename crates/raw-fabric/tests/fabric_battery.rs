@@ -1,10 +1,14 @@
-//! End-to-end fabric battery: the threaded executor must be
+//! End-to-end fabric battery: the multi-shard executor must be
 //! bit-identical to the single-threaded reference, delivery must match
 //! the workload's own accounting, and congestion must engage the
 //! credit-based backpressure instead of losing packets.
 
-use raw_fabric::{FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
+
+/// The multi-shard epoch loop at a fixed shard count, so what runs does
+/// not depend on the host's core count.
+const PARALLEL: Executor = Executor::Sharded { shards: 4 };
 
 fn workload(pattern: Pattern, seed: u64, packets_per_port: usize) -> Workload {
     Workload {
@@ -28,14 +32,14 @@ fn cfg(topology: Topology, spray: SprayMode) -> FabricConfig {
 
 /// Build a fabric, offer the whole schedule, run it dry, and check the
 /// books before handing it back for test-specific assertions.
-fn run_fabric(cfg: FabricConfig, w: &Workload, threaded: bool) -> RawFabric {
+fn run_fabric(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
     let nports = cfg.topology.ext_ports();
     let mut fab = RawFabric::try_new(cfg).expect("valid config");
     for s in generate_n(w, nports) {
         fab.offer(s.port, s.release, &s.packet);
     }
     assert!(
-        fab.run_until_drained(50_000, threaded),
+        fab.run_until_drained_with(50_000, exec),
         "fabric failed to drain: offered={} delivered={} dropped={}",
         fab.offered(),
         fab.delivered_count(),
@@ -47,18 +51,18 @@ fn run_fabric(cfg: FabricConfig, w: &Workload, threaded: bool) -> RawFabric {
 }
 
 #[test]
-fn threaded_execution_is_bit_identical_to_the_reference() {
+fn sharded_execution_is_bit_identical_to_the_reference() {
     // >= 3 seeds x both spray modes, per the acceptance bar.
     for seed in [11u64, 22, 33] {
         for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
             let w = workload(Pattern::FabricUniform, seed, 12);
-            let single = run_fabric(cfg(Topology::Clos16, spray), &w, false);
-            let threaded = run_fabric(cfg(Topology::Clos16, spray), &w, true);
-            assert_eq!(single.delivered_count(), threaded.delivered_count());
-            assert_eq!(single.epochs_run(), threaded.epochs_run());
+            let single = run_fabric(cfg(Topology::Clos16, spray), &w, Executor::Reference);
+            let sharded = run_fabric(cfg(Topology::Clos16, spray), &w, PARALLEL);
+            assert_eq!(single.delivered_count(), sharded.delivered_count());
+            assert_eq!(single.epochs_run(), sharded.epochs_run());
             assert_eq!(
                 single.fingerprint(),
-                threaded.fingerprint(),
+                sharded.fingerprint(),
                 "seed {seed} spray {} diverged",
                 spray.name()
             );
@@ -69,8 +73,16 @@ fn threaded_execution_is_bit_identical_to_the_reference() {
 #[test]
 fn replaying_the_same_schedule_reproduces_the_fingerprint() {
     let w = workload(Pattern::FabricUniform, 7, 10);
-    let a = run_fabric(cfg(Topology::Clos16, SprayMode::LeastOccupancy), &w, true);
-    let b = run_fabric(cfg(Topology::Clos16, SprayMode::LeastOccupancy), &w, true);
+    let a = run_fabric(
+        cfg(Topology::Clos16, SprayMode::LeastOccupancy),
+        &w,
+        PARALLEL,
+    );
+    let b = run_fabric(
+        cfg(Topology::Clos16, SprayMode::LeastOccupancy),
+        &w,
+        PARALLEL,
+    );
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
@@ -79,7 +91,11 @@ fn uniform_delivery_matches_the_workload_accounting() {
     let w = workload(Pattern::FabricUniform, 5, 12);
     let sched = generate_n(&w, 16);
     let expected = raw_workloads::expected_per_output_n(&sched, 16);
-    let fab = run_fabric(cfg(Topology::Clos16, SprayMode::Hash), &w, false);
+    let fab = run_fabric(
+        cfg(Topology::Clos16, SprayMode::Hash),
+        &w,
+        Executor::Reference,
+    );
     assert_eq!(fab.dropped_count(), 0, "clean uniform run must not drop");
     for (ext, &want) in expected.iter().enumerate() {
         assert_eq!(
@@ -95,7 +111,7 @@ fn uniform_delivery_matches_the_workload_accounting() {
 fn folded_clos_delivers_in_order_on_both_spray_modes() {
     for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
         let w = workload(Pattern::FabricUniform, 9, 16);
-        let fab = run_fabric(cfg(Topology::Folded8, spray), &w, true);
+        let fab = run_fabric(cfg(Topology::Folded8, spray), &w, PARALLEL);
         assert_eq!(fab.dropped_count(), 0);
         assert_eq!(fab.delivered_count(), fab.offered());
         assert_eq!(fab.flow_order_violations(), 0, "spray {}", spray.name());
@@ -105,7 +121,11 @@ fn folded_clos_delivers_in_order_on_both_spray_modes() {
 #[test]
 fn single_router_topology_is_a_working_degenerate_case() {
     let w = workload(Pattern::Uniform, 3, 20);
-    let fab = run_fabric(cfg(Topology::Single4, SprayMode::Hash), &w, false);
+    let fab = run_fabric(
+        cfg(Topology::Single4, SprayMode::Hash),
+        &w,
+        Executor::Reference,
+    );
     assert_eq!(fab.delivered_count(), fab.offered());
     let s = fab.summary();
     assert!(s.links.is_empty(), "a single router has no fabric links");
@@ -138,7 +158,7 @@ fn cross_stage_hotspot_engages_backpressure_without_loss_accounting_errors() {
     for s in generate_n(&w, 16) {
         fab.offer(s.port, s.release, &s.packet);
     }
-    assert!(fab.run_until_drained(50_000, true));
+    assert!(fab.run_until_drained_with(50_000, PARALLEL));
     let errs = fab.conservation_errors();
     assert!(errs.is_empty(), "conservation violated: {errs:?}");
     let s = fab.summary();
@@ -171,7 +191,7 @@ fn link_stalls_delay_but_never_lose_packets() {
     for link in [0, 5, 17] {
         fab.stall_link(link, 1, 4);
     }
-    assert!(fab.run_until_drained(50_000, true));
+    assert!(fab.run_until_drained_with(50_000, PARALLEL));
     let errs = fab.conservation_errors();
     assert!(errs.is_empty(), "conservation violated: {errs:?}");
     assert_eq!(fab.delivered_count(), fab.offered());

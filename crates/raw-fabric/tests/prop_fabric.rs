@@ -1,11 +1,11 @@
 //! Property battery: any clean (fault-free) workload on any topology,
 //! epoch size, and spray mode must conserve packets exactly and never
-//! reorder a flow, and the threaded executor must stay bit-identical to
-//! the single-threaded reference on random draws.
+//! reorder a flow, and the multi-shard executor must stay bit-identical
+//! to the single-threaded reference on random draws.
 
 use proptest::prelude::*;
 
-use raw_fabric::{FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
 fn pick_topology(sel: u8) -> Topology {
@@ -45,13 +45,13 @@ fn build(topology: Topology, epoch_sel: u8, spray_sel: u8) -> FabricConfig {
     }
 }
 
-fn run(cfg: FabricConfig, w: &Workload, threaded: bool) -> RawFabric {
+fn run(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
     let nports = cfg.topology.ext_ports();
     let mut fab = RawFabric::try_new(cfg).expect("valid config");
     for s in generate_n(w, nports) {
         fab.offer(s.port, s.release, &s.packet);
     }
-    assert!(fab.run_until_drained(50_000, threaded), "fabric wedged");
+    assert!(fab.run_until_drained_with(50_000, exec), "fabric wedged");
     fab
 }
 
@@ -79,7 +79,7 @@ proptest! {
             seed,
             ttl: 64,
         };
-        let fab = run(build(topology, epoch_sel, spray_sel), &w, false);
+        let fab = run(build(topology, epoch_sel, spray_sel), &w, Executor::Reference);
         let errs = fab.conservation_errors();
         prop_assert!(errs.is_empty(), "seed {seed:#x}: {errs:?}");
         prop_assert_eq!(fab.offered(), (nports * w.packets_per_port) as u64);
@@ -93,11 +93,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The threaded executor is bit-identical to the single-threaded
+    /// The multi-shard executor is bit-identical to the single-threaded
     /// reference on arbitrary draws, not just the curated seeds of the
     /// battery test.
     #[test]
-    fn threaded_matches_reference_on_random_draws(
+    fn sharded_matches_reference_on_random_draws(
         seed in any::<u64>(),
         topo_sel in any::<u8>(),
         epoch_sel in any::<u8>(),
@@ -113,11 +113,11 @@ proptest! {
             ttl: 64,
         };
         let cfg = build(topology, epoch_sel, spray_sel);
-        let single = run(cfg.clone(), &w, false);
-        let threaded = run(cfg, &w, true);
-        prop_assert_eq!(single.epochs_run(), threaded.epochs_run());
+        let single = run(cfg.clone(), &w, Executor::Reference);
+        let sharded = run(cfg, &w, Executor::Sharded { shards: 4 });
+        prop_assert_eq!(single.epochs_run(), sharded.epochs_run());
         prop_assert_eq!(
-            single.fingerprint(), threaded.fingerprint(),
+            single.fingerprint(), sharded.fingerprint(),
             "seed {:#x} diverged between executors", seed
         );
     }

@@ -94,6 +94,9 @@ proptest! {
     }
 }
 
+/// The one deterministic Clos64 case: the 80-router, 5-stage recursive
+/// Clos on the reference, on `Threaded` (80 shards, the widest layout
+/// `run_sharded` is asked for) and on four shards.
 #[test]
 fn all_three_executors_agree_on_clos64() {
     let c = cfg(Topology::Clos64, SprayMode::Hash, 256);
@@ -117,6 +120,52 @@ fn all_three_executors_agree_on_clos64() {
     .collect();
     assert_eq!(fps[0], fps[1], "threaded diverged from reference");
     assert_eq!(fps[0], fps[2], "sharded diverged from reference");
+}
+
+/// The collapsed executor shape: `Threaded` is `Sharded` with one shard
+/// per router, both match the reference, and the reference runs
+/// unmutated whatever seeded bug the test hook installed (the mutant
+/// battery below compares against it).
+#[test]
+fn threaded_is_one_shard_per_router_and_the_reference_ignores_mutants() {
+    for topology in [Topology::Clos16, Topology::Folded8] {
+        let c = cfg(topology, SprayMode::Hash, 256);
+        let w = workload(Pattern::FabricUniform, 7, 8);
+        let routers = topology.routers();
+        let run = |exec: Executor, mutant: ShardMutant| {
+            let mut fab = build(c.clone(), &w);
+            fab.set_shard_mutant(mutant);
+            assert!(
+                fab.run_until_drained_with(50_000, exec),
+                "{topology:?} wedged on {}",
+                exec.name()
+            );
+            assert_eq!(fab.delivered_count(), fab.offered(), "{}", exec.name());
+            fab.fingerprint()
+        };
+        let reference = run(Executor::Reference, ShardMutant::None);
+        assert_eq!(
+            run(Executor::Threaded, ShardMutant::None),
+            reference,
+            "{topology:?}: threaded diverged from reference"
+        );
+        assert_eq!(
+            run(Executor::Sharded { shards: routers }, ShardMutant::None),
+            reference,
+            "{topology:?}: one shard per router diverged from reference"
+        );
+        for mutant in [
+            ShardMutant::DelayBoundaryLink(0),
+            ShardMutant::SplitRouter(0),
+            ShardMutant::SkipBarrier,
+        ] {
+            assert_eq!(
+                run(Executor::Reference, mutant),
+                reference,
+                "{topology:?}: the reference ran {mutant:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use raw_chaos::{ChaosFabric, FabricFaultPlan, FaultPlan, LinkStallSpec};
 use raw_fabric::{
-    plan, verify_fabric, verify_spec, FabricConfig, FabricConfigError, FabricError, RawFabric,
-    SprayMode, Topology,
+    plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError, FabricError,
+    RawFabric, SprayMode, Topology,
 };
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::IngressQueueing;
@@ -423,7 +423,7 @@ proptest! {
         for sp in generate_n(&w, nports) {
             cf.offer(sp.port, sp.release, &sp.packet);
         }
-        prop_assert!(cf.fabric.run_until_drained(50_000, false), "fabric wedged");
+        prop_assert!(cf.fabric.run_until_drained_with(50_000, Executor::Reference), "fabric wedged");
         let errs = cf.fabric.conservation_errors();
         prop_assert!(errs.is_empty(), "seed {seed:#x}: {errs:?}");
         prop_assert_eq!(

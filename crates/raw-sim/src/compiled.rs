@@ -1,5 +1,5 @@
 //! Schedule-specialized execution: pre-resolved switch programs and the
-//! machine loop that runs them.
+//! switch step that runs them.
 //!
 //! The interpreter in [`machine`][crate::machine] re-derives, every cycle
 //! and for every switch, facts that are fixed at construction time: which
@@ -13,8 +13,9 @@
 //!
 //! ## Why bit-identity holds
 //!
-//! The compiled step functions perform the *same state transitions in the
-//! same order* as the interpreter — they only skip re-deriving constants:
+//! The compiled switch step performs the *same state transitions in the
+//! same order* as the interpreter — it only skips re-deriving constants,
+//! and the machine loop (`step_cycle`) is one function for both:
 //!
 //! * Route endpoints are resolved once, against the same `GridDim` /
 //!   device-table lookups the interpreter performs per cycle, and
@@ -37,15 +38,15 @@
 //!
 //! Any structural mutation (new program, switch program, or device
 //! binding) drops the plan, and [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled] degrades to the
-//! event-skip interpreter until a plan is reinstalled — the transparent
-//! fallback boundary. The determinism suite and a differential proptest
-//! hold all engines to bit-identical fingerprints.
+//! interpreter (quiet stretches still skipped) until a plan is
+//! reinstalled — the transparent fallback boundary. The determinism
+//! suite and a differential proptest hold both engines to bit-identical
+//! fingerprints.
 
+use crate::device::EdgePort;
 use crate::geom::TileId;
 use crate::machine::RawMachine;
-use crate::program::TileIo;
 use crate::switch::{SwPort, SwitchCtrl, SwitchProgram, NUM_STATIC_NETS};
-use crate::trace::Activity;
 use raw_telemetry::SwitchStallCause;
 
 /// A pre-resolved route source: the exact FIFO the word is popped from.
@@ -112,6 +113,18 @@ pub struct InjectorSlot {
     pub tile: u16,
     pub net: u8,
     pub dir: u8,
+}
+
+impl InjectorSlot {
+    /// The slot for device `device` bound at `port`.
+    pub fn new(device: usize, port: EdgePort) -> InjectorSlot {
+        InjectorSlot {
+            device: device as u16,
+            tile: port.tile.index() as u16,
+            net: port.net as u8,
+            dir: port.dir.index() as u8,
+        }
+    }
 }
 
 /// A schedule-specialized execution plan for one machine, installed via
@@ -195,6 +208,17 @@ pub(crate) fn lower_switch_program(
     CompiledSwitch { instrs }
 }
 
+/// The machine's injecting devices in poll (bind) order — the injector
+/// list a valid plan must carry.
+fn injecting_devices(m: &RawMachine) -> Vec<InjectorSlot> {
+    m.bound_device_ports()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| m.device_is_injector(i))
+        .map(|(i, &p)| InjectorSlot::new(i, p))
+        .collect()
+}
+
 impl CompiledPlan {
     /// Check this plan against the machine it claims to specialize:
     /// every compiled switch must equal raw-sim's own lowering of the
@@ -234,19 +258,7 @@ impl CompiledPlan {
                 }
             }
         }
-        let expected: Vec<InjectorSlot> = m
-            .bound_device_ports()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| m.device_is_injector(i))
-            .map(|(i, p)| InjectorSlot {
-                device: i as u16,
-                tile: p.tile.index() as u16,
-                net: p.net as u8,
-                dir: p.dir.index() as u8,
-            })
-            .collect();
-        if self.injectors != expected {
+        if self.injectors != injecting_devices(m) {
             return Err("plan injector list disagrees with the machine's bound devices".into());
         }
         Ok(())
@@ -266,7 +278,7 @@ impl RawMachine {
     }
 
     /// Drop any installed plan; [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled] then falls back
-    /// to the event-skip interpreter.
+    /// to the interpreter.
     pub fn clear_compiled_plan(&mut self) {
         self.plan = None;
     }
@@ -297,18 +309,7 @@ impl RawMachine {
             }
             idle_tiles.push(self.program_is_idle(tile));
         }
-        let injectors = self
-            .bound_device_ports()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.device_is_injector(i))
-            .map(|(i, p)| InjectorSlot {
-                device: i as u16,
-                tile: p.tile.index() as u16,
-                net: p.net as u8,
-                dir: p.dir.index() as u8,
-            })
-            .collect();
+        let injectors = injecting_devices(self);
         self.plan = Some(Box::new(CompiledPlan {
             switches,
             injectors,
@@ -316,143 +317,11 @@ impl RawMachine {
         }));
     }
 
-    /// One full machine cycle through the compiled plan. Mirrors
-    /// `step_cycle` phase for phase; returns the same quietness verdict.
-    pub(crate) fn step_cycle_compiled(&mut self, plan: &CompiledPlan) -> bool {
-        let cycle = self.cycle;
-        let mut progress = false;
-
-        // 1. Device injection — injecting devices only; skipped sinks
-        // statically return `None` from `pull_in`.
-        for inj in &plan.injectors {
-            let fifo = &mut self.link_in[inj.tile as usize][inj.net as usize][inj.dir as usize];
-            if fifo.has_space() {
-                if let Some(w) = self.devices[inj.device as usize].pull_in(cycle) {
-                    let ok = fifo.push(w, cycle);
-                    debug_assert!(ok);
-                    progress = true;
-                }
-            }
-        }
-
-        // 2. Tile processors, with the idle-stub fast path.
-        progress |= self.step_processors_compiled(cycle, plan);
-
-        // 3. Switch processors: specialized where compiled, interpreted
-        // where not (per-switch fallback).
-        let mut sw_ctrl = false;
-        let n = self.tiles.len();
-        for t in 0..n {
-            for net in 0..NUM_STATIC_NETS {
-                let (p, c) = match &plan.switches[t * NUM_STATIC_NETS + net] {
-                    Some(cs) => self.step_switch_compiled(t, net, cs, cycle),
-                    None => self.step_switch(t, net, cycle),
-                };
-                progress |= p;
-                sw_ctrl |= c;
-            }
-        }
-
-        // 4. Dynamic networks.
-        for d in &mut self.dyn_nets {
-            d.step(cycle);
-        }
-        let dyn_moved: u64 = self.dyn_nets.iter().map(|d| d.words_moved).sum();
-        if dyn_moved != self.dyn_moved_before {
-            progress = true;
-            self.dyn_moved_before = dyn_moved;
-        }
-
-        if progress {
-            self.last_progress = cycle;
-        }
-        self.cycle += 1;
-        !progress && !sw_ctrl
-    }
-
-    /// The processor phase with the idle-stub fast path. Identical
-    /// recording (stats, trace, telemetry, hints) to `step_processors`.
-    fn step_processors_compiled(&mut self, cycle: u64, plan: &CompiledPlan) -> bool {
-        let mut progress = false;
-        let n = self.tiles.len();
-        let cols = self.cfg.dim.cols as u32;
-        for t in 0..n {
-            while let Some(&(s, e)) = self.stall_windows[t].first() {
-                if cycle < s {
-                    break;
-                }
-                self.stall_windows[t].remove(0);
-                let su = &mut self.tiles[t].stall_until;
-                *su = (*su).max(e);
-            }
-            let (activity, hint) = if cycle < self.tiles[t].stall_until {
-                (Activity::CacheStall, (false, false, false))
-            } else if plan.idle_tiles[t] {
-                // An idle stub's tick is a no-op: it records Idle and no
-                // token-wait hint, exactly what this shortcut records.
-                (Activity::Idle, (false, false, false))
-            } else {
-                let mut program = self.tiles[t].program.take();
-                let outcome = if let Some(prog) = program.as_mut() {
-                    let tile = &mut self.tiles[t];
-                    let col = (t as u32) % cols;
-                    let col_hops = col.min(cols - 1 - col);
-                    let mut io = TileIo::new(
-                        cycle,
-                        TileId(t as u16),
-                        &mut tile.csti,
-                        &mut tile.csto,
-                        &mut tile.switch_state,
-                        &mut tile.cache,
-                        &mut tile.mem,
-                        self.cfg.local_mem_words,
-                        &mut self.dyn_nets,
-                        col_hops,
-                        self.cfg.proc_recv_delay,
-                        &mut tile.stall_until,
-                    );
-                    prog.tick(&mut io);
-                    let hint = (io.token_wait_hint, io.arb_wait_hint, io.lookup_stall_hint);
-                    (io.take_activity(), hint)
-                } else {
-                    (Activity::Idle, (false, false, false))
-                };
-                self.tiles[t].program = program;
-                outcome
-            };
-            self.tiles[t].stats.record(activity);
-            self.last_activity[t] = activity;
-            self.token_hint[t] = hint.0;
-            self.arb_hint[t] = hint.1;
-            self.lookup_hint[t] = hint.2;
-            if let Some(tr) = &mut self.trace {
-                tr.record(t, cycle, activity);
-            }
-            progress |= activity == Activity::Busy;
-        }
-        if let Some(sink) = self.active_sink() {
-            let mut g = sink.lock().unwrap();
-            for t in 0..n {
-                g.tile_cycles(
-                    t as u16,
-                    super::machine::refine_state(
-                        self.last_activity[t],
-                        self.token_hint[t],
-                        self.arb_hint[t],
-                        self.lookup_hint[t],
-                    ),
-                    1,
-                );
-            }
-        }
-        progress
-    }
-
     /// One specialized switch tick. Mirrors `step_switch` exactly:
     /// pending-PC application, halt handling, PC-overflow halt as a
     /// control transition, firing, completion, control flow, stall
     /// accounting, and first-refused-group cause attribution.
-    fn step_switch_compiled(
+    pub(crate) fn step_switch_compiled(
         &mut self,
         t: usize,
         net: usize,
@@ -676,7 +545,7 @@ impl RawMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{EdgePort, WordSink, WordSource};
+    use crate::device::{WordSink, WordSource};
     use crate::geom::{Dir, GridDim};
     use crate::machine::EngineMode;
     use crate::machine::RawConfig;
@@ -739,15 +608,11 @@ mod tests {
     fn compiled_matches_interpreter_on_passthrough() {
         let mut reference = build(EngineMode::PerCycle);
         reference.run(400);
-        for engine in [EngineMode::EventSkip, EngineMode::Compiled] {
-            let mut m = build(engine);
-            if engine == EngineMode::Compiled {
-                m.compile_reference_plan();
-                assert!(m.has_compiled_plan());
-            }
-            m.run(400);
-            assert_eq!(fingerprint(&m), fingerprint(&reference), "{engine:?}");
-        }
+        let mut m = build(EngineMode::Compiled);
+        m.compile_reference_plan();
+        assert!(m.has_compiled_plan());
+        m.run(400);
+        assert_eq!(fingerprint(&m), fingerprint(&reference));
     }
 
     #[test]
@@ -755,7 +620,7 @@ mod tests {
         let mut reference = build(EngineMode::PerCycle);
         reference.run(300);
         // Engine says Compiled but no plan was installed: transparently
-        // the event-skip interpreter.
+        // the interpreter.
         let mut m = build(EngineMode::Compiled);
         assert!(!m.has_compiled_plan());
         m.run(300);

@@ -14,6 +14,7 @@
 //! tile-to-tile send of Figure 3-2.
 
 use crate::cache::{CacheConfig, DCache, MissModel};
+use crate::compiled::{CompiledPlan, InjectorSlot};
 use crate::device::{EdgeDevice, EdgePort};
 use crate::dynamic::DynNet;
 use crate::fifo::TsFifo;
@@ -63,24 +64,23 @@ pub(crate) fn refine_state(
     }
 }
 
-/// How the machine advances simulated time. All three engines produce
+/// How the machine advances simulated time. Both engines produce
 /// bit-identical results — statistics, traces, telemetry, word timing —
 /// on every workload; they differ only in how much host work each
-/// simulated cycle costs. The determinism test suite compares all modes
-/// pairwise.
+/// simulated cycle costs. The determinism test suite compares them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineMode {
     /// Step every cycle through the interpreter. The reference engine.
     PerCycle,
-    /// Interpret busy cycles, but jump over provably quiet stretches in
-    /// bulk (event-skip fast-forward). The default.
-    EventSkip,
-    /// Run schedule-specialized switch programs (see [`crate::compiled`])
+    /// The fast engine and the default. Jumps over provably quiet
+    /// stretches in bulk (event-skip fast-forward), and runs
+    /// schedule-specialized switch programs (see [`crate::compiled`])
     /// with decode, endpoint resolution, and device lookups resolved at
-    /// compile time, plus event-skip over quiet stretches. Falls back to
-    /// the interpreter transparently — per switch for uncompiled
-    /// programs, and machine-wide whenever no compiled plan is installed
-    /// (e.g. after a structural mutation invalidates it).
+    /// compile time wherever a plan is installed. Falls back to the
+    /// interpreter transparently — per switch for uncompiled programs,
+    /// and machine-wide whenever no compiled plan is installed (a bare
+    /// machine nobody compiled, or one whose plan a structural mutation
+    /// invalidated); quiet stretches are skipped either way.
     Compiled,
 }
 
@@ -119,23 +119,6 @@ pub struct RawConfig {
     pub engine: EngineMode,
 }
 
-impl RawConfig {
-    /// Compatibility shim for the old `fast_forward: bool` field: `true`
-    /// maps to [`EngineMode::EventSkip`], `false` to
-    /// [`EngineMode::PerCycle`].
-    #[deprecated(note = "set `engine: EngineMode` directly")]
-    pub fn with_fast_forward(fast_forward: bool) -> RawConfig {
-        RawConfig {
-            engine: if fast_forward {
-                EngineMode::EventSkip
-            } else {
-                EngineMode::PerCycle
-            },
-            ..RawConfig::default()
-        }
-    }
-}
-
 impl Default for RawConfig {
     fn default() -> Self {
         RawConfig {
@@ -151,7 +134,7 @@ impl Default for RawConfig {
             dyn_fifo_capacity: 4,
             cdni_capacity: 8,
             clock_mhz: 250,
-            engine: EngineMode::EventSkip,
+            engine: EngineMode::Compiled,
         }
     }
 }
@@ -231,8 +214,9 @@ pub struct RawMachine {
     /// Installed by a compiler pass; any structural mutation — new
     /// program, new switch program, new device binding — invalidates it,
     /// after which [`EngineMode::Compiled`] transparently degrades to the
-    /// event-skip interpreter until a fresh plan is installed.
-    pub(crate) plan: Option<Box<crate::compiled::CompiledPlan>>,
+    /// interpreter (still skipping quiet stretches) until a fresh plan is
+    /// installed.
+    pub(crate) plan: Option<Box<CompiledPlan>>,
 }
 
 /// Sentinel for an unbound slot in `RawMachine::device_table`.
@@ -515,7 +499,7 @@ impl RawMachine {
     /// recorded as [`Activity::CacheStall`], so traces, statistics, and
     /// telemetry conservation all account for them; overlapping windows
     /// merge through the same `stall_until` mechanism real cache misses
-    /// use, and the event-skip engine treats window starts and ends as
+    /// use, and the event skip treats window starts and ends as
     /// time events, keeping fast-forward results bit-identical.
     pub fn schedule_stall(&mut self, tile: TileId, start: u64, len: u64) {
         if len == 0 {
@@ -559,45 +543,53 @@ impl RawMachine {
     /// `EngineMode::Compiled` has one installed, the interpreter
     /// otherwise. Bit-identical either way.
     pub(crate) fn step_cycle_engine(&mut self) -> bool {
-        if self.cfg.engine == EngineMode::Compiled {
-            if let Some(plan) = self.plan.take() {
-                let quiet = self.step_cycle_compiled(&plan);
-                self.plan = Some(plan);
-                return quiet;
-            }
+        // The plan is borrowed out of the machine for the cycle so the
+        // step functions can read it while mutating everything else.
+        let plan = match self.cfg.engine {
+            EngineMode::Compiled => self.plan.take(),
+            EngineMode::PerCycle => None,
+        };
+        let quiet = self.step_cycle(plan.as_deref());
+        if plan.is_some() {
+            self.plan = plan;
         }
-        self.step_cycle()
+        quiet
     }
 
-    /// Advance one cycle. Returns true when the cycle was *quiet*: nothing
-    /// made forward progress and no switch performed a control-only
-    /// transition (nop/`WaitPc` advance). After a quiet cycle the machine
-    /// is in a fixed point that only the passage of time can disturb —
-    /// FIFO entries aging into visibility, a cache stall expiring, a
-    /// device becoming ready — which is exactly the condition under which
+    /// Advance one cycle, through `plan` where it covers the machine and
+    /// through the interpreter where it does not (`None`: everywhere).
+    /// Returns true when the cycle was *quiet*: nothing made forward
+    /// progress and no switch performed a control-only transition
+    /// (nop/`WaitPc` advance). After a quiet cycle the machine is in a
+    /// fixed point that only the passage of time can disturb — FIFO
+    /// entries aging into visibility, a cache stall expiring, a device
+    /// becoming ready — which is exactly the condition under which
     /// `next_event_cycle` / `fast_forward_to` may skip ahead.
-    fn step_cycle(&mut self) -> bool {
+    fn step_cycle(&mut self, plan: Option<&CompiledPlan>) -> bool {
         let cycle = self.cycle;
         let mut progress = false;
 
-        // 1. Device injection at edge input FIFOs.
-        for i in 0..self.devices.len() {
-            let port = self.device_ports[i];
-            let fifo = &mut self.link_in[port.tile.index()][port.net][port.dir.index()];
-            if fifo.has_space() {
-                if let Some(w) = self.devices[i].pull_in(cycle) {
-                    let ok = fifo.push(w, cycle);
-                    debug_assert!(ok);
-                    progress = true;
+        // 1. Device injection at edge input FIFOs. A plan polls injecting
+        // devices only; the sinks it skips statically return `None` from
+        // `pull_in`.
+        match plan {
+            Some(plan) => {
+                for &slot in &plan.injectors {
+                    progress |= self.inject(slot, cycle);
+                }
+            }
+            None => {
+                for i in 0..self.devices.len() {
+                    progress |= self.inject(InjectorSlot::new(i, self.device_ports[i]), cycle);
                 }
             }
         }
 
         // 2. Tile processors.
-        progress |= self.step_processors(cycle);
+        progress |= self.step_processors(cycle, plan);
 
         // 3. Switch processors.
-        let (sw_progress, sw_ctrl) = self.step_switches(cycle);
+        let (sw_progress, sw_ctrl) = self.step_switches(cycle, plan);
         progress |= sw_progress;
 
         // 4. Dynamic networks.
@@ -617,7 +609,26 @@ impl RawMachine {
         !progress && !sw_ctrl
     }
 
-    pub(crate) fn step_processors(&mut self, cycle: u64) -> bool {
+    /// Poll one device for a word to inject into its edge input FIFO.
+    /// Returns whether a word went in.
+    #[inline]
+    fn inject(&mut self, slot: InjectorSlot, cycle: u64) -> bool {
+        let fifo = &mut self.link_in[slot.tile as usize][slot.net as usize][slot.dir as usize];
+        if fifo.has_space() {
+            if let Some(w) = self.devices[slot.device as usize].pull_in(cycle) {
+                let ok = fifo.push(w, cycle);
+                debug_assert!(ok);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The processor phase. Tiles a plan marks idle skip their tick — an
+    /// idle stub's tick is a no-op that records `Activity::Idle` and no
+    /// hints, exactly what the shortcut records.
+    pub(crate) fn step_processors(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> bool {
+        let idle_tiles = plan.map(|p| p.idle_tiles.as_slice());
         let mut progress = false;
         let n = self.tiles.len();
         let cols = self.cfg.dim.cols as u32;
@@ -632,6 +643,8 @@ impl RawMachine {
             }
             let (activity, hint) = if cycle < self.tiles[t].stall_until {
                 (Activity::CacheStall, (false, false, false))
+            } else if idle_tiles.is_some_and(|idle| idle[t]) {
+                (Activity::Idle, (false, false, false))
             } else {
                 let mut program = self.tiles[t].program.take();
                 let outcome = if let Some(prog) = program.as_mut() {
@@ -694,14 +707,20 @@ impl RawMachine {
     /// Returns `(progress, control_transition)`: whether any route fired,
     /// and whether any switch advanced through a route-less instruction
     /// (which changes switch state without counting as progress — a cycle
-    /// containing one must not be skipped over).
-    fn step_switches(&mut self, cycle: u64) -> (bool, bool) {
+    /// containing one must not be skipped over). Each switch runs its
+    /// specialized program where `plan` has one and the interpreter where
+    /// it does not (per-switch fallback).
+    fn step_switches(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> (bool, bool) {
         let mut progress = false;
         let mut ctrl = false;
         let n = self.tiles.len();
         for t in 0..n {
             for net in 0..NUM_STATIC_NETS {
-                let (p, c) = self.step_switch(t, net, cycle);
+                let compiled = plan.and_then(|p| p.switches[t * NUM_STATIC_NETS + net].as_ref());
+                let (p, c) = match compiled {
+                    Some(cs) => self.step_switch_compiled(t, net, cs, cycle),
+                    None => self.step_switch(t, net, cycle),
+                };
                 progress |= p;
                 ctrl |= c;
             }
@@ -1096,10 +1115,9 @@ impl RawMachine {
         self.cycle = target;
     }
 
-    /// Run exactly `n` cycles through the configured engine. With an
-    /// engine that skips (the default), quiet stretches are jumped in
-    /// bulk; the observable end state is identical to stepping each
-    /// cycle.
+    /// Run exactly `n` cycles through the configured engine. With the
+    /// default engine quiet stretches are jumped in bulk; the observable
+    /// end state is identical to stepping each cycle.
     pub fn run(&mut self, n: u64) {
         let deadline = self.cycle + n;
         while self.cycle < deadline {

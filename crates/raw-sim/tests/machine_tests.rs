@@ -719,14 +719,74 @@ fn larger_grids_stream_at_line_rate() {
     }
 }
 
+/// How an engine-differential run holds the compiled plan: the
+/// interpreter reference, the fast engine's two steady states (a bare
+/// machine nobody compiled; a compiled one), and a plan dropped mid-run
+/// by each of the three structural mutators.
+#[derive(Clone, Copy, Debug)]
+enum PlanCase {
+    PerCycle,
+    NoPlan,
+    Plan,
+    DroppedBySetProgram,
+    DroppedBySetSwitchProgram,
+    DroppedByBindDevice,
+}
+
+impl PlanCase {
+    const FAST: [PlanCase; 5] = [
+        PlanCase::NoPlan,
+        PlanCase::Plan,
+        PlanCase::DroppedBySetProgram,
+        PlanCase::DroppedBySetSwitchProgram,
+        PlanCase::DroppedByBindDevice,
+    ];
+
+    fn engine(self) -> EngineMode {
+        match self {
+            PlanCase::PerCycle => EngineMode::PerCycle,
+            _ => EngineMode::Compiled,
+        }
+    }
+
+    /// Run `before + after` cycles, compiling first unless the case runs
+    /// plan-less, and applying the case's mutation between the two legs.
+    /// Every mutation re-installs what tile 15 already has (an idle
+    /// program, an idle switch program) or binds a sink nothing routes
+    /// to, so the only thing it changes is that the plan is gone.
+    fn run(self, m: &mut RawMachine, before: u64, after: u64) {
+        if !matches!(self, PlanCase::PerCycle | PlanCase::NoPlan) {
+            m.compile_reference_plan();
+        }
+        m.run(before);
+        match self {
+            PlanCase::PerCycle | PlanCase::NoPlan => assert!(!m.has_compiled_plan()),
+            PlanCase::Plan => assert!(m.has_compiled_plan()),
+            PlanCase::DroppedBySetProgram => m.set_program(TileId(15), Box::new(IdleProgram)),
+            PlanCase::DroppedBySetSwitchProgram => {
+                m.set_switch_program(TileId(15), NET1, SwitchProgram::idle())
+            }
+            PlanCase::DroppedByBindDevice => m.bind_device(
+                EdgePort::new(TileId(15), Dir::East, NET1),
+                Box::new(WordSink::new().0),
+            ),
+        }
+        if !matches!(self, PlanCase::Plan) {
+            assert!(!m.has_compiled_plan(), "{self:?}");
+        }
+        m.run(after);
+    }
+}
+
 /// Fault injection: a scheduled stall window freezes the tile processor
 /// for exactly its span, the frozen cycles are accounted as cache stalls,
-/// and both engine modes agree bit-for-bit on the outcome.
+/// and the fast engine agrees bit-for-bit with the interpreter whether it
+/// runs a plan, never had one, or loses it mid-run (inside the window).
 #[test]
 fn scheduled_stall_windows_delay_without_divergence() {
-    let run = |engine: EngineMode| -> (Vec<u64>, [u64; 5], u64) {
+    let run = |case: PlanCase| -> (Vec<u64>, [u64; 5], u64) {
         let mut m = RawMachine::new(RawConfig {
-            engine,
+            engine: case.engine(),
             ..RawConfig::default()
         });
         let sent_at = Arc::new(Mutex::new(Vec::new()));
@@ -752,18 +812,70 @@ fn scheduled_stall_windows_delay_without_divergence() {
         m.schedule_stall(TileId(0), 3, 40);
         m.schedule_stall(TileId(0), 20, 10); // overlapping: merges
         assert_eq!(m.pending_stall_windows(TileId(0)), 2);
-        if engine == EngineMode::Compiled {
-            m.compile_reference_plan();
-        }
-        m.run(200);
+        case.run(&mut m, 30, 170);
         assert_eq!(m.pending_stall_windows(TileId(0)), 0);
         let sends = sent_at.lock().unwrap().clone();
         (sends, m.stats(TileId(0)).counts, m.cycle())
     };
-    let (sends, counts, cycle) = run(EngineMode::PerCycle);
+    let reference = run(PlanCase::PerCycle);
+    let (sends, counts, _) = &reference;
     // Sends resume only after the window [3, 43) expires.
     assert!(sends.iter().skip(3).all(|&c| c >= 43), "sends {sends:?}");
     assert_eq!(counts[Activity::CacheStall.index()], 40);
-    assert_eq!(run(EngineMode::EventSkip), (sends.clone(), counts, cycle));
-    assert_eq!(run(EngineMode::Compiled), (sends, counts, cycle));
+    for case in PlanCase::FAST {
+        assert_eq!(run(case), reference, "{case:?}");
+    }
+}
+
+/// The fast engine on machines nobody compiled — a throttled drip-feed
+/// pipe (quiet most cycles) and a fully idle chip (quiet every cycle) in
+/// the default configuration — skips its way to exactly the per-cycle
+/// result: delivery cycle stamps, per-tile activity counts, switch
+/// stalls, and the clock.
+#[test]
+fn default_engine_without_a_plan_matches_per_cycle() {
+    assert_eq!(RawConfig::default().engine, EngineMode::Compiled);
+    let observe = |m: &RawMachine| -> Vec<u64> {
+        let mut v = vec![m.cycle(), m.routes_fired, m.edge_drops];
+        for t in 0..16 {
+            v.extend(m.stats(TileId(t)).counts);
+            v.push(m.switch_stall_cycles(TileId(t)));
+        }
+        v
+    };
+    let drip = |case: PlanCase| {
+        let mut m = RawMachine::new(RawConfig {
+            engine: case.engine(),
+            ..RawConfig::default()
+        });
+        for t in 0..4 {
+            m.set_switch_program(
+                TileId(t),
+                NET0,
+                SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::E)]),
+            );
+        }
+        m.bind_device(
+            EdgePort::new(TileId(0), Dir::West, NET0),
+            Box::new(WordSource::new(0u32..64)),
+        );
+        let (sink, got) = WordSink::rate_limited(48);
+        m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink));
+        case.run(&mut m, 1_000, 3_000);
+        let got = got.lock().unwrap().clone();
+        (got, observe(&m))
+    };
+    let reference = drip(PlanCase::PerCycle);
+    assert_eq!(reference.0.len(), 64);
+    assert_eq!(drip(PlanCase::NoPlan), reference);
+
+    let idle = |case: PlanCase| {
+        let mut m = RawMachine::new(RawConfig {
+            engine: case.engine(),
+            ..RawConfig::default()
+        });
+        case.run(&mut m, 10_000, 40_000);
+        observe(&m)
+    };
+    assert_eq!(idle(PlanCase::NoPlan), idle(PlanCase::PerCycle));
 }

@@ -1,6 +1,6 @@
 //! Machine-level telemetry tests: refined stall attribution, the
 //! conservation invariant, token-wait hinting, and bit-identical
-//! crediting between the event-skip and per-cycle engines.
+//! crediting between the fast and per-cycle engines.
 
 use raw_sim::*;
 use raw_telemetry::{shared, with_sink, Recorder, SwitchStallCause, TileState};
@@ -123,30 +123,33 @@ fn switch_stalls_attributed_to_fifo_empty() {
 
 #[test]
 fn every_engine_credits_telemetry_identically() {
-    let collect = |engine: EngineMode| -> (Vec<[u64; TileState::COUNT]>, Vec<[u64; 3]>, u64) {
-        let (mut m, sink) = switch_stall_machine(engine);
-        if engine == EngineMode::Compiled {
-            m.compile_reference_plan();
-        }
-        m.run(400);
-        let cycle = m.cycle();
-        with_sink::<Recorder, _>(&sink, |r| {
-            (
-                (0..16).map(|t| r.tile_state_counts(t)).collect(),
-                (0..16).map(|t| r.switch_stall_counts(t, 0)).collect(),
-                cycle,
-            )
-        })
-    };
-    let reference = collect(EngineMode::PerCycle);
-    assert_eq!(collect(EngineMode::EventSkip), reference);
-    assert_eq!(collect(EngineMode::Compiled), reference);
+    // The fast engine both with its plan and without one (the
+    // interpreter fallback bulk-credits skipped cycles on its own path).
+    let collect =
+        |engine: EngineMode, compile: bool| -> (Vec<[u64; TileState::COUNT]>, Vec<[u64; 3]>, u64) {
+            let (mut m, sink) = switch_stall_machine(engine);
+            if compile {
+                m.compile_reference_plan();
+            }
+            m.run(400);
+            let cycle = m.cycle();
+            with_sink::<Recorder, _>(&sink, |r| {
+                (
+                    (0..16).map(|t| r.tile_state_counts(t)).collect(),
+                    (0..16).map(|t| r.switch_stall_counts(t, 0)).collect(),
+                    cycle,
+                )
+            })
+        };
+    let reference = collect(EngineMode::PerCycle, false);
+    assert_eq!(collect(EngineMode::Compiled, false), reference);
+    assert_eq!(collect(EngineMode::Compiled, true), reference);
 }
 
 #[test]
 fn attaching_a_sink_never_changes_results() {
     let run = |with_telemetry: bool| -> (u64, Vec<[u64; 5]>) {
-        let (mut m, sink) = switch_stall_machine(EngineMode::EventSkip);
+        let (mut m, sink) = switch_stall_machine(EngineMode::Compiled);
         if !with_telemetry {
             m.take_telemetry();
             drop(sink);

@@ -592,6 +592,9 @@ mod tests {
             .collect();
         let table = Arc::new(ForwardingTable::build(&routes));
         let mut router = RawRouter::new(RouterConfig::default(), table);
+        // A default router arrives compiled; drop the plan so the
+        // install below is this handoff's doing.
+        router.machine.clear_compiled_plan();
         assert!(!router.machine.has_compiled_plan());
 
         let opts = VerifyOptions {

@@ -1243,7 +1243,7 @@ impl TileProgram for IngressProgram {
                     self.drive = Drive::Idle;
                     // Re-enter Idle in the same tick (the WaitHalt idiom):
                     // ending the turn here would record no io action, and
-                    // the event-skip engine would park the tile waiting
+                    // the event skip would park the tile waiting
                     // for an external event — which never comes when the
                     // wire FIFO is already full and every peer is blocked
                     // on this tile's next bid.
