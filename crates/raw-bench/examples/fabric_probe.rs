@@ -45,16 +45,14 @@ fn main() {
     for s in generate_n(&w, topology.ext_ports()) {
         fab.offer(s.port, s.release, &s.packet);
     }
-    let t0 = std::time::Instant::now();
     if a.get(5).map(String::as_str) == Some("drain") {
         let ok = fab.run_until_drained_with(500_000, exec);
         eprintln!(
-            "drained={ok} epochs {} delivered {}/{} dropped {} [{:?}]",
+            "drained={ok} epochs {} delivered {}/{} dropped {}",
             fab.epochs_run(),
             fab.delivered_count(),
             fab.offered(),
-            fab.dropped_count(),
-            t0.elapsed()
+            fab.dropped_count()
         );
         eprintln!("errors: {:?}", fab.conservation_errors());
         return;
@@ -63,13 +61,12 @@ fn main() {
     for chunk in 0..200 {
         fab.run_epochs_with(50, exec);
         eprintln!(
-            "chunk {chunk}: epochs {} cycle {} delivered {}/{} dropped {} [{:?}]",
+            "chunk {chunk}: epochs {} cycle {} delivered {}/{} dropped {}",
             fab.epochs_run(),
             fab.cycle(),
             fab.delivered_count(),
             fab.offered(),
-            fab.dropped_count(),
-            t0.elapsed()
+            fab.dropped_count()
         );
         if fab.delivered_count() + fab.dropped_count() >= fab.offered() {
             break;

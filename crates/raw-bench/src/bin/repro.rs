@@ -28,22 +28,52 @@ fn usage_exit(problem: &str, usage: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Positional argument `idx` as a number (`default` when absent).
-fn num_arg<T: std::str::FromStr>(idx: usize, default: T, what: &str, usage: &str) -> T {
-    match std::env::args().nth(idx) {
-        None => default,
-        Some(s) => s
-            .parse()
-            .unwrap_or_else(|_| usage_exit(&format!("'{s}' is not a {what}"), usage)),
+/// The one optional argument after the experiment name (`main` rejects
+/// any the [`EXPERIMENTS`] usage line does not list), with that usage
+/// line for a malformed one to print.
+struct Args<'a> {
+    usage: &'a str,
+    arg: Option<&'a str>,
+}
+
+impl Args<'_> {
+    /// `[--smoke]`.
+    fn smoke(&self) -> bool {
+        match self.arg {
+            None => false,
+            Some("--smoke") => true,
+            Some(s) => usage_exit(&format!("unknown argument '{s}'"), self.usage),
+        }
+    }
+
+    /// An optional number (`default` when absent).
+    fn num<T: std::str::FromStr>(&self, default: T, what: &str) -> T {
+        match self.arg {
+            None => default,
+            Some(s) => s
+                .parse()
+                .unwrap_or_else(|_| usage_exit(&format!("'{s}' is not a {what}"), self.usage)),
+        }
     }
 }
 
-fn run_fig7_1_peak() {
+/// Print one aligned table row per item.
+fn print_table<T>(
+    headers: &[&str],
+    items: impl IntoIterator<Item = T>,
+    row: impl Fn(T) -> Vec<String>,
+) {
+    let rows: Vec<Vec<String>> = items.into_iter().map(row).collect();
+    println!("{}", table(headers, &rows));
+}
+
+fn run_fig7_1_peak(_: &Args) {
     println!("== Figure 7-1 (top): peak throughput vs packet size ==");
     let pts = peak_sweep();
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|p| {
+    print_table(
+        &["bytes", "Gbps", "Mpps", "paper Gbps", "paper/ours"],
+        &pts,
+        |p| {
             vec![
                 p.bytes.to_string(),
                 fmt2(p.gbps),
@@ -51,14 +81,7 @@ fn run_fig7_1_peak() {
                 fmt2(p.paper_gbps),
                 format!("{:.2}x", p.paper_gbps / p.gbps),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &["bytes", "Gbps", "Mpps", "paper Gbps", "paper/ours"],
-            &rows
-        )
+        },
     );
     let click = click_baseline();
     println!(
@@ -71,31 +94,27 @@ fn run_fig7_1_peak() {
     write_json(&results_dir(), "click_baseline", &click).unwrap();
 }
 
-fn run_fig7_1_avg() {
+fn run_fig7_1_avg(_: &Args) {
     println!("== Figure 7-1 (bottom): average throughput (uniform traffic) ==");
     let pts = avg_sweep();
     let peak = peak_sweep();
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .zip(&peak)
-        .map(|(p, pk)| {
+    print_table(
+        &["bytes", "Gbps", "paper Gbps", "avg/peak"],
+        pts.iter().zip(&peak),
+        |(p, pk)| {
             vec![
                 p.bytes.to_string(),
                 fmt2(p.gbps),
                 fmt2(p.paper_gbps),
                 format!("{:.0}%", 100.0 * p.gbps / pk.gbps),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(&["bytes", "Gbps", "paper Gbps", "avg/peak"], &rows)
+        },
     );
     println!("(the paper reports average ≈ 69% of peak)");
     write_json(&results_dir(), "fig7_1_avg", &pts).unwrap();
 }
 
-fn run_fig7_2() {
+fn run_fig7_2(_: &Args) {
     println!("== Figure 7-2: mapping of router elements to Raw tiles ==");
     use raw_xbar::RouterLayout;
     let l = RouterLayout::canonical();
@@ -127,7 +146,7 @@ fn run_fig7_2() {
     println!("(Xb tiles 5-6-10-9 form the rotating ring, clockwise 0->1->2->3)");
 }
 
-fn run_fig7_3() {
+fn run_fig7_3(_: &Args) {
     println!("== Figure 7-3: per-tile utilization, 800 cycles ==");
     for bytes in [64usize, 1024] {
         let (ascii, csv) = fig7_3(bytes);
@@ -141,7 +160,7 @@ fn run_fig7_3() {
     println!("CSV traces written to results/fig7_3_*.csv");
 }
 
-fn run_table6_1() {
+fn run_table6_1(_: &Args) {
     println!("== §6.1-6.2 / Table 6.1: configuration-space minimization ==");
     let t = table6_1();
     println!("global configuration space (5^4 x 4):  {}", t.global_space);
@@ -170,7 +189,7 @@ fn run_table6_1() {
     write_json(&results_dir(), "table6_1", &t).unwrap();
 }
 
-fn run_fig3_2() {
+fn run_fig3_2(_: &Args) {
     println!("== Figure 3-2: tile-to-tile send timing ==");
     let f = fig3_2();
     println!(
@@ -180,21 +199,16 @@ fn run_fig3_2() {
     write_json(&results_dir(), "fig3_2", &f).unwrap();
 }
 
-fn run_ch2() {
+fn run_ch2(_: &Args) {
     println!("== §2.2.2 claims: HOL blocking, VOQ+iSLIP, cells vs packets ==");
     let c = ch2_claims();
-    let rows: Vec<Vec<String>> = c
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                fmt2(r.load),
-                format!("{:.3}", r.fifo_delivered),
-                format!("{:.3}", r.voq_delivered),
-            ]
-        })
-        .collect();
-    println!("{}", table(&["load", "FIFO", "VOQ+iSLIP"], &rows));
+    print_table(&["load", "FIFO", "VOQ+iSLIP"], &c.rows, |r| {
+        vec![
+            fmt2(r.load),
+            format!("{:.3}", r.fifo_delivered),
+            format!("{:.3}", r.voq_delivered),
+        ]
+    });
     println!(
         "saturation: FIFO {:.3} (paper ~{:.3}), VOQ {:.3} (paper ~{:.1})",
         c.fifo_saturation, c.paper_fifo, c.voq_saturation, c.paper_voq
@@ -206,7 +220,7 @@ fn run_ch2() {
     write_json(&results_dir(), "ch2_claims", &c).unwrap();
 }
 
-fn run_fairness() {
+fn run_fairness(_: &Args) {
     println!("== §5.4 fairness + §8.7 weighted-token QoS (all->port0 hotspot) ==");
     for weights in [[1u32, 1, 1, 1], [4, 1, 1, 1]] {
         let f = fairness(weights);
@@ -218,7 +232,7 @@ fn run_fairness() {
     }
 }
 
-fn run_net2() {
+fn run_net2(_: &Args) {
     println!("== §5.3: sufficiency of a single static network ==");
     let u = ring_utilization();
     println!(
@@ -232,7 +246,7 @@ fn run_net2() {
     write_json(&results_dir(), "ring_utilization", &u).unwrap();
 }
 
-fn run_deadlock() {
+fn run_deadlock(_: &Args) {
     println!("== §5.5: randomized deadlock sweep ==");
     let d = deadlock_sweep(12);
     println!(
@@ -243,7 +257,7 @@ fn run_deadlock() {
     write_json(&results_dir(), "deadlock_sweep", &d).unwrap();
 }
 
-fn run_multicast() {
+fn run_multicast(_: &Args) {
     println!("== §8.6: multicast fanout in the fabric (end to end) ==");
     let m = multicast_demo();
     println!(
@@ -261,46 +275,38 @@ fn run_multicast() {
     write_json(&results_dir(), "multicast", &m).unwrap();
 }
 
-fn run_scaling() {
+fn run_scaling(_: &Args) {
     println!("== §8.5: scalability (ring vs mesh-of-4-port-routers) ==");
     let rows = scaling_study();
-    let t: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.ports.to_string(),
-                format!("{:.3}", r.ring_throughput),
-                format!("{:.3}", r.mesh_throughput),
-            ]
-        })
-        .collect();
-    println!("{}", table(&["ports", "ring tput", "mesh tput"], &t));
+    print_table(&["ports", "ring tput", "mesh tput"], &rows, |r| {
+        vec![
+            r.ports.to_string(),
+            format!("{:.3}", r.ring_throughput),
+            format!("{:.3}", r.mesh_throughput),
+        ]
+    });
     write_json(&results_dir(), "scaling", &rows).unwrap();
 }
 
-fn run_quantum() {
+fn run_quantum(_: &Args) {
     println!("== ablation: quantum size & the fragmentation path (1024 B packets) ==");
     let rows = quantum_ablation();
-    let t: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.quantum_words.to_string(),
-                if r.cut_through {
-                    "cut-through"
-                } else {
-                    "store-fwd"
-                }
-                .into(),
-                fmt2(r.gbps),
-            ]
-        })
-        .collect();
-    println!("{}", table(&["quantum", "egress", "Gbps"], &t));
+    print_table(&["quantum", "egress", "Gbps"], &rows, |r| {
+        vec![
+            r.quantum_words.to_string(),
+            if r.cut_through {
+                "cut-through"
+            } else {
+                "store-fwd"
+            }
+            .into(),
+            fmt2(r.gbps),
+        ]
+    });
     write_json(&results_dir(), "quantum_ablation", &rows).unwrap();
 }
 
-fn run_asm() {
+fn run_asm(_: &Args) {
     println!("== §6.5: Crossbar Processors in generated Raw assembly ==");
     let a = asm_crossbar_study();
     println!(
@@ -316,7 +322,7 @@ fn run_asm() {
     write_json(&results_dir(), "asm_crossbar", &a).unwrap();
 }
 
-fn run_voq() {
+fn run_voq(_: &Args) {
     println!("== §4.4 ingress queueing: FIFO (the paper's design) vs VOQ extension ==");
     let v = voq_study();
     println!(
@@ -336,114 +342,38 @@ fn run_voq() {
     write_json(&results_dir(), "voq_study", &v).unwrap();
 }
 
-fn run_latency() {
+fn run_latency(_: &Args) {
     println!("== latency vs offered load (256 B packets, uniform destinations) ==");
     let rows = latency_sweep();
-    let t: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}%", r.load_pct),
-                format!("{:.0}", r.mean_cycles),
-                r.p95_cycles.to_string(),
-                r.delivered.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(&["load", "mean cyc", "p95 cyc", "delivered"], &t)
-    );
+    print_table(&["load", "mean cyc", "p95 cyc", "delivered"], &rows, |r| {
+        vec![
+            format!("{}%", r.load_pct),
+            format!("{:.0}", r.mean_cycles),
+            r.p95_cycles.to_string(),
+            r.delivered.to_string(),
+        ]
+    });
     println!("(queueing delay grows with load — the MGR §2.2.1 trade-off)");
     write_json(&results_dir(), "latency", &rows).unwrap();
 }
 
-fn run_lookup() {
+fn run_lookup(_: &Args) {
     println!("== ablation: lookup engine (§8.2 direction) ==");
     let rows = lookup_ablation();
-    let t: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.engine.clone(),
-                fmt2(r.gbps_64b),
-                fmt2(r.mean_lookup_cycles),
-            ]
-        })
-        .collect();
-    println!("{}", table(&["engine", "64B Gbps", "lookup cyc"], &t));
+    print_table(&["engine", "64B Gbps", "lookup cyc"], &rows, |r| {
+        vec![
+            r.engine.clone(),
+            fmt2(r.gbps_64b),
+            fmt2(r.mean_lookup_cycles),
+        ]
+    });
     write_json(&results_dir(), "lookup_ablation", &rows).unwrap();
 }
 
-fn run_simspeed() {
-    // `repro -- simspeed [cycles] [repeats]`: a smaller span makes a
-    // smoke test (CI); the defaults match the Figure 7-1 measurement
-    // run with median-of-3 timing.
-    const USAGE: &str = "simspeed [cycles] [repeats]";
-    let cycles: u64 = num_arg(2, 220_000, "cycle count", USAGE);
-    let repeats: u32 = num_arg(3, 3, "repeat count", USAGE);
-    println!(
-        "== simulator performance: wall-clock per engine ({cycles} router cycles, \
-         median of {repeats}) =="
-    );
-    let rep = simspeed_with(cycles, repeats);
-    let rows: Vec<Vec<String>> = rep
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.engine.clone(),
-                r.sim_cycles.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.2}", r.mcycles_per_sec),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &["scenario", "engine", "sim cycles", "wall ms", "Mcyc/s"],
-            &rows
-        )
-    );
-    let srows: Vec<Vec<String>> = rep
-        .speedups
-        .iter()
-        .map(|s| {
-            vec![
-                s.scenario.clone(),
-                format!("{:.2}x", s.compiled_vs_per_cycle),
-                if s.fingerprints_match {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                }
-                .into(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(&["scenario", "compiled/percyc", "results"], &srows)
-    );
-    for s in &rep.speedups {
-        assert!(
-            s.fingerprints_match,
-            "{}: engine modes must not change simulation results",
-            s.scenario
-        );
-    }
-    write_json(&results_dir(), "simspeed", &rep).unwrap();
-    // CI-diffable digest at the repo root: the speedup and per-engine
-    // throughput, without raw wall times.
-    write_bench_digest("simspeed", &bench_digest(&rep)).unwrap();
-}
-
-fn run_telemetry() {
-    // `repro -- telemetry [cycles]`: a smaller span makes a smoke test
-    // (CI); the default matches the Figure 7-1 measurement span.
-    let cycles: u64 = num_arg(2, 220_000, "cycle count", "telemetry [cycles]");
+fn run_telemetry(args: &Args) {
+    // A smaller span makes a smoke test (CI); the default matches the
+    // Figure 7-1 measurement span.
+    let cycles: u64 = args.num(220_000, "cycle count");
     println!("== telemetry: per-stage latency breakdown & stall attribution ({cycles} cycles) ==");
     let (rep, trace) = telemetry_report(cycles);
     for run in &rep.runs {
@@ -451,11 +381,10 @@ fn run_telemetry() {
             "--- {} ({} packets completed, {:.2} Gbps) ---",
             run.name, run.summary.packets_completed, run.gbps
         );
-        let rows: Vec<Vec<String>> = run
-            .summary
-            .stages
-            .iter()
-            .map(|s| {
+        print_table(
+            &["stage", "mean", "p50", "p90", "p99", "p999", "max"],
+            &run.summary.stages,
+            |s| {
                 vec![
                     s.stage.clone(),
                     format!("{:.1}", s.mean_cycles),
@@ -465,47 +394,33 @@ fn run_telemetry() {
                     s.p999.to_string(),
                     s.max.to_string(),
                 ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table(
-                &["stage", "mean", "p50", "p90", "p99", "p999", "max"],
-                &rows
-            )
+            },
         );
-        let stalled: Vec<Vec<String>> = run
-            .summary
-            .tiles
-            .iter()
-            .filter(|t| t.top_stall != "none")
-            .map(|t| {
-                vec![
-                    t.tile.to_string(),
-                    format!("{:.0}%", 100.0 * t.busy as f64 / t.total.max(1) as f64),
-                    t.fifo_full.to_string(),
-                    t.fifo_empty.to_string(),
-                    t.token_wait.to_string(),
-                    t.lookup_stall.to_string(),
-                    t.top_stall.clone(),
-                ]
-            })
-            .collect();
+        let tiles = &run.summary.tiles;
+        let stalled: Vec<_> = tiles.iter().filter(|t| t.top_stall != "none").collect();
         if !stalled.is_empty() {
-            println!(
-                "{}",
-                table(
-                    &[
-                        "tile",
-                        "busy",
-                        "fifo-full",
-                        "fifo-empty",
-                        "token-wait",
-                        "lookup-stall",
-                        "top stall"
-                    ],
-                    &stalled
-                )
+            print_table(
+                &[
+                    "tile",
+                    "busy",
+                    "fifo-full",
+                    "fifo-empty",
+                    "token-wait",
+                    "lookup-stall",
+                    "top stall",
+                ],
+                stalled,
+                |t| {
+                    vec![
+                        t.tile.to_string(),
+                        format!("{:.0}%", 100.0 * t.busy as f64 / t.total.max(1) as f64),
+                        t.fifo_full.to_string(),
+                        t.fifo_empty.to_string(),
+                        t.token_wait.to_string(),
+                        t.lookup_stall.to_string(),
+                        t.top_stall.clone(),
+                    ]
+                },
             );
         }
     }
@@ -516,10 +431,10 @@ fn run_telemetry() {
     );
 }
 
-fn run_chaos() {
-    // `repro -- chaos [cycles]`: a smaller span makes a smoke test (CI);
-    // the default matches the Figure 7-1 measurement span.
-    let cycles: u64 = num_arg(2, 220_000, "cycle count", "chaos [cycles]");
+fn run_chaos(args: &Args) {
+    // A smaller span makes a smoke test (CI); the default matches the
+    // Figure 7-1 measurement span.
+    let cycles: u64 = args.num(220_000, "cycle count");
     println!("== chaos: reference fault plan, graceful degradation soak ({cycles} cycles) ==");
     let rep = chaos_report(cycles);
     println!(
@@ -532,10 +447,19 @@ fn run_chaos() {
         rep.plan.tile_stalls.len(),
         rep.plan.tile_stalls.first().map_or(0, |s| s.len),
     );
-    let rows: Vec<Vec<String>> = rep
-        .runs
-        .iter()
-        .map(|r| {
+    print_table(
+        &[
+            "scenario",
+            "offered",
+            "delivered",
+            "dropped",
+            "lk-miss",
+            "lat p50",
+            "lat p99",
+            "fingerprint",
+        ],
+        &rep.runs,
+        |r| {
             vec![
                 r.name.clone(),
                 r.offered.to_string(),
@@ -546,23 +470,7 @@ fn run_chaos() {
                 r.latency_p99.to_string(),
                 r.fingerprint.clone(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "scenario",
-                "offered",
-                "delivered",
-                "dropped",
-                "lk-miss",
-                "lat p50",
-                "lat p99",
-                "fingerprint"
-            ],
-            &rows
-        )
+        },
     );
     for r in &rep.runs {
         let buckets: Vec<String> = r
@@ -588,31 +496,37 @@ fn run_chaos() {
     println!("wrote results/chaos.json (two runs per scenario, fingerprints verified equal)");
 }
 
-fn run_fabric() {
-    // `repro -- fabric [--smoke | <packets/port>]`: the smoke run
-    // shrinks the per-cell run length for CI; the default is long
-    // enough to amortize the epoch-boundary pipeline fill that the
-    // aggregate-bandwidth headline depends on.
-    let smoke = std::env::args().nth(2).as_deref() == Some("--smoke");
+fn run_fabric(args: &Args) {
+    // The smoke run shrinks the per-cell run length for CI; the default
+    // is long enough to amortize the epoch-boundary pipeline fill that
+    // the aggregate-bandwidth headline depends on.
+    let smoke = args.arg == Some("--smoke");
     let ppp: usize = if smoke {
         120
     } else {
-        num_arg(
-            2,
-            1_000,
-            "packet count",
-            "fabric [--smoke | <packets/port>]",
-        )
+        args.num(1_000, "packet count")
     };
+    let fp = |ok: bool| if ok { "ok" } else { "DIVERGED" }.to_string();
     println!(
         "== fabric: Clos composition of 4-port routers, sharded vs reference \
          ({ppp} packets/port) =="
     );
     let rep = fabric_study(ppp);
-    let rows: Vec<Vec<String>> = rep
-        .cells
-        .iter()
-        .map(|c| {
+    print_table(
+        &[
+            "topology",
+            "spray",
+            "epoch",
+            "routers",
+            "offered",
+            "dropped",
+            "Mpps",
+            "Gb/s",
+            "bp-epochs",
+            "fp",
+        ],
+        &rep.cells,
+        |c| {
             vec![
                 c.topology.clone(),
                 c.spray.clone(),
@@ -623,37 +537,20 @@ fn run_fabric() {
                 format!("{:.3}", c.mpps),
                 format!("{:.2}", c.gbps),
                 c.backpressure_epochs.to_string(),
-                if c.fingerprints_match {
-                    "ok"
-                } else {
-                    "DIVERGED"
-                }
-                .into(),
+                fp(c.fingerprints_match),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "topology",
-                "spray",
-                "epoch",
-                "routers",
-                "offered",
-                "dropped",
-                "Mpps",
-                "Gb/s",
-                "bp-epochs",
-                "fp",
-            ],
-            &rows
-        )
+        },
     );
-    let t: Vec<Vec<String>> = rep
-        .ring_vs_clos
-        .iter()
-        .map(|r| {
+    print_table(
+        &[
+            "ports",
+            "ring/port (norm)",
+            "clos/port (norm)",
+            "clos Mpps",
+            "speedup",
+        ],
+        &rep.ring_vs_clos,
+        |r| {
             vec![
                 r.ports.to_string(),
                 format!("{:.3}", r.ring_norm),
@@ -661,125 +558,70 @@ fn run_fabric() {
                 format!("{:.3}", r.fabric_mpps),
                 format!("{:.2}x", r.fabric_speedup),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "ports",
-                "ring/port (norm)",
-                "clos/port (norm)",
-                "clos Mpps",
-                "speedup",
-            ],
-            &t
-        )
+        },
     );
     println!(
         "16-port Clos aggregate: {:.3} Mpps = {:.2}x the single 4-port router",
         rep.clos16_mpps, rep.clos_over_single
     );
-    // Executor scaling curve: 4 -> 256 external ports, reference vs
-    // sharded coordinators.
-    let srows: Vec<Vec<String>> = rep
-        .scaling
-        .points
-        .iter()
-        .map(|p| {
+    // Per-port scaling curve, 4 -> 256 external ports.
+    print_table(
+        &[
+            "topology",
+            "routers",
+            "ports",
+            "offered",
+            "sim Mpps",
+            "sim Mpps/port",
+            "fp",
+        ],
+        &rep.scaling,
+        |c| {
             vec![
-                p.topology.clone(),
-                p.routers.to_string(),
-                p.ext_ports.to_string(),
-                p.executor.clone(),
-                p.offered.to_string(),
-                format!("{:.3}", p.sim_mpps),
-                format!("{:.4}", p.sim_mpps_per_port),
-                format!("{:.1}", p.wall_ms),
-                format!("{:.4}", p.wall_mpps),
-                if p.matches_reference {
-                    "ok"
-                } else {
-                    "DIVERGED"
-                }
-                .into(),
+                c.topology.clone(),
+                c.routers.to_string(),
+                c.ext_ports.to_string(),
+                c.offered.to_string(),
+                format!("{:.3}", c.mpps),
+                format!("{:.4}", c.mpps / c.ext_ports as f64),
+                fp(c.fingerprints_match),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "topology",
-                "routers",
-                "ports",
-                "executor",
-                "offered",
-                "sim Mpps",
-                "sim Mpps/port",
-                "wall ms",
-                "wall Mpps",
-                "fp",
-            ],
-            &srows
-        )
-    );
-    println!(
-        "sharded points ran {} shard{}",
-        rep.scaling.shards,
-        if rep.scaling.shards == 1 { "" } else { "s" },
+        },
     );
     assert!(
         rep.all_fingerprints_match,
-        "an executor diverged from the single-threaded reference"
+        "the sharded executor diverged from the single-threaded reference"
     );
-    // Golden scaling smoke: conservation closed and nonzero aggregate
-    // throughput on every executor at every scale (each scaling point
-    // already asserted `conservation_errors().is_empty()` internally).
-    for p in &rep.scaling.points {
+    // Golden scaling smoke: the books close and aggregate throughput is
+    // nonzero at every scale (each run already asserted
+    // `conservation_errors().is_empty()` internally).
+    for c in &rep.scaling {
         assert_eq!(
-            p.offered,
-            p.delivered + p.dropped,
-            "{}/{}: offered != delivered + dropped",
-            p.topology,
-            p.executor
+            c.offered,
+            c.delivered + c.dropped,
+            "{}: offered != delivered + dropped",
+            c.topology
         );
-        assert!(
-            p.sim_mpps > 0.0 && p.wall_mpps > 0.0,
-            "{}/{}: zero aggregate throughput",
-            p.topology,
-            p.executor
-        );
+        assert!(c.mpps > 0.0, "{}: zero aggregate throughput", c.topology);
     }
-    if smoke {
-        assert!(
-            rep.clos_over_single >= 1.5,
-            "smoke: Clos16 only {:.2}x a single router",
-            rep.clos_over_single
-        );
-    } else {
-        assert!(
-            rep.clos_over_single >= 3.0,
-            "Clos16 only {:.2}x a single router (acceptance floor is 3x)",
-            rep.clos_over_single
-        );
-    }
-    write_json(&results_dir(), "fabric", &rep).unwrap();
-    write_bench_digest("fabric", &fabric_bench_digest(&rep)).unwrap();
-    println!(
-        "wrote results/fabric.json + BENCH_fabric.json (every cell fingerprint-verified \
-         on both executors)"
+    let floor = if smoke { 1.5 } else { 3.0 };
+    assert!(
+        rep.clos_over_single >= floor,
+        "Clos16 only {:.2}x a single router (acceptance floor is {floor}x)",
+        rep.clos_over_single
     );
+    write_json(&results_dir(), "fabric", &rep).unwrap();
+    println!("wrote results/fabric.json (every cell fingerprint-verified on both executors)");
 }
 
-fn run_sched() {
-    // `repro -- sched [--smoke]`: the E19 scheduler head-to-head. The
-    // smoke run halves the per-cell span for CI; both lengths keep the
-    // measured window (the second half of the run) in steady state.
-    let (cycles, ppp) = match std::env::args().nth(2).as_deref() {
-        None => (240_000u64, 10_000usize),
-        Some("--smoke") => (120_000, 4_000),
-        Some(s) => usage_exit(&format!("unknown argument '{s}'"), "sched [--smoke]"),
+fn run_sched(args: &Args) {
+    // The E19 scheduler head-to-head. The smoke run halves the per-cell
+    // span for CI; both lengths keep the measured window (the second
+    // half of the run) in steady state.
+    let (cycles, ppp) = if args.smoke() {
+        (120_000u64, 4_000usize)
+    } else {
+        (240_000, 10_000)
     };
     println!(
         "== sched: rotating token vs iSLIP vs crosspoint-queued, {} patterns x {} arbiters \
@@ -788,10 +630,21 @@ fn run_sched() {
         raw_xbar::SchedKind::all().len()
     );
     let rep = sched_report(cycles, ppp);
-    let rows: Vec<Vec<String>> = rep
-        .cells
-        .iter()
-        .map(|c| {
+    print_table(
+        &[
+            "pattern",
+            "arbiter",
+            "gbps",
+            "delivered",
+            "p50",
+            "p99",
+            "p999",
+            "jain",
+            "arb-wait",
+            "matched",
+        ],
+        &rep.cells,
+        |c| {
             vec![
                 c.pattern.clone(),
                 c.scheduler.clone(),
@@ -804,38 +657,19 @@ fn run_sched() {
                 (c.arb_wait_cycles + c.token_wait_cycles).to_string(),
                 c.sched_matched.to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "pattern",
-                "arbiter",
-                "gbps",
-                "delivered",
-                "p50",
-                "p99",
-                "p999",
-                "jain",
-                "arb-wait",
-                "matched"
-            ],
-            &rows
-        )
+        },
     );
-    let srows: Vec<Vec<String>> = rep
-        .speedups
-        .iter()
-        .map(|s| {
+    print_table(
+        &["pattern", "islip/token", "cq/token"],
+        &rep.speedups,
+        |s| {
             vec![
                 s.pattern.clone(),
                 format!("{:.2}x", s.islip_over_token),
                 format!("{:.2}x", s.cq_over_token),
             ]
-        })
-        .collect();
-    println!("{}", table(&["pattern", "islip/token", "cq/token"], &srows));
+        },
+    );
     write_json(&results_dir(), "sched", &rep).unwrap();
     let adv = rep
         .speedups
@@ -854,7 +688,7 @@ fn run_sched() {
     );
 }
 
-fn run_verify() {
+fn run_verify(_: &Args) {
     println!(
         "== static verification: conflict / lockstep / deadlock / jump-table / fabric / sched =="
     );
@@ -893,10 +727,10 @@ fn run_verify() {
         .extend(raw_verify::sched::sched_reports(&sched_verdicts));
     report.pass = report.diagnostics.is_empty();
 
-    let rows: Vec<Vec<String>> = report
-        .analyses
-        .iter()
-        .map(|a| {
+    print_table(
+        &["analysis", "codes", "verdict", "checked", "detail"],
+        &report.analyses,
+        |a| {
             vec![
                 a.name.to_string(),
                 a.code_prefix.to_string(),
@@ -904,14 +738,7 @@ fn run_verify() {
                 a.checked.to_string(),
                 a.detail.clone(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &["analysis", "codes", "verdict", "checked", "detail"],
-            &rows
-        )
+        },
     );
     let cov = &report.coverage;
     println!(
@@ -952,22 +779,22 @@ fn run_verify() {
     println!("all generated switch schedules verify");
 }
 
-fn run_fib() {
-    // `repro -- fib [smoke]`: the full study sweeps table size
-    // {1K, 64K, 1M} x flow count {10K, 1M}; smoke runs the 64K x 10K
-    // cell CI exercises.
-    let smoke = std::env::args().nth(2).as_deref() == Some("smoke");
-    let rep = fib_study(smoke);
+fn run_fib(args: &Args) {
+    // The full study sweeps table size {1K, 64K, 1M} x flow count
+    // {10K, 1M}; smoke runs the 64K x 10K cell CI exercises.
+    let rep = fib_study(args.smoke());
 
     println!(
         "FIB study: BGP-shaped tables vs flow churn ({}B packets, Pareto alpha {:.1})",
         rep.packet_bytes,
         rep.alpha_milli as f64 / 1000.0
     );
-    let rows: Vec<Vec<String>> = rep
-        .cells
-        .iter()
-        .map(|c| {
+    print_table(
+        &[
+            "prefixes", "flows", "MiB", "B/pfx", "l2blks", "l2%", "cyc/lkp", "stall%",
+        ],
+        &rep.cells,
+        |c| {
             vec![
                 c.prefixes.to_string(),
                 c.flows.to_string(),
@@ -981,21 +808,25 @@ fn run_fib() {
                 format!("{:.1}", c.lookup.avg_cycles),
                 format!("{:.1}", 100.0 * c.lookup.stall_frac),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &["prefixes", "flows", "MiB", "B/pfx", "l2blks", "l2%", "cyc/lkp", "stall%"],
-            &rows
-        )
+        },
     );
 
     println!("simulated window per cell (lookup memory model armed, Dir24-8):");
-    let rows: Vec<Vec<String>> = rep
-        .cells
-        .iter()
-        .map(|c| {
+    print_table(
+        &[
+            "prefixes",
+            "simflows",
+            "delivered",
+            "lkp-stall",
+            "lat-p50",
+            "lat-p99",
+            "lat-p999",
+            "fct-p99",
+            "fct-p999",
+            "completed",
+        ],
+        &rep.cells,
+        |c| {
             vec![
                 c.prefixes.to_string(),
                 c.sim.sim_flows.to_string(),
@@ -1008,25 +839,7 @@ fn run_fib() {
                 c.sim.slo.fct.p999.to_string(),
                 c.sim.slo.flows_completed.to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "prefixes",
-                "simflows",
-                "delivered",
-                "lkp-stall",
-                "lat-p50",
-                "lat-p99",
-                "lat-p999",
-                "fct-p99",
-                "fct-p999",
-                "completed",
-            ],
-            &rows
-        )
+        },
     );
     for c in &rep.cells {
         if c.sim.sim_flows < c.flows {
@@ -1043,18 +856,13 @@ fn run_fib() {
 
     if let Some(big) = rep.cells.iter().max_by_key(|c| c.prefixes) {
         println!("miss-cost sensitivity at {} prefixes:", big.prefixes);
-        let rows: Vec<Vec<String>> = big
-            .sensitivity
-            .iter()
-            .map(|b| {
-                vec![
-                    b.l2_cycles.to_string(),
-                    format!("{:.2}", b.avg_cycles),
-                    format!("{:.1}", 100.0 * b.stall_frac),
-                ]
-            })
-            .collect();
-        println!("{}", table(&["l2-cyc", "cyc/lkp", "stall%"], &rows));
+        print_table(&["l2-cyc", "cyc/lkp", "stall%"], &big.sensitivity, |b| {
+            vec![
+                b.l2_cycles.to_string(),
+                format!("{:.2}", b.avg_cycles),
+                format!("{:.1}", 100.0 * b.stall_frac),
+            ]
+        });
     }
 
     println!(
@@ -1067,52 +875,64 @@ fn run_fib() {
     );
 
     write_json(&results_dir(), "fib", &rep).unwrap();
-    write_bench_digest("fib", &fib_bench_digest(&rep)).unwrap();
-    println!("wrote results/fib.json + BENCH_fib.json");
+    println!("wrote results/fib.json");
 }
 
+/// An experiment: its name, the arguments its usage line lists after
+/// the name, and its runner.
+type Experiment = (&'static str, &'static str, fn(&Args));
+
+/// `main`, `all`, the unknown-experiment message and every usage error
+/// are generated from this table.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig3-2", "", run_fig3_2),
+    ("table6-1", "", run_table6_1),
+    ("fig7-2", "", run_fig7_2),
+    ("fig7-1-peak", "", run_fig7_1_peak),
+    ("fig7-1-avg", "", run_fig7_1_avg),
+    ("fig7-3", "", run_fig7_3),
+    ("ch2-claims", "", run_ch2),
+    ("fairness", "", run_fairness),
+    ("ablation-net2", "", run_net2),
+    ("deadlock-sweep", "", run_deadlock),
+    ("multicast", "", run_multicast),
+    ("scaling", "", run_scaling),
+    ("ablation-quantum", "", run_quantum),
+    ("ablation-lookup", "", run_lookup),
+    ("ablation-voq", "", run_voq),
+    ("asm-crossbar", "", run_asm),
+    ("latency", "", run_latency),
+    ("telemetry", "[cycles]", run_telemetry),
+    ("chaos", "[cycles]", run_chaos),
+    ("fabric", "[--smoke | <packets/port>]", run_fabric),
+    ("sched", "[--smoke]", run_sched),
+    ("fib", "[--smoke]", run_fib),
+    ("verify", "", run_verify),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let all = cmd == "all";
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map_or("all", String::as_str);
+    let rest = argv.get(1..).unwrap_or(&[]);
+    let all = name == "all";
     let mut matched = false;
-    let mut run = |name: &str, f: &dyn Fn()| {
-        if all || cmd == name {
-            matched = true;
-            f();
-            println!();
+    for (exp, takes, run) in EXPERIMENTS.iter().filter(|(n, ..)| all || name == *n) {
+        matched = true;
+        // `all` runs every entry with no arguments.
+        let own = format!("{exp} {takes}");
+        let usage = if all { "all" } else { own.trim_end() };
+        if let Some(extra) = rest.get(usize::from(!all && !takes.is_empty())) {
+            usage_exit(&format!("unexpected argument '{extra}'"), usage);
         }
-    };
-    run("fig3-2", &run_fig3_2);
-    run("table6-1", &run_table6_1);
-    run("fig7-2", &run_fig7_2);
-    run("fig7-1-peak", &run_fig7_1_peak);
-    run("fig7-1-avg", &run_fig7_1_avg);
-    run("fig7-3", &run_fig7_3);
-    run("ch2-claims", &run_ch2);
-    run("fairness", &run_fairness);
-    run("ablation-net2", &run_net2);
-    run("deadlock-sweep", &run_deadlock);
-    run("multicast", &run_multicast);
-    run("scaling", &run_scaling);
-    run("ablation-quantum", &run_quantum);
-    run("ablation-lookup", &run_lookup);
-    run("ablation-voq", &run_voq);
-    run("asm-crossbar", &run_asm);
-    run("latency", &run_latency);
-    run("simspeed", &run_simspeed);
-    run("telemetry", &run_telemetry);
-    run("chaos", &run_chaos);
-    run("fabric", &run_fabric);
-    run("sched", &run_sched);
-    run("fib", &run_fib);
-    run("verify", &run_verify);
+        let arg = rest.first().map(String::as_str);
+        run(&Args { usage, arg });
+        println!();
+    }
     if !matched {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, ..)| *n).collect();
         eprintln!(
-            "unknown experiment '{cmd}'. Available: all fig3-2 table6-1 fig7-2 fig7-1-peak \
-             fig7-1-avg fig7-3 ch2-claims fairness ablation-net2 deadlock-sweep \
-             multicast scaling ablation-quantum ablation-lookup ablation-voq asm-crossbar latency \
-             simspeed telemetry chaos fabric sched fib verify"
+            "unknown experiment '{name}'. Available: all {}",
+            names.join(" ")
         );
         std::process::exit(2);
     }

@@ -4,12 +4,14 @@
 //!
 //! Sweeps router count (1 / 6 / 12 via [`Topology`]), epoch size, and
 //! spray mode on saturated fabric-uniform traffic. Every cell runs
-//! twice — sharded one shard per router, and the single-threaded
-//! reference — and the two fingerprints must agree bit-for-bit; the
+//! twice — the single-threaded reference, then sharded one shard per
+//! router — and the two fingerprints must agree bit-for-bit; the
 //! report then sets the ring-vs-Clos scaling story side by side using
-//! the [`raw_xbar::ScalingCurve`] ring model.
-
-use std::time::Instant;
+//! the [`raw_xbar::ScalingCurve`] ring model, and extends the hash-spray
+//! / 512-cycle-epoch column to the 64- and 256-port Clos.
+//!
+//! Every number here is simulated time: two runs at the same argument
+//! serialise to the same bytes on any host.
 
 use serde::{Deserialize, Serialize};
 
@@ -70,13 +72,23 @@ pub struct FabricReport {
     /// Full telemetry summary (per-link stats, per-stage latency) of
     /// the best Clos16 cell.
     pub best_clos: FabricSummary,
-    /// Executor scaling curve: 4 -> 256 ports, reference vs sharded
-    /// coordinators, fingerprint-verified per point.
-    pub scaling: ScalingReport,
+    /// Per-port scaling curve, 4 -> 256 external ports: every shipped
+    /// topology at hash spray and a 512-cycle epoch.
+    pub scaling: Vec<FabricCell>,
 }
 
 const EPOCH_SWEEP: [u64; 3] = [128, 512, 2048];
 const PACKET_BYTES: usize = 64;
+
+/// The scaling-curve point of the sweep (one of [`EPOCH_SWEEP`]).
+const SCALING_SPRAY: SprayMode = SprayMode::Hash;
+const SCALING_EPOCH: u64 = 512;
+/// The topologies beyond the sweep that the scaling curve adds, with
+/// the divisor and floor applied to `packets_per_port`: total packet
+/// volume stays bounded on the big fabrics, and per-point throughput is
+/// unaffected because the run is saturated either way.
+const BIG_FABRICS: [(Topology, usize, usize); 2] =
+    [(Topology::Clos64, 4, 30), (Topology::Clos256, 8, 24)];
 
 fn run_once(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
     let nports = cfg.topology.ext_ports();
@@ -116,7 +128,9 @@ fn run_cell(
         seed: 42,
         ttl: 64,
     };
-    let reference = run_once(cfg.clone(), &w, Executor::Reference);
+    // Only the fingerprint outlives the reference fabric, so one fabric
+    // is resident at a time (Clos256 holds ~27 GB of forwarding tables).
+    let reference_fp = run_once(cfg.clone(), &w, Executor::Reference).fingerprint();
     // One shard per router: the multi-shard loop runs whatever the
     // host's core count.
     let shards = topology.routers();
@@ -138,7 +152,7 @@ fn run_cell(
         gbps: sharded.gbps(0, cycles),
         backpressure_epochs: summary.backpressure_epochs,
         fingerprint: format!("{:016x}", sharded.fingerprint()),
-        fingerprints_match: reference.fingerprint() == sharded.fingerprint(),
+        fingerprints_match: reference_fp == sharded.fingerprint(),
     };
     (cell, summary)
 }
@@ -149,6 +163,10 @@ fn run_cell(
 /// hundreds of packets per port (the `--smoke` mode trades that
 /// fidelity for speed).
 pub fn fabric_study(packets_per_port: usize) -> FabricReport {
+    study(packets_per_port, &BIG_FABRICS)
+}
+
+fn study(packets_per_port: usize, big_fabrics: &[(Topology, usize, usize)]) -> FabricReport {
     let mut cells = Vec::new();
     let mut best: Option<(f64, FabricSummary)> = None;
     for topology in [Topology::Single4, Topology::Folded8, Topology::Clos16] {
@@ -186,12 +204,19 @@ pub fn fabric_study(packets_per_port: usize) -> FabricReport {
         })
         .collect();
     let (_, best_clos) = best.expect("Clos16 cells exist");
-    let scaling = executor_scaling(packets_per_port);
+    let mut scaling: Vec<FabricCell> = cells
+        .iter()
+        .filter(|c| c.spray == SCALING_SPRAY.name() && c.epoch_cycles == SCALING_EPOCH)
+        .cloned()
+        .collect();
+    for &(topology, divisor, floor) in big_fabrics {
+        let ppp = (packets_per_port / divisor).max(floor);
+        scaling.push(run_cell(topology, SCALING_SPRAY, SCALING_EPOCH, ppp).0);
+    }
     FabricReport {
         packet_bytes: PACKET_BYTES,
         packets_per_port,
-        all_fingerprints_match: cells.iter().all(|c| c.fingerprints_match)
-            && scaling.all_fingerprints_match,
+        all_fingerprints_match: cells.iter().chain(&scaling).all(|c| c.fingerprints_match),
         single4_mpps,
         clos16_mpps,
         clos_over_single: clos16_mpps / single4_mpps,
@@ -200,220 +225,6 @@ pub fn fabric_study(packets_per_port: usize) -> FabricReport {
         ring_vs_clos,
         best_clos,
         scaling,
-    }
-}
-
-/// One point of the executor scaling curve: a topology drained on one
-/// executor. `sim_mpps` (simulated-time throughput) is bit-identical
-/// across executors — the executors race on *wall clock*, which is what
-/// `wall_mpps` (delivered packets per wall second) measures.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScalingPoint {
-    pub topology: String,
-    pub routers: usize,
-    pub ext_ports: usize,
-    pub executor: String,
-    /// Shard count (sharded executor only; 0 for the reference).
-    pub shards: usize,
-    pub offered: u64,
-    pub delivered: u64,
-    pub dropped: u64,
-    pub epochs: u64,
-    /// Aggregate simulated throughput over the drained run.
-    pub sim_mpps: f64,
-    /// Per external port — the flat line that says the fabric scales.
-    pub sim_mpps_per_port: f64,
-    pub wall_ms: f64,
-    /// Delivered packets per wall second, in millions.
-    pub wall_mpps: f64,
-    pub fingerprint: String,
-    pub matches_reference: bool,
-}
-
-/// The executor scaling curve (`repro -- fabric` publishes this inside
-/// `results/fabric.json` and as the `BENCH_fabric.json` digest):
-/// every topology from the single router to the 7-stage 256-port Clos,
-/// each drained on the reference and on the sharded executor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ScalingReport {
-    /// Shard count used for the sharded points (the machine's available
-    /// parallelism, capped by each fabric's router count).
-    pub shards: usize,
-    pub points: Vec<ScalingPoint>,
-    pub all_fingerprints_match: bool,
-}
-
-/// Run one topology to drain on one executor, timed. `repeats` re-runs
-/// the (deterministic) simulation and keeps the *minimum* wall time —
-/// the standard way to strip scheduler noise from a wall-clock race.
-fn scaling_point(
-    topology: Topology,
-    exec: Executor,
-    packets_per_port: usize,
-    repeats: u32,
-    reference_fp: Option<u64>,
-) -> (ScalingPoint, u64) {
-    let cfg = FabricConfig {
-        topology,
-        epoch_cycles: 512,
-        spray: SprayMode::Hash,
-        ..FabricConfig::default()
-    };
-    let w = Workload {
-        pattern: Pattern::FabricUniform,
-        arrivals: Arrivals::Saturation,
-        packet_bytes: PACKET_BYTES,
-        packets_per_port,
-        seed: 42,
-        ttl: 64,
-    };
-    let nports = topology.ext_ports();
-    let mut best_wall = f64::MAX;
-    let mut fab = None;
-    for _ in 0..repeats.max(1) {
-        let mut f = RawFabric::try_new(cfg.clone()).expect("valid fabric config");
-        for s in generate_n(&w, nports) {
-            f.offer(s.port, s.release, &s.packet);
-        }
-        let start = Instant::now();
-        assert!(
-            f.run_until_drained_with(500_000, exec),
-            "{} wedged on {}",
-            topology.name(),
-            exec.name()
-        );
-        best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        fab = Some(f);
-    }
-    let fab = fab.expect("at least one repeat");
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "conservation violated: {errs:?}");
-    let fp = fab.fingerprint();
-    let cycles = fab.cycle();
-    let sim_mpps = fab.mpps(0, cycles);
-    let wall_secs = best_wall.max(1e-9);
-    let shards = match exec {
-        Executor::Sharded { shards } => shards,
-        _ => 0,
-    };
-    let point = ScalingPoint {
-        topology: topology.name().into(),
-        routers: topology.routers(),
-        ext_ports: nports,
-        executor: exec.name().into(),
-        shards,
-        offered: fab.offered(),
-        delivered: fab.delivered_count(),
-        dropped: fab.dropped_count(),
-        epochs: fab.epochs_run(),
-        sim_mpps,
-        sim_mpps_per_port: sim_mpps / nports as f64,
-        wall_ms: wall_secs * 1e3,
-        wall_mpps: fab.delivered_count() as f64 / wall_secs / 1e6,
-        fingerprint: format!("{fp:016x}"),
-        matches_reference: reference_fp.is_none_or(|r| r == fp),
-    };
-    (point, fp)
-}
-
-/// The full scaling sweep: 4 -> 256 external ports, reference vs
-/// sharded coordinators. `packets_per_port` is
-/// scaled down on the big fabrics to keep total packet volume (and
-/// wall time) bounded — per-point sim throughput is unaffected because
-/// the run is saturated either way.
-pub fn executor_scaling(packets_per_port: usize) -> ScalingReport {
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // Long (non-smoke) sweeps afford a second timing repeat per point;
-    // `scaling_point` keeps the faster of the two.
-    let repeats = if packets_per_port >= 500 { 2 } else { 1 };
-    let mut points = Vec::new();
-    for topology in [
-        Topology::Single4,
-        Topology::Folded8,
-        Topology::Clos16,
-        Topology::Clos64,
-        Topology::Clos256,
-    ] {
-        let ppp = match topology.routers() {
-            r if r >= 400 => (packets_per_port / 8).max(24),
-            r if r >= 80 => (packets_per_port / 4).max(30),
-            _ => packets_per_port,
-        };
-        let (reference, ref_fp) = scaling_point(topology, Executor::Reference, ppp, repeats, None);
-        points.push(reference);
-        let (sharded, _) = scaling_point(
-            topology,
-            Executor::Sharded { shards },
-            ppp,
-            repeats,
-            Some(ref_fp),
-        );
-        points.push(sharded);
-    }
-    ScalingReport {
-        shards,
-        all_fingerprints_match: points.iter().all(|p| p.matches_reference),
-        points,
-    }
-}
-
-/// One topology line of the CI-diffable `BENCH_fabric.json` digest.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FabricBenchRow {
-    pub topology: String,
-    pub routers: usize,
-    pub ext_ports: usize,
-    /// Simulated-time throughput: deterministic, so CI can diff it
-    /// exactly across runs and machines.
-    pub sim_mpps: f64,
-    pub sim_mpps_per_port: f64,
-    /// Wall-clock executor race (machine-dependent; diff the trend, not
-    /// the digits).
-    pub sharded_over_reference_wall: f64,
-    pub fingerprints_match: bool,
-}
-
-/// The digest written to `BENCH_fabric.json` at the repo root: the
-/// executor scaling curve without raw wall times.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FabricBenchDigest {
-    pub shards: usize,
-    pub clos_over_single: f64,
-    pub rows: Vec<FabricBenchRow>,
-}
-
-pub fn fabric_bench_digest(rep: &FabricReport) -> FabricBenchDigest {
-    let round3 = |x: f64| crate::report::round_to(x, 3);
-    let point = |t: &str, e: &str| {
-        rep.scaling
-            .points
-            .iter()
-            .find(|p| p.topology == t && p.executor == e)
-    };
-    let rows = SHIPPED_TOPOLOGIES
-        .iter()
-        .filter_map(|t| {
-            let reference = point(t.name(), "reference")?;
-            let sharded = point(t.name(), "sharded")?;
-            Some(FabricBenchRow {
-                topology: t.name().into(),
-                routers: reference.routers,
-                ext_ports: reference.ext_ports,
-                sim_mpps: round3(reference.sim_mpps),
-                sim_mpps_per_port: round3(reference.sim_mpps_per_port),
-                sharded_over_reference_wall: round3(
-                    sharded.wall_mpps / reference.wall_mpps.max(1e-12),
-                ),
-                fingerprints_match: reference.matches_reference && sharded.matches_reference,
-            })
-        })
-        .collect();
-    FabricBenchDigest {
-        shards: rep.scaling.shards,
-        clos_over_single: round3(rep.clos_over_single),
-        rows,
     }
 }
 
@@ -454,6 +265,19 @@ mod tests {
         }
     }
 
+    /// Nothing a `FabricReport` is made of may name a host-dependent
+    /// quantity: no wall-clock value, no shard count.
+    fn assert_no_host_keys(pretty_json: &str) {
+        for line in pretty_json.lines() {
+            if let Some((key, _)) = line.split_once("\":") {
+                assert!(
+                    !key.contains("wall") && !key.contains("shards"),
+                    "host-dependent key in the fabric report: {line}"
+                );
+            }
+        }
+    }
+
     /// A miniature sweep cell end-to-end: both executors agree and the
     /// books close (the full sweep is exercised by `repro -- fabric`).
     #[test]
@@ -463,5 +287,20 @@ mod tests {
         assert_eq!(cell.offered, 128);
         assert_eq!(cell.delivered + cell.dropped, cell.offered);
         assert_eq!(summary.links.len(), 32);
+        assert_no_host_keys(&serde_json::to_string_pretty(&(cell, summary)).unwrap());
+    }
+
+    /// The whole study minus the 64/256-port points (too big for a unit
+    /// test): nothing host-dependent in the report, so two runs are the
+    /// same bytes.
+    #[test]
+    fn study_serialises_identically_twice() {
+        let json = |r: &FabricReport| serde_json::to_string_pretty(r).unwrap();
+        let rep = study(4, &[]);
+        assert_eq!(json(&rep), json(&study(4, &[])), "two runs diverged");
+        assert_no_host_keys(&json(&rep));
+        assert!(rep.all_fingerprints_match);
+        let curve: Vec<&str> = rep.scaling.iter().map(|c| c.topology.as_str()).collect();
+        assert_eq!(curve, ["single4", "folded8", "clos16"]);
     }
 }

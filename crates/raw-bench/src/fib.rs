@@ -1,5 +1,5 @@
 //! The FIB study: Internet-scale forwarding tables meet the million-flow
-//! workload engine (`repro -- fib`, results/fib.json + BENCH_fib.json).
+//! workload engine (`repro -- fib`, results/fib.json).
 //!
 //! Sweeps synthesized BGP-shaped tables (1K / 64K / 1M prefixes) against
 //! flow-churn populations (10K / 1M flows). Each cell reports three
@@ -401,65 +401,6 @@ pub fn fib_study(smoke: bool) -> FibReport {
         l2_cost_sweep: L2_COST_SWEEP.to_vec(),
         cells,
         fabric: fabric_point(),
-    }
-}
-
-/// One cell line of the CI-diffable `BENCH_fib.json` digest.
-#[derive(Clone, Debug, Serialize)]
-pub struct FibBenchRow {
-    pub prefixes: usize,
-    pub flows: u64,
-    pub bytes_per_prefix: f64,
-    pub l2_blocks: usize,
-    /// Fraction of sampled lookups chaining to L2.
-    pub l2_frac: f64,
-    pub avg_lookup_cycles: f64,
-    pub stall_frac: f64,
-    pub sim_delivered: u64,
-    pub sim_misrouted: u64,
-    pub sim_order_violations: u64,
-    pub lookup_stall_cycles: u64,
-    pub lat_p99: u64,
-    pub fct_p999: u64,
-    pub flows_completed: u64,
-}
-
-/// The digest written to `BENCH_fib.json` at the repo root.
-#[derive(Clone, Debug, Serialize)]
-pub struct FibBenchDigest {
-    pub smoke: bool,
-    pub rows: Vec<FibBenchRow>,
-    pub fabric_delivered: u64,
-    pub fabric_order_violations: u64,
-}
-
-pub fn fib_bench_digest(rep: &FibReport) -> FibBenchDigest {
-    let round2 = |x: f64| crate::report::round_to(x, 2);
-    let round4 = |x: f64| crate::report::round_to(x, 4);
-    FibBenchDigest {
-        smoke: rep.smoke,
-        rows: rep
-            .cells
-            .iter()
-            .map(|c| FibBenchRow {
-                prefixes: c.prefixes,
-                flows: c.flows,
-                bytes_per_prefix: round2(c.dir_bytes_per_prefix),
-                l2_blocks: c.dir_l2_blocks,
-                l2_frac: round4(c.lookup.l2 as f64 / c.lookup.lookups.max(1) as f64),
-                avg_lookup_cycles: round2(c.lookup.avg_cycles),
-                stall_frac: round4(c.lookup.stall_frac),
-                sim_delivered: c.sim.delivered,
-                sim_misrouted: c.sim.misrouted,
-                sim_order_violations: c.sim.order_violations,
-                lookup_stall_cycles: c.sim.lookup_stall_cycles,
-                lat_p99: c.sim.slo.latency.p99,
-                fct_p999: c.sim.slo.fct.p999,
-                flows_completed: c.sim.slo.flows_completed,
-            })
-            .collect(),
-        fabric_delivered: rep.fabric.delivered,
-        fabric_order_violations: rep.fabric.order_violations,
     }
 }
 

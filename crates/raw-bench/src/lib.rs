@@ -11,7 +11,6 @@ pub mod fabric;
 pub mod fib;
 pub mod report;
 pub mod sched;
-pub mod simspeed;
 pub mod telemetry;
 
 pub use chaos::*;
@@ -20,5 +19,4 @@ pub use fabric::*;
 pub use fib::*;
 pub use report::*;
 pub use sched::*;
-pub use simspeed::*;
 pub use telemetry::*;

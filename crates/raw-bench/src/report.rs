@@ -16,21 +16,6 @@ pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> std::io::R
     Ok(())
 }
 
-/// Round to `digits` decimal places. BENCH digests round every float so
-/// CI diffs are stable across machines and runs.
-pub fn round_to(x: f64, digits: i32) -> f64 {
-    let f = 10f64.powi(digits);
-    (x * f).round() / f
-}
-
-/// Write a CI-diffable `BENCH_<name>.json` digest at the repo root —
-/// the one shared serializer behind `BENCH_simspeed.json`,
-/// `BENCH_fabric.json`, and `BENCH_fib.json` (pretty-printed,
-/// newline-terminated, rounded values only, no raw wall times).
-pub fn write_bench_digest<T: Serialize>(name: &str, digest: &T) -> std::io::Result<()> {
-    write_json(Path::new("."), &format!("BENCH_{name}"), digest)
-}
-
 /// Render a simple aligned table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

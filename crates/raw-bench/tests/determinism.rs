@@ -29,7 +29,10 @@ fn traced_peak_with(
     engine: EngineMode,
     telemetry: Option<SharedSink>,
 ) -> (String, String) {
-    run_traced_peak(peak_router(bytes, engine, telemetry), bytes)
+    run_traced(
+        peak_router(bytes, engine, telemetry),
+        &Workload::peak(bytes, 800),
+    )
 }
 
 fn peak_router(bytes: usize, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
@@ -50,8 +53,8 @@ fn peak_router(bytes: usize, engine: EngineMode, telemetry: Option<SharedSink>) 
     r
 }
 
-fn run_traced_peak(mut r: RawRouter, bytes: usize) -> (String, String) {
-    for sp in generate(&Workload::peak(bytes, 800)) {
+fn run_traced(mut r: RawRouter, w: &Workload) -> (String, String) {
+    for sp in generate(w) {
         r.offer(sp.port, sp.release, &sp.packet);
     }
     r.start_trace(10_000, 800);
@@ -91,15 +94,27 @@ fn peak_run_is_reproducible() {
 
 #[test]
 fn compiled_engine_matches_per_cycle_reference() {
-    let (m_ref, t_ref) = traced_peak(256, EngineMode::PerCycle);
-    let (m, t) = traced_peak(256, EngineMode::Compiled);
-    assert_eq!(m, m_ref, "metrics diverged (compiled vs per-cycle)");
-    assert_eq!(t, t_ref, "trace diverged (compiled vs per-cycle)");
+    // The Figure 7-1 corners: the peak permutation and the uniform
+    // "average" traffic, at the smallest and largest packet sizes.
+    for w in [
+        Workload::peak(64, 800),
+        Workload::peak(256, 800),
+        Workload::peak(1024, 800),
+        Workload::average(64, 400, 7),
+        Workload::average(1024, 400, 7),
+    ] {
+        let run = |engine| run_traced(peak_router(w.packet_bytes, engine, None), &w);
+        let (m_ref, t_ref) = run(EngineMode::PerCycle);
+        let (m, t) = run(EngineMode::Compiled);
+        assert_eq!(m, m_ref, "metrics diverged (compiled vs per-cycle, {w:?})");
+        assert_eq!(t, t_ref, "trace diverged (compiled vs per-cycle, {w:?})");
+    }
     // The machine-wide fallback on the whole router: the fast engine
     // after its plan is dropped interprets every switch.
+    let (m_ref, t_ref) = traced_peak(256, EngineMode::PerCycle);
     let mut planless = peak_router(256, EngineMode::Compiled, None);
     planless.machine.clear_compiled_plan();
-    let (m, t) = run_traced_peak(planless, 256);
+    let (m, t) = run_traced(planless, &Workload::peak(256, 800));
     assert_eq!(m, m_ref, "metrics diverged (compiled, plan dropped)");
     assert_eq!(t, t_ref, "trace diverged (compiled, plan dropped)");
 }

@@ -34,8 +34,8 @@
 //! matchings, stuck iSLIP pointers, an unbounded crosspoint buffer) for
 //! the RV8xx verifier's negative battery.
 //!
-//! All schedulers support runtime port counts (the criterion bench runs
-//! them at 16 ports; the Raw router instantiates them at 4) and are
+//! All schedulers support runtime port counts (the differential tests
+//! run them at 16 ports; the Raw router instantiates them at 4) and are
 //! fully deterministic: the four Crossbar Processors replicate one
 //! scheduler instance each and feed it identical bid vectors, so their
 //! matchings agree without exchanging any state beyond the §5.1 header

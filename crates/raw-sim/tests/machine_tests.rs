@@ -831,7 +831,7 @@ fn scheduled_stall_windows_delay_without_divergence() {
 /// pipe (quiet most cycles) and a fully idle chip (quiet every cycle) in
 /// the default configuration — skips its way to exactly the per-cycle
 /// result: delivery cycle stamps, per-tile activity counts, switch
-/// stalls, and the clock.
+/// stalls, and the clock. So does the same machine with a plan installed.
 #[test]
 fn default_engine_without_a_plan_matches_per_cycle() {
     assert_eq!(RawConfig::default().engine, EngineMode::Compiled);
@@ -868,6 +868,7 @@ fn default_engine_without_a_plan_matches_per_cycle() {
     let reference = drip(PlanCase::PerCycle);
     assert_eq!(reference.0.len(), 64);
     assert_eq!(drip(PlanCase::NoPlan), reference);
+    assert_eq!(drip(PlanCase::Plan), reference);
 
     let idle = |case: PlanCase| {
         let mut m = RawMachine::new(RawConfig {
@@ -877,5 +878,7 @@ fn default_engine_without_a_plan_matches_per_cycle() {
         case.run(&mut m, 10_000, 40_000);
         observe(&m)
     };
-    assert_eq!(idle(PlanCase::NoPlan), idle(PlanCase::PerCycle));
+    let reference = idle(PlanCase::PerCycle);
+    assert_eq!(idle(PlanCase::NoPlan), reference);
+    assert_eq!(idle(PlanCase::Plan), reference);
 }
