@@ -71,19 +71,13 @@ const WINDOW: u64 = 200_000;
 /// self-contained, so a fanned-out sweep returns exactly what the
 /// sequential loop would — only the wall-clock changes.
 fn parallel_points<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let out = parking_lot::Mutex::new((0..items.len()).map(|_| None).collect::<Vec<Option<R>>>());
-    crossbeam::scope(|scope| {
-        for (i, item) in items.iter().enumerate() {
-            let out = &out;
-            let f = &f;
-            scope.spawn(move |_| {
-                let r = f(item);
-                out.lock()[i] = Some(r);
-            });
-        }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.iter().map(|item| scope.spawn(|| f(item))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep thread panicked"))
+            .collect()
     })
-    .expect("sweep threads");
-    out.into_inner().into_iter().map(Option::unwrap).collect()
 }
 
 /// Run one simulation per packet size on its own thread.

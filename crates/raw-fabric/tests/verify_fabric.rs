@@ -316,6 +316,19 @@ fn credit_mutants_fail_validate_and_verify_with_the_same_code() {
     }
 }
 
+/// A machine configuration the routers cannot be built on surfaces as
+/// the typed router error, not as a panic inside `RawMachine::new`.
+#[test]
+fn a_bad_router_machine_config_is_a_typed_router_error() {
+    let mut cfg = cfg_for(Topology::Clos16);
+    cfg.router.raw.link_fifo_capacity = 0;
+    match RawFabric::try_new(cfg) {
+        Err(FabricError::Router(e)) => assert!(e.contains("link_fifo_capacity"), "{e}"),
+        Err(other) => panic!("expected Router rejection, got {other}"),
+        Ok(_) => panic!("expected Router rejection, fabric was built"),
+    }
+}
+
 #[test]
 fn capacity_error_carries_the_sizing_numbers() {
     let cfg = FabricConfig {

@@ -1,26 +1,29 @@
-//! Schedule-specialized execution: pre-resolved switch programs and the
-//! switch step that runs them.
+//! The lowered switch step: pre-resolved switch programs and the switch
+//! step that runs them under `EngineMode::Compiled`.
 //!
 //! The interpreter in [`machine`][crate::machine] re-derives, every cycle
-//! and for every switch, facts that are fixed at construction time: which
-//! routes share a source (and so fire together), which FIFO each
-//! `SwPort` names, whether a mesh direction crosses to a neighbor tile or
-//! leaves the chip, and which edge device (if any) sits on an off-grid
-//! link. A [`CompiledPlan`] hoists all of that out of the inner loop: each
-//! switch instruction becomes a list of [`CompiledRoute`]s whose source
-//! and destination are direct FIFO/device coordinates, and the per-cycle
-//! work reduces to visibility checks, space checks, and word moves.
+//! and for every switch, facts that are fixed once the programs and
+//! devices are installed: which FIFO each `SwPort` names, whether a mesh
+//! direction crosses to a neighbor tile or leaves the chip, and which
+//! edge device (if any) sits on an off-grid link. [`RawMachine::lower`]
+//! hoists all of that out of the inner loop: each switch instruction
+//! becomes a list of [`CompiledRoute`]s whose source and destination are
+//! direct FIFO/device coordinates, and the per-cycle work reduces to
+//! visibility checks, space checks, and word moves.
+//!
+//! The lowered form is derived state of the machine, never a caller's
+//! decision: `set_program` / `set_switch_program` / `bind_device` drop
+//! it, and the next cycle stepped under `EngineMode::Compiled` rebuilds
+//! it, so the fast engine is never in a state without it.
 //!
 //! ## Why bit-identity holds
 //!
-//! The compiled switch step performs the *same state transitions in the
+//! The lowered switch step performs the *same state transitions in the
 //! same order* as the interpreter — it only skips re-deriving constants,
 //! and the machine loop (`step_cycle`) is one function for both:
 //!
 //! * Route endpoints are resolved once, against the same `GridDim` /
-//!   device-table lookups the interpreter performs per cycle, and
-//!   `RawMachine::install_compiled_plan` re-lowers every program
-//!   independently and refuses any plan that disagrees.
+//!   device-table lookups the interpreter performs per cycle.
 //! * Route *grouping* is not precomputed, because it cannot be: the
 //!   interpreter forms a group from the not-yet-fired routes at and after
 //!   the scan point, so a multicast group refused on one cycle may fire a
@@ -36,12 +39,10 @@
 //!   `Activity::Idle`; the injector fast path only skips devices whose
 //!   `pull_in` is statically `None` (`EdgeDevice::is_injector`).
 //!
-//! Any structural mutation (new program, switch program, or device
-//! binding) drops the plan, and [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled] degrades to the
-//! interpreter (quiet stretches still skipped) until a plan is
-//! reinstalled — the transparent fallback boundary. The determinism
-//! suite and a differential proptest hold both engines to bit-identical
-//! fingerprints.
+//! None of this is taken on trust: the determinism suite, the random
+//! schedule differential (`tests/differential.rs`) and the mid-run
+//! mutation rows in `tests/machine_tests.rs` hold the two engines to
+//! bit-identical fingerprints.
 
 use crate::device::EdgePort;
 use crate::geom::TileId;
@@ -51,7 +52,7 @@ use raw_telemetry::SwitchStallCause;
 
 /// A pre-resolved route source: the exact FIFO the word is popped from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CompiledSrc {
+pub(crate) enum CompiledSrc {
     /// The processor's shared `$csto` FIFO at `tile`.
     Csto { tile: u16 },
     /// `link_in[tile][net][dir]`.
@@ -60,8 +61,8 @@ pub enum CompiledSrc {
 
 /// A pre-resolved route destination: the exact FIFO or device the word is
 /// pushed into.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CompiledDst {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CompiledDst {
     /// The processor-facing `$csti` FIFO for `net` at `tile`.
     Csti { tile: u16, net: u8 },
     /// The neighbor tile's link input FIFO `link_in[tile][net][dir]`.
@@ -76,15 +77,15 @@ pub enum CompiledDst {
 /// One switch route with both endpoints resolved. Routes sharing a
 /// `CompiledSrc` within one instruction form a multicast group, exactly
 /// as interpreter routes sharing `(net, src)` do.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CompiledRoute {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CompiledRoute {
     pub src: CompiledSrc,
     pub dst: CompiledDst,
 }
 
-/// One specialized switch instruction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompiledInstr {
+/// One lowered switch instruction.
+#[derive(Debug)]
+pub(crate) struct CompiledInstr {
     /// Routes in the interpreter's route-list order (the `fired` bitmask
     /// indexes this list, bit *i* ↔ `routes[i]`).
     pub routes: Vec<CompiledRoute>,
@@ -98,16 +99,16 @@ pub struct CompiledInstr {
     pub ctrl: SwitchCtrl,
 }
 
-/// A whole switch program specialized for one `(tile, net)`.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct CompiledSwitch {
+/// A whole switch program lowered for one `(tile, net)`.
+#[derive(Debug)]
+pub(crate) struct CompiledSwitch {
     pub instrs: Vec<CompiledInstr>,
 }
 
-/// An edge device that may inject, with its input FIFO coordinates
+/// An edge device polled for injection, with its input FIFO coordinates
 /// pre-resolved.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct InjectorSlot {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct InjectorSlot {
     /// Index into the machine's device list (bind order).
     pub device: u16,
     pub tile: u16,
@@ -127,14 +128,12 @@ impl InjectorSlot {
     }
 }
 
-/// A schedule-specialized execution plan for one machine, installed via
-/// `RawMachine::install_compiled_plan` and consumed by
-/// [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled].
-#[derive(Clone, Debug, Default)]
-pub struct CompiledPlan {
-    /// Indexed by `tile * NUM_STATIC_NETS + net`. `None` runs that switch
-    /// on the interpreter (per-switch fallback).
-    pub switches: Vec<Option<CompiledSwitch>>,
+/// The lowered form of one machine, built by [`RawMachine::lower`] and
+/// consumed by `EngineMode::Compiled`.
+#[derive(Debug)]
+pub(crate) struct CompiledPlan {
+    /// Indexed by `tile * NUM_STATIC_NETS + net`.
+    pub switches: Vec<CompiledSwitch>,
     /// Devices polled for injection each cycle, in device-index order
     /// (the interpreter's poll order). Pure sinks are omitted.
     pub injectors: Vec<InjectorSlot>,
@@ -142,11 +141,8 @@ pub struct CompiledPlan {
     pub idle_tiles: Vec<bool>,
 }
 
-/// Lower one switch program to its specialized form. This is the
-/// reference lowering raw-sim trusts: `install_compiled_plan` compares
-/// externally compiled programs against it, so an external compiler and
-/// this function must agree route by route for a plan to install.
-pub(crate) fn lower_switch_program(
+/// Lower one switch program: the only lowering there is.
+fn lower_switch_program(
     m: &RawMachine,
     tile: TileId,
     net: usize,
@@ -208,108 +204,32 @@ pub(crate) fn lower_switch_program(
     CompiledSwitch { instrs }
 }
 
-/// The machine's injecting devices in poll (bind) order — the injector
-/// list a valid plan must carry.
-fn injecting_devices(m: &RawMachine) -> Vec<InjectorSlot> {
-    m.bound_device_ports()
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| m.device_is_injector(i))
-        .map(|(i, &p)| InjectorSlot::new(i, p))
-        .collect()
-}
-
-impl CompiledPlan {
-    /// Check this plan against the machine it claims to specialize:
-    /// every compiled switch must equal raw-sim's own lowering of the
-    /// installed program, the idle set must only name idle-stub tiles,
-    /// and the injector list must be exactly the machine's injecting
-    /// devices in poll order. A plan that passes cannot change any
-    /// machine-observable behavior.
-    pub fn validate(&self, m: &RawMachine) -> Result<(), String> {
-        let n = m.dim().tiles();
-        if self.switches.len() != n * NUM_STATIC_NETS {
-            return Err(format!(
-                "plan covers {} switch slots, machine has {}",
-                self.switches.len(),
-                n * NUM_STATIC_NETS
-            ));
-        }
-        if self.idle_tiles.len() != n {
-            return Err(format!(
-                "plan covers {} tiles, machine has {n}",
-                self.idle_tiles.len()
-            ));
-        }
-        for t in 0..n {
-            let tile = TileId(t as u16);
-            if self.idle_tiles[t] && !m.program_is_idle(tile) {
-                return Err(format!("tile {t} marked idle but runs a program"));
-            }
-            for net in 0..NUM_STATIC_NETS {
-                if let Some(cs) = &self.switches[t * NUM_STATIC_NETS + net] {
-                    let reference = lower_switch_program(m, tile, net, m.switch_program(tile, net));
-                    if *cs != reference {
-                        return Err(format!(
-                            "compiled switch (tile {t}, net {net}) disagrees with the \
-                             reference lowering"
-                        ));
-                    }
-                }
-            }
-        }
-        if self.injectors != injecting_devices(m) {
-            return Err("plan injector list disagrees with the machine's bound devices".into());
-        }
-        Ok(())
-    }
-}
-
 impl RawMachine {
-    /// Install a schedule-specialized plan, after validating it against
-    /// the machine's current programs and devices (see
-    /// [`CompiledPlan::validate`]). The plan takes effect when the engine
-    /// is [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled]; it is dropped automatically by any
-    /// structural mutation.
-    pub fn install_compiled_plan(&mut self, plan: CompiledPlan) -> Result<(), String> {
-        plan.validate(self)?;
-        self.plan = Some(Box::new(plan));
-        Ok(())
-    }
-
-    /// Drop any installed plan; [`EngineMode::Compiled`][crate::machine::EngineMode::Compiled] then falls back
-    /// to the interpreter.
-    pub fn clear_compiled_plan(&mut self) {
-        self.plan = None;
-    }
-
-    /// Is a compiled plan currently installed?
-    pub fn has_compiled_plan(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Lower every installed switch program with raw-sim's reference
-    /// lowering and install the resulting full-coverage plan. External
-    /// compilers ([`install_compiled_plan`][Self::install_compiled_plan])
-    /// can do better reporting; the result of executing either is
-    /// identical.
-    pub fn compile_reference_plan(&mut self) {
-        let n = self.dim().tiles();
+    /// Lower every installed switch program, the injecting-device poll
+    /// list and the idle-tile set into the form `EngineMode::Compiled`
+    /// steps. Stepping calls this itself whenever a structural mutation
+    /// has dropped the lowered form; it is public only so a harness can
+    /// time a lowering.
+    pub fn lower(&mut self) {
+        let n = self.tiles.len();
         let mut switches = Vec::with_capacity(n * NUM_STATIC_NETS);
-        let mut idle_tiles = Vec::with_capacity(n);
-        for t in 0..n {
-            let tile = TileId(t as u16);
-            for net in 0..NUM_STATIC_NETS {
-                switches.push(Some(lower_switch_program(
-                    self,
-                    tile,
-                    net,
-                    self.switch_program(tile, net),
-                )));
+        for (t, tile) in self.tiles.iter().enumerate() {
+            for (net, prog) in tile.switch_prog.iter().enumerate() {
+                switches.push(lower_switch_program(self, TileId(t as u16), net, prog));
             }
-            idle_tiles.push(self.program_is_idle(tile));
         }
-        let injectors = injecting_devices(self);
+        let idle_tiles = self
+            .tiles
+            .iter()
+            .map(|tile| tile.program.as_ref().is_none_or(|p| p.is_idle_stub()))
+            .collect();
+        let injectors = self
+            .bound_device_ports()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.devices[i].is_injector())
+            .map(|(i, &p)| InjectorSlot::new(i, p))
+            .collect();
         self.plan = Some(Box::new(CompiledPlan {
             switches,
             injectors,
@@ -317,7 +237,7 @@ impl RawMachine {
         }));
     }
 
-    /// One specialized switch tick. Mirrors `step_switch` exactly:
+    /// One lowered switch tick. Mirrors `step_switch` exactly:
     /// pending-PC application, halt handling, PC-overflow halt as a
     /// control transition, firing, completion, control flow, stall
     /// accounting, and first-refused-group cause attribution.
@@ -609,63 +529,19 @@ mod tests {
         let mut reference = build(EngineMode::PerCycle);
         reference.run(400);
         let mut m = build(EngineMode::Compiled);
-        m.compile_reference_plan();
-        assert!(m.has_compiled_plan());
         m.run(400);
         assert_eq!(fingerprint(&m), fingerprint(&reference));
     }
 
     #[test]
-    fn compiled_mode_without_plan_falls_back() {
-        let mut reference = build(EngineMode::PerCycle);
-        reference.run(300);
-        // Engine says Compiled but no plan was installed: transparently
-        // the interpreter.
+    fn structural_mutation_invalidates_plan_and_the_next_step_rebuilds_it() {
         let mut m = build(EngineMode::Compiled);
-        assert!(!m.has_compiled_plan());
-        m.run(300);
-        assert_eq!(fingerprint(&m), fingerprint(&reference));
-    }
-
-    #[test]
-    fn partial_fallback_plan_matches() {
-        let mut reference = build(EngineMode::PerCycle);
-        reference.run(400);
-        let mut m = build(EngineMode::Compiled);
-        m.compile_reference_plan();
-        // Knock one switch back to the interpreter: mixed execution must
-        // still be bit-identical.
-        let mut plan = (*m.plan.take().unwrap()).clone();
-        plan.switches[0] = None;
-        m.install_compiled_plan(plan).unwrap();
-        m.run(400);
-        assert_eq!(fingerprint(&m), fingerprint(&reference));
-    }
-
-    #[test]
-    fn structural_mutation_invalidates_plan() {
-        let mut m = build(EngineMode::Compiled);
-        m.compile_reference_plan();
-        assert!(m.has_compiled_plan());
+        m.step();
+        assert!(m.plan.is_some());
         m.set_switch_program(TileId(3), NET0, SwitchProgram::idle());
-        assert!(!m.has_compiled_plan());
-    }
-
-    #[test]
-    fn stale_plan_rejected() {
-        let mut m = build(EngineMode::Compiled);
-        m.compile_reference_plan();
-        let plan = (*m.plan.take().unwrap()).clone();
-        m.set_switch_program(
-            TileId(0),
-            NET0,
-            SwitchProgram::new(vec![SwitchInstr::new(
-                vec![Route::new(NET0, SwPort::W, SwPort::Proc)],
-                SwitchCtrl::Jump(0),
-            )]),
-        );
-        let err = m.install_compiled_plan(plan).unwrap_err();
-        assert!(err.contains("disagrees"), "{err}");
+        assert!(m.plan.is_none());
+        m.step();
+        assert!(m.plan.is_some());
     }
 
     /// Multicast with one destination backpressured: the interpreter
@@ -716,7 +592,6 @@ mod tests {
         let mut reference = build(EngineMode::PerCycle);
         reference.run(200);
         let mut compiled = build(EngineMode::Compiled);
-        compiled.compile_reference_plan();
         compiled.run(200);
         assert_eq!(fingerprint(&compiled), fingerprint(&reference));
         // The blocked csti branch must have left residue: proves the

@@ -62,9 +62,9 @@ pub trait EdgeDevice: Send {
     }
 
     /// May [`EdgeDevice::pull_in`] ever return a word or have a side
-    /// effect? Pure output-side devices (sinks) return false, letting a
-    /// compiled execution plan drop them from the per-cycle injection
-    /// poll entirely. The conservative default keeps custom devices
+    /// effect? Pure output-side devices (sinks) return false, letting
+    /// the compiled engine drop them from the per-cycle injection poll
+    /// entirely. The conservative default keeps custom devices
     /// correct.
     fn is_injector(&self) -> bool {
         true

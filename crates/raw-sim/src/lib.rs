@@ -37,7 +37,7 @@
 //! belongs to the programs, not the fabric.
 
 pub mod cache;
-pub mod compiled;
+mod compiled;
 pub mod device;
 pub mod dynamic;
 pub mod fifo;
@@ -48,10 +48,6 @@ pub mod switch;
 pub mod trace;
 
 pub use cache::{Access, CacheConfig, DCache, MissModel};
-pub use compiled::{
-    CompiledDst, CompiledInstr, CompiledPlan, CompiledRoute, CompiledSrc, CompiledSwitch,
-    InjectorSlot,
-};
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
 pub use dynamic::{pack_header, unpack_header, DynNet};
 pub use fifo::TsFifo;

@@ -73,14 +73,11 @@ pub enum EngineMode {
     /// Step every cycle through the interpreter. The reference engine.
     PerCycle,
     /// The fast engine and the default. Jumps over provably quiet
-    /// stretches in bulk (event-skip fast-forward), and runs
-    /// schedule-specialized switch programs (see [`crate::compiled`])
-    /// with decode, endpoint resolution, and device lookups resolved at
-    /// compile time wherever a plan is installed. Falls back to the
-    /// interpreter transparently — per switch for uncompiled programs,
-    /// and machine-wide whenever no compiled plan is installed (a bare
-    /// machine nobody compiled, or one whose plan a structural mutation
-    /// invalidated); quiet stretches are skipped either way.
+    /// stretches in bulk (event-skip fast-forward), and steps every
+    /// switch through its lowered program, with decode, endpoint
+    /// resolution, and device lookups resolved once per installed
+    /// program rather than per cycle. The machine lowers itself (see
+    /// [`RawMachine::lower`]): there is nothing to compile or install.
     Compiled,
 }
 
@@ -136,6 +133,27 @@ impl Default for RawConfig {
             clock_mhz: 250,
             engine: EngineMode::Compiled,
         }
+    }
+}
+
+impl RawConfig {
+    /// Reject the values [`RawMachine::new`] cannot model: a FIFO of
+    /// capacity 0 (`TsFifo::new` asserts on it) and a 0 MHz clock (every
+    /// cycles-to-seconds conversion would divide by zero).
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("link_fifo_capacity", self.link_fifo_capacity as u64),
+            ("csti_capacity", self.csti_capacity as u64),
+            ("csto_capacity", self.csto_capacity as u64),
+            ("dyn_fifo_capacity", self.dyn_fifo_capacity as u64),
+            ("cdni_capacity", self.cdni_capacity as u64),
+            ("clock_mhz", self.clock_mhz),
+        ] {
+            if value == 0 {
+                return Err(format!("RawConfig::{name} must be at least 1"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -210,12 +228,10 @@ pub struct RawMachine {
     /// Total static-network route firings.
     pub routes_fired: u64,
     pub(crate) dyn_moved_before: u64,
-    /// Schedule-specialized execution plan (see [`crate::compiled`]).
-    /// Installed by a compiler pass; any structural mutation — new
-    /// program, new switch program, new device binding — invalidates it,
-    /// after which [`EngineMode::Compiled`] transparently degrades to the
-    /// interpreter (still skipping quiet stretches) until a fresh plan is
-    /// installed.
+    /// The lowered form [`EngineMode::Compiled`] steps, derived from the
+    /// installed programs and devices. Any structural mutation — new
+    /// program, new switch program, new device binding — drops it, and
+    /// `step_cycle_engine` rebuilds it before the next compiled cycle.
     pub(crate) plan: Option<Box<CompiledPlan>>,
 }
 
@@ -287,8 +303,8 @@ impl RawMachine {
         self.cycle
     }
 
-    /// Install a tile-processor program. Invalidates any installed
-    /// compiled plan (the plan caches which tiles are idle stubs).
+    /// Install a tile-processor program. Drops the lowered form (it
+    /// caches which tiles are idle stubs).
     pub fn set_program(&mut self, tile: TileId, program: Box<dyn TileProgram>) {
         self.plan = None;
         self.tiles[tile.index()].program = Some(program);
@@ -336,8 +352,8 @@ impl RawMachine {
     }
 
     /// Bind a device to an edge port. Panics if the port is interior or
-    /// already bound. Invalidates any installed compiled plan (the plan
-    /// caches device endpoints and the injector set).
+    /// already bound. Drops the lowered form (it caches device endpoints
+    /// and the injector set).
     pub fn bind_device(&mut self, port: EdgePort, dev: Box<dyn EdgeDevice>) {
         self.plan = None;
         assert!(
@@ -432,23 +448,6 @@ impl RawMachine {
         &self.device_ports
     }
 
-    /// Read-only introspection: may the device at index `i` (position in
-    /// [`RawMachine::bound_device_ports`]) ever inject a word? Pure sinks
-    /// return false, letting a compiled plan skip their `pull_in` poll.
-    pub fn device_is_injector(&self, i: usize) -> bool {
-        self.devices[i].is_injector()
-    }
-
-    /// Read-only introspection: is the processor at `tile` the idle stub
-    /// (no installed program, or one whose tick is a guaranteed no-op)?
-    /// A compiled plan gives such tiles a zero-cost idle path.
-    pub fn program_is_idle(&self, tile: TileId) -> bool {
-        match &self.tiles[tile.index()].program {
-            Some(p) => p.is_idle_stub(),
-            None => true,
-        }
-    }
-
     /// Diagnostic: occupancy of a static-network link input FIFO.
     pub fn link_occupancy(&self, tile: TileId, net: usize, dir: crate::geom::Dir) -> usize {
         self.link_in[tile.index()][net][dir.index()].len()
@@ -539,25 +538,28 @@ impl RawMachine {
         self.step_cycle_engine();
     }
 
-    /// One cycle through the configured engine: the compiled plan when
-    /// `EngineMode::Compiled` has one installed, the interpreter
-    /// otherwise. Bit-identical either way.
+    /// One cycle through the configured engine: the interpreter under
+    /// `EngineMode::PerCycle`, the lowered form under
+    /// `EngineMode::Compiled` — rebuilt here, the one choke point every
+    /// run loop steps through, if a mutator dropped it. Bit-identical
+    /// either way.
     pub(crate) fn step_cycle_engine(&mut self) -> bool {
+        if self.cfg.engine == EngineMode::PerCycle {
+            return self.step_cycle(None);
+        }
+        if self.plan.is_none() {
+            self.lower();
+        }
         // The plan is borrowed out of the machine for the cycle so the
         // step functions can read it while mutating everything else.
-        let plan = match self.cfg.engine {
-            EngineMode::Compiled => self.plan.take(),
-            EngineMode::PerCycle => None,
-        };
+        let plan = self.plan.take();
         let quiet = self.step_cycle(plan.as_deref());
-        if plan.is_some() {
-            self.plan = plan;
-        }
+        self.plan = plan;
         quiet
     }
 
-    /// Advance one cycle, through `plan` where it covers the machine and
-    /// through the interpreter where it does not (`None`: everywhere).
+    /// Advance one cycle: through `plan` under the compiled engine,
+    /// through the interpreter (`None`) under the per-cycle one.
     /// Returns true when the cycle was *quiet*: nothing made forward
     /// progress and no switch performed a control-only transition
     /// (nop/`WaitPc` advance). After a quiet cycle the machine is in a
@@ -707,18 +709,18 @@ impl RawMachine {
     /// Returns `(progress, control_transition)`: whether any route fired,
     /// and whether any switch advanced through a route-less instruction
     /// (which changes switch state without counting as progress — a cycle
-    /// containing one must not be skipped over). Each switch runs its
-    /// specialized program where `plan` has one and the interpreter where
-    /// it does not (per-switch fallback).
+    /// containing one must not be skipped over).
     fn step_switches(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> (bool, bool) {
         let mut progress = false;
         let mut ctrl = false;
         let n = self.tiles.len();
         for t in 0..n {
             for net in 0..NUM_STATIC_NETS {
-                let compiled = plan.and_then(|p| p.switches[t * NUM_STATIC_NETS + net].as_ref());
-                let (p, c) = match compiled {
-                    Some(cs) => self.step_switch_compiled(t, net, cs, cycle),
+                let (p, c) = match plan {
+                    Some(plan) => {
+                        let cs = &plan.switches[t * NUM_STATIC_NETS + net];
+                        self.step_switch_compiled(t, net, cs, cycle)
+                    }
                     None => self.step_switch(t, net, cycle),
                 };
                 progress |= p;
@@ -771,12 +773,17 @@ impl RawMachine {
                     group |= 1 << j;
                 }
             }
-            if self.group_ready(t, routes, group, cycle) {
-                self.fire_group(t, routes, group, cycle);
-                fired |= group;
-                any_fired = true;
-            } else if attribute && block_cause.is_none() {
-                block_cause = self.group_block_cause(t, routes, group, cycle);
+            match self.group_refusal(t, routes, group, cycle) {
+                None => {
+                    self.fire_group(t, routes, group, cycle);
+                    fired |= group;
+                    any_fired = true;
+                }
+                Some(cause) => {
+                    if attribute && block_cause.is_none() {
+                        block_cause = Some(cause);
+                    }
+                }
             }
             gi += 1;
         }
@@ -815,53 +822,11 @@ impl RawMachine {
         (any_fired, ctrl_transition)
     }
 
-    /// Can the route group (a bitmask over `routes`, all sharing
-    /// `(net, src)`) fire this cycle?
-    fn group_ready(&self, t: usize, routes: &[Route], group: u32, cycle: u64) -> bool {
-        let lead = routes[group.trailing_zeros() as usize];
-        let src_ok = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.has_visible(cycle, 0),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()].has_visible(cycle, 0)
-            }
-        };
-        if !src_ok {
-            return false;
-        }
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let r = routes[j];
-            let dst_ok = match r.dst {
-                SwPort::Proc => self.tiles[t].csti[r.net].has_space(),
-                p => {
-                    let d = p.dir().unwrap();
-                    match self.cfg.dim.neighbor(TileId(t as u16), d) {
-                        Some(nb) => {
-                            self.link_in[nb.index()][r.net][d.opposite().index()].has_space()
-                        }
-                        None => match self.device_at(t, r.net, d.index()) {
-                            Some(i) => self.devices[i].can_push(cycle),
-                            None => true, // unbound edge: words drop
-                        },
-                    }
-                }
-            };
-            if !dst_ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Why the route group cannot fire this cycle, mirroring
-    /// [`RawMachine::group_ready`]'s refusal order exactly: source word
-    /// not visible, then a full destination FIFO, then a bound edge
-    /// device refusing the word. `None` means the group is actually
-    /// ready (the caller only asks about refused groups).
-    fn group_block_cause(
+    /// Why the route group (a bitmask over `routes`, all sharing
+    /// `(net, src)`) cannot fire this cycle — source word not visible,
+    /// else the first member destination refusing it (a full FIFO, or a
+    /// bound edge device pushing back) — or `None` when it can.
+    fn group_refusal(
         &self,
         t: usize,
         routes: &[Route],

@@ -54,8 +54,8 @@ pub trait TileProgram: Send {
     }
 
     /// True when `tick` is a guaranteed no-op forever (the idle stub).
-    /// A compiled execution plan (see [`crate::compiled`]) skips the
-    /// whole `TileIo` construction for such tiles; the recorded activity
+    /// The compiled engine skips the whole `TileIo` construction for
+    /// such tiles; the recorded activity
     /// ([`Activity::Idle`][crate::trace::Activity::Idle], no token-wait
     /// hint) must match what the skipped `tick` would have produced.
     fn is_idle_stub(&self) -> bool {

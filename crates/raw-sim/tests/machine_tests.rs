@@ -719,133 +719,133 @@ fn larger_grids_stream_at_line_rate() {
     }
 }
 
-/// How an engine-differential run holds the compiled plan: the
-/// interpreter reference, the fast engine's two steady states (a bare
-/// machine nobody compiled; a compiled one), and a plan dropped mid-run
-/// by each of the three structural mutators.
+/// A structural mutation applied mid-run. Each one drops the lowered
+/// form and *changes what the machine does next*, so a compiled engine
+/// that kept stepping the stale form would diverge from the interpreter.
 #[derive(Clone, Copy, Debug)]
-enum PlanCase {
-    PerCycle,
-    NoPlan,
-    Plan,
-    DroppedBySetProgram,
-    DroppedBySetSwitchProgram,
-    DroppedByBindDevice,
+enum Mutation {
+    None,
+    /// The sender moves: tile 0's is replaced by `IdleProgram`, and tile
+    /// 4 — the idle stub until now — gets one.
+    SetProgram,
+    /// The row-0 pipe's last hop is re-pointed from the east edge to the
+    /// processor nobody drains.
+    SetSwitchProgram,
+    /// A rate-limited sink is bound onto the edge the row-0 pipe was
+    /// dropping words off.
+    BindDevice,
 }
 
-impl PlanCase {
-    const FAST: [PlanCase; 5] = [
-        PlanCase::NoPlan,
-        PlanCase::Plan,
-        PlanCase::DroppedBySetProgram,
-        PlanCase::DroppedBySetSwitchProgram,
-        PlanCase::DroppedByBindDevice,
-    ];
+const MUTATIONS: [Mutation; 4] = [
+    Mutation::None,
+    Mutation::SetProgram,
+    Mutation::SetSwitchProgram,
+    Mutation::BindDevice,
+];
 
-    fn engine(self) -> EngineMode {
-        match self {
-            PlanCase::PerCycle => EngineMode::PerCycle,
-            _ => EngineMode::Compiled,
+/// The clock, route/drop counts, and per-tile activity counts and switch
+/// stalls: what an engine differential compares.
+fn observe(m: &RawMachine) -> Vec<u64> {
+    let mut v = vec![m.cycle(), m.routes_fired, m.edge_drops];
+    for t in 0..m.dim().tiles() {
+        v.extend(m.stats(TileId(t as u16)).counts);
+        v.push(m.switch_stall_cycles(TileId(t as u16)));
+    }
+    v
+}
+
+/// Everything observable after a mutated run: send stamps, sink delivery
+/// stamps, then [`observe`].
+type Observed = (Vec<u64>, Vec<(u64, u32)>, Vec<u64>);
+
+/// Two processor-to-east-edge pipes along rows 0 and 1 (row 1's sender
+/// tile starts as the idle stub), tile 0 frozen by two overlapping stall
+/// windows; run `before` cycles, apply `mutation`, run `after` more.
+fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) -> Observed {
+    let mut m = RawMachine::new(RawConfig {
+        engine,
+        ..RawConfig::default()
+    });
+    let sent_at = Arc::new(Mutex::new(Vec::new()));
+    let sender = || {
+        Box::new(SharedSender {
+            words: (0..24).collect(),
+            next: 0,
+            sent_at: Arc::clone(&sent_at),
+        })
+    };
+    m.set_program(TileId(0), sender());
+    for t in 0..8 {
+        let src = if t % 4 == 0 { SwPort::Proc } else { SwPort::W };
+        m.set_switch_program(
+            TileId(t),
+            NET0,
+            SwitchProgram::new(vec![route(NET0, src, SwPort::E)]),
+        );
+    }
+    m.schedule_stall(TileId(0), 3, 40);
+    m.schedule_stall(TileId(0), 20, 10); // overlapping: merges
+    assert_eq!(m.pending_stall_windows(TileId(0)), 2);
+    m.run(before);
+    let (sink, delivered) = WordSink::rate_limited(4);
+    match mutation {
+        Mutation::None => {}
+        Mutation::SetProgram => {
+            m.set_program(TileId(0), Box::new(IdleProgram));
+            m.set_program(TileId(4), sender());
+        }
+        Mutation::SetSwitchProgram => m.set_switch_program(
+            TileId(3),
+            NET0,
+            SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::Proc)]),
+        ),
+        Mutation::BindDevice => {
+            m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink))
         }
     }
-
-    /// Run `before + after` cycles, compiling first unless the case runs
-    /// plan-less, and applying the case's mutation between the two legs.
-    /// Every mutation re-installs what tile 15 already has (an idle
-    /// program, an idle switch program) or binds a sink nothing routes
-    /// to, so the only thing it changes is that the plan is gone.
-    fn run(self, m: &mut RawMachine, before: u64, after: u64) {
-        if !matches!(self, PlanCase::PerCycle | PlanCase::NoPlan) {
-            m.compile_reference_plan();
-        }
-        m.run(before);
-        match self {
-            PlanCase::PerCycle | PlanCase::NoPlan => assert!(!m.has_compiled_plan()),
-            PlanCase::Plan => assert!(m.has_compiled_plan()),
-            PlanCase::DroppedBySetProgram => m.set_program(TileId(15), Box::new(IdleProgram)),
-            PlanCase::DroppedBySetSwitchProgram => {
-                m.set_switch_program(TileId(15), NET1, SwitchProgram::idle())
-            }
-            PlanCase::DroppedByBindDevice => m.bind_device(
-                EdgePort::new(TileId(15), Dir::East, NET1),
-                Box::new(WordSink::new().0),
-            ),
-        }
-        if !matches!(self, PlanCase::Plan) {
-            assert!(!m.has_compiled_plan(), "{self:?}");
-        }
-        m.run(after);
-    }
+    m.run(after);
+    assert_eq!(m.pending_stall_windows(TileId(0)), 0);
+    let sends = sent_at.lock().unwrap().clone();
+    let delivered = delivered.lock().unwrap().clone();
+    (sends, delivered, observe(&m))
 }
 
 /// Fault injection: a scheduled stall window freezes the tile processor
-/// for exactly its span, the frozen cycles are accounted as cache stalls,
-/// and the fast engine agrees bit-for-bit with the interpreter whether it
-/// runs a plan, never had one, or loses it mid-run (inside the window).
+/// for exactly its span and the frozen cycles are accounted as cache
+/// stalls. And the stale-plan rows: whichever structural mutator hits the
+/// machine mid-run (inside the window), the compiled engine re-lowers and
+/// stays bit-for-bit with the interpreter.
 #[test]
-fn scheduled_stall_windows_delay_without_divergence() {
-    let run = |case: PlanCase| -> (Vec<u64>, [u64; 5], u64) {
-        let mut m = RawMachine::new(RawConfig {
-            engine: case.engine(),
-            ..RawConfig::default()
-        });
-        let sent_at = Arc::new(Mutex::new(Vec::new()));
-        m.set_program(
-            TileId(0),
-            Box::new(SharedSender {
-                words: (0..8).collect(),
-                next: 0,
-                sent_at: Arc::clone(&sent_at),
-            }),
-        );
-        m.set_switch_program(
-            TileId(0),
-            NET0,
-            SwitchProgram::new(vec![route(NET0, SwPort::Proc, SwPort::E)]),
-        );
-        // Words just drain into tile 1's east-less link via tile 1 switch.
-        m.set_switch_program(
-            TileId(1),
-            NET0,
-            SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::Proc)]),
-        );
-        m.schedule_stall(TileId(0), 3, 40);
-        m.schedule_stall(TileId(0), 20, 10); // overlapping: merges
-        assert_eq!(m.pending_stall_windows(TileId(0)), 2);
-        case.run(&mut m, 30, 170);
-        assert_eq!(m.pending_stall_windows(TileId(0)), 0);
-        let sends = sent_at.lock().unwrap().clone();
-        (sends, m.stats(TileId(0)).counts, m.cycle())
-    };
-    let reference = run(PlanCase::PerCycle);
-    let (sends, counts, _) = &reference;
-    // Sends resume only after the window [3, 43) expires.
-    assert!(sends.iter().skip(3).all(|&c| c >= 43), "sends {sends:?}");
-    assert_eq!(counts[Activity::CacheStall.index()], 40);
-    for case in PlanCase::FAST {
-        assert_eq!(run(case), reference, "{case:?}");
+fn stall_windows_and_mid_run_mutations_never_diverge() {
+    for mutation in MUTATIONS {
+        let reference = run_mutated(EngineMode::PerCycle, mutation, 30, 170);
+        let (sends, delivered, observed) = &reference;
+        match mutation {
+            Mutation::None => {
+                // Sends resume only after the window [3, 43) expires.
+                assert!(sends.iter().skip(3).all(|&c| c >= 43), "sends {sends:?}");
+                assert_eq!(observed[3 + Activity::CacheStall.index()], 40);
+            }
+            // Each mutation visibly took effect on the reference.
+            Mutation::SetProgram => assert_eq!(sends.len(), 3 + 24),
+            Mutation::SetSwitchProgram => assert!(observed[2] < 24, "drops {}", observed[2]),
+            Mutation::BindDevice => assert_eq!(delivered.len(), 21),
+        }
+        let compiled = run_mutated(EngineMode::Compiled, mutation, 30, 170);
+        assert_eq!(compiled, reference, "{mutation:?}");
     }
 }
 
-/// The fast engine on machines nobody compiled — a throttled drip-feed
-/// pipe (quiet most cycles) and a fully idle chip (quiet every cycle) in
-/// the default configuration — skips its way to exactly the per-cycle
-/// result: delivery cycle stamps, per-tile activity counts, switch
-/// stalls, and the clock. So does the same machine with a plan installed.
+/// The fast engine on a throttled drip-feed pipe (quiet most cycles) and
+/// a fully idle chip (quiet every cycle) in the default configuration
+/// skips its way to exactly the per-cycle result: delivery cycle stamps,
+/// per-tile activity counts, switch stalls, and the clock.
 #[test]
-fn default_engine_without_a_plan_matches_per_cycle() {
+fn default_engine_matches_per_cycle_on_quiet_machines() {
     assert_eq!(RawConfig::default().engine, EngineMode::Compiled);
-    let observe = |m: &RawMachine| -> Vec<u64> {
-        let mut v = vec![m.cycle(), m.routes_fired, m.edge_drops];
-        for t in 0..16 {
-            v.extend(m.stats(TileId(t)).counts);
-            v.push(m.switch_stall_cycles(TileId(t)));
-        }
-        v
-    };
-    let drip = |case: PlanCase| {
+    let drip = |engine: EngineMode| {
         let mut m = RawMachine::new(RawConfig {
-            engine: case.engine(),
+            engine,
             ..RawConfig::default()
         });
         for t in 0..4 {
@@ -861,24 +861,21 @@ fn default_engine_without_a_plan_matches_per_cycle() {
         );
         let (sink, got) = WordSink::rate_limited(48);
         m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink));
-        case.run(&mut m, 1_000, 3_000);
+        m.run(4_000);
         let got = got.lock().unwrap().clone();
         (got, observe(&m))
     };
-    let reference = drip(PlanCase::PerCycle);
+    let reference = drip(EngineMode::PerCycle);
     assert_eq!(reference.0.len(), 64);
-    assert_eq!(drip(PlanCase::NoPlan), reference);
-    assert_eq!(drip(PlanCase::Plan), reference);
+    assert_eq!(drip(EngineMode::Compiled), reference);
 
-    let idle = |case: PlanCase| {
+    let idle = |engine: EngineMode| {
         let mut m = RawMachine::new(RawConfig {
-            engine: case.engine(),
+            engine,
             ..RawConfig::default()
         });
-        case.run(&mut m, 10_000, 40_000);
+        m.run(50_000);
         observe(&m)
     };
-    let reference = idle(PlanCase::PerCycle);
-    assert_eq!(idle(PlanCase::NoPlan), reference);
-    assert_eq!(idle(PlanCase::Plan), reference);
+    assert_eq!(idle(EngineMode::Compiled), idle(EngineMode::PerCycle));
 }

@@ -84,72 +84,77 @@ fn stall_states_are_refined() {
     });
 }
 
-fn switch_stall_machine(engine: EngineMode) -> (RawMachine, raw_telemetry::SharedSink) {
+/// Tile 0's sender feeds `words` words to its switch, which forwards
+/// `Proc -> dst` forever. Three shapes, one per stall cause:
+/// * 3 words south: the switch starves (fifo-empty) for the rest of the
+///   run — tile 4 never routes the words onward, but 3 fit its link FIFO
+///   (capacity 4);
+/// * 100 words south: that link FIFO fills and stays full (fifo-full);
+/// * 100 words north, off the chip into a sink taking one word every 4
+///   cycles (device backpressure).
+fn switch_stall_machine(
+    engine: EngineMode,
+    words: usize,
+    dst: SwPort,
+) -> (RawMachine, raw_telemetry::SharedSink) {
     let cfg = RawConfig {
         engine,
         ..RawConfig::default()
     };
     let mut m = RawMachine::new(cfg);
-    // Tile 0's switch forwards Proc -> S forever; the sender feeds it 3
-    // words then stops, so the switch starves (fifo-empty) for the rest
-    // of the run. Tile 4 (south neighbor) never routes the words onward,
-    // so its link FIFO eventually backs tile 0 up too — but with only 3
-    // words (capacity 4) the dominant cause stays fifo-empty.
-    m.set_program(TileId(0), Box::new(Sender { left: 3 }));
+    m.set_program(TileId(0), Box::new(Sender { left: words }));
     m.set_switch_program(
         TileId(0),
         0,
         SwitchProgram::new(vec![SwitchInstr::new(
-            vec![Route::new(NET0, SwPort::Proc, SwPort::S)],
+            vec![Route::new(NET0, SwPort::Proc, dst)],
             SwitchCtrl::Jump(0),
         )]),
     );
+    if dst == SwPort::N {
+        m.bind_device(
+            EdgePort::new(TileId(0), Dir::North, NET0),
+            Box::new(WordSink::rate_limited(4).0),
+        );
+    }
     let sink = attach_recorder(&mut m);
     (m, sink)
 }
 
-#[test]
-fn switch_stalls_attributed_to_fifo_empty() {
-    let (mut m, sink) = switch_stall_machine(EngineMode::PerCycle);
-    m.run(300);
-    let stalls = m.switch_stall_cycles(TileId(0));
-    with_sink::<Recorder, _>(&sink, |r| {
-        let c = r.switch_stall_counts(0, 0);
-        assert!(c[SwitchStallCause::FifoEmpty.index()] > 0);
-        // Every stalled switch cycle the machine counted is attributed.
-        assert_eq!(c.iter().sum::<u64>(), stalls);
-    });
-}
+const STALL_SHAPES: [(usize, SwPort, SwitchStallCause); 3] = [
+    (3, SwPort::S, SwitchStallCause::FifoEmpty),
+    (100, SwPort::S, SwitchStallCause::FifoFull),
+    (100, SwPort::N, SwitchStallCause::DeviceBackpressure),
+];
 
+/// Each stall cause is driven, every stalled switch cycle the machine
+/// counted is attributed to some cause, and both engines credit tile
+/// states, stall causes and the clock identically.
 #[test]
 fn every_engine_credits_telemetry_identically() {
-    // The fast engine both with its plan and without one (the
-    // interpreter fallback bulk-credits skipped cycles on its own path).
-    let collect =
-        |engine: EngineMode, compile: bool| -> (Vec<[u64; TileState::COUNT]>, Vec<[u64; 3]>, u64) {
-            let (mut m, sink) = switch_stall_machine(engine);
-            if compile {
-                m.compile_reference_plan();
-            }
+    for (words, dst, cause) in STALL_SHAPES {
+        let collect = |engine: EngineMode| {
+            let (mut m, sink) = switch_stall_machine(engine, words, dst);
             m.run(400);
-            let cycle = m.cycle();
+            let (cycle, stalls) = (m.cycle(), m.switch_stall_cycles(TileId(0)));
             with_sink::<Recorder, _>(&sink, |r| {
-                (
-                    (0..16).map(|t| r.tile_state_counts(t)).collect(),
-                    (0..16).map(|t| r.switch_stall_counts(t, 0)).collect(),
-                    cycle,
-                )
+                let tiles: Vec<_> = (0..16).map(|t| r.tile_state_counts(t)).collect();
+                let causes: Vec<_> = (0..16).map(|t| r.switch_stall_counts(t, 0)).collect();
+                (tiles, causes, cycle, stalls)
             })
         };
-    let reference = collect(EngineMode::PerCycle, false);
-    assert_eq!(collect(EngineMode::Compiled, false), reference);
-    assert_eq!(collect(EngineMode::Compiled, true), reference);
+        let reference = collect(EngineMode::PerCycle);
+        let by_cause = reference.1[0];
+        assert!(by_cause[cause.index()] > 0, "{cause:?}: {by_cause:?}");
+        assert_eq!(by_cause.iter().sum::<u64>(), reference.3, "{cause:?}");
+        assert_eq!(collect(EngineMode::Compiled), reference, "{cause:?}");
+    }
 }
 
 #[test]
 fn attaching_a_sink_never_changes_results() {
     let run = |with_telemetry: bool| -> (u64, Vec<[u64; 5]>) {
-        let (mut m, sink) = switch_stall_machine(EngineMode::Compiled);
+        let (mut m, sink) = switch_stall_machine(EngineMode::Compiled, 3, SwPort::S);
         if !with_telemetry {
             m.take_telemetry();
             drop(sink);

@@ -17,7 +17,7 @@ pub type DecisionLog = Arc<Mutex<Vec<(usize, usize, usize)>>>;
 
 use crate::programs::{
     CrossbarProgram, EgressMode, EgressProgram, EgressStats, IngressProgram, IngressStats,
-    LookupProgram, LookupStats, XbarStats, XBAR_TABLE_BASE,
+    LookupProgram, LookupStats, XbarStats, MIN_LOCAL_MEM_WORDS, XBAR_TABLE_BASE,
 };
 
 /// Router-level configuration.
@@ -186,6 +186,21 @@ impl RawRouter {
         table: Arc<ForwardingTable>,
         telemetry: Option<raw_telemetry::SharedSink>,
     ) -> Result<RawRouter, String> {
+        cfg.raw.validate()?;
+        let layout = RouterLayout::canonical();
+        if cfg.raw.dim != layout.dim {
+            return Err(format!(
+                "the router is laid out on a {}x{} grid, not {}x{}",
+                layout.dim.rows, layout.dim.cols, cfg.raw.dim.rows, cfg.raw.dim.cols
+            ));
+        }
+        if cfg.raw.local_mem_words < MIN_LOCAL_MEM_WORDS {
+            return Err(format!(
+                "local memory of {} words cannot hold the jump table and the ingress/egress \
+                 buffer regions ({MIN_LOCAL_MEM_WORDS} words)",
+                cfg.raw.local_mem_words
+            ));
+        }
         if !(1..=raw_net::MAX_FRAG_WORDS).contains(&cfg.quantum_words) {
             return Err(format!(
                 "quantum of {} words must fit the fragment tag's word-count field (1..={})",
@@ -200,7 +215,6 @@ impl RawRouter {
                 raw_net::IPV4_HEADER_WORDS
             ));
         }
-        let layout = RouterLayout::canonical();
         let mut machine = RawMachine::new(cfg.raw.clone());
         if let Some(sink) = &telemetry {
             machine.set_telemetry(Arc::clone(sink));
@@ -393,15 +407,6 @@ impl RawRouter {
             out_ports.push(out_port);
             out_cols.push(col);
         }
-
-        // With the fabric fully assembled (switch programs, tile
-        // programs, line cards), lower it to a compiled execution plan
-        // when the configuration selects the compiled engine. The
-        // install step revalidates the plan against the machine's own
-        // lowering, so a successful return here cannot change observable
-        // behavior — only the cost of reaching it.
-        raw_compile::compile_if_enabled(&mut machine)
-            .map_err(|e| format!("schedule-specialization compile: {e}"))?;
 
         Ok(RawRouter {
             machine,
@@ -727,6 +732,32 @@ mod tests {
 
         // And the valid scheduler configuration is accepted.
         assert!(RawRouter::try_new(voq_base, table()).is_ok());
+
+        // `RouterConfig.raw` values the machine or the layout cannot
+        // model come back as errors too, not as panics further down.
+        let raw = RawConfig::default;
+        #[rustfmt::skip]
+        let rows = [
+            (RawConfig { dim: raw_sim::GridDim::new(2, 2), ..raw() }, "grid"),
+            (RawConfig { dim: raw_sim::GridDim::new(8, 8), ..raw() }, "grid"),
+            (RawConfig { link_fifo_capacity: 0, ..raw() }, "link_fifo_capacity"),
+            (RawConfig { csti_capacity: 0, ..raw() }, "csti_capacity"),
+            (RawConfig { csto_capacity: 0, ..raw() }, "csto_capacity"),
+            (RawConfig { dyn_fifo_capacity: 0, ..raw() }, "dyn_fifo_capacity"),
+            (RawConfig { cdni_capacity: 0, ..raw() }, "cdni_capacity"),
+            (RawConfig { local_mem_words: 16, ..raw() }, "local memory"),
+            (RawConfig { clock_mhz: 0, ..raw() }, "clock_mhz"),
+        ];
+        for (raw, want) in rows {
+            let cfg = RouterConfig {
+                raw,
+                ..RouterConfig::default()
+            };
+            let e = RawRouter::try_new(cfg, table())
+                .err()
+                .expect("bad raw config must be rejected");
+            assert!(e.contains(want), "{e}");
+        }
     }
 
     #[test]
