@@ -104,6 +104,42 @@ fn compiled_engine_matches_per_cycle_reference() {
     }
 }
 
+/// The compiled engine leaves stalled tiles and switches unstepped and
+/// credits their cycles in bulk; every `run` must still return with each
+/// counter where per-cycle stepping puts it. Chunks of 1, 7 and 13
+/// cycles land the run boundaries on every phase of the saturated
+/// router's sleep/wake pattern.
+#[test]
+fn engines_stay_in_lockstep_after_every_run_chunk() {
+    let w = Workload::peak(64, 300);
+    let mut routers = ALL_ENGINES.map(|engine| {
+        let mut r = peak_router(64, engine, None);
+        for sp in generate(&w) {
+            r.offer(sp.port, sp.release, &sp.packet);
+        }
+        r
+    });
+    let observe = |r: &RawRouter| {
+        let m = &r.machine;
+        let tiles: Vec<_> = (0..16u16)
+            .map(|t| (m.stats(TileId(t)).counts, m.switch_stall_cycles(TileId(t))))
+            .collect();
+        (tiles, m.last_activities().to_vec(), m.routes_fired)
+    };
+    for chunk in [1, 7, 13].into_iter().cycle().take(900) {
+        let [reference, compiled] = &mut routers;
+        reference.run(chunk);
+        compiled.run(chunk);
+        assert_eq!(
+            observe(compiled),
+            observe(reference),
+            "diverged by cycle {}",
+            reference.machine.cycle()
+        );
+    }
+    assert!(routers[0].delivered_count() > 100);
+}
+
 #[test]
 fn telemetry_sink_never_changes_the_golden_run() {
     // The instrumentation must be observation-only: detached, a no-op

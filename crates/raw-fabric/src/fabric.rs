@@ -27,7 +27,7 @@ use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig, NPORTS};
 
 use crate::link::FabricLink;
 use crate::shard::{partition_routers, Executor, LinkB, ShardMutant, ShardPlan};
-use crate::topology::{self, dst_ext_port, stamp_middle, Topology, TopologyPlan};
+use crate::topology::{self, dst_ext_port, stamp_middle, RouterSpec, Topology, TopologyPlan};
 
 // The sharded executor hands each router to a worker thread; everything
 // a router owns must therefore be Send. Checked here so a non-Send
@@ -353,6 +353,30 @@ fn fnv_flow(src: u32, dst_ext: u8) -> u64 {
     h
 }
 
+/// Each router's forwarding table, built once per distinct route list:
+/// every router of a Clos stage routes alike (5 lists for Clos64's 80
+/// routers, 7 for Clos256's 448) and shares one table.
+fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>> {
+    let mut built: Vec<(&[raw_lookup::RouteEntry], Arc<raw_lookup::ForwardingTable>)> = Vec::new();
+    routers
+        .iter()
+        .map(|spec| {
+            if let Some((_, table)) = built.iter().find(|(routes, _)| *routes == spec.routes) {
+                return Arc::clone(table);
+            }
+            // Compact 16-bit DIR split: canonical 2^24-slot level-1
+            // arrays would dwarf the simulation itself, and the fabric
+            // routers run the Patricia engine.
+            let table = Arc::new(raw_lookup::ForwardingTable::build_with_l1_bits(
+                &spec.routes,
+                16,
+            ));
+            built.push((&spec.routes, Arc::clone(&table)));
+            table
+        })
+        .collect()
+}
+
 impl RawFabric {
     pub fn try_new(cfg: FabricConfig) -> Result<RawFabric, FabricError> {
         cfg.validate()?;
@@ -364,20 +388,14 @@ impl RawFabric {
         if !verdict.diags.is_empty() {
             return Err(FabricError::Verify(verdict.diags));
         }
-        let mut routers = Vec::with_capacity(plan.routers.len());
-        for spec in &plan.routers {
-            // Compact 16-bit DIR split: a dozen canonical 2^24-slot
-            // level-1 arrays per fabric would dwarf the simulation
-            // itself, and the fabric routers run the Patricia engine.
-            let table = Arc::new(raw_lookup::ForwardingTable::build_with_l1_bits(
-                &spec.routes,
-                16,
-            ));
-            routers.push(Mutex::new(
+        let routers = router_tables(&plan.routers)
+            .into_iter()
+            .map(|table| {
                 RawRouter::try_new_with_telemetry(cfg.router.clone(), table, None)
-                    .map_err(FabricError::Router)?,
-            ));
-        }
+                    .map(Mutex::new)
+                    .map_err(FabricError::Router)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let (rate, capacity) = (cfg.resolved_rate(), cfg.resolved_capacity());
         let links: Vec<Mutex<FabricLink>> = plan
             .links
@@ -1166,6 +1184,43 @@ impl RawFabric {
                 .collect(),
             total_latency: StageLatency::from_histogram("total", &self.total_hist),
             flow_order_violations: self.flow_order_violations(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Routers share a forwarding table exactly when they route alike:
+    /// Clos16's 12 routers hold one table per stage, while Folded8's
+    /// four leaves (each owns different external ports) keep their own
+    /// and only its two spines share.
+    #[test]
+    fn routers_that_route_alike_share_one_table() {
+        let shared = |t: Topology| {
+            let plan = topology::plan(t);
+            let tables = router_tables(&plan.routers);
+            assert_eq!(tables.len(), plan.routers.len());
+            move |a: usize, b: usize| {
+                let same = Arc::ptr_eq(&tables[a], &tables[b]);
+                assert_eq!(same, plan.routers[a].routes == plan.routers[b].routes);
+                same
+            }
+        };
+        let clos16 = shared(Topology::Clos16);
+        let stage = |r: usize| r / 4;
+        for a in 0..12 {
+            for b in 0..12 {
+                assert_eq!(clos16(a, b), stage(a) == stage(b), "routers {a}, {b}");
+            }
+        }
+        let folded8 = shared(Topology::Folded8);
+        for a in 0..6 {
+            for b in 0..6 {
+                let want = a == b || (a >= 4 && b >= 4);
+                assert_eq!(folded8(a, b), want, "routers {a}, {b}");
+            }
         }
     }
 }

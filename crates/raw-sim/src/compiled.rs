@@ -12,9 +12,9 @@
 //! visibility checks, space checks, and word moves.
 //!
 //! The lowered form is derived state of the machine, never a caller's
-//! decision: `set_program` / `set_switch_program` / `bind_device` drop
-//! it, and the next cycle stepped under `EngineMode::Compiled` rebuilds
-//! it, so the fast engine is never in a state without it.
+//! decision: `set_switch_program` / `bind_device` drop it, and the next
+//! cycle stepped under `EngineMode::Compiled` rebuilds it, so the fast
+//! engine is never in a state without it.
 //!
 //! ## Why bit-identity holds
 //!
@@ -34,19 +34,26 @@
 //! * Stall accounting (`switch_stall_cycles`, first-refused-group cause
 //!   attribution), control transitions, PC wraparound halts, and pending
 //!   PC application copy the interpreter's logic line for line.
-//! * The idle-tile fast path only replaces ticks that are statically
-//!   no-ops (`TileProgram::is_idle_stub`), recording the same
-//!   `Activity::Idle`; the injector fast path only skips devices whose
-//!   `pull_in` is statically `None` (`EdgeDevice::is_injector`).
+//! * The injector fast path only skips devices whose `pull_in` is
+//!   statically `None` (`EdgeDevice::is_injector`).
+//! * A switch the step puts to sleep is one whose next step, and every
+//!   step after it, would stall exactly as this one did until a FIFO it
+//!   reads is pushed, a FIFO it writes is popped, or its PC is loaded —
+//!   and each of those wakes it (the `src_producer` / `dst_consumer`
+//!   slots resolved here, `TileIo::touched_switches`, the injector
+//!   poll). The cycles it is not stepped on are credited as stalls, for
+//!   the same cause, when it next steps or the run entry returns.
 //!
 //! None of this is taken on trust: the determinism suite, the random
-//! schedule differential (`tests/differential.rs`) and the mid-run
-//! mutation rows in `tests/machine_tests.rs` hold the two engines to
-//! bit-identical fingerprints.
+//! schedule differential (`tests/differential.rs`), the mid-run
+//! mutation rows in `tests/machine_tests.rs` and the one-test-per-edge
+//! battery in `tests/sleep.rs` hold the two engines to bit-identical
+//! fingerprints.
 
 use crate::device::EdgePort;
 use crate::geom::TileId;
 use crate::machine::RawMachine;
+use crate::program::BOTH_SWITCHES;
 use crate::switch::{SwPort, SwitchCtrl, SwitchProgram, NUM_STATIC_NETS};
 use raw_telemetry::SwitchStallCause;
 
@@ -81,6 +88,23 @@ pub(crate) enum CompiledDst {
 pub(crate) struct CompiledRoute {
     pub src: CompiledSrc,
     pub dst: CompiledDst,
+    /// [`RawMachine::awake`] slot of the component that fills `src`: the
+    /// pop frees it space. The spare slot when that is an edge device.
+    pub src_producer: u32,
+    /// [`RawMachine::awake`] slot of the component that drains `dst`: the
+    /// push gives it a word. The spare slot for a device or a drop.
+    pub dst_consumer: u32,
+}
+
+/// Why a route group did not fire, and whether time alone can lift the
+/// refusal: a source word still aging into visibility, or an edge device
+/// pushing back. A switch stalled only on refusals that are not `timed`
+/// — an empty source, a full destination FIFO — cannot move until a
+/// push or pop it is woken by.
+#[derive(Clone, Copy)]
+struct Refusal {
+    cause: SwitchStallCause,
+    timed: bool,
 }
 
 /// One lowered switch instruction.
@@ -137,8 +161,6 @@ pub(crate) struct CompiledPlan {
     /// Devices polled for injection each cycle, in device-index order
     /// (the interpreter's poll order). Pure sinks are omitted.
     pub injectors: Vec<InjectorSlot>,
-    /// Tiles whose processor tick is a statically known no-op.
-    pub idle_tiles: Vec<bool>,
 }
 
 /// Lower one switch program: the only lowering there is.
@@ -149,6 +171,7 @@ fn lower_switch_program(
     prog: &SwitchProgram,
 ) -> CompiledSwitch {
     let t = tile.index();
+    let nobody = m.awake.len() - 1;
     let instrs = prog
         .instrs
         .iter()
@@ -186,7 +209,24 @@ fn lower_switch_program(
                             }
                         }
                     };
-                    CompiledRoute { src, dst }
+                    let src_producer = match r.src {
+                        SwPort::Proc => t,
+                        p => match m.dim().neighbor(tile, p.dir().unwrap()) {
+                            Some(nb) => m.switch_slot(nb.index(), net),
+                            None => nobody,
+                        },
+                    };
+                    let dst_consumer = match dst {
+                        CompiledDst::Csti { .. } => t,
+                        CompiledDst::Link { tile, .. } => m.switch_slot(tile as usize, net),
+                        CompiledDst::Device { .. } | CompiledDst::Drop => nobody,
+                    };
+                    CompiledRoute {
+                        src,
+                        dst,
+                        src_producer: src_producer as u32,
+                        dst_consumer: dst_consumer as u32,
+                    }
                 })
                 .collect();
             let distinct_sources = routes
@@ -205,11 +245,10 @@ fn lower_switch_program(
 }
 
 impl RawMachine {
-    /// Lower every installed switch program, the injecting-device poll
-    /// list and the idle-tile set into the form `EngineMode::Compiled`
-    /// steps. Stepping calls this itself whenever a structural mutation
-    /// has dropped the lowered form; it is public only so a harness can
-    /// time a lowering.
+    /// Lower every installed switch program and the injecting-device
+    /// poll list into the form `EngineMode::Compiled` steps. Stepping
+    /// calls this itself whenever a structural mutation has dropped the
+    /// lowered form; it is public only so a harness can time a lowering.
     pub fn lower(&mut self) {
         let n = self.tiles.len();
         let mut switches = Vec::with_capacity(n * NUM_STATIC_NETS);
@@ -218,11 +257,6 @@ impl RawMachine {
                 switches.push(lower_switch_program(self, TileId(t as u16), net, prog));
             }
         }
-        let idle_tiles = self
-            .tiles
-            .iter()
-            .map(|tile| tile.program.as_ref().is_none_or(|p| p.is_idle_stub()))
-            .collect();
         let injectors = self
             .bound_device_ports()
             .iter()
@@ -233,7 +267,6 @@ impl RawMachine {
         self.plan = Some(Box::new(CompiledPlan {
             switches,
             injectors,
-            idle_tiles,
         }));
     }
 
@@ -241,6 +274,11 @@ impl RawMachine {
     /// pending-PC application, halt handling, PC-overflow halt as a
     /// control transition, firing, completion, control flow, stall
     /// accounting, and first-refused-group cause attribution.
+    ///
+    /// On top of that it puts the switch to sleep when nothing but a
+    /// wake edge can change what the next step would do — halted with no
+    /// PC load pending, or stalled with no refusal that time lifts — and
+    /// wakes its tile when it halts (`TileIo::switch_halted`).
     pub(crate) fn step_switch_compiled(
         &mut self,
         t: usize,
@@ -248,13 +286,16 @@ impl RawMachine {
         cs: &CompiledSwitch,
         cycle: u64,
     ) -> (bool, bool) {
+        let slot = self.switch_slot(t, net);
         self.tiles[t].switch_state[net].apply_pending_pc(cycle);
         if self.tiles[t].switch_state[net].halted {
+            self.awake[slot] = self.tiles[t].switch_state[net].pending_pc.is_some();
             return (false, false);
         }
         let pc = self.tiles[t].switch_state[net].pc;
         if pc >= cs.instrs.len() {
             self.tiles[t].switch_state[net].halted = true;
+            self.awake[t] = true;
             return (false, true);
         }
         let instr = &cs.instrs[pc];
@@ -262,6 +303,7 @@ impl RawMachine {
         let mut any_fired = false;
         let attribute = self.telemetry_active;
         let mut block_cause: Option<SwitchStallCause> = None;
+        let mut timed = false;
         if instr.distinct_sources {
             // Every group is a singleton: scan each not-yet-fired route
             // once, in list order (the interpreter's scan order).
@@ -274,9 +316,10 @@ impl RawMachine {
                         fired |= 1 << j;
                         any_fired = true;
                     }
-                    Err(cause) => {
+                    Err(refusal) => {
+                        timed |= refusal.timed;
                         if attribute && block_cause.is_none() {
-                            block_cause = Some(cause);
+                            block_cause = Some(refusal.cause);
                         }
                     }
                 }
@@ -305,9 +348,10 @@ impl RawMachine {
                         fired |= group;
                         any_fired = true;
                     }
-                    Err(cause) => {
+                    Err(refusal) => {
+                        timed |= refusal.timed;
                         if attribute && block_cause.is_none() {
-                            block_cause = Some(cause);
+                            block_cause = Some(refusal.cause);
                         }
                     }
                 }
@@ -331,8 +375,12 @@ impl RawMachine {
                 SwitchCtrl::Jump(pc) => st.pc = pc,
                 SwitchCtrl::WaitPc => st.halted = true,
             }
+            if st.halted {
+                self.awake[t] = true;
+            }
             ctrl_transition = !any_fired;
         } else if !any_fired {
+            self.awake[slot] = timed;
             self.tiles[t].switch_stall_cycles += 1;
             if let Some(cause) = block_cause {
                 self.last_switch_cause[t][net] = cause;
@@ -346,54 +394,73 @@ impl RawMachine {
         (any_fired, ctrl_transition)
     }
 
-    /// Is the word at `src` visible to the switch this cycle?
+    /// Is the word at `src` visible to the switch this cycle? If not,
+    /// the refusal is timed exactly when a word is there, still aging.
     #[inline]
-    fn src_visible(&self, src: CompiledSrc, cycle: u64) -> bool {
-        match src {
-            CompiledSrc::Csto { tile } => self.tiles[tile as usize].csto.has_visible(cycle, 0),
+    fn src_visible(&self, src: CompiledSrc, cycle: u64) -> Result<(), Refusal> {
+        let fifo = match src {
+            CompiledSrc::Csto { tile } => &self.tiles[tile as usize].csto,
             CompiledSrc::Link { tile, net, dir } => {
-                self.link_in[tile as usize][net as usize][dir as usize].has_visible(cycle, 0)
+                &self.link_in[tile as usize][net as usize][dir as usize]
             }
+        };
+        if fifo.has_visible(cycle, 0) {
+            Ok(())
+        } else {
+            Err(Refusal {
+                cause: SwitchStallCause::FifoEmpty,
+                timed: fifo.is_aging(cycle, 0),
+            })
         }
     }
 
     /// Would `dst` accept a word this cycle? On refusal, the stall cause
     /// in the interpreter's attribution order.
     #[inline]
-    fn dst_accepts(&self, dst: CompiledDst, cycle: u64) -> Result<(), SwitchStallCause> {
-        match dst {
+    fn dst_accepts(&self, dst: CompiledDst, cycle: u64) -> Result<(), Refusal> {
+        let has_space = match dst {
             CompiledDst::Csti { tile, net } => {
-                if self.tiles[tile as usize].csti[net as usize].has_space() {
-                    Ok(())
-                } else {
-                    Err(SwitchStallCause::FifoFull)
-                }
+                self.tiles[tile as usize].csti[net as usize].has_space()
             }
             CompiledDst::Link { tile, net, dir } => {
-                if self.link_in[tile as usize][net as usize][dir as usize].has_space() {
-                    Ok(())
-                } else {
-                    Err(SwitchStallCause::FifoFull)
-                }
+                self.link_in[tile as usize][net as usize][dir as usize].has_space()
             }
             CompiledDst::Device { index } => {
-                if self.devices[index as usize].can_push(cycle) {
+                return if self.devices[index as usize].can_push(cycle) {
                     Ok(())
                 } else {
-                    Err(SwitchStallCause::DeviceBackpressure)
-                }
+                    Err(Refusal {
+                        cause: SwitchStallCause::DeviceBackpressure,
+                        timed: true,
+                    })
+                };
             }
-            CompiledDst::Drop => Ok(()),
+            CompiledDst::Drop => true,
+        };
+        if has_space {
+            Ok(())
+        } else {
+            Err(Refusal {
+                cause: SwitchStallCause::FifoFull,
+                timed: false,
+            })
         }
     }
 
+    /// Pop the route's source word, waking whoever fills that FIFO. A
+    /// `$csto` pop also changes the front word the other network's
+    /// switch sees, so it wakes both of the tile's switches.
     #[inline]
-    fn pop_src(&mut self, src: CompiledSrc, cycle: u64) -> u32 {
-        match src {
-            CompiledSrc::Csto { tile } => self.tiles[tile as usize]
-                .csto
-                .pop_visible(cycle, 0)
-                .unwrap(),
+    fn pop_src(&mut self, r: &CompiledRoute, cycle: u64) -> u32 {
+        self.awake[r.src_producer as usize] = true;
+        match r.src {
+            CompiledSrc::Csto { tile } => {
+                self.wake_switches(tile as usize, BOTH_SWITCHES);
+                self.tiles[tile as usize]
+                    .csto
+                    .pop_visible(cycle, 0)
+                    .unwrap()
+            }
             CompiledSrc::Link { tile, net, dir } => self.link_in[tile as usize][net as usize]
                 [dir as usize]
                 .pop_visible(cycle, 0)
@@ -401,9 +468,11 @@ impl RawMachine {
         }
     }
 
+    /// Push `word` into the route's destination, waking whoever drains it.
     #[inline]
-    fn push_dst(&mut self, dst: CompiledDst, word: u32, cycle: u64) {
-        match dst {
+    fn push_dst(&mut self, r: &CompiledRoute, word: u32, cycle: u64) {
+        self.awake[r.dst_consumer as usize] = true;
+        match r.dst {
             CompiledDst::Csti { tile, net } => {
                 let ok = self.tiles[tile as usize].csti[net as usize].push(word, cycle);
                 debug_assert!(ok);
@@ -421,13 +490,11 @@ impl RawMachine {
     /// Check-and-fire for a singleton group: source visible and the one
     /// destination willing, or the refusal cause.
     #[inline]
-    fn try_fire_single(&mut self, r: &CompiledRoute, cycle: u64) -> Result<(), SwitchStallCause> {
-        if !self.src_visible(r.src, cycle) {
-            return Err(SwitchStallCause::FifoEmpty);
-        }
+    fn try_fire_single(&mut self, r: &CompiledRoute, cycle: u64) -> Result<(), Refusal> {
+        self.src_visible(r.src, cycle)?;
         self.dst_accepts(r.dst, cycle)?;
-        let word = self.pop_src(r.src, cycle);
-        self.push_dst(r.dst, word, cycle);
+        let word = self.pop_src(r, cycle);
+        self.push_dst(r, word, cycle);
         Ok(())
     }
 
@@ -440,23 +507,21 @@ impl RawMachine {
         routes: &[CompiledRoute],
         group: u32,
         cycle: u64,
-    ) -> Result<(), SwitchStallCause> {
+    ) -> Result<(), Refusal> {
         let lead = routes[group.trailing_zeros() as usize];
-        if !self.src_visible(lead.src, cycle) {
-            return Err(SwitchStallCause::FifoEmpty);
-        }
+        self.src_visible(lead.src, cycle)?;
         let mut bits = group;
         while bits != 0 {
             let j = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             self.dst_accepts(routes[j].dst, cycle)?;
         }
-        let word = self.pop_src(lead.src, cycle);
+        let word = self.pop_src(&lead, cycle);
         let mut bits = group;
         while bits != 0 {
             let j = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            self.push_dst(routes[j].dst, word, cycle);
+            self.push_dst(&routes[j], word, cycle);
         }
         Ok(())
     }

@@ -8,13 +8,15 @@
 //! Figure 3-2 without any global ordering of component updates inside a
 //! cycle.
 
-use std::collections::VecDeque;
-
-/// A bounded FIFO of 32-bit words tagged with their enqueue cycle.
+/// A bounded FIFO of 32-bit words tagged with their enqueue cycle: a
+/// fixed ring over a slice allocated once at the given capacity.
 #[derive(Clone, Debug)]
 pub struct TsFifo {
-    entries: VecDeque<(u32, u64)>,
-    capacity: usize,
+    /// `(word, enqueue cycle)` slots; the queue is the `len` slots
+    /// starting at `head`, wrapping at the end of the slice.
+    slots: Box<[(u32, u64)]>,
+    head: usize,
+    len: usize,
 }
 
 impl TsFifo {
@@ -23,30 +25,42 @@ impl TsFifo {
     pub fn new(capacity: usize) -> TsFifo {
         assert!(capacity >= 1, "a FIFO must hold at least one word");
         TsFifo {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
+            slots: vec![(0, 0); capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
         }
     }
 
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Space for another word right now.
     #[inline]
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.slots.len()
+    }
+
+    /// Slot index `offset` places behind the head (`offset <= capacity`).
+    #[inline]
+    fn slot(&self, offset: usize) -> usize {
+        let i = self.head + offset;
+        if i >= self.slots.len() {
+            i - self.slots.len()
+        } else {
+            i
+        }
     }
 
     /// Enqueue `word` during `cycle`. Returns `false` (and drops nothing)
@@ -56,7 +70,9 @@ impl TsFifo {
     #[must_use]
     pub fn push(&mut self, word: u32, cycle: u64) -> bool {
         if self.has_space() {
-            self.entries.push_back((word, cycle));
+            let tail = self.slot(self.len);
+            self.slots[tail] = (word, cycle);
+            self.len += 1;
             true
         } else {
             false
@@ -69,10 +85,11 @@ impl TsFifo {
     /// processor's decode stage adds `delay == 1`).
     #[inline]
     pub fn peek_visible(&self, cycle: u64, delay: u64) -> Option<u32> {
-        match self.entries.front() {
-            Some(&(w, ts)) if ts + delay < cycle => Some(w),
-            _ => None,
+        if self.len == 0 {
+            return None;
         }
+        let (w, ts) = self.slots[self.head];
+        (ts + delay < cycle).then_some(w)
     }
 
     /// True if [`TsFifo::peek_visible`] would return a word.
@@ -81,33 +98,40 @@ impl TsFifo {
         self.peek_visible(cycle, delay).is_some()
     }
 
+    /// True while the front word exists but is not yet visible at
+    /// `delay`: it becomes so by the passage of time alone, with no push
+    /// or pop to announce it.
+    #[inline]
+    pub(crate) fn is_aging(&self, cycle: u64, delay: u64) -> bool {
+        !self.is_empty() && !self.has_visible(cycle, delay)
+    }
+
     /// Enqueue cycle of the front word, if any. The front word first
     /// becomes visible to a consumer with `delay` extra pipeline stages on
     /// cycle `front_ts() + delay + 1`; the machine's event-skip fast-forward
     /// uses this to find the next cycle on which anything can change.
     #[inline]
     pub fn front_ts(&self) -> Option<u64> {
-        self.entries.front().map(|&(_, ts)| ts)
+        (self.len != 0).then(|| self.slots[self.head].1)
     }
 
     /// Dequeue the front word if visible.
     #[inline]
     pub fn pop_visible(&mut self, cycle: u64, delay: u64) -> Option<u32> {
-        if self.has_visible(cycle, delay) {
-            self.entries.pop_front().map(|(w, _)| w)
-        } else {
-            None
-        }
+        let w = self.peek_visible(cycle, delay)?;
+        self.head = self.slot(1);
+        self.len -= 1;
+        Some(w)
     }
 
     /// Remove every queued word (used when resetting a machine).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.len = 0;
     }
 
     /// Iterate over queued words front-to-back (diagnostics only).
     pub fn iter_words(&self) -> impl Iterator<Item = u32> + '_ {
-        self.entries.iter().map(|&(w, _)| w)
+        (0..self.len).map(|k| self.slots[self.slot(k)].0)
     }
 }
 

@@ -72,11 +72,13 @@ pub(crate) fn refine_state(
 pub enum EngineMode {
     /// Step every cycle through the interpreter. The reference engine.
     PerCycle,
-    /// The fast engine and the default. Jumps over provably quiet
-    /// stretches in bulk (event-skip fast-forward), and steps every
-    /// switch through its lowered program, with decode, endpoint
-    /// resolution, and device lookups resolved once per installed
-    /// program rather than per cycle. The machine lowers itself (see
+    /// The fast engine and the default. Skips what cannot move: a tile or
+    /// switch stalled on an empty or full FIFO sleeps until a push, a pop
+    /// or a PC load wakes it, and a machine with nothing left but time
+    /// jumps to its next event in bulk. What it does step goes through
+    /// the lowered switch programs, with decode, endpoint resolution,
+    /// and device lookups resolved once per installed program rather
+    /// than per cycle. The machine lowers itself (see
     /// [`RawMachine::lower`]): there is nothing to compile or install.
     Compiled,
 }
@@ -229,10 +231,28 @@ pub struct RawMachine {
     pub routes_fired: u64,
     pub(crate) dyn_moved_before: u64,
     /// The lowered form [`EngineMode::Compiled`] steps, derived from the
-    /// installed programs and devices. Any structural mutation — new
-    /// program, new switch program, new device binding — drops it, and
-    /// `step_cycle_engine` rebuilds it before the next compiled cycle.
+    /// installed switch programs and devices. A new switch program or
+    /// device binding drops it, and `step_cycle_engine` rebuilds it
+    /// before the next compiled cycle.
     pub(crate) plan: Option<Box<CompiledPlan>>,
+    /// Which components the sweep steps: slot `t` is tile `t`'s
+    /// processor, [`RawMachine::switch_slot`] a switch, and one spare
+    /// slot at the end takes the wake edges that lead off the chip. Only
+    /// [`EngineMode::Compiled`] ever clears a slot (see
+    /// [`RawMachine::tile_may_sleep`] and `step_switch_compiled`); every
+    /// FIFO push and pop sets the slot of the component at its other
+    /// end. The flags are read inside the tile-then-switch sweep, so a
+    /// wake raised by an earlier component is seen the same cycle by a
+    /// later one and the next cycle by an earlier one — exactly when the
+    /// interpreter, which steps everything, lets the change be seen.
+    pub(crate) awake: Vec<bool>,
+    /// Per slot, the first cycle the component has not recorded yet.
+    /// Skipped cycles repeat the last recorded one, and are credited in
+    /// bulk (`credit_tile` / `credit_switch`) right before the
+    /// component's next step and by [`RawMachine::settle`], which every
+    /// public run entry ends with: between calls, every slot is at
+    /// `cycle` and statistics, trace and telemetry are complete.
+    recorded: Vec<u64>,
 }
 
 /// Sentinel for an unbound slot in `RawMachine::device_table`.
@@ -288,7 +308,33 @@ impl RawMachine {
             routes_fired: 0,
             dyn_moved_before: 0,
             plan: None,
+            awake: vec![true; n * (1 + NUM_STATIC_NETS) + 1],
+            recorded: vec![0; n * (1 + NUM_STATIC_NETS)],
         }
+    }
+
+    /// The [`RawMachine::awake`] slot of the switch for `net` at tile `t`.
+    #[inline]
+    pub(crate) fn switch_slot(&self, t: usize, net: usize) -> usize {
+        self.tiles.len() + t * NUM_STATIC_NETS + net
+    }
+
+    /// Wake the switches at tile `t` for every network whose bit is set
+    /// in `nets`.
+    #[inline]
+    pub(crate) fn wake_switches(&mut self, t: usize, nets: u8) {
+        for net in 0..NUM_STATIC_NETS {
+            if nets & (1 << net) != 0 {
+                let slot = self.switch_slot(t, net);
+                self.awake[slot] = true;
+            }
+        }
+    }
+
+    /// Wake every component: what a mutation the sleepers cannot observe
+    /// through a FIFO calls before it changes the machine under them.
+    fn wake_all(&mut self) {
+        self.awake.fill(true);
     }
 
     pub fn config(&self) -> &RawConfig {
@@ -303,10 +349,9 @@ impl RawMachine {
         self.cycle
     }
 
-    /// Install a tile-processor program. Drops the lowered form (it
-    /// caches which tiles are idle stubs).
+    /// Install a tile-processor program.
     pub fn set_program(&mut self, tile: TileId, program: Box<dyn TileProgram>) {
-        self.plan = None;
+        self.wake_all();
         self.tiles[tile.index()].program = Some(program);
     }
 
@@ -330,6 +375,7 @@ impl RawMachine {
                 );
             }
         }
+        self.wake_all();
         self.plan = None;
         let t = &mut self.tiles[tile.index()];
         t.switch_prog[net] = prog;
@@ -471,6 +517,9 @@ impl RawMachine {
     /// lifecycle events. Observation only — attaching a sink never
     /// changes simulation results.
     pub fn set_telemetry(&mut self, sink: SharedSink) {
+        // Stall causes are only tracked while a sink is attached, so a
+        // sleeping switch has to step again to learn its own.
+        self.wake_all();
         self.telemetry_active = !raw_telemetry::is_null(&sink);
         self.telemetry = Some(sink);
     }
@@ -504,6 +553,7 @@ impl RawMachine {
         if len == 0 {
             return;
         }
+        self.wake_all();
         let v = &mut self.stall_windows[tile.index()];
         let pos = v.partition_point(|&(s, _)| s <= start);
         v.insert(pos, (start, start + len));
@@ -536,6 +586,7 @@ impl RawMachine {
     /// Advance one cycle (through whichever engine is configured).
     pub fn step(&mut self) {
         self.step_cycle_engine();
+        self.settle();
     }
 
     /// One cycle through the configured engine: the interpreter under
@@ -588,15 +639,16 @@ impl RawMachine {
         }
 
         // 2. Tile processors.
-        progress |= self.step_processors(cycle, plan);
+        progress |= self.step_processors(cycle, plan.is_some());
 
         // 3. Switch processors.
         let (sw_progress, sw_ctrl) = self.step_switches(cycle, plan);
         progress |= sw_progress;
 
         // 4. Dynamic networks.
+        let n = self.tiles.len();
         for d in &mut self.dyn_nets {
-            d.step(cycle);
+            d.step(cycle, &mut self.awake[..n]);
         }
         let dyn_moved: u64 = self.dyn_nets.iter().map(|d| d.words_moved).sum();
         if dyn_moved != self.dyn_moved_before {
@@ -620,21 +672,32 @@ impl RawMachine {
             if let Some(w) = self.devices[slot.device as usize].pull_in(cycle) {
                 let ok = fifo.push(w, cycle);
                 debug_assert!(ok);
+                let edge_switch = self.switch_slot(slot.tile as usize, slot.net as usize);
+                self.awake[edge_switch] = true;
                 return true;
             }
         }
         false
     }
 
-    /// The processor phase. Tiles a plan marks idle skip their tick — an
-    /// idle stub's tick is a no-op that records `Activity::Idle` and no
-    /// hints, exactly what the shortcut records.
-    pub(crate) fn step_processors(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> bool {
-        let idle_tiles = plan.map(|p| p.idle_tiles.as_slice());
+    /// The processor phase. Under the compiled engine (`sleep`) a tile
+    /// that may sleep (see [`RawMachine::tile_may_sleep`]) is not visited
+    /// again until something wakes it; a tile nobody programmed ticks
+    /// once and sleeps for good.
+    pub(crate) fn step_processors(&mut self, cycle: u64, sleep: bool) -> bool {
         let mut progress = false;
         let n = self.tiles.len();
-        let cols = self.cfg.dim.cols as u32;
         for t in 0..n {
+            if !self.awake[t] {
+                if cfg!(debug_assertions) {
+                    self.assert_sleeper_replays(t, cycle);
+                }
+                continue;
+            }
+            if self.recorded[t] < cycle {
+                self.credit_tile(t, self.recorded[t], cycle - self.recorded[t]);
+            }
+            self.recorded[t] = cycle + 1;
             while let Some(&(s, e)) = self.stall_windows[t].first() {
                 if cycle < s {
                     break;
@@ -643,38 +706,10 @@ impl RawMachine {
                 let su = &mut self.tiles[t].stall_until;
                 *su = (*su).max(e);
             }
-            let (activity, hint) = if cycle < self.tiles[t].stall_until {
-                (Activity::CacheStall, (false, false, false))
-            } else if idle_tiles.is_some_and(|idle| idle[t]) {
-                (Activity::Idle, (false, false, false))
+            let (activity, hint, touched) = if cycle < self.tiles[t].stall_until {
+                (Activity::CacheStall, (false, false, false), 0)
             } else {
-                let mut program = self.tiles[t].program.take();
-                let outcome = if let Some(prog) = program.as_mut() {
-                    let tile = &mut self.tiles[t];
-                    let col = (t as u32) % cols;
-                    let col_hops = col.min(cols - 1 - col);
-                    let mut io = TileIo::new(
-                        cycle,
-                        TileId(t as u16),
-                        &mut tile.csti,
-                        &mut tile.csto,
-                        &mut tile.switch_state,
-                        &mut tile.cache,
-                        &mut tile.mem,
-                        self.cfg.local_mem_words,
-                        &mut self.dyn_nets,
-                        col_hops,
-                        self.cfg.proc_recv_delay,
-                        &mut tile.stall_until,
-                    );
-                    prog.tick(&mut io);
-                    let hint = (io.token_wait_hint, io.arb_wait_hint, io.lookup_stall_hint);
-                    (io.take_activity(), hint)
-                } else {
-                    (Activity::Idle, (false, false, false))
-                };
-                self.tiles[t].program = program;
-                outcome
+                self.tick_tile(t, cycle)
             };
             self.tiles[t].stats.record(activity);
             self.last_activity[t] = activity;
@@ -685,25 +720,156 @@ impl RawMachine {
                 tr.record(t, cycle, activity);
             }
             progress |= activity == Activity::Busy;
+            self.wake_switches(t, touched);
+            if sleep && touched == 0 && self.tile_may_sleep(t, cycle, activity) {
+                self.awake[t] = false;
+            }
         }
         if let Some(sink) = self.active_sink() {
             // One lock per cycle for all tiles; programs stamp their own
             // packet events inside `tick`, outside this critical section.
             let mut g = sink.lock().unwrap();
-            for t in 0..n {
-                g.tile_cycles(
-                    t as u16,
-                    refine_state(
-                        self.last_activity[t],
-                        self.token_hint[t],
-                        self.arb_hint[t],
-                        self.lookup_hint[t],
-                    ),
-                    1,
-                );
+            // (Only the tiles stepped this cycle: a sleeper's cycles are
+            // credited in bulk when it wakes.)
+            for t in (0..n).filter(|&t| self.recorded[t] > cycle) {
+                g.tile_cycles(t as u16, self.refined_state(t), 1);
             }
         }
         progress
+    }
+
+    /// Tick tile `t`'s program once: the activity it recorded, its
+    /// `(token, arb, lookup)` hints, and the switches it touched.
+    fn tick_tile(&mut self, t: usize, cycle: u64) -> (Activity, (bool, bool, bool), u8) {
+        let Some(mut program) = self.tiles[t].program.take() else {
+            return (Activity::Idle, (false, false, false), 0);
+        };
+        let tile = &mut self.tiles[t];
+        let cols = self.cfg.dim.cols as u32;
+        let col = (t as u32) % cols;
+        let col_hops = col.min(cols - 1 - col);
+        let mut io = TileIo::new(
+            cycle,
+            TileId(t as u16),
+            &mut tile.csti,
+            &mut tile.csto,
+            &mut tile.switch_state,
+            &mut tile.cache,
+            &mut tile.mem,
+            self.cfg.local_mem_words,
+            &mut self.dyn_nets,
+            col_hops,
+            self.cfg.proc_recv_delay,
+            &mut tile.stall_until,
+        );
+        program.tick(&mut io);
+        let outcome = (
+            io.activity,
+            (io.token_wait_hint, io.arb_wait_hint, io.lookup_stall_hint),
+            io.touched_switches,
+        );
+        self.tiles[t].program = Some(program);
+        outcome
+    }
+
+    /// May tile `t` sleep after recording `activity` at `cycle`? Its
+    /// tick has to have retired nothing, and nothing it can observe may
+    /// change by the passage of time alone: no `$csti`/`$cdni` word
+    /// still aging into visibility, no stall window scheduled. What is
+    /// left — a push into an input, space in `$csto` or the inject FIFO,
+    /// its switch halting — each wakes it; by [`TileProgram::tick`]'s
+    /// contract every tick before that would repeat this one.
+    fn tile_may_sleep(&self, t: usize, cycle: u64, activity: Activity) -> bool {
+        let prd = self.cfg.proc_recv_delay;
+        matches!(
+            activity,
+            Activity::Idle | Activity::BlockedRecv | Activity::BlockedSend
+        ) && self.stall_windows[t].is_empty()
+            && !self.tiles[t].csti.iter().any(|f| f.is_aging(cycle, prd))
+            && !self.dyn_nets.iter().any(|d| d.cdni_aging(t, cycle, prd))
+    }
+
+    /// The soundness check behind tile sleep, run only in builds with
+    /// `debug_assertions`: tick the sleeping tile anyway and require the
+    /// activity and hints it went to sleep on, with nothing retired.
+    fn assert_sleeper_replays(&mut self, t: usize, cycle: u64) {
+        let recorded = (
+            self.last_activity[t],
+            (self.token_hint[t], self.arb_hint[t], self.lookup_hint[t]),
+            0,
+        );
+        assert_eq!(
+            self.tick_tile(t, cycle),
+            recorded,
+            "tile {t} asleep since cycle {} would not repeat its last tick at cycle {cycle}",
+            self.recorded[t]
+        );
+    }
+
+    /// The telemetry state tile `t`'s last recorded cycle refines to.
+    fn refined_state(&self, t: usize) -> TileState {
+        refine_state(
+            self.last_activity[t],
+            self.token_hint[t],
+            self.arb_hint[t],
+            self.lookup_hint[t],
+        )
+    }
+
+    /// Record `span` cycles starting at `from` that tile `t` was not
+    /// ticked on: each repeats the tile's last recorded cycle, in the
+    /// statistics, the trace window and the telemetry sink.
+    fn credit_tile(&mut self, t: usize, from: u64, span: u64) {
+        let a = self.last_activity[t];
+        self.tiles[t].stats.counts[a.index()] += span;
+        if let Some(tr) = &mut self.trace {
+            tr.record_span(t, from, span, a);
+        }
+        if let Some(sink) = self.active_sink() {
+            sink.lock()
+                .unwrap()
+                .tile_cycles(t as u16, self.refined_state(t), span);
+        }
+    }
+
+    /// Record `span` cycles the switch for `net` at tile `t` was not
+    /// stepped on: unless halted it was stalled on every one of them,
+    /// for the cause its last stepped cycle attributed.
+    fn credit_switch(&mut self, t: usize, net: usize, span: u64) {
+        if self.tiles[t].switch_state[net].halted {
+            return;
+        }
+        self.tiles[t].switch_stall_cycles += span;
+        if let Some(sink) = self.active_sink() {
+            sink.lock().unwrap().switch_stalls(
+                t as u16,
+                net as u8,
+                self.last_switch_cause[t][net],
+                span,
+            );
+        }
+    }
+
+    /// Credit every component's skipped cycles up to the current one, so
+    /// statistics, trace and telemetry read as if every cycle had been
+    /// stepped. Every public run entry (`step`, `run`, `run_until`,
+    /// `run_until_quiescent`) ends here, so nothing outside one ever
+    /// sees a cycle uncredited.
+    fn settle(&mut self) {
+        let now = self.cycle;
+        for t in 0..self.tiles.len() {
+            if self.recorded[t] < now {
+                self.credit_tile(t, self.recorded[t], now - self.recorded[t]);
+                self.recorded[t] = now;
+            }
+            for net in 0..NUM_STATIC_NETS {
+                let slot = self.switch_slot(t, net);
+                if self.recorded[slot] < now {
+                    self.credit_switch(t, net, now - self.recorded[slot]);
+                    self.recorded[slot] = now;
+                }
+            }
+        }
     }
 
     /// Returns `(progress, control_transition)`: whether any route fired,
@@ -716,6 +882,14 @@ impl RawMachine {
         let n = self.tiles.len();
         for t in 0..n {
             for net in 0..NUM_STATIC_NETS {
+                let slot = self.switch_slot(t, net);
+                if !self.awake[slot] {
+                    continue;
+                }
+                if self.recorded[slot] < cycle {
+                    self.credit_switch(t, net, cycle - self.recorded[slot]);
+                }
+                self.recorded[slot] = cycle + 1;
                 let (p, c) = match plan {
                     Some(plan) => {
                         let cs = &plan.switches[t * NUM_STATIC_NETS + net];
@@ -1029,55 +1203,14 @@ impl RawMachine {
         }
     }
 
-    /// Jump straight from `self.cycle` to `target`, crediting the skipped
-    /// cycles in bulk: each tile repeats its last recorded activity (into
-    /// stats and the trace window), and every non-halted switch accrues
-    /// stall cycles — exactly what per-cycle stepping would have recorded,
-    /// since a skipped cycle by construction repeats the previous one.
-    /// `last_progress` is untouched: skipped cycles made no progress.
+    /// Jump straight from `self.cycle` to `target`. Nothing is stepped on
+    /// the skipped cycles, so every component credits them like any other
+    /// cycle it was not stepped on — its last recorded cycle repeated,
+    /// which a skipped quiet cycle by construction is — before its next
+    /// step or in [`RawMachine::settle`]. `last_progress` is untouched:
+    /// skipped cycles made no progress.
     pub(crate) fn fast_forward_to(&mut self, target: u64) {
-        let span = target.saturating_sub(self.cycle);
-        if span == 0 {
-            return;
-        }
-        let from = self.cycle;
-        for (t, tile) in self.tiles.iter_mut().enumerate() {
-            let a = self.last_activity[t];
-            tile.stats.counts[a.index()] += span;
-            for st in &tile.switch_state {
-                if !st.halted {
-                    tile.switch_stall_cycles += span;
-                }
-            }
-            if let Some(tr) = &mut self.trace {
-                tr.record_span(t, from, span, a);
-            }
-        }
-        if let Some(sink) = self.active_sink() {
-            // Bulk-credit the skipped cycles exactly as per-cycle stepping
-            // would have: each tile repeats its refined state, and every
-            // non-halted switch repeats its last attributed stall cause (a
-            // skipped quiet cycle replays the previous cycle's refusals).
-            let mut g = sink.lock().unwrap();
-            for (t, tile) in self.tiles.iter().enumerate() {
-                g.tile_cycles(
-                    t as u16,
-                    refine_state(
-                        self.last_activity[t],
-                        self.token_hint[t],
-                        self.arb_hint[t],
-                        self.lookup_hint[t],
-                    ),
-                    span,
-                );
-                for (net, st) in tile.switch_state.iter().enumerate() {
-                    if !st.halted {
-                        g.switch_stalls(t as u16, net as u8, self.last_switch_cause[t][net], span);
-                    }
-                }
-            }
-        }
-        self.cycle = target;
+        self.cycle = self.cycle.max(target);
     }
 
     /// Run exactly `n` cycles through the configured engine. With the
@@ -1092,6 +1225,7 @@ impl RawMachine {
                 self.fast_forward_to(target);
             }
         }
+        self.settle();
     }
 
     /// Run until `pred` holds (checked after each cycle) or `max_cycles`
@@ -1127,6 +1261,7 @@ impl RawMachine {
                 self.fast_forward_to(target);
             }
         }
+        self.settle();
         let blocked_tiles: Vec<TileId> = self
             .last_activity
             .iter()

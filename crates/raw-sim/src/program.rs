@@ -46,20 +46,24 @@ pub(crate) fn mem_grow_target(needed: usize, limit: usize) -> usize {
 /// A program running on one tile processor.
 pub trait TileProgram: Send {
     /// Execute one cycle. Perform at most one retiring action on `io`.
+    ///
+    /// **Contract.** A tick that retires nothing — a stalled action, or
+    /// no action at all — must be a pure function of what `io` exposes
+    /// other than [`TileIo::cycle`]: called again against the same FIFOs
+    /// and switch state it must stall the same way, set the same hints,
+    /// and leave the program where it was. Both of the fast engine's
+    /// skips rest on it: the machine-wide fast-forward replays such a
+    /// tick's recorded activity over a quiet stretch, and a tile whose
+    /// tick retired nothing with no input word still aging toward it is
+    /// not ticked again until a FIFO it can observe is pushed or popped
+    /// or its switch halts. Builds with `debug_assertions` tick the
+    /// sleeping tile anyway and assert that it reproduces the recorded
+    /// activity and hints.
     fn tick(&mut self, io: &mut TileIo<'_>);
 
     /// Optional human-readable label for traces and utilization plots.
     fn label(&self) -> &str {
         "tile"
-    }
-
-    /// True when `tick` is a guaranteed no-op forever (the idle stub).
-    /// The compiled engine skips the whole `TileIo` construction for
-    /// such tiles; the recorded activity
-    /// ([`Activity::Idle`][crate::trace::Activity::Idle], no token-wait
-    /// hint) must match what the skipped `tick` would have produced.
-    fn is_idle_stub(&self) -> bool {
-        false
     }
 }
 
@@ -71,10 +75,6 @@ impl TileProgram for IdleProgram {
 
     fn label(&self) -> &str {
         "idle"
-    }
-
-    fn is_idle_stub(&self) -> bool {
-        true
     }
 }
 
@@ -109,8 +109,16 @@ pub struct TileIo<'a> {
     /// forwarding-table memory (a modeled level-2 fetch or an injected
     /// miss walk), not ordinary computation.
     pub(crate) lookup_stall_hint: bool,
+    /// Static networks whose switch this tick's retiring actions touched
+    /// (bit `net`): a `$csti` pop or a PC load concerns that network's
+    /// switch, a `$csto` push both. The machine wakes exactly those.
+    pub(crate) touched_switches: u8,
     acted: bool,
 }
+
+/// [`TileIo::touched_switches`] after a `$csto` push: both networks'
+/// switches read the shared FIFO.
+pub(crate) const BOTH_SWITCHES: u8 = (1 << NUM_STATIC_NETS) - 1;
 
 impl<'a> TileIo<'a> {
     #[allow(clippy::too_many_arguments)]
@@ -145,12 +153,9 @@ impl<'a> TileIo<'a> {
             token_wait_hint: false,
             arb_wait_hint: false,
             lookup_stall_hint: false,
+            touched_switches: 0,
             acted: false,
         }
-    }
-
-    pub(crate) fn take_activity(self) -> Activity {
-        self.activity
     }
 
     #[inline]
@@ -213,6 +218,7 @@ impl<'a> TileIo<'a> {
         match self.csti[net].pop_visible(self.cycle, self.proc_recv_delay) {
             Some(w) => {
                 self.activity = Activity::Busy;
+                self.touched_switches |= 1 << net;
                 Some(w)
             }
             None => {
@@ -229,6 +235,7 @@ impl<'a> TileIo<'a> {
         self.begin_action();
         if self.csto.push(word, self.cycle) {
             self.activity = Activity::Busy;
+            self.touched_switches = BOTH_SWITCHES;
             true
         } else {
             self.activity = Activity::BlockedSend;
@@ -305,6 +312,7 @@ impl<'a> TileIo<'a> {
                 let pushed = self.csto.push(w, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
+                self.touched_switches = BOTH_SWITCHES;
                 true
             }
             Access::Miss { latency } => {
@@ -331,6 +339,7 @@ impl<'a> TileIo<'a> {
                 let pushed = self.csto.push(out, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
+                self.touched_switches = BOTH_SWITCHES;
                 Some(w)
             }
             None => {
@@ -353,6 +362,7 @@ impl<'a> TileIo<'a> {
                 let pushed = self.csto.push(w, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
+                self.touched_switches = BOTH_SWITCHES;
                 Some(w)
             }
             None => {
@@ -367,6 +377,7 @@ impl<'a> TileIo<'a> {
     pub fn set_switch_pc(&mut self, net: NetId, pc: usize) {
         self.begin_action();
         self.activity = Activity::Busy;
+        self.touched_switches |= 1 << net;
         self.switch[net].load_pc(pc, self.cycle);
     }
 

@@ -121,6 +121,7 @@ fn build_machine(seed: u64, engine: EngineMode) -> RawMachine {
 
 fn fingerprint(m: &RawMachine) -> Vec<u64> {
     let mut v = vec![m.cycle(), m.edge_drops, m.routes_fired];
+    v.extend(m.last_activities().iter().map(|a| a.index() as u64));
     for t in 0..m.dim().tiles() {
         let tile = TileId(t as u16);
         v.extend(m.stats(tile).counts.iter().copied());
@@ -150,5 +151,18 @@ proptest! {
         let mut compiled = build_machine(seed, EngineMode::Compiled);
         compiled.run(span);
         prop_assert_eq!(fingerprint(&compiled), fingerprint(&reference));
+    }
+
+    /// ...and stay in lockstep however the run is cut up: every `run`
+    /// returns with each sleeping tile and switch credited to date.
+    #[test]
+    fn engines_agree_after_every_chunk(seed in any::<u64>()) {
+        let mut reference = build_machine(seed, EngineMode::PerCycle);
+        let mut compiled = build_machine(seed, EngineMode::Compiled);
+        for chunk in [1, 7, 13].into_iter().cycle().take(60) {
+            reference.run(chunk);
+            compiled.run(chunk);
+            prop_assert_eq!(fingerprint(&compiled), fingerprint(&reference));
+        }
     }
 }

@@ -719,9 +719,12 @@ fn larger_grids_stream_at_line_rate() {
     }
 }
 
-/// A structural mutation applied mid-run. Each one drops the lowered
-/// form and *changes what the machine does next*, so a compiled engine
-/// that kept stepping the stale form would diverge from the interpreter.
+/// A mutation applied mid-run. The first three drop the lowered form,
+/// and each one *changes what the machine does next* to a tile or switch
+/// that is asleep when it lands (row 1 and everything downstream of the
+/// frozen sender has been stalled on empty FIFOs for 20 cycles), so a
+/// compiled engine that kept stepping the stale form, or left the
+/// sleeper asleep, would diverge from the interpreter.
 #[derive(Clone, Copy, Debug)]
 enum Mutation {
     None,
@@ -729,18 +732,24 @@ enum Mutation {
     /// 4 — the idle stub until now — gets one.
     SetProgram,
     /// The row-0 pipe's last hop is re-pointed from the east edge to the
-    /// processor nobody drains.
+    /// processor nobody drains, and tile 12's switch — halted, nothing
+    /// near it will ever move — gets a `nop` and then a route to starve
+    /// on.
     SetSwitchProgram,
     /// A rate-limited sink is bound onto the edge the row-0 pipe was
     /// dropping words off.
     BindDevice,
+    /// Tile 8, blocked on an empty `$csti` since cycle 0, is frozen for
+    /// 20 cycles.
+    ScheduleStall,
 }
 
-const MUTATIONS: [Mutation; 4] = [
+const MUTATIONS: [Mutation; 5] = [
     Mutation::None,
     Mutation::SetProgram,
     Mutation::SetSwitchProgram,
     Mutation::BindDevice,
+    Mutation::ScheduleStall,
 ];
 
 /// The clock, route/drop counts, and per-tile activity counts and switch
@@ -775,6 +784,13 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
         })
     };
     m.set_program(TileId(0), sender());
+    m.set_program(
+        TileId(8),
+        Box::new(SharedRecv {
+            want: 1,
+            got: Arc::default(),
+        }),
+    );
     for t in 0..8 {
         let src = if t % 4 == 0 { SwPort::Proc } else { SwPort::W };
         m.set_switch_program(
@@ -794,14 +810,28 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
             m.set_program(TileId(0), Box::new(IdleProgram));
             m.set_program(TileId(4), sender());
         }
-        Mutation::SetSwitchProgram => m.set_switch_program(
-            TileId(3),
-            NET0,
-            SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::Proc)]),
-        ),
+        Mutation::SetSwitchProgram => {
+            m.set_switch_program(
+                TileId(3),
+                NET0,
+                SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::Proc)]),
+            );
+            m.set_switch_program(
+                TileId(12),
+                NET0,
+                SwitchProgram::new(vec![
+                    SwitchInstr::nop(),
+                    SwitchInstr::new(
+                        vec![Route::new(NET0, SwPort::W, SwPort::E)],
+                        SwitchCtrl::Jump(1),
+                    ),
+                ]),
+            );
+        }
         Mutation::BindDevice => {
             m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink))
         }
+        Mutation::ScheduleStall => m.schedule_stall(TileId(8), before + 5, 20),
     }
     m.run(after);
     assert_eq!(m.pending_stall_windows(TileId(0)), 0);
@@ -828,8 +858,16 @@ fn stall_windows_and_mid_run_mutations_never_diverge() {
             }
             // Each mutation visibly took effect on the reference.
             Mutation::SetProgram => assert_eq!(sends.len(), 3 + 24),
-            Mutation::SetSwitchProgram => assert!(observed[2] < 24, "drops {}", observed[2]),
+            Mutation::SetSwitchProgram => {
+                assert!(observed[2] < 24, "drops {}", observed[2]);
+                assert_eq!(observed[3 + 12 * 6 + 5], 169, "tile 12 switch stalls");
+            }
             Mutation::BindDevice => assert_eq!(delivered.len(), 21),
+            Mutation::ScheduleStall => {
+                let tile8 = &observed[3 + 8 * 6..][..5];
+                assert_eq!(tile8[Activity::CacheStall.index()], 20);
+                assert_eq!(tile8[Activity::BlockedRecv.index()], 180);
+            }
         }
         let compiled = run_mutated(EngineMode::Compiled, mutation, 30, 170);
         assert_eq!(compiled, reference, "{mutation:?}");
@@ -852,7 +890,13 @@ fn default_engine_matches_per_cycle_on_quiet_machines() {
             m.set_switch_program(
                 TileId(t),
                 NET0,
-                SwitchProgram::new(vec![route(NET0, SwPort::W, SwPort::E)]),
+                SwitchProgram::new(vec![
+                    SwitchInstr::nop(),
+                    SwitchInstr::new(
+                        vec![Route::new(NET0, SwPort::W, SwPort::E)],
+                        SwitchCtrl::Jump(1),
+                    ),
+                ]),
             );
         }
         m.bind_device(

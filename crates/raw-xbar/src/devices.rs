@@ -27,10 +27,12 @@ pub const WIRE_IDLE: u32 = 0xFFFF_FFFE;
 /// never goes silent: the ingress bid/grant protocol relies on ingest
 /// routines completing promptly, so an injectable word must exist every
 /// cycle. (This is also why the default conservative
-/// `EdgeDevice::next_inject_event` — "this cycle" — is exact here, and
-/// why the event-skip fast-forward correctly never engages while a line
-/// card is attached: the modeled hardware really does have a state
-/// transition every cycle.)
+/// `EdgeDevice::next_inject_event` — "this cycle" — is exact here. The
+/// machine-wide fast-forward therefore never engages while a line card
+/// is attached — the card is polled every cycle — but that costs only
+/// the poll: the tiles and switches behind a line whose idle frames
+/// nobody is ingesting sleep on their full and empty FIFOs, and are
+/// woken by the push or pop that changes them.)
 pub struct LineCardIn {
     queue: VecDeque<(u64, Vec<u32>)>,
     cur: Option<(Vec<u32>, usize)>,
