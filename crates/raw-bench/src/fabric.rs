@@ -131,10 +131,9 @@ fn run_cell(
     // Only the fingerprint outlives the reference fabric, so one fabric
     // is resident at a time (Clos256 holds ~27 GB of forwarding tables).
     let reference_fp = run_once(cfg.clone(), &w, Executor::Reference).fingerprint();
-    // One shard per router: the multi-shard loop runs whatever the
+    // A constant >= 2 puts routers on worker threads whatever the
     // host's core count.
-    let shards = topology.routers();
-    let sharded = run_once(cfg, &w, Executor::Sharded { shards });
+    let sharded = run_once(cfg, &w, Executor::Sharded { shards: 4 });
     let summary = sharded.summary();
     let cycles = sharded.cycle();
     let cell = FabricCell {

@@ -1,5 +1,4 @@
-//! The fabric executor: M routers + links, advanced in barrier-
-//! synchronized epochs.
+//! The fabric executor: M routers + links, advanced in epochs.
 //!
 //! One epoch = `epoch_cycles` router cycles. Within an epoch every
 //! router runs completely independently (no shared state, no message
@@ -7,17 +6,19 @@
 //! from egress collectors into link queues, draining link queues into
 //! the next stage's input line cards, injecting external arrivals, and
 //! scheduling credit-backpressure stalls — happen at the epoch boundary,
-//! in fixed link order on the caller's thread ([`Executor::Reference`]).
-//! Because per-link boundary work commutes and the intra-epoch work is
-//! independent per router, partitioning both across shard worker threads
-//! (see [`crate::shard`]) produces *bit-identical* results to running
-//! everything one after another on the caller's thread.
+//! which is one function (`RawFabric::boundary`) that always runs on
+//! the caller's thread, in fixed link order. An [`Executor`] decides
+//! only who calls [`RawRouter::run`] in between: the fabric owns its
+//! routers by value and hands each shard of the partition (see
+//! [`crate::shard`]) its routers as disjoint `&mut` borrows, all but
+//! the first to a scoped worker thread. The borrow checker proves no
+//! router is run twice or shared, so every executor is bit-identical
+//! to running everything on the caller's thread;
 //! [`RawFabric::fingerprint`] digests everything observable so the
-//! equivalence is asserted, not assumed.
+//! equivalence is asserted as well.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, MutexGuard};
 
 use serde::{Deserialize, Serialize};
 
@@ -26,10 +27,10 @@ use raw_telemetry::{Histogram, LinkStats, StageLatency};
 use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig, NPORTS};
 
 use crate::link::FabricLink;
-use crate::shard::{partition_routers, Executor, LinkB, ShardMutant, ShardPlan};
+use crate::shard::{partition_routers, Executor};
 use crate::topology::{self, dst_ext_port, stamp_middle, RouterSpec, Topology, TopologyPlan};
 
-// The sharded executor hands each router to a worker thread; everything
+// A multi-shard executor hands routers to worker threads; everything
 // a router owns must therefore be Send. Checked here so a non-Send
 // device or sink added later fails at compile time, not at runtime.
 const _: fn() = || {
@@ -305,17 +306,8 @@ pub struct FabricSummary {
 pub struct RawFabric {
     pub cfg: FabricConfig,
     pub plan: TopologyPlan,
-    routers: Vec<Mutex<RawRouter>>,
-    /// Mutex-wrapped for the sharded executor: a link is touched by its
-    /// sender's shard in phase A and its receiver's shard in phase B,
-    /// so no static ownership split covers both phases. The locks are
-    /// uncontended by construction (each phase partitions the links).
-    links: Vec<Mutex<FabricLink>>,
-    /// Per link: the sending router's collector for the link's port.
-    link_cols: Vec<Arc<Mutex<OutCollector>>>,
-    /// Per external output: the egress router's collector (never
-    /// drained — this is the fabric's delivered stream).
-    ext_cols: Vec<Arc<Mutex<OutCollector>>>,
+    routers: Vec<RawRouter>,
+    links: Vec<FabricLink>,
     /// Scan cursor into each external collector (latency recording).
     ext_seen: Vec<usize>,
     pending: Vec<PendingOffer>,
@@ -332,16 +324,6 @@ pub struct RawFabric {
     stage_hist: Vec<Histogram>,
     total_hist: Histogram,
     backpressure_epochs: u64,
-    /// Seeded executor bug for the differential battery (tests only).
-    shard_mutant: ShardMutant,
-}
-
-/// Phase-B latency event, buffered by the draining shard and applied by
-/// the sequential coordinator tail: the packet keyed `key` left a
-/// router of stage `stage` at this boundary.
-struct LatEvent {
-    key: (u32, u16),
-    stage: usize,
 }
 
 fn fnv_flow(src: u32, dst_ext: u8) -> u64 {
@@ -377,6 +359,30 @@ fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>
         .collect()
 }
 
+/// Run every router for `cycles`, shard by shard of `assign` (router ->
+/// shard): the caller runs the first shard and one scoped worker each of
+/// the others, so one shard spawns nothing. The shards are disjoint
+/// `&mut` borrows, and the scope joins every worker before returning.
+fn run_routers(routers: &mut [RawRouter], assign: &[usize], cycles: u64) {
+    let mut shards: Vec<Vec<&mut RawRouter>> = Vec::new();
+    for (router, &sh) in routers.iter_mut().zip(assign) {
+        if shards.len() <= sh {
+            shards.resize_with(sh + 1, Vec::new);
+        }
+        shards[sh].push(router);
+    }
+    let run = move |shard: Vec<&mut RawRouter>| shard.into_iter().for_each(|r| r.run(cycles));
+    let mut shards = shards.into_iter();
+    let mine = shards.next().unwrap_or_default();
+    crossbeam::scope(|scope| {
+        for shard in shards {
+            scope.spawn(move |_| run(shard));
+        }
+        run(mine);
+    })
+    .expect("fabric shard worker panicked");
+}
+
 impl RawFabric {
     pub fn try_new(cfg: FabricConfig) -> Result<RawFabric, FabricError> {
         cfg.validate()?;
@@ -392,34 +398,21 @@ impl RawFabric {
             .into_iter()
             .map(|table| {
                 RawRouter::try_new_with_telemetry(cfg.router.clone(), table, None)
-                    .map(Mutex::new)
                     .map_err(FabricError::Router)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let (rate, capacity) = (cfg.resolved_rate(), cfg.resolved_capacity());
-        let links: Vec<Mutex<FabricLink>> = plan
+        let links = plan
             .links
             .iter()
             .enumerate()
-            .map(|(i, &spec)| Mutex::new(FabricLink::new(i, spec, capacity, rate)))
-            .collect();
-        let link_cols = plan
-            .links
-            .iter()
-            .map(|l| routers[l.from.0].lock().unwrap().collector(l.from.1))
-            .collect();
-        let ext_cols: Vec<_> = plan
-            .ext_out
-            .iter()
-            .map(|&(r, p)| routers[r].lock().unwrap().collector(p))
+            .map(|(i, &spec)| FabricLink::new(i, spec, capacity, rate))
             .collect();
         let n_ext = plan.ext_out.len();
         Ok(RawFabric {
             plan,
             routers,
             links,
-            link_cols,
-            ext_cols,
             ext_seen: vec![0; n_ext],
             pending: Vec::new(),
             next_pending: 0,
@@ -433,7 +426,6 @@ impl RawFabric {
                 .collect(),
             total_hist: Histogram::for_cycles(),
             backpressure_epochs: 0,
-            shard_mutant: ShardMutant::None,
             cfg,
         })
     }
@@ -491,27 +483,20 @@ impl RawFabric {
     /// injection; the credit machinery turns the standing queue into
     /// sender backpressure automatically).
     pub fn stall_link(&mut self, link: usize, start_epoch: u64, len: u64) {
-        self.links[link].lock().unwrap().stall(start_epoch, len);
-    }
-
-    /// Install a seeded sharded-executor bug (differential battery
-    /// only). The healthy executor must never be run with one of these.
-    #[doc(hidden)]
-    pub fn set_shard_mutant(&mut self, m: ShardMutant) {
-        self.shard_mutant = m;
+        self.links[link].stall(start_epoch, len);
     }
 
     /// Pause the line card behind external input `ext` (idle frames
     /// during the window).
     pub fn pause_ext_input(&mut self, ext: usize, start: u64, len: u64) {
         let (r, p) = self.plan.ext_in[ext];
-        self.routers[r].lock().unwrap().pause_input(p, start, len);
+        self.routers[r].pause_input(p, start, len);
     }
 
     /// Backpressure external output `ext` for a cycle window.
     pub fn stall_ext_output(&mut self, ext: usize, start: u64, len: u64) {
         let (r, p) = self.plan.ext_out[ext];
-        self.routers[r].lock().unwrap().stall_output(p, start, len);
+        self.routers[r].stall_output(p, start, len);
     }
 
     fn is_local(&self, ingress_router: usize, dst_ext: usize) -> bool {
@@ -521,12 +506,7 @@ impl RawFabric {
         }
     }
 
-    fn choose_middle(
-        &mut self,
-        links: &[Mutex<FabricLink>],
-        ingress_router: usize,
-        pkt: &Packet,
-    ) -> u8 {
+    fn choose_middle(&mut self, ingress_router: usize, pkt: &Packet) -> u8 {
         let w = self.plan.topology.spray_width();
         let d = dst_ext_port(pkt);
         if w <= 1 || self.is_local(ingress_router, d) {
@@ -542,7 +522,7 @@ impl RawFabric {
                 let mut best = 0u8;
                 let mut best_occ = usize::MAX;
                 for (m, &li) in self.plan.uplinks[ingress_router].iter().enumerate() {
-                    let l = links[li].lock().unwrap();
+                    let l = &self.links[li];
                     let occ = l.occupancy() + l.inflight_sprayed;
                     if occ < best_occ {
                         best_occ = occ;
@@ -555,112 +535,69 @@ impl RawFabric {
         }
     }
 
-    /// Boundary phase A for one link (sender-side): collect packets that
-    /// finished crossing the sender during the previous epoch into the
-    /// link queue. Touches only the sender's per-port collector and the
-    /// link's own queue, so phase-A work on different links commutes.
-    fn collect_link(
-        links: &[Mutex<FabricLink>],
-        link_cols: &[Arc<Mutex<OutCollector>>],
-        li: usize,
-    ) {
-        let done: Vec<(u64, Packet)> = std::mem::take(&mut link_cols[li].lock().unwrap().packets);
-        let mut link = links[li].lock().unwrap();
-        for (_, p) in done {
-            link.inflight_sprayed = link.inflight_sprayed.saturating_sub(1);
-            link.push(p);
-        }
-    }
-
-    /// [`RawFabric::collect_link`] with the seeded
-    /// [`ShardMutant::DelayBoundaryLink`] bug: this boundary pushes the
-    /// *previous* epoch's stashed packets and stashes the fresh ones.
-    fn collect_link_delayed(
-        links: &[Mutex<FabricLink>],
-        link_cols: &[Arc<Mutex<OutCollector>>],
-        li: usize,
-        stash: &mut Vec<Packet>,
-    ) {
-        let done: Vec<(u64, Packet)> = std::mem::take(&mut link_cols[li].lock().unwrap().packets);
-        let release: Vec<Packet> = std::mem::take(stash);
-        stash.extend(done.into_iter().map(|(_, p)| p));
-        let mut link = links[li].lock().unwrap();
-        for p in release {
-            link.inflight_sprayed = link.inflight_sprayed.saturating_sub(1);
-            link.push(p);
-        }
-    }
-
-    /// Boundary phase B for one link (receiver-side): drain the link at
-    /// its rate into the receiver's line card, bounded by the receiver's
-    /// input window — a congested router keeps a backlog, the link
-    /// refuses to hand over more, the queue fills, and the credit check
-    /// turns that into sender stalls: hop-by-hop backpressure with
-    /// nothing hidden in unbounded buffers. The window never closes
-    /// completely (`min_receive_window`, default one packet per epoch):
-    /// the folded topology's leaf<->spine cycle can otherwise deadlock
-    /// when a skewed spray fills one VOQ, VOQ admission blocks the
-    /// ingress line card, and every drain window along the cycle pins
-    /// at zero — the escape slot turns that permanent freeze into a
-    /// trickle that drains once the skew passes. Setting it to 0
-    /// reconstructs that historical deadlock, which `try_new`'s static
-    /// gate rejects (RV503) on cyclic topologies. Only injected link
-    /// faults (stall windows) may freeze a drain outright.
+    /// The epoch boundary: every cross-router transfer of the fabric,
+    /// on the caller's thread, in link order.
     ///
-    /// Latency bookkeeping against the shared life map is *not* done
-    /// here: each drained packet becomes a [`LatEvent`] the sequential
-    /// coordinator tail applies. Touches only the link's queue and the
-    /// receiver's per-port line card, so phase-B work on different
-    /// links commutes (each packet is on exactly one link, so the
-    /// buffered events have unique keys and commute too).
-    fn drain_link(
-        cfg: &FabricConfig,
-        routers: &[Mutex<RawRouter>],
-        links: &[Mutex<FabricLink>],
-        lb: &LinkB,
-        epoch: u64,
-        t: u64,
-        events: &mut Vec<LatEvent>,
-    ) {
-        let window = 2 * cfg.emission_bound();
-        let backlog = routers[lb.to_r].lock().unwrap().input_backlog(lb.to_p);
-        let allowed = window.saturating_sub(backlog).max(cfg.min_receive_window);
-        for p in links[lb.li].lock().unwrap().drain(epoch, allowed) {
-            events.push(LatEvent {
-                key: (p.header.src, p.header.id),
-                stage: lb.stage,
-            });
-            routers[lb.to_r].lock().unwrap().offer(lb.to_p, t, &p);
-        }
-    }
-
-    /// Apply the phase-B latency events: the packet left a router of
-    /// stage `stage` at boundary time `t`. Events have unique keys (one
-    /// packet crosses one link per boundary), so application order
-    /// across shards cannot matter.
-    fn apply_lat_events(&mut self, t: u64, events: Vec<LatEvent>) {
-        for e in events {
-            if let Some(life) = self.life.get_mut(&e.key) {
-                self.stage_hist[e.stage].record(t - life.stage_entry);
-                life.stage_entry = t;
-            }
-        }
-    }
-
-    /// The sequential boundary tail: external delivery accounting,
-    /// injection (with spray selection against shared flow state), and
-    /// the credit check. Order-sensitive, so every executor runs it on
-    /// exactly one thread, after all phase-B drains.
-    fn boundary_tail(&mut self, routers: &[Mutex<RawRouter>], links: &[Mutex<FabricLink>], t: u64) {
+    /// 1. Collect: packets that finished crossing a link's sender during
+    ///    the previous epoch enter the link queue.
+    /// 2. Drain: each link hands packets to its receiver's line card at
+    ///    the link rate, bounded by the receiver's input window — a
+    ///    congested router keeps a backlog, the link refuses to hand
+    ///    over more, the queue fills, and the credit check turns that
+    ///    into sender stalls: hop-by-hop backpressure with nothing
+    ///    hidden in unbounded buffers. The window never closes
+    ///    completely (`min_receive_window`, default one packet per
+    ///    epoch): the folded topology's leaf<->spine cycle can
+    ///    otherwise deadlock when a skewed spray fills one VOQ, VOQ
+    ///    admission blocks the ingress line card, and every drain
+    ///    window along the cycle pins at zero — the escape slot turns
+    ///    that permanent freeze into a trickle that drains once the
+    ///    skew passes. Setting it to 0 reconstructs that historical
+    ///    deadlock, which `try_new`'s static gate rejects (RV503) on
+    ///    cyclic topologies. Only injected link faults (stall windows)
+    ///    may freeze a drain outright.
+    /// 3. Account external deliveries since the last boundary.
+    /// 4. Inject external arrivals released inside this epoch, choosing
+    ///    each new flow's middle stage against the shared flow state.
+    /// 5. Credit check: stall any sender whose link cannot absorb a
+    ///    full epoch of emission.
+    fn boundary(&mut self, epoch: u64) {
+        let t = epoch * self.cfg.epoch_cycles;
         let t_end = t + self.cfg.epoch_cycles;
         let last = self.stage_hist.len() - 1;
 
-        // 3. Account external deliveries since the last boundary.
-        for (ext, col) in self.ext_cols.iter().enumerate() {
-            let col = col.lock().unwrap();
-            for (cycle, p) in &col.packets[self.ext_seen[ext]..] {
+        for link in &mut self.links {
+            let (r, p) = link.spec.from;
+            let done = std::mem::take(&mut self.routers[r].collected(p).packets);
+            for (_, pkt) in done {
+                link.inflight_sprayed = link.inflight_sprayed.saturating_sub(1);
+                link.push(pkt);
+            }
+        }
+
+        let window = 2 * self.cfg.emission_bound();
+        for link in &mut self.links {
+            let (r, p) = link.spec.to;
+            // The drain records the traversal of the *sending* stage.
+            let stage = self.plan.routers[link.spec.from.0].stage;
+            let receiver = &mut self.routers[r];
+            let allowed = window
+                .saturating_sub(receiver.input_backlog(p))
+                .max(self.cfg.min_receive_window);
+            for pkt in link.drain(epoch, allowed) {
+                if let Some(life) = self.life.get_mut(&(pkt.header.src, pkt.header.id)) {
+                    self.stage_hist[stage].record(t - life.stage_entry);
+                    life.stage_entry = t;
+                }
+                receiver.offer(p, t, &pkt);
+            }
+        }
+
+        for (ext, &(r, p)) in self.plan.ext_out.iter().enumerate() {
+            let col = self.routers[r].collected(p);
+            for (cycle, pkt) in &col.packets[self.ext_seen[ext]..] {
                 self.delivered += 1;
-                if let Some(life) = self.life.remove(&(p.header.src, p.header.id)) {
+                if let Some(life) = self.life.remove(&(pkt.header.src, pkt.header.id)) {
                     self.stage_hist[last].record(cycle - life.stage_entry);
                     self.total_hist.record(cycle - life.inject);
                 }
@@ -668,7 +605,6 @@ impl RawFabric {
             self.ext_seen[ext] = col.packets.len();
         }
 
-        // 4. Inject external arrivals released inside this epoch.
         while self.next_pending < self.pending.len()
             && self.pending[self.next_pending].release < t_end
         {
@@ -677,12 +613,12 @@ impl RawFabric {
             let release = po.release.max(t);
             match std::mem::replace(&mut po.payload, PendingPayload::Raw(Vec::new())) {
                 PendingPayload::Pkt(mut p) => {
-                    let m = self.choose_middle(links, r, &p);
+                    let m = self.choose_middle(r, &p);
                     stamp_middle(&mut p, m);
                     let d = dst_ext_port(&p);
                     if self.plan.topology.spray_width() > 1 && !self.is_local(r, d) {
                         let li = self.plan.uplinks[r][m as usize];
-                        links[li].lock().unwrap().inflight_sprayed += 1;
+                        self.links[li].inflight_sprayed += 1;
                     }
                     self.life.insert(
                         (p.header.src, p.header.id),
@@ -691,27 +627,20 @@ impl RawFabric {
                             stage_entry: release,
                         },
                     );
-                    routers[r].lock().unwrap().offer(port, release, &p);
+                    self.routers[r].offer(port, release, &p);
                 }
                 PendingPayload::Raw(words) => {
-                    routers[r].lock().unwrap().offer_raw(port, release, words);
+                    self.routers[r].offer_raw(port, release, words);
                 }
             }
             self.next_pending += 1;
         }
 
-        // 5. Credit check: stall any sender whose link cannot absorb a
-        //    full epoch of emission.
         let bound = self.cfg.emission_bound();
-        for link in links {
-            let mut l = link.lock().unwrap();
-            let credits = l.sample_credits();
-            if credits < bound {
+        for l in &mut self.links {
+            if l.sample_credits() < bound {
                 let (r, p) = l.spec.from;
-                routers[r]
-                    .lock()
-                    .unwrap()
-                    .stall_output(p, t, self.cfg.epoch_cycles);
+                self.routers[r].stall_output(p, t, self.cfg.epoch_cycles);
                 l.stats.backpressure_epochs += 1;
                 self.backpressure_epochs += 1;
             }
@@ -720,223 +649,33 @@ impl RawFabric {
 
     /// Everything offered is now delivered or dropped (and injection is
     /// complete).
-    fn closed(&self, routers: &[Mutex<RawRouter>]) -> bool {
+    fn closed(&self) -> bool {
         self.next_pending == self.pending.len()
-            && self.delivered + Self::dropped_of(routers) >= self.offered
+            && self.delivered + self.dropped_count() >= self.offered
     }
 
-    fn dropped_of(routers: &[Mutex<RawRouter>]) -> u64 {
-        routers
-            .iter()
-            .map(|r| r.lock().unwrap().dropped_count())
-            .sum()
-    }
-
+    /// The one epoch loop: boundary on the caller, then every router's
+    /// epoch on whichever shard the partition assigned it to.
     fn advance_with(&mut self, exec: Executor, max_epochs: u64, stop_when_closed: bool) -> bool {
         self.pending[self.next_pending..].sort_by_key(|p| (p.release, p.seq));
-        let routers = std::mem::take(&mut self.routers);
-        let links = std::mem::take(&mut self.links);
-        let link_cols = std::mem::take(&mut self.link_cols);
-        // The one place an executor becomes a shard count. The reference
-        // is one shard with no seeded bug, whatever the test hook says:
-        // it is what the mutant battery compares against. Only the
-        // reference ignores the hook: `Threaded`, being a `Sharded`
-        // layout, runs the seeded bug like any other shard count (the
-        // per-router-thread executor it replaces did not).
-        let (shards, mutant) = match exec {
-            Executor::Reference => (1, ShardMutant::None),
-            Executor::Threaded => (routers.len(), self.shard_mutant),
-            Executor::Sharded { shards: 0 } => (
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                self.shard_mutant,
-            ),
-            Executor::Sharded { shards } => (shards, self.shard_mutant),
+        let shards = match exec {
+            Executor::Reference => 1,
+            Executor::Threaded => self.routers.len(),
+            Executor::Sharded { shards: 0 } => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            Executor::Sharded { shards } => shards,
         };
-        let sp = ShardPlan::build(&self.plan, &partition_routers(&self.plan, shards), mutant);
-        let run = if sp.routers_of.len() == 1 || mutant == ShardMutant::SkipBarrier {
-            Self::run_inline
-        } else {
-            Self::run_sharded
-        };
-        let done = run(
-            self,
-            &sp,
-            mutant,
-            &routers,
-            &links,
-            &link_cols,
-            max_epochs,
-            stop_when_closed,
-        );
-        self.routers = routers;
-        self.links = links;
-        self.link_cols = link_cols;
-        done
-    }
-
-    /// The single-threaded epoch loop: every shard's phase A, phase B
-    /// and router runs on the caller, in shard order — no workers, no
-    /// barriers. With one shard (which owns every router and every link,
-    /// in index order) this is the reference schedule. With several it
-    /// is the seeded [`ShardMutant::SkipBarrier`] bug, emulated
-    /// deterministically: each shard runs phase A then phase B
-    /// back-to-back, so an early shard drains links whose sender lives
-    /// in a later shard before that shard has collected — exactly the
-    /// stale exchange the lost barrier would allow, without the
-    /// nondeterminism of a real race. (The DelayBoundaryLink mutant
-    /// applies here too: it is a phase-A bug, not a synchronization
-    /// bug.)
-    #[allow(clippy::too_many_arguments)]
-    fn run_inline(
-        &mut self,
-        sp: &ShardPlan,
-        mutant: ShardMutant,
-        routers: &[Mutex<RawRouter>],
-        links: &[Mutex<FabricLink>],
-        link_cols: &[Arc<Mutex<OutCollector>>],
-        limit: u64,
-        stop_when_closed: bool,
-    ) -> bool {
-        let k = self.cfg.epoch_cycles;
-        let mut stash: Vec<Packet> = Vec::new();
-        while self.epochs_run < limit {
-            let epoch = self.epochs_run;
-            let t = epoch * k;
-            let mut events = Vec::new();
-            for (sender_links, recv_links) in sp.sender_links.iter().zip(&sp.recv_links) {
-                for &li in sender_links {
-                    if mutant == ShardMutant::DelayBoundaryLink(li) {
-                        Self::collect_link_delayed(links, link_cols, li, &mut stash);
-                    } else {
-                        Self::collect_link(links, link_cols, li);
-                    }
-                }
-                for lb in recv_links {
-                    Self::drain_link(&self.cfg, routers, links, lb, epoch, t, &mut events);
-                }
-            }
-            self.apply_lat_events(t, events);
-            self.boundary_tail(routers, links, t);
-            if stop_when_closed && self.closed(routers) {
+        let assign = partition_routers(&self.plan, shards);
+        while self.epochs_run < max_epochs {
+            self.boundary(self.epochs_run);
+            if stop_when_closed && self.closed() {
                 return true;
             }
-            for &r in sp.routers_of.iter().flatten() {
-                routers[r].lock().unwrap().run(k);
-            }
+            run_routers(&mut self.routers, &assign, self.cfg.epoch_cycles);
             self.epochs_run += 1;
         }
-        stop_when_closed && self.closed(routers)
-    }
-
-    /// The multi-shard epoch loop: one worker per shard runs phase A over
-    /// its sender-owned links, phase B over its receiver-owned links, and
-    /// its own routers' epochs, with five barrier waits per epoch; the
-    /// coordinator runs the sequential tail between phases B and the
-    /// router runs. See the `shard` module docs for why this is
-    /// bit-identical to the reference.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sharded(
-        &mut self,
-        sp: &ShardPlan,
-        mutant: ShardMutant,
-        routers: &[Mutex<RawRouter>],
-        links: &[Mutex<FabricLink>],
-        link_cols: &[Arc<Mutex<OutCollector>>],
-        limit: u64,
-        stop_when_closed: bool,
-    ) -> bool {
-        let s = sp.routers_of.len();
-        let k = self.cfg.epoch_cycles;
-        let cfg = self.cfg.clone();
-        let barrier = Barrier::new(s + 1);
-        let stop = AtomicBool::new(false);
-        let skip_run = AtomicBool::new(false);
-        let epoch_now = AtomicU64::new(self.epochs_run);
-        let event_bufs: Vec<Mutex<Vec<LatEvent>>> =
-            (0..s).map(|_| Mutex::new(Vec::new())).collect();
-        // DelayBoundaryLink stash: the mutated link's collected packets
-        // wait here one epoch before entering the queue.
-        let delay_stash: Mutex<Vec<Packet>> = Mutex::new(Vec::new());
-        crossbeam::scope(|scope| {
-            for (sh, ebuf) in event_bufs.iter().enumerate() {
-                let (barrier, stop, skip_run, epoch_now) = (&barrier, &stop, &skip_run, &epoch_now);
-                let (routers, links, link_cols) = (routers, links, link_cols);
-                let (sp, cfg) = (&*sp, &cfg);
-                let stash = &delay_stash;
-                scope.spawn(move |_| loop {
-                    barrier.wait(); // 1: epoch gate (coordinator published epoch_now)
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let epoch = epoch_now.load(Ordering::SeqCst);
-                    let t = epoch * k;
-                    // Phase A: collect this shard's sender-owned links.
-                    for &li in &sp.sender_links[sh] {
-                        if mutant == ShardMutant::DelayBoundaryLink(li) {
-                            Self::collect_link_delayed(
-                                links,
-                                link_cols,
-                                li,
-                                &mut stash.lock().unwrap(),
-                            );
-                        } else {
-                            Self::collect_link(links, link_cols, li);
-                        }
-                    }
-                    barrier.wait(); // 2: all phase A done fabric-wide
-                                    // Phase B: drain this shard's receiver-owned links,
-                                    // buffering latency events for the coordinator tail.
-                    let mut events = Vec::new();
-                    for lb in &sp.recv_links[sh] {
-                        Self::drain_link(cfg, routers, links, lb, epoch, t, &mut events);
-                    }
-                    *ebuf.lock().unwrap() = events;
-                    barrier.wait(); // 3: all phase B done; tail runs
-                    barrier.wait(); // 4: tail done
-                    if !skip_run.load(Ordering::SeqCst) {
-                        for &r in &sp.routers_of[sh] {
-                            routers[r].lock().unwrap().run(k);
-                        }
-                    }
-                    barrier.wait(); // 5: epoch's router work done
-                });
-            }
-            let mut done = false;
-            loop {
-                if self.epochs_run >= limit {
-                    stop.store(true, Ordering::SeqCst);
-                    barrier.wait(); // release workers into the stop check
-                    break;
-                }
-                let epoch = self.epochs_run;
-                let t = epoch * k;
-                epoch_now.store(epoch, Ordering::SeqCst);
-                barrier.wait(); // 1
-                barrier.wait(); // 2
-                barrier.wait(); // 3
-                for ebuf in &event_bufs {
-                    let events = std::mem::take(&mut *ebuf.lock().unwrap());
-                    self.apply_lat_events(t, events);
-                }
-                self.boundary_tail(routers, links, t);
-                if stop_when_closed && self.closed(routers) {
-                    done = true;
-                    skip_run.store(true, Ordering::SeqCst);
-                    stop.store(true, Ordering::SeqCst);
-                    barrier.wait(); // 4: workers skip their router runs
-                    barrier.wait(); // 5
-                    barrier.wait(); // 1: workers observe stop and exit
-                    break;
-                }
-                barrier.wait(); // 4: tail done, workers run routers
-                barrier.wait(); // 5: routers done
-                self.epochs_run += 1;
-            }
-            done || (stop_when_closed && self.closed(routers))
-        })
-        .expect("fabric shard worker panicked")
+        stop_when_closed && self.closed()
     }
 
     /// Advance exactly `n` more epochs (fixed horizon — for throughput
@@ -962,29 +701,31 @@ impl RawFabric {
     }
 
     pub fn dropped_count(&self) -> u64 {
-        Self::dropped_of(&self.routers)
+        self.routers.iter().map(RawRouter::dropped_count).sum()
     }
 
     pub fn parse_errors(&self) -> u64 {
-        self.routers
-            .iter()
-            .map(|r| r.lock().unwrap().parse_errors())
-            .sum()
+        self.routers.iter().map(RawRouter::parse_errors).sum()
+    }
+
+    /// External output `ext`'s collector on its egress router. Never
+    /// drained: this is the fabric's delivered stream.
+    fn ext_collected(&self, ext: usize) -> MutexGuard<'_, OutCollector> {
+        let (r, p) = self.plan.ext_out[ext];
+        self.routers[r].collected(p)
     }
 
     /// Delivered packets at external output `ext`, in arrival order.
     pub fn delivered(&self, ext: usize) -> Vec<(u64, Packet)> {
-        self.ext_cols[ext].lock().unwrap().packets.clone()
+        self.ext_collected(ext).packets.clone()
     }
 
     /// Fabric-wide packets delivered with completion cycles in
     /// `[from, to)`.
     pub fn delivered_packets_between(&self, from: u64, to: u64) -> u64 {
-        self.ext_cols
-            .iter()
-            .map(|c| {
-                c.lock()
-                    .unwrap()
+        (0..self.ext_ports())
+            .map(|ext| {
+                self.ext_collected(ext)
                     .packets
                     .iter()
                     .filter(|(cyc, _)| (from..to).contains(cyc))
@@ -1001,12 +742,9 @@ impl RawFabric {
 
     /// Aggregate Gbps over a cycle window.
     pub fn gbps(&self, from: u64, to: u64) -> f64 {
-        let bits: u64 = self
-            .ext_cols
-            .iter()
-            .map(|c| {
-                c.lock()
-                    .unwrap()
+        let bits: u64 = (0..self.ext_ports())
+            .map(|ext| {
+                self.ext_collected(ext)
                     .packets
                     .iter()
                     .filter(|(cyc, _)| (from..to).contains(cyc))
@@ -1022,7 +760,7 @@ impl RawFabric {
     pub fn drop_reasons(&self) -> [u64; raw_telemetry::DropReason::COUNT] {
         let mut out = [0u64; raw_telemetry::DropReason::COUNT];
         for r in &self.routers {
-            for (o, d) in out.iter_mut().zip(r.lock().unwrap().drop_reasons()) {
+            for (o, d) in out.iter_mut().zip(r.drop_reasons()) {
                 *o += d;
             }
         }
@@ -1031,12 +769,10 @@ impl RawFabric {
 
     /// Within-flow order violations summed over external outputs.
     pub fn flow_order_violations(&self) -> u64 {
-        self.ext_cols
-            .iter()
-            .map(|c| {
-                let pkts: Vec<Packet> = c
-                    .lock()
-                    .unwrap()
+        (0..self.ext_ports())
+            .map(|ext| {
+                let pkts: Vec<Packet> = self
+                    .ext_collected(ext)
                     .packets
                     .iter()
                     .map(|(_, p)| p.clone())
@@ -1064,7 +800,6 @@ impl RawFabric {
             ));
         }
         for l in &self.links {
-            let l = l.lock().unwrap();
             if l.occupancy() != 0 {
                 errs.push(format!(
                     "link {} still holds {} packets",
@@ -1088,11 +823,9 @@ impl RawFabric {
         // Per-router closure: everything a router accepted either sits
         // in a collector, was forwarded over a link, or was dropped.
         for (ri, r) in self.routers.iter().enumerate() {
-            let r = r.lock().unwrap();
             let forwarded: u64 = self
                 .links
                 .iter()
-                .map(|l| l.lock().unwrap())
                 .filter(|l| l.spec.from.0 == ri)
                 .map(|l| l.stats.packets)
                 .sum();
@@ -1104,12 +837,11 @@ impl RawFabric {
                 ));
             }
             for p in 0..NPORTS {
-                let s = r.ig_stats[p].lock().unwrap();
-                let classified: u64 = s.drops.iter().sum();
-                if s.packets_dropped != classified {
+                let (dropped, drops) = r.ingress_drops(p);
+                let classified: u64 = drops.iter().sum();
+                if dropped != classified {
                     errs.push(format!(
-                        "router {ri} port {p}: packets_dropped {} != classified {classified}",
-                        s.packets_dropped
+                        "router {ri} port {p}: packets_dropped {dropped} != classified {classified}"
                     ));
                 }
             }
@@ -1127,8 +859,8 @@ impl RawFabric {
             h ^= x;
             h = h.wrapping_mul(0x100_0000_01b3);
         };
-        for c in &self.ext_cols {
-            for (cycle, p) in &c.lock().unwrap().packets {
+        for ext in 0..self.ext_ports() {
+            for (cycle, p) in &self.ext_collected(ext).packets {
                 mix(*cycle);
                 for w in p.to_words() {
                     mix(u64::from(w));
@@ -1136,7 +868,7 @@ impl RawFabric {
             }
         }
         for r in &self.routers {
-            for d in r.lock().unwrap().drop_reasons() {
+            for d in r.drop_reasons() {
                 mix(d);
             }
         }
@@ -1171,11 +903,7 @@ impl RawFabric {
             delivered: self.delivered,
             dropped: self.dropped_count(),
             backpressure_epochs: self.backpressure_epochs,
-            links: self
-                .links
-                .iter()
-                .map(|l| l.lock().unwrap().stats.clone())
-                .collect(),
+            links: self.links.iter().map(|l| l.stats.clone()).collect(),
             stages: self
                 .stage_hist
                 .iter()

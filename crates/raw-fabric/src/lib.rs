@@ -21,14 +21,15 @@
 //!   a deterministic hash or least-occupancy at first sight; both are
 //!   flow-pinned, preserving intra-flow order across the fabric;
 //! * **Deterministic parallelism** ([`RawFabric`]): each router advances
-//!   in barrier-synchronized epochs of K cycles, with every cross-router
-//!   transfer applied at the epoch boundary — sequentially on the
-//!   caller's thread ([`Executor::Reference`]) or by partitioned
-//!   per-shard coordinators that exchange only boundary-link state at
-//!   the barriers ([`Executor::Sharded`], see [`shard`];
-//!   [`Executor::Threaded`] is its one-shard-per-router layout) — so
-//!   every executor is bit-identical to the single-threaded reference,
-//!   asserted by [`RawFabric::fingerprint`];
+//!   in epochs of K cycles, with every cross-router transfer applied at
+//!   the epoch boundary, sequentially on the caller's thread. Between
+//!   two boundaries the routers share nothing, so an [`Executor`] only
+//!   picks how many scoped threads run them ([`Executor::Reference`]:
+//!   the caller alone; [`Executor::Sharded`]: a router-disjoint
+//!   partition, see [`shard`]; [`Executor::Threaded`] is its
+//!   one-shard-per-router layout), each holding `&mut` borrows of its
+//!   own routers — so every executor is bit-identical to the
+//!   single-threaded reference, asserted by [`RawFabric::fingerprint`];
 //! * **Scale** ([`Topology::Clos64`], [`Topology::Clos256`]): recursive
 //!   5- and 7-stage folded-Clos fabrics of 80 and 448 radix-4 routers,
 //!   the port counts Tiny Tera targets, still lowered through the same
@@ -44,7 +45,7 @@ pub use fabric::{
     FabricConfig, FabricConfigError, FabricError, FabricSummary, RawFabric, SprayMode,
 };
 pub use link::FabricLink;
-pub use shard::{partition_routers, Executor, ShardMutant};
+pub use shard::{partition_routers, Executor};
 pub use topology::{
     dst_ext_port, fabric_addr, plan, stamp_middle, LinkSpec, RouterSpec, Topology, TopologyPlan,
 };

@@ -79,7 +79,7 @@ impl FabricLink {
     pub fn stalled_at(&self, epoch: u64) -> bool {
         self.stall_windows
             .iter()
-            .any(|&(s, l)| epoch >= s && epoch < s + l)
+            .any(|&(s, l)| epoch >= s && epoch < s.saturating_add(l))
     }
 
     /// Accept a packet that finished crossing the sender (called at the
@@ -164,6 +164,14 @@ mod tests {
         assert_eq!(l.drain(3, usize::MAX).len(), 0);
         assert_eq!(l.stats.stalled_epochs, 2);
         assert_eq!(l.drain(4, usize::MAX).len(), 1);
+
+        // "Stall forever": the window's end saturates instead of
+        // wrapping to an epoch before its start.
+        l.stall(6, u64::MAX);
+        l.push(pkt(1));
+        assert!(!l.stalled_at(5));
+        assert!(l.stalled_at(6) && l.stalled_at(u64::MAX - 1));
+        assert_eq!(l.drain(1 << 40, usize::MAX).len(), 0);
     }
 
     #[test]

@@ -1,30 +1,13 @@
-//! Sharded coordinators: partitioning the fabric's link graph for the
-//! [`Executor::Sharded`] executor.
+//! Executors and the router partition they run on.
 //!
-//! The reference executor funnels every cross-router transfer through
-//! one sequential boundary on the caller's thread. The sharded executor
-//! splits that boundary: routers are partitioned
-//! into router-disjoint shards balanced by incident link count, and each
-//! shard's worker performs the boundary link work it owns — collecting
-//! its routers' egress collectors into link queues (phase A, keyed by
-//! the link's *sender*) and draining link queues into its routers' input
-//! line cards (phase B, keyed by the link's *receiver*) — with epoch
-//! barriers between the phases. Only boundary-link state crosses shards,
-//! and it does so exactly at those barriers.
-//!
-//! Why fingerprints stay bit-identical to the reference: every per-link
-//! boundary operation touches resources no other link shares — the
-//! sender's per-port collector, the link's own queue, and the receiver's
-//! per-port line card (the wiring validator guarantees each router port
-//! appears on at most one link). Operations on *different* links
-//! therefore commute, so any partition of the links — including the
-//! degenerate one-shard partition, which is literally the reference
-//! boundary — produces the same fabric state. The order-sensitive work
-//! (latency accounting against the shared life map, external delivery
-//! accounting, injection with spray selection, and the credit check)
-//! never runs on a worker: phase B buffers latency events per shard and
-//! a sequential coordinator tail applies them and runs the rest, exactly
-//! as the reference does.
+//! The epoch boundary is sequential on every executor (see
+//! [`crate::fabric`]); an executor only chooses how many threads run
+//! the routers between two boundaries. The routers are split into
+//! router-disjoint shards balanced by incident link count; the caller
+//! runs one shard and a scoped worker thread each of the others, every
+//! one holding `&mut` borrows of its own routers and nothing else.
+//! Routers share no state inside an epoch, so the shard count cannot
+//! change what any of them computes.
 
 use crate::topology::TopologyPlan;
 
@@ -37,11 +20,10 @@ pub enum Executor {
     /// One shard per router: `Sharded { shards: routers }` under the
     /// name of the historical per-router-thread executor. Kept because
     /// the repo benchmark (`benchmark/src/workloads.rs`) matches on it.
-    /// Like every `Sharded` layout it honours the `ShardMutant` test
-    /// hook; only `Reference` ignores it.
     Threaded,
-    /// Partitioned coordinators (see module docs). `shards == 0` picks
-    /// the machine's available parallelism, capped by the router count.
+    /// The routers partitioned over `shards` threads (see module docs),
+    /// the caller's included. `shards == 0` picks the machine's
+    /// available parallelism; any count is capped by the router count.
     Sharded { shards: usize },
 }
 
@@ -56,11 +38,11 @@ impl Executor {
 }
 
 /// Deterministic router partition: router-disjoint, balanced by
-/// incident link count (links, not routers, are what the boundary pays
-/// for). Greedy longest-processing-time: heaviest router first, onto
-/// the lightest shard, ties toward lower indices — no randomness, no
-/// iteration-order dependence, so the same plan and shard count always
-/// produce the same partition.
+/// incident link count (a router's epoch costs what the traffic on its
+/// links makes it do). Greedy longest-processing-time: heaviest router
+/// first, onto the lightest shard, ties toward lower indices — no
+/// randomness, no iteration-order dependence, so the same plan and
+/// shard count always produce the same partition.
 pub fn partition_routers(plan: &TopologyPlan, shards: usize) -> Vec<usize> {
     let n = plan.routers.len();
     let s = shards.clamp(1, n.max(1));
@@ -79,85 +61,6 @@ pub fn partition_routers(plan: &TopologyPlan, shards: usize) -> Vec<usize> {
         load[sh] += weight[r];
     }
     assign
-}
-
-/// Seeded executor bugs for the differential battery: each one is a
-/// real mistake a sharded-coordinator implementation could make, wired
-/// behind a test hook so a named test can prove the fingerprint
-/// differential catches it. Not part of the public API.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ShardMutant {
-    #[default]
-    None,
-    /// Boundary link `li`'s phase-A collect runs one epoch late: the
-    /// packets a sender completed in epoch `e` enter the link queue at
-    /// the `e+1` boundary instead of `e` — the classic stale-exchange
-    /// bug when a shard reads a neighbor's state before the barrier.
-    DelayBoundaryLink(usize),
-    /// Router `r` is claimed by two shards: both run it every epoch, so
-    /// it advances two epochs of cycles per barrier — the partition
-    /// failed to keep one router's work on one worker.
-    SplitRouter(usize),
-    /// The phase-A/phase-B barrier is missing. Emulated
-    /// deterministically: shards execute phase A then phase B
-    /// back-to-back in shard order, so shard 0 drains links whose
-    /// sender lives in a later shard before that shard has collected —
-    /// exactly what the lost barrier would allow, without the
-    /// nondeterminism of a real race.
-    SkipBarrier,
-}
-
-/// One link's phase-B (receiver-side) work item.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LinkB {
-    pub li: usize,
-    pub to_r: usize,
-    pub to_p: usize,
-    /// Stage of the *sending* router — the stage whose traversal
-    /// latency the drain records.
-    pub stage: usize,
-}
-
-/// The precomputed per-shard work lists the sharded executor runs from.
-pub(crate) struct ShardPlan {
-    /// Routers each shard advances intra-epoch.
-    pub routers_of: Vec<Vec<usize>>,
-    /// Links collected by each shard in phase A (sender-owned).
-    pub sender_links: Vec<Vec<usize>>,
-    /// Links drained by each shard in phase B (receiver-owned).
-    pub recv_links: Vec<Vec<LinkB>>,
-}
-
-impl ShardPlan {
-    pub(crate) fn build(plan: &TopologyPlan, assign: &[usize], mutant: ShardMutant) -> ShardPlan {
-        let s = assign.iter().copied().max().unwrap_or(0) + 1;
-        let mut routers_of: Vec<Vec<usize>> = vec![Vec::new(); s];
-        for (r, &sh) in assign.iter().enumerate() {
-            routers_of[sh].push(r);
-        }
-        if let ShardMutant::SplitRouter(r) = mutant {
-            if s > 1 {
-                routers_of[(assign[r] + 1) % s].push(r);
-            }
-        }
-        let mut sender_links: Vec<Vec<usize>> = vec![Vec::new(); s];
-        let mut recv_links: Vec<Vec<LinkB>> = vec![Vec::new(); s];
-        for (li, l) in plan.links.iter().enumerate() {
-            sender_links[assign[l.from.0]].push(li);
-            recv_links[assign[l.to.0]].push(LinkB {
-                li,
-                to_r: l.to.0,
-                to_p: l.to.1,
-                stage: plan.routers[l.from.0].stage,
-            });
-        }
-        ShardPlan {
-            routers_of,
-            sender_links,
-            recv_links,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,20 +85,12 @@ mod tests {
                 assert_eq!(assign.len(), p.routers.len());
                 let eff = s.clamp(1, p.routers.len());
                 assert!(assign.iter().all(|&sh| sh < eff), "{t:?} s={s}");
-                // Every router appears in exactly one shard list.
-                let sp = ShardPlan::build(&p, &assign, ShardMutant::None);
-                let mut seen = vec![0usize; p.routers.len()];
-                for rs in &sp.routers_of {
-                    for &r in rs {
-                        seen[r] += 1;
-                    }
+                // Every shard below the effective count gets a router.
+                let mut size = vec![0usize; eff];
+                for &sh in &assign {
+                    size[sh] += 1;
                 }
-                assert!(seen.iter().all(|&c| c == 1), "{t:?} s={s}");
-                // Every link is collected once and drained once.
-                let collected: usize = sp.sender_links.iter().map(Vec::len).sum();
-                let drained: usize = sp.recv_links.iter().map(Vec::len).sum();
-                assert_eq!(collected, p.links.len());
-                assert_eq!(drained, p.links.len());
+                assert!(size.iter().all(|&n| n > 0), "{t:?} s={s}: {size:?}");
             }
         }
     }
@@ -231,14 +126,5 @@ mod tests {
     fn partition_is_deterministic() {
         let p = plan(Topology::Clos64);
         assert_eq!(partition_routers(&p, 6), partition_routers(&p, 6));
-    }
-
-    #[test]
-    fn split_router_mutant_duplicates_exactly_one_router() {
-        let p = plan(Topology::Clos16);
-        let assign = partition_routers(&p, 4);
-        let sp = ShardPlan::build(&p, &assign, ShardMutant::SplitRouter(7));
-        let total: usize = sp.routers_of.iter().map(Vec::len).sum();
-        assert_eq!(total, p.routers.len() + 1);
     }
 }

@@ -1,14 +1,13 @@
-//! Differential battery for the sharded executor: on every topology,
-//! shard count, spray policy, and seed, the sharded coordinators must
-//! produce a [`RawFabric::fingerprint`] bit-identical to the
-//! single-threaded reference — and each seeded sharding bug (a boundary
-//! link exchanged an epoch late, a partition that splits one router's
-//! links across shards, a missing phase barrier) must break that
-//! identity, proving the differential actually has teeth.
+//! Differential battery for the executors: on every topology, shard
+//! count, spray policy, and seed, routers run on partitioned worker
+//! threads must produce a [`RawFabric::fingerprint`] bit-identical to
+//! the single-threaded reference. The differential is shown to have
+//! teeth through the public fault API: one link exchanged one epoch
+//! late moves the fingerprint, identically on every executor.
 
 use proptest::prelude::*;
 
-use raw_fabric::{Executor, FabricConfig, RawFabric, ShardMutant, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
 fn workload(pattern: Pattern, seed: u64, packets_per_port: usize) -> Workload {
@@ -38,22 +37,6 @@ fn build(cfg: FabricConfig, w: &Workload) -> RawFabric {
         fab.offer(s.port, s.release, &s.packet);
     }
     fab
-}
-
-/// Run a fixed horizon (epochs equal on both sides by construction) on
-/// one executor, with an optional seeded mutant, and fingerprint it.
-fn horizon_fingerprint(
-    cfg: &FabricConfig,
-    w: &Workload,
-    exec: Executor,
-    mutant: ShardMutant,
-    epochs: u64,
-) -> u64 {
-    let mut fab = build(cfg.clone(), w);
-    fab.set_shard_mutant(mutant);
-    fab.run_epochs_with(epochs, exec);
-    assert_eq!(fab.epochs_run(), epochs);
-    fab.fingerprint()
 }
 
 proptest! {
@@ -95,8 +78,8 @@ proptest! {
 }
 
 /// The one deterministic Clos64 case: the 80-router, 5-stage recursive
-/// Clos on the reference, on `Threaded` (80 shards, the widest layout
-/// `run_sharded` is asked for) and on four shards.
+/// Clos on the reference, on `Threaded` (80 shards, 79 of them worker
+/// threads: the widest layout any test asks for) and on four shards.
 #[test]
 fn all_three_executors_agree_on_clos64() {
     let c = cfg(Topology::Clos64, SprayMode::Hash, 256);
@@ -122,19 +105,16 @@ fn all_three_executors_agree_on_clos64() {
     assert_eq!(fps[0], fps[2], "sharded diverged from reference");
 }
 
-/// The collapsed executor shape: `Threaded` is `Sharded` with one shard
-/// per router, both match the reference, and the reference runs
-/// unmutated whatever seeded bug the test hook installed (the mutant
-/// battery below compares against it).
+/// `Threaded` is `Sharded` with one shard per router, and both match
+/// the reference.
 #[test]
-fn threaded_is_one_shard_per_router_and_the_reference_ignores_mutants() {
+fn threaded_is_one_shard_per_router() {
     for topology in [Topology::Clos16, Topology::Folded8] {
         let c = cfg(topology, SprayMode::Hash, 256);
         let w = workload(Pattern::FabricUniform, 7, 8);
         let routers = topology.routers();
-        let run = |exec: Executor, mutant: ShardMutant| {
+        let run = |exec: Executor| {
             let mut fab = build(c.clone(), &w);
-            fab.set_shard_mutant(mutant);
             assert!(
                 fab.run_until_drained_with(50_000, exec),
                 "{topology:?} wedged on {}",
@@ -143,28 +123,17 @@ fn threaded_is_one_shard_per_router_and_the_reference_ignores_mutants() {
             assert_eq!(fab.delivered_count(), fab.offered(), "{}", exec.name());
             fab.fingerprint()
         };
-        let reference = run(Executor::Reference, ShardMutant::None);
+        let reference = run(Executor::Reference);
         assert_eq!(
-            run(Executor::Threaded, ShardMutant::None),
+            run(Executor::Threaded),
             reference,
             "{topology:?}: threaded diverged from reference"
         );
         assert_eq!(
-            run(Executor::Sharded { shards: routers }, ShardMutant::None),
+            run(Executor::Sharded { shards: routers }),
             reference,
             "{topology:?}: one shard per router diverged from reference"
         );
-        for mutant in [
-            ShardMutant::DelayBoundaryLink(0),
-            ShardMutant::SplitRouter(0),
-            ShardMutant::SkipBarrier,
-        ] {
-            assert_eq!(
-                run(Executor::Reference, mutant),
-                reference,
-                "{topology:?}: the reference ran {mutant:?}"
-            );
-        }
     }
 }
 
@@ -201,109 +170,75 @@ fn more_shards_than_routers_clamps_and_matches() {
     assert_eq!(reference.fingerprint(), sharded.fingerprint());
 }
 
-// ---------------------------------------------------------------------
-// Mutant battery: each seeded sharding bug must be caught by the
-// fingerprint differential. Fixed-horizon runs keep `epochs_run` equal
-// on both sides so any divergence is in the observable streams, not an
-// artifact of one side stopping earlier.
-// ---------------------------------------------------------------------
-
-const MUTANT_EPOCHS: u64 = 30;
-
-fn mutant_cfg() -> FabricConfig {
-    cfg(Topology::Clos16, SprayMode::Hash, 256)
-}
-
-fn mutant_workload() -> Workload {
-    workload(Pattern::FabricUniform, 42, 12)
-}
-
+/// Teeth without a hook: the fingerprint differential notices a single
+/// link exchanged a single epoch late. Link 0 carries traffic, and
+/// freezing its drain for one epoch in which it holds packets — through
+/// the public fault API — moves the fingerprint, to the same value on
+/// the reference and on four shards. Fixed-horizon runs keep
+/// `epochs_run` equal on all sides, so the divergence is in the
+/// observable streams.
 #[test]
-fn mutant_boundary_link_delayed_one_epoch_is_caught() {
-    let c = mutant_cfg();
-    let w = mutant_workload();
-    // The seeded bug delays link 0's phase-A collect by one epoch; make
-    // sure the healthy run actually moves traffic over link 0, so the
-    // test cannot silently pass on an idle link.
-    let mut healthy = build(c.clone(), &w);
-    healthy.run_epochs_with(MUTANT_EPOCHS, Executor::Sharded { shards: 4 });
-    assert!(
-        healthy.summary().links[0].packets > 0,
-        "link 0 carried no traffic; the mutant would be unobservable"
-    );
-    let reference = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Reference,
-        ShardMutant::None,
-        MUTANT_EPOCHS,
-    );
-    assert_eq!(
-        healthy.fingerprint(),
-        reference,
-        "healthy sharded run must match the reference"
-    );
-    let mutated = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Sharded { shards: 4 },
-        ShardMutant::DelayBoundaryLink(0),
-        MUTANT_EPOCHS,
-    );
+fn one_link_one_epoch_late_moves_the_fingerprint_on_every_executor() {
+    const EPOCHS: u64 = 30;
+    let c = cfg(Topology::Clos16, SprayMode::Hash, 256);
+    let w = workload(Pattern::FabricUniform, 42, 12);
+    // Find an epoch whose boundary drains link 0 with packets queued:
+    // `packets` counts pushes, so it moving across epoch `e` means that
+    // boundary's collect put packets in front of its drain.
+    let mut probe = build(c.clone(), &w);
+    let mut busy = None;
+    for e in 0..EPOCHS {
+        let before = probe.summary().links[0].packets;
+        probe.run_epochs_with(1, Executor::Reference);
+        if busy.is_none() && probe.summary().links[0].packets > before {
+            busy = Some(e);
+        }
+    }
+    let busy = busy.expect("link 0 carried no traffic; a late exchange would be unobservable");
+    let healthy = probe.fingerprint();
+
+    let run = |exec: Executor, stall: bool| {
+        let mut fab = build(c.clone(), &w);
+        if stall {
+            fab.stall_link(0, busy, 1);
+        }
+        fab.run_epochs_with(EPOCHS, exec);
+        assert_eq!(fab.epochs_run(), EPOCHS);
+        (fab.fingerprint(), fab.summary().links[0].stalled_epochs)
+    };
+    let sharded = Executor::Sharded { shards: 4 };
+    assert_eq!(run(sharded, false), (healthy, 0));
+    let late = run(Executor::Reference, true);
+    assert_eq!(late.1, 1, "the stall window froze exactly one drain");
     assert_ne!(
-        mutated, reference,
-        "a boundary link exchanged one epoch late must break fingerprint identity"
+        late.0, healthy,
+        "a link exchanged one epoch late must break fingerprint identity"
     );
+    assert_eq!(run(sharded, true), late);
 }
 
+/// One fabric may change executor between calls: every executor leaves
+/// the same state behind at an epoch boundary.
 #[test]
-fn mutant_partition_splitting_a_routers_links_is_caught() {
-    let c = mutant_cfg();
-    let w = mutant_workload();
-    let reference = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Reference,
-        ShardMutant::None,
-        MUTANT_EPOCHS,
-    );
-    // Router 0 claimed by two shards: it advances two epochs of cycles
-    // per barrier, so its timing runs ahead of the fabric clock.
-    let mutated = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Sharded { shards: 4 },
-        ShardMutant::SplitRouter(0),
-        MUTANT_EPOCHS,
-    );
-    assert_ne!(
-        mutated, reference,
-        "a router split across two shards must break fingerprint identity"
-    );
-}
-
-#[test]
-fn mutant_skipped_barrier_is_caught() {
-    let c = mutant_cfg();
-    let w = mutant_workload();
-    let reference = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Reference,
-        ShardMutant::None,
-        MUTANT_EPOCHS,
-    );
-    // Without the phase-A/phase-B barrier, an early shard drains links
-    // whose sender lives in a later shard before that shard collected.
-    let mutated = horizon_fingerprint(
-        &c,
-        &w,
-        Executor::Sharded { shards: 4 },
-        ShardMutant::SkipBarrier,
-        MUTANT_EPOCHS,
-    );
-    assert_ne!(
-        mutated, reference,
-        "a missing phase barrier must break fingerprint identity"
-    );
+fn switching_executors_mid_run_matches_an_all_reference_run() {
+    for (topology, spray) in [
+        (Topology::Folded8, SprayMode::LeastOccupancy),
+        (Topology::Clos16, SprayMode::Hash),
+    ] {
+        let c = cfg(topology, spray, 256);
+        let w = workload(Pattern::FabricUniform, 9, 24);
+        let mut reference = build(c.clone(), &w);
+        assert!(reference.run_until_drained_with(50_000, Executor::Reference));
+        assert!(
+            reference.epochs_run() > 20,
+            "{topology:?} drained before the last switch"
+        );
+        let mut mixed = build(c, &w);
+        mixed.run_epochs_with(10, Executor::Reference);
+        mixed.run_epochs_with(10, Executor::Sharded { shards: 3 });
+        assert!(mixed.run_until_drained_with(50_000, Executor::Threaded));
+        assert_eq!(mixed.epochs_run(), reference.epochs_run(), "{topology:?}");
+        assert_eq!(mixed.fingerprint(), reference.fingerprint(), "{topology:?}");
+        assert!(mixed.conservation_errors().is_empty());
+    }
 }

@@ -556,7 +556,7 @@ impl RawMachine {
         self.wake_all();
         let v = &mut self.stall_windows[tile.index()];
         let pos = v.partition_point(|&(s, _)| s <= start);
-        v.insert(pos, (start, start + len));
+        v.insert(pos, (start, start.saturating_add(len)));
     }
 
     /// Stall windows not yet folded into `stall_until` for `tile`.

@@ -742,14 +742,17 @@ enum Mutation {
     /// Tile 8, blocked on an empty `$csti` since cycle 0, is frozen for
     /// 20 cycles.
     ScheduleStall,
+    /// The same tile frozen for `u64::MAX` cycles: it never runs again.
+    StallForever,
 }
 
-const MUTATIONS: [Mutation; 5] = [
+const MUTATIONS: [Mutation; 6] = [
     Mutation::None,
     Mutation::SetProgram,
     Mutation::SetSwitchProgram,
     Mutation::BindDevice,
     Mutation::ScheduleStall,
+    Mutation::StallForever,
 ];
 
 /// The clock, route/drop counts, and per-tile activity counts and switch
@@ -832,6 +835,7 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
             m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink))
         }
         Mutation::ScheduleStall => m.schedule_stall(TileId(8), before + 5, 20),
+        Mutation::StallForever => m.schedule_stall(TileId(8), before + 5, u64::MAX),
     }
     m.run(after);
     assert_eq!(m.pending_stall_windows(TileId(0)), 0);
@@ -867,6 +871,11 @@ fn stall_windows_and_mid_run_mutations_never_diverge() {
                 let tile8 = &observed[3 + 8 * 6..][..5];
                 assert_eq!(tile8[Activity::CacheStall.index()], 20);
                 assert_eq!(tile8[Activity::BlockedRecv.index()], 180);
+            }
+            Mutation::StallForever => {
+                let tile8 = &observed[3 + 8 * 6..][..5];
+                assert_eq!(tile8[Activity::CacheStall.index()], 165);
+                assert_eq!(tile8[Activity::BlockedRecv.index()], 35);
             }
         }
         let compiled = run_mutated(EngineMode::Compiled, mutation, 30, 170);

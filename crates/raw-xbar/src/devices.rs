@@ -77,7 +77,7 @@ impl LineCardIn {
     /// Emit idle frames (no new packet starts) during `[start, start+len)`.
     pub fn pause_window(&mut self, start: u64, len: u64) {
         if len > 0 {
-            self.pause.push((start, start + len));
+            self.pause.push((start, start.saturating_add(len)));
         }
     }
 
@@ -212,7 +212,7 @@ impl LineCardOut {
     /// Refuse outgoing words during `[start, start+len)` (backpressure).
     pub fn stall_window(&mut self, start: u64, len: u64) {
         if len > 0 {
-            self.stall.push((start, start + len));
+            self.stall.push((start, start.saturating_add(len)));
         }
     }
 

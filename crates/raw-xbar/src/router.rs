@@ -2,7 +2,7 @@
 //! programs + line cards, with measurement helpers for the paper's
 //! experiments.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use raw_lookup::{Engine, ForwardingTable};
 use raw_net::{ComputeOp, Packet};
@@ -539,8 +539,21 @@ impl RawRouter {
         self.out_cols[port].lock().unwrap().packets.clone()
     }
 
-    pub fn collector(&self, port: usize) -> Arc<Mutex<OutCollector>> {
-        Arc::clone(&self.out_cols[port])
+    /// Output `port`'s collector, locked: a fabric takes the packets
+    /// that finished crossing this router out of it at an epoch boundary.
+    pub fn collected(&self, port: usize) -> MutexGuard<'_, OutCollector> {
+        self.out_cols[port]
+            .lock()
+            .expect("collector lock poisoned: the output line card panicked")
+    }
+
+    /// Input `port`'s drop total and its classified drops (indexed by
+    /// [`raw_telemetry::DropReason::index`]); the two must agree.
+    pub fn ingress_drops(&self, port: usize) -> (u64, [u64; raw_telemetry::DropReason::COUNT]) {
+        let s = self.ig_stats[port]
+            .lock()
+            .expect("ingress stats lock poisoned: the ingress tile panicked");
+        (s.packets_dropped, s.drops)
     }
 
     pub fn delivered_count(&self) -> u64 {

@@ -485,3 +485,33 @@ fn back_to_back_minimum_packets_sustain_peak() {
     );
     assert_eq!(r.parse_errors(), 0);
 }
+
+/// "Stall forever": a fault window of `u64::MAX` cycles saturates
+/// instead of ending before it starts. An output refused from cycle 100
+/// on completes nothing after that; an input paused from cycle 10 on
+/// never starts its packet, while another input's flow drains.
+#[test]
+fn fault_windows_of_u64_max_last_forever() {
+    let mut r = RawRouter::new(RouterConfig::default(), port_table());
+    for i in 0..8 {
+        r.offer(0, 0, &packet(0, 2, 64, i));
+    }
+    r.stall_output(2, 100, u64::MAX);
+    r.run(60_000);
+    let out = r.delivered(2);
+    assert!(out.len() < 8, "output 2 delivered all 8 packets");
+    assert!(
+        out.iter().all(|&(cycle, _)| cycle < 100),
+        "output 2 completed a packet inside its stall window"
+    );
+
+    let mut r = RawRouter::new(RouterConfig::default(), port_table());
+    for i in 0..8 {
+        r.offer(0, 0, &packet(0, 2, 64, i));
+    }
+    r.offer(3, 50, &packet(3, 1, 64, 200));
+    r.pause_input(3, 10, u64::MAX);
+    r.run(60_000);
+    assert_eq!(r.delivered(2).len(), 8);
+    assert!(r.delivered(1).is_empty(), "input 3 injected while paused");
+}
