@@ -213,7 +213,6 @@ pub fn fig3_2() -> Fig32 {
     let mut m = RawMachine::new(RawConfig::default());
     let mut sender = IsaCore::from_asm("or $csto, $zero, $a1\nhalt").unwrap();
     sender.set_reg(Reg(5), 0xBEEF);
-    let (sender, sw) = sender.watched();
     m.set_program(TileId(0), Box::new(sender));
     m.set_switch_program(
         TileId(0),
@@ -222,7 +221,6 @@ pub fn fig3_2() -> Fig32 {
     );
     let mut recv = IsaCore::from_asm("and $a1, $a1, $csti\nhalt").unwrap();
     recv.set_reg(Reg(5), 0xFFFF_FFFF);
-    let (recv, rw) = recv.watched();
     m.set_program(TileId(4), Box::new(recv));
     m.set_switch_program(
         TileId(4),
@@ -230,8 +228,13 @@ pub fn fig3_2() -> Fig32 {
         assemble_switch("route $cNi->$csti").unwrap(),
     );
     m.run(30);
-    let or_cycle = sw.lock().unwrap().retire_cycles[0];
-    let and_cycle = rw.lock().unwrap().retire_cycles[0];
+    let first_retire = |t| {
+        m.program_ref::<IsaCore>(TileId(t))
+            .unwrap()
+            .watch
+            .retire_cycles[0]
+    };
+    let (or_cycle, and_cycle) = (first_retire(0), first_retire(4));
     Fig32 {
         total_cycles: and_cycle - or_cycle + 1,
         send_to_use: and_cycle - or_cycle - 1,

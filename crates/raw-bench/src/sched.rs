@@ -195,10 +195,11 @@ pub fn sched_cell(
         let tok: u64 = s.tiles.iter().map(|t| t.token_wait).sum();
         (p50, p99, p999, arb, tok)
     });
-    let (iters, matched) = (0..NPORTS).fold((0u64, 0u64), |(i, m), t| {
-        let s = r.xb_stats[t].lock().unwrap();
-        (i + s.sched_iterations, m + s.sched_matched)
-    });
+    let (iters, matched) = (0..NPORTS)
+        .filter_map(|t| r.xbar_stats(t))
+        .fold((0u64, 0u64), |(i, m), s| {
+            (i + s.sched_iterations, m + s.sched_matched)
+        });
     SchedCell {
         scheduler: kind.name().to_string(),
         pattern: pattern_name.to_string(),

@@ -393,7 +393,7 @@ pub fn conservation_errors(r: &RawRouter, rec: Option<&Recorder>) -> Vec<String>
         ));
     }
     for p in 0..NPORTS {
-        let s = r.ig_stats[p].lock().unwrap();
+        let s = r.ingress_stats(p);
         let classified: u64 = s.drops.iter().sum();
         if s.packets_dropped != classified {
             errs.push(format!(

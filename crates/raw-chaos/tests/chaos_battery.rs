@@ -218,7 +218,7 @@ fn broken_drop_counters_are_caught_by_conservation() {
 
         // Mutant A: a classified bucket bumped without the total.
         let port = i % NPORTS;
-        r.ig_stats[port].lock().unwrap().drops[i] += 1;
+        r.ingress_stats_mut(port).drops[i] += 1;
         let found = errs(&r, &sink);
         assert!(
             found.iter().any(|e| e.contains("classified drop sum")),
@@ -227,7 +227,7 @@ fn broken_drop_counters_are_caught_by_conservation() {
 
         // Mutant B: the total bumped in sympathy — the per-port sums now
         // agree, but offered-conservation and the telemetry mirror break.
-        r.ig_stats[port].lock().unwrap().packets_dropped += 1;
+        r.ingress_stats_mut(port).packets_dropped += 1;
         let found = errs(&r, &sink);
         assert!(
             found.iter().any(|e| e.contains("offered")),
@@ -239,8 +239,8 @@ fn broken_drop_counters_are_caught_by_conservation() {
         );
 
         // Mutant C: a spurious drop event on the telemetry side only.
-        r.ig_stats[port].lock().unwrap().drops[i] -= 1;
-        r.ig_stats[port].lock().unwrap().packets_dropped -= 1;
+        r.ingress_stats_mut(port).drops[i] -= 1;
+        r.ingress_stats_mut(port).packets_dropped -= 1;
         assert!(errs(&r, &sink).is_empty(), "mutants must revert cleanly");
         sink.lock()
             .unwrap()

@@ -18,7 +18,7 @@
 //! equivalence is asserted as well.
 
 use std::collections::HashMap;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -568,7 +568,7 @@ impl RawFabric {
 
         for link in &mut self.links {
             let (r, p) = link.spec.from;
-            let done = std::mem::take(&mut self.routers[r].collected(p).packets);
+            let done = std::mem::take(&mut self.routers[r].collected_mut(p).packets);
             for (_, pkt) in done {
                 link.inflight_sprayed = link.inflight_sprayed.saturating_sub(1);
                 link.push(pkt);
@@ -710,7 +710,7 @@ impl RawFabric {
 
     /// External output `ext`'s collector on its egress router. Never
     /// drained: this is the fabric's delivered stream.
-    fn ext_collected(&self, ext: usize) -> MutexGuard<'_, OutCollector> {
+    fn ext_collected(&self, ext: usize) -> &OutCollector {
         let (r, p) = self.plan.ext_out[ext];
         self.routers[r].collected(p)
     }

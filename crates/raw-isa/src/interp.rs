@@ -6,15 +6,14 @@
 //! not-taken, three-cycle mispredict penalty), and memory operations go
 //! through the simulated data cache.
 
-use std::sync::{Arc, Mutex};
-
 use raw_sim::{TileIo, TileProgram, NET0, NET1};
 
 use crate::asm::{assemble, AsmError};
 use crate::isa::*;
 
-/// Observable snapshot of a core, shared with tests/harnesses through a
-/// [`WatchHandle`]. Updated every time an instruction retires.
+/// Observable snapshot of a core ([`IsaCore::watch`]), updated every time
+/// an instruction retires. Read it back out of a machine with
+/// `m.program_ref::<IsaCore>(tile)`.
 #[derive(Clone, Debug, Default)]
 pub struct CoreWatch {
     pub regs: [u32; 32],
@@ -24,8 +23,6 @@ pub struct CoreWatch {
     /// Cycle at which each retired instruction completed, in order.
     pub retire_cycles: Vec<u64>,
 }
-
-pub type WatchHandle = Arc<Mutex<CoreWatch>>;
 
 /// Pre-decoded stall-check operands for one instruction: the register
 /// source/destination sets [`Instr::sources`] / [`Instr::dest`] would
@@ -70,7 +67,7 @@ pub struct IsaCore {
     penalty: u32,
     halted: bool,
     retired: u64,
-    watch: Option<WatchHandle>,
+    pub watch: CoreWatch,
     label: String,
 }
 
@@ -95,7 +92,7 @@ impl IsaCore {
             penalty: 0,
             halted: false,
             retired: 0,
-            watch: None,
+            watch: CoreWatch::default(),
             label: "isa".to_string(),
         }
     }
@@ -103,13 +100,6 @@ impl IsaCore {
     /// Assemble and build in one step.
     pub fn from_asm(src: &str) -> Result<IsaCore, AsmError> {
         Ok(IsaCore::new(assemble(src)?))
-    }
-
-    /// Attach a watch handle for observing architectural state.
-    pub fn watched(mut self) -> (IsaCore, WatchHandle) {
-        let h: WatchHandle = Arc::new(Mutex::new(CoreWatch::default()));
-        self.watch = Some(Arc::clone(&h));
-        (self, h)
     }
 
     pub fn with_label(mut self, label: impl Into<String>) -> IsaCore {
@@ -135,15 +125,13 @@ impl IsaCore {
         }
     }
 
-    fn publish(&self, cycle: u64) {
-        if let Some(w) = &self.watch {
-            let mut w = w.lock().unwrap();
-            w.regs = self.regs;
-            w.pc = self.pc;
-            w.retired = self.retired;
-            w.halted = self.halted;
-            w.retire_cycles.push(cycle);
-        }
+    fn publish(&mut self, cycle: u64) {
+        let w = &mut self.watch;
+        w.regs = self.regs;
+        w.pc = self.pc;
+        w.retired = self.retired;
+        w.halted = self.halted;
+        w.retire_cycles.push(cycle);
     }
 
     fn retire(&mut self, cycle: u64) {
@@ -402,12 +390,11 @@ mod tests {
     use raw_sim::{RawConfig, RawMachine, TileId};
 
     fn run_solo(src: &str, cycles: u64) -> CoreWatch {
-        let (core, watch) = IsaCore::from_asm(src).unwrap().watched();
+        let core = IsaCore::from_asm(src).unwrap();
         let mut m = RawMachine::new(RawConfig::default());
         m.set_program(TileId(0), Box::new(core));
         m.run(cycles);
-        let w = watch.lock().unwrap().clone();
-        w
+        m.program_ref::<IsaCore>(TileId(0)).unwrap().watch.clone()
     }
 
     #[test]

@@ -115,7 +115,6 @@ mod tests {
     ) -> (crate::interp::CoreWatch, RawMachine) {
         use raw_sim::{Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, NET0};
         core.set_reg(A0, base);
-        let (core, watch) = core.watched();
         let mut m = RawMachine::new(RawConfig::default());
         let mem = m.tile_mem_mut(TileId(0));
         mem[base as usize..base as usize + data.len()].copy_from_slice(data);
@@ -131,7 +130,7 @@ mod tests {
             )]),
         );
         m.run(cycles);
-        let w = watch.lock().unwrap().clone();
+        let w = m.program_ref::<IsaCore>(TileId(0)).unwrap().watch.clone();
         (w, m)
     }
 
@@ -187,7 +186,6 @@ mod tests {
         let n = 8usize;
         let mut core = buffer_kernel(n).unwrap();
         core.set_reg(A0, 0x200);
-        let (core, watch) = core.watched();
         let mut m = RawMachine::new(RawConfig::default());
         // Pre-warm the destination line is not possible from outside;
         // accept the cold-miss stalls and check the steady-state pairs.
@@ -209,7 +207,7 @@ mod tests {
             Box::new(WordSource::new((0..n as u32).map(|i| 100 + i))),
         );
         m.run(2000);
-        let w = watch.lock().unwrap().clone();
+        let w = m.program_ref::<IsaCore>(TileId(0)).unwrap().watch.clone();
         assert!(w.halted);
         // Words landed in memory.
         let mem = m.tile_mem_mut(TileId(0));
@@ -259,11 +257,11 @@ mod more_tests {
                 halt
                 "
             );
-            let (core, watch) = IsaCore::from_asm(&src).unwrap().watched();
+            let core = IsaCore::from_asm(&src).unwrap();
             let mut m = RawMachine::new(RawConfig::default());
             m.set_program(TileId(0), Box::new(core));
             m.run(400);
-            let w = watch.lock().unwrap();
+            let w = &m.program_ref::<IsaCore>(TileId(0)).unwrap().watch;
             assert!(w.halted);
             let (mut a, mut b) = (0u32, 1u32);
             for _ in 0..n {
@@ -291,11 +289,11 @@ mod more_tests {
             halt
             "
         );
-        let (core, watch) = IsaCore::from_asm(&src).unwrap().watched();
+        let core = IsaCore::from_asm(&src).unwrap();
         let mut m = RawMachine::new(RawConfig::default());
         m.set_program(TileId(0), Box::new(core));
         m.run(400);
-        let w = watch.lock().unwrap();
+        let w = &m.program_ref::<IsaCore>(TileId(0)).unwrap().watch;
         assert!(w.halted);
         assert_eq!(w.regs[9], 2 * n);
         // 1 setup + 3n loop instructions + 1 halt retires, and exactly

@@ -22,7 +22,7 @@ pub mod isa;
 pub mod kernels;
 
 pub use asm::{assemble, assemble_switch, AsmError};
-pub use interp::{CoreWatch, IsaCore, WatchHandle};
+pub use interp::{CoreWatch, IsaCore};
 pub use isa::{
     AluImmOp, AluOp, BranchCond, Instr, Reg, BRANCH_MISPREDICT_PENALTY, CDNI, CDNO, CSTI, CSTI2,
     CSTO, TILE_IMEM_INSTRS, ZERO,

@@ -21,6 +21,11 @@ fn net_of(src: &str) -> usize {
     }
 }
 
+/// The architectural snapshot of the interpreted core on tile `t`.
+fn watch(m: &RawMachine, t: u16) -> &CoreWatch {
+    &m.program_ref::<IsaCore>(TileId(t)).unwrap().watch
+}
+
 #[test]
 fn five_cycle_tile_to_tile_send() {
     let mut m = RawMachine::new(RawConfig::default());
@@ -34,7 +39,6 @@ fn five_cycle_tile_to_tile_send() {
     )
     .unwrap();
     sender.set_reg(Reg(5), 0xBEEF);
-    let (sender, send_watch) = sender.watched();
     m.set_program(TileId(0), Box::new(sender));
     m.set_switch_program(
         TileId(0),
@@ -51,7 +55,6 @@ fn five_cycle_tile_to_tile_send() {
     )
     .unwrap();
     recv.set_reg(Reg(5), 0xFFFF_FFFF);
-    let (recv, recv_watch) = recv.watched();
     m.set_program(TileId(4), Box::new(recv));
     m.set_switch_program(
         TileId(4),
@@ -61,8 +64,8 @@ fn five_cycle_tile_to_tile_send() {
 
     m.run(30);
 
-    let sw = send_watch.lock().unwrap();
-    let rw = recv_watch.lock().unwrap();
+    let sw = watch(&m, 0);
+    let rw = watch(&m, 4);
     assert!(rw.halted);
     assert_eq!(rw.regs[5], 0xBEEF, "the AND must see the sent word");
 
@@ -92,7 +95,6 @@ fn unrolled_load_send_streams_one_word_per_cycle() {
     src.push_str("halt\n");
     let mut core = IsaCore::from_asm(&src).unwrap();
     core.set_reg(Reg(16), 0); // $s0 = base address 0
-    let (core, watch) = core.watched();
     m.set_program(TileId(4), Box::new(core));
     m.set_switch_program(
         TileId(4),
@@ -112,7 +114,7 @@ fn unrolled_load_send_streams_one_word_per_cycle() {
     }
 
     m.run(200);
-    let w = watch.lock().unwrap();
+    let w = watch(&m, 4);
     assert!(w.halted);
     // The 8 lw-$csto retires are consecutive cycles.
     let burst = &w.retire_cycles[1..9];
@@ -151,11 +153,10 @@ fn receive_and_buffer_costs_two_cycles_per_word() {
     src.push_str("halt\n");
     let mut core = IsaCore::from_asm(&src).unwrap();
     core.set_reg(Reg(16), 0);
-    let (core, watch) = core.watched();
     m.set_program(TileId(4), Box::new(core));
 
     m.run(300);
-    let w = watch.lock().unwrap();
+    let w = watch(&m, 4).clone();
     assert!(w.halted);
     // Steady state: each (recv, store) pair retires 2 cycles apart.
     // Look at the last three pairs (the first may wait for arrival).
@@ -191,17 +192,16 @@ fn two_network_reads_in_one_instruction() {
         NET1,
         assemble_switch("loop: route $cWi2->$csti2 ; j loop").unwrap(),
     );
-    let (core, watch) = IsaCore::from_asm(
+    let core = IsaCore::from_asm(
         "
         add $t0, $csti, $csti2
         halt
         ",
     )
-    .unwrap()
-    .watched();
+    .unwrap();
     m.set_program(TileId(4), Box::new(core));
     m.run(40);
-    let w = watch.lock().unwrap();
+    let w = watch(&m, 4);
     assert!(w.halted);
     assert_eq!(w.regs[8], 42);
     assert_eq!(w.retired, 2);
@@ -226,18 +226,17 @@ fn swpc_steers_switch_from_assembly() {
     .unwrap();
     m.set_switch_program(TileId(4), NET0, sw);
     let take = labels["take"];
-    let (core, watch) = IsaCore::from_asm(&format!(
+    let core = IsaCore::from_asm(&format!(
         "
         swpc 0, {take}
         or   $t0, $zero, $csti
         halt
         "
     ))
-    .unwrap()
-    .watched();
+    .unwrap();
     m.set_program(TileId(4), Box::new(core));
     m.run(40);
-    let w = watch.lock().unwrap();
+    let w = watch(&m, 4);
     assert!(w.halted);
     assert_eq!(w.regs[8], 7);
 }
@@ -246,9 +245,7 @@ fn swpc_steers_switch_from_assembly() {
 fn blocked_receive_shows_in_utilization() {
     // A core stuck on $csti is "blocked on receive" — gray in Figure 7-3.
     let mut m = RawMachine::new(RawConfig::default());
-    let (core, _watch) = IsaCore::from_asm("or $t0, $zero, $csti\nhalt")
-        .unwrap()
-        .watched();
+    let core = IsaCore::from_asm("or $t0, $zero, $csti\nhalt").unwrap();
     m.set_program(TileId(4), Box::new(core));
     m.run(50);
     let stats = m.stats(TileId(4));

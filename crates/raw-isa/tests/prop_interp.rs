@@ -141,11 +141,10 @@ proptest! {
             init[1 + i] = *s;
             core.set_reg(Reg(1 + i as u8), *s);
         }
-        let (core, watch) = core.watched();
         let mut m = RawMachine::new(RawConfig::default());
         m.set_program(TileId(0), Box::new(core));
         m.run(prog.len() as u64 + 20);
-        let w = watch.lock().unwrap();
+        let w = &m.program_ref::<IsaCore>(TileId(0)).unwrap().watch;
         prop_assert!(w.halted, "straight-line program must halt");
         let want = golden(&prog, &init);
         #[allow(clippy::needless_range_loop)]

@@ -27,8 +27,10 @@ impl EdgePort {
     }
 }
 
-/// A device bound to an edge port.
-pub trait EdgeDevice: Send {
+/// A device bound to an edge port. `Any` lets a caller retrieve the
+/// concrete device from a machine by type
+/// ([`crate::RawMachine::device_ref`] / [`crate::RawMachine::device_mut`]).
+pub trait EdgeDevice: Any + Send {
     /// Offer at most one word into the chip this cycle, called only when
     /// the edge input FIFO has space.
     fn pull_in(&mut self, _cycle: u64) -> Option<u32> {
@@ -69,11 +71,6 @@ pub trait EdgeDevice: Send {
     fn is_injector(&self) -> bool {
         true
     }
-
-    /// Downcasting support so callers can retrieve concrete devices from a
-    /// machine after a run.
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A source that feeds a fixed sequence of words into the chip.
@@ -114,14 +111,6 @@ impl EdgeDevice for WordSource {
 
     fn next_accept_event(&self, _now: u64) -> Option<u64> {
         None // can_push is constantly true
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -190,14 +179,6 @@ impl EdgeDevice for WordSink {
             _ => None,
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A sink that drops everything (a disconnected port that still accepts).
@@ -232,14 +213,6 @@ impl EdgeDevice for NullSink {
 
     fn next_accept_event(&self, _now: u64) -> Option<u64> {
         None
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -13,6 +13,8 @@
 //! cycle of decode delay — together these reproduce the 5-cycle
 //! tile-to-tile send of Figure 3-2.
 
+use std::any::Any;
+
 use crate::cache::{CacheConfig, DCache, MissModel};
 use crate::compiled::{CompiledPlan, InjectorSlot};
 use crate::device::{EdgeDevice, EdgePort};
@@ -419,15 +421,33 @@ impl RawMachine {
         self.devices.push(dev);
     }
 
-    /// Retrieve a bound device by concrete type.
-    pub fn device_mut<T: 'static>(&mut self, port: EdgePort) -> Option<&mut T> {
-        let i = self.device_at(port.tile.index(), port.net, port.dir.index())?;
-        self.devices[i].as_any_mut().downcast_mut::<T>()
+    /// The program installed on `tile`, by concrete type: `None` when the
+    /// tile runs a program of another type (a tile nobody programmed runs
+    /// [`IdleProgram`]).
+    pub fn program_ref<T: TileProgram>(&self, tile: TileId) -> Option<&T> {
+        let p: &dyn Any = self.tiles[tile.index()].program.as_deref()?;
+        p.downcast_ref::<T>()
     }
 
-    pub fn device_ref<T: 'static>(&self, port: EdgePort) -> Option<&T> {
+    /// [`RawMachine::program_ref`], mutably. The sleepers cannot observe
+    /// what the caller changes, so everything is woken first.
+    pub fn program_mut<T: TileProgram>(&mut self, tile: TileId) -> Option<&mut T> {
+        self.wake_all();
+        let p: &mut dyn Any = self.tiles[tile.index()].program.as_deref_mut()?;
+        p.downcast_mut::<T>()
+    }
+
+    /// Retrieve a bound device by concrete type.
+    pub fn device_mut<T: EdgeDevice>(&mut self, port: EdgePort) -> Option<&mut T> {
         let i = self.device_at(port.tile.index(), port.net, port.dir.index())?;
-        self.devices[i].as_any().downcast_ref::<T>()
+        let d: &mut dyn Any = self.devices[i].as_mut();
+        d.downcast_mut::<T>()
+    }
+
+    pub fn device_ref<T: EdgeDevice>(&self, port: EdgePort) -> Option<&T> {
+        let i = self.device_at(port.tile.index(), port.net, port.dir.index())?;
+        let d: &dyn Any = self.devices[i].as_ref();
+        d.downcast_ref::<T>()
     }
 
     pub fn stats(&self, tile: TileId) -> &TileStats {

@@ -23,6 +23,8 @@
 //! module records which of the two happened each cycle, which is exactly
 //! the data behind the per-tile utilization plots of Figure 7-3.
 
+use std::any::Any;
+
 use crate::cache::{Access, DCache};
 use crate::dynamic::DynNet;
 use crate::fifo::TsFifo;
@@ -43,8 +45,11 @@ pub(crate) fn mem_grow_target(needed: usize, limit: usize) -> usize {
     (needed.div_ceil(MEM_CHUNK_WORDS) * MEM_CHUNK_WORDS).min(limit)
 }
 
-/// A program running on one tile processor.
-pub trait TileProgram: Send {
+/// A program running on one tile processor. `Any` lets a caller read
+/// what the concrete program owns — its counters, its architectural
+/// state — back out of the machine by type
+/// ([`crate::RawMachine::program_ref`] / [`crate::RawMachine::program_mut`]).
+pub trait TileProgram: Any + Send {
     /// Execute one cycle. Perform at most one retiring action on `io`.
     ///
     /// **Contract.** A tick that retires nothing — a stalled action, or

@@ -483,12 +483,6 @@ fn blocked_path_is_detected_as_deadlock_like() {
         fn can_push(&self, _c: u64) -> bool {
             false
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     struct Flood;
@@ -719,6 +713,24 @@ fn larger_grids_stream_at_line_rate() {
     }
 }
 
+/// A tile's program comes back out of the machine by its concrete type,
+/// and only by that type.
+#[test]
+fn program_ref_and_program_mut_downcast_by_type() {
+    let mut m = RawMachine::new(RawConfig::default());
+    m.set_program(TileId(3), Box::new(Sender::new(vec![7, 8])));
+    assert_eq!(m.program_ref::<Sender>(TileId(3)).unwrap().words, [7, 8]);
+    assert!(m.program_ref::<Receiver>(TileId(3)).is_none(), "wrong type");
+    assert!(m.program_mut::<Receiver>(TileId(3)).is_none(), "wrong type");
+    assert!(m.program_ref::<Sender>(TileId(0)).is_none(), "idle stub");
+    assert!(m.program_ref::<IdleProgram>(TileId(0)).is_some());
+
+    m.program_mut::<Sender>(TileId(3)).unwrap().words.push(9);
+    m.run(10);
+    let sender = m.program_ref::<Sender>(TileId(3)).unwrap();
+    assert_eq!(sender.sent_at, [0, 1, 2], "the pushed word was sent too");
+}
+
 /// A mutation applied mid-run. The first three drop the lowered form,
 /// and each one *changes what the machine does next* to a tile or switch
 /// that is asleep when it lands (row 1 and everything downstream of the
@@ -744,15 +756,19 @@ enum Mutation {
     ScheduleStall,
     /// The same tile frozen for `u64::MAX` cycles: it never runs again.
     StallForever,
+    /// The same tile's program is reached through `program_mut` and told
+    /// to stop receiving: its next tick is idle, not a blocked receive.
+    ProgramMut,
 }
 
-const MUTATIONS: [Mutation; 6] = [
+const MUTATIONS: [Mutation; 7] = [
     Mutation::None,
     Mutation::SetProgram,
     Mutation::SetSwitchProgram,
     Mutation::BindDevice,
     Mutation::ScheduleStall,
     Mutation::StallForever,
+    Mutation::ProgramMut,
 ];
 
 /// The clock, route/drop counts, and per-tile activity counts and switch
@@ -836,6 +852,7 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
         }
         Mutation::ScheduleStall => m.schedule_stall(TileId(8), before + 5, 20),
         Mutation::StallForever => m.schedule_stall(TileId(8), before + 5, u64::MAX),
+        Mutation::ProgramMut => m.program_mut::<SharedRecv>(TileId(8)).unwrap().want = 0,
     }
     m.run(after);
     assert_eq!(m.pending_stall_windows(TileId(0)), 0);
@@ -876,6 +893,11 @@ fn stall_windows_and_mid_run_mutations_never_diverge() {
                 let tile8 = &observed[3 + 8 * 6..][..5];
                 assert_eq!(tile8[Activity::CacheStall.index()], 165);
                 assert_eq!(tile8[Activity::BlockedRecv.index()], 35);
+            }
+            Mutation::ProgramMut => {
+                let tile8 = &observed[3 + 8 * 6..][..5];
+                assert_eq!(tile8[Activity::BlockedRecv.index()], 30);
+                assert_eq!(tile8[Activity::Idle.index()], 170);
             }
         }
         let compiled = run_mutated(EngineMode::Compiled, mutation, 30, 170);

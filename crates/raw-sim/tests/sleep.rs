@@ -256,14 +256,6 @@ impl EdgeDevice for LateSource {
         self.left -= 1;
         Some(self.left)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

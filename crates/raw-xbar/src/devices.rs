@@ -7,9 +7,7 @@
 //! at up to one word per cycle; the output card parses the outgoing word
 //! stream back into packets and timestamps them.
 
-use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use raw_net::{FragTag, Packet};
 use raw_sim::EdgeDevice;
@@ -131,14 +129,6 @@ impl EdgeDevice for LineCardIn {
     fn next_accept_event(&self, _now: u64) -> Option<u64> {
         None // can_push is constantly true (default impl)
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// How the output card frames the stream it receives.
@@ -185,12 +175,11 @@ pub struct LineCardOut {
     /// the current cycle the card refuses words, pushing back into the
     /// chip's edge FIFO (and from there into the switch fabric).
     stall: Vec<(u64, u64)>,
-    pub collected: Arc<Mutex<OutCollector>>,
+    pub collected: OutCollector,
 }
 
 impl LineCardOut {
-    pub fn new(framing: OutFraming) -> (LineCardOut, Arc<Mutex<OutCollector>>) {
-        let collected = Arc::new(Mutex::new(OutCollector::default()));
+    pub fn new(framing: OutFraming) -> LineCardOut {
         let state = match framing {
             OutFraming::TaggedQuantum { .. } => OutState::WaitTag,
             OutFraming::RawPackets => OutState::Raw {
@@ -198,15 +187,12 @@ impl LineCardOut {
                 need: None,
             },
         };
-        (
-            LineCardOut {
-                framing,
-                state,
-                stall: Vec::new(),
-                collected: Arc::clone(&collected),
-            },
-            collected,
-        )
+        LineCardOut {
+            framing,
+            state,
+            stall: Vec::new(),
+            collected: OutCollector::default(),
+        }
     }
 
     /// Refuse outgoing words during `[start, start+len)` (backpressure).
@@ -239,7 +225,7 @@ impl EdgeDevice for LineCardOut {
 
     fn push_out(&mut self, word: u32, cycle: u64) {
         debug_assert!(!self.stalled(cycle));
-        let mut col = self.collected.lock().unwrap();
+        let col = &mut self.collected;
         col.words += 1;
         match (&mut self.state, self.framing) {
             (OutState::WaitTag, OutFraming::TaggedQuantum { quantum }) => {
@@ -257,13 +243,13 @@ impl EdgeDevice for LineCardOut {
                 if words.len() < *real {
                     words.push(word);
                     if words.len() == *real && *pad == 0 {
-                        Self::finish_packet(&mut col, words, cycle);
+                        Self::finish_packet(col, words, cycle);
                         self.state = OutState::WaitTag;
                     }
                 } else {
                     *pad -= 1;
                     if *pad == 0 {
-                        Self::finish_packet(&mut col, words, cycle);
+                        Self::finish_packet(col, words, cycle);
                         self.state = OutState::WaitTag;
                     }
                 }
@@ -282,7 +268,7 @@ impl EdgeDevice for LineCardOut {
                 }
                 if let Some(n) = *need {
                     if words.len() == n {
-                        Self::finish_packet(&mut col, words, cycle);
+                        Self::finish_packet(col, words, cycle);
                         words.clear();
                         *need = None;
                     }
@@ -312,14 +298,6 @@ impl EdgeDevice for LineCardOut {
                 }
             })
             .min()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -367,7 +345,7 @@ mod tests {
     #[test]
     fn out_card_parses_tagged_quantum_stream() {
         let quantum = 32usize;
-        let (mut lc, col) = LineCardOut::new(OutFraming::TaggedQuantum { quantum });
+        let mut lc = LineCardOut::new(OutFraming::TaggedQuantum { quantum });
         let p = Packet::synthetic(0x0a000001, 0x0a000002, 64, 64, 1);
         let words = p.to_words();
         let tag = FragTag {
@@ -386,7 +364,7 @@ mod tests {
         for i in 0..quantum - words.len() {
             lc.push_out(0, 200 + i as u64);
         }
-        let c = col.lock().unwrap();
+        let c = &lc.collected;
         assert_eq!(c.packets.len(), 1);
         assert_eq!(c.parse_errors, 0);
         // The delivered packet matches, with TTL untouched here (the
@@ -396,7 +374,7 @@ mod tests {
 
     #[test]
     fn out_card_parses_raw_packet_stream() {
-        let (mut lc, col) = LineCardOut::new(OutFraming::RawPackets);
+        let mut lc = LineCardOut::new(OutFraming::RawPackets);
         let a = Packet::synthetic(1, 2, 64, 9, 1);
         let b = Packet::synthetic(3, 4, 132, 9, 2);
         let mut cyc = 0;
@@ -406,7 +384,7 @@ mod tests {
                 cyc += 1;
             }
         }
-        let c = col.lock().unwrap();
+        let c = &lc.collected;
         assert_eq!(c.packets.len(), 2);
         assert_eq!(c.packets[0].1, a);
         assert_eq!(c.packets[1].1, b);
@@ -415,7 +393,7 @@ mod tests {
     #[test]
     fn out_card_counts_corrupt_streams() {
         let quantum = 8usize;
-        let (mut lc, col) = LineCardOut::new(OutFraming::TaggedQuantum { quantum });
+        let mut lc = LineCardOut::new(OutFraming::TaggedQuantum { quantum });
         let tag = FragTag {
             dst_mask: 1,
             src_port: 0,
@@ -429,6 +407,6 @@ mod tests {
         for i in 0..8 {
             lc.push_out(i, 1 + i as u64); // garbage, not a valid packet
         }
-        assert_eq!(col.lock().unwrap().parse_errors, 1);
+        assert_eq!(lc.collected.parse_errors, 1);
     }
 }

@@ -16,6 +16,8 @@
 //! * [`programs`] — the four tile programs, including the distributed
 //!   token algorithm of Chapter 5 (fair, deadlock-free by the counting
 //!   discipline of the generated schedules);
+//! * [`costs`] — the few modelled cycle costs that are constants rather
+//!   than consequences of the simulated hardware;
 //! * [`devices`] — input/output line cards with external buffering;
 //! * [`router`] — the assembled 4-port router with throughput, latency,
 //!   and utilization measurement.
@@ -23,6 +25,7 @@
 pub mod asm_xbar;
 pub mod codegen;
 pub mod config;
+pub mod costs;
 pub mod devices;
 pub mod layout;
 pub mod programs;

@@ -30,12 +30,9 @@ use raw_sim::{TileIo, TileProgram, NET0};
 use raw_telemetry::{DropReason, SharedSink, Stage};
 
 use crate::codegen::{CrossbarCode, EgressCode, IngressCode};
-
-/// Shared debug event log: `(cycle, port, event)` records of protocol
-/// transitions, enabled by the router's `debug_events` flag.
-pub type EventLog = Arc<Mutex<Vec<(u64, u8, &'static str)>>>;
 use crate::config::{global_index, global_index_mcast, ConfigSpace, HDR_VALUES};
-use crate::layout::{PortTiles, NPORTS};
+use crate::costs::{ARB_ROUND_CYCLES, IDX_CYCLES, VERIFY_CYCLES};
+use crate::layout::NPORTS;
 
 /// The "empty input queue" header word. Never collides with a packed
 /// [`FragTag`] (its compute-op bits would be the invalid value 3).
@@ -315,8 +312,6 @@ pub struct IngressProgram {
     stream_proc_pc: usize,
     stream_proc_nc_pc: usize,
     lookup_tile: (u16, u16),
-    verify_cycles: u32,
-    compute_op: ComputeOp,
     queueing: IngressQueueing,
     /// Scheduler mode: bid the whole VOQ occupancy mask instead of one
     /// rotating head-of-queue header; the grant word names the VOQ the
@@ -340,11 +335,10 @@ pub struct IngressProgram {
     /// A bid was sent whose grant word has not been collected yet
     /// (`Some(real)`).
     grant_outstanding: Option<bool>,
-    /// Cycle of the current tick (for event logging from inner helpers).
+    /// Cycle of the current tick (for telemetry stamps from inner helpers).
     now: u64,
     label: String,
-    pub stats: Arc<Mutex<IngressStats>>,
-    pub events: Option<EventLog>,
+    pub stats: IngressStats,
     /// Telemetry sink for per-packet lifecycle stamps (None = no stamps).
     pub telemetry: Option<SharedSink>,
     /// Next per-port packet id, handed out at ingress-accept.
@@ -354,67 +348,49 @@ pub struct IngressProgram {
 }
 
 impl IngressProgram {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         port: u8,
-        tiles: &PortTiles,
         code: &IngressCode,
         quantum: usize,
         lookup_row_col: (u16, u16),
-        verify_cycles: u32,
-        compute_op: ComputeOp,
         queueing: IngressQueueing,
         sched: bool,
-    ) -> (IngressProgram, Arc<Mutex<IngressStats>>) {
-        let _ = tiles;
+    ) -> IngressProgram {
         assert!(
             !sched || queueing == IngressQueueing::Voq,
             "scheduler mode bids VOQ occupancy masks"
         );
-        let stats = Arc::new(Mutex::new(IngressStats::default()));
-        (
-            IngressProgram {
-                port,
-                quantum,
-                ingest_pc: code.ingest_pc,
-                bid_send_pc: code.bid_send_pc,
-                grant_recv_pc: code.grant_recv_pc,
-                stream_wf_last_pc: code.stream_wf_last_pc,
-                stream_wf_more_pc: code.stream_wf_more_pc,
-                stream_wc_more_pc: code.stream_wc_more_pc,
-                stream_wc_last_pc: code.stream_wc_last_pc,
-                stream_proc_pc: code.stream_proc_pc,
-                stream_proc_nc_pc: code.stream_proc_nc_pc,
-                lookup_tile: lookup_row_col,
-                verify_cycles,
-                compute_op,
-                queueing,
-                sched,
-                voq: VoqState::new(),
-                seq: 0,
-                cur: None,
-                hdr_words: [0; IPV4_HEADER_WORDS],
-                intake: Intake::Idle,
-                drive: Drive::Idle,
-                pending_tag: None,
-                pending_store: None,
-                ingests_since_bid: 0,
-                grant_outstanding: None,
-                now: 0,
-                label: format!("ingress{port}"),
-                stats: Arc::clone(&stats),
-                events: None,
-                telemetry: None,
-                next_id: 0,
-                cur_id: 0,
-            },
-            stats,
-        )
-    }
-
-    fn ev(&self, cycle: u64, what: &'static str) {
-        if let Some(log) = &self.events {
-            log.lock().unwrap().push((cycle, self.port, what));
+        IngressProgram {
+            port,
+            quantum,
+            ingest_pc: code.ingest_pc,
+            bid_send_pc: code.bid_send_pc,
+            grant_recv_pc: code.grant_recv_pc,
+            stream_wf_last_pc: code.stream_wf_last_pc,
+            stream_wf_more_pc: code.stream_wf_more_pc,
+            stream_wc_more_pc: code.stream_wc_more_pc,
+            stream_wc_last_pc: code.stream_wc_last_pc,
+            stream_proc_pc: code.stream_proc_pc,
+            stream_proc_nc_pc: code.stream_proc_nc_pc,
+            lookup_tile: lookup_row_col,
+            queueing,
+            sched,
+            voq: VoqState::new(),
+            seq: 0,
+            cur: None,
+            hdr_words: [0; IPV4_HEADER_WORDS],
+            intake: Intake::Idle,
+            drive: Drive::Idle,
+            pending_tag: None,
+            pending_store: None,
+            ingests_since_bid: 0,
+            grant_outstanding: None,
+            now: 0,
+            label: format!("ingress{port}"),
+            stats: IngressStats::default(),
+            telemetry: None,
+            next_id: 0,
+            cur_id: 0,
         }
     }
 
@@ -433,19 +409,12 @@ impl IngressProgram {
     /// telemetry. Keeps `packets_dropped` equal to the sum of the
     /// per-reason counters.
     fn record_drop(&mut self, reason: DropReason) {
-        let mut s = self.stats.lock().unwrap();
-        s.packets_dropped += 1;
-        s.drops[reason.index()] += 1;
-        drop(s);
+        self.stats.packets_dropped += 1;
+        self.stats.drops[reason.index()] += 1;
         if let Some(sink) = &self.telemetry {
             sink.lock()
                 .unwrap()
                 .packet_drop(self.now, self.port, reason);
-        }
-        if let Some(log) = &self.events {
-            log.lock()
-                .unwrap()
-                .push((self.now, self.port, reason.name()));
         }
     }
 
@@ -495,7 +464,7 @@ impl IngressProgram {
                 seq: self.seq % raw_net::frag::SEQ_MODULUS,
                 first: c.streamed == 0,
                 last: remaining <= self.quantum,
-                op: self.compute_op,
+                op: ComputeOp::None,
             },
             mode,
             None,
@@ -528,7 +497,7 @@ impl IngressProgram {
             seq: p.seq,
             first: p.streamed == 0,
             last: remaining <= self.quantum,
-            op: self.compute_op,
+            op: ComputeOp::None,
         }
     }
 
@@ -546,7 +515,7 @@ impl IngressProgram {
 
     /// Accept one word delivered by an ingest routine.
     fn accept_wire_word(&mut self, w: u32) {
-        self.stats.lock().unwrap().words_ingested += 1;
+        self.stats.words_ingested += 1;
         match &mut self.intake {
             Intake::Idle => {
                 if w == crate::devices::WIRE_IDLE {
@@ -554,7 +523,7 @@ impl IngressProgram {
                 }
                 self.hdr_words[0] = w;
                 self.intake = Intake::NeedHdr { have: 1 };
-                self.stats.lock().unwrap().packets_started += 1;
+                self.stats.packets_started += 1;
                 self.cur_id = self.next_id;
                 self.next_id = self.next_id.wrapping_add(1);
                 self.stamp(self.now, self.cur_id, Stage::IngressAccept);
@@ -572,7 +541,7 @@ impl IngressProgram {
                 *have += 1;
                 if *have == IPV4_HEADER_WORDS {
                     self.intake = Intake::Verify {
-                        left: self.verify_cycles,
+                        left: VERIFY_CYCLES,
                     };
                 }
             }
@@ -637,10 +606,6 @@ impl IngressProgram {
                     self.voq.queues[dst].push_back(pkt);
                     self.cur = None;
                     self.intake = Intake::Idle;
-                    if let Some(log) = &self.events {
-                        let e: &'static str = ["enq0", "enq1", "enq2", "enq3"][dst];
-                        log.lock().unwrap().push((self.now, self.port, e));
-                    }
                 }
             }
             Intake::Drain { left } => {
@@ -680,7 +645,7 @@ impl IngressProgram {
         if let Some((addr, w)) = self.pending_store {
             if io.store(addr, w) {
                 self.pending_store = None;
-                self.stats.lock().unwrap().words_buffered += 1;
+                self.stats.words_buffered += 1;
             }
             return true;
         }
@@ -744,7 +709,7 @@ impl IngressProgram {
                                 };
                             }
                             _ => {
-                                self.stats.lock().unwrap().frame_errors += 1;
+                                self.stats.frame_errors += 1;
                                 self.intake = Intake::Idle;
                             }
                         }
@@ -778,7 +743,6 @@ impl IngressProgram {
                 if *stage == 0 {
                     *stage = 1;
                 } else {
-                    self.ev(io.cycle, "lookup-done");
                     let c = self.cur.as_mut().expect("lookup for a packet");
                     let mask = match raw_lookup::decode_hop(w) {
                         raw_lookup::Hop::Unicast(p) => 1 << (p & 0x3),
@@ -884,12 +848,11 @@ impl IngressProgram {
             if done {
                 let p = self.voq.queues[q].pop_front().expect("serving");
                 self.voq.free(q, p.reserved);
-                self.stats.lock().unwrap().packets_completed += 1;
+                self.stats.packets_completed += 1;
             }
             self.voq.rr = (q + 1) % NPORTS;
-            let mut s = self.stats.lock().unwrap();
-            s.fragments_sent += 1;
-            s.proc_fragments += 1;
+            self.stats.fragments_sent += 1;
+            self.stats.proc_fragments += 1;
             return;
         }
         let mut done = false;
@@ -902,7 +865,7 @@ impl IngressProgram {
                     tag.words as usize
                 };
                 c.arrived += wire_words;
-                self.stats.lock().unwrap().words_cut_through += wire_words as u64;
+                self.stats.words_cut_through += wire_words as u64;
             }
             c.streamed += tag.words as usize;
             done = c.streamed >= c.total_words;
@@ -920,7 +883,7 @@ impl IngressProgram {
                 }
             }
         }
-        let mut s = self.stats.lock().unwrap();
+        let s = &mut self.stats;
         s.fragments_sent += 1;
         match mode {
             FragMode::Wire => s.wire_fragments += 1,
@@ -928,7 +891,6 @@ impl IngressProgram {
         }
         if done {
             s.packets_completed += 1;
-            drop(s);
             self.seq = self.seq.wrapping_add(1);
             self.cur = None;
             self.intake = Intake::Idle;
@@ -976,7 +938,6 @@ impl TileProgram for IngressProgram {
                     if want > 0 && self.ingests_since_bid < budget {
                         let (i, n) = Self::chunk_for(want);
                         self.ingests_since_bid += 1;
-                        self.ev(io.cycle, "ingest");
                         io.set_switch_pc(NET0, self.ingest_pc[i]);
                         self.drive = Drive::Ingest { left: n };
                         return;
@@ -994,7 +955,6 @@ impl TileProgram for IngressProgram {
                     if mask != 0 {
                         self.pending_tag = None;
                         self.ingests_since_bid = 0;
-                        self.ev(io.cycle, "bid-real");
                         io.set_switch_pc(NET0, self.bid_send_pc);
                         self.drive = Drive::BidSend {
                             word: u32::from(mask),
@@ -1005,7 +965,6 @@ impl TileProgram for IngressProgram {
                 } else if let Some((tag, mode, voq_q)) = self.plan_fragment() {
                     self.pending_tag = Some((tag, mode, voq_q));
                     self.ingests_since_bid = 0;
-                    self.ev(io.cycle, "bid-real");
                     io.set_switch_pc(NET0, self.bid_send_pc);
                     self.drive = Drive::BidSend {
                         word: tag.pack(),
@@ -1033,7 +992,6 @@ impl TileProgram for IngressProgram {
                 if want > 0 && self.ingests_since_bid < 2 {
                     let (i, n) = Self::chunk_for(want);
                     self.ingests_since_bid += 1;
-                    self.ev(io.cycle, "ingest");
                     io.set_switch_pc(NET0, self.ingest_pc[i]);
                     self.drive = Drive::Ingest { left: n };
                     return;
@@ -1042,7 +1000,6 @@ impl TileProgram for IngressProgram {
                 // Scheduler mode's empty bid is the all-zero request mask
                 // (EMPTY_HDR would decode as the all-ports mask there).
                 self.ingests_since_bid = 0;
-                self.ev(io.cycle, "bid-empty");
                 io.set_switch_pc(NET0, self.bid_send_pc);
                 self.drive = Drive::BidSend {
                     word: if self.sched { 0 } else { EMPTY_HDR },
@@ -1073,7 +1030,7 @@ impl TileProgram for IngressProgram {
             Drive::BidSend { word, real } => {
                 let (w, real) = (*word, *real);
                 if io.send_static(w) {
-                    self.stats.lock().unwrap().bids += 1;
+                    self.stats.bids += 1;
                     self.grant_outstanding = Some(real);
                     self.drive = Drive::Idle;
                 }
@@ -1085,13 +1042,11 @@ impl TileProgram for IngressProgram {
                     // bits 8.. (token mode sends bare GRANT/DENY, so the
                     // low-byte compare is equivalent there).
                     let granted = (g & 0xff) == GRANT && *real;
-                    let mut s = self.stats.lock().unwrap();
                     if granted {
-                        s.grants += 1;
+                        self.stats.grants += 1;
                     } else if *real {
-                        s.denies += 1;
+                        self.stats.denies += 1;
                     }
-                    drop(s);
                     if granted && self.sched {
                         // Plan the fragment only now: the arbiter picked
                         // the queue. Sound because queues only grow
@@ -1105,7 +1060,6 @@ impl TileProgram for IngressProgram {
                         self.pending_tag = Some((self.voq_head_tag(q), FragMode::Proc, Some(q)));
                     }
                     if granted {
-                        self.ev(io.cycle, "granted");
                         if self.telemetry.is_some() {
                             // The granted packet: the served VOQ head, or
                             // the single in-flight FIFO packet.
@@ -1119,7 +1073,6 @@ impl TileProgram for IngressProgram {
                         }
                         self.drive = Drive::StartStream;
                     } else {
-                        self.ev(io.cycle, "denied");
                         self.pending_tag = None;
                         self.drive = Drive::Idle;
                     }
@@ -1175,7 +1128,6 @@ impl TileProgram for IngressProgram {
                     // have no coda.
                     if tag.last && self.queueing == IngressQueueing::Fifo {
                         let (tag, mode, voq_q) = self.pending_tag.take().expect("streaming");
-                        self.ev(io.cycle, "stream-last");
                         self.finish_fragment(tag, mode, voq_q);
                         self.drive = Drive::StreamTail {
                             left: crate::codegen::PREFETCH_WORDS,
@@ -1237,7 +1189,6 @@ impl TileProgram for IngressProgram {
             }
             Drive::WaitHalt => {
                 if io.switch_halted(NET0) {
-                    self.ev(io.cycle, "stream-end");
                     self.drive = Drive::Idle;
                     self.tick(io);
                 } else if !self.proc_step(io) {
@@ -1247,7 +1198,6 @@ impl TileProgram for IngressProgram {
             Drive::EndStream => {
                 if io.switch_halted(NET0) {
                     let (tag, mode, voq_q) = self.pending_tag.take().expect("streamed");
-                    self.ev(io.cycle, "stream-end");
                     self.finish_fragment(tag, mode, voq_q);
                     self.drive = Drive::Idle;
                     // Re-enter Idle in the same tick (the WaitHalt idiom):
@@ -1324,6 +1274,8 @@ pub struct LookupProgram {
     /// model.
     mem: Option<raw_lookup::LookupMemModel>,
     label: String,
+    // kept for benchmark/src/workloads.rs:666, which locks
+    // `RawRouter::lk_stats`; taken once per lookup, not per word.
     pub stats: Arc<Mutex<LookupStats>>,
 }
 
@@ -1333,21 +1285,17 @@ impl LookupProgram {
         table: Arc<ForwardingTable>,
         engine: Engine,
         ingress_row_col: (u16, u16),
-    ) -> (LookupProgram, Arc<Mutex<LookupStats>>) {
-        let stats = Arc::new(Mutex::new(LookupStats::default()));
-        (
-            LookupProgram {
-                table,
-                engine,
-                ingress_rc: ingress_row_col,
-                st: LkSt::WaitHdr,
-                fault: None,
-                mem: None,
-                label: format!("lookup{port}"),
-                stats: Arc::clone(&stats),
-            },
-            stats,
-        )
+    ) -> LookupProgram {
+        LookupProgram {
+            table,
+            engine,
+            ingress_rc: ingress_row_col,
+            st: LkSt::WaitHdr,
+            fault: None,
+            mem: None,
+            label: format!("lookup{port}"),
+            stats: Arc::new(Mutex::new(LookupStats::default())),
+        }
     }
 
     /// Arm deterministic lookup-miss injection: with probability
@@ -1512,16 +1460,12 @@ pub struct CrossbarProgram {
     /// The token schedule (weighted round robin, §8.7) and position.
     token_seq: Vec<u8>,
     q: usize,
-    idx_cycles: u32,
     cfg_pcs: Vec<usize>,
     st: XbSt,
     /// The header word currently being forwarded around the ring.
     ring_word: u32,
     label: String,
-    pub stats: Arc<Mutex<XbarStats>>,
-    pub events: Option<EventLog>,
-    /// Debug ring of (quantum, gi, cfg_pc) decisions.
-    pub decisions: Arc<Mutex<Vec<(usize, usize, usize)>>>,
+    pub stats: XbarStats,
 }
 
 impl CrossbarProgram {
@@ -1529,41 +1473,33 @@ impl CrossbarProgram {
         port: u8,
         code: &CrossbarCode,
         token_seq: Vec<u8>,
-        idx_cycles: u32,
         multicast: bool,
         sched: Option<Box<dyn raw_sched::Scheduler>>,
-    ) -> (CrossbarProgram, Arc<Mutex<XbarStats>>) {
+    ) -> CrossbarProgram {
         assert!(!token_seq.is_empty());
         assert!(
             sched.is_none() || !multicast,
             "scheduler arbitration is unicast-only"
         );
-        let stats = Arc::new(Mutex::new(XbarStats::default()));
         let empty_code = if sched.is_some() || multicast {
             0
         } else {
             HDR_VALUES as u8 - 1
         };
-        (
-            CrossbarProgram {
-                port,
-                multicast,
-                sched,
-                matching: [None; NPORTS],
-                hdrs: [empty_code; NPORTS],
-                token_seq,
-                q: 0,
-                idx_cycles,
-                cfg_pcs: code.cfg_pc.clone(),
-                st: XbSt::WaitHalt,
-                ring_word: 0,
-                events: None,
-                decisions: Arc::new(Mutex::new(Vec::new())),
-                label: format!("xbar{port}"),
-                stats: Arc::clone(&stats),
-            },
-            stats,
-        )
+        CrossbarProgram {
+            port,
+            multicast,
+            sched,
+            matching: [None; NPORTS],
+            hdrs: [empty_code; NPORTS],
+            token_seq,
+            q: 0,
+            cfg_pcs: code.cfg_pc.clone(),
+            st: XbSt::WaitHalt,
+            ring_word: 0,
+            label: format!("xbar{port}"),
+            stats: XbarStats::default(),
+        }
     }
 
     /// Build the jump-table image preloaded into this tile's data memory:
@@ -1651,9 +1587,8 @@ impl TileProgram for CrossbarProgram {
                     } else {
                         // All four bids are in. In scheduler mode run the
                         // arbiter replica now and charge its iteration
-                        // cost on top of the baseline index computation
-                        // (NPORTS cycles per request/grant/accept round).
-                        let mut left = self.idx_cycles;
+                        // cost on top of the baseline index computation.
+                        let mut left = IDX_CYCLES;
                         if let Some(s) = self.sched.as_mut() {
                             let reqs: [u16; NPORTS] =
                                 std::array::from_fn(|i| u16::from(self.hdrs[i]));
@@ -1661,10 +1596,9 @@ impl TileProgram for CrossbarProgram {
                             debug_assert!(raw_sched::matching_is_valid(&reqs, &m));
                             self.matching = std::array::from_fn(|i| m[i]);
                             let iters = s.last_iterations();
-                            left += NPORTS as u32 * iters;
-                            let mut st = self.stats.lock().unwrap();
-                            st.sched_iterations += u64::from(iters);
-                            st.sched_matched += raw_sched::matching_size(&m) as u64;
+                            left += ARB_ROUND_CYCLES * iters;
+                            self.stats.sched_iterations += u64::from(iters);
+                            self.stats.sched_matched += raw_sched::matching_size(&m) as u64;
                         }
                         XbSt::ComputeIdx { left }
                     };
@@ -1719,7 +1653,7 @@ impl TileProgram for CrossbarProgram {
             } => {
                 let (g, gw, pc) = (*grant, *gword, *cfg_pc);
                 if io.send_static(gw) {
-                    let mut s = self.stats.lock().unwrap();
+                    let s = &mut self.stats;
                     s.quanta += 1;
                     if g {
                         s.grants_issued += 1;
@@ -1727,16 +1661,11 @@ impl TileProgram for CrossbarProgram {
                     if pc != 0 {
                         s.active_quanta += 1;
                     }
-                    drop(s);
                     self.st = XbSt::SwpcCfg { cfg_pc: pc };
                 }
             }
             XbSt::SwpcCfg { cfg_pc } => {
                 let pc = *cfg_pc;
-                if self.events.is_some() {
-                    let gi = self.table_index();
-                    self.decisions.lock().unwrap().push((self.q, gi, pc));
-                }
                 // Even the idle configuration targets the PC-0 WaitPc, so
                 // the switch returns to a known sync point.
                 io.set_switch_pc(NET0, pc);
@@ -1800,38 +1729,29 @@ pub struct EgressProgram {
     tag: Option<FragTag>,
     asm: [SrcAssembly; NPORTS],
     label: String,
-    pub stats: Arc<Mutex<EgressStats>>,
+    pub stats: EgressStats,
     /// Telemetry sink for first/last-word egress stamps.
     pub telemetry: Option<SharedSink>,
 }
 
 impl EgressProgram {
-    pub fn new(
-        port: u8,
-        code: &EgressCode,
-        quantum: usize,
-        mode: EgressMode,
-    ) -> (EgressProgram, Arc<Mutex<EgressStats>>) {
-        let stats = Arc::new(Mutex::new(EgressStats::default()));
-        (
-            EgressProgram {
-                port,
-                mode,
-                quantum,
-                cut_pc: code.cut_pc,
-                store_pc: code.store_pc,
-                st: EgSt::Swpc,
-                tag: None,
-                asm: std::array::from_fn(|_| SrcAssembly {
-                    words: 0,
-                    expect_seq: None,
-                }),
-                label: format!("egress{port}"),
-                stats: Arc::clone(&stats),
-                telemetry: None,
-            },
-            stats,
-        )
+    pub fn new(port: u8, code: &EgressCode, quantum: usize, mode: EgressMode) -> EgressProgram {
+        EgressProgram {
+            port,
+            mode,
+            quantum,
+            cut_pc: code.cut_pc,
+            store_pc: code.store_pc,
+            st: EgSt::Swpc,
+            tag: None,
+            asm: std::array::from_fn(|_| SrcAssembly {
+                words: 0,
+                expect_seq: None,
+            }),
+            label: format!("egress{port}"),
+            stats: EgressStats::default(),
+            telemetry: None,
+        }
     }
 
     fn buf_addr(src: usize, i: usize) -> u32 {
@@ -1868,12 +1788,10 @@ impl TileProgram for EgressProgram {
                 // blocked on receive (gray in Figure 7-3).
                 if let Some(w) = io.recv_static(NET0) {
                     let tag = FragTag::unpack(w);
-                    let mut s = self.stats.lock().unwrap();
-                    s.fragments += 1;
+                    self.stats.fragments += 1;
                     if tag.last {
-                        s.packets += 1;
+                        self.stats.packets += 1;
                     }
-                    drop(s);
                     if self.mode == EgressMode::StoreForward {
                         // Reassembly protocol check, once per fragment.
                         let src = tag.src_port as usize;
@@ -1884,7 +1802,7 @@ impl TileProgram for EgressProgram {
                             _ => false,
                         };
                         if !ok {
-                            self.stats.lock().unwrap().reasm_errors += 1;
+                            self.stats.reasm_errors += 1;
                             a.words = 0; // resynchronize on this fragment
                         }
                         a.expect_seq = Some(tag.seq);
@@ -1950,7 +1868,7 @@ impl TileProgram for EgressProgram {
                 let idx = self.asm[src].words;
                 if io.store(Self::buf_addr(src, idx), w) {
                     self.asm[src].words += 1;
-                    self.stats.lock().unwrap().words_stored += 1;
+                    self.stats.words_stored += 1;
                     self.st = EgSt::RecvWord { j: jj + 1 };
                 }
             }
@@ -1963,7 +1881,7 @@ impl TileProgram for EgressProgram {
                 }
                 if io.load_send(Self::buf_addr(s, ii)) {
                     *i = ii + 1;
-                    self.stats.lock().unwrap().words_streamed_out += 1;
+                    self.stats.words_streamed_out += 1;
                     if ii == 0 {
                         self.stamp(io.cycle, s as u8, Stage::FirstWordEgress);
                     }

@@ -2,19 +2,16 @@
 //! programs + line cards, with measurement helpers for the paper's
 //! experiments.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use raw_lookup::{Engine, ForwardingTable};
-use raw_net::{ComputeOp, Packet};
+use raw_net::Packet;
 use raw_sim::{EdgePort, RawConfig, RawMachine, TraceWindow, NET0, NET1};
 
 use crate::codegen;
 use crate::config::{ConfigSpace, SchedPolicy};
 use crate::devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
 use crate::layout::{RouterLayout, NPORTS};
-/// Per-crossbar-tile decision log: `(quantum, table index, routine pc)`.
-pub type DecisionLog = Arc<Mutex<Vec<(usize, usize, usize)>>>;
-
 use crate::programs::{
     CrossbarProgram, EgressMode, EgressProgram, EgressStats, IngressProgram, IngressStats,
     LookupProgram, LookupStats, XbarStats, MIN_LOCAL_MEM_WORDS, XBAR_TABLE_BASE,
@@ -34,12 +31,6 @@ pub struct RouterConfig {
     /// `weights[i]` consecutive quanta per rotation.
     pub weights: [u32; NPORTS],
     pub engine: Engine,
-    /// Ingress header-verification/rewrite cost in cycles.
-    pub verify_cycles: u32,
-    /// Crossbar jump-table index computation cost in cycles.
-    pub idx_cycles: u32,
-    /// Computation-in-fabric opcode stamped on fragment tags (§8.3).
-    pub compute_op: ComputeOp,
     /// Ingress queueing discipline: the paper's FIFO (with cut-through)
     /// or virtual output queueing (HOL-blocking-free, store-and-forward).
     pub queueing: crate::programs::IngressQueueing,
@@ -54,8 +45,6 @@ pub struct RouterConfig {
     /// Requires a quantum small enough that the larger minimized set
     /// still fits switch instruction memory.
     pub multicast: bool,
-    /// Record protocol events into [`RawRouter::events`].
-    pub debug_events: bool,
     /// Deterministic lookup-table fault injection (chaos testing): forced
     /// misses fall back to the default route after a penalty.
     pub lookup_fault: Option<LookupFault>,
@@ -99,13 +88,9 @@ impl Default for RouterConfig {
             policy: SchedPolicy::default(),
             weights: [1; NPORTS],
             engine: Engine::Patricia,
-            verify_cycles: 8,
-            idx_cycles: 4,
-            compute_op: ComputeOp::None,
             queueing: crate::programs::IngressQueueing::Fifo,
             asm_crossbar: false,
             multicast: false,
-            debug_events: false,
             lookup_fault: None,
             lookup_mem: None,
             arbiter: raw_sched::SchedKind::Token,
@@ -125,27 +110,19 @@ pub fn token_schedule(weights: [u32; NPORTS]) -> Vec<u8> {
     seq
 }
 
-/// The assembled router.
+/// The assembled router. The tile programs and line cards own their
+/// counters; the accessors below read them back out of `machine` by type
+/// ([`RawMachine::program_ref`] / [`RawMachine::device_ref`]).
 pub struct RawRouter {
     pub machine: RawMachine,
-    /// Optional protocol event log (see [`RouterConfig::debug_events`]).
-    pub events: crate::programs::EventLog,
-    /// Per-crossbar-tile (quantum, table index, routine pc) decisions,
-    /// recorded when `debug_events` is set.
-    pub xb_decisions: [DecisionLog; NPORTS],
-    /// Architectural watches on the interpreted crossbar cores
-    /// (`asm_crossbar` mode only).
-    pub asm_watches: Vec<raw_isa::WatchHandle>,
     pub layout: RouterLayout,
     pub cfg: RouterConfig,
     pub cs: Arc<ConfigSpace>,
     in_ports: [EdgePort; NPORTS],
     out_ports: [EdgePort; NPORTS],
-    out_cols: [Arc<Mutex<OutCollector>>; NPORTS],
-    pub ig_stats: [Arc<Mutex<IngressStats>>; NPORTS],
+    // kept for benchmark/src/workloads.rs:666, which iterates and locks
+    // it; every other counter is a plain field of its tile program.
     pub lk_stats: [Arc<Mutex<LookupStats>>; NPORTS],
-    pub xb_stats: [Arc<Mutex<XbarStats>>; NPORTS],
-    pub eg_stats: [Arc<Mutex<EgressStats>>; NPORTS],
     offered: u64,
 }
 
@@ -261,16 +238,9 @@ impl RawRouter {
         let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
 
-        let events: crate::programs::EventLog = Arc::new(Mutex::new(Vec::new()));
-        let mut xb_decisions: Vec<DecisionLog> = Vec::new();
-        let mut asm_watches: Vec<raw_isa::WatchHandle> = Vec::new();
         let mut in_ports = Vec::with_capacity(NPORTS);
         let mut out_ports = Vec::with_capacity(NPORTS);
-        let mut out_cols = Vec::with_capacity(NPORTS);
-        let mut ig_stats = Vec::with_capacity(NPORTS);
         let mut lk_stats = Vec::with_capacity(NPORTS);
-        let mut xb_stats = Vec::with_capacity(NPORTS);
-        let mut eg_stats = Vec::with_capacity(NPORTS);
 
         for (i, p) in layout.ports.iter().enumerate() {
             let port = i as u8;
@@ -281,29 +251,22 @@ impl RawRouter {
                 .validate()
                 .map_err(|e| format!("port {i} ingress switch program: {e}"))?;
             machine.set_switch_program(p.ingress, NET0, ig_code.program.clone());
-            let (mut ig, igs) = IngressProgram::new(
+            let mut ig = IngressProgram::new(
                 port,
-                p,
                 &ig_code,
                 cfg.quantum_words,
                 dim.coords(p.lookup),
-                cfg.verify_cycles,
-                cfg.compute_op,
                 cfg.queueing,
                 !cfg.arbiter.is_token(),
             );
-            if cfg.debug_events {
-                ig.events = Some(Arc::clone(&events));
-            }
             ig.telemetry = telemetry.clone();
             machine.set_program(p.ingress, Box::new(ig));
-            ig_stats.push(igs);
             let in_port = EdgePort::new(p.ingress, p.in_edge, NET0);
             machine.bind_device(in_port, Box::new(LineCardIn::new()));
             in_ports.push(in_port);
 
             // --- Lookup ---
-            let (mut lk, lks) =
+            let mut lk =
                 LookupProgram::new(port, Arc::clone(&table), cfg.engine, dim.coords(p.ingress));
             if let Some(f) = cfg.lookup_fault {
                 // Salt the seed per port so the four streams differ while
@@ -313,8 +276,8 @@ impl RawRouter {
             if let Some(m) = cfg.lookup_mem {
                 lk.set_mem_model(m);
             }
+            lk_stats.push(Arc::clone(&lk.stats));
             machine.set_program(p.lookup, Box::new(lk));
-            lk_stats.push(lks);
 
             // --- Crossbar ---
             let xb_code = codegen::gen_crossbar_switch(p, &cs, cfg.quantum_words);
@@ -329,21 +292,7 @@ impl RawRouter {
                 let image = crate::asm_xbar::table_image_pc(&cs, i, &xb_code);
                 machine.write_tile_mem(p.crossbar, 0, &image);
                 let core = crate::asm_xbar::gen_crossbar_asm(i, xb_code.hdr_pc);
-                let (core, watch) = core.watched();
-                asm_watches.push(watch);
                 machine.set_program(p.crossbar, Box::new(core));
-                // Statistics are not collected from the interpreted core;
-                // keep placeholder slots so indices line up.
-                let (_unused, xbs) = CrossbarProgram::new(
-                    port,
-                    &xb_code,
-                    token_seq.clone(),
-                    cfg.idx_cycles,
-                    true,
-                    None,
-                );
-                xb_decisions.push(Arc::new(Mutex::new(Vec::new())));
-                xb_stats.push(xbs);
             } else {
                 let image = CrossbarProgram::table_image(&cs, i);
                 machine.write_tile_mem(p.crossbar, XBAR_TABLE_BASE as usize, &image);
@@ -352,20 +301,9 @@ impl RawRouter {
                 // (the raw-sched lockstep test), mirroring how the token
                 // counter is replicated rather than transmitted.
                 let sched = (!cfg.arbiter.is_token()).then(|| cfg.arbiter.build(NPORTS));
-                let (mut xb, xbs) = CrossbarProgram::new(
-                    port,
-                    &xb_code,
-                    token_seq.clone(),
-                    cfg.idx_cycles,
-                    cfg.multicast,
-                    sched,
-                );
-                if cfg.debug_events {
-                    xb.events = Some(Arc::clone(&events));
-                }
-                xb_decisions.push(Arc::clone(&xb.decisions));
+                let xb =
+                    CrossbarProgram::new(port, &xb_code, token_seq.clone(), cfg.multicast, sched);
                 machine.set_program(p.crossbar, Box::new(xb));
-                xb_stats.push(xbs);
             }
 
             // --- Egress ---
@@ -385,10 +323,9 @@ impl RawRouter {
             } else {
                 EgressMode::StoreForward
             };
-            let (mut eg, egs) = EgressProgram::new(port, &eg_code, cfg.quantum_words, mode);
+            let mut eg = EgressProgram::new(port, &eg_code, cfg.quantum_words, mode);
             eg.telemetry = telemetry.clone();
             machine.set_program(p.egress, Box::new(eg));
-            eg_stats.push(egs);
             let (framing, out_port) = if cfg.cut_through {
                 (
                     OutFraming::TaggedQuantum {
@@ -402,27 +339,18 @@ impl RawRouter {
                     EdgePort::new(p.egress, p.out_edge, NET1),
                 )
             };
-            let (out, col) = LineCardOut::new(framing);
-            machine.bind_device(out_port, Box::new(out));
+            machine.bind_device(out_port, Box::new(LineCardOut::new(framing)));
             out_ports.push(out_port);
-            out_cols.push(col);
         }
 
         Ok(RawRouter {
             machine,
-            events,
-            asm_watches,
-            xb_decisions: xb_decisions.try_into().map_err(|_| ()).unwrap(),
             layout,
             cfg,
             cs,
             in_ports: in_ports.try_into().map_err(|_| ()).unwrap(),
             out_ports: out_ports.try_into().map_err(|_| ()).unwrap(),
-            out_cols: out_cols.try_into().map_err(|_| ()).unwrap(),
-            ig_stats: ig_stats.try_into().map_err(|_| ()).unwrap(),
             lk_stats: lk_stats.try_into().map_err(|_| ()).unwrap(),
-            xb_stats: xb_stats.try_into().map_err(|_| ()).unwrap(),
-            eg_stats: eg_stats.try_into().map_err(|_| ()).unwrap(),
             offered: 0,
         })
     }
@@ -496,13 +424,68 @@ impl RawRouter {
             .backlog()
     }
 
+    /// Input `port`'s Ingress Processor counters.
+    pub fn ingress_stats(&self, port: usize) -> &IngressStats {
+        &self
+            .machine
+            .program_ref::<IngressProgram>(self.layout.ports[port].ingress)
+            .expect("ingress program installed")
+            .stats
+    }
+
+    /// [`RawRouter::ingress_stats`], mutably: tests seed an accounting
+    /// inconsistency through it to show an invariant checker has teeth.
+    pub fn ingress_stats_mut(&mut self, port: usize) -> &mut IngressStats {
+        &mut self
+            .machine
+            .program_mut::<IngressProgram>(self.layout.ports[port].ingress)
+            .expect("ingress program installed")
+            .stats
+    }
+
+    /// Port `port`'s Crossbar Processor counters; `None` under
+    /// [`RouterConfig::asm_crossbar`], where the tile runs an interpreted
+    /// core (reach that as `machine.program_ref::<raw_isa::IsaCore>`).
+    pub fn xbar_stats(&self, port: usize) -> Option<&XbarStats> {
+        self.machine
+            .program_ref::<CrossbarProgram>(self.layout.ports[port].crossbar)
+            .map(|xb| &xb.stats)
+    }
+
+    /// Output `port`'s Egress Processor counters.
+    pub fn egress_stats(&self, port: usize) -> &EgressStats {
+        &self
+            .machine
+            .program_ref::<EgressProgram>(self.layout.ports[port].egress)
+            .expect("egress program installed")
+            .stats
+    }
+
+    /// Everything output `port`'s line card collected.
+    pub fn collected(&self, port: usize) -> &OutCollector {
+        &self
+            .machine
+            .device_ref::<LineCardOut>(self.out_ports[port])
+            .expect("line card bound")
+            .collected
+    }
+
+    /// [`RawRouter::collected`], mutably: a fabric takes the packets that
+    /// finished crossing this router out of it at an epoch boundary.
+    pub fn collected_mut(&mut self, port: usize) -> &mut OutCollector {
+        &mut self
+            .machine
+            .device_mut::<LineCardOut>(self.out_ports[port])
+            .expect("line card bound")
+            .collected
+    }
+
     /// Classified ingress drops aggregated across ports, indexed by
     /// [`raw_telemetry::DropReason::index`].
     pub fn drop_reasons(&self) -> [u64; raw_telemetry::DropReason::COUNT] {
         let mut out = [0u64; raw_telemetry::DropReason::COUNT];
-        for s in &self.ig_stats {
-            let s = s.lock().unwrap();
-            for (o, d) in out.iter_mut().zip(s.drops.iter()) {
+        for p in 0..NPORTS {
+            for (o, d) in out.iter_mut().zip(self.ingress_stats(p).drops.iter()) {
                 *o += d;
             }
         }
@@ -515,9 +498,8 @@ impl RawRouter {
 
     /// Packets the ingresses dropped (bad header / expired TTL).
     pub fn dropped_count(&self) -> u64 {
-        self.ig_stats
-            .iter()
-            .map(|s| s.lock().unwrap().packets_dropped)
+        (0..NPORTS)
+            .map(|p| self.ingress_stats(p).packets_dropped)
             .sum()
     }
 
@@ -536,40 +518,28 @@ impl RawRouter {
 
     /// Packets delivered at output `port`, in arrival order.
     pub fn delivered(&self, port: usize) -> Vec<(u64, Packet)> {
-        self.out_cols[port].lock().unwrap().packets.clone()
-    }
-
-    /// Output `port`'s collector, locked: a fabric takes the packets
-    /// that finished crossing this router out of it at an epoch boundary.
-    pub fn collected(&self, port: usize) -> MutexGuard<'_, OutCollector> {
-        self.out_cols[port]
-            .lock()
-            .expect("collector lock poisoned: the output line card panicked")
+        self.collected(port).packets.clone()
     }
 
     /// Input `port`'s drop total and its classified drops (indexed by
     /// [`raw_telemetry::DropReason::index`]); the two must agree.
     pub fn ingress_drops(&self, port: usize) -> (u64, [u64; raw_telemetry::DropReason::COUNT]) {
-        let s = self.ig_stats[port]
-            .lock()
-            .expect("ingress stats lock poisoned: the ingress tile panicked");
+        let s = self.ingress_stats(port);
         (s.packets_dropped, s.drops)
     }
 
     pub fn delivered_count(&self) -> u64 {
-        self.out_cols
-            .iter()
-            .map(|c| c.lock().unwrap().packets.len() as u64)
+        (0..NPORTS)
+            .map(|p| self.collected(p).packets.len() as u64)
             .sum()
     }
 
     /// Total output parse errors across ports (must be zero in a healthy
     /// run).
     pub fn parse_errors(&self) -> u64 {
-        self.out_cols
-            .iter()
-            .map(|c| {
-                let c = c.lock().unwrap();
+        (0..NPORTS)
+            .map(|p| {
+                let c = self.collected(p);
                 c.parse_errors + c.unexpected_fragments
             })
             .sum()
@@ -578,11 +548,9 @@ impl RawRouter {
     /// Bits of delivered IP packets whose completion fell in
     /// `[from_cycle, to_cycle)`.
     pub fn delivered_bits_between(&self, from_cycle: u64, to_cycle: u64) -> u64 {
-        self.out_cols
-            .iter()
-            .map(|c| {
-                c.lock()
-                    .unwrap()
+        (0..NPORTS)
+            .map(|p| {
+                self.collected(p)
                     .packets
                     .iter()
                     .filter(|(cyc, _)| (from_cycle..to_cycle).contains(cyc))
@@ -594,11 +562,9 @@ impl RawRouter {
 
     /// Packets delivered in a cycle window.
     pub fn delivered_packets_between(&self, from_cycle: u64, to_cycle: u64) -> u64 {
-        self.out_cols
-            .iter()
-            .map(|c| {
-                c.lock()
-                    .unwrap()
+        (0..NPORTS)
+            .map(|p| {
+                self.collected(p)
                     .packets
                     .iter()
                     .filter(|(cyc, _)| (from_cycle..to_cycle).contains(cyc))
@@ -633,9 +599,10 @@ impl RawRouter {
     }
 
     /// The synchronous token counters of all four crossbar tiles must
-    /// agree (§5.1). Returns the counts for assertion in tests.
+    /// agree (§5.1). Returns the counts for assertion in tests (zeros
+    /// under `asm_crossbar`, whose cores keep no such counter).
     pub fn token_counters(&self) -> [u64; NPORTS] {
-        std::array::from_fn(|i| self.xb_stats[i].lock().unwrap().quanta)
+        std::array::from_fn(|i| self.xbar_stats(i).map_or(0, |s| s.quanta))
     }
 }
 

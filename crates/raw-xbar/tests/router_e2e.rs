@@ -134,9 +134,9 @@ fn output_contention_serializes_but_delivers_all() {
     assert_eq!(r.delivered(0).len(), 4 * n as usize);
     assert_eq!(r.parse_errors(), 0);
     // Every ingress got grants — no starvation.
-    for (i, s) in r.ig_stats.iter().enumerate() {
-        let s = s.lock().unwrap();
-        assert!(s.grants >= n as u64, "ingress {i} starved: {:?}", *s);
+    for i in 0..4 {
+        let s = r.ingress_stats(i);
+        assert!(s.grants >= n as u64, "ingress {i} starved: {s:?}");
     }
 }
 
@@ -166,7 +166,7 @@ fn store_and_forward_reassembles_fragmented_packets() {
     let payloads: Vec<&Vec<u8>> = out.iter().map(|(_, p)| &p.payload).collect();
     assert!(payloads.contains(&&p0.payload));
     assert!(payloads.contains(&&p1.payload));
-    let eg = r.eg_stats[2].lock().unwrap();
+    let eg = r.egress_stats(2);
     assert_eq!(eg.reasm_errors, 0);
     assert_eq!(eg.fragments, 16);
 }
@@ -185,7 +185,7 @@ fn ttl_expired_packets_are_dropped() {
         "good packet stuck behind drop"
     );
     assert_eq!(r.delivered(1).len(), 1);
-    assert_eq!(r.ig_stats[0].lock().unwrap().packets_dropped, 1);
+    assert_eq!(r.ingress_stats(0).packets_dropped, 1);
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn idle_router_stays_quiet_and_sane() {
     assert_eq!(r.delivered_count(), 0);
     assert_eq!(r.parse_errors(), 0);
     // The crossbar keeps cycling empty quanta without wedging.
-    let q = r.xb_stats[0].lock().unwrap().quanta;
+    let q = r.xbar_stats(0).unwrap().quanta;
     assert!(q > 100, "crossbar made only {q} quanta in 20k cycles");
     let tokens = r.token_counters();
     assert!(tokens.iter().max().unwrap() - tokens.iter().min().unwrap() <= 1);
@@ -433,11 +433,10 @@ fn corrupt_checksum_packet_is_dropped_and_stream_resyncs() {
         r.delivered(1).is_empty(),
         "the corrupt packet must not pass"
     );
-    let ig = r.ig_stats[0].lock().unwrap();
+    let ig = r.ingress_stats(0);
     assert_eq!(ig.packets_dropped, 1, "{ig:?}");
     assert_eq!(ig.drops[DropReason::BadChecksum.index()], 1, "{ig:?}");
     assert_eq!(ig.frame_errors, 0, "{ig:?}");
-    drop(ig);
     assert_eq!(r.parse_errors(), 0);
 }
 
@@ -458,7 +457,7 @@ fn jumbo_packets_fragment_and_reassemble() {
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].1.payload, jumbo.payload);
     assert_eq!(out[0].1.header.ttl, 63);
-    let frags = r.eg_stats[3].lock().unwrap().fragments;
+    let frags = r.egress_stats(3).fragments;
     assert_eq!(frags as usize, 2250usize.div_ceil(64), "9000B = 2250 words");
 }
 
@@ -514,4 +513,61 @@ fn fault_windows_of_u64_max_last_forever() {
     r.run(60_000);
     assert_eq!(r.delivered(2).len(), 8);
     assert!(r.delivered(1).is_empty(), "input 3 injected while paused");
+}
+
+/// The router reads every counter back out of the machine by type: after
+/// a mixed good/malformed run the four readers agree with each other and
+/// with delivered + dropped == offered. The Crossbar Processor's counters
+/// exist only where a `CrossbarProgram` runs — not under `asm_crossbar`.
+#[test]
+fn stats_readers_agree_with_conservation() {
+    for asm in [false, true] {
+        let cfg = RouterConfig {
+            quantum_words: 16,
+            asm_crossbar: asm,
+            ..RouterConfig::default()
+        };
+        let mut r = RawRouter::new(cfg, port_table());
+        for k in 0..5u32 {
+            for src in 0..4u32 {
+                let mut p = packet(src, (src + k) % 4, 64, k * 4 + src);
+                match (k, src) {
+                    (1, 0) | (3, 2) => p.header.checksum ^= 0x5aa5,
+                    (2, 1) => {
+                        p.header.ttl = 1;
+                        p.header.checksum = p.header.compute_checksum();
+                    }
+                    _ => {}
+                }
+                r.offer(src as usize, 0, &p);
+            }
+        }
+        assert!(r.run_until_drained(3_000_000), "asm={asm} wedged");
+
+        let ports = 0..4usize;
+        let ig_sum = |f: fn(&raw_xbar::IngressStats) -> u64| -> u64 {
+            ports.clone().map(|p| f(r.ingress_stats(p))).sum()
+        };
+        assert_eq!(ig_sum(|s| s.packets_dropped), 3);
+        assert_eq!(ig_sum(|s| s.packets_dropped), r.dropped_count());
+        assert_eq!(r.drop_reasons().iter().sum::<u64>(), 3);
+        assert_eq!(ig_sum(|s| s.packets_completed), 17);
+        assert_eq!(r.delivered_count(), 17);
+        assert_eq!(r.delivered_count() + r.dropped_count(), r.offered());
+        let collected: usize = ports.clone().map(|p| r.collected(p).packets.len()).sum();
+        assert_eq!(collected, 17);
+        let egressed: u64 = ports.clone().map(|p| r.egress_stats(p).packets).sum();
+        assert_eq!(egressed, 17);
+
+        for p in ports.clone() {
+            assert_eq!(r.xbar_stats(p).is_some(), !asm, "asm={asm} port {p}");
+        }
+        if !asm {
+            let issued: u64 = ports
+                .clone()
+                .map(|p| r.xbar_stats(p).unwrap().grants_issued)
+                .sum();
+            assert_eq!(issued, ig_sum(|s| s.grants), "every grant was collected");
+        }
+    }
 }

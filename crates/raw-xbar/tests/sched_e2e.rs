@@ -142,9 +142,7 @@ fn crossbar_replicas_stay_in_lockstep() {
             }
         }
         assert!(r.run_until_drained(4_000_000), "{}", kind.name());
-        let quanta: Vec<u64> = (0..4)
-            .map(|i| r.xb_stats[i].lock().unwrap().quanta)
-            .collect();
+        let quanta: Vec<u64> = (0..4).map(|i| r.xbar_stats(i).unwrap().quanta).collect();
         let max = *quanta.iter().max().unwrap();
         let min = *quanta.iter().min().unwrap();
         assert!(
@@ -153,7 +151,7 @@ fn crossbar_replicas_stay_in_lockstep() {
             kind.name()
         );
         for i in 0..4 {
-            let s = r.xb_stats[i].lock().unwrap();
+            let s = r.xbar_stats(i).unwrap();
             assert!(s.sched_iterations > 0, "{}: tile {i}", kind.name());
             assert!(s.sched_matched > 0, "{}: tile {i}", kind.name());
             // Grants the tile issued for its own ingress are a subset of
@@ -187,9 +185,7 @@ fn scheduler_mode_is_engine_invariant() {
             .map(|(c, pk)| (c, pk.header.id))
             .collect();
         out.sort();
-        let grants: u64 = (0..4)
-            .map(|i| r.xb_stats[i].lock().unwrap().grants_issued)
-            .sum();
+        let grants: u64 = (0..4).map(|i| r.xbar_stats(i).unwrap().grants_issued).sum();
         (out, grants)
     };
     let base = run(EngineMode::PerCycle);

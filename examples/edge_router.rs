@@ -82,8 +82,8 @@ fn main() {
     assert_eq!(router.parse_errors(), 0);
 
     // Fabric statistics.
-    for (i, s) in router.eg_stats.iter().enumerate() {
-        let s = s.lock().unwrap();
+    for i in 0..4 {
+        let s = router.egress_stats(i);
         println!(
             "  egress {i}: {} fragments reassembled into {} packets ({} reasm errors)",
             s.fragments, s.packets, s.reasm_errors

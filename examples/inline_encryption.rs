@@ -129,12 +129,11 @@ fn main() {
     asm.push_str("halt\n");
     let mut core = IsaCore::from_asm(&asm).unwrap();
     core.set_reg(Reg(16), KEY);
-    let (core, watch) = core.watched();
     m.set_program(TileId(5), Box::new(core));
     m.run(100);
     let got: Vec<u32> = handle.lock().unwrap().iter().map(|&(_, w)| w).collect();
     assert_eq!(got, vec![11 ^ KEY, 22 ^ KEY, 33 ^ KEY, 44 ^ KEY]);
-    let w = watch.lock().unwrap();
+    let w = &m.program_ref::<IsaCore>(TileId(5)).unwrap().watch;
     println!(
         "assembly pipeline: 4 words via `xor $csto, $csti, $s0`, {} instructions retired",
         w.retired

@@ -54,8 +54,8 @@ fn main() {
 
     // Per-tile utilization summary — who did the work?
     println!("\nper-port statistics:");
-    for (i, s) in router.ig_stats.iter().enumerate() {
-        let s = s.lock().unwrap();
+    for i in 0..4 {
+        let s = router.ingress_stats(i);
         println!(
             "  ingress {i}: {} packets, {} grants, {} cut-through words",
             s.packets_completed, s.grants, s.words_cut_through
