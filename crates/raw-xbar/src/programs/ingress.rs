@@ -1,69 +1,13 @@
-//! The four tile-processor programs of a router port (§4.2), as
-//! cycle-stepped state machines with the paper's per-cycle cost model.
-//!
-//! * [`IngressProgram`] — streams packets in from the line card (network
-//!   1), verifies and rewrites the IPv4 header, requests route lookup
-//!   over the dynamic network, buffers payload into local memory while
-//!   waiting or when denied (2 cycles/word), and per quantum bids into
-//!   the Rotating Crossbar, streaming granted fragments either from its
-//!   buffer (`lw $csto` — 1 cycle/word) or cut-through from the wire
-//!   (`move $csto, $csti2` — 1 cycle/word).
-//! * [`LookupProgram`] — answers longest-prefix-match queries against the
-//!   forwarding table, charging the engine's access-cost model.
-//! * [`CrossbarProgram`] — the distributed Rotating Crossbar algorithm of
-//!   Chapter 6: per quantum it takes its ingress's header, runs the ring
-//!   all-to-all, indexes the precomputed configuration jump table (a real
-//!   timed memory load), returns the grant word, and steers its switch
-//!   processor to the selected body routine. The token is a synchronous
-//!   counter local to every crossbar tile (§5.1); it is never
-//!   transmitted.
-//! * [`EgressProgram`] — in cut-through mode monitors fragment tags while
-//!   the switch streams bodies straight to the line card; in
-//!   store-and-forward mode buffers fragments (2 cycles/word),
-//!   reassembles per source port, and streams finished packets out.
+//! The Ingress Processor (see the [module docs](super)).
 
-use std::sync::{Arc, Mutex};
-
-use raw_lookup::{Engine, ForwardingTable};
-use raw_net::{ComputeOp, CorruptRng, FragTag, IpError, Ipv4Header, IPV4_HEADER_WORDS};
+use raw_net::{ComputeOp, FragTag, IpError, Ipv4Header, IPV4_HEADER_WORDS};
 use raw_sim::{TileIo, TileProgram, NET0};
 use raw_telemetry::{DropReason, SharedSink, Stage};
 
-use crate::codegen::{CrossbarCode, EgressCode, IngressCode};
-use crate::config::{global_index, global_index_mcast, ConfigSpace, HDR_VALUES};
-use crate::costs::{ARB_ROUND_CYCLES, IDX_CYCLES, VERIFY_CYCLES};
+use super::{EMPTY_HDR, GRANT, IG_BUF_BASE};
+use crate::codegen::IngressCode;
+use crate::costs::VERIFY_CYCLES;
 use crate::layout::NPORTS;
-
-/// The "empty input queue" header word. Never collides with a packed
-/// [`FragTag`] (its compute-op bits would be the invalid value 3).
-pub const EMPTY_HDR: u32 = 0xFFFF_FFFF;
-
-/// Grant-word values on the crossbar→ingress path.
-pub const GRANT: u32 = 1;
-pub const DENY: u32 = 0;
-
-/// Word address where a crossbar tile's configuration jump table lives.
-pub const XBAR_TABLE_BASE: u32 = 0;
-
-/// Word address of the ingress packet buffer.
-pub const IG_BUF_BASE: u32 = 0x1000;
-
-/// Word address (and stride) of the egress per-source reassembly regions.
-pub const EG_BUF_BASE: u32 = 0x1000;
-pub const EG_BUF_STRIDE: u32 = 0x8000;
-
-/// Tile-local memory the router's programs address, in words: the egress
-/// reassembly regions end highest, above the ingress VOQ regions and the
-/// largest (destination-mask, 16^4-entry) jump table.
-pub const MIN_LOCAL_MEM_WORDS: usize = (EG_BUF_BASE + NPORTS as u32 * EG_BUF_STRIDE) as usize;
-const _: () = assert!(
-    MIN_LOCAL_MEM_WORDS >= (IG_BUF_BASE + 0x1000 + NPORTS as u32 * VOQ_REGION_WORDS) as usize
-        && MIN_LOCAL_MEM_WORDS >= XBAR_TABLE_BASE as usize + 16usize.pow(4)
-);
-
-// ---------------------------------------------------------------------
-// Ingress
-// ---------------------------------------------------------------------
 
 /// Observable ingress statistics.
 #[derive(Clone, Debug, Default)]
@@ -1209,685 +1153,6 @@ impl TileProgram for IngressProgram {
                     self.tick(io);
                 } else if !self.proc_step(io) {
                     io.idle();
-                }
-            }
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lookup
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, Default)]
-pub struct LookupStats {
-    pub lookups: u64,
-    pub total_cost_cycles: u64,
-    /// Lookups whose access trace chained past the first level (the
-    /// DIR-24-8 level-2 fetch; always 0 for one-access resolutions).
-    pub l2_lookups: u64,
-    /// Cycles spent stalled on table memory: the modeled level-2 chase
-    /// under a [`raw_lookup::LookupMemModel`] plus any injected-miss
-    /// penalty walks. A subset of `total_cost_cycles`; surfaced to
-    /// telemetry as the `lookup_stall` tile-state bucket.
-    pub mem_stall_cycles: u64,
-    /// Lookups forced onto the default route by fault injection
-    /// ([`LookupProgram::inject_misses`]).
-    pub injected_misses: u64,
-}
-
-enum LkSt {
-    WaitHdr,
-    WaitAddr,
-    /// Charge `busy` instruction cycles, then `stall` table-memory
-    /// cycles (hinted to telemetry as lookup stalls), then reply.
-    Compute {
-        busy: u32,
-        stall: u32,
-        port: u32,
-    },
-    SendHdr {
-        port: u32,
-    },
-    SendPort {
-        port: u32,
-    },
-}
-
-pub struct LookupProgram {
-    table: Arc<ForwardingTable>,
-    engine: Engine,
-    ingress_rc: (u16, u16),
-    st: LkSt,
-    /// Deterministic miss injection: `(rng, miss_ppm, penalty_cycles)`.
-    fault: Option<(CorruptRng, u32, u32)>,
-    /// Memory-hierarchy cost model: when set, the flat
-    /// [`raw_lookup::LookupCostModel`] charge is replaced by
-    /// model-driven L1/L2 costs derived from the lookup's access trace,
-    /// and the L2 share is hinted as [`TileIo::hint_lookup_stall`]
-    /// cycles. The injected-miss penalty rides the same stall path —
-    /// the chaos forced-miss machinery is the degenerate form of this
-    /// model.
-    mem: Option<raw_lookup::LookupMemModel>,
-    label: String,
-    // kept for benchmark/src/workloads.rs:666, which locks
-    // `RawRouter::lk_stats`; taken once per lookup, not per word.
-    pub stats: Arc<Mutex<LookupStats>>,
-}
-
-impl LookupProgram {
-    pub fn new(
-        port: u8,
-        table: Arc<ForwardingTable>,
-        engine: Engine,
-        ingress_row_col: (u16, u16),
-    ) -> LookupProgram {
-        LookupProgram {
-            table,
-            engine,
-            ingress_rc: ingress_row_col,
-            st: LkSt::WaitHdr,
-            fault: None,
-            mem: None,
-            label: format!("lookup{port}"),
-            stats: Arc::new(Mutex::new(LookupStats::default())),
-        }
-    }
-
-    /// Arm deterministic lookup-miss injection: with probability
-    /// `miss_ppm` parts-per-million a lookup discards the table's answer
-    /// and falls back to the default route (port 0) after `penalty`
-    /// extra cycles — the table-miss / stale-route fault class. The
-    /// draws come from a seeded [`CorruptRng`], so runs replay exactly.
-    pub fn inject_misses(&mut self, seed: u64, miss_ppm: u32, penalty: u32) {
-        self.fault = Some((CorruptRng::new(seed), miss_ppm, penalty));
-    }
-
-    /// Install a two-level memory cost model (see
-    /// [`RouterConfig::lookup_mem`][crate::RouterConfig]).
-    pub fn set_mem_model(&mut self, model: raw_lookup::LookupMemModel) {
-        self.mem = Some(model);
-    }
-}
-
-impl TileProgram for LookupProgram {
-    fn tick(&mut self, io: &mut TileIo<'_>) {
-        match &mut self.st {
-            LkSt::WaitHdr => {
-                if io.recv_dyn(0).is_some() {
-                    self.st = LkSt::WaitAddr;
-                }
-            }
-            LkSt::WaitAddr => {
-                if let Some(addr) = io.recv_dyn(0) {
-                    let (hop, accesses) = self.table.lookup_traced(self.engine, addr);
-                    // Busy cycles are the instruction overhead plus the
-                    // (cached) first-level probe; stall cycles are the
-                    // chained accesses under the memory model. Without a
-                    // model the flat cost model charges everything as
-                    // busy, exactly as before.
-                    let (mut busy, mut stall) = match self.mem {
-                        Some(m) => (m.busy_cycles(), m.stall_cycles(accesses)),
-                        None => (self.table.cost.cost(accesses), 0),
-                    };
-                    // The raw next-hop travels back intact: a plain port
-                    // number, or a `MULTICAST_FLAG`-encoded port set.
-                    // Unroutable addresses fall back to port 0 (synthetic
-                    // tables always carry a default route; defensive).
-                    let mut port = hop.unwrap_or(0);
-                    let mut injected = false;
-                    if let Some((rng, ppm, penalty)) = &mut self.fault {
-                        if rng.chance_ppm(*ppm) {
-                            port = 0;
-                            stall += *penalty;
-                            injected = true;
-                        }
-                    }
-                    busy = busy.max(1);
-                    let mut s = self.stats.lock().unwrap();
-                    s.lookups += 1;
-                    if accesses > 1 {
-                        s.l2_lookups += 1;
-                    }
-                    if injected {
-                        s.injected_misses += 1;
-                    }
-                    s.total_cost_cycles += (busy + stall) as u64;
-                    s.mem_stall_cycles += stall as u64;
-                    drop(s);
-                    self.st = LkSt::Compute { busy, stall, port };
-                }
-            }
-            LkSt::Compute { busy, stall, port } => {
-                // Both phases advance the engine identically (a compute
-                // retire per cycle — the hint never perturbs timing);
-                // only telemetry sees the stall share reclassified.
-                io.compute();
-                if *busy > 0 {
-                    *busy -= 1;
-                } else {
-                    io.hint_lookup_stall();
-                    *stall -= 1;
-                }
-                if *busy == 0 && *stall == 0 {
-                    self.st = LkSt::SendHdr { port: *port };
-                }
-            }
-            LkSt::SendHdr { port } => {
-                let (row, col) = self.ingress_rc;
-                let h = raw_sim::pack_header(row, col, 1, 0);
-                if io.send_dyn(0, h) {
-                    self.st = LkSt::SendPort { port: *port };
-                }
-            }
-            LkSt::SendPort { port } => {
-                let p = *port;
-                if io.send_dyn(0, p) {
-                    self.st = LkSt::WaitHdr;
-                }
-            }
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-// ---------------------------------------------------------------------
-// Crossbar
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, Default)]
-pub struct XbarStats {
-    pub quanta: u64,
-    pub grants_issued: u64,
-    pub active_quanta: u64,
-    pub token_history_check: u64,
-    /// Scheduler mode only: total arbitration iterations charged (iSLIP
-    /// runs up to `iters` request/grant/accept rounds per quantum).
-    pub sched_iterations: u64,
-    /// Scheduler mode only: total matched input/output pairs granted.
-    pub sched_matched: u64,
-}
-
-enum XbSt {
-    WaitHalt,
-    RecvOwn,
-    RingSendOwn,
-    RingRecv {
-        k: usize,
-    },
-    RingFwd {
-        k: usize,
-    },
-    ComputeIdx {
-        left: u32,
-    },
-    LoadEntry,
-    SendGrant {
-        grant: bool,
-        gword: u32,
-        cfg_pc: usize,
-    },
-    SwpcCfg {
-        cfg_pc: usize,
-    },
-}
-
-pub struct CrossbarProgram {
-    port: u8,
-    /// True when the jump table covers the multicast alphabet.
-    multicast: bool,
-    /// Scheduler mode (`Some`): the bid words are raw VOQ request masks
-    /// and this tile's replica of the arbiter turns them into a
-    /// matching, realized against the ordinary unicast jump table via
-    /// `global_index(0, ..)` (see `config::schedule_matching`). All four
-    /// crossbar tiles run identical replicas over identical bid vectors,
-    /// so their matchings agree without extra communication — exactly
-    /// how the paper replicates the token counter (§5.1).
-    sched: Option<Box<dyn raw_sched::Scheduler>>,
-    /// Scheduler mode: the matching the current quantum realizes.
-    matching: [Option<u8>; NPORTS],
-    /// Encoded headers of all four ports this quantum (unicast alphabet:
-    /// 0..=3 dest + 4 empty; multicast alphabet: the destination mask;
-    /// scheduler mode: the raw VOQ request mask, 0 = nothing queued).
-    hdrs: [u8; NPORTS],
-    /// The token schedule (weighted round robin, §8.7) and position.
-    token_seq: Vec<u8>,
-    q: usize,
-    cfg_pcs: Vec<usize>,
-    st: XbSt,
-    /// The header word currently being forwarded around the ring.
-    ring_word: u32,
-    label: String,
-    pub stats: XbarStats,
-}
-
-impl CrossbarProgram {
-    pub fn new(
-        port: u8,
-        code: &CrossbarCode,
-        token_seq: Vec<u8>,
-        multicast: bool,
-        sched: Option<Box<dyn raw_sched::Scheduler>>,
-    ) -> CrossbarProgram {
-        assert!(!token_seq.is_empty());
-        assert!(
-            sched.is_none() || !multicast,
-            "scheduler arbitration is unicast-only"
-        );
-        let empty_code = if sched.is_some() || multicast {
-            0
-        } else {
-            HDR_VALUES as u8 - 1
-        };
-        CrossbarProgram {
-            port,
-            multicast,
-            sched,
-            matching: [None; NPORTS],
-            hdrs: [empty_code; NPORTS],
-            token_seq,
-            q: 0,
-            cfg_pcs: code.cfg_pc.clone(),
-            st: XbSt::WaitHalt,
-            ring_word: 0,
-            label: format!("xbar{port}"),
-            stats: XbarStats::default(),
-        }
-    }
-
-    /// Build the jump-table image preloaded into this tile's data memory:
-    /// `entry = cfg_id | granted << 31`.
-    pub fn table_image(cs: &ConfigSpace, tile: usize) -> Vec<u32> {
-        cs.jump[tile]
-            .iter()
-            .zip(cs.grant[tile].iter())
-            .map(|(&id, &g)| u32::from(id) | (u32::from(g) << 31))
-            .collect()
-    }
-
-    fn hdr_code(&self, w: u32) -> u8 {
-        if self.sched.is_some() {
-            // Scheduler-mode bid words carry the raw VOQ request mask.
-            (w & 0xf) as u8
-        } else if self.multicast {
-            if w == EMPTY_HDR {
-                0 // empty = no destinations
-            } else {
-                FragTag::unpack(w).dst_mask & 0xf
-            }
-        } else if w == EMPTY_HDR {
-            NPORTS as u8 // "empty"
-        } else {
-            FragTag::unpack(w).unicast_dst().unwrap_or(0) & 0x3
-        }
-    }
-
-    fn table_index(&self) -> usize {
-        if self.sched.is_some() {
-            // The matching, re-encoded as unicast headers with the token
-            // pinned at 0: the same jump-table entry on every tile (see
-            // `config::schedule_matching`).
-            let hdrs: [u8; NPORTS] =
-                std::array::from_fn(|i| self.matching[i].unwrap_or(NPORTS as u8));
-            global_index(0, hdrs)
-        } else if self.multicast {
-            global_index_mcast(self.token(), self.hdrs)
-        } else {
-            global_index(self.token(), self.hdrs)
-        }
-    }
-
-    fn token(&self) -> u8 {
-        self.token_seq[self.q % self.token_seq.len()]
-    }
-}
-
-impl TileProgram for CrossbarProgram {
-    fn tick(&mut self, io: &mut TileIo<'_>) {
-        let me = self.port as usize;
-        match &mut self.st {
-            XbSt::WaitHalt => {
-                if io.switch_halted(NET0) {
-                    // hdr_pc is always 1 in generated code, but carry it
-                    // through cfg_pcs' sibling field for robustness.
-                    io.set_switch_pc(NET0, 1);
-                    self.st = XbSt::RecvOwn;
-                } else {
-                    io.idle();
-                }
-            }
-            XbSt::RecvOwn => {
-                if let Some(w) = io.recv_static(NET0) {
-                    self.hdrs[me] = self.hdr_code(w);
-                    self.ring_word = w;
-                    self.st = XbSt::RingSendOwn;
-                }
-            }
-            XbSt::RingSendOwn => {
-                if io.send_static(self.ring_word) {
-                    self.st = XbSt::RingRecv { k: 0 };
-                }
-            }
-            XbSt::RingRecv { k } => {
-                let kk = *k;
-                if let Some(w) = io.recv_static(NET0) {
-                    // k-th received word is the header of port (me-1-k).
-                    let owner = (me + NPORTS - 1 - kk) % NPORTS;
-                    self.hdrs[owner] = self.hdr_code(w);
-                    self.ring_word = w;
-                    self.st = if kk < 2 {
-                        XbSt::RingFwd { k: kk }
-                    } else {
-                        // All four bids are in. In scheduler mode run the
-                        // arbiter replica now and charge its iteration
-                        // cost on top of the baseline index computation.
-                        let mut left = IDX_CYCLES;
-                        if let Some(s) = self.sched.as_mut() {
-                            let reqs: [u16; NPORTS] =
-                                std::array::from_fn(|i| u16::from(self.hdrs[i]));
-                            let m = s.arbitrate(&reqs);
-                            debug_assert!(raw_sched::matching_is_valid(&reqs, &m));
-                            self.matching = std::array::from_fn(|i| m[i]);
-                            let iters = s.last_iterations();
-                            left += ARB_ROUND_CYCLES * iters;
-                            self.stats.sched_iterations += u64::from(iters);
-                            self.stats.sched_matched += raw_sched::matching_size(&m) as u64;
-                        }
-                        XbSt::ComputeIdx { left }
-                    };
-                }
-            }
-            XbSt::RingFwd { k } => {
-                let kk = *k;
-                if io.send_static(self.ring_word) {
-                    self.st = XbSt::RingRecv { k: kk + 1 };
-                }
-            }
-            XbSt::ComputeIdx { left } => {
-                io.compute();
-                *left -= 1;
-                if *left == 0 {
-                    self.st = XbSt::LoadEntry;
-                }
-            }
-            XbSt::LoadEntry => {
-                let gi = self.table_index();
-                if let Some(entry) = io.load(XBAR_TABLE_BASE + gi as u32) {
-                    let grant = entry >> 31 == 1;
-                    let cfg_id = (entry & 0xffff) as usize;
-                    let cfg_pc = self.cfg_pcs[cfg_id];
-                    let gword = if self.sched.is_some() {
-                        // Scheduler mode: the grant word also names the
-                        // VOQ being served (the ingress bid a mask, not
-                        // a destination). The jump table must agree with
-                        // the matching — the routability property proven
-                        // by `matchings_are_always_routable` / RV801.
-                        debug_assert_eq!(grant, self.matching[me].is_some());
-                        match self.matching[me] {
-                            Some(dst) => GRANT | (u32::from(dst) << 8),
-                            None => DENY,
-                        }
-                    } else if grant {
-                        GRANT
-                    } else {
-                        DENY
-                    };
-                    self.st = XbSt::SendGrant {
-                        grant,
-                        gword,
-                        cfg_pc,
-                    };
-                }
-            }
-            XbSt::SendGrant {
-                grant,
-                gword,
-                cfg_pc,
-            } => {
-                let (g, gw, pc) = (*grant, *gword, *cfg_pc);
-                if io.send_static(gw) {
-                    let s = &mut self.stats;
-                    s.quanta += 1;
-                    if g {
-                        s.grants_issued += 1;
-                    }
-                    if pc != 0 {
-                        s.active_quanta += 1;
-                    }
-                    self.st = XbSt::SwpcCfg { cfg_pc: pc };
-                }
-            }
-            XbSt::SwpcCfg { cfg_pc } => {
-                let pc = *cfg_pc;
-                // Even the idle configuration targets the PC-0 WaitPc, so
-                // the switch returns to a known sync point.
-                io.set_switch_pc(NET0, pc);
-                self.q += 1; // the synchronous token counter (§5.1)
-                self.st = XbSt::WaitHalt;
-            }
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-// ---------------------------------------------------------------------
-// Egress
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, Default)]
-pub struct EgressStats {
-    pub fragments: u64,
-    pub packets: u64,
-    pub words_stored: u64,
-    pub words_streamed_out: u64,
-    pub reasm_errors: u64,
-}
-
-/// Egress operating mode.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EgressMode {
-    /// Bodies stream switch→line card; the processor only sees tags.
-    /// Requires every packet to fit one quantum.
-    CutThrough,
-    /// Bodies are buffered and reassembled per source (§4.2) and then
-    /// streamed out over network 1.
-    StoreForward,
-}
-
-enum EgSt {
-    Swpc,
-    Tag,
-    WaitHalt,
-    // store-forward path
-    RecvWord { j: usize },
-    StoreWord { j: usize, word: u32 },
-    Output { src: usize, i: usize, len: usize },
-}
-
-struct SrcAssembly {
-    words: usize,
-    expect_seq: Option<u16>,
-}
-
-pub struct EgressProgram {
-    port: u8,
-    mode: EgressMode,
-    quantum: usize,
-    cut_pc: usize,
-    store_pc: usize,
-    st: EgSt,
-    tag: Option<FragTag>,
-    asm: [SrcAssembly; NPORTS],
-    label: String,
-    pub stats: EgressStats,
-    /// Telemetry sink for first/last-word egress stamps.
-    pub telemetry: Option<SharedSink>,
-}
-
-impl EgressProgram {
-    pub fn new(port: u8, code: &EgressCode, quantum: usize, mode: EgressMode) -> EgressProgram {
-        EgressProgram {
-            port,
-            mode,
-            quantum,
-            cut_pc: code.cut_pc,
-            store_pc: code.store_pc,
-            st: EgSt::Swpc,
-            tag: None,
-            asm: std::array::from_fn(|_| SrcAssembly {
-                words: 0,
-                expect_seq: None,
-            }),
-            label: format!("egress{port}"),
-            stats: EgressStats::default(),
-            telemetry: None,
-        }
-    }
-
-    fn buf_addr(src: usize, i: usize) -> u32 {
-        EG_BUF_BASE + src as u32 * EG_BUF_STRIDE + i as u32
-    }
-
-    /// Record an egress-side lifecycle stamp for `src_port`'s packet.
-    fn stamp(&self, cycle: u64, src_port: u8, stage: Stage) {
-        if let Some(sink) = &self.telemetry {
-            sink.lock()
-                .unwrap()
-                .egress_event(cycle, src_port, self.port, stage);
-        }
-    }
-}
-
-impl TileProgram for EgressProgram {
-    fn tick(&mut self, io: &mut TileIo<'_>) {
-        match &mut self.st {
-            EgSt::Swpc => {
-                if io.switch_halted(NET0) {
-                    let pc = match self.mode {
-                        EgressMode::CutThrough => self.cut_pc,
-                        EgressMode::StoreForward => self.store_pc,
-                    };
-                    io.set_switch_pc(NET0, pc);
-                    self.st = EgSt::Tag;
-                } else {
-                    io.idle();
-                }
-            }
-            EgSt::Tag => {
-                // Blocking receive: an idle output port parks here,
-                // blocked on receive (gray in Figure 7-3).
-                if let Some(w) = io.recv_static(NET0) {
-                    let tag = FragTag::unpack(w);
-                    self.stats.fragments += 1;
-                    if tag.last {
-                        self.stats.packets += 1;
-                    }
-                    if self.mode == EgressMode::StoreForward {
-                        // Reassembly protocol check, once per fragment.
-                        let src = tag.src_port as usize;
-                        let a = &mut self.asm[src];
-                        let ok = match (a.expect_seq, tag.first) {
-                            (None, true) => true,
-                            (Some(sq), false) => sq == tag.seq,
-                            _ => false,
-                        };
-                        if !ok {
-                            self.stats.reasm_errors += 1;
-                            a.words = 0; // resynchronize on this fragment
-                        }
-                        a.expect_seq = Some(tag.seq);
-                    }
-                    self.tag = Some(tag);
-                    if self.mode == EgressMode::CutThrough && tag.first {
-                        // The switch streams the body straight to the line
-                        // card behind this tag: the first payload word is
-                        // leaving now.
-                        self.stamp(io.cycle, tag.src_port, Stage::FirstWordEgress);
-                    }
-                    self.st = match self.mode {
-                        EgressMode::CutThrough => EgSt::WaitHalt,
-                        EgressMode::StoreForward => EgSt::RecvWord { j: 0 },
-                    };
-                }
-            }
-            EgSt::WaitHalt => {
-                if io.switch_halted(NET0) {
-                    if let Some(tag) = self.tag.take() {
-                        if tag.last {
-                            self.stamp(io.cycle, tag.src_port, Stage::LastWordEgress);
-                        }
-                    }
-                    self.st = EgSt::Swpc;
-                    self.tick(io);
-                } else {
-                    io.idle();
-                }
-            }
-            EgSt::RecvWord { j } => {
-                let jj = *j;
-                if jj == self.quantum {
-                    // Fragment fully received: if it completed a packet,
-                    // stream it out.
-                    let tag = self.tag.take().expect("mid-fragment");
-                    let src = tag.src_port as usize;
-                    if tag.last {
-                        let len = self.asm[src].words;
-                        self.asm[src].words = 0;
-                        self.asm[src].expect_seq = None;
-                        self.st = EgSt::Output { src, i: 0, len };
-                    } else {
-                        self.st = EgSt::Swpc;
-                    }
-                    self.tick(io);
-                    return;
-                }
-                if let Some(w) = io.recv_static(NET0) {
-                    let tag = self.tag.expect("mid-fragment");
-                    if jj < tag.words as usize {
-                        self.st = EgSt::StoreWord { j: jj, word: w };
-                    } else {
-                        *j = jj + 1; // discard padding
-                    }
-                }
-            }
-            EgSt::StoreWord { j, word } => {
-                let (jj, w) = (*j, *word);
-                let tag = self.tag.expect("mid-fragment");
-                let src = tag.src_port as usize;
-                let _ = jj;
-                let idx = self.asm[src].words;
-                if io.store(Self::buf_addr(src, idx), w) {
-                    self.asm[src].words += 1;
-                    self.stats.words_stored += 1;
-                    self.st = EgSt::RecvWord { j: jj + 1 };
-                }
-            }
-            EgSt::Output { src, i, len } => {
-                let (s, ii, l) = (*src, *i, *len);
-                if ii == l {
-                    self.st = EgSt::Swpc;
-                    self.tick(io);
-                    return;
-                }
-                if io.load_send(Self::buf_addr(s, ii)) {
-                    *i = ii + 1;
-                    self.stats.words_streamed_out += 1;
-                    if ii == 0 {
-                        self.stamp(io.cycle, s as u8, Stage::FirstWordEgress);
-                    }
-                    if ii + 1 == l {
-                        self.stamp(io.cycle, s as u8, Stage::LastWordEgress);
-                    }
                 }
             }
         }
