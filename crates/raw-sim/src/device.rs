@@ -115,6 +115,8 @@ impl EdgeDevice for WordSource {
 }
 
 /// Shared handle to the words collected by a [`WordSink`].
+// kept for benchmark/src/layers.rs:101, which locks it; otherwise the
+// sink would own the vector and `device_ref` would read it.
 pub type SinkHandle = Arc<Mutex<Vec<(u64, u32)>>>;
 
 /// A sink that records every word leaving the chip, with its cycle.

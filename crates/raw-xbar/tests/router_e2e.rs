@@ -544,30 +544,25 @@ fn stats_readers_agree_with_conservation() {
         }
         assert!(r.run_until_drained(3_000_000), "asm={asm} wedged");
 
-        let ports = 0..4usize;
-        let ig_sum = |f: fn(&raw_xbar::IngressStats) -> u64| -> u64 {
-            ports.clone().map(|p| f(r.ingress_stats(p))).sum()
-        };
-        assert_eq!(ig_sum(|s| s.packets_dropped), 3);
-        assert_eq!(ig_sum(|s| s.packets_dropped), r.dropped_count());
+        let sum = |f: &dyn Fn(usize) -> u64| (0..4).map(f).sum::<u64>();
+        assert_eq!(sum(&|p| r.ingress_stats(p).packets_dropped), 3);
+        assert_eq!(r.dropped_count(), 3);
         assert_eq!(r.drop_reasons().iter().sum::<u64>(), 3);
-        assert_eq!(ig_sum(|s| s.packets_completed), 17);
+        assert_eq!(sum(&|p| r.ingress_stats(p).packets_completed), 17);
+        assert_eq!(sum(&|p| r.collected(p).packets.len() as u64), 17);
+        assert_eq!(sum(&|p| r.egress_stats(p).packets), 17);
         assert_eq!(r.delivered_count(), 17);
         assert_eq!(r.delivered_count() + r.dropped_count(), r.offered());
-        let collected: usize = ports.clone().map(|p| r.collected(p).packets.len()).sum();
-        assert_eq!(collected, 17);
-        let egressed: u64 = ports.clone().map(|p| r.egress_stats(p).packets).sum();
-        assert_eq!(egressed, 17);
 
-        for p in ports.clone() {
+        for p in 0..4 {
             assert_eq!(r.xbar_stats(p).is_some(), !asm, "asm={asm} port {p}");
         }
         if !asm {
-            let issued: u64 = ports
-                .clone()
-                .map(|p| r.xbar_stats(p).unwrap().grants_issued)
-                .sum();
-            assert_eq!(issued, ig_sum(|s| s.grants), "every grant was collected");
+            assert_eq!(
+                sum(&|p| r.xbar_stats(p).unwrap().grants_issued),
+                sum(&|p| r.ingress_stats(p).grants),
+                "every grant was collected"
+            );
         }
     }
 }
