@@ -8,12 +8,32 @@
 //! Each subcommand prints the paper-formatted table (with the paper's
 //! reported values beside ours) and writes `results/<exp>.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use raw_bench::*;
 
 fn results_dir() -> PathBuf {
     PathBuf::from("results")
+}
+
+/// Write `results/<file>` with `write`. An unwritable `results/` is the
+/// user's environment, not a bug: name the file and exit 1, never panic.
+fn save_with(file: &str, write: impl FnOnce(&Path) -> std::io::Result<()>) {
+    if let Err(e) = write(&results_dir()) {
+        eprintln!("cannot write results/{file}: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn save<T: serde::Serialize>(name: &str, value: &T) {
+    save_with(&format!("{name}.json"), |dir| write_json(dir, name, value));
+}
+
+fn save_text(file: &str, text: &str) {
+    save_with(file, |dir| {
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(dir.join(file), text)
+    });
 }
 
 fn fmt2(x: f64) -> String {
@@ -90,8 +110,8 @@ fn run_fig7_1_peak(_: &Args) {
         PAPER_CLICK_GBPS,
         pts.last().unwrap().gbps / click[0].gbps
     );
-    write_json(&results_dir(), "fig7_1_peak", &pts).unwrap();
-    write_json(&results_dir(), "click_baseline", &click).unwrap();
+    save("fig7_1_peak", &pts);
+    save("click_baseline", &click);
 }
 
 fn run_fig7_1_avg(_: &Args) {
@@ -111,7 +131,7 @@ fn run_fig7_1_avg(_: &Args) {
         },
     );
     println!("(the paper reports average ≈ 69% of peak)");
-    write_json(&results_dir(), "fig7_1_avg", &pts).unwrap();
+    save("fig7_1_avg", &pts);
 }
 
 fn run_fig7_2(_: &Args) {
@@ -154,8 +174,7 @@ fn run_fig7_3(_: &Args) {
             "--- {bytes}-byte packets ('#' busy, '.' blocked, ' ' idle; bucket = 8 cycles) ---"
         );
         println!("{ascii}");
-        std::fs::create_dir_all(results_dir()).unwrap();
-        std::fs::write(results_dir().join(format!("fig7_3_{bytes}.csv")), csv).unwrap();
+        save_text(&format!("fig7_3_{bytes}.csv"), &csv);
     }
     println!("CSV traces written to results/fig7_3_*.csv");
 }
@@ -186,7 +205,7 @@ fn run_table6_1(_: &Args) {
         t.unminimized_instrs_q64,
         t.unminimized_instrs_q64 as f64 / t.switch_imem as f64
     );
-    write_json(&results_dir(), "table6_1", &t).unwrap();
+    save("table6_1", &t);
 }
 
 fn run_fig3_2(_: &Args) {
@@ -196,7 +215,7 @@ fn run_fig3_2(_: &Args) {
         "total cycles: {} (paper: {}), send-to-use: {} (paper: {})",
         f.total_cycles, f.paper_total, f.send_to_use, f.paper_send_to_use
     );
-    write_json(&results_dir(), "fig3_2", &f).unwrap();
+    save("fig3_2", &f);
 }
 
 fn run_ch2(_: &Args) {
@@ -217,7 +236,7 @@ fn run_ch2(_: &Args) {
         "cells vs variable packets: {:.3} vs {:.3} (paper: ~1.0 vs ~0.6)",
         c.cells_throughput, c.packets_throughput
     );
-    write_json(&results_dir(), "ch2_claims", &c).unwrap();
+    save("ch2_claims", &c);
 }
 
 fn run_fairness(_: &Args) {
@@ -228,7 +247,7 @@ fn run_fairness(_: &Args) {
             "weights {:?}: per-source deliveries {:?}, Jain index {:.3}",
             f.weights, f.per_source, f.jain_index
         );
-        write_json(&results_dir(), &format!("fairness_w{}", weights[0]), &f).unwrap();
+        save(&format!("fairness_w{}", weights[0]), &f);
     }
 }
 
@@ -243,7 +262,7 @@ fn run_net2(_: &Args) {
         "ring headroom at peak: {:.0}% -> a second static network adds idle capacity only",
         100.0 * (u.ring_capacity - u.ring_words_per_cycle)
     );
-    write_json(&results_dir(), "ring_utilization", &u).unwrap();
+    save("ring_utilization", &u);
 }
 
 fn run_deadlock(_: &Args) {
@@ -254,7 +273,7 @@ fn run_deadlock(_: &Args) {
         d.drained, d.trials, d.packets_total
     );
     assert_eq!(d.drained, d.trials, "deadlock or loss detected!");
-    write_json(&results_dir(), "deadlock_sweep", &d).unwrap();
+    save("deadlock_sweep", &d);
 }
 
 fn run_multicast(_: &Args) {
@@ -272,7 +291,7 @@ fn run_multicast(_: &Args) {
         "multicast configuration space: {} global points minimized to {} local configurations",
         m.mcast_global_space, m.mcast_minimized
     );
-    write_json(&results_dir(), "multicast", &m).unwrap();
+    save("multicast", &m);
 }
 
 fn run_scaling(_: &Args) {
@@ -285,7 +304,7 @@ fn run_scaling(_: &Args) {
             format!("{:.3}", r.mesh_throughput),
         ]
     });
-    write_json(&results_dir(), "scaling", &rows).unwrap();
+    save("scaling", &rows);
 }
 
 fn run_quantum(_: &Args) {
@@ -303,7 +322,7 @@ fn run_quantum(_: &Args) {
             fmt2(r.gbps),
         ]
     });
-    write_json(&results_dir(), "quantum_ablation", &rows).unwrap();
+    save("quantum_ablation", &rows);
 }
 
 fn run_asm(_: &Args) {
@@ -319,7 +338,7 @@ fn run_asm(_: &Args) {
          index, lw, grant, swpcr)",
         a.asm_program_instrs
     );
-    write_json(&results_dir(), "asm_crossbar", &a).unwrap();
+    save("asm_crossbar", &a);
 }
 
 fn run_voq(_: &Args) {
@@ -339,7 +358,7 @@ fn run_voq(_: &Args) {
         "(VOQ un-blocks the victims at the cost of store-and-forward buffering — \
          the Chapter-2 trade, measured on the Raw fabric)"
     );
-    write_json(&results_dir(), "voq_study", &v).unwrap();
+    save("voq_study", &v);
 }
 
 fn run_latency(_: &Args) {
@@ -354,7 +373,7 @@ fn run_latency(_: &Args) {
         ]
     });
     println!("(queueing delay grows with load — the MGR §2.2.1 trade-off)");
-    write_json(&results_dir(), "latency", &rows).unwrap();
+    save("latency", &rows);
 }
 
 fn run_lookup(_: &Args) {
@@ -367,7 +386,7 @@ fn run_lookup(_: &Args) {
             fmt2(r.mean_lookup_cycles),
         ]
     });
-    write_json(&results_dir(), "lookup_ablation", &rows).unwrap();
+    save("lookup_ablation", &rows);
 }
 
 fn run_telemetry(args: &Args) {
@@ -424,8 +443,8 @@ fn run_telemetry(args: &Args) {
             );
         }
     }
-    write_json(&results_dir(), "telemetry", &rep).unwrap();
-    std::fs::write(results_dir().join("telemetry_trace.json"), trace).unwrap();
+    save("telemetry", &rep);
+    save_text("telemetry_trace.json", &trace);
     println!(
         "wrote results/telemetry.json; results/telemetry_trace.json loads in chrome://tracing"
     );
@@ -492,7 +511,7 @@ fn run_chaos(args: &Args) {
         }
     );
     assert!(rep.zero_plan_identical);
-    write_json(&results_dir(), "chaos", &rep).unwrap();
+    save("chaos", &rep);
     println!("wrote results/chaos.json (two runs per scenario, fingerprints verified equal)");
 }
 
@@ -610,7 +629,7 @@ fn run_fabric(args: &Args) {
         "Clos16 only {:.2}x a single router (acceptance floor is {floor}x)",
         rep.clos_over_single
     );
-    write_json(&results_dir(), "fabric", &rep).unwrap();
+    save("fabric", &rep);
     println!("wrote results/fabric.json (every cell fingerprint-verified on both executors)");
 }
 
@@ -670,7 +689,7 @@ fn run_sched(args: &Args) {
             ]
         },
     );
-    write_json(&results_dir(), "sched", &rep).unwrap();
+    save("sched", &rep);
     let adv = rep
         .speedups
         .iter()
@@ -770,7 +789,7 @@ fn run_verify(_: &Args) {
     for d in &report.diagnostics {
         println!("  {d}");
     }
-    write_json(&results_dir(), "verify", &report).unwrap();
+    save("verify", &report);
     assert!(
         report.pass,
         "static verification failed with {} diagnostic(s)",
@@ -874,7 +893,7 @@ fn run_fib(args: &Args) {
         rep.fabric.order_violations
     );
 
-    write_json(&results_dir(), "fib", &rep).unwrap();
+    save("fib", &rep);
     println!("wrote results/fib.json");
 }
 

@@ -9,8 +9,11 @@ use raw_baselines::{
     Granularity, Queueing,
 };
 use raw_lookup::{ForwardingTable, RouteEntry};
-use raw_workloads::{generate, Pattern, Workload};
-use raw_xbar::{config, RawRouter, RouterConfig};
+use raw_workloads::{generate, Pattern, ScheduledPacket, Workload};
+use raw_xbar::reference::{port_routes, port_table};
+use raw_xbar::{config, RouterConfig};
+
+use crate::run::{assert_audit, run_router, Until};
 
 /// The packet sizes of Figure 7-1.
 pub const PAPER_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
@@ -19,16 +22,6 @@ pub const PAPER_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
 pub const PAPER_PEAK_GBPS: [f64; 5] = [7.3, 14.4, 20.1, 24.7, 26.9];
 pub const PAPER_AVG_GBPS: [f64; 5] = [5.0, 9.9, 13.8, 16.9, 18.6];
 pub const PAPER_CLICK_GBPS: f64 = 0.23;
-
-/// The experiment forwarding table: `10.<p>.0.0/16 -> port p` plus a
-/// default route.
-pub fn experiment_table() -> Arc<ForwardingTable> {
-    let mut routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    routes.push(RouteEntry::new(0, 0, 0));
-    Arc::new(ForwardingTable::build(&routes))
-}
 
 /// One measured point of a Figure 7-1 curve.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -39,23 +32,17 @@ pub struct SizePoint {
     pub paper_gbps: f64,
 }
 
-fn run_router_throughput(w: &Workload, warm: u64, window: u64) -> (f64, f64) {
-    let quantum = (w.packet_bytes / 4).min(256);
-    let cfg = RouterConfig {
-        quantum_words: quantum,
-        cut_through: w.packet_bytes / 4 <= 256,
-        ..RouterConfig::default()
-    };
-    let mut r = RawRouter::new(cfg, experiment_table());
-    for sp in generate(w) {
-        r.offer(sp.port, sp.release, &sp.packet);
-    }
-    r.run(warm + window);
-    assert_eq!(r.parse_errors(), 0, "corrupt delivery during measurement");
-    (
-        r.throughput_gbps(warm, warm + window),
-        r.pps(warm, warm + window) / 1e6,
-    )
+/// Run `w` saturated for `WARM + WINDOW` cycles on `cfg`.
+fn saturated(cfg: RouterConfig, w: &Workload) -> raw_xbar::RawRouter {
+    let until = Until::Cycles(WARM + WINDOW);
+    run_router(cfg, port_table(), &generate(w), until, None)
+}
+
+/// `(Gbps, Mpps)` of `w` over the measurement window.
+fn run_router_throughput(w: &Workload) -> (f64, f64) {
+    let r = saturated(RouterConfig::for_packet_bytes(w.packet_bytes), w);
+    let (from, to) = (WARM, WARM + WINDOW);
+    (r.throughput_gbps(from, to), r.pps(from, to) / 1e6)
 }
 
 /// How many packets per port saturate a measurement window.
@@ -84,7 +71,7 @@ fn parallel_points<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) ->
 fn parallel_sweep(mk: impl Fn(usize) -> Workload + Sync) -> Vec<SizePoint> {
     parallel_points(&PAPER_SIZES, |&bytes| {
         let w = mk(bytes);
-        let (gbps, mpps) = run_router_throughput(&w, WARM, WINDOW);
+        let (gbps, mpps) = run_router_throughput(&w);
         SizePoint {
             bytes,
             gbps,
@@ -138,20 +125,16 @@ pub fn click_baseline() -> Vec<ClickPoint> {
 /// E3 / Figure 7-3: per-tile utilization over an 800-cycle window at
 /// saturation. Returns `(ascii_plot, csv)`.
 pub fn fig7_3(bytes: usize) -> (String, String) {
-    let quantum = bytes / 4;
-    let cfg = RouterConfig {
-        quantum_words: quantum,
-        cut_through: true,
-        ..RouterConfig::default()
-    };
-    let mut r = RawRouter::new(cfg, experiment_table());
-    let w = Workload::peak(bytes, 4000.min(600_000 / quantum));
-    for sp in generate(&w) {
-        r.offer(sp.port, sp.release, &sp.packet);
-    }
+    let cfg = RouterConfig::for_packet_bytes(bytes);
+    let sched = generate(&Workload::peak(
+        bytes,
+        4000.min(600_000 / cfg.quantum_words),
+    ));
     // Warm into steady state, then record 800 cycles as the paper does.
+    let mut r = run_router(cfg, port_table(), &sched, Until::Cycles(20_000), None);
     r.start_trace(20_000, 800);
-    r.run(20_000 + 800 + 16);
+    r.run(800 + 16);
+    assert_audit(&r, &sched);
     let at = r.take_trace().expect("trace recorded").to_activity_trace();
     (at.render_ascii(8), at.to_csv())
 }
@@ -317,41 +300,39 @@ pub struct FairnessResult {
     pub jain_index: f64,
 }
 
+/// Jain's fairness index over per-source counts: 1.0 when every source
+/// got identical service, 1/N when one monopolized the switch.
+pub(crate) fn jain(counts: &[u64]) -> f64 {
+    let n = counts.len() as f64;
+    let sum: f64 = counts.iter().map(|&c| c as f64).sum();
+    let sumsq: f64 = counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
+    if sumsq == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (n * sumsq)
+}
+
 pub fn fairness(weights: [u32; 4]) -> FairnessResult {
     let bytes = 256usize;
     let cfg = RouterConfig {
-        quantum_words: bytes / 4,
-        cut_through: true,
         weights,
-        ..RouterConfig::default()
+        ..RouterConfig::for_packet_bytes(bytes)
     };
-    let mut r = RawRouter::new(cfg, experiment_table());
     let w = Workload {
         pattern: Pattern::Hotspot { dst: 0 },
         ..Workload::peak(bytes, 2000)
     };
-    for sp in generate(&w) {
-        r.offer(sp.port, sp.release, &sp.packet);
-    }
-    r.run(300_000);
-    let delivered = r.delivered(0);
+    let until = Until::Cycles(300_000);
+    let r = run_router(cfg, port_table(), &generate(&w), until, None);
     let mut per_source = [0u64; 4];
-    for (_, p) in &delivered {
+    for (_, p) in &r.collected(0).packets {
         let src = (p.header.src & 0x3) as usize;
         per_source[src] += 1;
     }
-    let n = 4.0;
-    let sum: f64 = per_source.iter().map(|&x| x as f64).sum();
-    let sumsq: f64 = per_source.iter().map(|&x| (x as f64) * (x as f64)).sum();
-    let jain = if sumsq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (n * sumsq)
-    };
     FairnessResult {
         weights,
         per_source,
-        jain_index: jain,
+        jain_index: jain(&per_source),
     }
 }
 
@@ -371,7 +352,7 @@ pub struct RingUtilization {
 pub fn ring_utilization() -> RingUtilization {
     let bytes = 1024usize;
     let w = Workload::peak(bytes, 2000);
-    let (gbps, _) = run_router_throughput(&w, WARM, WINDOW);
+    let (gbps, _) = run_router_throughput(&w);
     // Each delivered bit crossed exactly one out link; permutation flows
     // traverse ring links at the same word rate as their output. The
     // aggregate rate spreads across the four ports.
@@ -406,23 +387,15 @@ pub fn deadlock_sweep(trials: u32) -> DeadlockSweep {
             seed: 1000 + t as u64,
             ..Workload::average(bytes, 60, 1000 + t as u64)
         };
-        let cfg = RouterConfig {
-            quantum_words: bytes / 4,
-            cut_through: true,
-            ..RouterConfig::default()
-        };
-        let mut r = RawRouter::new(cfg, experiment_table());
-        let sched = generate(&w);
-        for sp in &sched {
-            r.offer(sp.port, sp.release, &sp.packet);
-        }
-        let ok = r.run_until_drained(3_000_000) && r.parse_errors() == 0;
-        (ok, sched.len() as u64)
+        let (cfg, sched) = (RouterConfig::for_packet_bytes(bytes), generate(&w));
+        // A wedge or a corrupt delivery fails the run; what returns drained.
+        run_router(cfg, port_table(), &sched, Until::Drained(3_000_000), None);
+        sched.len() as u64
     });
     DeadlockSweep {
         trials,
-        drained: per_trial.iter().filter(|(ok, _)| *ok).count() as u32,
-        packets_total: per_trial.iter().map(|(_, n)| n).sum(),
+        drained: per_trial.len() as u32,
+        packets_total: per_trial.iter().sum(),
     }
 }
 
@@ -430,10 +403,11 @@ pub fn deadlock_sweep(trials: u32) -> DeadlockSweep {
 /// measured end to end on the router's data path.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MulticastResult {
-    /// Cycles to deliver N multicast packets to all of ports 1..3 using
-    /// the fabric's switch fanout (one stream per packet).
+    /// Completion cycle of the last copy when N multicast packets reach
+    /// all of ports 1..3 through the fabric's switch fanout (one stream
+    /// per packet).
     pub cycles_with_fanout: u64,
-    /// Cycles when the source must send three unicast copies per packet.
+    /// The same when the source must send three unicast copies per packet.
     pub cycles_with_replication: u64,
     /// Fanout copies delivered (3 x N in both runs).
     pub copies: u64,
@@ -442,52 +416,44 @@ pub struct MulticastResult {
     pub mcast_minimized: usize,
 }
 
+/// Completion cycle of the last packet any output collected.
+fn last_completion(r: &raw_xbar::RawRouter) -> u64 {
+    (0..raw_xbar::NPORTS)
+        .filter_map(|p| r.collected(p).packets.last())
+        .map(|(cycle, _)| *cycle)
+        .max()
+        .expect("something was delivered")
+}
+
 pub fn multicast_demo() -> MulticastResult {
     use raw_lookup::encode_multicast;
     let n = 24u32;
     let bytes = 256usize;
     let run = |fanout: bool| -> (u64, u64) {
-        let mut routes: Vec<RouteEntry> = (0..4)
-            .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-            .collect();
+        let mut routes = port_routes();
         routes.push(RouteEntry::new(0xe000_0000, 4, encode_multicast(0b1110)));
         let cfg = RouterConfig {
-            quantum_words: bytes / 4,
-            cut_through: true,
             multicast: true,
-            ..RouterConfig::default()
+            ..RouterConfig::for_packet_bytes(bytes)
         };
-        let mut r = RawRouter::new(cfg, Arc::new(ForwardingTable::build(&routes)));
+        let mut sched = Vec::new();
+        let mut offer = |dst: u32, seed: u32| {
+            sched.push(ScheduledPacket {
+                port: 0,
+                release: 0,
+                packet: raw_net::Packet::synthetic(0x0a0a_0000, dst, bytes, 64, seed),
+            })
+        };
         for k in 0..n {
             if fanout {
-                r.offer(
-                    0,
-                    0,
-                    &raw_net::Packet::synthetic(0x0a0a_0000, 0xe000_0005, bytes, 64, k),
-                );
+                offer(0xe000_0005, k);
             } else {
-                for dst in 1..4u32 {
-                    let p = raw_net::Packet::synthetic(
-                        0x0a0a_0000,
-                        0x0a00_0001 | (dst << 16),
-                        bytes,
-                        64,
-                        k * 4 + dst,
-                    );
-                    r.offer(0, 0, &p);
-                }
+                (1..4).for_each(|dst| offer(0x0a00_0001 | (dst << 16), k * 4 + dst));
             }
         }
-        let expect = 3 * n as u64;
-        while r.delivered_count() < expect && r.machine.cycle() < 6_000_000 {
-            r.run(128);
-        }
-        assert!(
-            r.delivered_count() >= expect,
-            "multicast run incomplete: {} of {expect}",
-            r.delivered_count()
-        );
-        (r.machine.cycle(), r.delivered_count())
+        let table = Arc::new(ForwardingTable::build(&routes));
+        let r = run_router(cfg, table, &sched, Until::Drained(6_000_000), None);
+        (last_completion(&r), r.delivered_count())
     };
     let (cyc_fan, copies) = run(true);
     let (cyc_rep, _) = run(false);
@@ -538,20 +504,11 @@ pub struct AsmXbarResult {
 
 pub fn asm_crossbar_study() -> AsmXbarResult {
     let run = |asm: bool| -> f64 {
-        let w = Workload::peak(512, 2500);
         let cfg = RouterConfig {
-            quantum_words: 128,
-            cut_through: true,
             asm_crossbar: asm,
-            ..RouterConfig::default()
+            ..RouterConfig::for_packet_bytes(512)
         };
-        let mut r = RawRouter::new(cfg, experiment_table());
-        for sp in generate(&w) {
-            r.offer(sp.port, sp.release, &sp.packet);
-        }
-        r.run(WARM + WINDOW);
-        assert_eq!(r.parse_errors(), 0);
-        r.throughput_gbps(WARM, WARM + WINDOW)
+        saturated(cfg, &Workload::peak(512, 2500)).throughput_gbps(WARM, WARM + WINDOW)
     };
     let src = raw_xbar::asm_xbar::gen_crossbar_asm_source(0, 1);
     let instrs = raw_isa::assemble(&src).expect("assembles").len();
@@ -580,45 +537,30 @@ pub fn voq_study() -> VoqResult {
     use raw_xbar::IngressQueueing;
     let run = |queueing: IngressQueueing| -> (u64, u64) {
         let cfg = RouterConfig {
-            quantum_words: 16,
-            cut_through: true,
             queueing,
-            ..RouterConfig::default()
+            ..RouterConfig::for_packet_bytes(64)
         };
-        let mut r = RawRouter::new(cfg, experiment_table());
+        let mut sched = Vec::new();
         for src in 0..4u32 {
-            for k in 0..20u32 {
-                let p = raw_net::Packet::synthetic(
-                    0x0a0a_0000 + src,
-                    0x0a00_0001, // hotspot: everyone floods port 0
-                    64,
-                    64,
-                    k,
-                );
-                r.offer(src as usize, 0, &p);
+            // Hotspot: everyone floods port 0; then the victim.
+            let hot = (0..20u32).map(|k| (0x0a00_0001, k));
+            let victim = (0x0a00_0001 | (((src + 1) % 4) << 16), 99);
+            for (dst, seed) in hot.chain([victim]) {
+                sched.push(ScheduledPacket {
+                    port: src as usize,
+                    release: 0,
+                    packet: raw_net::Packet::synthetic(0x0a0a_0000 + src, dst, 64, 64, seed),
+                });
             }
-            let v = raw_net::Packet::synthetic(
-                0x0a0a_0000 + src,
-                0x0a00_0001 | (((src + 1) % 4) << 16),
-                64,
-                64,
-                99,
-            );
-            r.offer(src as usize, 0, &v);
         }
-        assert!(r.run_until_drained(6_000_000));
+        let r = run_router(cfg, port_table(), &sched, Until::Drained(6_000_000), None);
         let victims = (0..4)
-            .flat_map(|p| r.delivered(p))
+            .flat_map(|p| &r.collected(p).packets)
             .filter(|(_, p)| ((p.header.dst >> 16) & 0x3) != 0)
-            .map(|(c, _)| c)
+            .map(|(c, _)| *c)
             .max()
             .expect("victims delivered");
-        let total = (0..4)
-            .flat_map(|p| r.delivered(p))
-            .map(|(c, _)| c)
-            .max()
-            .unwrap();
-        (victims, total)
+        (victims, last_completion(&r))
     };
     let (fv, ft) = run(IngressQueueing::Fifo);
     let (vv, vt) = run(IngressQueueing::Voq);
@@ -647,12 +589,6 @@ pub fn latency_sweep() -> Vec<LatencyRow> {
     // Bernoulli slot so `p` maps to the offered fraction of capacity.
     let service = (quantum + 50) as u64;
     parallel_points(&[10u32, 30, 50, 70, 90], |&load_pct| {
-        let cfg = RouterConfig {
-            quantum_words: quantum,
-            cut_through: true,
-            ..RouterConfig::default()
-        };
-        let mut r = RawRouter::new(cfg, experiment_table());
         let w = Workload {
             arrivals: raw_workloads::Arrivals::Bernoulli {
                 slot_cycles: service,
@@ -662,15 +598,15 @@ pub fn latency_sweep() -> Vec<LatencyRow> {
         };
         let sched = generate(&w);
         // Release time per (src, id) for latency accounting.
-        let mut release = std::collections::BTreeMap::new();
-        for sp in &sched {
-            release.insert((sp.port, sp.packet.header.id), sp.release);
-            r.offer(sp.port, sp.release, &sp.packet);
-        }
-        r.run_until_drained(40_000_000);
+        let release: std::collections::BTreeMap<_, _> = sched
+            .iter()
+            .map(|sp| ((sp.port, sp.packet.header.id), sp.release))
+            .collect();
+        let cfg = RouterConfig::for_packet_bytes(bytes);
+        let r = run_router(cfg, port_table(), &sched, Until::Drained(40_000_000), None);
         let mut lats: Vec<u64> = Vec::new();
         for port in 0..4 {
-            for (cycle, p) in r.delivered(port) {
+            for (cycle, p) in &r.collected(port).packets {
                 let src = (p.header.src & 0x3) as usize;
                 if let Some(rel) = release.get(&(src, p.header.id)) {
                     lats.push(cycle.saturating_sub(*rel));
@@ -711,12 +647,7 @@ pub fn quantum_ablation() -> Vec<QuantumRow> {
                 cut_through: cut,
                 ..RouterConfig::default()
             };
-            let mut r = RawRouter::new(cfg, experiment_table());
-            let w = Workload::peak(bytes, 1500);
-            for sp in generate(&w) {
-                r.offer(sp.port, sp.release, &sp.packet);
-            }
-            r.run(WARM + WINDOW);
+            let r = saturated(cfg, &Workload::peak(bytes, 1500));
             QuantumRow {
                 quantum_words: q,
                 cut_through: cut,
@@ -740,17 +671,10 @@ pub fn lookup_ablation() -> Vec<LookupRow> {
         .iter()
         .map(|&engine| {
             let cfg = RouterConfig {
-                quantum_words: 16,
-                cut_through: true,
                 engine,
-                ..RouterConfig::default()
+                ..RouterConfig::for_packet_bytes(64)
             };
-            let mut r = RawRouter::new(cfg, experiment_table());
-            let w = Workload::peak(64, 6000);
-            for sp in generate(&w) {
-                r.offer(sp.port, sp.release, &sp.packet);
-            }
-            r.run(WARM + WINDOW);
+            let r = saturated(cfg, &Workload::peak(64, 6000));
             let lk = r.lk_stats[0].lock().unwrap();
             LookupRow {
                 engine: format!("{engine:?}"),

@@ -16,9 +16,10 @@
 //!    per-next-hop load split, line-rate completion floor), plus a
 //!    bounded window simulated end-to-end through the real router with
 //!    the memory model armed: measured per-flow latency / FCT
-//!    percentiles, misroute checking against the reference LPM oracle,
-//!    and the `lookup_stall` telemetry bucket closing the stall
-//!    conservation invariant.
+//!    percentiles, every delivery audited against the functional
+//!    reference (Patricia LPM, whatever engine the router runs), and the
+//!    `lookup_stall` telemetry bucket closing the stall conservation
+//!    invariant.
 //!
 //! Everything reported is deterministic — same seed, byte-identical
 //! JSON. No wall-clock values are written.
@@ -34,8 +35,10 @@ use raw_fib::{
 use raw_lookup::{synth_addresses, Engine, ForwardingTable, LookupMemModel};
 use raw_net::Packet;
 use raw_telemetry::{shared, with_sink, Recorder, SharedSink, TileState};
-use raw_workloads::{flow_churn_descs, generate_n, Arrivals, Pattern, Workload};
-use raw_xbar::{RawRouter, RouterConfig};
+use raw_workloads::{flow_churn_descs, generate_n, Arrivals, Pattern, ScheduledPacket, Workload};
+use raw_xbar::RouterConfig;
+
+use crate::run::{run_router, Until};
 
 use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
 
@@ -87,10 +90,10 @@ pub struct FibSimWindow {
     pub delivered: u64,
     pub dropped: u64,
     pub cycles: u64,
-    /// Deliveries that left a different port than the reference-LPM
-    /// oracle's next hop for their flow (must be 0).
+    /// Deliveries that left a different port than the reference LPM's
+    /// next hop, and per-flow ordering inversions: 0, because the run
+    /// passed [`run_router`]'s audit, which holds every delivery to both.
     pub misrouted: u64,
-    /// Per-flow ordering inversions across all outputs (must be 0).
     pub order_violations: u64,
     /// Telemetry: cycles in the `lookup_stall` bucket, summed over
     /// tiles (the modeled L2 chase made visible).
@@ -193,15 +196,12 @@ fn simulate_window(table: Arc<ForwardingTable>, specs: &[FlowSpec]) -> FibSimWin
     let gap = (PACKET_BYTES / 4) as u64;
 
     let cfg = RouterConfig {
-        quantum_words: PACKET_BYTES / 4,
-        cut_through: true,
         engine: Engine::Dir24_8,
         lookup_mem: Some(LookupMemModel::default()),
-        ..RouterConfig::default()
+        ..RouterConfig::for_packet_bytes(PACKET_BYTES)
     };
     let sink: SharedSink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-    let mut r = RawRouter::new_with_telemetry(cfg, table, sink.clone());
-    let mut offered_pkts = 0u64;
+    let mut sched = Vec::new();
     for s in &window {
         for k in 0..s.desc.pkts {
             let mut p = Packet::synthetic(
@@ -213,44 +213,29 @@ fn simulate_window(table: Arc<ForwardingTable>, specs: &[FlowSpec]) -> FibSimWin
             );
             p.header.id = (k & 0xffff) as u16;
             p.header.checksum = p.header.compute_checksum();
-            r.offer(s.desc.port, s.desc.start + k as u64 * gap, &p);
-            offered_pkts += 1;
+            sched.push(ScheduledPacket {
+                port: s.desc.port,
+                release: s.desc.start + k as u64 * gap,
+                packet: p,
+            });
         }
     }
-    assert!(
-        r.run_until_drained(60_000_000),
-        "fib window wedged: delivered {}/{}",
-        r.delivered_count(),
-        offered_pkts
-    );
-    assert_eq!(r.parse_errors(), 0, "corrupt delivery in fib window");
+    let offered_pkts = sched.len() as u64;
+    let until = Until::Drained(60_000_000);
+    let r = run_router(cfg, table, &sched, until, Some(sink.clone()));
 
-    // Match deliveries back to flows; check routing against the oracle
-    // next hop recorded per flow and per-flow ordering per output.
-    let hop_of: std::collections::HashMap<u32, u32> =
-        window.iter().map(|s| (s.desc.src, s.next_hop)).collect();
+    // Match deliveries back to flows.
     let mut tracker = FlowTracker::new(&window, PACKET_BYTES);
-    let mut misrouted = 0u64;
-    let mut order_violations = 0u64;
     for port in 0..raw_xbar::NPORTS {
-        let delivered = r.delivered(port);
-        for (cycle, pkt) in &delivered {
-            if hop_of.get(&pkt.header.src) != Some(&(port as u32)) {
-                misrouted += 1;
-            }
+        for (cycle, pkt) in &r.collected(port).packets {
             tracker.record(*cycle, pkt);
         }
-        let pkts: Vec<Packet> = delivered.into_iter().map(|(_, p)| p).collect();
-        order_violations += raw_workloads::flow_order_violations(&pkts) as u64;
     }
 
     let total_cycles = r.machine.cycle();
     let (lookup_stall_cycles, busy_cycles) = with_sink::<Recorder, _>(&sink, |rec| {
-        let violations = rec.conservation_violations(total_cycles);
-        assert!(
-            violations.is_empty(),
-            "fib window: stall conservation violated on tiles {violations:?}"
-        );
+        let errs = raw_chaos::conservation_errors(&r, rec);
+        assert!(errs.is_empty(), "fib window: {errs:?}");
         let sum_state = |s: TileState| {
             (0..rec.tiles())
                 .map(|t| rec.tile_state_counts(t)[s.index()])
@@ -276,8 +261,8 @@ fn simulate_window(table: Arc<ForwardingTable>, specs: &[FlowSpec]) -> FibSimWin
         delivered: r.delivered_count(),
         dropped: r.dropped_count(),
         cycles: total_cycles,
-        misrouted,
-        order_violations,
+        misrouted: 0,
+        order_violations: 0,
         lookup_stall_cycles,
         busy_cycles,
         lookups,

@@ -31,9 +31,10 @@ use serde::Serialize;
 
 use raw_telemetry::{shared, with_sink, Recorder, SharedSink, StageSpan};
 use raw_workloads::{generate, src_addr, Arrivals, Pattern, Workload};
-use raw_xbar::{IngressQueueing, RawRouter, RouterConfig, SchedKind, NPORTS};
+use raw_xbar::{port_table, IngressQueueing, RouterConfig, SchedKind, NPORTS};
 
-use crate::experiments::experiment_table;
+use crate::experiments::jain;
+use crate::run::{run_router, Until};
 
 /// Words per crossbar quantum for the head-to-head. At 64-byte packets
 /// one packet is exactly one fragment, so per-quantum arbitration
@@ -127,16 +128,6 @@ pub fn sched_router_config(kind: SchedKind) -> RouterConfig {
     }
 }
 
-fn jain(counts: &[u64]) -> f64 {
-    let n = counts.len() as f64;
-    let sum: f64 = counts.iter().map(|&c| c as f64).sum();
-    let sumsq: f64 = counts.iter().map(|&c| (c as f64) * (c as f64)).sum();
-    if sumsq == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (n * sumsq)
-}
-
 /// Run one cell: `kind` arbitrating `pattern` for `cycles` cycles under
 /// saturation arrivals.
 pub fn sched_cell(
@@ -155,19 +146,14 @@ pub fn sched_cell(
         ttl: 64,
     };
     let sink: SharedSink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-    let mut r =
-        RawRouter::new_with_telemetry(sched_router_config(kind), experiment_table(), sink.clone());
     let sched = generate(&w);
     let offered = sched.len() as u64;
-    for sp in sched {
-        r.offer(sp.port, sp.release, &sp.packet);
-    }
-    r.run(cycles);
-    assert_eq!(
-        r.parse_errors(),
-        0,
-        "{}/{pattern_name}: corrupt delivery",
-        kind.name()
+    let r = run_router(
+        sched_router_config(kind),
+        port_table(),
+        &sched,
+        Until::Cycles(cycles),
+        Some(sink.clone()),
     );
     // Measure the second half of the run: VOQ backlog diversity (and
     // the FIFO head-of-line parking it is raced against) takes tens of
@@ -180,7 +166,7 @@ pub fn sched_cell(
     // source address each workload packet carries.
     let mut per_input = [0u64; NPORTS];
     for p in 0..NPORTS {
-        for (_, pk) in r.delivered(p) {
+        for (_, pk) in &r.collected(p).packets {
             let src = pk.header.src.wrapping_sub(src_addr(0)) as usize;
             assert!(src < NPORTS, "foreign source address {:#x}", pk.header.src);
             per_input[src] += 1;

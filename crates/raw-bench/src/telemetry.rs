@@ -7,9 +7,10 @@ use serde::Serialize;
 
 use raw_telemetry::{chrome_trace, shared, with_sink, Recorder, SharedSink, TelemetrySummary};
 use raw_workloads::{generate, Workload};
-use raw_xbar::{RawRouter, RouterConfig};
+use raw_xbar::{port_table, RouterConfig};
 
-use crate::experiments::{experiment_table, packets_for};
+use crate::experiments::packets_for;
+use crate::run::{run_router, Until};
 
 /// One instrumented run: the workload identity, the usual throughput
 /// metrics, and the full telemetry summary.
@@ -40,19 +41,14 @@ const TRACE_PACKETS: usize = 256;
 /// Panics if the stall-conservation invariant fails — that would be a
 /// telemetry bug, not a noisy measurement.
 pub fn telemetry_run(name: &str, w: &Workload, cycles: u64) -> (TelemetryRun, String) {
-    let quantum = (w.packet_bytes / 4).min(256);
-    let cfg = RouterConfig {
-        quantum_words: quantum,
-        cut_through: w.packet_bytes / 4 <= 256,
-        ..RouterConfig::default()
-    };
     let sink: SharedSink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-    let mut r = RawRouter::new_with_telemetry(cfg, experiment_table(), sink.clone());
-    for sp in generate(w) {
-        r.offer(sp.port, sp.release, &sp.packet);
-    }
-    r.run(cycles);
-    assert_eq!(r.parse_errors(), 0, "corrupt delivery during telemetry run");
+    let r = run_router(
+        RouterConfig::for_packet_bytes(w.packet_bytes),
+        port_table(),
+        &generate(w),
+        Until::Cycles(cycles),
+        Some(sink.clone()),
+    );
     // Throughput over the post-warmup window, as in the fig7-1 sweeps
     // (scaled down when a smoke run shrinks the span).
     let warm = (cycles / 10).min(20_000);
@@ -60,12 +56,8 @@ pub fn telemetry_run(name: &str, w: &Workload, cycles: u64) -> (TelemetryRun, St
     let total_cycles = r.machine.cycle();
     let delivered = r.delivered_count();
     with_sink::<Recorder, _>(&sink, |rec| {
-        let violations = rec.conservation_violations(total_cycles);
-        assert!(
-            violations.is_empty(),
-            "{name}: stall conservation violated on tiles {violations:?} \
-             (expected busy + idle + stalls == {total_cycles})"
-        );
+        let errs = raw_chaos::conservation_errors(&r, rec);
+        assert!(errs.is_empty(), "{name}: {errs:?}");
         let run = TelemetryRun {
             name: name.to_string(),
             bytes: w.packet_bytes,

@@ -42,7 +42,7 @@ fn peak_router(bytes: usize, engine: EngineMode, telemetry: Option<SharedSink>) 
         ..RouterConfig::default()
     };
     cfg.raw.engine = engine;
-    RawRouter::try_new_with_telemetry(cfg, raw_bench::experiment_table(), telemetry)
+    RawRouter::try_new_with_telemetry(cfg, raw_xbar::port_table(), telemetry)
         .expect("router builds")
 }
 
@@ -180,7 +180,7 @@ fn engines_agree_under_an_active_fault_plan() {
         cfg.raw.engine = engine;
         let out = run_chaos(
             cfg,
-            raw_bench::experiment_table(),
+            raw_xbar::port_table(),
             &FaultPlan::reference(),
             &sched,
             400_000,

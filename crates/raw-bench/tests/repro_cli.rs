@@ -1,7 +1,8 @@
 //! `repro` treats a malformed or unlisted subcommand argument as a
 //! usage error — the subcommand's usage line on stderr and exit code 2,
 //! like an unknown experiment name — never as a panic, and never by
-//! silently running something else.
+//! silently running something else; and a `results/` it cannot write as
+//! exit code 1 with the path, not a panic either.
 
 use std::process::Command;
 
@@ -46,4 +47,29 @@ fn malformed_arguments_print_usage_and_exit_2() {
             "{name}: {stderr}"
         );
     }
+}
+
+/// Where `results` cannot be a directory (it is a regular file here),
+/// `repro` reports the path it could not write and exits 1 — for the JSON
+/// results and the raw CSV traces alike — instead of panicking.
+#[test]
+fn an_unwritable_results_directory_exits_1_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    for (exp, file) in [("fig3-2", "fig3_2.json"), ("fig7-3", "fig7_3_64.csv")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(exp)
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{exp}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{exp}: {stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write results/{file}: ")),
+            "{exp}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

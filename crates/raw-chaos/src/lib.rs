@@ -22,25 +22,28 @@
 //! the per-cycle and compiled engines, which is what makes an
 //! adversarial campaign debuggable.
 //!
-//! Graceful degradation is checked, not hoped for:
-//! [`conservation_errors`] asserts that every offered packet is either
-//! delivered or counted in exactly one per-port
-//! [`raw_telemetry::DropReason`] bucket, that the ingress counters and
-//! the telemetry recorder agree, and that the per-tile cycle-state
-//! accounting still closes. [`run_chaos`] packages a full
-//! offer-run-check campaign for the test battery and the
-//! `repro -- chaos` soak.
+//! Graceful degradation is checked, not hoped for: [`run_chaos`] ends in
+//! [`raw_xbar::reference::audit`], fed the corrupted word streams that
+//! actually went on the wire — every surviving packet must come out
+//! where, as and in the order the functional reference says, and every
+//! rejected one must be counted under the reference's
+//! [`raw_telemetry::DropReason`] at its input — and in
+//! [`conservation_errors`], which holds the telemetry recorder to the
+//! ingress counters and closes the per-tile cycle-state accounting.
+//! [`run_chaos`] packages a full offer-run-check campaign for the test
+//! battery and the `repro -- chaos` soak.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use raw_lookup::{ForwardingTable, RouteEntry};
-use raw_net::{corrupt, CorruptRng, Packet};
+use raw_lookup::ForwardingTable;
+use raw_net::{corrupt, CorruptRng, Fnv1a, Packet};
 use raw_sim::NUM_STATIC_NETS;
 use raw_telemetry::{shared, with_sink, DropReason, Recorder, SharedSink, TelemetrySummary};
 use raw_workloads::ScheduledPacket;
 use raw_xbar::devices::WIRE_IDLE;
+use raw_xbar::reference::audit;
 use raw_xbar::{IngressQueueing, LookupFault, RawRouter, RouterConfig, NPORTS};
 
 pub mod fabric;
@@ -282,11 +285,18 @@ impl ChaosRouter {
     }
 
     /// Offer one packet through the corruption gauntlet
-    /// ([`corrupt_offer`]).
-    pub fn offer(&mut self, port: usize, release: u64, pkt: &Packet) {
+    /// ([`corrupt_offer`]). Returns the words that went on the wire — what
+    /// [`raw_xbar::reference::audit`] must be told was offered.
+    pub fn offer(&mut self, port: usize, release: u64, pkt: &Packet) -> Vec<u32> {
         match corrupt_offer(&self.plan, &mut self.rng, &mut self.injected, pkt) {
-            None => self.router.offer(port, release, pkt),
-            Some((_, words)) => self.router.offer_raw(port, release, words),
+            None => {
+                self.router.offer(port, release, pkt);
+                pkt.to_words()
+            }
+            Some((_, words)) => {
+                self.router.offer_raw(port, release, words.clone());
+                words
+            }
         }
     }
 }
@@ -354,82 +364,29 @@ pub fn corrupt_offer(
     Some((class, words))
 }
 
-/// The standard 4-port experiment table *with a default route*, so
-/// forced lookup misses have somewhere to fall back to (port 0).
-pub fn chaos_table() -> Arc<ForwardingTable> {
-    let mut routes: Vec<RouteEntry> = raw_workloads::port_table_routes()
-        .iter()
-        .map(|r| RouteEntry::new(r.prefix, r.len, r.next_hop))
-        .collect();
-    routes.push(RouteEntry::new(0, 0, 0));
-    Arc::new(ForwardingTable::build(&routes))
-}
-
-/// Every conservation invariant the fault layer must preserve, as a
-/// list of human-readable violations (empty == healthy):
+/// What the recorder must conserve, as a list of human-readable
+/// violations (empty == healthy); the packets themselves are
+/// [`raw_xbar::reference::audit`]'s business:
 ///
-/// 1. `offered == delivered + dropped` — no packet vanishes, none is
-///    double-counted;
-/// 2. per port, `packets_dropped` equals the sum over the classified
-///    [`DropReason`] buckets — every drop has exactly one reason;
-/// 3. the telemetry recorder's per-port drop counters mirror the
-///    ingress statistics;
-/// 4. zero output-side parse errors — corruption never leaks a
-///    malformed packet *through* the fabric;
-/// 5. the per-tile `busy + idle + stall` cycle accounting still closes
+/// 1. the telemetry recorder's per-port drop counters mirror the ingress
+///    statistics;
+/// 2. the per-tile `busy + idle + stall` cycle accounting still closes
 ///    (delegated to [`Recorder::conservation_violations`]).
-pub fn conservation_errors(r: &RawRouter, rec: Option<&Recorder>) -> Vec<String> {
+pub fn conservation_errors(r: &RawRouter, rec: &Recorder) -> Vec<String> {
     let mut errs = Vec::new();
-    let (offered, delivered, dropped) = (r.offered(), r.delivered_count(), r.dropped_count());
-    if delivered + dropped != offered {
-        errs.push(format!(
-            "offered {offered} != delivered {delivered} + dropped {dropped}"
-        ));
-    }
-    if r.parse_errors() != 0 {
-        errs.push(format!(
-            "{} corrupt packets leaked through to the outputs",
-            r.parse_errors()
-        ));
-    }
     for p in 0..NPORTS {
-        let s = r.ingress_stats(p);
-        let classified: u64 = s.drops.iter().sum();
-        if s.packets_dropped != classified {
+        let (mirror, drops) = (rec.drop_counts(p), r.ingress_stats(p).drops);
+        if mirror != drops {
             errs.push(format!(
-                "port {p}: packets_dropped {} != classified drop sum {classified}",
-                s.packets_dropped
+                "port {p}: telemetry drop counters {mirror:?} != ingress {drops:?}"
             ));
         }
-        if let Some(rec) = rec {
-            let mirror = rec.drop_counts(p);
-            if mirror != s.drops {
-                errs.push(format!(
-                    "port {p}: telemetry drop counters {mirror:?} != ingress {:?}",
-                    s.drops
-                ));
-            }
-        }
     }
-    if let Some(rec) = rec {
-        let v = rec.conservation_violations(r.machine.cycle());
-        if !v.is_empty() {
-            errs.push(format!("tile cycle-state conservation violated on {v:?}"));
-        }
+    let v = rec.conservation_violations(r.machine.cycle());
+    if !v.is_empty() {
+        errs.push(format!("tile cycle-state conservation violated on {v:?}"));
     }
     errs
-}
-
-/// Within-flow order violations summed over all outputs (see
-/// [`raw_workloads::flow_order_violations`]). Faults may *drop* packets
-/// from a flow but must never reorder the survivors.
-pub fn total_flow_order_violations(r: &RawRouter) -> u64 {
-    (0..NPORTS)
-        .map(|p| {
-            let pkts: Vec<Packet> = r.delivered(p).into_iter().map(|(_, pkt)| pkt).collect();
-            raw_workloads::flow_order_violations(&pkts) as u64
-        })
-        .sum()
 }
 
 /// FNV-1a digest of everything observable about a finished run: per-port
@@ -438,25 +395,21 @@ pub fn total_flow_order_violations(r: &RawRouter) -> u64 {
 /// the same traffic — in either engine mode — must produce equal
 /// fingerprints.
 pub fn fingerprint(r: &RawRouter) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
+    let mut h = Fnv1a::default();
     for p in 0..NPORTS {
-        for (cycle, pkt) in r.delivered(p) {
-            mix(cycle);
+        for (cycle, pkt) in &r.collected(p).packets {
+            h.mix(*cycle);
             for w in pkt.to_words() {
-                mix(u64::from(w));
+                h.mix(u64::from(w));
             }
         }
     }
     for d in r.drop_reasons() {
-        mix(d);
+        h.mix(d);
     }
-    mix(r.offered());
-    mix(r.machine.cycle());
-    h
+    h.mix(r.offered());
+    h.mix(r.machine.cycle());
+    h.finish()
 }
 
 /// The observable outcome of one chaos campaign.
@@ -473,17 +426,18 @@ pub struct ChaosRunResult {
     pub cycles: u64,
     /// Whether accounting closed before the deadline (no deadlock/wedge).
     pub drained: bool,
-    pub flow_order_violations: u64,
     pub fingerprint: u64,
     pub summary: TelemetrySummary,
-    /// Conservation violations (empty == graceful degradation held).
+    /// Disagreements with the reference and conservation violations
+    /// (empty == graceful degradation held).
     pub errors: Vec<String>,
 }
 
 /// Run one full campaign: build a [`ChaosRouter`] with a telemetry
 /// recorder attached, offer the schedule through the corruption
 /// gauntlet, run until every packet is delivered or dropped (or
-/// `max_cycles` pass), and collect every invariant check.
+/// `max_cycles` pass), then [`audit`] the run against the reference —
+/// fed the corrupted streams — and collect [`conservation_errors`].
 pub fn run_chaos(
     cfg: RouterConfig,
     table: Arc<ForwardingTable>,
@@ -493,13 +447,20 @@ pub fn run_chaos(
 ) -> Result<ChaosRunResult, String> {
     let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
     let mut cr = ChaosRouter::try_new(cfg, table, plan.clone(), Some(sink.clone()))?;
-    for sp in sched {
-        cr.offer(sp.port, sp.release, &sp.packet);
-    }
+    let offered: Vec<(usize, Vec<u32>)> = sched
+        .iter()
+        .map(|sp| (sp.port, cr.offer(sp.port, sp.release, &sp.packet)))
+        .collect();
     let drained = cr.router.run_until_drained(max_cycles);
     let r = &cr.router;
-    let (summary, mut errors) = with_sink::<Recorder, _>(&sink, |rec| {
-        (rec.summary(NPORTS), conservation_errors(r, Some(rec)))
+    let mut errors = audit(
+        r,
+        offered.iter().map(|(port, words)| (*port, words)),
+        drained,
+    );
+    let summary = with_sink::<Recorder, _>(&sink, |rec| {
+        errors.extend(conservation_errors(r, rec));
+        rec.summary(NPORTS)
     });
     if !drained {
         errors.push(format!(
@@ -510,19 +471,11 @@ pub fn run_chaos(
             r.dropped_count()
         ));
     }
-    let drops = r.drop_reasons();
-    if drops.iter().sum::<u64>() != cr.injected.expected_drops() {
-        errors.push(format!(
-            "classified drops {} != injected rejectable faults {}",
-            drops.iter().sum::<u64>(),
-            cr.injected.expected_drops()
-        ));
-    }
     Ok(ChaosRunResult {
         offered: r.offered(),
         delivered: r.delivered_count(),
         dropped: r.dropped_count(),
-        drops,
+        drops: r.drop_reasons(),
         injected: cr.injected,
         lookup_misses: r
             .lk_stats
@@ -531,7 +484,6 @@ pub fn run_chaos(
             .sum(),
         cycles: r.machine.cycle(),
         drained,
-        flow_order_violations: total_flow_order_violations(r),
         fingerprint: fingerprint(r),
         summary,
         errors,
@@ -542,6 +494,7 @@ pub fn run_chaos(
 mod tests {
     use super::*;
     use raw_workloads::{generate, Workload};
+    use raw_xbar::port_table;
 
     fn voq_cfg() -> RouterConfig {
         RouterConfig {
@@ -607,7 +560,7 @@ mod tests {
     fn zero_rate_offers_consume_no_randomness_and_pass_through() {
         let sched = generate(&Workload::peak(64, 20));
         let mut cr =
-            ChaosRouter::try_new(voq_cfg(), chaos_table(), FaultPlan::zero(0xBEEF), None).unwrap();
+            ChaosRouter::try_new(voq_cfg(), port_table(), FaultPlan::zero(0xBEEF), None).unwrap();
         let before = cr.rng.clone();
         for sp in &sched {
             cr.offer(sp.port, sp.release, &sp.packet);
@@ -635,7 +588,7 @@ mod tests {
             ..FaultPlan::zero(7)
         };
         let sched = generate(&Workload::peak(64, 50));
-        let res = run_chaos(voq_cfg(), chaos_table(), &plan, &sched, 2_000_000).unwrap();
+        let res = run_chaos(voq_cfg(), port_table(), &plan, &sched, 2_000_000).unwrap();
         assert!(res.errors.is_empty(), "{:?}", res.errors);
         assert!(res.drained);
         let i = res.injected;
@@ -652,7 +605,6 @@ mod tests {
         }
         assert_eq!(res.dropped, i.expected_drops());
         assert_eq!(res.delivered, res.offered - res.dropped);
-        assert_eq!(res.flow_order_violations, 0);
         assert!(res.lookup_misses > 0, "forced lookup misses never engaged");
     }
 }

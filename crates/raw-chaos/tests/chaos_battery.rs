@@ -1,7 +1,8 @@
 //! The adversarial battery: random fault campaigns against the full
 //! router, checking graceful degradation (count-and-drop, never panic,
-//! never wedge), flow-order preservation, conservation of every
-//! accounting plane, and bit-identical replay in both engine modes.
+//! never wedge) against the functional reference — per port and per
+//! drop reason, byte for byte and in order — conservation of the
+//! recorder's planes, and bit-identical replay in both engine modes.
 
 use proptest::prelude::*;
 
@@ -11,7 +12,7 @@ use raw_net::{CorruptRng, Packet};
 use raw_sim::{EngineMode, RawConfig, NUM_STATIC_NETS};
 use raw_telemetry::{shared, with_sink, DropReason, Recorder, SharedSink};
 use raw_workloads::{generate, generate_n, Arrivals, Pattern, ScheduledPacket, Workload};
-use raw_xbar::{IngressQueueing, RawRouter, RouterConfig, NPORTS};
+use raw_xbar::{audit, port_table, IngressQueueing, RawRouter, RouterConfig, NPORTS};
 
 /// VOQ ingress (so truncation faults are legal) on the 64-byte quantum.
 fn voq_cfg(engine: EngineMode) -> RouterConfig {
@@ -74,7 +75,7 @@ fn chaos_streams(
     sched: &[ScheduledPacket],
 ) -> (u64, Vec<Vec<(u64, Packet)>>) {
     let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
-    let mut cr = ChaosRouter::try_new(cfg, chaos_table(), plan.clone(), Some(sink)).unwrap();
+    let mut cr = ChaosRouter::try_new(cfg, port_table(), plan.clone(), Some(sink)).unwrap();
     for sp in sched {
         cr.offer(sp.port, sp.release, &sp.packet);
     }
@@ -86,7 +87,7 @@ fn chaos_streams(
 /// The unwrapped baseline with the identical telemetry arrangement.
 fn plain_streams(cfg: RouterConfig, sched: &[ScheduledPacket]) -> (u64, Vec<Vec<(u64, Packet)>>) {
     let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
-    let mut r = RawRouter::new_with_telemetry(cfg, chaos_table(), sink);
+    let mut r = RawRouter::try_new_with_telemetry(cfg, port_table(), Some(sink)).unwrap();
     for sp in sched {
         r.offer(sp.port, sp.release, &sp.packet);
     }
@@ -98,11 +99,12 @@ fn plain_streams(cfg: RouterConfig, sched: &[ScheduledPacket]) -> (u64, Vec<Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any random fault plan over uniform traffic: accounting closes
-    /// (`delivered + dropped == offered`), every drop lands in exactly
-    /// one classified bucket mirrored by telemetry, no corrupt packet
-    /// leaks through the fabric, per-tile cycle conservation holds, and
-    /// surviving packets are never reordered within a flow.
+    /// Any random fault plan over uniform traffic — all seven corruption
+    /// classes, VOQ truncation, stall and pause windows, forced lookup
+    /// misses: zero disagreements with the reference (every survivor out
+    /// of the right port intact and in order, every drop under the
+    /// reference's reason at its input), the telemetry mirror and the
+    /// per-tile cycle conservation hold, and the run drains.
     #[test]
     fn random_fault_plans_degrade_gracefully(
         seed in any::<u64>(),
@@ -111,15 +113,11 @@ proptest! {
         let plan = random_plan(seed);
         let sched = generate(&Workload::average(64, 40, wl_seed));
         let res = run_chaos(
-            voq_cfg(EngineMode::Compiled), chaos_table(), &plan, &sched, 4_000_000,
+            voq_cfg(EngineMode::Compiled), port_table(), &plan, &sched, 4_000_000,
         ).unwrap();
         prop_assert!(res.errors.is_empty(), "plan seed {seed:#x}: {:?}", res.errors);
         prop_assert!(res.drained, "plan seed {seed:#x} wedged");
         prop_assert_eq!(res.offered, sched.len() as u64);
-        prop_assert_eq!(
-            res.flow_order_violations, 0,
-            "plan seed {:#x} reordered a flow", seed
-        );
         prop_assert_eq!(res.dropped, res.injected.expected_drops());
     }
 }
@@ -172,21 +170,15 @@ fn zero_rate_plan_is_byte_identical_to_unwrapped_router() {
 #[test]
 fn reference_plan_completes_fig7_1_peak_at_both_corners() {
     for bytes in [64usize, 1024] {
-        let quantum = (bytes / 4).min(256);
-        let cfg = || RouterConfig {
-            quantum_words: quantum,
-            cut_through: bytes / 4 <= 256,
-            ..RouterConfig::default()
-        };
+        let cfg = || RouterConfig::for_packet_bytes(bytes);
         let packets = if bytes == 64 { 200 } else { 40 };
         let sched = generate(&Workload::peak(bytes, packets));
         let plan = FaultPlan::reference();
-        let run = || run_chaos(cfg(), chaos_table(), &plan, &sched, 8_000_000).unwrap();
+        let run = || run_chaos(cfg(), port_table(), &plan, &sched, 8_000_000).unwrap();
         let a = run();
         assert!(a.errors.is_empty(), "{bytes}B: {:?}", a.errors);
         assert!(a.drained, "{bytes}B: reference plan wedged the router");
         assert_eq!(a.delivered + a.dropped, a.offered);
-        assert_eq!(a.flow_order_violations, 0);
         let b = run();
         assert_eq!(a.fingerprint, b.fingerprint, "{bytes}B: rerun diverged");
         assert_eq!(a.drops, b.drops);
@@ -196,43 +188,48 @@ fn reference_plan_completes_fig7_1_peak_at_both_corners() {
 /// Satellite: seeded mutants of the drop accounting. Breaking any one
 /// [`DropReason`] counter — in either direction, with or without a
 /// sympathetic total bump, or on the telemetry mirror — must trip the
-/// conservation check. This is what makes the invariant trustworthy.
+/// audit or the recorder's conservation check. This is what makes the
+/// invariants trustworthy.
 #[test]
 fn broken_drop_counters_are_caught_by_conservation() {
     let sched = generate(&Workload::peak(64, 10));
+    let offered = || sched.iter().map(|sp| (sp.port, sp.packet.to_words()));
     for i in 0..DropReason::COUNT {
         let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
-        let mut r = RawRouter::new_with_telemetry(
+        let mut r = RawRouter::try_new_with_telemetry(
             voq_cfg(EngineMode::Compiled),
-            chaos_table(),
-            sink.clone(),
-        );
+            port_table(),
+            Some(sink.clone()),
+        )
+        .unwrap();
         for sp in &sched {
             r.offer(sp.port, sp.release, &sp.packet);
         }
         assert!(r.run_until_drained(1_000_000));
-        let errs = |r: &RawRouter, sink: &SharedSink| {
-            with_sink::<Recorder, _>(sink, |rec| conservation_errors(r, Some(rec)))
-        };
-        assert!(errs(&r, &sink).is_empty(), "clean run must conserve");
+        let mirror =
+            |r: &RawRouter| with_sink::<Recorder, _>(&sink, |rec| conservation_errors(r, rec));
+        assert!(audit(&r, offered(), true).is_empty(), "clean run");
+        assert!(mirror(&r).is_empty(), "clean run must conserve");
 
         // Mutant A: a classified bucket bumped without the total.
         let port = i % NPORTS;
         r.ingress_stats_mut(port).drops[i] += 1;
-        let found = errs(&r, &sink);
+        let found = audit(&r, offered(), true);
         assert!(
             found.iter().any(|e| e.contains("classified drop sum")),
             "mutant A on bucket {i} escaped: {found:?}"
         );
 
         // Mutant B: the total bumped in sympathy — the per-port sums now
-        // agree, but offered-conservation and the telemetry mirror break.
+        // agree, but the reference dropped nothing and the telemetry
+        // mirror breaks.
         r.ingress_stats_mut(port).packets_dropped += 1;
-        let found = errs(&r, &sink);
+        let found = audit(&r, offered(), true);
         assert!(
-            found.iter().any(|e| e.contains("offered")),
-            "mutant B on bucket {i} escaped offered-conservation: {found:?}"
+            found.len() == 1 && found[0].contains("the reference has 0"),
+            "mutant B on bucket {i} escaped the audit: {found:?}"
         );
+        let found = mirror(&r);
         assert!(
             found.iter().any(|e| e.contains("telemetry")),
             "mutant B on bucket {i} escaped the telemetry mirror: {found:?}"
@@ -241,15 +238,106 @@ fn broken_drop_counters_are_caught_by_conservation() {
         // Mutant C: a spurious drop event on the telemetry side only.
         r.ingress_stats_mut(port).drops[i] -= 1;
         r.ingress_stats_mut(port).packets_dropped -= 1;
-        assert!(errs(&r, &sink).is_empty(), "mutants must revert cleanly");
+        assert!(
+            audit(&r, offered(), true).is_empty(),
+            "mutants must revert cleanly"
+        );
+        assert!(mirror(&r).is_empty(), "mutants must revert cleanly");
         sink.lock()
             .unwrap()
             .packet_drop(0, port as u8, DropReason::ALL[i]);
-        let found = errs(&r, &sink);
+        let found = mirror(&r);
         assert!(
             found.iter().any(|e| e.contains("telemetry")),
             "mutant C on bucket {i} escaped: {found:?}"
         );
+    }
+}
+
+/// The all-classes matrix and the forced-lookup-miss campaign agree with
+/// the reference per port and per reason: every corruption class alone at
+/// a rate that fires, then all of them together with forced misses on
+/// top — zero disagreements, and what each class must do is visible in
+/// the buckets.
+#[test]
+fn every_class_and_forced_misses_agree_with_the_reference() {
+    let sched = generate(&Workload::average(64, 60, 17));
+    let class = |f: &dyn Fn(&mut FaultPlan)| {
+        let mut plan = FaultPlan::zero(0x5eed);
+        f(&mut plan);
+        plan
+    };
+    let rows: [(&str, FaultPlan, Option<DropReason>); 8] = [
+        ("header flip", class(&|p| p.header_flip_ppm = 200_000), None),
+        (
+            "bad checksum",
+            class(&|p| p.bad_checksum_ppm = 200_000),
+            Some(DropReason::BadChecksum),
+        ),
+        (
+            "bad version",
+            class(&|p| p.bad_version_ppm = 200_000),
+            Some(DropReason::BadVersion),
+        ),
+        (
+            "bad ihl",
+            class(&|p| p.bad_ihl_ppm = 200_000),
+            Some(DropReason::BadIhl),
+        ),
+        (
+            "ttl expire",
+            class(&|p| p.ttl_expire_ppm = 200_000),
+            Some(DropReason::TtlExpired),
+        ),
+        (
+            "truncate",
+            class(&|p| p.truncate_ppm = 200_000),
+            Some(DropReason::Truncated),
+        ),
+        (
+            "payload flip",
+            class(&|p| p.payload_flip_ppm = 200_000),
+            None,
+        ),
+        (
+            "everything + forced misses",
+            FaultPlan {
+                header_flip_ppm: 60_000,
+                payload_flip_ppm: 60_000,
+                bad_checksum_ppm: 60_000,
+                ttl_expire_ppm: 60_000,
+                bad_version_ppm: 60_000,
+                bad_ihl_ppm: 60_000,
+                truncate_ppm: 60_000,
+                lookup_miss_ppm: 150_000,
+                lookup_penalty_cycles: 40,
+                ..FaultPlan::zero(0x5eed)
+            },
+            None,
+        ),
+    ];
+    for (name, plan, only) in rows {
+        let res = run_chaos(
+            voq_cfg(EngineMode::Compiled),
+            port_table(),
+            &plan,
+            &sched,
+            4_000_000,
+        )
+        .unwrap();
+        assert!(res.errors.is_empty(), "{name}: {:?}", res.errors);
+        assert!(res.drained, "{name} wedged");
+        assert!(res.injected.total() > 0, "{name} never fired");
+        assert_eq!(res.dropped, res.injected.expected_drops(), "{name}");
+        if let Some(reason) = only {
+            assert_eq!(
+                res.drops[reason.index()],
+                res.dropped,
+                "{name}: {:?}",
+                res.drops
+            );
+        }
+        assert_eq!(res.lookup_misses > 0, plan.lookup_miss_ppm > 0, "{name}");
     }
 }
 

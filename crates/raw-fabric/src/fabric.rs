@@ -854,27 +854,23 @@ impl RawFabric {
     /// count, and the epoch clock. Every executor must produce equal
     /// fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
+        let mut h = raw_net::Fnv1a::default();
         for ext in 0..self.ext_ports() {
             for (cycle, p) in &self.ext_collected(ext).packets {
-                mix(*cycle);
+                h.mix(*cycle);
                 for w in p.to_words() {
-                    mix(u64::from(w));
+                    h.mix(u64::from(w));
                 }
             }
         }
         for r in &self.routers {
             for d in r.drop_reasons() {
-                mix(d);
+                h.mix(d);
             }
         }
-        mix(self.offered);
-        mix(self.epochs_run);
-        h
+        h.mix(self.offered);
+        h.mix(self.epochs_run);
+        h.finish()
     }
 
     /// Reduce the run to its serializable summary.

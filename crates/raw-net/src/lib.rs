@@ -13,15 +13,18 @@
 //!   tagged fragments and are reassembled by the Egress Processor (§4.2),
 //!   with spare tag bits carrying the §8.3 compute-in-fabric opcode;
 //! * [`corrupt`] — deterministic, length-preserving packet mutators for
-//!   the `raw-chaos` fault-injection campaigns.
+//!   the `raw-chaos` fault-injection campaigns;
+//! * [`fnv`] — the FNV-1a word fold behind every run fingerprint.
 
 pub mod checksum;
 pub mod corrupt;
+pub mod fnv;
 pub mod frag;
 pub mod ipv4;
 pub mod packet;
 
 pub use corrupt::CorruptRng;
+pub use fnv::Fnv1a;
 pub use frag::{fragment, ComputeOp, FragTag, Fragment, ReasmError, Reassembler, MAX_FRAG_WORDS};
 pub use ipv4::{fmt_addr, parse_addr, IpError, Ipv4Header, IPV4_HEADER_BYTES, IPV4_HEADER_WORDS};
 pub use packet::Packet;

@@ -292,14 +292,13 @@ fn table_classes(spec: &FabricSpec) -> (Vec<usize>, Vec<usize>) {
     let mut reps: Vec<usize> = Vec::new();
     let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
     for (ri, node) in spec.routers.iter().enumerate() {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = raw_net::Fnv1a::default();
         for r in &node.routes {
             for x in [u64::from(r.prefix), u64::from(r.len), u64::from(r.next_hop)] {
-                h ^= x;
-                h = h.wrapping_mul(0x100_0000_01b3);
+                h.mix(x);
             }
         }
-        let ids = by_hash.entry(h).or_default();
+        let ids = by_hash.entry(h.finish()).or_default();
         let found = ids
             .iter()
             .copied()

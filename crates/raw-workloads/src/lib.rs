@@ -520,28 +520,26 @@ pub fn flow_order_violations(delivered: &[Packet]) -> usize {
     bad
 }
 
-/// Per-output expected packet counts for a schedule (delivery checking).
-pub fn expected_per_output(sched: &[ScheduledPacket]) -> [usize; NPORTS] {
-    let v = expected_per_output_n(sched, NPORTS);
-    std::array::from_fn(|i| v[i])
-}
-
-/// [`expected_per_output`] over an `nports`-wide external port space.
-pub fn expected_per_output_n(sched: &[ScheduledPacket], nports: usize) -> Vec<usize> {
-    let mut out = vec![0usize; nports];
-    for s in sched {
-        // The port lives in the second address octet (`10.<p>.0.0/16`);
-        // it must name a real output, not be silently masked into range.
-        let dst = ((s.packet.header.dst >> 16) & 0xff) as usize;
-        assert!(dst < nports, "destination {dst} outside the port space");
-        out[dst] += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many packets of `sched` target each of `nports` outputs (the
+    /// port lives in the second address octet, `10.<p>.0.0/16`).
+    fn per_output_n(sched: &[ScheduledPacket], nports: usize) -> Vec<usize> {
+        let mut out = vec![0usize; nports];
+        for s in sched {
+            let dst = ((s.packet.header.dst >> 16) & 0xff) as usize;
+            assert!(dst < nports, "destination {dst} outside the port space");
+            out[dst] += 1;
+        }
+        out
+    }
+
+    fn per_output(sched: &[ScheduledPacket]) -> [usize; NPORTS] {
+        let v = per_output_n(sched, NPORTS);
+        std::array::from_fn(|i| v[i])
+    }
 
     #[test]
     fn generation_is_deterministic() {
@@ -565,7 +563,7 @@ mod tests {
             let dst = ((s.packet.header.dst >> 16) & 0xff) as u8;
             assert_eq!(dst, (src + 2) % 4);
         }
-        let per = expected_per_output(&sched);
+        let per = per_output(&sched);
         assert_eq!(per, [10, 10, 10, 10]);
     }
 
@@ -688,7 +686,7 @@ mod tests {
                 assert_eq!(dst, r + 1, "src {} k {k}", s.port);
             }
         }
-        let per = expected_per_output(&sched);
+        let per = per_output(&sched);
         assert_eq!(per.iter().sum::<usize>(), 256);
         assert_eq!(per[0], 4 * 40, "hot output gets 5/8 of each source");
 
@@ -744,7 +742,7 @@ mod tests {
     #[test]
     fn uniform_covers_all_outputs() {
         let w = Workload::average(64, 400, 3);
-        let per = expected_per_output(&generate(&w));
+        let per = per_output(&generate(&w));
         for (i, &n) in per.iter().enumerate() {
             assert!(
                 (300..=500).contains(&n),
@@ -759,7 +757,7 @@ mod tests {
             pattern: Pattern::Hotspot { dst: 1 },
             ..Workload::peak(64, 5)
         };
-        let per = expected_per_output(&generate(&w));
+        let per = per_output(&generate(&w));
         assert_eq!(per, [0, 20, 0, 0]);
     }
 
@@ -838,7 +836,7 @@ mod tests {
             );
         }
         // Destinations stay uniform under the size mix.
-        let per = expected_per_output(&a);
+        let per = per_output(&a);
         assert!(per.iter().all(|&n| n > 400));
     }
 
@@ -854,7 +852,7 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.packet, y.packet);
             }
-            expected_per_output(&a)
+            per_output(&a)
         };
         // s = 0 is uniform.
         let flat = gen_per(0);
@@ -911,7 +909,7 @@ mod tests {
             assert!(dst < 16);
         }
         // Every one of the 15 foreign destinations is covered per source.
-        let per = expected_per_output_n(&a, 16);
+        let per = per_output_n(&a, 16);
         assert!(per.iter().all(|&n| n > 100), "{per:?}");
     }
 
@@ -939,7 +937,7 @@ mod tests {
                 assert!(dst < nports, "dst {dst} out of range at {nports} ports");
             }
             // Uniform spray: every destination port draws traffic.
-            let per = expected_per_output_n(&a, nports);
+            let per = per_output_n(&a, nports);
             assert!(
                 per.iter().all(|&n| n > 0),
                 "uncovered destination at {nports} ports: {per:?}"
@@ -961,7 +959,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.packet, y.packet);
         }
-        let per = expected_per_output_n(&a, 16);
+        let per = per_output_n(&a, 16);
         // All 800 packets land on egress group 2 (external ports 8..12).
         assert_eq!(per.iter().sum::<usize>(), 800);
         for (d, &n) in per.iter().enumerate() {
@@ -985,7 +983,7 @@ mod tests {
             assert_eq!(dst, (s.port + 5) % 16);
         }
         assert_eq!(
-            expected_per_output_n(&sched, 16),
+            per_output_n(&sched, 16),
             vec![3usize; 16],
             "a permutation loads every output equally"
         );
@@ -1106,7 +1104,7 @@ mod tests {
         let total: u64 = descs.iter().map(|d| d.pkts as u64).sum();
         assert_eq!(sched.len() as u64, total);
         // And per-output counts match the descs' destination draws.
-        let per = expected_per_output_n(&sched, 4);
+        let per = per_output_n(&sched, 4);
         for (dst, &got) in per.iter().enumerate() {
             let want: u64 = descs
                 .iter()

@@ -20,7 +20,9 @@
 //!   than consequences of the simulated hardware;
 //! * [`devices`] — input/output line cards with external buffering;
 //! * [`router`] — the assembled 4-port router with throughput, latency,
-//!   and utilization measurement.
+//!   and utilization measurement;
+//! * [`reference`] — the functional reference of the datapath and the one
+//!   audit every run is held to.
 
 pub mod asm_xbar;
 pub mod codegen;
@@ -29,6 +31,7 @@ pub mod costs;
 pub mod devices;
 pub mod layout;
 pub mod programs;
+pub mod reference;
 pub mod router;
 pub mod scale;
 
@@ -41,6 +44,7 @@ pub use programs::{
     EgressMode, EgressStats, IngressQueueing, IngressStats, LookupStats, XbarStats,
 };
 pub use raw_sched::SchedKind;
+pub use reference::{audit, port_table};
 pub use router::{token_schedule, LookupFault, RawRouter, RouterConfig};
 pub use scale::{
     mesh_scaling_throughput, ring_saturation_throughput, ring_walk, ScalingCurve, ScalingPoint,

@@ -99,6 +99,20 @@ impl Default for RouterConfig {
     }
 }
 
+impl RouterConfig {
+    /// The Figure 7-1 configuration for `bytes`-byte packets: a quantum of
+    /// one whole packet with cut-through egress, up to the 256-word
+    /// fragment limit; past it, store-and-forward reassembly.
+    pub fn for_packet_bytes(bytes: usize) -> RouterConfig {
+        let words = bytes / 4;
+        RouterConfig {
+            quantum_words: words.min(256),
+            cut_through: words <= 256,
+            ..RouterConfig::default()
+        }
+    }
+}
+
 /// Expand token weights into the cyclic token schedule.
 pub fn token_schedule(weights: [u32; NPORTS]) -> Vec<u8> {
     let mut seq = Vec::new();
@@ -117,6 +131,8 @@ pub struct RawRouter {
     pub machine: RawMachine,
     pub layout: RouterLayout,
     pub cfg: RouterConfig,
+    /// The forwarding table all four Lookup Processors share.
+    pub table: Arc<ForwardingTable>,
     pub cs: Arc<ConfigSpace>,
     in_ports: [EdgePort; NPORTS],
     out_ports: [EdgePort; NPORTS],
@@ -129,19 +145,6 @@ pub struct RawRouter {
 impl RawRouter {
     pub fn new(cfg: RouterConfig, table: Arc<ForwardingTable>) -> RawRouter {
         match RawRouter::try_new(cfg, table) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`RawRouter::new`] with a telemetry sink attached (panicking
-    /// constructor for tests and harnesses).
-    pub fn new_with_telemetry(
-        cfg: RouterConfig,
-        table: Arc<ForwardingTable>,
-        telemetry: raw_telemetry::SharedSink,
-    ) -> RawRouter {
-        match RawRouter::try_new_with_telemetry(cfg, table, Some(telemetry)) {
             Ok(r) => r,
             Err(e) => panic!("{e}"),
         }
@@ -347,6 +350,7 @@ impl RawRouter {
             machine,
             layout,
             cfg,
+            table,
             cs,
             in_ports: in_ports.try_into().map_err(|_| ()).unwrap(),
             out_ports: out_ports.try_into().map_err(|_| ()).unwrap(),
@@ -504,7 +508,11 @@ impl RawRouter {
     }
 
     /// Run until every offered packet has been delivered or dropped, or
-    /// `max_cycles` pass. Returns true on full accounting.
+    /// `max_cycles` pass. Returns true on full accounting. The count is
+    /// unicast-only: a multicast packet is one offer but one delivery per
+    /// member port, so this returns as soon as the copies delivered reach
+    /// the packets offered (wait on
+    /// [`crate::reference::Expected::copies`] for fan-out traffic).
     pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {
         let deadline = self.machine.cycle() + max_cycles;
         while self.machine.cycle() < deadline {
@@ -610,13 +618,7 @@ impl RawRouter {
 mod tests {
     use super::*;
 
-    fn table() -> Arc<ForwardingTable> {
-        use raw_lookup::RouteEntry;
-        let routes: Vec<RouteEntry> = (0..4)
-            .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-            .collect();
-        Arc::new(ForwardingTable::build(&routes))
-    }
+    use crate::reference::port_table as table;
 
     #[test]
     fn try_new_rejects_bad_configurations() {

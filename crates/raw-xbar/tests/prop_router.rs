@@ -1,21 +1,12 @@
 //! Property tests over the whole router: any small random workload, in
-//! either egress mode, drains completely with per-flow order, intact
-//! payloads, exactly-once delivery to the right ports, and lock-step
-//! token counters — the §5.4/§5.5 guarantees as executable properties.
-
-use std::sync::Arc;
+//! either egress mode, drains completely and passes the reference audit
+//! (per-flow order, intact payloads, exactly-once delivery to the right
+//! ports) with lock-step token counters — the §5.4/§5.5 guarantees as
+//! executable properties.
 
 use proptest::prelude::*;
-use raw_lookup::{ForwardingTable, RouteEntry};
 use raw_net::Packet;
-use raw_xbar::{RawRouter, RouterConfig};
-
-fn port_table() -> Arc<ForwardingTable> {
-    let routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    Arc::new(ForwardingTable::build(&routes))
-}
+use raw_xbar::{audit, port_table, RawRouter, RouterConfig};
 
 #[derive(Clone, Debug)]
 struct Offer {
@@ -43,7 +34,7 @@ fn run_case(offers: &[Offer], quantum: usize, cut_through: bool) -> Result<(), T
     };
     let mut r = RawRouter::new(cfg, table);
     let mut release = [0u64; 4];
-    let mut sent: Vec<(usize, Packet)> = Vec::new();
+    let mut sent: Vec<(usize, Vec<u32>)> = Vec::new();
     for (k, o) in offers.iter().enumerate() {
         let bytes = if cut_through {
             // Cut-through requires single-quantum packets.
@@ -62,7 +53,7 @@ fn run_case(offers: &[Offer], quantum: usize, cut_through: bool) -> Result<(), T
         p.header.checksum = p.header.compute_checksum();
         release[o.src] += o.gap;
         r.offer(o.src, release[o.src], &p);
-        sent.push((o.src, p));
+        sent.push((o.src, p.to_words()));
     }
     prop_assert!(
         r.run_until_drained(5_000_000),
@@ -70,45 +61,8 @@ fn run_case(offers: &[Offer], quantum: usize, cut_through: bool) -> Result<(), T
         r.delivered_count(),
         r.offered()
     );
-    prop_assert_eq!(r.parse_errors(), 0);
-
-    // Exactly-once delivery to the right output, payload intact.
-    let mut got: Vec<(usize, Packet)> = Vec::new();
-    for port in 0..4 {
-        for (_, p) in r.delivered(port) {
-            got.push((port, p));
-        }
-    }
-    prop_assert_eq!(got.len(), sent.len());
-    for (port, p) in &got {
-        prop_assert!(p.header.checksum_ok());
-        prop_assert_eq!(p.header.ttl, 63);
-        prop_assert_eq!(((p.header.dst >> 16) & 0x3) as usize, *port);
-        // Match against exactly one sent packet (by id + payload).
-        let matched = sent
-            .iter()
-            .filter(|(_, s)| s.header.id == p.header.id && s.payload == p.payload)
-            .count();
-        prop_assert!(matched >= 1, "delivered packet matches nothing sent");
-    }
-
-    // Per (input, output) flow order: ids must appear in send order.
-    for src in 0..4usize {
-        for dstp in 0..4usize {
-            let sent_ids: Vec<u16> = sent
-                .iter()
-                .filter(|(s, p)| *s == src && ((p.header.dst >> 16) & 0x3) as usize == dstp)
-                .map(|(_, p)| p.header.id)
-                .collect();
-            let got_ids: Vec<u16> = r
-                .delivered(dstp)
-                .iter()
-                .filter(|(_, p)| (p.header.src & 0x3) as usize == src)
-                .map(|(_, p)| p.header.id)
-                .collect();
-            prop_assert_eq!(sent_ids, got_ids, "flow {}->{} reordered", src, dstp);
-        }
-    }
+    let errs = audit(&r, sent, true);
+    prop_assert!(errs.is_empty(), "{:?}", errs);
 
     // §5.1: the synchronous token counters never diverge by more than a
     // quantum in flight.

@@ -6,14 +6,24 @@ use std::sync::Arc;
 
 use raw_lookup::{ForwardingTable, RouteEntry};
 use raw_net::Packet;
-use raw_xbar::{RawRouter, RouterConfig};
+use raw_xbar::reference::port_routes;
+use raw_xbar::{audit, port_table, RawRouter, RouterConfig};
 
-/// A table that maps 10.<p>.0.0/16 to port p.
-fn port_table() -> Arc<ForwardingTable> {
-    let routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    Arc::new(ForwardingTable::build(&routes))
+/// What a test offered, as the audit wants it: `(input, wire words)`.
+type Sent = Vec<(usize, Vec<u32>)>;
+
+/// Offer `p` on `port` at cycle 0 and remember it for the audit.
+fn offer(r: &mut RawRouter, sent: &mut Sent, port: usize, p: &Packet) {
+    r.offer(port, 0, p);
+    sent.push((port, p.to_words()));
+}
+
+/// The drained run is exactly what the reference prescribes: every
+/// packet out of the right port once, TTL decremented, checksum valid,
+/// payload intact, each flow in order.
+fn assert_audit(r: &RawRouter, sent: &Sent) {
+    let errs = audit(r, sent.iter().map(|(port, words)| (*port, words)), true);
+    assert!(errs.is_empty(), "{errs:#?}");
 }
 
 /// Address inside output port `p`'s prefix.
@@ -28,50 +38,30 @@ fn packet(src_port: u32, dst_port: u32, bytes: usize, seed: u32) -> Packet {
 #[test]
 fn single_packet_traverses_router() {
     let mut r = RawRouter::new(RouterConfig::default(), port_table());
-    let p = packet(0, 2, 64, 1);
-    r.offer(0, 0, &p);
+    let mut sent = Sent::new();
+    offer(&mut r, &mut sent, 0, &packet(0, 2, 64, 1));
     assert!(r.run_until_drained(60_000), "packet never delivered");
-    let out = r.delivered(2);
-    assert_eq!(out.len(), 1, "packet must exit on port 2");
-    let got = &out[0].1;
+    assert_eq!(r.delivered(2).len(), 1, "packet must exit on port 2");
     // Routed correctly, TTL decremented, checksum still valid, payload
-    // intact.
-    assert_eq!(got.header.ttl, 63);
-    assert!(got.header.checksum_ok());
-    assert_eq!(got.payload, p.payload);
-    assert_eq!(got.header.dst, p.header.dst);
-    assert_eq!(r.parse_errors(), 0);
-    // No misdelivery.
-    for port in [0usize, 1, 3] {
-        assert!(
-            r.delivered(port).is_empty(),
-            "port {port} got a stray packet"
-        );
-    }
+    // intact, no misdelivery.
+    assert_audit(&r, &sent);
 }
 
 #[test]
 fn packets_to_every_port_pair() {
     let mut r = RawRouter::new(RouterConfig::default(), port_table());
-    let mut expect = [0usize; 4];
+    let mut sent = Sent::new();
     for src in 0..4u32 {
         for dst in 0..4u32 {
             let p = packet(src, dst, 128, src * 4 + dst);
-            r.offer(src as usize, 0, &p);
-            expect[dst as usize] += 1;
+            offer(&mut r, &mut sent, src as usize, &p);
         }
     }
     assert!(r.run_until_drained(400_000), "not all 16 packets delivered");
-    #[allow(clippy::needless_range_loop)]
     for dst in 0..4usize {
-        let out = r.delivered(dst);
-        assert_eq!(out.len(), expect[dst], "port {dst}");
-        for (_, p) in &out {
-            assert_eq!(p.header.ttl, 63);
-            assert!(p.header.checksum_ok());
-        }
+        assert_eq!(r.delivered(dst).len(), 4, "port {dst}");
     }
-    assert_eq!(r.parse_errors(), 0);
+    assert_audit(&r, &sent);
 }
 
 #[test]
@@ -150,22 +140,14 @@ fn store_and_forward_reassembles_fragmented_packets() {
         ..RouterConfig::default()
     };
     let mut r = RawRouter::new(cfg, port_table());
-    let p0 = packet(0, 2, 1024, 5);
-    let p1 = packet(1, 2, 1024, 6);
-    r.offer(0, 0, &p0);
-    r.offer(1, 0, &p1); // interleaves with p0's fragments at egress 2
+    let mut sent = Sent::new();
+    offer(&mut r, &mut sent, 0, &packet(0, 2, 1024, 5));
+    // Interleaves with the first packet's fragments at egress 2.
+    offer(&mut r, &mut sent, 1, &packet(1, 2, 1024, 6));
     assert!(r.run_until_drained(2_000_000), "fragmented packets wedged");
-    let out = r.delivered(2);
-    assert_eq!(out.len(), 2);
-    for (_, p) in &out {
-        assert_eq!(p.header.ttl, 63);
-        assert!(p.header.checksum_ok());
-        assert_eq!(p.total_bytes(), 1024);
-    }
-    // Both payloads intact (order between flows unspecified).
-    let payloads: Vec<&Vec<u8>> = out.iter().map(|(_, p)| &p.payload).collect();
-    assert!(payloads.contains(&&p0.payload));
-    assert!(payloads.contains(&&p1.payload));
+    assert_eq!(r.delivered(2).len(), 2);
+    // Both reassembled intact (order between flows unspecified).
+    assert_audit(&r, &sent);
     let eg = r.egress_stats(2);
     assert_eq!(eg.reasm_errors, 0);
     assert_eq!(eg.fragments, 16);
@@ -206,9 +188,7 @@ fn multicast_packet_fans_out_to_all_subscribed_ports() {
     // §8.6 end-to-end: a class-D route fans one packet out to ports
     // 1, 2 and 3 through the fabric's switch multicast, while unicast
     // traffic keeps flowing.
-    let mut routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
+    let mut routes = port_routes();
     routes.push(RouteEntry::new(
         0xe000_0000,
         4,
@@ -223,42 +203,26 @@ fn multicast_packet_fans_out_to_all_subscribed_ports() {
     };
     let mut r = RawRouter::new(cfg, table);
     // One multicast packet from port 0 plus a unicast chaser per port.
+    let mut sent = Sent::new();
     let mc = Packet::synthetic(0x0a0a_0000, 0xe000_0005, 128, 64, 1);
-    r.offer(0, 0, &mc);
+    offer(&mut r, &mut sent, 0, &mc);
     for src in 0..4u32 {
-        r.offer(src as usize, 0, &packet(src, (src + 1) % 4, 128, 10 + src));
+        let chaser = packet(src, (src + 1) % 4, 128, 10 + src);
+        offer(&mut r, &mut sent, src as usize, &chaser);
     }
     r.run(200_000);
-    // The multicast copy reached ports 1..3 (not 0), each intact.
-    for port in 1..4usize {
-        let copies: Vec<_> = r
-            .delivered(port)
-            .into_iter()
-            .filter(|(_, p)| p.header.dst == 0xe000_0005)
-            .collect();
-        assert_eq!(copies.len(), 1, "port {port} must get exactly one copy");
-        let (_, p) = &copies[0];
-        assert_eq!(p.header.ttl, 63);
-        assert!(p.header.checksum_ok());
-        assert_eq!(p.payload, mc.payload);
-    }
-    assert!(
-        !r.delivered(0)
+    // The multicast copy reached ports 1..3 (not 0, the source port is
+    // not in the group).
+    let copies = |port: usize| {
+        r.delivered(port)
             .iter()
-            .any(|(_, p)| p.header.dst == 0xe000_0005),
-        "the source port is not in the group"
-    );
-    // The unicast chasers all arrived too.
-    let unicast_total: usize = (0..4)
-        .map(|p| {
-            r.delivered(p)
-                .iter()
-                .filter(|(_, q)| q.header.dst != 0xe000_0005)
-                .count()
-        })
-        .sum();
-    assert_eq!(unicast_total, 4);
-    assert_eq!(r.parse_errors(), 0);
+            .filter(|(_, p)| p.header.dst == 0xe000_0005)
+            .count()
+    };
+    assert_eq!([0, 1, 2, 3].map(copies), [0, 1, 1, 1]);
+    // Each copy intact, and the unicast chasers all arrived too.
+    assert_eq!(r.delivered_count(), 3 + 4);
+    assert_audit(&r, &sent);
 }
 
 #[test]
@@ -291,19 +255,15 @@ fn voq_ingress_routes_correctly() {
         ..RouterConfig::default()
     };
     let mut r = RawRouter::new(cfg, port_table());
+    let mut sent = Sent::new();
     for k in 0..12u32 {
-        r.offer(0, 0, &packet(0, k % 4, 128, k));
+        offer(&mut r, &mut sent, 0, &packet(0, k % 4, 128, k));
     }
     assert!(r.run_until_drained(2_000_000), "VOQ traffic wedged");
     for dst in 0..4usize {
-        let out = r.delivered(dst);
-        assert_eq!(out.len(), 3, "port {dst}");
-        for (_, p) in &out {
-            assert_eq!(p.header.ttl, 63);
-            assert!(p.header.checksum_ok());
-        }
+        assert_eq!(r.delivered(dst).len(), 3, "port {dst}");
     }
-    assert_eq!(r.parse_errors(), 0);
+    assert_audit(&r, &sent);
 }
 
 #[test]
@@ -450,13 +410,11 @@ fn jumbo_packets_fragment_and_reassemble() {
         ..RouterConfig::default()
     };
     let mut r = RawRouter::new(cfg, port_table());
-    let jumbo = packet(0, 3, 9000, 7);
-    r.offer(0, 0, &jumbo);
+    let mut sent = Sent::new();
+    offer(&mut r, &mut sent, 0, &packet(0, 3, 9000, 7));
     assert!(r.run_until_drained(4_000_000), "jumbo wedged");
-    let out = r.delivered(3);
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].1.payload, jumbo.payload);
-    assert_eq!(out[0].1.header.ttl, 63);
+    assert_eq!(r.delivered(3).len(), 1);
+    assert_audit(&r, &sent);
     let frags = r.egress_stats(3).fragments;
     assert_eq!(frags as usize, 2250usize.div_ceil(64), "9000B = 2250 words");
 }

@@ -3,20 +3,9 @@
 //! and ingest/egress paths as the paper's rotating token — only the
 //! per-quantum matching differs.
 
-use std::sync::Arc;
-
-use raw_lookup::{ForwardingTable, RouteEntry};
 use raw_net::Packet;
 use raw_sim::EngineMode;
-use raw_xbar::{RawRouter, RouterConfig, SchedKind};
-
-/// A table that maps 10.<p>.0.0/16 to port p.
-fn port_table() -> Arc<ForwardingTable> {
-    let routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    Arc::new(ForwardingTable::build(&routes))
-}
+use raw_xbar::{port_table, RawRouter, RouterConfig, SchedKind};
 
 fn addr_for(p: u32) -> u32 {
     0x0a00_0001 | (p << 16)

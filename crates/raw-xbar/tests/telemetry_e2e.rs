@@ -2,20 +2,9 @@
 //! packet gets a complete, monotone lifecycle record; the per-tile state
 //! counters conserve cycles; attaching a sink never changes results.
 
-use std::sync::Arc;
-
-use raw_lookup::{ForwardingTable, RouteEntry};
 use raw_net::Packet;
 use raw_telemetry::{shared, with_sink, Recorder, SharedSink, StageSpan};
-use raw_xbar::{IngressQueueing, RawRouter, RouterConfig};
-
-/// A table that maps 10.<p>.0.0/16 to port p.
-fn port_table() -> Arc<ForwardingTable> {
-    let routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    Arc::new(ForwardingTable::build(&routes))
-}
+use raw_xbar::{port_table, IngressQueueing, RawRouter, RouterConfig};
 
 fn packet(src_port: u32, dst_port: u32, bytes: usize, seed: u32) -> Packet {
     Packet::synthetic(
@@ -29,7 +18,7 @@ fn packet(src_port: u32, dst_port: u32, bytes: usize, seed: u32) -> Packet {
 
 fn instrumented(cfg: RouterConfig) -> (RawRouter, SharedSink) {
     let sink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-    let r = RawRouter::new_with_telemetry(cfg, port_table(), sink.clone());
+    let r = RawRouter::try_new_with_telemetry(cfg, port_table(), Some(sink.clone())).unwrap();
     (r, sink)
 }
 

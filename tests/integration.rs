@@ -2,64 +2,30 @@
 //! validation against the lookup substrate, exercising configurations the
 //! paper's evaluation spans.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use raw_router::lookup::{synth_table, Engine, ForwardingTable, RouteEntry};
+use raw_router::lookup::{synth_table, Engine, ForwardingTable};
 use raw_router::net::Packet;
-use raw_router::workloads::{generate, Pattern, Workload};
-use raw_router::xbar::{RawRouter, RouterConfig};
+use raw_router::workloads::{generate, Pattern, ScheduledPacket, Workload};
+use raw_router::xbar::{audit, port_table, RawRouter, RouterConfig};
 
-fn port_table() -> Arc<ForwardingTable> {
-    let routes: Vec<RouteEntry> = (0..4)
-        .map(|p| RouteEntry::new(0x0a00_0000 | (p << 16), 16, p))
-        .collect();
-    Arc::new(ForwardingTable::build(&routes))
-}
-
-/// Full conservation + correctness audit of a run.
-fn audit(router: &RawRouter, table: &ForwardingTable, offered: &[(usize, Packet)]) {
-    assert_eq!(router.parse_errors(), 0);
-    let mut expected: BTreeMap<usize, usize> = BTreeMap::new();
-    for (_, p) in offered {
-        let port = table.lookup(Engine::Patricia, p.header.dst).0.unwrap() as usize;
-        *expected.entry(port).or_default() += 1;
+/// Offer `sched`, run until drained, and hold the run to the functional
+/// reference: conservation and correctness, byte for byte.
+fn run_audited(r: &mut RawRouter, sched: &[ScheduledPacket], max_cycles: u64) {
+    for s in sched {
+        r.offer(s.port, s.release, &s.packet);
     }
-    for port in 0..4 {
-        let out = router.delivered(port);
-        assert_eq!(
-            out.len(),
-            expected.get(&port).copied().unwrap_or(0),
-            "delivery count at port {port}"
-        );
-        for (_, p) in &out {
-            assert!(p.header.checksum_ok(), "checksum broken in flight");
-            assert_eq!(p.header.ttl, 63, "TTL must decrement exactly once");
-            let want = table.lookup(Engine::Patricia, p.header.dst).0.unwrap() as usize;
-            assert_eq!(want, port, "packet exited the wrong port");
-        }
-    }
+    assert!(r.run_until_drained(max_cycles), "traffic wedged");
+    let offered = sched.iter().map(|s| (s.port, s.packet.to_words()));
+    let errs = audit(r, offered, true);
+    assert!(errs.is_empty(), "{errs:#?}");
 }
 
 #[test]
 fn uniform_traffic_cut_through_end_to_end() {
-    let table = port_table();
-    let w = Workload::average(256, 40, 11);
-    let mut r = RawRouter::new(
-        RouterConfig {
-            quantum_words: 64,
-            cut_through: true,
-            ..RouterConfig::default()
-        },
-        Arc::clone(&table),
-    );
-    let sched = generate(&w);
-    let offered: Vec<(usize, Packet)> = sched.iter().map(|s| (s.port, s.packet.clone())).collect();
-    for s in &sched {
-        r.offer(s.port, s.release, &s.packet);
-    }
-    assert!(r.run_until_drained(3_000_000));
-    audit(&r, &table, &offered);
+    let mut r = RawRouter::new(RouterConfig::for_packet_bytes(256), port_table());
+    let sched = generate(&Workload::average(256, 40, 11));
+    run_audited(&mut r, &sched, 3_000_000);
 }
 
 /// Regression: multi-fragment packets whose padded tail must switch the
@@ -67,41 +33,33 @@ fn uniform_traffic_cut_through_end_to_end() {
 /// (previously wedged the router on mixed-size traffic).
 #[test]
 fn mixed_sizes_store_forward_drain_completely() {
-    let table = port_table();
     let mut r = RawRouter::new(
         RouterConfig {
             quantum_words: 64,
             cut_through: false,
             ..RouterConfig::default()
         },
-        Arc::clone(&table),
+        port_table(),
     );
-    let mut offered = Vec::new();
     let sizes = [64usize, 576, 1500, 300, 1024, 72];
-    for k in 0..36 {
-        let src = k % 4;
-        let dst = (k * 7 + 1) % 4;
-        let p = Packet::synthetic(
-            0x0a0a_0000 + src as u32,
-            0x0a00_0001 | ((dst as u32) << 16),
-            sizes[k % sizes.len()],
-            64,
-            k as u32,
-        );
-        r.offer(src, 0, &p);
-        offered.push((src, p));
-    }
-    assert!(r.run_until_drained(6_000_000), "mixed-size traffic wedged");
-    audit(&r, &table, &offered);
-    // Payloads survive fragmentation + reassembly bit-exactly.
-    let mut seen: Vec<Vec<u8>> = (0..4)
-        .flat_map(|p| r.delivered(p))
-        .map(|(_, p)| p.payload)
+    let sched: Vec<ScheduledPacket> = (0..36)
+        .map(|k| {
+            let (src, dst) = (k % 4, (k * 7 + 1) % 4);
+            ScheduledPacket {
+                port: src,
+                release: 0,
+                packet: Packet::synthetic(
+                    0x0a0a_0000 + src as u32,
+                    0x0a00_0001 | ((dst as u32) << 16),
+                    sizes[k % sizes.len()],
+                    64,
+                    k as u32,
+                ),
+            }
+        })
         .collect();
-    let mut sent: Vec<Vec<u8>> = offered.iter().map(|(_, p)| p.payload.clone()).collect();
-    seen.sort();
-    sent.sort();
-    assert_eq!(seen, sent);
+    // Payloads survive fragmentation + reassembly bit-exactly.
+    run_audited(&mut r, &sched, 6_000_000);
 }
 
 #[test]
@@ -133,15 +91,12 @@ fn both_lookup_engines_route_identically() {
 
 #[test]
 fn weighted_tokens_skew_hotspot_shares() {
-    let table = port_table();
     let mut r = RawRouter::new(
         RouterConfig {
-            quantum_words: 64,
-            cut_through: true,
             weights: [3, 1, 1, 1],
-            ..RouterConfig::default()
+            ..RouterConfig::for_packet_bytes(256)
         },
-        Arc::clone(&table),
+        port_table(),
     );
     // Offer far more than the window can drain so the shares are
     // measured under sustained backlog.
@@ -168,17 +123,9 @@ fn weighted_tokens_skew_hotspot_shares() {
 
 #[test]
 fn deterministic_replay() {
-    let table = port_table();
     let mut counts = Vec::new();
     for _ in 0..2 {
-        let mut r = RawRouter::new(
-            RouterConfig {
-                quantum_words: 32,
-                cut_through: true,
-                ..RouterConfig::default()
-            },
-            Arc::clone(&table),
-        );
+        let mut r = RawRouter::new(RouterConfig::for_packet_bytes(128), port_table());
         for s in generate(&Workload::average(128, 50, 77)) {
             r.offer(s.port, s.release, &s.packet);
         }
@@ -197,8 +144,7 @@ fn deterministic_replay() {
 
 #[test]
 fn bursty_arrivals_with_gaps() {
-    let table = port_table();
-    let mut r = RawRouter::new(RouterConfig::default(), Arc::clone(&table));
+    let mut r = RawRouter::new(RouterConfig::default(), port_table());
     let w = Workload {
         pattern: Pattern::Bursty { burst: 4 },
         arrivals: raw_router::workloads::Arrivals::Bernoulli {
@@ -207,13 +153,7 @@ fn bursty_arrivals_with_gaps() {
         },
         ..Workload::average(128, 25, 3)
     };
-    let sched = generate(&w);
-    let offered: Vec<(usize, Packet)> = sched.iter().map(|s| (s.port, s.packet.clone())).collect();
-    for s in &sched {
-        r.offer(s.port, s.release, &s.packet);
-    }
-    assert!(r.run_until_drained(6_000_000));
-    audit(&r, &table, &offered);
+    run_audited(&mut r, &generate(&w), 6_000_000);
 }
 
 #[test]
