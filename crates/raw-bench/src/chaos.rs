@@ -27,7 +27,6 @@ pub struct ChaosRun {
     /// `(reason, count)` rows for the classified drop buckets.
     pub drops: Vec<(String, u64)>,
     pub lookup_misses: u64,
-    pub flow_order_violations: u64,
     /// Total ingress-to-egress latency under faults, in cycles.
     pub latency_p50: u64,
     pub latency_p99: u64,
@@ -64,9 +63,6 @@ fn to_run(name: &str, bytes: usize, res: &ChaosRunResult) -> ChaosRun {
             .map(|r| (r.name().to_string(), res.drops[r.index()]))
             .collect(),
         lookup_misses: res.lookup_misses,
-        // `run_chaos` audited the run (callers assert `errors` is empty),
-        // and per-(input, output) order is part of the audit's one rule.
-        flow_order_violations: 0,
         latency_p50: total.p50,
         latency_p99: total.p99,
         fingerprint: format!("{:016x}", res.fingerprint),
@@ -166,7 +162,6 @@ mod tests {
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.fingerprint, y.fingerprint, "{} diverged", x.name);
             assert_eq!(x.delivered + x.dropped, x.offered, "{}", x.name);
-            assert_eq!(x.flow_order_violations, 0, "{}", x.name);
             assert!(
                 x.dropped > 0,
                 "{}: the 1% corruption rate should drop something",

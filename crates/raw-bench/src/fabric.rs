@@ -4,8 +4,9 @@
 //!
 //! Sweeps router count (1 / 6 / 12 via [`Topology`]), epoch size, and
 //! spray mode on saturated fabric-uniform traffic. Every cell runs
-//! twice — the single-threaded reference, then sharded one shard per
-//! router — and the two fingerprints must agree bit-for-bit; the
+//! twice through [`run_fabric`], which audits each run — the
+//! single-threaded reference, then sharded on four shards — and the two
+//! fingerprints must agree bit-for-bit; the
 //! report then sets the ring-vs-Clos scaling story side by side using
 //! the [`raw_xbar::ScalingCurve`] ring model, and extends the hash-spray
 //! / 512-cycle-epoch column to the 64- and 256-port Clos.
@@ -15,9 +16,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use raw_fabric::{Executor, FabricConfig, FabricSummary, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, FabricSummary, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::ScalingCurve;
+
+use crate::run::run_fabric;
 
 /// One sweep cell: a (topology, spray, epoch) point, run on both
 /// executors.
@@ -90,24 +93,6 @@ const SCALING_EPOCH: u64 = 512;
 const BIG_FABRICS: [(Topology, usize, usize); 2] =
     [(Topology::Clos64, 4, 30), (Topology::Clos256, 8, 24)];
 
-fn run_once(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
-    let nports = cfg.topology.ext_ports();
-    let mut fab = RawFabric::try_new(cfg).expect("valid fabric config");
-    for s in generate_n(w, nports) {
-        fab.offer(s.port, s.release, &s.packet);
-    }
-    assert!(
-        fab.run_until_drained_with(500_000, exec),
-        "fabric wedged: {:?} delivered {}/{}",
-        fab.summary().topology,
-        fab.delivered_count(),
-        fab.offered()
-    );
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "conservation violated: {errs:?}");
-    fab
-}
-
 fn run_cell(
     topology: Topology,
     spray: SprayMode,
@@ -128,12 +113,13 @@ fn run_cell(
         seed: 42,
         ttl: 64,
     };
+    let sched = generate_n(&w, topology.ext_ports());
     // Only the fingerprint outlives the reference fabric, so one fabric
-    // is resident at a time (Clos256 holds ~27 GB of forwarding tables).
-    let reference_fp = run_once(cfg.clone(), &w, Executor::Reference).fingerprint();
+    // is resident at a time.
+    let reference_fp = run_fabric(cfg.clone(), &sched, Executor::Reference).fingerprint();
     // A constant >= 2 puts routers on worker threads whatever the
     // host's core count.
-    let sharded = run_once(cfg, &w, Executor::Sharded { shards: 4 });
+    let sharded = run_fabric(cfg, &sched, Executor::Sharded { shards: 4 });
     let summary = sharded.summary();
     let cycles = sharded.cycle();
     let cell = FabricCell {
@@ -239,8 +225,8 @@ pub const SHIPPED_TOPOLOGIES: [Topology; 5] = [
 /// Run the whole-fabric static analyses (`RV5xx` deadlock, `RV6xx`
 /// routing, `RV7xx` credit sizing) over every shipped topology under
 /// the default fabric configuration — the verdicts `repro -- verify`
-/// folds into `results/verify.json`. Every verdict must be empty: these
-/// are exactly the fabrics `RawFabric::try_new` will build.
+/// folds into `results/verify.json`. Every verdict must be empty: the
+/// same gate stands before every fabric [`run_fabric`] builds.
 pub fn fabric_verify_verdicts() -> Vec<raw_verify::fabric::FabricVerdict> {
     SHIPPED_TOPOLOGIES
         .into_iter()

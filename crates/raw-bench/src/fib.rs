@@ -38,9 +38,9 @@ use raw_telemetry::{shared, with_sink, Recorder, SharedSink, TileState};
 use raw_workloads::{flow_churn_descs, generate_n, Arrivals, Pattern, ScheduledPacket, Workload};
 use raw_xbar::RouterConfig;
 
-use crate::run::{run_router, Until};
+use crate::run::{run_fabric, run_router, Until};
 
-use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{Executor, FabricConfig, SprayMode, Topology};
 
 /// Base RNG seed of the whole study; every table/flow/address draw is
 /// salted from it, so one constant pins the entire results file.
@@ -90,11 +90,6 @@ pub struct FibSimWindow {
     pub delivered: u64,
     pub dropped: u64,
     pub cycles: u64,
-    /// Deliveries that left a different port than the reference LPM's
-    /// next hop, and per-flow ordering inversions: 0, because the run
-    /// passed [`run_router`]'s audit, which holds every delivery to both.
-    pub misrouted: u64,
-    pub order_violations: u64,
     /// Telemetry: cycles in the `lookup_stall` bucket, summed over
     /// tiles (the modeled L2 chase made visible).
     pub lookup_stall_cycles: u64,
@@ -125,7 +120,8 @@ pub struct FibCell {
     pub sim: FibSimWindow,
 }
 
-/// The fabric smoke point: flow-churn traffic through the 16-port Clos.
+/// The fabric smoke point: flow-churn traffic through the 16-port Clos,
+/// audited by [`run_fabric`].
 #[derive(Clone, Debug, Serialize)]
 pub struct FibFabricPoint {
     pub topology: String,
@@ -134,7 +130,6 @@ pub struct FibFabricPoint {
     pub delivered: u64,
     pub dropped: u64,
     pub cycles: u64,
-    pub order_violations: u64,
 }
 
 /// The payload of `results/fib.json`.
@@ -261,8 +256,6 @@ fn simulate_window(table: Arc<ForwardingTable>, specs: &[FlowSpec]) -> FibSimWin
         delivered: r.delivered_count(),
         dropped: r.dropped_count(),
         cycles: total_cycles,
-        misrouted: 0,
-        order_violations: 0,
         lookup_stall_cycles,
         busy_cycles,
         lookups,
@@ -307,10 +300,9 @@ pub fn fib_cell(prefixes: usize, flows: u64) -> FibCell {
 }
 
 /// The fabric smoke point: a small flow-churn population sprayed
-/// through the 16-port Clos, flow order verified per external port.
+/// through the 16-port Clos.
 fn fabric_point() -> FibFabricPoint {
     let topology = Topology::Clos16;
-    let nports = topology.ext_ports();
     let cfg = FabricConfig {
         topology,
         epoch_cycles: 512,
@@ -330,29 +322,13 @@ fn fabric_point() -> FibFabricPoint {
         seed: FIB_SEED ^ 0xfab,
         ttl: 64,
     };
-    let mut fab = RawFabric::try_new(cfg).expect("valid fabric config");
-    let sched = generate_n(&w, nports);
+    let sched = generate_n(&w, topology.ext_ports());
     let flows = sched
         .iter()
         .map(|s| s.packet.header.src)
         .collect::<std::collections::HashSet<_>>()
         .len() as u64;
-    for s in &sched {
-        fab.offer(s.port, s.release, &s.packet);
-    }
-    assert!(
-        fab.run_until_drained_with(500_000, Executor::Reference),
-        "fib fabric point wedged: delivered {}/{}",
-        fab.delivered_count(),
-        fab.offered()
-    );
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "fabric conservation violated: {errs:?}");
-    let mut order_violations = 0u64;
-    for ext in 0..nports {
-        let pkts: Vec<Packet> = fab.delivered(ext).into_iter().map(|(_, p)| p).collect();
-        order_violations += raw_workloads::flow_order_violations(&pkts) as u64;
-    }
+    let fab = run_fabric(cfg, &sched, Executor::Reference);
     FibFabricPoint {
         topology: topology.name().into(),
         flows,
@@ -360,7 +336,6 @@ fn fabric_point() -> FibFabricPoint {
         delivered: fab.delivered_count(),
         dropped: fab.dropped_count(),
         cycles: fab.cycle(),
-        order_violations,
     }
 }
 
@@ -400,8 +375,6 @@ mod tests {
         assert_eq!(a.sim.sim_flows, 400);
         assert_eq!(a.sim.offered, a.sim.sim_packets);
         assert_eq!(a.sim.delivered + a.sim.dropped, a.sim.offered);
-        assert_eq!(a.sim.misrouted, 0, "a delivery left the wrong port");
-        assert_eq!(a.sim.order_violations, 0);
         // Every flow completes in a drained run with no drops.
         assert_eq!(a.sim.dropped, 0);
         assert_eq!(a.sim.slo.flows_completed, 400);
@@ -423,11 +396,12 @@ mod tests {
         );
     }
 
+    /// `run_fabric` audits the point, so every flow arrived in order at
+    /// its own external port.
     #[test]
     fn fabric_point_delivers_flows_in_order() {
         let p = fabric_point();
         assert!(p.delivered > 0);
-        assert_eq!(p.delivered + p.dropped, p.offered);
-        assert_eq!(p.order_violations, 0, "fabric reordered a flow");
+        assert_eq!((p.delivered, p.dropped), (p.offered, 0));
     }
 }

@@ -3,8 +3,9 @@
 //! One runner per table/figure of the paper's evaluation (see DESIGN.md's
 //! per-experiment index). Each runner returns a serializable result the
 //! `repro` binary prints in the paper's format and writes to
-//! `results/<exp>.json`. Every router run goes through [`run::run_router`],
-//! which audits it against the functional reference before it is measured.
+//! `results/<exp>.json`. Every router run goes through [`run::run_router`]
+//! and every fabric run through [`run::run_fabric`], which audit it
+//! against the functional reference before it is measured.
 
 pub mod chaos;
 pub mod experiments;

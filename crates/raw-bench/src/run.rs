@@ -1,10 +1,12 @@
-//! The one experiment runner: build the router, offer the schedule, run,
-//! and hold what came out to the functional reference
-//! ([`raw_xbar::reference`]) before anything is measured. A disagreement
+//! The one experiment runner: build the router — or the fabric — offer the
+//! schedule, run, and hold what came out to the functional reference
+//! ([`raw_xbar::reference`]; hop by hop through a fabric,
+//! [`raw_fabric::audit`]) before anything is measured. A disagreement
 //! panics with the list — those are bugs, not measurements.
 
 use std::sync::Arc;
 
+use raw_fabric::{Executor, FabricConfig, RawFabric};
 use raw_lookup::ForwardingTable;
 use raw_telemetry::SharedSink;
 use raw_workloads::ScheduledPacket;
@@ -81,6 +83,36 @@ pub fn run_router(
     }
     assert_expected(&r, &expected);
     r
+}
+
+/// The epoch budget of every [`run_fabric`] run: not draining within it
+/// is a failure, not a short row.
+const MAX_FABRIC_EPOCHS: u64 = 500_000;
+
+/// Build a fabric, offer `sched` (`port` names an external input), run it
+/// dry on `exec`, audit, and hand it back for measurement.
+pub fn run_fabric(cfg: FabricConfig, sched: &[ScheduledPacket], exec: Executor) -> RawFabric {
+    let mut fab = match RawFabric::try_new(cfg) {
+        Ok(fab) => fab,
+        Err(e) => panic!("{e}"),
+    };
+    for sp in sched {
+        fab.offer(sp.port, sp.release, &sp.packet);
+    }
+    let drained = fab.run_until_drained_with(MAX_FABRIC_EPOCHS, exec);
+    let (epochs, got, offered) = (fab.epochs_run(), fab.delivered_count(), fab.offered());
+    assert!(
+        drained,
+        "{} did not drain within {epochs} epochs: {got} of {offered} packets delivered",
+        fab.plan.topology.name()
+    );
+    let errs = raw_fabric::audit(&fab, true);
+    assert!(
+        errs.is_empty(),
+        "the fabric run disagrees with the reference datapath at epoch {epochs}:\n{}",
+        errs.join("\n")
+    );
+    fab
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 //! pauses, and external egress backpressure windows.
 //!
 //! The graceful-degradation contract scales up unchanged: whatever the
-//! plan, fabric-wide `offered == delivered + dropped` must close, every
-//! drop must land in a classified per-router bucket, links must never
-//! lose a packet, and — when no lookup faults are armed — surviving
-//! flows must stay in order. (Forced lookup misses legitimately break
-//! flow pinning: the miss falls back to the default route, putting part
-//! of a flow on a different middle stage than its pinned path.)
+//! plan, the run must pass [`raw_fabric::audit`] — every drop in the
+//! classified bucket of the router the per-router reference names, every
+//! survivor at its output byte for byte, in order per ingress and middle
+//! stage — and links must never lose a packet. Forced lookup misses are
+//! held to the count planes only: a miss falls back to the default route,
+//! putting part of a flow on a different middle stage than its pinned
+//! path.
 
 use raw_fabric::{FabricConfig, RawFabric};
 use raw_net::{CorruptRng, Packet};

@@ -386,7 +386,8 @@ fn random_fabric_plan(seed: u64) -> FabricFaultPlan {
     plan
 }
 
-/// One full fabric chaos campaign; returns the fabric for inspection.
+/// One full fabric chaos campaign, drained and audited; returns the
+/// fabric for inspection.
 fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> ChaosFabric {
     let cfg = FabricConfig {
         topology: Topology::Clos16,
@@ -410,6 +411,8 @@ fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> Cha
         cf.offer(sp.port, sp.release, &sp.packet);
     }
     assert!(cf.fabric.run_until_drained_with(50_000, exec), "wedged");
+    let errs = raw_fabric::audit(&cf.fabric, true);
+    assert!(errs.is_empty(), "{errs:#?}");
     cf
 }
 
@@ -417,10 +420,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Graceful degradation scales to the fabric: any random fault
-    /// campaign against the 16-port Clos keeps every conservation
-    /// plane closed, never wedges, replays bit-identically on both
-    /// executors, and — when no lookup faults are armed — never
-    /// reorders a surviving flow.
+    /// campaign against the 16-port Clos never wedges, passes the audit
+    /// (the per-router reference hop by hop; the count planes when
+    /// lookup faults are armed) and replays bit-identically on both
+    /// executors.
     #[test]
     fn random_fabric_fault_plans_degrade_gracefully(
         seed in any::<u64>(),
@@ -428,15 +431,7 @@ proptest! {
     ) {
         let plan = random_fabric_plan(seed);
         let cf = run_chaos_fabric(&plan, wl_seed, Executor::Reference);
-        let errs = cf.fabric.conservation_errors();
-        prop_assert!(errs.is_empty(), "plan seed {seed:#x}: {errs:?}");
         prop_assert_eq!(cf.fabric.offered(), 160);
-        if plan.packet.lookup_miss_ppm == 0 {
-            prop_assert_eq!(
-                cf.fabric.flow_order_violations(), 0,
-                "plan seed {:#x} reordered a flow", seed
-            );
-        }
         let replay = run_chaos_fabric(&plan, wl_seed, Executor::Sharded { shards: 4 });
         prop_assert_eq!(replay.injected, cf.injected);
         prop_assert_eq!(

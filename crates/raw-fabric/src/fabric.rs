@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use raw_net::Packet;
 use raw_telemetry::{Histogram, LinkStats, StageLatency};
-use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig, NPORTS};
+use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig};
 
 use crate::link::FabricLink;
 use crate::shard::{partition_routers, Executor};
@@ -210,8 +210,10 @@ impl FabricConfig {
     /// straddles the boundary). This is the stall threshold the credit
     /// check compares link credits against, and the declared emission
     /// bound the static verifier's symbolic occupancy proof re-derives.
+    /// Saturating, so an out-of-range quantum reaches the router's own
+    /// typed check instead of overflowing here.
     pub fn emission_bound(&self) -> usize {
-        (self.epoch_cycles as usize / (self.router.quantum_words + 1)) + 2
+        (self.epoch_cycles as usize / self.router.quantum_words.saturating_add(1)).saturating_add(2)
     }
 
     /// Per-epoch link drain rate after applying the derive-from-epoch
@@ -229,7 +231,7 @@ impl FabricConfig {
         if self.link_capacity > 0 {
             self.link_capacity
         } else {
-            3 * self.emission_bound()
+            self.emission_bound().saturating_mul(3)
         }
     }
 
@@ -253,7 +255,7 @@ impl FabricConfig {
         // credits < bound the sender is stalled for the whole next
         // epoch and nothing arrives. Capacity must leave room for one
         // full burst above the stall threshold.
-        if cap < bound + 1 {
+        if cap <= bound {
             return Err(FabricConfigError::CapacityBelowBurst {
                 capacity: cap,
                 bound,
@@ -268,6 +270,8 @@ enum PendingPayload {
     Raw(Vec<u32>),
 }
 
+/// One offer. Once injected it stays, as the stream the ingress router
+/// was handed (a packet stamped with its middle), for [`crate::audit`].
 struct PendingOffer {
     release: u64,
     seq: u64,
@@ -299,15 +303,14 @@ pub struct FabricSummary {
     /// Per-stage traversal latency (ingress/leaf, middle/spine, egress).
     pub stages: Vec<StageLatency>,
     pub total_latency: StageLatency,
-    pub flow_order_violations: u64,
 }
 
 /// A multi-router fabric: the composition the paper's §8.5 calls for.
 pub struct RawFabric {
     pub cfg: FabricConfig,
     pub plan: TopologyPlan,
-    routers: Vec<RawRouter>,
-    links: Vec<FabricLink>,
+    pub(crate) routers: Vec<RawRouter>,
+    pub(crate) links: Vec<FabricLink>,
     /// Scan cursor into each external collector (latency recording).
     ext_seen: Vec<usize>,
     pending: Vec<PendingOffer>,
@@ -575,7 +578,7 @@ impl RawFabric {
             }
         }
 
-        let window = 2 * self.cfg.emission_bound();
+        let window = self.cfg.emission_bound().saturating_mul(2);
         for link in &mut self.links {
             let (r, p) = link.spec.to;
             // The drain records the traversal of the *sending* stage.
@@ -605,17 +608,18 @@ impl RawFabric {
             self.ext_seen[ext] = col.packets.len();
         }
 
-        while self.next_pending < self.pending.len()
-            && self.pending[self.next_pending].release < t_end
-        {
-            let po = &mut self.pending[self.next_pending];
+        let mut pending = std::mem::take(&mut self.pending);
+        for po in pending[self.next_pending..].iter_mut() {
+            if po.release >= t_end {
+                break;
+            }
             let (r, port) = self.plan.ext_in[po.ext];
             let release = po.release.max(t);
-            match std::mem::replace(&mut po.payload, PendingPayload::Raw(Vec::new())) {
-                PendingPayload::Pkt(mut p) => {
-                    let m = self.choose_middle(r, &p);
-                    stamp_middle(&mut p, m);
-                    let d = dst_ext_port(&p);
+            match &mut po.payload {
+                PendingPayload::Pkt(p) => {
+                    let m = self.choose_middle(r, p);
+                    stamp_middle(p, m);
+                    let d = dst_ext_port(p);
                     if self.plan.topology.spray_width() > 1 && !self.is_local(r, d) {
                         let li = self.plan.uplinks[r][m as usize];
                         self.links[li].inflight_sprayed += 1;
@@ -627,14 +631,15 @@ impl RawFabric {
                             stage_entry: release,
                         },
                     );
-                    self.routers[r].offer(port, release, &p);
+                    self.routers[r].offer(port, release, p);
                 }
                 PendingPayload::Raw(words) => {
-                    self.routers[r].offer_raw(port, release, words);
+                    self.routers[r].offer_raw(port, release, words.clone());
                 }
             }
             self.next_pending += 1;
         }
+        self.pending = pending;
 
         let bound = self.cfg.emission_bound();
         for l in &mut self.links {
@@ -710,7 +715,7 @@ impl RawFabric {
 
     /// External output `ext`'s collector on its egress router. Never
     /// drained: this is the fabric's delivered stream.
-    fn ext_collected(&self, ext: usize) -> &OutCollector {
+    pub(crate) fn ext_collected(&self, ext: usize) -> &OutCollector {
         let (r, p) = self.plan.ext_out[ext];
         self.routers[r].collected(p)
     }
@@ -767,32 +772,14 @@ impl RawFabric {
         out
     }
 
-    /// Within-flow order violations summed over external outputs.
-    pub fn flow_order_violations(&self) -> u64 {
-        (0..self.ext_ports())
-            .map(|ext| {
-                let pkts: Vec<Packet> = self
-                    .ext_collected(ext)
-                    .packets
-                    .iter()
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                raw_workloads::flow_order_violations(&pkts) as u64
-            })
-            .sum()
-    }
-
-    /// Every conservation invariant of the fabric, as human-readable
-    /// violations (empty == healthy). Meaningful after a drained run.
+    /// What replaying the injected streams cannot see, as human-readable
+    /// violations (empty == healthy; meaningful after a drained run, and
+    /// part of [`crate::audit`] of one): offers never injected and packets
+    /// still queued on a link. (The latency tracker's `life` map is no
+    /// check: a stamped packet a router drops never leaves it, and the
+    /// audit owes every drop exactly.)
     pub fn conservation_errors(&self) -> Vec<String> {
         let mut errs = Vec::new();
-        let dropped = self.dropped_count();
-        if self.delivered + dropped != self.offered {
-            errs.push(format!(
-                "offered {} != delivered {} + dropped {dropped}",
-                self.offered, self.delivered
-            ));
-        }
         if self.next_pending != self.pending.len() {
             errs.push(format!(
                 "{} offers were never injected",
@@ -808,45 +795,19 @@ impl RawFabric {
                 ));
             }
         }
-        if !self.life.is_empty() {
-            errs.push(format!(
-                "{} tracked packets neither delivered nor dropped",
-                self.life.len()
-            ));
-        }
-        if self.parse_errors() != 0 {
-            errs.push(format!(
-                "{} corrupt packets leaked through to an output",
-                self.parse_errors()
-            ));
-        }
-        // Per-router closure: everything a router accepted either sits
-        // in a collector, was forwarded over a link, or was dropped.
-        for (ri, r) in self.routers.iter().enumerate() {
-            let forwarded: u64 = self
-                .links
-                .iter()
-                .filter(|l| l.spec.from.0 == ri)
-                .map(|l| l.stats.packets)
-                .sum();
-            let (off, del, drop) = (r.offered(), r.delivered_count(), r.dropped_count());
-            if del + forwarded + drop != off {
-                errs.push(format!(
-                    "router {ri}: offered {off} != delivered {del} + forwarded \
-                     {forwarded} + dropped {drop}"
-                ));
-            }
-            for p in 0..NPORTS {
-                let (dropped, drops) = r.ingress_drops(p);
-                let classified: u64 = drops.iter().sum();
-                if dropped != classified {
-                    errs.push(format!(
-                        "router {ri} port {p}: packets_dropped {dropped} != classified {classified}"
-                    ));
-                }
-            }
-        }
         errs
+    }
+
+    /// Every injected stream, `(external input, wire words)`, in
+    /// injection order.
+    pub(crate) fn injected(&self) -> impl Iterator<Item = (usize, Vec<u32>)> + '_ {
+        self.pending[..self.next_pending].iter().map(|po| {
+            let words = match &po.payload {
+                PendingPayload::Pkt(p) => p.to_words(),
+                PendingPayload::Raw(words) => words.clone(),
+            };
+            (po.ext, words)
+        })
     }
 
     /// FNV-1a digest of everything observable: external delivery streams
@@ -907,7 +868,6 @@ impl RawFabric {
                 .map(|(h, n)| StageLatency::from_histogram(n, h))
                 .collect(),
             total_latency: StageLatency::from_histogram("total", &self.total_hist),
-            flow_order_violations: self.flow_order_violations(),
         }
     }
 }

@@ -33,14 +33,20 @@
 //! * **Scale** ([`Topology::Clos64`], [`Topology::Clos256`]): recursive
 //!   5- and 7-stage folded-Clos fabrics of 80 and 448 radix-4 routers,
 //!   the port counts Tiny Tera targets, still lowered through the same
-//!   RV5xx–RV7xx static gates.
+//!   RV5xx–RV7xx static gates;
+//! * **Audit** ([`audit()`]): every injected stream replayed hop by hop
+//!   through the per-router functional reference
+//!   ([`raw_xbar::reference::forward`]), and the run's deliveries and
+//!   drops held to the result.
 
+mod audit;
 pub mod fabric;
 pub mod link;
 pub mod shard;
 pub mod topology;
 pub mod verify;
 
+pub use audit::audit;
 pub use fabric::{
     FabricConfig, FabricConfigError, FabricError, FabricSummary, RawFabric, SprayMode,
 };

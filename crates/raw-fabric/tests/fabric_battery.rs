@@ -1,9 +1,10 @@
 //! End-to-end fabric battery: the multi-shard executor must be
-//! bit-identical to the single-threaded reference, delivery must match
-//! the workload's own accounting, and congestion must engage the
-//! credit-based backpressure instead of losing packets.
+//! bit-identical to the single-threaded reference, every run must agree
+//! with the per-router reference datapath ([`raw_fabric::audit`]), and
+//! congestion must engage the credit-based backpressure instead of
+//! losing packets.
 
-use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
 /// The multi-shard epoch loop at a fixed shard count, so what runs does
@@ -30,14 +31,18 @@ fn cfg(topology: Topology, spray: SprayMode) -> FabricConfig {
     }
 }
 
-/// Build a fabric, offer the whole schedule, run it dry, and check the
-/// books before handing it back for test-specific assertions.
-fn run_fabric(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
+fn build(cfg: FabricConfig, w: &Workload) -> RawFabric {
     let nports = cfg.topology.ext_ports();
     let mut fab = RawFabric::try_new(cfg).expect("valid config");
     for s in generate_n(w, nports) {
         fab.offer(s.port, s.release, &s.packet);
     }
+    fab
+}
+
+/// Run an offered fabric dry and audit it before handing it back for
+/// test-specific assertions.
+fn drain(mut fab: RawFabric, exec: Executor) -> RawFabric {
     assert!(
         fab.run_until_drained_with(50_000, exec),
         "fabric failed to drain: offered={} delivered={} dropped={}",
@@ -45,9 +50,13 @@ fn run_fabric(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
         fab.delivered_count(),
         fab.dropped_count()
     );
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "conservation violated: {errs:?}");
+    let errs = audit(&fab, true);
+    assert!(errs.is_empty(), "{errs:#?}");
     fab
+}
+
+fn run_fabric(cfg: FabricConfig, w: &Workload, exec: Executor) -> RawFabric {
+    drain(build(cfg, w), exec)
 }
 
 #[test]
@@ -87,37 +96,11 @@ fn replaying_the_same_schedule_reproduces_the_fingerprint() {
 }
 
 #[test]
-fn uniform_delivery_matches_the_workload_accounting() {
-    let w = workload(Pattern::FabricUniform, 5, 12);
-    let sched = generate_n(&w, 16);
-    let mut expected = [0usize; 16];
-    for s in &sched {
-        expected[((s.packet.header.dst >> 16) & 0xff) as usize] += 1;
-    }
-    let fab = run_fabric(
-        cfg(Topology::Clos16, SprayMode::Hash),
-        &w,
-        Executor::Reference,
-    );
-    assert_eq!(fab.dropped_count(), 0, "clean uniform run must not drop");
-    for (ext, &want) in expected.iter().enumerate() {
-        assert_eq!(
-            fab.delivered(ext).len(),
-            want,
-            "external port {ext} delivery mismatch"
-        );
-    }
-    assert_eq!(fab.flow_order_violations(), 0);
-}
-
-#[test]
 fn folded_clos_delivers_in_order_on_both_spray_modes() {
     for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
         let w = workload(Pattern::FabricUniform, 9, 16);
         let fab = run_fabric(cfg(Topology::Folded8, spray), &w, PARALLEL);
-        assert_eq!(fab.dropped_count(), 0);
-        assert_eq!(fab.delivered_count(), fab.offered());
-        assert_eq!(fab.flow_order_violations(), 0, "spray {}", spray.name());
+        assert_eq!(fab.dropped_count(), 0, "spray {}", spray.name());
     }
 }
 
@@ -154,22 +137,15 @@ fn cross_stage_hotspot_engages_backpressure_without_loss_accounting_errors() {
     );
     let fcfg = cfg(Topology::Clos16, SprayMode::Hash);
     let stall_cycles = 12 * fcfg.epoch_cycles;
-    let mut fab = RawFabric::try_new(fcfg).expect("valid config");
+    let mut fab = build(fcfg, &w);
     for ext in 8..12 {
         fab.stall_ext_output(ext, 0, stall_cycles);
     }
-    for s in generate_n(&w, 16) {
-        fab.offer(s.port, s.release, &s.packet);
-    }
-    assert!(fab.run_until_drained_with(50_000, PARALLEL));
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "conservation violated: {errs:?}");
-    let s = fab.summary();
+    let fab = drain(fab, PARALLEL);
     assert!(
-        s.backpressure_epochs > 0,
+        fab.summary().backpressure_epochs > 0,
         "4:1 overload never tripped link credits"
     );
-    assert_eq!(s.offered, s.delivered + s.dropped);
     // Only ports in the hotspot group receive anything.
     for ext in 0..16 {
         let got = fab.delivered(ext).len();
@@ -186,18 +162,13 @@ fn link_stalls_delay_but_never_lose_packets() {
     let w = workload(Pattern::FabricUniform, 21, 10);
     let mut cfg_stalled = cfg(Topology::Clos16, SprayMode::Hash);
     cfg_stalled.epoch_cycles = 256;
-    let mut fab = RawFabric::try_new(cfg_stalled).expect("valid config");
-    for s in generate_n(&w, 16) {
-        fab.offer(s.port, s.release, &s.packet);
-    }
+    let mut fab = build(cfg_stalled, &w);
     // Freeze several early links across the first epochs.
     for link in [0, 5, 17] {
         fab.stall_link(link, 1, 4);
     }
-    assert!(fab.run_until_drained_with(50_000, PARALLEL));
-    let errs = fab.conservation_errors();
-    assert!(errs.is_empty(), "conservation violated: {errs:?}");
-    assert_eq!(fab.delivered_count(), fab.offered());
+    let fab = drain(fab, PARALLEL);
+    assert_eq!(fab.dropped_count(), 0);
     let s = fab.summary();
     let stalled: u64 = s.links.iter().map(|l| l.stalled_epochs).sum();
     assert!(stalled >= 12, "stall windows were not honored: {stalled}");

@@ -1,13 +1,14 @@
 //! Differential battery for the executors: on every topology, shard
 //! count, spray policy, and seed, routers run on partitioned worker
 //! threads must produce a [`RawFabric::fingerprint`] bit-identical to
-//! the single-threaded reference. The differential is shown to have
+//! the single-threaded reference, and every run ends in
+//! [`raw_fabric::audit`]. The differential is shown to have
 //! teeth through the public fault API: one link exchanged one epoch
 //! late moves the fingerprint, identically on every executor.
 
 use proptest::prelude::*;
 
-use raw_fabric::{Executor, FabricConfig, RawFabric, SprayMode, Topology};
+use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
 fn workload(pattern: Pattern, seed: u64, packets_per_port: usize) -> Workload {
@@ -39,6 +40,19 @@ fn build(cfg: FabricConfig, w: &Workload) -> RawFabric {
     fab
 }
 
+/// Run an offered fabric dry on `exec` and audit it.
+fn drain(mut fab: RawFabric, exec: Executor) -> RawFabric {
+    assert!(
+        fab.run_until_drained_with(50_000, exec),
+        "{:?} wedged on {}",
+        fab.cfg.topology,
+        exec.name()
+    );
+    let errs = audit(&fab, true);
+    assert!(errs.is_empty(), "{errs:#?}");
+    fab
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -64,16 +78,13 @@ proptest! {
         let c = cfg(topology, spray, 256);
         let w = workload(Pattern::FabricUniform, seed, ppp);
 
-        let mut reference = build(c.clone(), &w);
-        prop_assert!(reference.run_until_drained_with(50_000, Executor::Reference));
-        let mut sharded = build(c.clone(), &w);
-        prop_assert!(sharded.run_until_drained_with(50_000, Executor::Sharded { shards }));
+        let reference = drain(build(c.clone(), &w), Executor::Reference);
+        let sharded = drain(build(c, &w), Executor::Sharded { shards });
 
         prop_assert_eq!(reference.epochs_run(), sharded.epochs_run());
         prop_assert_eq!(reference.fingerprint(), sharded.fingerprint(),
             "sharded executor diverged: {:?} shards={} spray={} seed={}",
             topology, shards, spray.name(), seed);
-        prop_assert!(sharded.conservation_errors().is_empty());
     }
 }
 
@@ -90,16 +101,7 @@ fn all_three_executors_agree_on_clos64() {
         Executor::Sharded { shards: 4 },
     ]
     .into_iter()
-    .map(|exec| {
-        let mut fab = build(c.clone(), &w);
-        assert!(
-            fab.run_until_drained_with(50_000, exec),
-            "{} wedged",
-            exec.name()
-        );
-        assert_eq!(fab.delivered_count(), fab.offered(), "{}", exec.name());
-        fab.fingerprint()
-    })
+    .map(|exec| drain(build(c.clone(), &w), exec).fingerprint())
     .collect();
     assert_eq!(fps[0], fps[1], "threaded diverged from reference");
     assert_eq!(fps[0], fps[2], "sharded diverged from reference");
@@ -113,16 +115,7 @@ fn threaded_is_one_shard_per_router() {
         let c = cfg(topology, SprayMode::Hash, 256);
         let w = workload(Pattern::FabricUniform, 7, 8);
         let routers = topology.routers();
-        let run = |exec: Executor| {
-            let mut fab = build(c.clone(), &w);
-            assert!(
-                fab.run_until_drained_with(50_000, exec),
-                "{topology:?} wedged on {}",
-                exec.name()
-            );
-            assert_eq!(fab.delivered_count(), fab.offered(), "{}", exec.name());
-            fab.fingerprint()
-        };
+        let run = |exec: Executor| drain(build(c.clone(), &w), exec).fingerprint();
         let reference = run(Executor::Reference);
         assert_eq!(
             run(Executor::Threaded),
@@ -141,10 +134,8 @@ fn threaded_is_one_shard_per_router() {
 fn shards_zero_uses_available_parallelism_and_still_matches() {
     let c = cfg(Topology::Clos16, SprayMode::Hash, 256);
     let w = workload(Pattern::FabricUniform, 11, 8);
-    let mut reference = build(c.clone(), &w);
-    assert!(reference.run_until_drained_with(50_000, Executor::Reference));
-    let mut sharded = build(c.clone(), &w);
-    assert!(sharded.run_until_drained_with(50_000, Executor::Sharded { shards: 0 }));
+    let reference = drain(build(c.clone(), &w), Executor::Reference);
+    let sharded = drain(build(c, &w), Executor::Sharded { shards: 0 });
     assert_eq!(reference.fingerprint(), sharded.fingerprint());
 }
 
@@ -152,10 +143,8 @@ fn shards_zero_uses_available_parallelism_and_still_matches() {
 fn one_shard_degenerates_to_the_reference() {
     let c = cfg(Topology::Folded8, SprayMode::LeastOccupancy, 256);
     let w = workload(Pattern::FabricUniform, 3, 10);
-    let mut reference = build(c.clone(), &w);
-    assert!(reference.run_until_drained_with(50_000, Executor::Reference));
-    let mut sharded = build(c.clone(), &w);
-    assert!(sharded.run_until_drained_with(50_000, Executor::Sharded { shards: 1 }));
+    let reference = drain(build(c.clone(), &w), Executor::Reference);
+    let sharded = drain(build(c, &w), Executor::Sharded { shards: 1 });
     assert_eq!(reference.fingerprint(), sharded.fingerprint());
 }
 
@@ -163,10 +152,8 @@ fn one_shard_degenerates_to_the_reference() {
 fn more_shards_than_routers_clamps_and_matches() {
     let c = cfg(Topology::Clos16, SprayMode::Hash, 256);
     let w = workload(Pattern::FabricUniform, 5, 6);
-    let mut reference = build(c.clone(), &w);
-    assert!(reference.run_until_drained_with(50_000, Executor::Reference));
-    let mut sharded = build(c.clone(), &w);
-    assert!(sharded.run_until_drained_with(50_000, Executor::Sharded { shards: 64 }));
+    let reference = drain(build(c.clone(), &w), Executor::Reference);
+    let sharded = drain(build(c, &w), Executor::Sharded { shards: 64 });
     assert_eq!(reference.fingerprint(), sharded.fingerprint());
 }
 
@@ -204,6 +191,7 @@ fn one_link_one_epoch_late_moves_the_fingerprint_on_every_executor() {
         }
         fab.run_epochs_with(EPOCHS, exec);
         assert_eq!(fab.epochs_run(), EPOCHS);
+        assert_eq!(audit(&fab, false), Vec::<String>::new());
         (fab.fingerprint(), fab.summary().links[0].stalled_epochs)
     };
     let sharded = Executor::Sharded { shards: 4 };
@@ -227,8 +215,7 @@ fn switching_executors_mid_run_matches_an_all_reference_run() {
     ] {
         let c = cfg(topology, spray, 256);
         let w = workload(Pattern::FabricUniform, 9, 24);
-        let mut reference = build(c.clone(), &w);
-        assert!(reference.run_until_drained_with(50_000, Executor::Reference));
+        let reference = drain(build(c.clone(), &w), Executor::Reference);
         assert!(
             reference.epochs_run() > 20,
             "{topology:?} drained before the last switch"
@@ -236,9 +223,8 @@ fn switching_executors_mid_run_matches_an_all_reference_run() {
         let mut mixed = build(c, &w);
         mixed.run_epochs_with(10, Executor::Reference);
         mixed.run_epochs_with(10, Executor::Sharded { shards: 3 });
-        assert!(mixed.run_until_drained_with(50_000, Executor::Threaded));
+        let mixed = drain(mixed, Executor::Threaded);
         assert_eq!(mixed.epochs_run(), reference.epochs_run(), "{topology:?}");
         assert_eq!(mixed.fingerprint(), reference.fingerprint(), "{topology:?}");
-        assert!(mixed.conservation_errors().is_empty());
     }
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use raw_chaos::{ChaosFabric, FabricFaultPlan, FaultPlan, LinkStallSpec};
 use raw_fabric::{
-    plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError, FabricError,
-    RawFabric, SprayMode, Topology,
+    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError,
+    FabricError, RawFabric, SprayMode, Topology,
 };
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::IngressQueueing;
@@ -316,16 +316,21 @@ fn credit_mutants_fail_validate_and_verify_with_the_same_code() {
     }
 }
 
-/// A machine configuration the routers cannot be built on surfaces as
-/// the typed router error, not as a panic inside `RawMachine::new`.
+/// A router configuration the routers cannot be built on surfaces as the
+/// typed router error, not as a panic inside `RawMachine::new` or in the
+/// fabric's own credit sizing, which reads the quantum first.
 #[test]
 fn a_bad_router_machine_config_is_a_typed_router_error() {
-    let mut cfg = cfg_for(Topology::Clos16);
-    cfg.router.raw.link_fifo_capacity = 0;
-    match RawFabric::try_new(cfg) {
-        Err(FabricError::Router(e)) => assert!(e.contains("link_fifo_capacity"), "{e}"),
-        Err(other) => panic!("expected Router rejection, got {other}"),
-        Ok(_) => panic!("expected Router rejection, fabric was built"),
+    let fifo: fn(&mut FabricConfig) = |c| c.router.raw.link_fifo_capacity = 0;
+    let quantum: fn(&mut FabricConfig) = |c| c.router.quantum_words = usize::MAX;
+    for (bad, want) in [(fifo, "link_fifo_capacity"), (quantum, "quantum")] {
+        let mut cfg = cfg_for(Topology::Clos16);
+        bad(&mut cfg);
+        match RawFabric::try_new(cfg) {
+            Err(FabricError::Router(e)) => assert!(e.contains(want), "{e}"),
+            Err(other) => panic!("expected Router rejection, got {other}"),
+            Ok(_) => panic!("expected Router rejection, fabric was built"),
+        }
     }
 }
 
@@ -394,8 +399,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Differential gate: a config the static verifier accepts must
-    /// close its conservation books under a chaos campaign (corruption
+    /// Differential gate: a config the static verifier accepts must pass
+    /// the audit and close its books under a chaos campaign (corruption
     /// at every input plus an inter-router link stall). The verifier's
     /// "statically safe" and the executor's "dynamically safe" have to
     /// agree on the accept side, not just the reject side.
@@ -437,8 +442,8 @@ proptest! {
             cf.offer(sp.port, sp.release, &sp.packet);
         }
         prop_assert!(cf.fabric.run_until_drained_with(50_000, Executor::Reference), "fabric wedged");
-        let errs = cf.fabric.conservation_errors();
-        prop_assert!(errs.is_empty(), "seed {seed:#x}: {errs:?}");
+        let errs = audit(&cf.fabric, true);
+        prop_assert!(errs.is_empty(), "seed {seed:#x}: {errs:#?}");
         prop_assert_eq!(
             cf.fabric.offered(),
             (nports * w.packets_per_port) as u64

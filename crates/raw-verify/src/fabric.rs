@@ -100,7 +100,8 @@ impl CreditModel {
     /// Re-derive the worst-case per-epoch emission burst from first
     /// principles (epoch length, per-packet word cost, straddle).
     pub fn derived_burst(&self) -> usize {
-        self.epoch_cycles as usize / (self.quantum_words + 1) + self.straddle_margin
+        (self.epoch_cycles as usize / self.quantum_words.saturating_add(1))
+            .saturating_add(self.straddle_margin)
     }
 }
 
