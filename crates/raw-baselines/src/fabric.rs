@@ -12,6 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use raw_sched::{IslipArb, Scheduler};
 use std::collections::VecDeque;
 
 /// Input queueing discipline.
@@ -87,14 +88,17 @@ pub struct CrossbarSim {
     cfg: FabricConfig,
     /// `queues[input][q]`: FIFO mode uses q=0 only; VOQ uses q=dst.
     queues: Vec<Vec<VecDeque<Cell>>>,
-    grant_ptr: Vec<usize>,
-    accept_ptr: Vec<usize>,
+    /// The matcher: the same iSLIP that runs in the Raw router's
+    /// scheduler mode.
+    islip: IslipArb,
     rng: StdRng,
     pub report: FabricReport,
     slot: u64,
 }
 
 impl CrossbarSim {
+    /// Panics unless `2 <= ports <= 16`: a request is a `u16` mask over
+    /// the outputs.
     pub fn new(cfg: FabricConfig) -> CrossbarSim {
         let n = cfg.ports;
         let qs = match cfg.queueing {
@@ -106,8 +110,7 @@ impl CrossbarSim {
             queues: (0..n)
                 .map(|_| (0..qs).map(|_| VecDeque::new()).collect())
                 .collect(),
-            grant_ptr: vec![0; n],
-            accept_ptr: vec![0; n],
+            islip: IslipArb::new(n, cfg.islip_iters),
             cfg,
             report: FabricReport::default(),
             slot: 0,
@@ -135,17 +138,13 @@ impl CrossbarSim {
         });
     }
 
-    /// Which outputs input `i` can bid for this slot.
-    fn requests(&self, i: usize) -> Vec<usize> {
+    /// The outputs input `i` can bid for this slot, as a bit mask.
+    fn requests(&self, i: usize) -> u16 {
         match self.cfg.queueing {
-            Queueing::Fifo => self.queues[i][0]
-                .front()
-                .map(|c| c.dst)
-                .into_iter()
-                .collect(),
+            Queueing::Fifo => self.queues[i][0].front().map_or(0, |c| 1 << c.dst),
             Queueing::Voq => (0..self.cfg.ports)
                 .filter(|&d| !self.queues[i][d].is_empty())
-                .collect(),
+                .fold(0, |mask, d| mask | 1 << d),
         }
     }
 
@@ -164,78 +163,26 @@ impl CrossbarSim {
 
     /// The iSLIP match for the current queue state (§2.2.2's three-step
     /// request/grant/accept iterations with round-robin pointers updated
-    /// after the first iteration only).
+    /// after the first iteration only), then departures.
     fn schedule_and_depart(&mut self) {
-        let n = self.cfg.ports;
-        let mut in_matched = vec![false; n];
-        let mut out_matched: Vec<Option<usize>> = vec![None; n];
-        for iter in 0..self.cfg.islip_iters {
-            // 1. Request.
-            let mut requests: Vec<Vec<usize>> = vec![Vec::new(); n]; // per output: requesting inputs
-            let mut any = false;
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..n {
-                if in_matched[i] {
-                    continue;
-                }
-                for d in self.requests(i) {
-                    if out_matched[d].is_none() {
-                        requests[d].push(i);
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-            self.report.iterations_used += 1;
-            // 2. Grant: each output picks the requesting input at or
-            // after its pointer.
-            let mut grants: Vec<Vec<usize>> = vec![Vec::new(); n]; // per input: granting outputs
-            #[allow(clippy::needless_range_loop)]
-            for d in 0..n {
-                if requests[d].is_empty() {
-                    continue;
-                }
-                let g = (0..n)
-                    .map(|k| (self.grant_ptr[d] + k) % n)
-                    .find(|i| requests[d].contains(i))
-                    .expect("some request exists");
-                grants[g].push(d);
-            }
-            // 3. Accept: each input picks the granting output at or
-            // after its pointer.
-            for i in 0..n {
-                if grants[i].is_empty() {
-                    continue;
-                }
-                let a = (0..n)
-                    .map(|k| (self.accept_ptr[i] + k) % n)
-                    .find(|d| grants[i].contains(d))
-                    .expect("some grant exists");
-                in_matched[i] = true;
-                out_matched[a] = Some(i);
-                if iter == 0 {
-                    // Pointers advance only for first-iteration matches.
-                    self.grant_ptr[a] = (i + 1) % n;
-                    self.accept_ptr[i] = (a + 1) % n;
-                }
-            }
+        let requests: Vec<u16> = (0..self.cfg.ports).map(|i| self.requests(i)).collect();
+        let matching = self.islip.arbitrate(&requests);
+        if requests.iter().any(|&r| r != 0) {
+            self.report.iterations_used += u64::from(self.islip.last_iterations());
         }
-        // Departures.
-        #[allow(clippy::needless_range_loop)]
-        for d in 0..n {
-            if let Some(i) = out_matched[d] {
-                let q = match self.cfg.queueing {
-                    Queueing::Fifo => 0,
-                    Queueing::Voq => d,
-                };
-                let cell = self.queues[i][q].pop_front().expect("matched a real cell");
-                debug_assert_eq!(cell.dst, d);
-                self.report.delivered_cells += 1;
-                self.report.total_delay_slots += self.slot - cell.arrived;
-                self.report.matches_made += 1;
-            }
+        for (i, out) in matching.into_iter().enumerate() {
+            let Some(d) = out.map(usize::from) else {
+                continue;
+            };
+            let q = match self.cfg.queueing {
+                Queueing::Fifo => 0,
+                Queueing::Voq => d,
+            };
+            let cell = self.queues[i][q].pop_front().expect("matched a real cell");
+            debug_assert_eq!(cell.dst, d);
+            self.report.delivered_cells += 1;
+            self.report.total_delay_slots += self.slot - cell.arrived;
+            self.report.matches_made += 1;
         }
         self.slot += 1;
         self.report.slots = self.slot;

@@ -135,8 +135,8 @@ pub fn fig7_3(bytes: usize) -> (String, String) {
     r.start_trace(20_000, 800);
     r.run(800 + 16);
     assert_audit(&r, &sched);
-    let at = r.take_trace().expect("trace recorded").to_activity_trace();
-    (at.render_ascii(8), at.to_csv())
+    let trace = r.take_trace().expect("trace recorded");
+    (trace.render_ascii(8), trace.to_csv())
 }
 
 /// E4 / §6.1–6.2 + Table 6.1: configuration-space minimization.

@@ -4,85 +4,75 @@
 //! 1. Reproducibility — the same experiment run twice produces
 //!    byte-identical metrics and traces (no hidden host-dependent state).
 //! 2. Engine equivalence — the compiled engine produces results
-//!    bit-identical to per-cycle stepping:
-//!    throughput, per-tile activity statistics, switch stalls, the full
-//!    Figure 7-3 trace, and chaos-campaign fingerprints under an active
-//!    fault plan.
+//!    bit-identical to per-cycle stepping, on the Figure 7-1 corners and
+//!    under an active chaos fault plan.
+//!
+//! Every router comparison is [`first_divergence`] (or, per run call,
+//! [`lockstep`]) over the machine's digests — activity counts, switch
+//! state, every FIFO and the open Figure 7-3 trace window — so a failure
+//! names the first cycle and the component where the two runs part; what
+//! the line cards hold, which the digests leave out, is compared besides.
 
-use raw_sim::{EngineMode, TileId};
-use raw_telemetry::{shared, NullSink, Recorder, SharedSink};
+use raw_chaos::{run_chaos, ChaosRouter, FaultPlan};
+use raw_sim::{first_divergence, lockstep, EngineMode};
+use raw_telemetry::{shared, Recorder, SharedSink};
 use raw_workloads::{generate, Workload};
 use raw_xbar::{RawRouter, RouterConfig};
 
 const ALL_ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::Compiled];
 
-/// A fig7-1-peak-style run at one packet size with a fig7-3-style trace
-/// window, distilled to two strings: a metrics fingerprint and the full
-/// per-cycle trace CSV.
-fn traced_peak(bytes: usize, engine: EngineMode) -> (String, String) {
-    traced_peak_with(bytes, engine, None)
-}
-
-fn traced_peak_with(
-    bytes: usize,
-    engine: EngineMode,
-    telemetry: Option<SharedSink>,
-) -> (String, String) {
-    run_traced(
-        peak_router(bytes, engine, telemetry),
-        &Workload::peak(bytes, 800),
-    )
-}
-
-fn peak_router(bytes: usize, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
-    let quantum = bytes / 4;
+/// A fig7-1-peak-style router offered `w`, with a fig7-3-style trace
+/// window over cycles `[10_000, 10_800)`.
+fn traced_router(w: &Workload, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
     let mut cfg = RouterConfig {
-        quantum_words: quantum,
+        quantum_words: w.packet_bytes / 4,
         cut_through: true,
         ..RouterConfig::default()
     };
     cfg.raw.engine = engine;
-    RawRouter::try_new_with_telemetry(cfg, raw_xbar::port_table(), telemetry)
-        .expect("router builds")
-}
-
-fn run_traced(mut r: RawRouter, w: &Workload) -> (String, String) {
+    let mut r = RawRouter::try_new_with_telemetry(cfg, raw_xbar::port_table(), telemetry)
+        .expect("router builds");
     for sp in generate(w) {
         r.offer(sp.port, sp.release, &sp.packet);
     }
     r.start_trace(10_000, 800);
-    r.run(40_000);
+    r
+}
 
-    let mut metrics = format!(
-        "gbps={:.9} mpps={:.9} delivered={} errors={}",
-        r.throughput_gbps(10_000, 40_000),
-        r.pps(10_000, 40_000) / 1e6,
-        r.delivered_count(),
-        r.parse_errors()
+/// Asserts that two routers agree over `cycles`: [`first_divergence`]
+/// finds no cycle and component where their machines differ, and after
+/// the last cycle what the line cards hold — which the digests do not
+/// see — reads the same: throughput and packet rate from cycle 10,000,
+/// deliveries and parse errors.
+fn assert_routers_agree(
+    a: impl Fn() -> RawRouter,
+    b: impl Fn() -> RawRouter,
+    cycles: u64,
+    what: &str,
+) {
+    let found = first_divergence(&a, &b, |r, n| r.run(n), |r| r.machine.digests(), cycles);
+    assert_eq!(
+        found, None,
+        "{what}: (cycle, component) where the runs part"
     );
-    for t in 0..16u16 {
-        let tile = TileId(t);
-        metrics.push_str(&format!(
-            " t{t}={:?}/{}",
-            r.machine.stats(tile).counts,
-            r.machine.switch_stall_cycles(tile)
-        ));
-    }
-    let trace = r
-        .take_trace()
-        .expect("trace complete")
-        .to_activity_trace()
-        .to_csv();
-    (metrics, trace)
+    let line_cards = |mut r: RawRouter| {
+        r.run(cycles);
+        format!(
+            "gbps={:.9} mpps={:.9} delivered={} errors={}",
+            r.throughput_gbps(10_000, cycles),
+            r.pps(10_000, cycles) / 1e6,
+            r.delivered_count(),
+            r.parse_errors()
+        )
+    };
+    assert_eq!(line_cards(b()), line_cards(a()), "{what}");
 }
 
 #[test]
 fn peak_run_is_reproducible() {
-    assert_eq!(
-        traced_peak(256, EngineMode::Compiled),
-        traced_peak(256, EngineMode::Compiled),
-        "identical runs diverged"
-    );
+    let w = Workload::peak(256, 800);
+    let run = || traced_router(&w, EngineMode::Compiled, None);
+    assert_routers_agree(run, run, 40_000, "identical runs");
 }
 
 #[test]
@@ -96,67 +86,50 @@ fn compiled_engine_matches_per_cycle_reference() {
         Workload::average(64, 400, 7),
         Workload::average(1024, 400, 7),
     ] {
-        let run = |engine| run_traced(peak_router(w.packet_bytes, engine, None), &w);
-        let (m_ref, t_ref) = run(EngineMode::PerCycle);
-        let (m, t) = run(EngineMode::Compiled);
-        assert_eq!(m, m_ref, "metrics diverged (compiled vs per-cycle, {w:?})");
-        assert_eq!(t, t_ref, "trace diverged (compiled vs per-cycle, {w:?})");
+        assert_routers_agree(
+            || traced_router(&w, EngineMode::PerCycle, None),
+            || traced_router(&w, EngineMode::Compiled, None),
+            40_000,
+            &format!("compiled vs per-cycle, {w:?}"),
+        );
     }
 }
 
 /// The compiled engine leaves stalled tiles and switches unstepped and
 /// credits their cycles in bulk; every `run` must still return with each
-/// counter where per-cycle stepping puts it. Chunks of 1, 7 and 13
-/// cycles land the run boundaries on every phase of the saturated
-/// router's sleep/wake pattern.
+/// counter where per-cycle stepping puts it. [`lockstep`] compares the
+/// machines after each of 900 run calls of 1, 7 or 13 cycles, which land
+/// the run boundaries on every phase of the saturated router's
+/// sleep/wake pattern.
 #[test]
 fn engines_stay_in_lockstep_after_every_run_chunk() {
     let w = Workload::peak(64, 300);
-    let mut routers = ALL_ENGINES.map(|engine| {
-        let mut r = peak_router(64, engine, None);
-        for sp in generate(&w) {
-            r.offer(sp.port, sp.release, &sp.packet);
-        }
-        r
-    });
-    let observe = |r: &RawRouter| {
-        let m = &r.machine;
-        let tiles: Vec<_> = (0..16u16)
-            .map(|t| (m.stats(TileId(t)).counts, m.switch_stall_cycles(TileId(t))))
-            .collect();
-        (tiles, m.last_activities().to_vec(), m.routes_fired)
-    };
-    for chunk in [1, 7, 13].into_iter().cycle().take(900) {
-        let [reference, compiled] = &mut routers;
-        reference.run(chunk);
-        compiled.run(chunk);
-        assert_eq!(
-            observe(compiled),
-            observe(reference),
-            "diverged by cycle {}",
-            reference.machine.cycle()
-        );
-    }
-    assert!(routers[0].delivered_count() > 100);
+    let mut reference = traced_router(&w, EngineMode::PerCycle, None);
+    let found = lockstep(
+        &mut reference,
+        &mut traced_router(&w, EngineMode::Compiled, None),
+        |r, i| r.run([1, 7, 13][i as usize % 3]),
+        |r| r.machine.digests(),
+        900,
+    );
+    assert_eq!(found, None, "(run call, component) where the engines part");
+    assert!(reference.delivered_count() > 100);
 }
 
 #[test]
 fn telemetry_sink_never_changes_the_golden_run() {
-    // The instrumentation must be observation-only: detached, a no-op
-    // NullSink, and a full Recorder all yield byte-identical metrics and
-    // traces, in every engine mode.
+    // The instrumentation must be observation-only: detached and a full
+    // Recorder yield identical runs, in every engine mode.
+    let w = Workload::peak(256, 800);
     for engine in ALL_ENGINES {
-        let detached = traced_peak_with(256, engine, None);
-        let null = traced_peak_with(256, engine, Some(shared(NullSink)));
-        let recorded = traced_peak_with(
-            256,
-            engine,
-            Some(shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS))),
-        );
-        assert_eq!(detached, null, "NullSink perturbed the run ({engine:?})");
-        assert_eq!(
-            detached, recorded,
-            "Recorder perturbed the run ({engine:?})"
+        assert_routers_agree(
+            || traced_router(&w, engine, None),
+            || {
+                let sink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
+                traced_router(&w, engine, Some(sink))
+            },
+            40_000,
+            &format!("Recorder perturbed the run ({engine:?})"),
         );
     }
 }
@@ -166,42 +139,57 @@ fn engines_agree_under_an_active_fault_plan() {
     // The compiled engine must remain bit-identical to the interpreter
     // when a chaos fault plan is live: corrupted packets, forced lookup
     // misses, scheduled tile stalls, and input pauses all hit the
-    // fallback-free compiled path.
-    use raw_chaos::{run_chaos, FaultPlan};
-
+    // fallback-free compiled path. The machines agree cycle by cycle up
+    // to the cycle the reference campaign drains at, and each engine's
+    // campaign drains cleanly with the same outcome.
     let sched = generate(&Workload::average(128, 120, 11));
-    let mut results = Vec::new();
-    for engine in ALL_ENGINES {
+    let cfg = |engine: EngineMode| {
         let mut cfg = RouterConfig {
             quantum_words: 32,
             cut_through: true,
             ..RouterConfig::default()
         };
         cfg.raw.engine = engine;
-        let out = run_chaos(
-            cfg,
-            raw_xbar::port_table(),
-            &FaultPlan::reference(),
-            &sched,
-            400_000,
-        )
-        .expect("chaos campaign runs");
+        cfg
+    };
+    let plan = FaultPlan::reference();
+    let outcome = |engine: EngineMode| {
+        let out = run_chaos(cfg(engine), raw_xbar::port_table(), &plan, &sched, 400_000)
+            .expect("chaos campaign runs");
         assert!(out.drained, "{engine:?}: campaign wedged");
         assert!(
             out.errors.is_empty(),
             "{engine:?}: conservation errors {:?}",
             out.errors
         );
-        results.push((
+        (
             out.fingerprint,
             out.delivered,
             out.dropped,
             out.drops,
             out.cycles,
-        ));
-    }
+        )
+    };
+    let reference = outcome(EngineMode::PerCycle);
+    let chaos = |engine: EngineMode| {
+        let mut cr = ChaosRouter::try_new(cfg(engine), raw_xbar::port_table(), plan.clone(), None)
+            .expect("chaos router builds");
+        for sp in &sched {
+            cr.offer(sp.port, sp.release, &sp.packet);
+        }
+        cr
+    };
+    let found = first_divergence(
+        || chaos(EngineMode::PerCycle),
+        || chaos(EngineMode::Compiled),
+        |cr, n| cr.router.run(n),
+        |cr| cr.router.machine.digests(),
+        reference.4,
+    );
+    assert_eq!(found, None, "(cycle, component) where the engines part");
     assert_eq!(
-        results[0], results[1],
+        outcome(EngineMode::Compiled),
+        reference,
         "compiled diverged from per-cycle under faults"
     );
 }

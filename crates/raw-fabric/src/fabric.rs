@@ -14,16 +14,18 @@
 //! the first to a scoped worker thread. The borrow checker proves no
 //! router is run twice or shared, so every executor is bit-identical
 //! to running everything on the caller's thread;
-//! [`RawFabric::fingerprint`] digests everything observable so the
-//! equivalence is asserted as well.
+//! [`RawFabric::digests`] splits the state into links, router components
+//! and external outputs so the equivalence is asserted as well, and a
+//! break is located.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use raw_net::Packet;
+use raw_net::{Fnv1a, Packet};
 use raw_telemetry::{Histogram, LinkStats, StageLatency};
+use raw_xbar::raw_sim::Component;
 use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig};
 
 use crate::link::FabricLink;
@@ -61,6 +63,11 @@ impl SprayMode {
     }
 }
 
+/// Link-drain slots guaranteed per epoch even when the receiver's
+/// backlog exceeds its input window: the escape valve of the boundary's
+/// drain step (see [`RawFabric`]'s `boundary`).
+pub const MIN_RECEIVE_WINDOW: usize = 1;
+
 /// Why a [`FabricConfig`] is rejected before any fabric is built. Each
 /// class maps onto the `RV7xx` diagnostic the `raw-verify` fabric
 /// analysis reports for the same defect ([`FabricConfigError::code`]),
@@ -72,11 +79,6 @@ pub enum FabricConfigError {
     /// Store-and-forward egress has no per-epoch emission bound to size
     /// link credits against.
     StoreAndForwardEgress,
-    /// A link that drains zero packets per epoch never empties.
-    ZeroLinkRate,
-    /// Link capacity cannot hold the stall threshold plus one slot of
-    /// progress room.
-    CapacityBelowBurst { capacity: usize, bound: usize },
 }
 
 impl FabricConfigError {
@@ -85,8 +87,6 @@ impl FabricConfigError {
         match self {
             FabricConfigError::ZeroEpoch => "RV705",
             FabricConfigError::StoreAndForwardEgress => "RV704",
-            FabricConfigError::ZeroLinkRate => "RV702",
-            FabricConfigError::CapacityBelowBurst { .. } => "RV701",
         }
     }
 }
@@ -99,14 +99,6 @@ impl std::fmt::Display for FabricConfigError {
                 f,
                 "the fabric composes cut-through routers: store-and-forward egress has no \
                  per-epoch emission bound to size link credits against"
-            ),
-            FabricConfigError::ZeroLinkRate => {
-                write!(f, "link rate must be at least 1 packet/epoch")
-            }
-            FabricConfigError::CapacityBelowBurst { capacity, bound } => write!(
-                f,
-                "link capacity {capacity} cannot hold the stall threshold plus one epoch \
-                 burst ({bound} packets)"
             ),
         }
     }
@@ -155,22 +147,14 @@ impl From<FabricConfigError> for FabricError {
     }
 }
 
-/// Fabric-wide configuration. `link_capacity` / `link_rate` of 0 mean
-/// "derive from the epoch size" (wire-speed drain, 3 epochs of buffer).
+/// Fabric-wide configuration. Link sizing is derived from the epoch
+/// (see [`FabricConfig::emission_bound`]): a link drains at wire speed
+/// and buffers three epochs of it.
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
     pub topology: Topology,
     pub epoch_cycles: u64,
     pub spray: SprayMode,
-    pub link_capacity: usize,
-    pub link_rate: usize,
-    /// Guaranteed link-drain slots per epoch even when the receiver's
-    /// backlog exceeds its input window. The default of 1 is the escape
-    /// valve that turns a spray-skew freeze on the folded topology's
-    /// leaf<->spine cycle into a trickle (see [`RawFabric`]'s boundary
-    /// step 2); 0 reconstructs the historical pre-fix behavior, which
-    /// the static verifier rejects on cyclic topologies (`RV503`).
-    pub min_receive_window: usize,
     /// Configuration applied to every member router.
     pub router: RouterConfig,
 }
@@ -181,9 +165,6 @@ impl Default for FabricConfig {
             topology: Topology::Clos16,
             epoch_cycles: 512,
             spray: SprayMode::Hash,
-            link_capacity: 0,
-            link_rate: 0,
-            min_receive_window: 1,
             // VOQ ingress is load-bearing, not a preference: the folded
             // topology's leaf<->spine links form a cyclic channel
             // dependency, and FIFO head-of-line blocking couples that
@@ -216,23 +197,13 @@ impl FabricConfig {
         (self.epoch_cycles as usize / self.router.quantum_words.saturating_add(1)).saturating_add(2)
     }
 
-    /// Per-epoch link drain rate after applying the derive-from-epoch
-    /// default.
-    pub fn resolved_rate(&self) -> usize {
-        if self.link_rate > 0 {
-            self.link_rate
-        } else {
-            self.emission_bound()
-        }
-    }
-
-    /// Link queue capacity after applying the derive-from-epoch default.
-    pub fn resolved_capacity(&self) -> usize {
-        if self.link_capacity > 0 {
-            self.link_capacity
-        } else {
-            self.emission_bound().saturating_mul(3)
-        }
+    /// Link queue capacity: three epochs of emission. The no-overflow
+    /// invariant needs more than one: if credits >= bound the sender may
+    /// emit freely (at most `bound` arrivals next boundary); if credits <
+    /// bound it is stalled for the whole next epoch and nothing arrives.
+    /// (The static verifier proves it per link, `RV701`.)
+    pub fn link_capacity(&self) -> usize {
+        self.emission_bound().saturating_mul(3)
     }
 
     pub fn validate(&self) -> Result<(), FabricConfigError> {
@@ -241,25 +212,6 @@ impl FabricConfig {
         }
         if !self.router.cut_through {
             return Err(FabricConfigError::StoreAndForwardEgress);
-        }
-        let (rate, cap, bound) = (
-            self.resolved_rate(),
-            self.resolved_capacity(),
-            self.emission_bound(),
-        );
-        if rate < 1 {
-            return Err(FabricConfigError::ZeroLinkRate);
-        }
-        // The no-overflow invariant: if credits >= bound the sender may
-        // emit freely (at most `bound` arrivals next boundary); if
-        // credits < bound the sender is stalled for the whole next
-        // epoch and nothing arrives. Capacity must leave room for one
-        // full burst above the stall threshold.
-        if cap <= bound {
-            return Err(FabricConfigError::CapacityBelowBurst {
-                capacity: cap,
-                bound,
-            });
         }
         Ok(())
     }
@@ -283,6 +235,17 @@ struct PendingOffer {
 struct Life {
     inject: u64,
     stage_entry: u64,
+}
+
+/// One digested piece of a [`RawFabric`] (see [`RawFabric::digests`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FabricComponent {
+    /// An inter-router link: queued packets, credits, stalled epochs.
+    Link(usize),
+    /// One component of a member router's machine.
+    Router(usize, Component),
+    /// An external output: every packet delivered there, with its cycle.
+    ExtOut(usize),
 }
 
 /// The serializable outcome summary of a fabric run.
@@ -404,7 +367,7 @@ impl RawFabric {
                     .map_err(FabricError::Router)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let (rate, capacity) = (cfg.resolved_rate(), cfg.resolved_capacity());
+        let (rate, capacity) = (cfg.emission_bound(), cfg.link_capacity());
         let links = plan
             .links
             .iter()
@@ -549,16 +512,16 @@ impl RawFabric {
     ///    over more, the queue fills, and the credit check turns that
     ///    into sender stalls: hop-by-hop backpressure with nothing
     ///    hidden in unbounded buffers. The window never closes
-    ///    completely (`min_receive_window`, default one packet per
-    ///    epoch): the folded topology's leaf<->spine cycle can
-    ///    otherwise deadlock when a skewed spray fills one VOQ, VOQ
-    ///    admission blocks the ingress line card, and every drain
-    ///    window along the cycle pins at zero — the escape slot turns
-    ///    that permanent freeze into a trickle that drains once the
-    ///    skew passes. Setting it to 0 reconstructs that historical
-    ///    deadlock, which `try_new`'s static gate rejects (RV503) on
-    ///    cyclic topologies. Only injected link faults (stall windows)
-    ///    may freeze a drain outright.
+    ///    completely ([`MIN_RECEIVE_WINDOW`], one packet per epoch):
+    ///    the folded topology's leaf<->spine cycle can otherwise
+    ///    deadlock when a skewed spray fills one VOQ, VOQ admission
+    ///    blocks the ingress line card, and every drain window along
+    ///    the cycle pins at zero — the escape slot turns that permanent
+    ///    freeze into a trickle that drains once the skew passes. A
+    ///    zero floor reconstructs that historical deadlock, which the
+    ///    static verifier rejects (RV503) on cyclic topologies. Only
+    ///    injected link faults (stall windows) may freeze a drain
+    ///    outright.
     /// 3. Account external deliveries since the last boundary.
     /// 4. Inject external arrivals released inside this epoch, choosing
     ///    each new flow's middle stage against the shared flow state.
@@ -586,7 +549,7 @@ impl RawFabric {
             let receiver = &mut self.routers[r];
             let allowed = window
                 .saturating_sub(receiver.input_backlog(p))
-                .max(self.cfg.min_receive_window);
+                .max(MIN_RECEIVE_WINDOW);
             for pkt in link.drain(epoch, allowed) {
                 if let Some(life) = self.life.get_mut(&(pkt.header.src, pkt.header.id)) {
                     self.stage_hist[stage].record(t - life.stage_entry);
@@ -810,19 +773,45 @@ impl RawFabric {
         })
     }
 
+    /// Fold external output `ext`'s deliveries (cycle, exact words) into `h`.
+    fn mix_delivered(&self, h: &mut Fnv1a, ext: usize) {
+        for (cycle, p) in &self.ext_collected(ext).packets {
+            h.mix(*cycle);
+            for w in p.to_words() {
+                h.mix(u64::from(w));
+            }
+        }
+    }
+
+    /// One digest per [`FabricComponent`], a router's components being
+    /// its machine's (`RawMachine::digests`): links first, so a late or
+    /// lost exchange at an epoch boundary is named by the link still
+    /// holding the packet rather than by the router it would have fed,
+    /// then routers, then external outputs. Compared by
+    /// `raw_sim::first_divergence` with epochs as steps; never called by
+    /// a run.
+    pub fn digests(&self) -> Vec<(FabricComponent, u64)> {
+        let links = self.links.iter().enumerate();
+        let links = links.map(|(l, link)| (FabricComponent::Link(l), link.digest()));
+        let routers = self.routers.iter().enumerate().flat_map(|(r, router)| {
+            let machine = router.machine.digests().into_iter();
+            machine.map(move |(c, d)| (FabricComponent::Router(r, c), d))
+        });
+        let ext_out = (0..self.ext_ports()).map(|e| {
+            let mut h = Fnv1a::default();
+            self.mix_delivered(&mut h, e);
+            (FabricComponent::ExtOut(e), h.finish())
+        });
+        links.chain(routers).chain(ext_out).collect()
+    }
+
     /// FNV-1a digest of everything observable: external delivery streams
     /// (cycle + exact words), per-router classified drops, offered
-    /// count, and the epoch clock. Every executor must produce equal
-    /// fingerprints.
+    /// count, and the epoch clock — the golden in `results/fabric.json`.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = raw_net::Fnv1a::default();
+        let mut h = Fnv1a::default();
         for ext in 0..self.ext_ports() {
-            for (cycle, p) in &self.ext_collected(ext).packets {
-                h.mix(*cycle);
-                for w in p.to_words() {
-                    h.mix(u64::from(w));
-                }
-            }
+            self.mix_delivered(&mut h, ext);
         }
         for r in &self.routers {
             for d in r.drop_reasons() {

@@ -48,7 +48,8 @@ pub mod verify;
 
 pub use audit::audit;
 pub use fabric::{
-    FabricConfig, FabricConfigError, FabricError, FabricSummary, RawFabric, SprayMode,
+    FabricComponent, FabricConfig, FabricConfigError, FabricError, FabricSummary, RawFabric,
+    SprayMode,
 };
 pub use link::FabricLink;
 pub use shard::{partition_routers, Executor};

@@ -110,6 +110,17 @@ impl FabricLink {
         self.queue.drain(..n).collect()
     }
 
+    /// Digest of the queued packets' words, the credits, the stalled epochs.
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = raw_net::Fnv1a::default();
+        for w in self.queue.iter().flat_map(Packet::to_words) {
+            h.mix(u64::from(w));
+        }
+        h.mix(self.credits() as u64);
+        h.mix(self.stats.stalled_epochs);
+        h.finish()
+    }
+
     /// Record the credit low-water mark; returns the credits so the
     /// fabric can decide whether to backpressure the sender.
     pub fn sample_credits(&mut self) -> usize {

@@ -43,8 +43,8 @@ pub fn build_spec(plan: &TopologyPlan, cfg: &FabricConfig) -> FabricSpec {
             .map(|l| LinkEdge {
                 from: l.from,
                 to: l.to,
-                capacity: cfg.resolved_capacity(),
-                rate: cfg.resolved_rate(),
+                capacity: cfg.link_capacity(),
+                rate: cfg.emission_bound(),
             })
             .collect(),
         ext_in: plan.ext_in.clone(),
@@ -61,7 +61,7 @@ pub fn build_spec(plan: &TopologyPlan, cfg: &FabricConfig) -> FabricSpec {
             straddle_margin: STRADDLE_MARGIN,
         },
         voq_ingress: cfg.router.queueing.is_voq(),
-        min_receive_window: cfg.min_receive_window,
+        min_receive_window: crate::fabric::MIN_RECEIVE_WINDOW,
     }
 }
 

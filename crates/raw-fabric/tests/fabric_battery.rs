@@ -4,6 +4,8 @@
 //! congestion must engage the credit-based backpressure instead of
 //! losing packets.
 
+mod common;
+
 use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 
@@ -65,16 +67,8 @@ fn sharded_execution_is_bit_identical_to_the_reference() {
     for seed in [11u64, 22, 33] {
         for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
             let w = workload(Pattern::FabricUniform, seed, 12);
-            let single = run_fabric(cfg(Topology::Clos16, spray), &w, Executor::Reference);
-            let sharded = run_fabric(cfg(Topology::Clos16, spray), &w, PARALLEL);
-            assert_eq!(single.delivered_count(), sharded.delivered_count());
-            assert_eq!(single.epochs_run(), sharded.epochs_run());
-            assert_eq!(
-                single.fingerprint(),
-                sharded.fingerprint(),
-                "seed {seed} spray {} diverged",
-                spray.name()
-            );
+            let found = common::divergence(&cfg(Topology::Clos16, spray), &w, |_| PARALLEL);
+            assert_eq!(found, None, "seed {seed} spray {}", spray.name());
         }
     }
 }

@@ -5,6 +5,8 @@
 //! the multi-shard executor must stay bit-identical to the
 //! single-threaded reference on random draws.
 
+mod common;
+
 use proptest::prelude::*;
 
 use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
@@ -111,12 +113,7 @@ proptest! {
             ttl: 64,
         };
         let cfg = build(topology, epoch_sel, spray_sel);
-        let single = run(cfg.clone(), &w, Executor::Reference);
-        let sharded = run(cfg, &w, Executor::Sharded { shards: 4 });
-        prop_assert_eq!(single.epochs_run(), sharded.epochs_run());
-        prop_assert_eq!(
-            single.fingerprint(), sharded.fingerprint(),
-            "seed {:#x} diverged between executors", seed
-        );
+        let found = common::divergence(&cfg, &w, |_| Executor::Sharded { shards: 4 });
+        prop_assert_eq!(found, None, "seed {:#x} diverged between executors", seed);
     }
 }

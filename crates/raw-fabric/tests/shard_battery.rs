@@ -1,15 +1,21 @@
 //! Differential battery for the executors: on every topology, shard
 //! count, spray policy, and seed, routers run on partitioned worker
-//! threads must produce a [`RawFabric::fingerprint`] bit-identical to
-//! the single-threaded reference, and every run ends in
-//! [`raw_fabric::audit`]. The differential is shown to have
-//! teeth through the public fault API: one link exchanged one epoch
-//! late moves the fingerprint, identically on every executor.
+//! threads must leave the fabric in exactly the state the
+//! single-threaded reference does — [`raw_sim::first_divergence`] over
+//! [`RawFabric::digests`] finds no epoch and no link, router component
+//! or external output where they differ — and every drained run ends in
+//! [`raw_fabric::audit`]. The differential is shown to have teeth
+//! through the public fault API: one link exchanged one epoch late is
+//! located, at the same epoch and link, on every executor.
+
+mod common;
 
 use proptest::prelude::*;
 
-use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
-use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
+use common::{build, divergence, drain, BUDGET};
+use raw_fabric::{audit, Executor, FabricComponent, FabricConfig, RawFabric, SprayMode, Topology};
+use raw_workloads::{Arrivals, Pattern, Workload};
+use raw_xbar::raw_sim::first_divergence;
 
 fn workload(pattern: Pattern, seed: u64, packets_per_port: usize) -> Workload {
     Workload {
@@ -29,28 +35,6 @@ fn cfg(topology: Topology, spray: SprayMode, epoch_cycles: u64) -> FabricConfig 
         spray,
         ..FabricConfig::default()
     }
-}
-
-fn build(cfg: FabricConfig, w: &Workload) -> RawFabric {
-    let nports = cfg.topology.ext_ports();
-    let mut fab = RawFabric::try_new(cfg).expect("valid config");
-    for s in generate_n(w, nports) {
-        fab.offer(s.port, s.release, &s.packet);
-    }
-    fab
-}
-
-/// Run an offered fabric dry on `exec` and audit it.
-fn drain(mut fab: RawFabric, exec: Executor) -> RawFabric {
-    assert!(
-        fab.run_until_drained_with(50_000, exec),
-        "{:?} wedged on {}",
-        fab.cfg.topology,
-        exec.name()
-    );
-    let errs = audit(&fab, true);
-    assert!(errs.is_empty(), "{errs:#?}");
-    fab
 }
 
 proptest! {
@@ -77,12 +61,8 @@ proptest! {
         let ppp = if topology == Topology::Clos64 { 3 } else { 8 };
         let c = cfg(topology, spray, 256);
         let w = workload(Pattern::FabricUniform, seed, ppp);
-
-        let reference = drain(build(c.clone(), &w), Executor::Reference);
-        let sharded = drain(build(c, &w), Executor::Sharded { shards });
-
-        prop_assert_eq!(reference.epochs_run(), sharded.epochs_run());
-        prop_assert_eq!(reference.fingerprint(), sharded.fingerprint(),
+        let found = divergence(&c, &w, |_| Executor::Sharded { shards });
+        prop_assert_eq!(found, None,
             "sharded executor diverged: {:?} shards={} spray={} seed={}",
             topology, shards, spray.name(), seed);
     }
@@ -95,16 +75,9 @@ proptest! {
 fn all_three_executors_agree_on_clos64() {
     let c = cfg(Topology::Clos64, SprayMode::Hash, 256);
     let w = workload(Pattern::FabricUniform, 7, 4);
-    let fps: Vec<u64> = [
-        Executor::Reference,
-        Executor::Threaded,
-        Executor::Sharded { shards: 4 },
-    ]
-    .into_iter()
-    .map(|exec| drain(build(c.clone(), &w), exec).fingerprint())
-    .collect();
-    assert_eq!(fps[0], fps[1], "threaded diverged from reference");
-    assert_eq!(fps[0], fps[2], "sharded diverged from reference");
+    assert_eq!(divergence(&c, &w, |_| Executor::Threaded), None, "threaded");
+    let four = |_| Executor::Sharded { shards: 4 };
+    assert_eq!(divergence(&c, &w, four), None, "four shards");
 }
 
 /// `Threaded` is `Sharded` with one shard per router, and both match
@@ -114,19 +87,11 @@ fn threaded_is_one_shard_per_router() {
     for topology in [Topology::Clos16, Topology::Folded8] {
         let c = cfg(topology, SprayMode::Hash, 256);
         let w = workload(Pattern::FabricUniform, 7, 8);
-        let routers = topology.routers();
-        let run = |exec: Executor| drain(build(c.clone(), &w), exec).fingerprint();
-        let reference = run(Executor::Reference);
-        assert_eq!(
-            run(Executor::Threaded),
-            reference,
-            "{topology:?}: threaded diverged from reference"
-        );
-        assert_eq!(
-            run(Executor::Sharded { shards: routers }),
-            reference,
-            "{topology:?}: one shard per router diverged from reference"
-        );
+        let shards = topology.routers();
+        let found = divergence(&c, &w, |_| Executor::Threaded);
+        assert_eq!(found, None, "{topology:?}: threaded");
+        let found = divergence(&c, &w, |_| Executor::Sharded { shards });
+        assert_eq!(found, None, "{topology:?}: one shard per router");
     }
 }
 
@@ -134,36 +99,35 @@ fn threaded_is_one_shard_per_router() {
 fn shards_zero_uses_available_parallelism_and_still_matches() {
     let c = cfg(Topology::Clos16, SprayMode::Hash, 256);
     let w = workload(Pattern::FabricUniform, 11, 8);
-    let reference = drain(build(c.clone(), &w), Executor::Reference);
-    let sharded = drain(build(c, &w), Executor::Sharded { shards: 0 });
-    assert_eq!(reference.fingerprint(), sharded.fingerprint());
+    let found = divergence(&c, &w, |_| Executor::Sharded { shards: 0 });
+    assert_eq!(found, None);
 }
 
 #[test]
 fn one_shard_degenerates_to_the_reference() {
     let c = cfg(Topology::Folded8, SprayMode::LeastOccupancy, 256);
     let w = workload(Pattern::FabricUniform, 3, 10);
-    let reference = drain(build(c.clone(), &w), Executor::Reference);
-    let sharded = drain(build(c, &w), Executor::Sharded { shards: 1 });
-    assert_eq!(reference.fingerprint(), sharded.fingerprint());
+    let found = divergence(&c, &w, |_| Executor::Sharded { shards: 1 });
+    assert_eq!(found, None);
 }
 
 #[test]
 fn more_shards_than_routers_clamps_and_matches() {
     let c = cfg(Topology::Clos16, SprayMode::Hash, 256);
     let w = workload(Pattern::FabricUniform, 5, 6);
-    let reference = drain(build(c.clone(), &w), Executor::Reference);
-    let sharded = drain(build(c, &w), Executor::Sharded { shards: 64 });
-    assert_eq!(reference.fingerprint(), sharded.fingerprint());
+    let found = divergence(&c, &w, |_| Executor::Sharded { shards: 64 });
+    assert_eq!(found, None);
 }
 
-/// Teeth without a hook: the fingerprint differential notices a single
-/// link exchanged a single epoch late. Link 0 carries traffic, and
-/// freezing its drain for one epoch in which it holds packets — through
-/// the public fault API — moves the fingerprint, to the same value on
-/// the reference and on four shards. Fixed-horizon runs keep
-/// `epochs_run` equal on all sides, so the divergence is in the
-/// observable streams.
+/// Teeth without a hook: the differential locates a single link
+/// exchanged a single epoch late. Link 0 carries traffic; freezing its
+/// drain at the boundary that opens epoch `busy`, while it holds
+/// packets, is first seen after `busy + 1` epochs — that boundary runs
+/// in the `busy + 1`-th — and first at link 0, which still holds the
+/// packets it should have handed on. (Its receiver, fed one boundary
+/// late, differs from the same epoch too, but links come first in the
+/// digest order for exactly this reason.) Both the reference and four
+/// shards report it so, and stalled runs on the two agree.
 #[test]
 fn one_link_one_epoch_late_moves_the_fingerprint_on_every_executor() {
     const EPOCHS: u64 = 30;
@@ -172,7 +136,7 @@ fn one_link_one_epoch_late_moves_the_fingerprint_on_every_executor() {
     // Find an epoch whose boundary drains link 0 with packets queued:
     // `packets` counts pushes, so it moving across epoch `e` means that
     // boundary's collect put packets in front of its drain.
-    let mut probe = build(c.clone(), &w);
+    let mut probe = build(&c, &w);
     let mut busy = None;
     for e in 0..EPOCHS {
         let before = probe.summary().links[0].packets;
@@ -182,31 +146,55 @@ fn one_link_one_epoch_late_moves_the_fingerprint_on_every_executor() {
         }
     }
     let busy = busy.expect("link 0 carried no traffic; a late exchange would be unobservable");
-    let healthy = probe.fingerprint();
 
     let run = |exec: Executor, stall: bool| {
-        let mut fab = build(c.clone(), &w);
+        let mut fab = build(&c, &w);
         if stall {
             fab.stall_link(0, busy, 1);
         }
-        fab.run_epochs_with(EPOCHS, exec);
-        assert_eq!(fab.epochs_run(), EPOCHS);
-        assert_eq!(audit(&fab, false), Vec::<String>::new());
-        (fab.fingerprint(), fab.summary().links[0].stalled_epochs)
+        (fab, exec)
     };
+    let advance = |(fab, exec): &mut (RawFabric, Executor), n: u64| {
+        fab.run_epochs_with(n, *exec);
+        assert_eq!(audit(fab, false), Vec::<String>::new());
+    };
+    let digests = |(fab, _): &(RawFabric, Executor)| fab.digests();
     let sharded = Executor::Sharded { shards: 4 };
-    assert_eq!(run(sharded, false), (healthy, 0));
-    let late = run(Executor::Reference, true);
-    assert_eq!(late.1, 1, "the stall window froze exactly one drain");
-    assert_ne!(
-        late.0, healthy,
-        "a link exchanged one epoch late must break fingerprint identity"
+    for exec in [Executor::Reference, sharded] {
+        let found = first_divergence(
+            || run(exec, false),
+            || run(exec, true),
+            advance,
+            digests,
+            EPOCHS,
+        );
+        assert_eq!(
+            found,
+            Some((busy + 1, FabricComponent::Link(0))),
+            "{}",
+            exec.name()
+        );
+    }
+    let found = first_divergence(
+        || run(Executor::Reference, true),
+        || run(sharded, true),
+        advance,
+        digests,
+        EPOCHS,
     );
-    assert_eq!(run(sharded, true), late);
+    assert_eq!(found, None);
+    let (mut late, _) = run(Executor::Reference, true);
+    late.run_epochs_with(EPOCHS, Executor::Reference);
+    assert_eq!(
+        late.summary().links[0].stalled_epochs,
+        1,
+        "the stall window froze exactly one drain"
+    );
 }
 
 /// One fabric may change executor between calls: every executor leaves
-/// the same state behind at an epoch boundary.
+/// the same state behind at an epoch boundary. The mixed run takes ten
+/// epochs on the reference, ten on three shards, then drains threaded.
 #[test]
 fn switching_executors_mid_run_matches_an_all_reference_run() {
     for (topology, spray) in [
@@ -215,16 +203,17 @@ fn switching_executors_mid_run_matches_an_all_reference_run() {
     ] {
         let c = cfg(topology, spray, 256);
         let w = workload(Pattern::FabricUniform, 9, 24);
-        let reference = drain(build(c.clone(), &w), Executor::Reference);
+        let mut reference = build(&c, &w);
+        drain(&mut reference, BUDGET, |_| Executor::Reference);
         assert!(
             reference.epochs_run() > 20,
             "{topology:?} drained before the last switch"
         );
-        let mut mixed = build(c, &w);
-        mixed.run_epochs_with(10, Executor::Reference);
-        mixed.run_epochs_with(10, Executor::Sharded { shards: 3 });
-        let mixed = drain(mixed, Executor::Threaded);
-        assert_eq!(mixed.epochs_run(), reference.epochs_run(), "{topology:?}");
-        assert_eq!(mixed.fingerprint(), reference.fingerprint(), "{topology:?}");
+        let mixed = |e: u64| match e {
+            0..10 => Executor::Reference,
+            10..20 => Executor::Sharded { shards: 3 },
+            _ => Executor::Threaded,
+        };
+        assert_eq!(divergence(&c, &w, mixed), None, "{topology:?}");
     }
 }

@@ -8,9 +8,10 @@ use proptest::prelude::*;
 
 use raw_chaos::{ChaosFabric, FabricFaultPlan, FaultPlan, LinkStallSpec};
 use raw_fabric::{
-    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError,
-    FabricError, RawFabric, SprayMode, Topology,
+    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricError, RawFabric,
+    SprayMode, Topology,
 };
+use raw_verify::fabric::FabricSpec;
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::IngressQueueing;
 
@@ -30,6 +31,25 @@ fn cfg_for(t: Topology) -> FabricConfig {
 
 fn codes(cfg: &FabricConfig) -> Vec<&'static str> {
     verify_fabric(cfg).diags.iter().map(|d| d.code).collect()
+}
+
+/// The spec `RawFabric::try_new` verifies for `cfg` — the starting point
+/// of every mutant no `FabricConfig` can express.
+fn spec_for(cfg: &FabricConfig) -> FabricSpec {
+    raw_fabric::verify::build_spec(&plan(cfg.topology), cfg)
+}
+
+fn spec_codes(spec: &FabricSpec) -> Vec<&'static str> {
+    let v = raw_verify::fabric::verify_fabric(spec);
+    v.diags.iter().map(|d| d.code).collect()
+}
+
+/// `cfg`'s spec with the receive-window floor at zero instead of the
+/// executor's constant one.
+fn zero_window_spec(cfg: &FabricConfig) -> FabricSpec {
+    let mut spec = spec_for(cfg);
+    spec.min_receive_window = 0;
+    spec
 }
 
 // ---------------------------------------------------------------------
@@ -104,27 +124,21 @@ fn fifo_ingress_on_feed_forward_clos16_stays_clean() {
 // ---------------------------------------------------------------------
 // Historical deadlock 2: the pre-min-1 receive window. A zero floor
 // lets spray skew pin every drain window along the leaf<->spine cycle
-// at zero permanently.
+// at zero permanently. The executor's floor is the constant
+// `MIN_RECEIVE_WINDOW`, so the historical fabric exists only as a spec.
 // ---------------------------------------------------------------------
 
 #[test]
 fn zero_receive_window_floor_on_folded8_is_rejected_as_rv503() {
-    let mut cfg = cfg_for(Topology::Folded8);
-    cfg.min_receive_window = 0;
-    let got = codes(&cfg);
+    let got = spec_codes(&zero_window_spec(&cfg_for(Topology::Folded8)));
     assert!(got.contains(&"RV503"), "{got:?}");
     assert!(!got.contains(&"RV501"), "{got:?}");
-    assert!(matches!(
-        RawFabric::try_new(cfg),
-        Err(FabricError::Verify(_))
-    ));
 }
 
 #[test]
 fn zero_receive_window_floor_on_feed_forward_clos16_stays_clean() {
-    let mut cfg = cfg_for(Topology::Clos16);
-    cfg.min_receive_window = 0;
-    assert_eq!(codes(&cfg), Vec::<&str>::new());
+    let got = spec_codes(&zero_window_spec(&cfg_for(Topology::Clos16)));
+    assert_eq!(got, Vec::<&str>::new());
 }
 
 /// Both fixes removed at once on the cyclic topology: still caught (the
@@ -133,8 +147,7 @@ fn zero_receive_window_floor_on_feed_forward_clos16_stays_clean() {
 fn both_escape_fixes_removed_is_still_caught_statically() {
     let mut cfg = cfg_for(Topology::Folded8);
     cfg.router.queueing = IngressQueueing::Fifo;
-    cfg.min_receive_window = 0;
-    let got = codes(&cfg);
+    let got = spec_codes(&zero_window_spec(&cfg));
     assert!(got.contains(&"RV502") || got.contains(&"RV503"), "{got:?}");
 }
 
@@ -283,26 +296,19 @@ fn swapped_ingress_uplinks_break_spray_agreement() {
 // ---------------------------------------------------------------------
 // Credit mutants (RV7xx), and the typed-config-error agreement: the
 // dynamic gate (`FabricConfig::validate`) and the static proof assign
-// the same code to the same defect.
+// the same code to the same defect. Link sizing is derived from the
+// epoch, so an undersized link (RV701) exists only as a spec.
 // ---------------------------------------------------------------------
 
 #[test]
 fn credit_mutants_fail_validate_and_verify_with_the_same_code() {
-    let undersized = FabricConfig {
-        link_capacity: 10,
-        ..cfg_for(Topology::Clos16)
-    };
     let mut store_fwd = cfg_for(Topology::Folded8);
     store_fwd.router.cut_through = false;
     let zero_epoch = FabricConfig {
         epoch_cycles: 0,
         ..cfg_for(Topology::Clos16)
     };
-    for (cfg, want) in [
-        (undersized, "RV701"),
-        (store_fwd, "RV704"),
-        (zero_epoch, "RV705"),
-    ] {
+    for (cfg, want) in [(store_fwd, "RV704"), (zero_epoch, "RV705")] {
         let err = cfg.validate().expect_err("mutant must fail validate");
         assert_eq!(err.code(), want, "{err:?}");
         let got = codes(&cfg);
@@ -334,18 +340,26 @@ fn a_bad_router_machine_config_is_a_typed_router_error() {
     }
 }
 
+/// Every link of a Clos16 spec shrunk to 10 slots: each is an RV701 at
+/// its wire, and the message carries the capacity and the stall
+/// threshold it cannot hold.
 #[test]
 fn capacity_error_carries_the_sizing_numbers() {
-    let cfg = FabricConfig {
-        link_capacity: 10,
-        ..cfg_for(Topology::Clos16)
-    };
-    match cfg.validate() {
-        Err(FabricConfigError::CapacityBelowBurst { capacity, bound }) => {
-            assert_eq!(capacity, 10);
-            assert_eq!(bound, cfg.emission_bound());
-        }
-        other => panic!("expected CapacityBelowBurst, got {other:?}"),
+    let cfg = cfg_for(Topology::Clos16);
+    let mut spec = spec_for(&cfg);
+    for link in &mut spec.links {
+        link.capacity = 10;
+    }
+    let v = raw_verify::fabric::verify_fabric(&spec);
+    let rv701: Vec<_> = v.diags.iter().filter(|d| d.code == "RV701").collect();
+    assert_eq!(rv701.len(), spec.links.len(), "{:?}", v.diags);
+    let threshold = format!("threshold {}", cfg.emission_bound());
+    for d in rv701 {
+        assert!(
+            d.msg.contains("capacity 10") && d.msg.contains(&threshold),
+            "{d}"
+        );
+        assert!(d.wire.is_some(), "{d}");
     }
 }
 
@@ -357,7 +371,7 @@ fn capacity_error_carries_the_sizing_numbers() {
 #[test]
 fn understated_stall_threshold_breaks_the_occupancy_proof() {
     let cfg = cfg_for(Topology::Clos16);
-    let mut spec = raw_fabric::verify::build_spec(&plan(Topology::Clos16), &cfg);
+    let mut spec = spec_for(&cfg);
     spec.credit.emission_bound = cfg.emission_bound() / 2;
     let v = raw_verify::fabric::verify_fabric(&spec);
     assert!(v.diags.iter().any(|d| d.code == "RV703"), "{:?}", v.diags);
@@ -371,25 +385,18 @@ fn understated_stall_threshold_breaks_the_occupancy_proof() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every shipped topology × spray × sane credit sizing verifies
-    /// clean: zero false positives across the configuration space the
-    /// repo actually exposes.
+    /// Every shipped topology × spray × epoch verifies clean: zero
+    /// false positives across the configuration space the repo actually
+    /// exposes (link sizing follows from the epoch).
     #[test]
     fn topology_spray_capacity_sweep_has_no_false_positives(
         topo_sel in 0usize..4,
         spray_sel in any::<bool>(),
         epoch_sel in 0usize..3,
-        cap_extra in 0usize..64,
-        derive_cap in any::<bool>(),
     ) {
         let mut cfg = cfg_for(SHIPPED[topo_sel]);
         cfg.spray = if spray_sel { SprayMode::Hash } else { SprayMode::LeastOccupancy };
         cfg.epoch_cycles = [128u64, 256, 512][epoch_sel];
-        cfg.link_capacity = if derive_cap {
-            0 // derive: 3 epochs of buffer
-        } else {
-            cfg.emission_bound() + 1 + cap_extra
-        };
         prop_assert!(cfg.validate().is_ok());
         let v = verify_fabric(&cfg);
         prop_assert!(v.diags.is_empty(), "{:?}: {:?}", cfg.topology, v.diags);
@@ -448,5 +455,23 @@ proptest! {
             cf.fabric.offered(),
             (nports * w.packets_per_port) as u64
         );
+    }
+}
+
+/// Link sizing derived from an epoch so long that the stall threshold
+/// saturates (`epoch_cycles: u64::MAX`, `quantum_words: 0`) is a typed
+/// rejection: the capacity check cannot overflow.
+#[test]
+fn a_saturated_link_sizing_is_rejected_not_a_panic() {
+    let mut cfg = cfg_for(Topology::Clos16);
+    cfg.epoch_cycles = u64::MAX;
+    cfg.router.quantum_words = 0;
+    assert_eq!(cfg.link_capacity(), cfg.emission_bound(), "saturated");
+    match RawFabric::try_new(cfg) {
+        Err(FabricError::Verify(diags)) => {
+            assert!(diags.iter().any(|d| d.code == "RV701"), "{diags:?}")
+        }
+        Err(other) => panic!("expected Verify rejection, got {other}"),
+        Ok(_) => panic!("expected Verify rejection, fabric was built"),
     }
 }

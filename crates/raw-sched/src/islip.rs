@@ -17,11 +17,9 @@
 //! persistently-backlogged pair (the RV802 analysis proves the bound
 //! exhaustively for 4 ports).
 //!
-//! The control flow below mirrors
-//! `raw_baselines::fabric::CrossbarSim::schedule_and_depart` statement
-//! for statement — including the per-iteration `iterations_used`
-//! accounting — so the executable scheduler and the abstract cost model
-//! are differentially comparable (`tests/differential.rs`).
+//! This is the only iSLIP in the workspace: the cell-level crossbar model
+//! behind the §2.2.2 claims (`raw_baselines::fabric::CrossbarSim`)
+//! arbitrates through it too.
 
 use crate::{Matching, Scheduler};
 

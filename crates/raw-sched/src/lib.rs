@@ -19,9 +19,8 @@
 //!   request/grant/accept iterations per slot, pointers advancing only
 //!   on first-iteration accepts (the "slip" that desynchronizes the
 //!   pointers and yields 100% throughput under uniform traffic). The
-//!   implementation mirrors `raw_baselines::fabric::CrossbarSim`
-//!   statement for statement so the executable scheduler and the
-//!   abstract cost model stay differentially testable.
+//!   cell-level model `raw_baselines::fabric::CrossbarSim` arbitrates
+//!   through it too.
 //! - [`CqArb`] — a crosspoint-queued crossbar in the FlexCross mould:
 //!   a small buffer at every input×output crosspoint decouples input
 //!   and output contention; inputs spray cells into crosspoint buffers

@@ -46,18 +46,19 @@ const IN_PORTS: usize = 5;
 const IN_INJECT: usize = 4;
 
 /// Output selection at a hop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Out {
     Dir(Dir),
     Deliver,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Hash, Debug)]
 struct InputAlloc {
     out: Out,
     remaining: u32,
 }
 
+#[derive(Hash)]
 struct TileRouter {
     /// Input FIFOs: N, E, S, W, inject.
     inputs: [TsFifo; IN_PORTS],
@@ -72,6 +73,7 @@ struct TileRouter {
 }
 
 /// One dynamic network spanning the whole grid.
+#[derive(Hash)]
 pub struct DynNet {
     dim: GridDim,
     routers: Vec<TileRouter>,

@@ -135,6 +135,14 @@ impl TsFifo {
     }
 }
 
+/// Front first, each word with its enqueue cycle, wherever the ring starts.
+impl std::hash::Hash for TsFifo {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        h.write_usize(self.len);
+        (0..self.len).for_each(|k| self.slots[self.slot(k)].hash(h));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

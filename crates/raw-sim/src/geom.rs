@@ -90,7 +90,7 @@ impl fmt::Display for Dir {
 }
 
 /// Dimensions of the tile grid.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct GridDim {
     pub rows: u16,
     pub cols: u16,

@@ -24,6 +24,8 @@
 //!   load-and-forward, blocking network registers).
 //! * [`trace`] — per-tile utilization accounting (Figure 7-3's data).
 //! * [`device`] — off-chip line cards / sources / sinks on edge ports.
+//! * [`first_divergence`] / [`lockstep`] over [`RawMachine::digests`] — the
+//!   one differential: where two runs first diverge, by step and component.
 //!
 //! ## Timing fidelity
 //!
@@ -39,7 +41,9 @@
 pub mod cache;
 mod compiled;
 pub mod device;
+mod digest;
 pub mod dynamic;
+mod export;
 pub mod fifo;
 pub mod geom;
 pub mod machine;
@@ -49,6 +53,7 @@ pub mod trace;
 
 pub use cache::{Access, CacheConfig, DCache, MissModel};
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
+pub use digest::{first_divergence, lockstep, Component};
 pub use dynamic::{pack_header, unpack_header, DynNet};
 pub use fifo::TsFifo;
 pub use geom::{Dir, GridDim, TileId};

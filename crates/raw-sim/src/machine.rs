@@ -175,8 +175,8 @@ pub(crate) struct Tile {
     pub(crate) csti: [TsFifo; NUM_STATIC_NETS],
     pub(crate) csto: TsFifo,
     pub(crate) stats: TileStats,
-    /// Cycles the switch spent with an instruction unable to complete.
-    pub(crate) switch_stall_cycles: u64,
+    /// Cycles each network's switch spent unable to complete an instruction.
+    pub(crate) switch_stall_cycles: [u64; NUM_STATIC_NETS],
 }
 
 /// The simulated Raw chip.
@@ -200,11 +200,6 @@ pub struct RawMachine {
     /// cycle phase and nothing else — the event-skip fast path and the
     /// zero-allocation hot path are preserved.
     telemetry: Option<SharedSink>,
-    /// False when the attached sink is a [`raw_telemetry::NullSink`]:
-    /// every NullSink callback is a no-op, so the machine elides the
-    /// per-cycle lock-and-publish entirely (observationally identical,
-    /// and it keeps NullSink at the same cost as no sink at all).
-    pub(crate) telemetry_active: bool,
     /// Per-tile token-wait hint from the most recent tick (see
     /// [`refine_state`]).
     pub(crate) token_hint: Vec<bool>,
@@ -274,7 +269,7 @@ impl RawMachine {
                 csti: std::array::from_fn(|_| TsFifo::new(cfg.csti_capacity)),
                 csto: TsFifo::new(cfg.csto_capacity),
                 stats: TileStats::default(),
-                switch_stall_cycles: 0,
+                switch_stall_cycles: [0; NUM_STATIC_NETS],
             })
             .collect();
         let link_in = (0..n)
@@ -298,7 +293,6 @@ impl RawMachine {
             device_ports: Vec::new(),
             trace: None,
             telemetry: None,
-            telemetry_active: false,
             token_hint: vec![false; n],
             arb_hint: vec![false; n],
             lookup_hint: vec![false; n],
@@ -459,13 +453,9 @@ impl RawMachine {
         (c.hits, c.misses)
     }
 
+    /// Stalled switch cycles at `tile`, both networks together.
     pub fn switch_stall_cycles(&self, tile: TileId) -> u64 {
-        self.tiles[tile.index()].switch_stall_cycles
-    }
-
-    /// The activity each tile recorded on the most recent cycle.
-    pub fn last_activities(&self) -> &[Activity] {
-        &self.last_activity
+        self.tiles[tile.index()].switch_stall_cycles.iter().sum()
     }
 
     /// Direct access to a tile's local memory for setup/inspection.
@@ -540,25 +530,18 @@ impl RawMachine {
         // Stall causes are only tracked while a sink is attached, so a
         // sleeping switch has to step again to learn its own.
         self.wake_all();
-        self.telemetry_active = !raw_telemetry::is_null(&sink);
         self.telemetry = Some(sink);
     }
 
     /// Detach the telemetry sink, returning the handle.
     pub fn take_telemetry(&mut self) -> Option<SharedSink> {
-        self.telemetry_active = false;
         self.telemetry.take()
     }
 
-    /// The sink to publish into, or `None` when publishing would be a
-    /// no-op (detached, or a NullSink is attached).
+    /// The sink to publish into, if one is attached.
     #[inline]
     pub(crate) fn active_sink(&self) -> Option<&SharedSink> {
-        if self.telemetry_active {
-            self.telemetry.as_ref()
-        } else {
-            None
-        }
+        self.telemetry.as_ref()
     }
 
     /// Schedule a forced processor stall on `tile` for the half-open
@@ -859,7 +842,7 @@ impl RawMachine {
         if self.tiles[t].switch_state[net].halted {
             return;
         }
-        self.tiles[t].switch_stall_cycles += span;
+        self.tiles[t].switch_stall_cycles[net] += span;
         if let Some(sink) = self.active_sink() {
             sink.lock().unwrap().switch_stalls(
                 t as u16,
@@ -952,7 +935,7 @@ impl RawMachine {
         let mut any_fired = false;
         // First refused group's block cause, for stall attribution —
         // computed only while a telemetry sink is attached.
-        let attribute = self.telemetry_active;
+        let attribute = self.active_sink().is_some();
         let mut block_cause: Option<SwitchStallCause> = None;
         let mut gi = 0;
         while gi < nroutes {
@@ -1003,7 +986,7 @@ impl RawMachine {
             // control transition: switch state changed with no progress.
             ctrl_transition = !any_fired;
         } else if !any_fired {
-            self.tiles[t].switch_stall_cycles += 1;
+            self.tiles[t].switch_stall_cycles[net] += 1;
             if let Some(cause) = block_cause {
                 self.last_switch_cause[t][net] = cause;
                 if let Some(sink) = self.active_sink() {

@@ -235,7 +235,7 @@ impl SwitchProgram {
 }
 
 /// Run-time state of one switch processor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct SwitchState {
     pub pc: usize,
     /// Bitmask of routes of the current instruction that have already

@@ -7,7 +7,7 @@
 //! one.
 
 /// What a tile processor spent a cycle on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Activity {
     /// No work issued.
     Idle,
@@ -159,43 +159,6 @@ impl TraceWindow {
         &self.samples[tile]
     }
 
-    /// Convert to the neutral telemetry export representation: state
-    /// indices follow [`Activity::index`], CSV names and blocked/busy
-    /// classes match the historical `fig7_3_*.csv` / ASCII output
-    /// byte-for-byte.
-    pub fn to_activity_trace(&self) -> raw_telemetry::ActivityTrace {
-        use raw_telemetry::ActivityClass;
-        let states = Activity::ALL
-            .iter()
-            .map(|a| {
-                let name = match a {
-                    Activity::Idle => "idle",
-                    Activity::Busy => "busy",
-                    Activity::BlockedSend => "blocked_send",
-                    Activity::BlockedRecv => "blocked_recv",
-                    Activity::CacheStall => "cache_stall",
-                };
-                let class = if *a == Activity::Busy {
-                    ActivityClass::Busy
-                } else if a.is_blocked() {
-                    ActivityClass::Blocked
-                } else {
-                    ActivityClass::Idle
-                };
-                (name.to_string(), class)
-            })
-            .collect();
-        raw_telemetry::ActivityTrace {
-            start_cycle: self.start_cycle,
-            states,
-            samples: self
-                .samples
-                .iter()
-                .map(|row| row.iter().map(|a| a.index() as u8).collect())
-                .collect(),
-        }
-    }
-
     /// Per-tile `(busy, blocked, idle)` fractions over the window.
     pub fn tile_fractions(&self, tile: usize) -> (f64, f64, f64) {
         let row = &self.samples[tile];
@@ -265,7 +228,7 @@ mod tests {
         {
             w.record(0, c as u64, *a);
         }
-        let s = w.to_activity_trace().render_ascii(2);
+        let s = w.render_ascii(2);
         assert!(s.contains('#'));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 1);
@@ -276,7 +239,7 @@ mod tests {
         let mut w = TraceWindow::new(1, 0, 2);
         w.record(0, 0, Activity::Busy);
         w.record(0, 1, Activity::CacheStall);
-        let csv = w.to_activity_trace().to_csv();
+        let csv = w.to_csv();
         assert!(csv.contains("0,0,busy"));
         assert!(csv.contains("0,1,cache_stall"));
     }

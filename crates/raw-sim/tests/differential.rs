@@ -1,12 +1,14 @@
 //! Differential proptest: randomly generated switch schedules, device
 //! bindings, and fault windows must execute bit-identically on both
-//! engines (per-cycle interpreter, compiled).
+//! engines (per-cycle interpreter, compiled): [`first_divergence`] and,
+//! for chunked runs, [`lockstep`] find no step and no component where
+//! their digests differ.
 
 use proptest::prelude::*;
 
 use raw_sim::{
-    Dir, EdgePort, EngineMode, GridDim, RawConfig, RawMachine, Route, SwPort, SwitchCtrl,
-    SwitchInstr, SwitchProgram, TileId, WordSink, WordSource, NUM_STATIC_NETS,
+    first_divergence, lockstep, Dir, EdgePort, EngineMode, GridDim, RawConfig, RawMachine, Route,
+    SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, TileId, WordSink, WordSource, NUM_STATIC_NETS,
 };
 
 /// Tiny deterministic generator so one drawn seed reproduces the whole
@@ -119,50 +121,35 @@ fn build_machine(seed: u64, engine: EngineMode) -> RawMachine {
     m
 }
 
-fn fingerprint(m: &RawMachine) -> Vec<u64> {
-    let mut v = vec![m.cycle(), m.edge_drops, m.routes_fired];
-    v.extend(m.last_activities().iter().map(|a| a.index() as u64));
-    for t in 0..m.dim().tiles() {
-        let tile = TileId(t as u16);
-        v.extend(m.stats(tile).counts.iter().copied());
-        v.push(m.switch_stall_cycles(tile));
-        let (csto, c0, c1) = m.proc_queue_occupancy(tile);
-        v.extend([csto as u64, c0 as u64, c1 as u64]);
-        for net in 0..NUM_STATIC_NETS {
-            let (pc, halted) = m.switch_status(tile, net);
-            v.push(pc as u64);
-            v.push(halted as u64);
-            for dir in [Dir::North, Dir::East, Dir::South, Dir::West] {
-                v.push(m.link_occupancy(tile, net, dir) as u64);
-            }
-        }
-    }
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// compiled == per-cycle on arbitrary schedules.
     #[test]
     fn engines_agree_on_random_schedules(seed in any::<u64>(), span in 50u64..400) {
-        let mut reference = build_machine(seed, EngineMode::PerCycle);
-        reference.run(span);
-        let mut compiled = build_machine(seed, EngineMode::Compiled);
-        compiled.run(span);
-        prop_assert_eq!(fingerprint(&compiled), fingerprint(&reference));
+        let found = first_divergence(
+            || build_machine(seed, EngineMode::PerCycle),
+            || build_machine(seed, EngineMode::Compiled),
+            |m, n| m.run(n),
+            RawMachine::digests,
+            span,
+        );
+        prop_assert_eq!(found, None);
     }
 
     /// ...and stay in lockstep however the run is cut up: every `run`
-    /// returns with each sleeping tile and switch credited to date.
+    /// returns with each sleeping tile and switch credited to date. A
+    /// step is one run call of 1, 7 or 13 cycles, and [`lockstep`]
+    /// compares the machines after each of the 60.
     #[test]
     fn engines_agree_after_every_chunk(seed in any::<u64>()) {
-        let mut reference = build_machine(seed, EngineMode::PerCycle);
-        let mut compiled = build_machine(seed, EngineMode::Compiled);
-        for chunk in [1, 7, 13].into_iter().cycle().take(60) {
-            reference.run(chunk);
-            compiled.run(chunk);
-            prop_assert_eq!(fingerprint(&compiled), fingerprint(&reference));
-        }
+        let found = lockstep(
+            &mut build_machine(seed, EngineMode::PerCycle),
+            &mut build_machine(seed, EngineMode::Compiled),
+            |m, i| m.run([1, 7, 13][i as usize % 3]),
+            RawMachine::digests,
+            60,
+        );
+        prop_assert_eq!(found, None);
     }
 }

@@ -2,6 +2,9 @@
 //! bandwidth, flow control, multicast, switch PC loading, and deadlock
 //! detection.
 
+mod common;
+
+use common::{assert_engines_agree, cycles};
 use raw_sim::*;
 
 /// A program that sends a fixed list of words, one per cycle, then idles,
@@ -771,38 +774,20 @@ const MUTATIONS: [Mutation; 7] = [
     Mutation::ProgramMut,
 ];
 
-/// The clock, route/drop counts, and per-tile activity counts and switch
-/// stalls: what an engine differential compares.
-fn observe(m: &RawMachine) -> Vec<u64> {
-    let mut v = vec![m.cycle(), m.routes_fired, m.edge_drops];
-    for t in 0..m.dim().tiles() {
-        v.extend(m.stats(TileId(t as u16)).counts);
-        v.push(m.switch_stall_cycles(TileId(t as u16)));
-    }
-    v
-}
-
-/// Everything observable after a mutated run: send stamps, sink delivery
-/// stamps, then [`observe`].
-type Observed = (Vec<u64>, Vec<(u64, u32)>, Vec<u64>);
+/// Sends stamped by the sender tile, deliveries stamped by the sink the
+/// `BindDevice` row binds (which sits here, unbound, until it does).
+type Handles = (Arc<Mutex<Vec<u64>>>, SinkHandle, Option<WordSink>);
 
 /// Two processor-to-east-edge pipes along rows 0 and 1 (row 1's sender
 /// tile starts as the idle stub), tile 0 frozen by two overlapping stall
-/// windows; run `before` cycles, apply `mutation`, run `after` more.
-fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) -> Observed {
+/// windows.
+fn mutation_machine(engine: EngineMode) -> (RawMachine, Handles) {
     let mut m = RawMachine::new(RawConfig {
         engine,
         ..RawConfig::default()
     });
     let sent_at = Arc::new(Mutex::new(Vec::new()));
-    let sender = || {
-        Box::new(SharedSender {
-            words: (0..24).collect(),
-            next: 0,
-            sent_at: Arc::clone(&sent_at),
-        })
-    };
-    m.set_program(TileId(0), sender());
+    m.set_program(TileId(0), sender(&sent_at));
     m.set_program(
         TileId(8),
         Box::new(SharedRecv {
@@ -821,13 +806,26 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
     m.schedule_stall(TileId(0), 3, 40);
     m.schedule_stall(TileId(0), 20, 10); // overlapping: merges
     assert_eq!(m.pending_stall_windows(TileId(0)), 2);
-    m.run(before);
     let (sink, delivered) = WordSink::rate_limited(4);
+    (m, (sent_at, delivered, Some(sink)))
+}
+
+/// A sender of 24 words stamping into `sent_at`.
+fn sender(sent_at: &Arc<Mutex<Vec<u64>>>) -> Box<SharedSender> {
+    Box::new(SharedSender {
+        words: (0..24).collect(),
+        next: 0,
+        sent_at: Arc::clone(sent_at),
+    })
+}
+
+/// Apply `mutation` to the machine after cycle `before`.
+fn mutate((m, (sent_at, _, sink)): &mut (RawMachine, Handles), mutation: Mutation, before: u64) {
     match mutation {
         Mutation::None => {}
         Mutation::SetProgram => {
             m.set_program(TileId(0), Box::new(IdleProgram));
-            m.set_program(TileId(4), sender());
+            m.set_program(TileId(4), sender(sent_at));
         }
         Mutation::SetSwitchProgram => {
             m.set_switch_program(
@@ -847,68 +845,79 @@ fn run_mutated(engine: EngineMode, mutation: Mutation, before: u64, after: u64) 
                 ]),
             );
         }
-        Mutation::BindDevice => {
-            m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink))
-        }
+        Mutation::BindDevice => m.bind_device(
+            EdgePort::new(TileId(3), Dir::East, NET0),
+            Box::new(sink.take().expect("bound once")),
+        ),
         Mutation::ScheduleStall => m.schedule_stall(TileId(8), before + 5, 20),
         Mutation::StallForever => m.schedule_stall(TileId(8), before + 5, u64::MAX),
         Mutation::ProgramMut => m.program_mut::<SharedRecv>(TileId(8)).unwrap().want = 0,
     }
-    m.run(after);
-    assert_eq!(m.pending_stall_windows(TileId(0)), 0);
-    let sends = sent_at.lock().unwrap().clone();
-    let delivered = delivered.lock().unwrap().clone();
-    (sends, delivered, observe(&m))
 }
 
 /// Fault injection: a scheduled stall window freezes the tile processor
 /// for exactly its span and the frozen cycles are accounted as cache
 /// stalls. And the stale-plan rows: whichever structural mutator hits the
-/// machine mid-run (inside the window), the compiled engine re-lowers and
-/// stays bit-for-bit with the interpreter.
+/// machine mid-run (inside the window, after cycle 30), the compiled
+/// engine re-lowers and stays bit-for-bit with the interpreter. A step
+/// is a cycle.
 #[test]
 fn stall_windows_and_mid_run_mutations_never_diverge() {
+    const BEFORE: u64 = 30;
     for mutation in MUTATIONS {
-        let reference = run_mutated(EngineMode::PerCycle, mutation, 30, 170);
-        let (sends, delivered, observed) = &reference;
+        let script = |side: &mut (RawMachine, Handles), n: u64| {
+            side.0.run(n.min(BEFORE));
+            if n > BEFORE {
+                mutate(side, mutation, BEFORE);
+                side.0.run(n - BEFORE);
+            }
+        };
+        let read = |(sent_at, delivered, _): &Handles| {
+            let sends = sent_at.lock().unwrap().clone();
+            (sends, delivered.lock().unwrap().clone())
+        };
+        let (m, handles) = assert_engines_agree(mutation_machine, script, BEFORE + 170, read);
+        assert_eq!(m.pending_stall_windows(TileId(0)), 0);
+        let (sends, delivered) = read(&handles);
+        let tile8 = m.stats(TileId(8)).counts;
         match mutation {
             Mutation::None => {
                 // Sends resume only after the window [3, 43) expires.
                 assert!(sends.iter().skip(3).all(|&c| c >= 43), "sends {sends:?}");
-                assert_eq!(observed[3 + Activity::CacheStall.index()], 40);
+                let tile0 = m.stats(TileId(0)).counts;
+                assert_eq!(tile0[Activity::CacheStall.index()], 40);
             }
             // Each mutation visibly took effect on the reference.
             Mutation::SetProgram => assert_eq!(sends.len(), 3 + 24),
             Mutation::SetSwitchProgram => {
-                assert!(observed[2] < 24, "drops {}", observed[2]);
-                assert_eq!(observed[3 + 12 * 6 + 5], 169, "tile 12 switch stalls");
+                assert!(m.edge_drops < 24, "drops {}", m.edge_drops);
+                assert_eq!(
+                    m.switch_stall_cycles(TileId(12)),
+                    169,
+                    "tile 12 switch stalls"
+                );
             }
             Mutation::BindDevice => assert_eq!(delivered.len(), 21),
             Mutation::ScheduleStall => {
-                let tile8 = &observed[3 + 8 * 6..][..5];
                 assert_eq!(tile8[Activity::CacheStall.index()], 20);
                 assert_eq!(tile8[Activity::BlockedRecv.index()], 180);
             }
             Mutation::StallForever => {
-                let tile8 = &observed[3 + 8 * 6..][..5];
                 assert_eq!(tile8[Activity::CacheStall.index()], 165);
                 assert_eq!(tile8[Activity::BlockedRecv.index()], 35);
             }
             Mutation::ProgramMut => {
-                let tile8 = &observed[3 + 8 * 6..][..5];
                 assert_eq!(tile8[Activity::BlockedRecv.index()], 30);
                 assert_eq!(tile8[Activity::Idle.index()], 170);
             }
         }
-        let compiled = run_mutated(EngineMode::Compiled, mutation, 30, 170);
-        assert_eq!(compiled, reference, "{mutation:?}");
     }
 }
 
 /// The fast engine on a throttled drip-feed pipe (quiet most cycles) and
 /// a fully idle chip (quiet every cycle) in the default configuration
 /// skips its way to exactly the per-cycle result: delivery cycle stamps,
-/// per-tile activity counts, switch stalls, and the clock.
+/// and every digest.
 #[test]
 fn default_engine_matches_per_cycle_on_quiet_machines() {
     assert_eq!(RawConfig::default().engine, EngineMode::Compiled);
@@ -936,21 +945,18 @@ fn default_engine_matches_per_cycle_on_quiet_machines() {
         );
         let (sink, got) = WordSink::rate_limited(48);
         m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink));
-        m.run(4_000);
-        let got = got.lock().unwrap().clone();
-        (got, observe(&m))
+        (m, got)
     };
-    let reference = drip(EngineMode::PerCycle);
-    assert_eq!(reference.0.len(), 64);
-    assert_eq!(drip(EngineMode::Compiled), reference);
+    let read = |got: &SinkHandle| got.lock().unwrap().clone();
+    let (_, got) = assert_engines_agree(drip, cycles, 4_000, read);
+    assert_eq!(read(&got).len(), 64);
 
     let idle = |engine: EngineMode| {
-        let mut m = RawMachine::new(RawConfig {
+        let m = RawMachine::new(RawConfig {
             engine,
             ..RawConfig::default()
         });
-        m.run(50_000);
-        observe(&m)
+        (m, ())
     };
-    assert_eq!(idle(EngineMode::Compiled), idle(EngineMode::PerCycle));
+    assert_engines_agree(idle, cycles, 50_000, |_| ());
 }

@@ -5,12 +5,17 @@
 //! credit point, is the only thing standing between the two. The
 //! interpreter polls every tile and switch every cycle, so any sleeper
 //! the fast engine wakes late, credits late, or should never have put to
-//! sleep shows up as a differing count or stamp.
+//! sleep shows up as a digest that differs — reported by
+//! [`first_divergence`] or [`lockstep`] as a step and a component — or
+//! as a differing stamp.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
 
+use common::{assert_engines_agree, cycles};
 use raw_sim::*;
-use raw_telemetry::{shared, with_sink, Recorder};
+use raw_telemetry::{shared, with_sink, Recorder, SharedSink};
 
 fn machine(engine: EngineMode) -> RawMachine {
     RawMachine::new(RawConfig {
@@ -21,17 +26,6 @@ fn machine(engine: EngineMode) -> RawMachine {
 
 fn forever(routes: Vec<Route>) -> SwitchProgram {
     SwitchProgram::new(vec![SwitchInstr::new(routes, SwitchCtrl::Jump(0))])
-}
-
-/// Everything the machine counts, per tile.
-fn observe(m: &RawMachine) -> Vec<u64> {
-    let mut v = vec![m.cycle(), m.routes_fired, m.edge_drops];
-    for t in 0..m.dim().tiles() {
-        v.extend(m.stats(TileId(t as u16)).counts);
-        v.push(m.switch_stall_cycles(TileId(t as u16)));
-    }
-    v.extend(m.last_activities().iter().map(|a| a.index() as u64));
-    v
 }
 
 /// Tile states and switch stall causes as a `Recorder` saw them.
@@ -65,6 +59,10 @@ impl TileProgram for Sender {
 
 /// `(cycle, word)` stamps shared with a boxed program.
 type Stamps = Arc<Mutex<Vec<(u64, u32)>>>;
+
+fn stamps(s: &Stamps) -> Vec<(u64, u32)> {
+    s.lock().unwrap().clone()
+}
 
 /// Receives from static network 0 forever, stamping each word.
 struct Receiver {
@@ -112,60 +110,71 @@ fn late_sender(engine: EngineMode) -> (RawMachine, Stamps) {
 }
 
 /// A trace window opened while tiles are asleep and closed after one of
-/// them woke records what the interpreter records, sample for sample;
-/// and whatever chunks the run is cut into, the counters agree after
-/// every chunk (a credit missed at the end of a run entry would not).
+/// them woke records what the interpreter records, sample for sample
+/// (the window is part of each tile's digest); and whatever chunks the
+/// run is cut into, the machines agree after every chunk (a credit missed
+/// at the end of a run entry would not), checked by [`lockstep`]. Step 1
+/// runs 50 cycles and opens the window; every later step is one run call
+/// of 1, 7 or 13 cycles.
 #[test]
 fn trace_window_straddling_a_wake_and_chunked_runs_match_the_interpreter() {
-    let traced = |engine: EngineMode| {
-        let (mut m, got) = late_sender(engine);
-        m.run(50);
-        m.start_trace(60, 40);
-        let mut seen = Vec::new();
-        for chunk in [1, 7, 13].into_iter().cycle().take(24) {
-            m.run(chunk);
-            seen.push(observe(&m));
+    let step = |(m, _): &mut (RawMachine, Stamps), i: u64| {
+        if i == 0 {
+            m.run(50);
+            m.start_trace(60, 40);
+        } else {
+            m.run([1, 7, 13][(i as usize - 1) % 3]);
         }
-        let trace = m.take_trace().expect("window open");
-        assert!(trace.is_complete());
-        let samples: Vec<Vec<Activity>> = (0..16).map(|t| trace.tile_samples(t).to_vec()).collect();
-        let got = got.lock().unwrap().clone();
-        (samples, seen, got)
     };
-    let reference = traced(EngineMode::PerCycle);
+    let [mut reference, mut compiled] =
+        [EngineMode::PerCycle, EngineMode::Compiled].map(late_sender);
+    let found = lockstep(
+        &mut reference,
+        &mut compiled,
+        step,
+        |(m, _)| m.digests(),
+        25,
+    );
+    assert_eq!(found, None, "(step, component) where the engines part");
+    assert_eq!(stamps(&compiled.1), stamps(&reference.1));
+    let (mut m, got) = reference;
+    assert!(m.take_trace().expect("window open").is_complete());
     // The receiver's first word arrives inside the window [60, 100).
-    let first = reference.2.first().expect("words arrived").0;
+    let got = stamps(&got);
+    let first = got.first().expect("words arrived").0;
     assert!((60..100).contains(&first), "first word at {first}");
-    assert_eq!(reference.2.len(), 6);
-    assert_eq!(traced(EngineMode::Compiled), reference);
+    assert_eq!(got.len(), 6);
 }
 
 /// `run_until` and `step` are run entries too: a predicate reading the
-/// counters of a sleeping tile must see them current every cycle.
+/// counters of a sleeping tile must see them current every cycle. Step 1
+/// runs until tile 4 has been blocked for 60 cycles, step 2 steps once.
 #[test]
 fn run_until_predicates_see_sleepers_credited() {
-    let stop_at = |engine: EngineMode| {
-        let (mut m, _got) = late_sender(engine);
-        let hit = m.run_until(500, |m| {
-            m.stats(TileId(4)).counts[Activity::BlockedRecv.index()] == 60
-        });
-        assert!(hit);
-        m.step();
-        observe(&m)
+    let script = |(m, _): &mut (RawMachine, Stamps), n: u64| {
+        if n > 0 {
+            let hit = m.run_until(500, |m| {
+                m.stats(TileId(4)).counts[Activity::BlockedRecv.index()] == 60
+            });
+            assert!(hit);
+        }
+        if n > 1 {
+            m.step();
+        }
     };
-    let reference = stop_at(EngineMode::PerCycle);
-    assert_eq!(reference[0], 61, "tile 4 blocks from cycle 0");
-    assert_eq!(stop_at(EngineMode::Compiled), reference);
+    let (m, _) = assert_engines_agree(late_sender, script, 2, stamps);
+    assert_eq!(m.cycle(), 61, "tile 4 blocks from cycle 0");
 }
 
 /// A sink attached and detached mid-run, while tiles and switches are
 /// asleep, is credited from exactly its attach to its detach cycle. Stall
 /// causes are only tracked while a sink is attached, so tile 1's switch
 /// — asleep since cycle 6 on a link nobody drains — has to be stepped
-/// again after the attach to report fifo-full.
+/// again after the attach to report fifo-full. Step 1 runs 40 cycles and
+/// attaches, step 2 runs 90 and detaches, step 3 runs 30 more.
 #[test]
 fn telemetry_attached_to_a_sleeping_machine_matches_the_interpreter() {
-    let collect = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let (mut m, _got) = late_sender(engine);
         m.set_program(
             TileId(1),
@@ -179,32 +188,36 @@ fn telemetry_attached_to_a_sleeping_machine_matches_the_interpreter() {
             NET0,
             forever(vec![Route::new(NET0, SwPort::Proc, SwPort::S)]),
         );
-        m.run(40);
-        let sink = shared(Recorder::new(16, NUM_STATIC_NETS));
-        m.set_telemetry(sink.clone());
-        m.run(90);
-        m.take_telemetry();
-        m.run(30);
-        with_sink::<Recorder, _>(&sink, |r| {
-            assert_eq!(r.tile_total(4), 90);
-            assert_eq!(r.switch_stall_counts(1, 0), [0, 90, 0]);
-        });
-        (recorded(&sink, 16), observe(&m))
+        (m, shared(Recorder::new(16, NUM_STATIC_NETS)))
     };
-    assert_eq!(collect(EngineMode::Compiled), collect(EngineMode::PerCycle));
+    let script = |(m, sink): &mut (RawMachine, SharedSink), n: u64| {
+        for (step, cycles) in [40, 90, 30].into_iter().enumerate().take(n as usize) {
+            m.run(cycles);
+            match step {
+                0 => m.set_telemetry(sink.clone()),
+                1 => assert!(m.take_telemetry().is_some()),
+                _ => {}
+            }
+        }
+    };
+    let (_, sink) = assert_engines_agree(build, script, 3, |sink| recorded(sink, 16));
+    with_sink::<Recorder, _>(&sink, |r| {
+        assert_eq!(r.tile_total(4), 90);
+        assert_eq!(r.switch_stall_counts(1, 0), [0, 90, 0]);
+    });
 }
 
 /// `run_until_quiescent` is a run entry like the others: its report and
 /// the counters behind it are current when it returns.
 #[test]
 fn run_until_quiescent_returns_with_sleepers_credited() {
-    let settle = |engine: EngineMode| {
-        let (mut m, _got) = late_sender(engine);
-        let report = m.run_until_quiescent(64, 1_000);
-        assert!(report.is_deadlock(), "the receiver starves: {report:?}");
-        (report.cycle, report.blocked_tiles, observe(&m))
+    let script = |(m, _): &mut (RawMachine, Stamps), n: u64| {
+        if n > 0 {
+            let report = m.run_until_quiescent(64, 1_000);
+            assert!(report.is_deadlock(), "the receiver starves: {report:?}");
+        }
     };
-    assert_eq!(settle(EngineMode::Compiled), settle(EngineMode::PerCycle));
+    assert_engines_agree(late_sender, script, 1, stamps);
 }
 
 /// A receiver frozen by a stall window lets its `$csti` fill; the switch
@@ -212,7 +225,7 @@ fn run_until_quiescent_returns_with_sleepers_credited() {
 /// after the thaw is the only thing that can wake it.
 #[test]
 fn a_csti_pop_wakes_the_switch_blocked_on_it() {
-    let run = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let mut m = machine(engine);
         let got = Arc::new(Mutex::new(Vec::new()));
         m.set_program(
@@ -231,13 +244,10 @@ fn a_csti_pop_wakes_the_switch_blocked_on_it() {
             Box::new(WordSource::new(0u32..20)),
         );
         m.schedule_stall(TileId(0), 0, 50);
-        m.run(120);
-        let got = got.lock().unwrap().clone();
-        (got, observe(&m))
+        (m, got)
     };
-    let reference = run(EngineMode::PerCycle);
-    assert_eq!(reference.0.len(), 20);
-    assert_eq!(run(EngineMode::Compiled), reference);
+    let (_, got) = assert_engines_agree(build, cycles, 120, stamps);
+    assert_eq!(stamps(&got).len(), 20);
 }
 
 /// An edge device that offers nothing until cycle `from`, then a word
@@ -260,7 +270,7 @@ impl EdgeDevice for LateSource {
 
 #[test]
 fn an_injected_word_wakes_the_edge_switch() {
-    let run = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let mut m = machine(engine);
         for t in 0..4 {
             m.set_switch_program(
@@ -275,14 +285,12 @@ fn an_injected_word_wakes_the_edge_switch() {
         );
         let (sink, out) = WordSink::new();
         m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink));
-        m.run(80);
-        let out = out.lock().unwrap().clone();
-        (out, observe(&m))
+        (m, out)
     };
-    let reference = run(EngineMode::PerCycle);
-    assert_eq!(reference.0.len(), 8);
-    assert_eq!(reference.0[0].0, 34, "four hops after cycle 30");
-    assert_eq!(run(EngineMode::Compiled), reference);
+    let (_, out) = assert_engines_agree(build, cycles, 80, stamps);
+    let out = stamps(&out);
+    assert_eq!(out.len(), 8);
+    assert_eq!(out[0].0, 34, "four hops after cycle 30");
 }
 
 /// `$csto` is one FIFO read by both networks' switches. Tile 0 sends 12
@@ -295,7 +303,7 @@ fn an_injected_word_wakes_the_edge_switch() {
 /// on the empty `$csto`, and the first push has to wake both.
 #[test]
 fn csto_shared_by_both_networks_switches_with_one_asleep() {
-    let run = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let mut m = machine(engine);
         let sent_at = Arc::new(Mutex::new(Vec::new()));
         m.set_program(
@@ -320,26 +328,26 @@ fn csto_shared_by_both_networks_switches_with_one_asleep() {
         m.schedule_stall(TileId(0), 0, 20);
         let telemetry = shared(Recorder::new(16, NUM_STATIC_NETS));
         m.set_telemetry(telemetry.clone());
-        m.run(200);
-        let south = m.link_occupancy(TileId(4), 1, Dir::North);
-        let north = north.lock().unwrap().clone();
-        let sent_at = sent_at.lock().unwrap().clone();
-        let causes = with_sink::<Recorder, _>(&telemetry, |r| r.switch_stall_counts(0, 1));
-        (
-            (south, north, sent_at, causes),
-            recorded(&telemetry, 16),
-            observe(&m),
-        )
+        (m, (sent_at, north, telemetry))
     };
-    let reference = run(EngineMode::PerCycle);
-    let (south, north, _, causes) = &reference.0;
-    assert_eq!((*south, north.len()), (4, 8), "both switches took words");
-    let [empty, full, _] = *causes;
+    type Handles = (Arc<Mutex<Vec<u64>>>, Stamps, SharedSink);
+    let read = |(sent_at, north, telemetry): &Handles| {
+        let sent_at = sent_at.lock().unwrap().clone();
+        (sent_at, stamps(north), recorded(telemetry, 16))
+    };
+    let (m, (_, north, telemetry)) = assert_engines_agree(build, cycles, 200, read);
+    let south = m.link_occupancy(TileId(4), 1, Dir::North);
+    assert_eq!(
+        (south, stamps(&north).len()),
+        (4, 8),
+        "both switches took words"
+    );
+    let causes = with_sink::<Recorder, _>(&telemetry, |r| r.switch_stall_counts(0, 1));
+    let [empty, full, _] = causes;
     assert!(
         full > 10 && empty > 100,
         "net 1 stalled both ways: {causes:?}"
     );
-    assert_eq!(run(EngineMode::Compiled), reference);
 }
 
 /// Sends dynamic-network messages to tile 5: per `(start, payload)`
@@ -398,9 +406,10 @@ impl TileProgram for DynReceiver {
 /// `$cdni`, the routers in between and finally tile 0's inject FIFO fill
 /// up, tile 0 sleeps blocked on the send, and only the pop that follows
 /// tile 5 thawing can wake it.
+/// A step is a cycle; the stall window is scheduled after cycle 90.
 #[test]
 fn dynamic_network_delivery_and_inject_pop_wake_their_tiles() {
-    let run = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let mut m = machine(engine);
         let sent_at = Arc::new(Mutex::new(Vec::new()));
         let got = Arc::new(Mutex::new(Vec::new()));
@@ -418,15 +427,20 @@ fn dynamic_network_delivery_and_inject_pop_wake_their_tiles() {
                 got: Arc::clone(&got),
             }),
         );
-        m.run(90);
-        m.schedule_stall(TileId(5), 95, 200);
-        m.run(500);
-        let sent_at = sent_at.lock().unwrap().clone();
-        let got = got.lock().unwrap().clone();
-        (sent_at, got, observe(&m))
+        (m, (sent_at, got))
     };
-    let reference = run(EngineMode::PerCycle);
-    let (sent_at, got, observed) = &reference;
+    let script = |(m, _): &mut (RawMachine, _), n: u64| {
+        m.run(n.min(90));
+        if n > 90 {
+            m.schedule_stall(TileId(5), 95, 200);
+            m.run(n - 90);
+        }
+    };
+    let read = |(sent_at, got): &(Arc<Mutex<Vec<u64>>>, Stamps)| {
+        (sent_at.lock().unwrap().clone(), stamps(got))
+    };
+    let (m, handles) = assert_engines_agree(build, script, 590, read);
+    let (sent_at, got) = read(&handles);
     assert_eq!((sent_at.len(), got.len()), (49, 49));
     assert!(
         (41..50).contains(&got[0].0),
@@ -434,11 +448,10 @@ fn dynamic_network_delivery_and_inject_pop_wake_their_tiles() {
         got[0].0
     );
     // Tile 0 was blocked sending for most of tile 5's 200-cycle freeze...
-    let blocked_send = observed[3 + Activity::BlockedSend.index()];
+    let blocked_send = m.stats(TileId(0)).counts[Activity::BlockedSend.index()];
     assert!(blocked_send > 150, "tile 0 blocked {blocked_send} cycles");
     // ...and resumed within a few cycles of the thaw at 295.
     assert!(sent_at.iter().any(|&c| (295..305).contains(&c)));
-    assert_eq!(run(EngineMode::Compiled), reference);
 }
 
 /// Steers tile 0's switch: waits for it to halt, then loads the one
@@ -464,7 +477,7 @@ impl TileProgram for Steer {
 /// cycle after, when it takes effect.
 #[test]
 fn switch_halt_wakes_the_tile_and_a_pc_load_wakes_the_switch() {
-    let run = |engine: EngineMode| {
+    let build = |engine: EngineMode| {
         let mut m = machine(engine);
         m.set_program(TileId(0), Box::new(Steer { rounds: 5 }));
         let hop = || {
@@ -496,11 +509,8 @@ fn switch_halt_wakes_the_tile_and_a_pc_load_wakes_the_switch() {
         );
         let (sink, out) = WordSink::rate_limited(9);
         m.bind_device(EdgePort::new(TileId(3), Dir::East, NET0), Box::new(sink));
-        m.run(400);
-        let out = out.lock().unwrap().clone();
-        (out, observe(&m))
+        (m, out)
     };
-    let reference = run(EngineMode::PerCycle);
-    assert_eq!(reference.0.len(), 10, "five rounds of two words");
-    assert_eq!(run(EngineMode::Compiled), reference);
+    let (_, out) = assert_engines_agree(build, cycles, 400, stamps);
+    assert_eq!(stamps(&out).len(), 10, "five rounds of two words");
 }

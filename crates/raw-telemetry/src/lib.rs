@@ -18,17 +18,14 @@
 //!   [`SwitchStallCause`] (fifo-empty, fifo-full, device-backpressure),
 //!   with the conservation invariant `sum(states) == cycles`.
 //! * **Exporters** — a Chrome `trace_event` writer ([`chrome_trace`])
-//!   for `chrome://tracing`/Perfetto, serializable summaries
-//!   ([`TelemetrySummary`]) for `results/telemetry.json`, and the
-//!   neutral Figure 7-3 activity exporter ([`ActivityTrace`]).
+//!   for `chrome://tracing`/Perfetto and serializable summaries
+//!   ([`TelemetrySummary`]) for `results/telemetry.json`.
 //!
 //! The simulator publishes into an `Option<`[`SharedSink`]`>`: with no
-//! sink attached instrumentation is a single branch per cycle phase, and
-//! [`NullSink`] turns every callback into a defaulted no-op — either way
+//! sink attached instrumentation is a single branch per cycle phase and
 //! the hot path allocates nothing, preserving the event-skip fast path.
 
 pub mod chrome;
-pub mod export;
 pub mod fabric;
 pub mod histogram;
 pub mod recorder;
@@ -36,7 +33,6 @@ pub mod report;
 pub mod sink;
 
 pub use chrome::chrome_trace;
-pub use export::{ActivityClass, ActivityTrace};
 pub use fabric::{LinkStats, StageLatency};
 pub use histogram::Histogram;
 pub use recorder::{PacketLife, Recorder, StageSpan};
@@ -44,6 +40,5 @@ pub use report::{
     OutputStats, PortDropStats, StageStats, SwitchStallStats, TelemetrySummary, TileStallStats,
 };
 pub use sink::{
-    is_null, shared, with_sink, DropReason, NullSink, SharedSink, Stage, SwitchStallCause,
-    TelemetrySink, TileState,
+    shared, with_sink, DropReason, SharedSink, Stage, SwitchStallCause, TelemetrySink, TileState,
 };

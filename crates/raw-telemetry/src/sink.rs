@@ -1,11 +1,10 @@
-//! The telemetry sink trait and its two canonical implementations.
+//! The telemetry sink trait.
 //!
 //! The simulator and the router programs publish events into a
 //! [`TelemetrySink`] behind `Option<SharedSink>`: when no sink is attached
-//! the instrumentation is a single `None` branch, and when [`NullSink`] is
-//! attached every callback is a defaulted empty method — either way the
-//! hot path does no allocation and no recording work. [`crate::Recorder`]
-//! is the full implementation behind `repro -- telemetry`.
+//! the instrumentation is a single `None` branch, and the hot path does
+//! no allocation and no recording work. [`crate::Recorder`] is the
+//! implementation behind `repro -- telemetry`.
 
 use std::any::Any;
 use std::sync::{Arc, Mutex};
@@ -202,8 +201,8 @@ impl DropReason {
 }
 
 /// Receiver for instrumentation events. Every method defaults to a no-op
-/// so [`NullSink`] (and any partial sink) compiles down to empty virtual
-/// calls; implementations override only what they consume.
+/// so a partial sink compiles down to empty virtual calls;
+/// implementations override only what they consume.
 pub trait TelemetrySink: Send {
     /// Stamp `stage` for packet `id` on ingress port `port` at `cycle`.
     /// Ids are per-port monotone counters assigned at ingress-accept.
@@ -234,16 +233,6 @@ pub trait TelemetrySink: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The disabled sink: every callback is the defaulted no-op.
-#[derive(Default)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// How sinks are shared between the machine and the tile programs: the
 /// machine locks once per cycle phase, the programs lock only on the rare
 /// per-packet events.
@@ -254,18 +243,6 @@ pub type SharedSink = Arc<Mutex<dyn TelemetrySink>>;
 /// `as_any_mut().downcast_mut::<S>()`.
 pub fn shared<S: TelemetrySink + 'static>(sink: S) -> SharedSink {
     Arc::new(Mutex::new(sink))
-}
-
-/// Is the shared handle a [`NullSink`]? Producers check this once at
-/// attach time and skip publishing entirely — every NullSink callback is
-/// a no-op, so eliding the lock-and-call is observationally identical
-/// and keeps the disabled path at branch cost.
-pub fn is_null(sink: &SharedSink) -> bool {
-    sink.lock()
-        .unwrap()
-        .as_any_mut()
-        .downcast_mut::<NullSink>()
-        .is_some()
 }
 
 /// Run `f` against the concrete sink behind a shared handle. Panics if
@@ -285,15 +262,6 @@ pub fn with_sink<S: TelemetrySink + 'static, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut s = NullSink;
-        s.packet_event(1, 0, 0, Stage::IngressAccept);
-        s.tile_cycles(3, TileState::Busy, 10);
-        s.switch_stalls(3, 0, SwitchStallCause::FifoEmpty, 2);
-        assert!(s.as_any_mut().is::<NullSink>());
-    }
 
     #[test]
     fn state_indices_are_a_permutation() {
@@ -316,10 +284,11 @@ mod tests {
 
     #[test]
     fn shared_roundtrip() {
-        let h = shared(NullSink);
+        let h = shared(crate::Recorder::new(2, 2));
         h.lock().unwrap().tile_cycles(0, TileState::Idle, 1);
-        with_sink::<NullSink, _>(&h, |s| {
+        with_sink::<crate::Recorder, _>(&h, |s| {
             s.tile_cycles(1, TileState::Busy, 1);
+            assert_eq!(s.tile_total(0) + s.tile_total(1), 2);
         });
     }
 }

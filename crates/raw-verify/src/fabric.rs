@@ -196,7 +196,7 @@ fn check_credits(spec: &FabricSpec, diags: &mut Vec<Diag>) -> u64 {
                 .at_wire(wire.clone()),
             );
         }
-        if l.capacity < t + 1 {
+        if l.capacity <= t {
             diags.push(
                 Diag::new(
                     "RV701",

@@ -44,6 +44,9 @@ pub use programs::{
     EgressMode, EgressStats, IngressQueueing, IngressStats, LookupStats, XbarStats,
 };
 pub use raw_sched::SchedKind;
+/// The simulator a router runs on (`RawRouter::machine`), for crates that
+/// reach the machine only through a router.
+pub use raw_sim;
 pub use reference::{audit, port_table};
 pub use router::{token_schedule, LookupFault, RawRouter, RouterConfig};
 pub use scale::{

@@ -199,10 +199,6 @@ impl RawRouter {
         if let Some(sink) = &telemetry {
             machine.set_telemetry(Arc::clone(sink));
         }
-        // A NullSink receives no-ops only; don't thread it into the
-        // per-packet program stamps (the machine keeps the handle so
-        // `take_telemetry` still returns it).
-        let telemetry = telemetry.filter(|s| !raw_telemetry::is_null(s));
         if cfg.asm_crossbar && !cfg.weights.iter().all(|&w| w == 1) {
             return Err("the assembly crossbar uses a plain modulo-4 token".into());
         }

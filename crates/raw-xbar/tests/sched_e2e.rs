@@ -4,7 +4,7 @@
 //! per-quantum matching differs.
 
 use raw_net::Packet;
-use raw_sim::EngineMode;
+use raw_sim::{first_divergence, EngineMode};
 use raw_xbar::{port_table, RawRouter, RouterConfig, SchedKind};
 
 fn addr_for(p: u32) -> u32 {
@@ -153,9 +153,10 @@ fn crossbar_replicas_stay_in_lockstep() {
 #[test]
 fn scheduler_mode_is_engine_invariant() {
     // The arbiters live in tile programs, so the compiled engine must
-    // reproduce the per-cycle run exactly: same delivery cycles,
-    // same grant counts.
-    let run = |engine: EngineMode| -> (Vec<(u64, u16)>, u64) {
+    // reproduce the per-cycle run exactly: the machines agree cycle by
+    // cycle through the cycle the per-cycle run drains at, and both runs
+    // drain with the same delivery cycles and the same grant counts.
+    let router = |engine: EngineMode| {
         let mut cfg = sched_cfg(SchedKind::Islip { iters: 4 });
         cfg.raw.engine = engine;
         let mut r = RawRouter::new(cfg, port_table());
@@ -168,6 +169,10 @@ fn scheduler_mode_is_engine_invariant() {
                 );
             }
         }
+        r
+    };
+    let drained = |engine: EngineMode| {
+        let mut r = router(engine);
         assert!(r.run_until_drained(4_000_000));
         let mut out: Vec<(u64, u16)> = (0..4)
             .flat_map(|p| r.delivered(p))
@@ -175,8 +180,16 @@ fn scheduler_mode_is_engine_invariant() {
             .collect();
         out.sort();
         let grants: u64 = (0..4).map(|i| r.xbar_stats(i).unwrap().grants_issued).sum();
-        (out, grants)
+        (r.machine.cycle(), out, grants)
     };
-    let base = run(EngineMode::PerCycle);
-    assert_eq!(base, run(EngineMode::Compiled));
+    let reference = drained(EngineMode::PerCycle);
+    let found = first_divergence(
+        || router(EngineMode::PerCycle),
+        || router(EngineMode::Compiled),
+        |r, n| r.run(n),
+        |r| r.machine.digests(),
+        reference.0,
+    );
+    assert_eq!(found, None, "(cycle, component) where the engines part");
+    assert_eq!(drained(EngineMode::Compiled), reference);
 }
