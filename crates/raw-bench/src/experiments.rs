@@ -356,7 +356,7 @@ pub fn ring_utilization() -> RingUtilization {
     // Each delivered bit crossed exactly one out link; permutation flows
     // traverse ring links at the same word rate as their output. The
     // aggregate rate spreads across the four ports.
-    let words_per_cycle_port = gbps * 1e9 / 32.0 / 250e6 / 4.0;
+    let words_per_cycle_port = gbps * 1e9 / 32.0 / (raw_sim::CLOCK_MHZ as f64 * 1e6) / 4.0;
     RingUtilization {
         out_words_per_cycle: words_per_cycle_port,
         ring_words_per_cycle: words_per_cycle_port,
@@ -432,10 +432,7 @@ pub fn multicast_demo() -> MulticastResult {
     let run = |fanout: bool| -> (u64, u64) {
         let mut routes = port_routes();
         routes.push(RouteEntry::new(0xe000_0000, 4, encode_multicast(0b1110)));
-        let cfg = RouterConfig {
-            multicast: true,
-            ..RouterConfig::for_packet_bytes(bytes)
-        };
+        let cfg = RouterConfig::for_packet_bytes(bytes);
         let mut sched = Vec::new();
         let mut offer = |dst: u32, seed: u32| {
             sched.push(ScheduledPacket {

@@ -125,10 +125,7 @@ mod tests {
     fn multicast_setup() -> (RouterConfig, Arc<ForwardingTable>, Vec<ScheduledPacket>) {
         let mut routes = port_routes();
         routes.push(RouteEntry::new(0xe000_0000, 4, encode_multicast(0b1110)));
-        let cfg = RouterConfig {
-            multicast: true,
-            ..RouterConfig::for_packet_bytes(256)
-        };
+        let cfg = RouterConfig::for_packet_bytes(256);
         let sched = (0..24)
             .map(|k| ScheduledPacket {
                 port: 0,

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use raw_net::{Fnv1a, Packet};
 use raw_telemetry::{Histogram, LinkStats, StageLatency};
-use raw_xbar::raw_sim::Component;
+use raw_xbar::raw_sim::{cycles_to_seconds, Component};
 use raw_xbar::{IngressQueueing, OutCollector, RawRouter, RouterConfig};
 
 use crate::link::FabricLink;
@@ -702,10 +702,9 @@ impl RawFabric {
             .sum()
     }
 
-    /// Aggregate Mpps over a cycle window at the configured clock.
+    /// Aggregate Mpps over a cycle window at the prototype's clock.
     pub fn mpps(&self, from: u64, to: u64) -> f64 {
-        let secs = (to - from) as f64 / (self.cfg.router.raw.clock_mhz as f64 * 1e6);
-        self.delivered_packets_between(from, to) as f64 / secs / 1e6
+        self.delivered_packets_between(from, to) as f64 / cycles_to_seconds(to - from) / 1e6
     }
 
     /// Aggregate Gbps over a cycle window.
@@ -720,8 +719,7 @@ impl RawFabric {
                     .sum::<u64>()
             })
             .sum();
-        let secs = (to - from) as f64 / (self.cfg.router.raw.clock_mhz as f64 * 1e6);
-        bits as f64 / secs / 1e9
+        bits as f64 / cycles_to_seconds(to - from) / 1e9
     }
 
     /// Per-router classified drops, aggregated fabric-wide.

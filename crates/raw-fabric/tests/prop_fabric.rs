@@ -1,11 +1,7 @@
 //! Property battery: any clean (fault-free) workload on any topology,
 //! epoch size, and spray mode must agree with the per-router reference
 //! datapath ([`raw_fabric::audit`]: exactly-once, in order per ingress and
-//! middle, byte for byte) and close the books the audit cannot see, and
-//! the multi-shard executor must stay bit-identical to the
-//! single-threaded reference on random draws.
-
-mod common;
+//! middle, byte for byte) and close the books the audit cannot see.
 
 use proptest::prelude::*;
 
@@ -87,33 +83,5 @@ proptest! {
         };
         let fab = run(build(topology, epoch_sel, spray_sel), &w, Executor::Reference);
         prop_assert_eq!(fab.offered(), (nports * w.packets_per_port) as u64);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The multi-shard executor is bit-identical to the single-threaded
-    /// reference on arbitrary draws, not just the curated seeds of the
-    /// battery test.
-    #[test]
-    fn sharded_matches_reference_on_random_draws(
-        seed in any::<u64>(),
-        topo_sel in any::<u8>(),
-        epoch_sel in any::<u8>(),
-        spray_sel in any::<u8>(),
-    ) {
-        let topology = pick_topology(topo_sel);
-        let w = Workload {
-            pattern: Pattern::FabricUniform,
-            arrivals: Arrivals::Saturation,
-            packet_bytes: 64,
-            packets_per_port: 5,
-            seed,
-            ttl: 64,
-        };
-        let cfg = build(topology, epoch_sel, spray_sel);
-        let found = common::divergence(&cfg, &w, |_| Executor::Sharded { shards: 4 });
-        prop_assert_eq!(found, None, "seed {:#x} diverged between executors", seed);
     }
 }

@@ -1,5 +1,5 @@
 //! Differential battery for the executors: on every topology, shard
-//! count, spray policy, and seed, routers run on partitioned worker
+//! count, spray policy, epoch length and seed, routers run on partitioned worker
 //! threads must leave the fabric in exactly the state the
 //! single-threaded reference does — [`raw_sim::first_divergence`] over
 //! [`RawFabric::digests`] finds no epoch and no link, router component
@@ -8,14 +8,58 @@
 //! through the public fault API: one link exchanged one epoch late is
 //! located, at the same epoch and link, on every executor.
 
-mod common;
-
 use proptest::prelude::*;
 
-use common::{build, divergence, drain, BUDGET};
 use raw_fabric::{audit, Executor, FabricComponent, FabricConfig, RawFabric, SprayMode, Topology};
-use raw_workloads::{Arrivals, Pattern, Workload};
+use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::raw_sim::first_divergence;
+
+/// Epochs any drain here may take before it counts as wedged.
+const BUDGET: u64 = 50_000;
+
+/// A fabric built from `cfg` and offered `w`.
+fn build(cfg: &FabricConfig, w: &Workload) -> RawFabric {
+    let nports = cfg.topology.ext_ports();
+    let mut fab = RawFabric::try_new(cfg.clone()).expect("valid config");
+    for s in generate_n(w, nports) {
+        fab.offer(s.port, s.release, &s.packet);
+    }
+    fab
+}
+
+/// Run a fresh fabric `n` epochs on the executor `exec(epoch)` picks for
+/// each, stopping early once it drains; a drained run is audited, and a
+/// run the full budget did not drain is wedged.
+fn drain(fab: &mut RawFabric, n: u64, exec: impl Fn(u64) -> Executor) {
+    while fab.epochs_run() < n {
+        let e = fab.epochs_run();
+        if fab.run_until_drained_with(e + 1, exec(e)) {
+            let errs = audit(fab, true);
+            assert!(errs.is_empty(), "{errs:#?}");
+            return;
+        }
+    }
+    assert!(n < BUDGET, "{:?} wedged", fab.cfg.topology);
+}
+
+/// Where the fabric drained on `exec` first leaves the one drained on
+/// the reference, an epoch being a step.
+fn divergence(
+    c: &FabricConfig,
+    w: &Workload,
+    exec: impl Fn(u64) -> Executor,
+) -> Option<(u64, FabricComponent)> {
+    first_divergence(
+        || (build(c, w), true),
+        || (build(c, w), false),
+        |(fab, reference), n| match reference {
+            true => drain(fab, n, |_| Executor::Reference),
+            false => drain(fab, n, &exec),
+        },
+        |(fab, _)| fab.digests(),
+        BUDGET,
+    )
+}
 
 fn workload(pattern: Pattern, seed: u64, packets_per_port: usize) -> Workload {
     Workload {
@@ -41,12 +85,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The tentpole differential: sharded == reference, bit for bit,
-    /// across topology x shard count x spray policy x seed.
+    /// across topology x shard count x spray policy x epoch length x
+    /// seed.
     #[test]
     fn sharded_fingerprint_matches_reference(
         topo_sel in any::<u8>(),
         shard_sel in any::<u8>(),
         spray_sel in any::<u8>(),
+        epoch_sel in any::<u8>(),
         seed in any::<u64>(),
     ) {
         let topology =
@@ -57,14 +103,29 @@ proptest! {
         } else {
             SprayMode::LeastOccupancy
         };
+        let epoch_cycles = [128u64, 256, 512][(epoch_sel % 3) as usize];
         // Keep debug-build time sane: light load on the 80-router Clos.
         let ppp = if topology == Topology::Clos64 { 3 } else { 8 };
-        let c = cfg(topology, spray, 256);
+        let c = cfg(topology, spray, epoch_cycles);
         let w = workload(Pattern::FabricUniform, seed, ppp);
         let found = divergence(&c, &w, |_| Executor::Sharded { shards });
         prop_assert_eq!(found, None,
-            "sharded executor diverged: {:?} shards={} spray={} seed={}",
-            topology, shards, spray.name(), seed);
+            "sharded executor diverged: {:?} shards={} spray={} epoch={} seed={}",
+            topology, shards, spray.name(), epoch_cycles, seed);
+    }
+}
+
+/// The curated rows of the same differential: Clos16 on four shards,
+/// seeds 11, 22 and 33 on both spray modes.
+#[test]
+fn sharded_execution_is_bit_identical_to_the_reference() {
+    for seed in [11u64, 22, 33] {
+        for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
+            let c = cfg(Topology::Clos16, spray, 256);
+            let w = workload(Pattern::FabricUniform, seed, 12);
+            let found = divergence(&c, &w, |_| Executor::Sharded { shards: 4 });
+            assert_eq!(found, None, "seed {seed} spray {}", spray.name());
+        }
     }
 }
 

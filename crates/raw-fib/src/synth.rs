@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use raw_lookup::{mask, RouteEntry};
+use raw_workloads::zipf_cdf;
 use serde::Serialize;
 
 /// Per-length draw weights (parts per 100 000) for prefix lengths
@@ -84,21 +85,6 @@ impl FibConfig {
     }
 }
 
-/// Cumulative Zipf weights over `n` next hops, scaled to u32 range.
-fn zipf_cdf(s_milli: u32, n: u32) -> Vec<u64> {
-    let s = s_milli as f64 / 1000.0;
-    let w: Vec<f64> = (0..n).map(|h| 1.0 / ((h + 1) as f64).powf(s)).collect();
-    let total: f64 = w.iter().sum();
-    let mut cdf = Vec::with_capacity(n as usize);
-    let mut acc = 0.0;
-    for wh in &w {
-        acc += wh;
-        cdf.push((acc / total * u32::MAX as f64) as u64);
-    }
-    *cdf.last_mut().unwrap() = u32::MAX as u64;
-    cdf
-}
-
 /// Synthesize a routing table with the configured shape. The result
 /// always starts with the /0 default route; the rest are distinct
 /// `(prefix, len)` pairs in draw order.
@@ -110,7 +96,7 @@ pub fn synthesize(cfg: &FibConfig) -> Vec<RouteEntry> {
         assert!((1..=24).contains(&blen), "confine base out of range");
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let hop_cdf = zipf_cdf(cfg.zipf_s_milli, cfg.next_hops);
+    let hop_cdf = zipf_cdf(cfg.zipf_s_milli, cfg.next_hops as usize);
     let draw_hop = |rng: &mut StdRng| -> u32 {
         let u = rng.gen::<u32>() as u64;
         hop_cdf.iter().position(|&c| u <= c).unwrap() as u32

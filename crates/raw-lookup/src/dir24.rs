@@ -205,10 +205,6 @@ impl DirTable {
         self.l2.len()
     }
 
-    pub fn route_count(&self) -> usize {
-        self.routes
-    }
-
     /// Heap footprint in bytes of the built table — the level-1 array,
     /// the level-2 block spine, and every block buffer, all accounted at
     /// their *allocated* capacity (the spine grows by push, so its

@@ -169,6 +169,8 @@ pub struct ForwardingTable {
     pub patricia: PatriciaTable,
     pub dir: Dir24_8,
     pub cost: LookupCostModel,
+    /// Some route's next hop is a multicast port set.
+    multicast: bool,
 }
 
 /// Which lookup engine the router uses.
@@ -191,14 +193,25 @@ impl ForwardingTable {
     /// itself under measurement.
     pub fn build_with_l1_bits(routes: &[RouteEntry], l1_bits: u8) -> ForwardingTable {
         let mut patricia = PatriciaTable::new();
+        let mut multicast = false;
         for r in routes {
             patricia.insert(*r);
+            multicast |= r.next_hop >= MULTICAST_FLAG;
         }
         ForwardingTable {
             patricia,
             dir: Dir24_8::with_bits(routes, l1_bits),
             cost: LookupCostModel::default(),
+            multicast,
         }
+    }
+
+    /// Does any route forward to a multicast port set? A router over such
+    /// a table schedules destination masks (§8.6) instead of single ports,
+    /// which needs a quantum small enough that the larger minimized set
+    /// still fits switch instruction memory.
+    pub fn multicast(&self) -> bool {
+        self.multicast
     }
 
     /// Lookup with `engine`, returning `(next_hop, cycles)`.

@@ -8,54 +8,23 @@
 //! while a load-and-forward (`lw $csto, off($r)`) costs one.
 //!
 //! The simulator models tag state exactly (sets, ways, LRU, dirty bits) and
-//! charges misses either a fixed latency or a latency derived from the
-//! distance to the nearest east/west DRAM port, per
-//! [`MissModel`]. Data contents live in a flat per-tile local memory since
-//! the cache is timing-only.
+//! charges every miss the prototype's fixed round trip to DRAM
+//! ([`MISS_LATENCY`]). Data contents live in a flat per-tile local memory
+//! since the cache is timing-only.
 
-/// Geometry of the data cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Total capacity in 32-bit words (Raw: 8,192).
-    pub words: usize,
-    /// Line size in words (Raw: 32-byte lines = 8 words).
-    pub line_words: usize,
-    /// Associativity (Raw: 2-way).
-    pub ways: usize,
-}
-
-impl CacheConfig {
-    /// The Raw prototype cache: 8,192 words, 8-word lines, 2-way.
-    pub const RAW_PROTOTYPE: CacheConfig = CacheConfig {
-        words: 8192,
-        line_words: 8,
-        ways: 2,
-    };
-
-    pub fn sets(&self) -> usize {
-        self.words / self.line_words / self.ways
-    }
-}
-
-/// How a cache miss's latency is determined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MissModel {
-    /// A fixed round-trip to the DRAM controller. The default (30 cycles)
-    /// approximates a short dynamic-network round trip plus DRAM access on
-    /// the 250 MHz prototype.
-    Fixed(u32),
-    /// Base DRAM latency plus `per_hop` cycles for each dynamic-network hop
-    /// to the nearest east/west edge port and back (dimension-ordered, so
-    /// hop count is the column distance). `col_distance` is supplied by the
-    /// machine at access time.
-    DistanceToEdge { base: u32, per_hop: u32 },
-}
-
-impl Default for MissModel {
-    fn default() -> Self {
-        MissModel::Fixed(30)
-    }
-}
+/// Cache capacity in 32-bit words (Raw: 8,192 words = 32 KB).
+pub const CACHE_WORDS: usize = 8192;
+/// Line size in words (Raw: 32-byte lines).
+pub const CACHE_LINE_WORDS: usize = 8;
+/// Associativity (Raw: 2-way).
+pub const CACHE_WAYS: usize = 2;
+/// Sets: 512 on the prototype.
+pub const CACHE_SETS: usize = CACHE_WORDS / CACHE_LINE_WORDS / CACHE_WAYS;
+/// Cycles a miss stalls the processor: a short dynamic-network round trip
+/// plus the DRAM access on the 250 MHz prototype.
+pub const MISS_LATENCY: u32 = 30;
+/// Extra miss latency when the victim line is dirty (write-back).
+pub const DIRTY_EVICT_PENALTY: u32 = 12;
 
 /// Outcome of a cache access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,10 +47,6 @@ struct Line {
 /// Tag-and-timing model of one tile's data cache.
 #[derive(Clone, Debug)]
 pub struct DCache {
-    cfg: CacheConfig,
-    miss_model: MissModel,
-    /// Extra miss latency when the victim line is dirty (write-back).
-    pub dirty_evict_penalty: u32,
     lines: Vec<Line>,
     /// Per-set LRU: index of the least-recently-used way (2-way only needs
     /// one bit; kept as u8 for arbitrary associativity).
@@ -91,60 +56,48 @@ pub struct DCache {
     pub writebacks: u64,
 }
 
-impl DCache {
-    pub fn new(cfg: CacheConfig, miss_model: MissModel, dirty_evict_penalty: u32) -> DCache {
-        assert!(cfg.line_words.is_power_of_two());
-        assert!(cfg.sets().is_power_of_two());
-        assert!(cfg.ways >= 1);
+impl Default for DCache {
+    fn default() -> Self {
         DCache {
-            cfg,
-            miss_model,
-            dirty_evict_penalty,
-            lines: vec![Line::default(); cfg.sets() * cfg.ways],
-            lru: vec![0; cfg.sets()],
+            lines: vec![Line::default(); CACHE_SETS * CACHE_WAYS],
+            lru: vec![0; CACHE_SETS],
             hits: 0,
             misses: 0,
             writebacks: 0,
         }
     }
+}
 
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
-    }
-
+impl DCache {
     fn set_and_tag(&self, word_addr: u32) -> (usize, u32) {
-        let line = word_addr as usize / self.cfg.line_words;
-        let set = line % self.cfg.sets();
-        let tag = (line / self.cfg.sets()) as u32;
+        let line = word_addr as usize / CACHE_LINE_WORDS;
+        let set = line % CACHE_SETS;
+        let tag = (line / CACHE_SETS) as u32;
         (set, tag)
     }
 
-    /// Access `word_addr`; `col_hops` is the column distance to the nearest
-    /// DRAM edge port (used only by [`MissModel::DistanceToEdge`]).
-    pub fn access(&mut self, word_addr: u32, is_write: bool, col_hops: u32) -> Access {
+    /// Access `word_addr`.
+    pub fn access(&mut self, word_addr: u32, is_write: bool) -> Access {
         let (set, tag) = self.set_and_tag(word_addr);
-        let base = set * self.cfg.ways;
+        let base = set * CACHE_WAYS;
         // Hit path.
-        for way in 0..self.cfg.ways {
+        for way in 0..CACHE_WAYS {
             let l = &mut self.lines[base + way];
             if l.valid && l.tag == tag {
                 l.dirty |= is_write;
                 self.hits += 1;
-                self.lru[set] = ((way + 1) % self.cfg.ways) as u8;
+                self.lru[set] = ((way + 1) % CACHE_WAYS) as u8;
                 return Access::Hit;
             }
         }
         // Miss: fill into an invalid way if possible, else evict LRU.
         self.misses += 1;
-        let victim = (0..self.cfg.ways)
+        let victim = (0..CACHE_WAYS)
             .find(|&w| !self.lines[base + w].valid)
             .unwrap_or(self.lru[set] as usize);
-        let mut latency = match self.miss_model {
-            MissModel::Fixed(l) => l,
-            MissModel::DistanceToEdge { base, per_hop } => base + 2 * per_hop * col_hops,
-        };
+        let mut latency = MISS_LATENCY;
         if self.lines[base + victim].valid && self.lines[base + victim].dirty {
-            latency += self.dirty_evict_penalty;
+            latency += DIRTY_EVICT_PENALTY;
             self.writebacks += 1;
         }
         self.lines[base + victim] = Line {
@@ -152,7 +105,7 @@ impl DCache {
             valid: true,
             dirty: is_write,
         };
-        self.lru[set] = ((victim + 1) % self.cfg.ways) as u8;
+        self.lru[set] = ((victim + 1) % CACHE_WAYS) as u8;
         Access::Miss { latency }
     }
 
@@ -177,56 +130,44 @@ impl DCache {
 mod tests {
     use super::*;
 
-    fn cache() -> DCache {
-        DCache::new(CacheConfig::RAW_PROTOTYPE, MissModel::Fixed(30), 12)
-    }
-
     #[test]
     fn prototype_geometry() {
-        let cfg = CacheConfig::RAW_PROTOTYPE;
-        assert_eq!(cfg.sets(), 512);
-        assert_eq!(cfg.words * 4, 32 * 1024, "8K words = 32 KB");
+        assert_eq!(CACHE_SETS, 512);
+        assert_eq!(CACHE_WORDS * 4, 32 * 1024, "8K words = 32 KB");
     }
 
     #[test]
     fn first_touch_misses_then_hits() {
-        let mut c = cache();
-        assert_eq!(c.access(0, false, 0), Access::Miss { latency: 30 });
-        assert_eq!(c.access(0, false, 0), Access::Hit);
+        let mut c = DCache::default();
+        assert_eq!(c.access(0, false), Access::Miss { latency: 30 });
+        assert_eq!(c.access(0, false), Access::Hit);
         // Same line, different word.
-        assert_eq!(c.access(7, false, 0), Access::Hit);
+        assert_eq!(c.access(7, false), Access::Hit);
         // Next line misses.
-        assert_eq!(c.access(8, false, 0), Access::Miss { latency: 30 });
+        assert_eq!(c.access(8, false), Access::Miss { latency: 30 });
     }
 
     #[test]
     fn two_way_associativity_holds_two_conflicting_lines() {
-        let mut c = cache();
-        let sets = c.config().sets() as u32;
-        let line = c.config().line_words as u32;
-        let stride = sets * line; // same set, different tag
-        assert!(matches!(c.access(0, false, 0), Access::Miss { .. }));
-        assert!(matches!(c.access(stride, false, 0), Access::Miss { .. }));
-        assert_eq!(c.access(0, false, 0), Access::Hit);
-        assert_eq!(c.access(stride, false, 0), Access::Hit);
+        let mut c = DCache::default();
+        let stride = (CACHE_SETS * CACHE_LINE_WORDS) as u32; // same set, different tag
+        assert!(matches!(c.access(0, false), Access::Miss { .. }));
+        assert!(matches!(c.access(stride, false), Access::Miss { .. }));
+        assert_eq!(c.access(0, false), Access::Hit);
+        assert_eq!(c.access(stride, false), Access::Hit);
         // A third conflicting line evicts one of them.
-        assert!(matches!(
-            c.access(2 * stride, false, 0),
-            Access::Miss { .. }
-        ));
+        assert!(matches!(c.access(2 * stride, false), Access::Miss { .. }));
     }
 
     #[test]
     fn dirty_eviction_costs_writeback() {
-        let mut c = cache();
-        let sets = c.config().sets() as u32;
-        let line = c.config().line_words as u32;
-        let stride = sets * line;
+        let mut c = DCache::default();
+        let stride = (CACHE_SETS * CACHE_LINE_WORDS) as u32;
         // Dirty both ways of set 0.
-        assert!(matches!(c.access(0, true, 0), Access::Miss { .. }));
-        assert!(matches!(c.access(stride, true, 0), Access::Miss { .. }));
+        assert!(matches!(c.access(0, true), Access::Miss { .. }));
+        assert!(matches!(c.access(stride, true), Access::Miss { .. }));
         // Evicting a dirty line adds the write-back penalty.
-        match c.access(2 * stride, false, 0) {
+        match c.access(2 * stride, false) {
             Access::Miss { latency } => assert_eq!(latency, 30 + 12),
             Access::Hit => panic!("expected a miss"),
         }
@@ -234,28 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn distance_model_scales_with_hops() {
-        let mut c = DCache::new(
-            CacheConfig::RAW_PROTOTYPE,
-            MissModel::DistanceToEdge {
-                base: 20,
-                per_hop: 2,
-            },
-            0,
-        );
-        match c.access(0, false, 3) {
-            Access::Miss { latency } => assert_eq!(latency, 20 + 2 * 2 * 3),
-            Access::Hit => panic!(),
-        }
-    }
-
-    #[test]
     fn hit_rate_tracks() {
-        let mut c = cache();
-        let _ = c.access(0, false, 0);
-        let _ = c.access(1, false, 0);
-        let _ = c.access(2, false, 0);
-        let _ = c.access(3, false, 0);
+        let mut c = DCache::default();
+        let _ = c.access(0, false);
+        let _ = c.access(1, false);
+        let _ = c.access(2, false);
+        let _ = c.access(3, false);
         assert_eq!(c.misses, 1);
         assert_eq!(c.hits, 3);
         assert!((c.hit_rate() - 0.75).abs() < 1e-12);

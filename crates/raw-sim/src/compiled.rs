@@ -552,13 +552,10 @@ mod tests {
     /// West-to-east pass-through on the top row, fed by a source and
     /// drained by a throttled sink (exercises device backpressure).
     fn build(engine: EngineMode) -> RawMachine {
-        let mut cfg = RawConfig {
+        let mut m = RawMachine::new(RawConfig {
             dim: GridDim { rows: 2, cols: 2 },
             engine,
-            ..RawConfig::default()
-        };
-        cfg.local_mem_words = 1 << 12;
-        let mut m = RawMachine::new(cfg);
+        });
         for t in [0usize, 1] {
             m.set_switch_program(
                 TileId(t as u16),
@@ -614,7 +611,6 @@ mod tests {
             let cfg = RawConfig {
                 dim: GridDim { rows: 1, cols: 2 },
                 engine,
-                ..RawConfig::default()
             };
             let mut m = RawMachine::new(cfg);
             // Tile 0 duplicates each westbound word to east (tile 1) and

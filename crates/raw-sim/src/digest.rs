@@ -230,7 +230,6 @@ mod tests {
         let mut m = RawMachine::new(RawConfig {
             dim: GridDim { rows: 1, cols: 2 },
             engine,
-            ..RawConfig::default()
         });
         m.set_program(TileId(0), Box::new(Sender(0)));
         m.set_program(TileId(1), Box::new(Receiver));

@@ -51,13 +51,17 @@ pub mod program;
 pub mod switch;
 pub mod trace;
 
-pub use cache::{Access, CacheConfig, DCache, MissModel};
+pub use cache::{Access, DCache};
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
 pub use digest::{first_divergence, lockstep, Component};
 pub use dynamic::{pack_header, unpack_header, DynNet};
 pub use fifo::TsFifo;
 pub use geom::{Dir, GridDim, TileId};
-pub use machine::{EngineMode, QuiescenceReport, RawConfig, RawMachine};
+pub use machine::{
+    cycles_to_seconds, EngineMode, QuiescenceReport, RawConfig, RawMachine, CDNI_CAPACITY,
+    CLOCK_MHZ, CSTI_CAPACITY, CSTO_CAPACITY, DYN_FIFO_CAPACITY, LINK_FIFO_CAPACITY,
+    LOCAL_MEM_WORDS, PROC_RECV_DELAY,
+};
 pub use program::{IdleProgram, TileIo, TileProgram};
 pub use switch::{
     NetId, Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, SwitchState,

@@ -15,7 +15,7 @@
 
 use std::any::Any;
 
-use crate::cache::{CacheConfig, DCache, MissModel};
+use crate::cache::DCache;
 use crate::compiled::{CompiledPlan, InjectorSlot};
 use crate::device::{EdgeDevice, EdgePort};
 use crate::dynamic::DynNet;
@@ -93,27 +93,35 @@ impl EngineMode {
     }
 }
 
-/// Machine-wide configuration. Defaults model the 250 MHz Raw prototype.
+/// Capacity of each static-network link input FIFO (Raw: 4 words).
+pub const LINK_FIFO_CAPACITY: usize = 4;
+/// Capacity of each `$csti` FIFO.
+pub const CSTI_CAPACITY: usize = 4;
+/// Capacity of the shared `$csto` FIFO.
+pub const CSTO_CAPACITY: usize = 4;
+/// Capacity of each dynamic-network link input FIFO.
+pub const DYN_FIFO_CAPACITY: usize = 4;
+/// Capacity of each `$cdni` FIFO.
+pub const CDNI_CAPACITY: usize = 8;
+/// Extra pipeline delay on processor network reads (the decode stage).
+pub const PROC_RECV_DELAY: u64 = 1;
+/// Per-tile local memory in words (the backing store behind the cache).
+pub const LOCAL_MEM_WORDS: usize = 1 << 20;
+/// The prototype's clock (Raw: 250 MHz).
+pub const CLOCK_MHZ: u64 = 250;
+
+/// Seconds of wall-clock time `cycles` represent at [`CLOCK_MHZ`].
+pub fn cycles_to_seconds(cycles: u64) -> f64 {
+    cycles as f64 / (CLOCK_MHZ as f64 * 1e6)
+}
+
+/// Machine-wide configuration. Everything else about the chip — FIFO
+/// depths, cache, memory, clock — is the 250 MHz Raw prototype's and a
+/// constant of this module or of [`crate::cache`]; only the grid size and
+/// the engine vary between machines.
 #[derive(Clone, Debug)]
 pub struct RawConfig {
     pub dim: GridDim,
-    /// Capacity of each static-network link input FIFO (Raw: 4).
-    pub link_fifo_capacity: usize,
-    /// Capacity of each `$csti` FIFO.
-    pub csti_capacity: usize,
-    /// Capacity of the shared `$csto` FIFO.
-    pub csto_capacity: usize,
-    /// Extra pipeline delay on processor network reads (decode stage).
-    pub proc_recv_delay: u64,
-    pub cache: CacheConfig,
-    pub miss_model: MissModel,
-    pub dirty_evict_penalty: u32,
-    /// Per-tile local memory size in words (backing store behind the cache).
-    pub local_mem_words: usize,
-    pub dyn_fifo_capacity: usize,
-    pub cdni_capacity: usize,
-    /// Clock frequency used to convert cycles to seconds (Raw: 250 MHz).
-    pub clock_mhz: u64,
     /// Which engine advances simulated time (see [`EngineMode`]). Every
     /// mode is bit-identical to [`EngineMode::PerCycle`]; they trade host
     /// work per simulated cycle.
@@ -124,40 +132,8 @@ impl Default for RawConfig {
     fn default() -> Self {
         RawConfig {
             dim: GridDim::RAW_PROTOTYPE,
-            link_fifo_capacity: 4,
-            csti_capacity: 4,
-            csto_capacity: 4,
-            proc_recv_delay: 1,
-            cache: CacheConfig::RAW_PROTOTYPE,
-            miss_model: MissModel::default(),
-            dirty_evict_penalty: 12,
-            local_mem_words: 1 << 20,
-            dyn_fifo_capacity: 4,
-            cdni_capacity: 8,
-            clock_mhz: 250,
             engine: EngineMode::Compiled,
         }
-    }
-}
-
-impl RawConfig {
-    /// Reject the values [`RawMachine::new`] cannot model: a FIFO of
-    /// capacity 0 (`TsFifo::new` asserts on it) and a 0 MHz clock (every
-    /// cycles-to-seconds conversion would divide by zero).
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, value) in [
-            ("link_fifo_capacity", self.link_fifo_capacity as u64),
-            ("csti_capacity", self.csti_capacity as u64),
-            ("csto_capacity", self.csto_capacity as u64),
-            ("dyn_fifo_capacity", self.dyn_fifo_capacity as u64),
-            ("cdni_capacity", self.cdni_capacity as u64),
-            ("clock_mhz", self.clock_mhz),
-        ] {
-            if value == 0 {
-                return Err(format!("RawConfig::{name} must be at least 1"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -167,7 +143,7 @@ pub(crate) struct Tile {
     pub(crate) switch_state: [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: DCache,
     /// Local memory backing store, materialized lazily in chunks up to
-    /// `RawConfig::local_mem_words` as addresses are touched (a 4 MB
+    /// [`LOCAL_MEM_WORDS`] as addresses are touched (a 4 MB
     /// address space per tile would otherwise be zeroed eagerly on every
     /// machine construction).
     pub(crate) mem: Vec<u32>,
@@ -263,24 +239,22 @@ impl RawMachine {
                 program: Some(Box::new(IdleProgram)),
                 switch_prog: std::array::from_fn(|_| SwitchProgram::idle()),
                 switch_state: std::array::from_fn(|_| SwitchState::new()),
-                cache: DCache::new(cfg.cache, cfg.miss_model, cfg.dirty_evict_penalty),
+                cache: DCache::default(),
                 mem: Vec::new(),
                 stall_until: 0,
-                csti: std::array::from_fn(|_| TsFifo::new(cfg.csti_capacity)),
-                csto: TsFifo::new(cfg.csto_capacity),
+                csti: std::array::from_fn(|_| TsFifo::new(CSTI_CAPACITY)),
+                csto: TsFifo::new(CSTO_CAPACITY),
                 stats: TileStats::default(),
                 switch_stall_cycles: [0; NUM_STATIC_NETS],
             })
             .collect();
         let link_in = (0..n)
             .map(|_| {
-                std::array::from_fn(|_| {
-                    std::array::from_fn(|_| TsFifo::new(cfg.link_fifo_capacity))
-                })
+                std::array::from_fn(|_| std::array::from_fn(|_| TsFifo::new(LINK_FIFO_CAPACITY)))
             })
             .collect();
         let dyn_nets = (0..2)
-            .map(|_| DynNet::new(cfg.dim, cfg.dyn_fifo_capacity, cfg.cdni_capacity))
+            .map(|_| DynNet::new(cfg.dim, DYN_FIFO_CAPACITY, CDNI_CAPACITY))
             .collect();
         RawMachine {
             cfg,
@@ -464,8 +438,8 @@ impl RawMachine {
     /// chunks it touches.
     pub fn tile_mem_mut(&mut self, tile: TileId) -> &mut Vec<u32> {
         let t = &mut self.tiles[tile.index()];
-        if t.mem.len() < self.cfg.local_mem_words {
-            t.mem.resize(self.cfg.local_mem_words, 0);
+        if t.mem.len() < LOCAL_MEM_WORDS {
+            t.mem.resize(LOCAL_MEM_WORDS, 0);
         }
         &mut t.mem
     }
@@ -476,24 +450,15 @@ impl RawMachine {
     pub fn write_tile_mem(&mut self, tile: TileId, base: usize, words: &[u32]) {
         let end = base + words.len();
         assert!(
-            end <= self.cfg.local_mem_words,
+            end <= LOCAL_MEM_WORDS,
             "write [{base}, {end}) exceeds local memory ({} words)",
-            self.cfg.local_mem_words
+            LOCAL_MEM_WORDS
         );
         let t = &mut self.tiles[tile.index()];
         if t.mem.len() < end {
-            t.mem
-                .resize(mem_grow_target(end, self.cfg.local_mem_words), 0);
+            t.mem.resize(mem_grow_target(end, LOCAL_MEM_WORDS), 0);
         }
         t.mem[base..end].copy_from_slice(words);
-    }
-
-    /// Read-only introspection: the switch program installed for `net` at
-    /// `tile`. Lets static analyses (the `raw-verify` crate) audit exactly
-    /// what a constructed machine will execute, without re-deriving it
-    /// from the codegen inputs.
-    pub fn switch_program(&self, tile: TileId, net: usize) -> &SwitchProgram {
-        &self.tiles[tile.index()].switch_prog[net]
     }
 
     /// Read-only introspection: every edge port with a bound device — the
@@ -748,9 +713,6 @@ impl RawMachine {
             return (Activity::Idle, (false, false, false), 0);
         };
         let tile = &mut self.tiles[t];
-        let cols = self.cfg.dim.cols as u32;
-        let col = (t as u32) % cols;
-        let col_hops = col.min(cols - 1 - col);
         let mut io = TileIo::new(
             cycle,
             TileId(t as u16),
@@ -759,10 +721,7 @@ impl RawMachine {
             &mut tile.switch_state,
             &mut tile.cache,
             &mut tile.mem,
-            self.cfg.local_mem_words,
             &mut self.dyn_nets,
-            col_hops,
-            self.cfg.proc_recv_delay,
             &mut tile.stall_until,
         );
         program.tick(&mut io);
@@ -783,13 +742,18 @@ impl RawMachine {
     /// its switch halting — each wakes it; by [`TileProgram::tick`]'s
     /// contract every tick before that would repeat this one.
     fn tile_may_sleep(&self, t: usize, cycle: u64, activity: Activity) -> bool {
-        let prd = self.cfg.proc_recv_delay;
         matches!(
             activity,
             Activity::Idle | Activity::BlockedRecv | Activity::BlockedSend
         ) && self.stall_windows[t].is_empty()
-            && !self.tiles[t].csti.iter().any(|f| f.is_aging(cycle, prd))
-            && !self.dyn_nets.iter().any(|d| d.cdni_aging(t, cycle, prd))
+            && !self.tiles[t]
+                .csti
+                .iter()
+                .any(|f| f.is_aging(cycle, PROC_RECV_DELAY))
+            && !self
+                .dyn_nets
+                .iter()
+                .any(|d| d.cdni_aging(t, cycle, PROC_RECV_DELAY))
     }
 
     /// The soundness check behind tile sleep, run only in builds with
@@ -1124,7 +1088,6 @@ impl RawMachine {
             }
             false
         };
-        let prd = self.cfg.proc_recv_delay;
         for (t, tile) in self.tiles.iter().enumerate() {
             for net in 0..NUM_STATIC_NETS {
                 let st = &tile.switch_state[net];
@@ -1146,7 +1109,7 @@ impl RawMachine {
                     }
                 }
                 if let Some(ts) = tile.csti[net].front_ts() {
-                    if consider(ts + prd + 1) {
+                    if consider(ts + PROC_RECV_DELAY + 1) {
                         return Some(now);
                     }
                 }
@@ -1175,7 +1138,7 @@ impl RawMachine {
             }
         }
         for d in &self.dyn_nets {
-            if let Some(v) = d.next_visibility_event(now, prd) {
+            if let Some(v) = d.next_visibility_event(now, PROC_RECV_DELAY) {
                 if consider(v) {
                     return Some(now);
                 }
@@ -1277,12 +1240,6 @@ impl RawMachine {
             quiescent: self.idle_cycles() >= window,
             blocked_tiles,
         }
-    }
-
-    /// Seconds of wall-clock time `cycles` represent at the configured
-    /// clock frequency.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.cfg.clock_mhz as f64 * 1e6)
     }
 }
 

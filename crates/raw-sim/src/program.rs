@@ -29,6 +29,7 @@ use crate::cache::{Access, DCache};
 use crate::dynamic::DynNet;
 use crate::fifo::TsFifo;
 use crate::geom::TileId;
+use crate::machine::{LOCAL_MEM_WORDS, PROC_RECV_DELAY};
 use crate::switch::{NetId, SwitchState, NUM_STATIC_NETS};
 use crate::trace::Activity;
 
@@ -93,15 +94,10 @@ pub struct TileIo<'a> {
     pub(crate) csto: &'a mut TsFifo,
     pub(crate) switch: &'a mut [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: &'a mut DCache,
+    /// Local memory; lazily grows in chunks up to [`LOCAL_MEM_WORDS`]
+    /// as addresses are touched.
     pub(crate) mem: &'a mut Vec<u32>,
-    /// Architectural size of local memory in words; `mem` lazily grows in
-    /// chunks up to this bound as addresses are touched.
-    pub(crate) mem_limit: usize,
     pub(crate) dyn_nets: &'a mut [DynNet],
-    /// Column hops to the nearest east/west DRAM port, for the
-    /// distance-based miss model.
-    pub(crate) col_hops: u32,
-    pub(crate) proc_recv_delay: u64,
     pub(crate) stall_until: &'a mut u64,
     pub(crate) activity: Activity,
     /// Set by [`TileIo::hint_token_wait`]; read by the machine to refine
@@ -135,10 +131,7 @@ impl<'a> TileIo<'a> {
         switch: &'a mut [SwitchState; NUM_STATIC_NETS],
         cache: &'a mut DCache,
         mem: &'a mut Vec<u32>,
-        mem_limit: usize,
         dyn_nets: &'a mut [DynNet],
-        col_hops: u32,
-        proc_recv_delay: u64,
         stall_until: &'a mut u64,
     ) -> TileIo<'a> {
         TileIo {
@@ -149,10 +142,7 @@ impl<'a> TileIo<'a> {
             switch,
             cache,
             mem,
-            mem_limit,
             dyn_nets,
-            col_hops,
-            proc_recv_delay,
             stall_until,
             activity: Activity::Idle,
             token_wait_hint: false,
@@ -177,7 +167,7 @@ impl<'a> TileIo<'a> {
 
     /// True if a static-network word is readable this cycle on `net`.
     pub fn can_recv_static(&self, net: NetId) -> bool {
-        self.csti[net].has_visible(self.cycle, self.proc_recv_delay)
+        self.csti[net].has_visible(self.cycle, PROC_RECV_DELAY)
     }
 
     /// True if `$csto` can take another word.
@@ -194,7 +184,7 @@ impl<'a> TileIo<'a> {
 
     /// True if a dynamic-network word is deliverable this cycle.
     pub fn can_recv_dyn(&self, net: usize) -> bool {
-        self.dyn_nets[net].can_recv(self.tile, self.cycle, self.proc_recv_delay)
+        self.dyn_nets[net].can_recv(self.tile, self.cycle, PROC_RECV_DELAY)
     }
 
     /// True if the dynamic-network inject FIFO has space.
@@ -220,7 +210,7 @@ impl<'a> TileIo<'a> {
     /// `None` means the pipeline stalled on an empty network register.
     pub fn recv_static(&mut self, net: NetId) -> Option<u32> {
         self.begin_action();
-        match self.csti[net].pop_visible(self.cycle, self.proc_recv_delay) {
+        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 self.activity = Activity::Busy;
                 self.touched_switches |= 1 << net;
@@ -251,14 +241,14 @@ impl<'a> TileIo<'a> {
     fn mem_slot(&mut self, word_addr: u32) -> &mut u32 {
         let i = word_addr as usize;
         assert!(
-            i < self.mem_limit,
+            i < LOCAL_MEM_WORDS,
             "tile {} accessed word address {:#x} beyond local memory ({} words)",
             self.tile,
             word_addr,
-            self.mem_limit
+            LOCAL_MEM_WORDS
         );
         if i >= self.mem.len() {
-            let target = mem_grow_target(i + 1, self.mem_limit);
+            let target = mem_grow_target(i + 1, LOCAL_MEM_WORDS);
             self.mem.resize(target, 0);
         }
         &mut self.mem[i]
@@ -269,7 +259,7 @@ impl<'a> TileIo<'a> {
     /// retry after the stall to complete the load.
     pub fn load(&mut self, word_addr: u32) -> Option<u32> {
         self.begin_action();
-        match self.cache.access(word_addr, false, self.col_hops) {
+        match self.cache.access(word_addr, false) {
             Access::Hit => {
                 self.activity = Activity::Busy;
                 Some(*self.mem_slot(word_addr))
@@ -287,7 +277,7 @@ impl<'a> TileIo<'a> {
     #[must_use]
     pub fn store(&mut self, word_addr: u32, word: u32) -> bool {
         self.begin_action();
-        match self.cache.access(word_addr, true, self.col_hops) {
+        match self.cache.access(word_addr, true) {
             Access::Hit => {
                 self.activity = Activity::Busy;
                 *self.mem_slot(word_addr) = word;
@@ -311,7 +301,7 @@ impl<'a> TileIo<'a> {
             self.activity = Activity::BlockedSend;
             return false;
         }
-        match self.cache.access(word_addr, false, self.col_hops) {
+        match self.cache.access(word_addr, false) {
             Access::Hit => {
                 let w = *self.mem_slot(word_addr);
                 let pushed = self.csto.push(w, self.cycle);
@@ -338,7 +328,7 @@ impl<'a> TileIo<'a> {
             self.activity = Activity::BlockedSend;
             return None;
         }
-        match self.csti[net].pop_visible(self.cycle, self.proc_recv_delay) {
+        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 let out = f(w);
                 let pushed = self.csto.push(out, self.cycle);
@@ -362,7 +352,7 @@ impl<'a> TileIo<'a> {
             self.activity = Activity::BlockedSend;
             return None;
         }
-        match self.csti[net].pop_visible(self.cycle, self.proc_recv_delay) {
+        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 let pushed = self.csto.push(w, self.cycle);
                 debug_assert!(pushed);
@@ -402,7 +392,7 @@ impl<'a> TileIo<'a> {
     /// Read a word from dynamic network `net` (`$cdni`).
     pub fn recv_dyn(&mut self, net: usize) -> Option<u32> {
         self.begin_action();
-        match self.dyn_nets[net].recv(self.tile, self.cycle, self.proc_recv_delay) {
+        match self.dyn_nets[net].recv(self.tile, self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 self.activity = Activity::Busy;
                 Some(w)
@@ -412,16 +402,6 @@ impl<'a> TileIo<'a> {
                 None
             }
         }
-    }
-
-    /// Direct, un-timed access to local memory for test setup and result
-    /// inspection (does not retire and does not touch the cache model).
-    /// Materializes the tile's full backing store.
-    pub fn mem_raw(&mut self) -> &mut Vec<u32> {
-        if self.mem.len() < self.mem_limit {
-            self.mem.resize(self.mem_limit, 0);
-        }
-        self.mem
     }
 
     /// Mark this cycle as spent waiting on a token/grant protocol rather

@@ -79,11 +79,7 @@ fn random_program(r: &mut Lcg, net: usize) -> SwitchProgram {
 fn build_machine(seed: u64, engine: EngineMode) -> RawMachine {
     let mut r = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
     let dim = GridDim { rows: 2, cols: 3 };
-    let mut m = RawMachine::new(RawConfig {
-        dim,
-        engine,
-        ..RawConfig::default()
-    });
+    let mut m = RawMachine::new(RawConfig { dim, engine });
     for t in 0..dim.tiles() {
         for net in 0..NUM_STATIC_NETS {
             if r.chance(80) {

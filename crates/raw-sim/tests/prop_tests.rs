@@ -1,6 +1,6 @@
 //! Property-based tests on the simulator's transport invariants: the
 //! static network delivers every word exactly once, in order, regardless
-//! of traffic pattern, FIFO sizing, or sink backpressure, and the dynamic
+//! of traffic pattern or sink backpressure, and the dynamic
 //! network never loses or reorders a message's payload.
 
 use proptest::prelude::*;
@@ -8,12 +8,8 @@ use raw_sim::*;
 
 /// Build a straight west-to-east pass-through path along row 1 and push a
 /// random word list through it with a randomly rate-limited sink.
-fn run_passthrough(words: &[u32], sink_interval: u64, fifo_cap: usize) -> Vec<u32> {
-    let cfg = RawConfig {
-        link_fifo_capacity: fifo_cap,
-        ..RawConfig::default()
-    };
-    let mut m = RawMachine::new(cfg);
+fn run_passthrough(words: &[u32], sink_interval: u64) -> Vec<u32> {
+    let mut m = RawMachine::new(RawConfig::default());
     for t in [4u16, 5, 6, 7] {
         m.set_switch_program(
             TileId(t),
@@ -40,14 +36,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Exactly-once, in-order delivery through a 4-switch path under any
-    /// backpressure and buffer sizing.
+    /// backpressure.
     #[test]
     fn static_path_delivers_exactly_once_in_order(
         words in proptest::collection::vec(any::<u32>(), 0..80),
         sink_interval in 1u64..6,
-        fifo_cap in 1usize..6,
     ) {
-        let got = run_passthrough(&words, sink_interval, fifo_cap);
+        let got = run_passthrough(&words, sink_interval);
         prop_assert_eq!(got, words);
     }
 

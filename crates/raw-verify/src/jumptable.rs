@@ -34,7 +34,7 @@ use raw_xbar::config::{
 };
 use raw_xbar::layout::{PortTiles, RouterLayout, NPORTS};
 
-use crate::{Analysis, Coverage, Diag};
+use crate::{Analysis, Diag};
 
 /// Diagnostics reported per space before suppression (a corrupt table
 /// would otherwise flood the report with hundreds of thousands of
@@ -530,18 +530,6 @@ pub fn check_ring_walk(ns: &[usize], diags: &mut Vec<Diag>) -> u64 {
         }
     }
     points
-}
-
-/// Convenience used by the report: fill the unicast/multicast coverage
-/// for one policy into `cov`.
-pub fn accumulate_coverage(cov: &mut Coverage, c: &SpaceCoverage, multicast: bool) {
-    if multicast {
-        cov.multicast_points += c.points;
-        cov.multicast_space += c.space;
-    } else {
-        cov.unicast_points += c.points;
-        cov.unicast_space += c.space;
-    }
 }
 
 #[cfg(test)]

@@ -49,8 +49,8 @@ use raw_xbar::layout::RouterLayout;
 use crate::{Analysis, Diag, FabricModel, SwitchSlot};
 
 /// Link FIFO depth of the Raw prototype (words per static-network input
-/// buffer).
-pub const LINK_FIFO_DEPTH: u64 = 4;
+/// buffer): the machine's own [`raw_sim::LINK_FIFO_CAPACITY`].
+pub const LINK_FIFO_DEPTH: u64 = raw_sim::LINK_FIFO_CAPACITY as u64;
 
 /// Abstract steps before a run is declared livelocked (`RV202`).
 pub const STEP_BUDGET: u64 = 10_000;

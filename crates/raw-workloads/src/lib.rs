@@ -28,11 +28,6 @@ pub enum Pattern {
     /// Uniform, but each source switches destination only every `burst`
     /// packets (bursty flows).
     Bursty { burst: u32 },
-    /// Internet-mix sizes: uniform destinations, but packet sizes drawn
-    /// 7:4:1 from {64, 576, 1500} bytes (the classic IMIX), overriding
-    /// [`Workload::packet_bytes`]. 1500-byte packets exceed the 256-word
-    /// cut-through quantum, so router runs need store-and-forward.
-    Imix,
     /// Zipf-distributed destinations: port `p` is drawn with probability
     /// proportional to `1/(p+1)^s`, `s = s_milli / 1000`. `s_milli = 0`
     /// is uniform; larger values concentrate traffic on port 0 — a
@@ -320,13 +315,10 @@ fn generate_flow_churn(w: &Workload, nports: usize) -> Vec<ScheduledPacket> {
     out
 }
 
-/// The IMIX size classes and their 7:4:1 draw weights.
-pub const IMIX_SIZES: [usize; 3] = [64, 576, 1500];
-pub const IMIX_WEIGHTS: [u32; 3] = [7, 4, 1];
-
-/// Cumulative Zipf distribution over `n` output ports for exponent
-/// `s = s_milli / 1000`: `cdf[p]` is `P(dst <= p)` scaled to `u32::MAX`.
-fn zipf_cdf(s_milli: u32, n: usize) -> Vec<u64> {
+/// Cumulative Zipf distribution over `n` outcomes (output ports, next
+/// hops) for exponent `s = s_milli / 1000`: `cdf[p]` is `P(x <= p)`
+/// scaled to `u32::MAX`.
+pub fn zipf_cdf(s_milli: u32, n: usize) -> Vec<u64> {
     let s = s_milli as f64 / 1000.0;
     let w: Vec<f64> = (0..n).map(|p| 1.0 / ((p + 1) as f64).powf(s)).collect();
     let total: f64 = w.iter().sum();
@@ -387,7 +379,7 @@ pub fn generate_n(w: &Workload, nports: usize) -> Vec<ScheduledPacket> {
                 // the 256-port Clos, and the vendored rand draws the
                 // same value for the same span at any integer width, so
                 // narrower-port fingerprints are unchanged.
-                Pattern::Uniform | Pattern::Imix => rng.gen_range(0..nports as u64) as u8,
+                Pattern::Uniform => rng.gen_range(0..nports as u64) as u8,
                 Pattern::Hotspot { dst } => dst,
                 Pattern::Bursty { burst } => {
                     let (d, left) = &mut burst_state[src];
@@ -444,22 +436,6 @@ pub fn generate_n(w: &Workload, nports: usize) -> Vec<ScheduledPacket> {
                 }
                 Pattern::FlowChurn { .. } => unreachable!("dispatched to generate_flow_churn"),
             };
-            let bytes = match w.pattern {
-                Pattern::Imix => {
-                    let total: u32 = IMIX_WEIGHTS.iter().sum();
-                    let mut r = rng.gen_range(0..total);
-                    let mut size = IMIX_SIZES[0];
-                    for (sz, &wt) in IMIX_SIZES.iter().zip(&IMIX_WEIGHTS) {
-                        if r < wt {
-                            size = *sz;
-                            break;
-                        }
-                        r -= wt;
-                    }
-                    size
-                }
-                _ => w.packet_bytes,
-            };
             release = match w.arrivals {
                 Arrivals::Saturation => 0,
                 Arrivals::Bernoulli {
@@ -480,7 +456,7 @@ pub fn generate_n(w: &Workload, nports: usize) -> Vec<ScheduledPacket> {
             let mut p = Packet::synthetic(
                 src_addr(src as u8),
                 addr_for_port(dst),
-                bytes,
+                w.packet_bytes,
                 w.ttl,
                 (src as u32) << 16 | k as u32,
             );
@@ -781,41 +757,6 @@ mod tests {
                 assert_eq!((w2[1] - w2[0]) % 100, 0);
             }
         }
-    }
-
-    #[test]
-    fn imix_is_deterministic_and_mixes_7_4_1() {
-        let w = Workload {
-            pattern: Pattern::Imix,
-            ..Workload::average(64, 600, 11)
-        };
-        let a = generate(&w);
-        let b = generate(&w);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.packet, y.packet);
-            assert_eq!(x.release, y.release);
-        }
-        let mut counts = [0usize; 3];
-        for s in &a {
-            let i = IMIX_SIZES
-                .iter()
-                .position(|&sz| sz == s.packet.total_bytes())
-                .expect("IMIX size class");
-            counts[i] += 1;
-        }
-        let total = a.len() as f64;
-        for (i, &wt) in IMIX_WEIGHTS.iter().enumerate() {
-            let expect = wt as f64 / 12.0;
-            let got = counts[i] as f64 / total;
-            assert!(
-                (got - expect).abs() < 0.05,
-                "size {} drew {got:.3} of packets, expected ~{expect:.3}",
-                IMIX_SIZES[i]
-            );
-        }
-        // Destinations stay uniform under the size mix.
-        let per = per_output(&a);
-        assert!(per.iter().all(|&n| n > 400));
     }
 
     #[test]

@@ -54,9 +54,11 @@ pub const EG_BUF_STRIDE: u32 = 0x8000;
 
 /// Tile-local memory the router's programs address, in words: the egress
 /// reassembly regions end highest, above the ingress VOQ regions and the
-/// largest (destination-mask, 16^4-entry) jump table.
-pub const MIN_LOCAL_MEM_WORDS: usize = (EG_BUF_BASE + NPORTS as u32 * EG_BUF_STRIDE) as usize;
+/// largest (destination-mask, 16^4-entry) jump table. The prototype's
+/// local memory holds them all.
+const MIN_LOCAL_MEM_WORDS: usize = (EG_BUF_BASE + NPORTS as u32 * EG_BUF_STRIDE) as usize;
 const _: () = assert!(
     MIN_LOCAL_MEM_WORDS >= (IG_BUF_BASE + 0x1000 + NPORTS as u32 * VOQ_REGION_WORDS) as usize
         && MIN_LOCAL_MEM_WORDS >= XBAR_TABLE_BASE as usize + 16usize.pow(4)
+        && MIN_LOCAL_MEM_WORDS <= raw_sim::LOCAL_MEM_WORDS
 );

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use raw_lookup::{Engine, ForwardingTable};
 use raw_net::Packet;
-use raw_sim::{EdgePort, RawConfig, RawMachine, TraceWindow, NET0, NET1};
+use raw_sim::{cycles_to_seconds, EdgePort, RawConfig, RawMachine, TraceWindow, NET0, NET1};
 
 use crate::codegen;
 use crate::config::{ConfigSpace, SchedPolicy};
@@ -14,7 +14,7 @@ use crate::devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
 use crate::layout::{RouterLayout, NPORTS};
 use crate::programs::{
     CrossbarProgram, EgressMode, EgressProgram, EgressStats, IngressProgram, IngressStats,
-    LookupProgram, LookupStats, XbarStats, MIN_LOCAL_MEM_WORDS, XBAR_TABLE_BASE,
+    LookupProgram, LookupStats, XbarStats, XBAR_TABLE_BASE,
 };
 
 /// Router-level configuration.
@@ -26,7 +26,6 @@ pub struct RouterConfig {
     /// Egress mode: cut-through (packets must fit one quantum) or
     /// store-and-forward reassembly.
     pub cut_through: bool,
-    pub policy: SchedPolicy,
     /// Weighted-token QoS (§8.7): port `i` holds the token for
     /// `weights[i]` consecutive quanta per rotation.
     pub weights: [u32; NPORTS],
@@ -36,15 +35,9 @@ pub struct RouterConfig {
     pub queueing: crate::programs::IngressQueueing,
     /// Run the Crossbar Processors as generated Raw *assembly* on the
     /// `raw-isa` interpreter instead of native state machines (§6.5).
-    /// Implies the destination-mask jump table (as with `multicast`) and
-    /// requires uniform token weights.
+    /// Implies the destination-mask jump table (as a multicast table
+    /// does) and requires uniform token weights.
     pub asm_crossbar: bool,
-    /// Enable the §8.6 multicast extension: the configuration space and
-    /// jump tables cover destination *masks* (16^4 x 4 points), and the
-    /// forwarding table may return `raw_lookup::encode_multicast` hops.
-    /// Requires a quantum small enough that the larger minimized set
-    /// still fits switch instruction memory.
-    pub multicast: bool,
     /// Deterministic lookup-table fault injection (chaos testing): forced
     /// misses fall back to the default route after a penalty.
     pub lookup_fault: Option<LookupFault>,
@@ -60,9 +53,8 @@ pub struct RouterConfig {
     /// crosspoint-queued) replace the token walk with a replicated
     /// per-slot arbiter over VOQ occupancy masks: same static network,
     /// same ingest and egress paths, different matchings. Non-token
-    /// arbiters require VOQ queueing, unicast traffic, the native
-    /// crossbar cores, and the shortest-first policy (the only one under
-    /// which every injective matching is ring-routable).
+    /// arbiters require VOQ queueing, a unicast table, and the native
+    /// crossbar cores.
     pub arbiter: raw_sched::SchedKind,
     pub raw: RawConfig,
 }
@@ -85,12 +77,10 @@ impl Default for RouterConfig {
         RouterConfig {
             quantum_words: 64,
             cut_through: true,
-            policy: SchedPolicy::default(),
             weights: [1; NPORTS],
             engine: Engine::Patricia,
             queueing: crate::programs::IngressQueueing::Fifo,
             asm_crossbar: false,
-            multicast: false,
             lookup_fault: None,
             lookup_mem: None,
             arbiter: raw_sched::SchedKind::Token,
@@ -166,19 +156,11 @@ impl RawRouter {
         table: Arc<ForwardingTable>,
         telemetry: Option<raw_telemetry::SharedSink>,
     ) -> Result<RawRouter, String> {
-        cfg.raw.validate()?;
         let layout = RouterLayout::canonical();
         if cfg.raw.dim != layout.dim {
             return Err(format!(
                 "the router is laid out on a {}x{} grid, not {}x{}",
                 layout.dim.rows, layout.dim.cols, cfg.raw.dim.rows, cfg.raw.dim.cols
-            ));
-        }
-        if cfg.raw.local_mem_words < MIN_LOCAL_MEM_WORDS {
-            return Err(format!(
-                "local memory of {} words cannot hold the jump table and the ingress/egress \
-                 buffer regions ({MIN_LOCAL_MEM_WORDS} words)",
-                cfg.raw.local_mem_words
             ));
         }
         if !(1..=raw_net::MAX_FRAG_WORDS).contains(&cfg.quantum_words) {
@@ -209,7 +191,7 @@ impl RawRouter {
                     cfg.arbiter.name()
                 ));
             }
-            if cfg.multicast {
+            if table.multicast() {
                 return Err(format!(
                     "the {} arbiter computes unicast matchings; multicast needs the token protocol",
                     cfg.arbiter.name()
@@ -221,18 +203,15 @@ impl RawRouter {
                     cfg.arbiter.name()
                 ));
             }
-            if cfg.policy != SchedPolicy::ShortestFirst {
-                return Err(format!(
-                    "the {} arbiter requires the shortest-first ring policy: only under it is \
-                     every injective matching simultaneously routable",
-                    cfg.arbiter.name()
-                ));
-            }
         }
-        let cs = Arc::new(if cfg.multicast || cfg.asm_crossbar {
-            ConfigSpace::enumerate_multicast(cfg.policy)
+        // The router walks the ring shortest-first: the only policy under
+        // which a non-token arbiter's every injective matching is
+        // simultaneously routable.
+        let policy = SchedPolicy::ShortestFirst;
+        let cs = Arc::new(if table.multicast() || cfg.asm_crossbar {
+            ConfigSpace::enumerate_multicast(policy)
         } else {
-            ConfigSpace::enumerate(cfg.policy)
+            ConfigSpace::enumerate(policy)
         });
         let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
@@ -300,8 +279,13 @@ impl RawRouter {
                 // (the raw-sched lockstep test), mirroring how the token
                 // counter is replicated rather than transmitted.
                 let sched = (!cfg.arbiter.is_token()).then(|| cfg.arbiter.build(NPORTS));
-                let xb =
-                    CrossbarProgram::new(port, &xb_code, token_seq.clone(), cfg.multicast, sched);
+                let xb = CrossbarProgram::new(
+                    port,
+                    &xb_code,
+                    token_seq.clone(),
+                    table.multicast(),
+                    sched,
+                );
                 machine.set_program(p.crossbar, Box::new(xb));
             }
 
@@ -578,19 +562,17 @@ impl RawRouter {
     }
 
     /// Aggregate throughput over a cycle window, in Gbps at the
-    /// configured clock.
+    /// prototype's clock.
     pub fn throughput_gbps(&self, from_cycle: u64, to_cycle: u64) -> f64 {
         let bits = self.delivered_bits_between(from_cycle, to_cycle) as f64;
-        let secs = (to_cycle - from_cycle) as f64 / (self.cfg.raw.clock_mhz as f64 * 1e6);
-        bits / secs / 1e9
+        bits / cycles_to_seconds(to_cycle - from_cycle) / 1e9
     }
 
     /// Packets per second over a cycle window (the paper's Mpps metric,
     /// scaled).
     pub fn pps(&self, from_cycle: u64, to_cycle: u64) -> f64 {
         let pkts = self.delivered_packets_between(from_cycle, to_cycle) as f64;
-        let secs = (to_cycle - from_cycle) as f64 / (self.cfg.raw.clock_mhz as f64 * 1e6);
-        pkts / secs
+        pkts / cycles_to_seconds(to_cycle - from_cycle)
     }
 
     /// Start a Figure 7-3 style utilization trace.
@@ -653,8 +635,8 @@ mod tests {
         .expect("weighted token with asm crossbar must be rejected");
         assert!(e.contains("token"), "{e}");
 
-        // A non-token arbiter needs VOQ queueing, unicast traffic, the
-        // native crossbar cores, and the shortest-first ring policy.
+        // A non-token arbiter needs VOQ queueing, a unicast table and the
+        // native crossbar cores.
         let islip = raw_sched::SchedKind::Islip { iters: 4 };
         let e = RawRouter::try_new(
             RouterConfig {
@@ -673,16 +655,21 @@ mod tests {
             cut_through: false,
             ..RouterConfig::default()
         };
+        let mut routes = crate::reference::port_routes();
+        routes.push(raw_lookup::RouteEntry::new(
+            0xe000_0000,
+            4,
+            raw_lookup::encode_multicast(0b1110),
+        ));
         let e = RawRouter::try_new(
             RouterConfig {
-                multicast: true,
                 quantum_words: 16,
                 ..voq_base.clone()
             },
-            table(),
+            Arc::new(ForwardingTable::build(&routes)),
         )
         .err()
-        .expect("scheduler with multicast must be rejected");
+        .expect("scheduler with a multicast table must be rejected");
         assert!(e.contains("multicast"), "{e}");
 
         let e = RawRouter::try_new(
@@ -697,44 +684,23 @@ mod tests {
         .expect("scheduler with asm crossbar must be rejected");
         assert!(e.contains("native"), "{e}");
 
-        let e = RawRouter::try_new(
-            RouterConfig {
-                policy: SchedPolicy::CwFirst,
-                ..voq_base.clone()
-            },
-            table(),
-        )
-        .err()
-        .expect("scheduler with CwFirst must be rejected");
-        assert!(e.contains("shortest-first"), "{e}");
-
         // And the valid scheduler configuration is accepted.
         assert!(RawRouter::try_new(voq_base, table()).is_ok());
 
-        // `RouterConfig.raw` values the machine or the layout cannot
-        // model come back as errors too, not as panics further down.
-        let raw = RawConfig::default;
-        #[rustfmt::skip]
-        let rows = [
-            (RawConfig { dim: raw_sim::GridDim::new(2, 2), ..raw() }, "grid"),
-            (RawConfig { dim: raw_sim::GridDim::new(8, 8), ..raw() }, "grid"),
-            (RawConfig { link_fifo_capacity: 0, ..raw() }, "link_fifo_capacity"),
-            (RawConfig { csti_capacity: 0, ..raw() }, "csti_capacity"),
-            (RawConfig { csto_capacity: 0, ..raw() }, "csto_capacity"),
-            (RawConfig { dyn_fifo_capacity: 0, ..raw() }, "dyn_fifo_capacity"),
-            (RawConfig { cdni_capacity: 0, ..raw() }, "cdni_capacity"),
-            (RawConfig { local_mem_words: 16, ..raw() }, "local memory"),
-            (RawConfig { clock_mhz: 0, ..raw() }, "clock_mhz"),
-        ];
-        for (raw, want) in rows {
+        // A grid the router is not laid out on comes back as an error,
+        // not as a panic further down.
+        for dim in [raw_sim::GridDim::new(2, 2), raw_sim::GridDim::new(8, 8)] {
             let cfg = RouterConfig {
-                raw,
+                raw: RawConfig {
+                    dim,
+                    ..RawConfig::default()
+                },
                 ..RouterConfig::default()
             };
             let e = RawRouter::try_new(cfg, table())
                 .err()
-                .expect("bad raw config must be rejected");
-            assert!(e.contains(want), "{e}");
+                .expect("bad grid must be rejected");
+            assert!(e.contains("grid"), "{e}");
         }
     }
 

@@ -35,6 +35,18 @@ fn packet(src_port: u32, dst_port: u32, bytes: usize, seed: u32) -> Packet {
     Packet::synthetic(0x0a0a_0000 + src_port, addr_for(dst_port), bytes, 64, seed)
 }
 
+/// The port table plus a class-D route fanning `0xe000_0000/4` out to
+/// ports 1, 2 and 3.
+fn multicast_table() -> Arc<ForwardingTable> {
+    let mut routes = port_routes();
+    routes.push(RouteEntry::new(
+        0xe000_0000,
+        4,
+        raw_lookup::encode_multicast(0b1110),
+    ));
+    Arc::new(ForwardingTable::build(&routes))
+}
+
 #[test]
 fn single_packet_traverses_router() {
     let mut r = RawRouter::new(RouterConfig::default(), port_table());
@@ -188,20 +200,12 @@ fn multicast_packet_fans_out_to_all_subscribed_ports() {
     // §8.6 end-to-end: a class-D route fans one packet out to ports
     // 1, 2 and 3 through the fabric's switch multicast, while unicast
     // traffic keeps flowing.
-    let mut routes = port_routes();
-    routes.push(RouteEntry::new(
-        0xe000_0000,
-        4,
-        raw_lookup::encode_multicast(0b1110),
-    ));
-    let table = Arc::new(ForwardingTable::build(&routes));
     let cfg = RouterConfig {
         quantum_words: 32,
         cut_through: true,
-        multicast: true,
         ..RouterConfig::default()
     };
-    let mut r = RawRouter::new(cfg, table);
+    let mut r = RawRouter::new(cfg, multicast_table());
     // One multicast packet from port 0 plus a unicast chaser per port.
     let mut sent = Sent::new();
     let mc = Packet::synthetic(0x0a0a_0000, 0xe000_0005, 128, 64, 1);
@@ -225,16 +229,26 @@ fn multicast_packet_fans_out_to_all_subscribed_ports() {
     assert_audit(&r, &sent);
 }
 
+/// The router reads multicast off its table: under the default
+/// configuration a class-D route fans out to its members only.
+#[test]
+fn a_multicast_table_fans_out_under_the_default_config() {
+    let mut r = RawRouter::new(RouterConfig::default(), multicast_table());
+    let mut sent = Sent::new();
+    for k in 0..4 {
+        let mc = Packet::synthetic(0x0a0a_0000, 0xe000_0005, 128, 64, k);
+        offer(&mut r, &mut sent, 0, &mc);
+    }
+    r.run(100_000);
+    assert_eq!([0, 1, 2, 3].map(|p| r.delivered(p).len()), [0, 4, 4, 4]);
+    assert_audit(&r, &sent);
+}
+
 #[test]
 fn multicast_mode_still_routes_plain_unicast() {
-    // The multicast jump table embeds the unicast behavior.
-    let cfg = RouterConfig {
-        quantum_words: 64,
-        cut_through: true,
-        multicast: true,
-        ..RouterConfig::default()
-    };
-    let mut r = RawRouter::new(cfg, port_table());
+    // The multicast jump table embeds the unicast behavior: a table with
+    // a multicast route that no packet uses.
+    let mut r = RawRouter::new(RouterConfig::default(), multicast_table());
     for src in 0..4u32 {
         r.offer(src as usize, 0, &packet(src, (src + 2) % 4, 256, src));
     }
