@@ -6,10 +6,12 @@
 //! devices are installed: which FIFO each `SwPort` names, whether a mesh
 //! direction crosses to a neighbor tile or leaves the chip, and which
 //! edge device (if any) sits on an off-grid link. [`RawMachine::lower`]
-//! hoists all of that out of the inner loop: each switch instruction
-//! becomes a list of [`CompiledRoute`]s whose source and destination are
-//! direct FIFO/device coordinates, and the per-cycle work reduces to
-//! visibility checks, space checks, and word moves.
+//! hoists all of that out of the inner loop: each route becomes a
+//! [`CompiledRoute`] of four `u32`s — the arena slots of the ring it pops
+//! and the ring it pushes, and the sweep slots of the two components its
+//! move concerns — so a fired route is integer work: a visibility check,
+//! a space check, a pop, a push and two bit sets. Every program's
+//! instructions sit in one `Vec` of the plan, every route in another.
 //!
 //! The lowered form is derived state of the machine, never a caller's
 //! decision: `set_switch_program` / `bind_device` drop it, and the next
@@ -22,85 +24,79 @@
 //! same order* as the interpreter — it only skips re-deriving constants,
 //! and the machine loop (`step_cycle`) is one function for both:
 //!
-//! * Route endpoints are resolved once, against the same `GridDim` /
-//!   device-table lookups the interpreter performs per cycle.
+//! * Both read and write the same rings: the interpreter names them
+//!   through `ring_slot` each cycle, the lowering once. A `dst` past the
+//!   arena is the edge the interpreter finds through its device table: a
+//!   bound device or a drop.
 //! * Route *grouping* is not precomputed, because it cannot be: the
 //!   interpreter forms a group from the not-yet-fired routes at and after
 //!   the scan point, so a multicast group refused on one cycle may fire a
-//!   strict subset on the next scan position. Instructions whose sources
-//!   are pairwise distinct (every group a singleton — the common case for
-//!   generated schedules) take a straight scan; the rest replay the
-//!   interpreter's exact dynamic-subgroup scan over pre-resolved routes.
+//!   strict subset on the next scan position. Instructions whose routes
+//!   share no source and no destination (every group a singleton, and no
+//!   move can change another route's check within the step — the common
+//!   case for generated schedules) are checked in full, then committed;
+//!   the rest replay the interpreter's exact dynamic-subgroup scan.
 //! * Stall accounting (`switch_stall_cycles`, first-refused-group cause
-//!   attribution), control transitions, PC wraparound halts, and pending
-//!   PC application copy the interpreter's logic line for line.
+//!   attribution), control transitions (resolved at lowering to the next
+//!   PC and whether it halts), PC wraparound halts, and pending PC
+//!   application copy the interpreter's logic.
 //! * The injector fast path only skips devices whose `pull_in` is
 //!   statically `None` (`EdgeDevice::is_injector`).
-//! * A switch the step puts to sleep is one whose next step, and every
-//!   step after it, would stall exactly as this one did until a FIFO it
-//!   reads is pushed, a FIFO it writes is popped, or its PC is loaded —
-//!   and each of those wakes it (the `src_producer` / `dst_consumer`
-//!   slots resolved here, `TileIo::touched_switches`, the injector
-//!   poll). The cycles it is not stepped on are credited as stalls, for
-//!   the same cause, when it next steps or the run entry returns.
+//! * A switch left out of the sweep is one whose skipped steps would
+//!   each have stalled as its last one did, or done nothing at all. A
+//!   halted switch with no PC load pending is parked: only a PC load
+//!   can move it, and that wakes it for the cycle the load can first
+//!   apply. A stalled one sleeps until a FIFO it reads is pushed or one
+//!   it writes is popped. A pop wakes the producer at once (the space is
+//!   usable this cycle); a push wakes the consumer on the next cycle,
+//!   the first on which the word is visible to it — which is why a
+//!   source word still aging is no reason to stay awake. The slots come
+//!   from the lowering (`src_producer` / `dst_consumer`),
+//!   `TileIo::wake_now` / `wake_next`, and the injector poll. The cycles
+//!   a switch is not stepped on are credited as stalls, for the same
+//!   cause, when it next steps or the run entry returns.
 //!
 //! None of this is taken on trust: the determinism suite, the random
 //! schedule differential (`tests/differential.rs`), the mid-run
 //! mutation rows in `tests/machine_tests.rs` and the one-test-per-edge
 //! battery in `tests/sleep.rs` hold the two engines to bit-identical
-//! fingerprints.
+//! digests, and builds with `debug_assertions` check every skipped
+//! switch on every cycle against the interpreter's own refusals
+//! (`assert_switch_may_skip`). The mutants below show both have teeth.
 
-use crate::device::EdgePort;
+use crate::device::EdgeDevice;
+use crate::fifo::Ring;
 use crate::geom::TileId;
-use crate::machine::RawMachine;
-use crate::program::BOTH_SWITCHES;
-use crate::switch::{SwPort, SwitchCtrl, SwitchProgram, NUM_STATIC_NETS};
+use crate::machine::{ring_slot, src_ring, RawMachine, SlotSet, StaticFifo};
+use crate::switch::{Route, SwitchCtrl, NUM_STATIC_NETS};
 use raw_telemetry::SwitchStallCause;
 
-/// A pre-resolved route source: the exact FIFO the word is popped from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum CompiledSrc {
-    /// The processor's shared `$csto` FIFO at `tile`.
-    Csto { tile: u16 },
-    /// `link_in[tile][net][dir]`.
-    Link { tile: u16, net: u8, dir: u8 },
-}
-
-/// A pre-resolved route destination: the exact FIFO or device the word is
-/// pushed into.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CompiledDst {
-    /// The processor-facing `$csti` FIFO for `net` at `tile`.
-    Csti { tile: u16, net: u8 },
-    /// The neighbor tile's link input FIFO `link_in[tile][net][dir]`.
-    Link { tile: u16, net: u8, dir: u8 },
-    /// A bound edge device (index into the machine's device list).
-    Device { index: u16 },
-    /// An unbound edge: the word leaves the chip and is counted in
-    /// `edge_drops`.
-    Drop,
-}
-
-/// One switch route with both endpoints resolved. Routes sharing a
-/// `CompiledSrc` within one instruction form a multicast group, exactly
-/// as interpreter routes sharing `(net, src)` do.
+/// One switch route lowered to integers: pop ring `src` of the arena,
+/// push ring `dst`, and wake the [`RawMachine::awake`] slots of
+/// `src_producer` (the pop freed it space; the spare slot when that is
+/// an edge device) and `dst_consumer` (the push gave it a word; the
+/// spare slot for an edge). A `dst` past the arena is an edge: [`DROP`],
+/// or bound device `dst - rings`. Routes sharing `src` within one
+/// instruction form a multicast group, exactly as interpreter routes
+/// sharing `(net, src)` do.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CompiledRoute {
-    pub src: CompiledSrc,
-    pub dst: CompiledDst,
-    /// [`RawMachine::awake`] slot of the component that fills `src`: the
-    /// pop frees it space. The spare slot when that is an edge device.
+    pub src: u32,
+    pub dst: u32,
     pub src_producer: u32,
-    /// [`RawMachine::awake`] slot of the component that drains `dst`: the
-    /// push gives it a word. The spare slot for a device or a drop.
     pub dst_consumer: u32,
 }
 
+/// `dst` of a route off an unbound edge: the word leaves the chip and is
+/// counted in `edge_drops`.
+const DROP: u32 = u32::MAX;
+
 /// Why a route group did not fire, and whether time alone can lift the
-/// refusal: a source word still aging into visibility, or an edge device
-/// pushing back. A switch stalled only on refusals that are not `timed`
-/// — an empty source, a full destination FIFO — cannot move until a
-/// push or pop it is woken by.
+/// refusal without a wake: an edge device pushing back. A switch stalled
+/// only on refusals that are not `timed` — an empty source, a full
+/// destination FIFO, a source word still aging (its push queued the
+/// switch's wake for the cycle it turns visible) — cannot move until a
+/// wake it is owed.
 #[derive(Clone, Copy)]
 struct Refusal {
     cause: SwitchStallCause,
@@ -110,138 +106,117 @@ struct Refusal {
 /// One lowered switch instruction.
 #[derive(Debug)]
 pub(crate) struct CompiledInstr {
-    /// Routes in the interpreter's route-list order (the `fired` bitmask
-    /// indexes this list, bit *i* ↔ `routes[i]`).
-    pub routes: Vec<CompiledRoute>,
-    /// True when every route's source is distinct — every multicast group
-    /// is a singleton, so the executor can scan routes independently
-    /// without forming groups.
-    pub distinct_sources: bool,
+    /// Its routes are `CompiledPlan::routes[start..start + len]`, in the
+    /// interpreter's route-list order (bit *i* of `fired` ↔ route *i*).
+    start: u32,
+    len: u32,
+    /// True when no two routes share a source or a destination: every
+    /// multicast group is a singleton and no route's move can change
+    /// another's check this step, so all are checked, then all that
+    /// passed are committed.
+    independent: bool,
     /// `fired == all_mask` completes the instruction
-    /// (`(1 << routes.len()) - 1`; 0 for a route-less instruction).
-    pub all_mask: u32,
-    pub ctrl: SwitchCtrl,
+    /// (`(1 << len) - 1`; 0 for a route-less instruction).
+    all_mask: u32,
+    /// Its control operation, resolved against the program: the PC once
+    /// it completes, and whether the switch then halts (`WaitPc`, or
+    /// falling off the end).
+    next_pc: usize,
+    halts: bool,
 }
 
-/// A whole switch program lowered for one `(tile, net)`.
-#[derive(Debug)]
-pub(crate) struct CompiledSwitch {
-    pub instrs: Vec<CompiledInstr>,
-}
-
-/// An edge device polled for injection, with its input FIFO coordinates
-/// pre-resolved.
+/// An edge device polled for injection, with its input ring and the
+/// switch that ring wakes pre-resolved.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct InjectorSlot {
     /// Index into the machine's device list (bind order).
-    pub device: u16,
-    pub tile: u16,
-    pub net: u8,
-    pub dir: u8,
+    pub device: u32,
+    pub ring: u32,
+    /// [`RawMachine::awake`] slot of the edge switch routing `ring`.
+    pub consumer: u32,
 }
 
 impl InjectorSlot {
-    /// The slot for device `device` bound at `port`.
-    pub fn new(device: usize, port: EdgePort) -> InjectorSlot {
+    /// The slot for `m`'s device `device`.
+    pub fn new(m: &RawMachine, device: usize) -> InjectorSlot {
+        let port = m.bound_device_ports()[device];
+        let edge = StaticFifo::In {
+            net: port.net,
+            dir: port.dir.index(),
+        };
         InjectorSlot {
-            device: device as u16,
-            tile: port.tile.index() as u16,
-            net: port.net as u8,
-            dir: port.dir.index() as u8,
+            device: device as u32,
+            ring: ring_slot(port.tile.index(), edge) as u32,
+            consumer: m.switch_slot(port.tile.index(), port.net) as u32,
         }
     }
 }
 
 /// The lowered form of one machine, built by [`RawMachine::lower`] and
-/// consumed by `EngineMode::Compiled`.
+/// consumed by `EngineMode::Compiled`: every switch program's
+/// instructions in one `Vec`, all their routes in another.
 #[derive(Debug)]
 pub(crate) struct CompiledPlan {
-    /// Indexed by `tile * NUM_STATIC_NETS + net`.
-    pub switches: Vec<CompiledSwitch>,
+    /// Per switch (`tile * NUM_STATIC_NETS + net`), its program's
+    /// `(start, len)` in `instrs`.
+    programs: Vec<(u32, u32)>,
+    instrs: Vec<CompiledInstr>,
+    routes: Vec<CompiledRoute>,
     /// Devices polled for injection each cycle, in device-index order
     /// (the interpreter's poll order). Pure sinks are omitted.
     pub injectors: Vec<InjectorSlot>,
 }
 
-/// Lower one switch program: the only lowering there is.
-fn lower_switch_program(
-    m: &RawMachine,
-    tile: TileId,
-    net: usize,
-    prog: &SwitchProgram,
-) -> CompiledSwitch {
-    let t = tile.index();
-    let nobody = m.awake.len() - 1;
-    let instrs = prog
-        .instrs
-        .iter()
-        .map(|i| {
-            let routes: Vec<CompiledRoute> = i
-                .routes
-                .iter()
-                .map(|r| {
-                    debug_assert_eq!(r.net, net);
-                    let src = match r.src {
-                        SwPort::Proc => CompiledSrc::Csto { tile: t as u16 },
-                        p => CompiledSrc::Link {
-                            tile: t as u16,
-                            net: r.net as u8,
-                            dir: p.dir().unwrap().index() as u8,
-                        },
-                    };
-                    let dst = match r.dst {
-                        SwPort::Proc => CompiledDst::Csti {
-                            tile: t as u16,
-                            net: r.net as u8,
-                        },
-                        p => {
-                            let d = p.dir().unwrap();
-                            match m.dim().neighbor(tile, d) {
-                                Some(nb) => CompiledDst::Link {
-                                    tile: nb.index() as u16,
-                                    net: r.net as u8,
-                                    dir: d.opposite().index() as u8,
-                                },
-                                None => match m.device_at(t, r.net, d.index()) {
-                                    Some(i) => CompiledDst::Device { index: i as u16 },
-                                    None => CompiledDst::Drop,
-                                },
-                            }
-                        }
-                    };
-                    let src_producer = match r.src {
-                        SwPort::Proc => t,
-                        p => match m.dim().neighbor(tile, p.dir().unwrap()) {
-                            Some(nb) => m.switch_slot(nb.index(), net),
-                            None => nobody,
-                        },
-                    };
-                    let dst_consumer = match dst {
-                        CompiledDst::Csti { .. } => t,
-                        CompiledDst::Link { tile, .. } => m.switch_slot(tile as usize, net),
-                        CompiledDst::Device { .. } | CompiledDst::Drop => nobody,
-                    };
-                    CompiledRoute {
-                        src,
-                        dst,
-                        src_producer: src_producer as u32,
-                        dst_consumer: dst_consumer as u32,
-                    }
-                })
-                .collect();
-            let distinct_sources = routes
-                .iter()
-                .enumerate()
-                .all(|(j, a)| routes[j + 1..].iter().all(|b| b.src != a.src));
-            CompiledInstr {
-                all_mask: ((1u64 << routes.len()) - 1) as u32,
-                distinct_sources,
-                routes,
-                ctrl: i.ctrl,
+impl CompiledPlan {
+    /// The lowered program of switch `s` (`tile * NUM_STATIC_NETS + net`).
+    #[inline]
+    fn program(&self, s: usize) -> &[CompiledInstr] {
+        let (start, len) = self.programs[s];
+        &self.instrs[start as usize..][..len as usize]
+    }
+
+    #[inline]
+    fn routes(&self, i: &CompiledInstr) -> &[CompiledRoute] {
+        &self.routes[i.start as usize..][..i.len as usize]
+    }
+}
+
+/// Lower one route of the switch for `r.net` at tile `t` to slots.
+fn lower_route(m: &RawMachine, t: usize, r: Route) -> CompiledRoute {
+    let tile = TileId(t as u16);
+    let nobody = m.spare_slot();
+    let src_producer = match r.src.dir() {
+        None => t,
+        Some(d) => m
+            .dim()
+            .neighbor(tile, d)
+            .map_or(nobody, |nb| m.switch_slot(nb.index(), r.net)),
+    };
+    let (dst, dst_consumer) = match r.dst.dir() {
+        None => (ring_slot(t, StaticFifo::Csti(r.net)), t),
+        Some(d) => match m.dim().neighbor(tile, d) {
+            Some(nb) => {
+                let into = StaticFifo::In {
+                    net: r.net,
+                    dir: d.opposite().index(),
+                };
+                (
+                    ring_slot(nb.index(), into),
+                    m.switch_slot(nb.index(), r.net),
+                )
             }
-        })
-        .collect();
-    CompiledSwitch { instrs }
+            None => match m.device_at(t, r.net, d.index()) {
+                Some(i) => (m.rings.len() + i, nobody),
+                None => (DROP as usize, nobody),
+            },
+        },
+    };
+    CompiledRoute {
+        src: src_ring(t, r) as u32,
+        dst: dst as u32,
+        src_producer: src_producer as u32,
+        dst_consumer: dst_consumer as u32,
+    }
 }
 
 impl RawMachine {
@@ -250,24 +225,55 @@ impl RawMachine {
     /// calls this itself whenever a structural mutation has dropped the
     /// lowered form; it is public only so a harness can time a lowering.
     pub fn lower(&mut self) {
-        let n = self.tiles.len();
-        let mut switches = Vec::with_capacity(n * NUM_STATIC_NETS);
+        let mut plan = CompiledPlan {
+            programs: Vec::with_capacity(self.tiles.len() * NUM_STATIC_NETS),
+            instrs: Vec::new(),
+            routes: Vec::new(),
+            injectors: Vec::new(),
+        };
         for (t, tile) in self.tiles.iter().enumerate() {
             for (net, prog) in tile.switch_prog.iter().enumerate() {
-                switches.push(lower_switch_program(self, TileId(t as u16), net, prog));
+                let start = plan.instrs.len() as u32;
+                for (pc, i) in prog.instrs.iter().enumerate() {
+                    let routes: Vec<CompiledRoute> = i
+                        .routes
+                        .iter()
+                        .map(|&r| {
+                            debug_assert_eq!(r.net, net);
+                            lower_route(self, t, r)
+                        })
+                        .collect();
+                    let independent = routes.iter().enumerate().all(|(j, a)| {
+                        routes[j + 1..]
+                            .iter()
+                            .all(|b| b.src != a.src && (b.dst != a.dst || a.dst == DROP))
+                    });
+                    plan.instrs.push(CompiledInstr {
+                        start: plan.routes.len() as u32,
+                        len: routes.len() as u32,
+                        independent,
+                        all_mask: ((1u64 << routes.len()) - 1) as u32,
+                        next_pc: match i.ctrl {
+                            SwitchCtrl::Next => pc + 1,
+                            SwitchCtrl::Jump(to) => to,
+                            SwitchCtrl::WaitPc => pc,
+                        },
+                        halts: match i.ctrl {
+                            SwitchCtrl::Next => pc + 1 >= prog.len(),
+                            SwitchCtrl::Jump(_) => false,
+                            SwitchCtrl::WaitPc => true,
+                        },
+                    });
+                    plan.routes.extend(routes);
+                }
+                plan.programs.push((start, prog.instrs.len() as u32));
             }
         }
-        let injectors = self
-            .bound_device_ports()
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.devices[i].is_injector())
-            .map(|(i, &p)| InjectorSlot::new(i, p))
+        plan.injectors = (0..self.devices.len())
+            .filter(|&i| self.devices[i].is_injector())
+            .map(|i| InjectorSlot::new(self, i))
             .collect();
-        self.plan = Some(Box::new(CompiledPlan {
-            switches,
-            injectors,
-        }));
+        self.plan = Some(Box::new(plan));
     }
 
     /// One lowered switch tick. Mirrors `step_switch` exactly:
@@ -275,267 +281,268 @@ impl RawMachine {
     /// control transition, firing, completion, control flow, stall
     /// accounting, and first-refused-group cause attribution.
     ///
-    /// On top of that it puts the switch to sleep when nothing but a
-    /// wake edge can change what the next step would do — halted with no
-    /// PC load pending, or stalled with no refusal that time lifts — and
-    /// wakes its tile when it halts (`TileIo::switch_halted`).
+    /// On top of that it takes the switch out of the sweep when nothing
+    /// but a wake it is owed can change what its next step would do:
+    /// parked when halted with no PC load pending, asleep when stalled
+    /// with no refusal that time alone lifts. It wakes its tile when it
+    /// halts (`TileIo::switch_halted`).
+    #[inline(always)]
     pub(crate) fn step_switch_compiled(
         &mut self,
         t: usize,
         net: usize,
-        cs: &CompiledSwitch,
+        plan: &CompiledPlan,
         cycle: u64,
     ) -> (bool, bool) {
         let slot = self.switch_slot(t, net);
-        self.tiles[t].switch_state[net].apply_pending_pc(cycle);
-        if self.tiles[t].switch_state[net].halted {
-            self.awake[slot] = self.tiles[t].switch_state[net].pending_pc.is_some();
+        let tiles = self.tiles.len();
+        let st = &mut self.tiles[t].switch_state[net];
+        st.apply_pending_pc(cycle);
+        if st.halted {
+            if st.pending_pc.is_none() {
+                self.park(slot);
+            }
             return (false, false);
         }
-        let pc = self.tiles[t].switch_state[net].pc;
-        if pc >= cs.instrs.len() {
-            self.tiles[t].switch_state[net].halted = true;
-            self.awake[t] = true;
+        let program = plan.program(t * NUM_STATIC_NETS + net);
+        let Some(instr) = program.get(st.pc) else {
+            st.halted = true;
+            self.halted(t, net);
             return (false, true);
+        };
+        let mut wires = Wires {
+            rings: &mut self.rings,
+            awake: &mut self.awake,
+            woken_next: &mut self.woken_next,
+            devices: &mut self.devices,
+            tiles,
+            routes_fired: 0,
+            edge_drops: 0,
+        };
+        let before = st.fired;
+        let (fired, stall) = wires.fire(plan.routes(instr), instr.independent, before, cycle);
+        self.routes_fired += wires.routes_fired;
+        self.edge_drops += wires.edge_drops;
+        let any_fired = fired != before;
+        st.fired = fired;
+        if fired == instr.all_mask {
+            st.fired = 0;
+            st.pc = instr.next_pc;
+            if instr.halts {
+                st.halted = true;
+                self.halted(t, net);
+            }
+            return (any_fired, !any_fired);
         }
-        let instr = &cs.instrs[pc];
-        let mut fired = self.tiles[t].switch_state[net].fired;
-        let mut any_fired = false;
-        let attribute = self.active_sink().is_some();
-        let mut block_cause: Option<SwitchStallCause> = None;
-        let mut timed = false;
-        if instr.distinct_sources {
-            // Every group is a singleton: scan each not-yet-fired route
-            // once, in list order (the interpreter's scan order).
-            for (j, r) in instr.routes.iter().enumerate() {
-                if fired & (1 << j) != 0 {
-                    continue;
-                }
-                match self.try_fire_single(r, cycle) {
-                    Ok(()) => {
-                        fired |= 1 << j;
-                        any_fired = true;
-                    }
-                    Err(refusal) => {
-                        timed |= refusal.timed;
-                        if attribute && block_cause.is_none() {
-                            block_cause = Some(refusal.cause);
-                        }
+        if !any_fired {
+            let refusal = stall.expect("an incomplete instruction has a refused group");
+            if !refusal.timed {
+                self.awake.remove(slot);
+            }
+            self.tiles[t].switch_stall_cycles[net] += 1;
+            // Causes are kept only while a sink is attached.
+            if let Some(sink) = self.active_sink() {
+                sink.lock()
+                    .unwrap()
+                    .switch_stalls(t as u16, net as u8, refusal.cause, 1);
+                self.last_switch_cause[t][net] = refusal.cause;
+            }
+        }
+        (any_fired, false)
+    }
+
+    /// The switch for `net` at tile `t` just halted: wake its tile (its
+    /// program may wait on `TileIo::switch_halted`) and, unless a PC load
+    /// is already pending, park the switch until one comes.
+    fn halted(&mut self, t: usize, net: usize) {
+        self.awake.insert(t);
+        if self.tiles[t].switch_state[net].pending_pc.is_none() {
+            self.park(self.switch_slot(t, net));
+        }
+    }
+}
+
+/// What firing lowered routes reads and writes, borrowed out of the
+/// machine field by field, so the route loop runs over plain slices.
+struct Wires<'a> {
+    rings: &'a mut [Ring],
+    awake: &'a mut SlotSet,
+    woken_next: &'a mut SlotSet,
+    devices: &'a mut [Box<dyn EdgeDevice>],
+    /// Slots below this are tile processors.
+    tiles: usize,
+    routes_fired: u64,
+    edge_drops: u64,
+}
+
+impl Wires<'_> {
+    /// Fire what can fire of `routes` not yet in `fired`, in the
+    /// interpreter's scan order: the new `fired` mask, and the first
+    /// refusal (with `timed` set if any refusal was) when a group did not
+    /// fire.
+    #[inline]
+    fn fire(
+        &mut self,
+        routes: &[CompiledRoute],
+        independent: bool,
+        mut fired: u32,
+        cycle: u64,
+    ) -> (u32, Option<Refusal>) {
+        let mut stall: Option<Refusal> = None;
+        let refused = |stall: &mut Option<Refusal>, r: Refusal| match stall {
+            Some(first) => first.timed |= r.timed,
+            None => *stall = Some(r),
+        };
+        if independent {
+            // Check every not-yet-fired route, in list order, then commit
+            // the ones that passed.
+            let mut ready = 0u32;
+            for (j, r) in routes.iter().enumerate() {
+                if fired & (1 << j) == 0 {
+                    match self.src_refusal(r.src, cycle) {
+                        None => match self.dst_refusal(r.dst, cycle) {
+                            None => ready |= 1 << j,
+                            Some(refusal) => refused(&mut stall, refusal),
+                        },
+                        Some(refusal) => refused(&mut stall, refusal),
                     }
                 }
             }
+            let mut bits = ready;
+            while bits != 0 {
+                let r = &routes[bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                let word = self.pop_src(r);
+                self.push_dst(r, word, cycle);
+            }
+            fired |= ready;
         } else {
             // Dynamic-subgroup scan, replayed exactly as the interpreter
             // forms groups: at each unfired position, the group is every
             // not-yet-fired route *at or after* it with the same source.
-            let routes = instr.routes.as_slice();
-            let nroutes = routes.len();
-            let mut gi = 0;
-            while gi < nroutes {
+            for gi in 0..routes.len() {
                 if fired & (1 << gi) != 0 {
-                    gi += 1;
                     continue;
                 }
-                let lead_src = routes[gi].src;
+                let lead = routes[gi];
                 let mut group: u32 = 0;
                 for (j, r) in routes.iter().enumerate().skip(gi) {
-                    if fired & (1 << j) == 0 && r.src == lead_src {
+                    if fired & (1 << j) == 0 && r.src == lead.src {
                         group |= 1 << j;
                     }
                 }
-                match self.try_fire_group_compiled(routes, group, cycle) {
-                    Ok(()) => {
-                        fired |= group;
-                        any_fired = true;
-                    }
-                    Err(refusal) => {
-                        timed |= refusal.timed;
-                        if attribute && block_cause.is_none() {
-                            block_cause = Some(refusal.cause);
+                match self.group_refusal(routes, group, cycle) {
+                    None => {
+                        let word = self.pop_src(&lead);
+                        let mut bits = group;
+                        while bits != 0 {
+                            let j = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            self.push_dst(&routes[j], word, cycle);
                         }
+                        fired |= group;
                     }
-                }
-                gi += 1;
-            }
-        }
-        self.tiles[t].switch_state[net].fired = fired;
-        let complete = fired == instr.all_mask;
-        let mut ctrl_transition = false;
-        if complete {
-            let prog_len = cs.instrs.len();
-            let st = &mut self.tiles[t].switch_state[net];
-            st.fired = 0;
-            match instr.ctrl {
-                SwitchCtrl::Next => {
-                    st.pc += 1;
-                    if st.pc >= prog_len {
-                        st.halted = true;
-                    }
-                }
-                SwitchCtrl::Jump(pc) => st.pc = pc,
-                SwitchCtrl::WaitPc => st.halted = true,
-            }
-            if st.halted {
-                self.awake[t] = true;
-            }
-            ctrl_transition = !any_fired;
-        } else if !any_fired {
-            self.awake[slot] = timed;
-            self.tiles[t].switch_stall_cycles[net] += 1;
-            if let Some(cause) = block_cause {
-                self.last_switch_cause[t][net] = cause;
-                if let Some(sink) = self.active_sink() {
-                    sink.lock()
-                        .unwrap()
-                        .switch_stalls(t as u16, net as u8, cause, 1);
+                    Some(refusal) => refused(&mut stall, refusal),
                 }
             }
         }
-        (any_fired, ctrl_transition)
+        (fired, stall)
     }
 
-    /// Is the word at `src` visible to the switch this cycle? If not,
-    /// the refusal is timed exactly when a word is there, still aging.
+    /// Why the word at ring `src` cannot move this cycle, if it cannot.
     #[inline]
-    fn src_visible(&self, src: CompiledSrc, cycle: u64) -> Result<(), Refusal> {
-        let fifo = match src {
-            CompiledSrc::Csto { tile } => &self.tiles[tile as usize].csto,
-            CompiledSrc::Link { tile, net, dir } => {
-                &self.link_in[tile as usize][net as usize][dir as usize]
-            }
-        };
-        if fifo.has_visible(cycle, 0) {
-            Ok(())
-        } else {
-            Err(Refusal {
-                cause: SwitchStallCause::FifoEmpty,
-                timed: fifo.is_aging(cycle, 0),
-            })
-        }
+    fn src_refusal(&self, src: u32, cycle: u64) -> Option<Refusal> {
+        (!self.rings[src as usize].has_visible(cycle, 0)).then_some(Refusal {
+            cause: SwitchStallCause::FifoEmpty,
+            timed: false,
+        })
     }
 
-    /// Would `dst` accept a word this cycle? On refusal, the stall cause
-    /// in the interpreter's attribution order.
+    /// Why `dst` would not take a word this cycle, if it would not, with
+    /// the interpreter's stall cause.
     #[inline]
-    fn dst_accepts(&self, dst: CompiledDst, cycle: u64) -> Result<(), Refusal> {
-        let has_space = match dst {
-            CompiledDst::Csti { tile, net } => {
-                self.tiles[tile as usize].csti[net as usize].has_space()
-            }
-            CompiledDst::Link { tile, net, dir } => {
-                self.link_in[tile as usize][net as usize][dir as usize].has_space()
-            }
-            CompiledDst::Device { index } => {
-                return if self.devices[index as usize].can_push(cycle) {
-                    Ok(())
-                } else {
-                    Err(Refusal {
-                        cause: SwitchStallCause::DeviceBackpressure,
-                        timed: true,
-                    })
-                };
-            }
-            CompiledDst::Drop => true,
-        };
-        if has_space {
-            Ok(())
-        } else {
-            Err(Refusal {
+    fn dst_refusal(&self, dst: u32, cycle: u64) -> Option<Refusal> {
+        match self.rings.get(dst as usize) {
+            Some(ring) => (!ring.has_space()).then_some(Refusal {
                 cause: SwitchStallCause::FifoFull,
                 timed: false,
-            })
-        }
-    }
-
-    /// Pop the route's source word, waking whoever fills that FIFO. A
-    /// `$csto` pop also changes the front word the other network's
-    /// switch sees, so it wakes both of the tile's switches.
-    #[inline]
-    fn pop_src(&mut self, r: &CompiledRoute, cycle: u64) -> u32 {
-        self.awake[r.src_producer as usize] = true;
-        match r.src {
-            CompiledSrc::Csto { tile } => {
-                self.wake_switches(tile as usize, BOTH_SWITCHES);
-                self.tiles[tile as usize]
-                    .csto
-                    .pop_visible(cycle, 0)
-                    .unwrap()
+            }),
+            None if dst == DROP => None,
+            None => {
+                let device = &self.devices[dst as usize - self.rings.len()];
+                (!device.can_push(cycle)).then_some(Refusal {
+                    cause: SwitchStallCause::DeviceBackpressure,
+                    timed: true,
+                })
             }
-            CompiledSrc::Link { tile, net, dir } => self.link_in[tile as usize][net as usize]
-                [dir as usize]
-                .pop_visible(cycle, 0)
-                .unwrap(),
         }
     }
 
-    /// Push `word` into the route's destination, waking whoever drains it.
+    /// A multicast group's refusal (`group` is a bitmask over `routes`,
+    /// all sharing a source): the shared source, then each member
+    /// destination in list order.
+    fn group_refusal(&self, routes: &[CompiledRoute], group: u32, cycle: u64) -> Option<Refusal> {
+        let lead = routes[group.trailing_zeros() as usize];
+        self.src_refusal(lead.src, cycle).or_else(|| {
+            let mut bits = group;
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(refusal) = self.dst_refusal(routes[j].dst, cycle) {
+                    return Some(refusal);
+                }
+            }
+            None
+        })
+    }
+
+    /// Pop the route's (visible) source word, waking whoever fills that
+    /// ring. A `$csto` pop — the one source a tile fills — also changes
+    /// the front word the other network's switch sees, so it wakes both
+    /// of the tile's switches.
+    #[inline]
+    fn pop_src(&mut self, r: &CompiledRoute) -> u32 {
+        let producer = r.src_producer as usize;
+        self.awake.insert(producer);
+        if producer < self.tiles {
+            // Its switches' slots, as `RawMachine::switch_slot` places them.
+            for net in 0..NUM_STATIC_NETS {
+                self.awake
+                    .insert(self.tiles + producer * NUM_STATIC_NETS + net);
+            }
+        }
+        self.rings[r.src as usize].pop()
+    }
+
+    /// Push `word` into the route's destination, waking whoever drains it
+    /// on the next cycle, when the word turns visible.
     #[inline]
     fn push_dst(&mut self, r: &CompiledRoute, word: u32, cycle: u64) {
-        self.awake[r.dst_consumer as usize] = true;
-        match r.dst {
-            CompiledDst::Csti { tile, net } => {
-                let ok = self.tiles[tile as usize].csti[net as usize].push(word, cycle);
+        self.woken_next.insert(r.dst_consumer as usize);
+        match self.rings.get_mut(r.dst as usize) {
+            Some(ring) => {
+                let ok = ring.push(word, cycle);
                 debug_assert!(ok);
             }
-            CompiledDst::Link { tile, net, dir } => {
-                let ok = self.link_in[tile as usize][net as usize][dir as usize].push(word, cycle);
-                debug_assert!(ok);
+            None if r.dst == DROP => self.edge_drops += 1,
+            None => {
+                let device = r.dst as usize - self.rings.len();
+                self.devices[device].push_out(word, cycle);
             }
-            CompiledDst::Device { index } => self.devices[index as usize].push_out(word, cycle),
-            CompiledDst::Drop => self.edge_drops += 1,
         }
         self.routes_fired += 1;
-    }
-
-    /// Check-and-fire for a singleton group: source visible and the one
-    /// destination willing, or the refusal cause.
-    #[inline]
-    fn try_fire_single(&mut self, r: &CompiledRoute, cycle: u64) -> Result<(), Refusal> {
-        self.src_visible(r.src, cycle)?;
-        self.dst_accepts(r.dst, cycle)?;
-        let word = self.pop_src(r, cycle);
-        self.push_dst(r, word, cycle);
-        Ok(())
-    }
-
-    /// Check-and-fire for a multicast group (`group` is a bitmask over
-    /// `routes`, all sharing a source): the shared source must be visible
-    /// and every member destination willing; the popped word is
-    /// duplicated across members in list order.
-    fn try_fire_group_compiled(
-        &mut self,
-        routes: &[CompiledRoute],
-        group: u32,
-        cycle: u64,
-    ) -> Result<(), Refusal> {
-        let lead = routes[group.trailing_zeros() as usize];
-        self.src_visible(lead.src, cycle)?;
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.dst_accepts(routes[j].dst, cycle)?;
-        }
-        let word = self.pop_src(&lead, cycle);
-        let mut bits = group;
-        while bits != 0 {
-            let j = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.push_dst(&routes[j], word, cycle);
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{WordSink, WordSource};
+    use crate::device::{EdgePort, WordSink, WordSource};
     use crate::digest::{first_divergence, Component};
     use crate::geom::{Dir, GridDim};
     use crate::machine::EngineMode;
     use crate::machine::RawConfig;
-    use crate::switch::{Route, SwitchInstr, NET0};
+    use crate::switch::{SwPort, SwitchInstr, SwitchProgram, NET0};
 
     /// Where the compiled engine first leaves the interpreter on the
     /// machine `build` makes, within `cycles`.
@@ -589,6 +596,54 @@ mod tests {
     #[test]
     fn compiled_matches_interpreter_on_passthrough() {
         assert_eq!(divergence(build, 400), None);
+    }
+
+    /// Whether a seeded defect in the lowering — `mutate` applied to every
+    /// lowered route of `build`'s machine, given the spare slot — is
+    /// caught within 400 cycles: by the switch replay assertion where it
+    /// runs (builds with `debug_assertions`), else by `first_divergence`
+    /// against the interpreter.
+    fn caught(mutate: fn(&mut CompiledRoute, u32)) -> bool {
+        let mutant = || {
+            let mut m = build(EngineMode::Compiled);
+            m.lower();
+            let spare = m.spare_slot() as u32;
+            let plan = m.plan.as_mut().unwrap();
+            plan.routes.iter_mut().for_each(|r| mutate(r, spare));
+            m
+        };
+        let found = std::panic::catch_unwind(|| {
+            first_divergence(
+                || build(EngineMode::PerCycle),
+                mutant,
+                |m, n| m.run(n),
+                RawMachine::digests,
+                400,
+            )
+        });
+        match found {
+            Ok(found) => found.is_some(),
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map_or("", |m| m.as_str())
+                    .to_owned();
+                cfg!(debug_assertions) && msg.contains("asleep since cycle")
+            }
+        }
+    }
+
+    /// A push that wakes nobody: the downstream switch sleeps through the
+    /// words it should route.
+    #[test]
+    fn mutant_push_waking_the_spare_slot_is_caught() {
+        assert!(caught(|r, spare| r.dst_consumer = spare));
+    }
+
+    /// A route popping the ring next to its own.
+    #[test]
+    fn mutant_src_slot_off_by_one_is_caught() {
+        assert!(caught(|r, _| r.src += 1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 
 use crate::geom::TileId;
-use crate::machine::RawMachine;
+use crate::machine::{ring_slot, RawMachine, StaticFifo, RINGS_PER_TILE};
 use crate::switch::NUM_STATIC_NETS;
 
 /// One digested piece of a [`RawMachine`], in digest order.
@@ -37,10 +37,10 @@ impl RawMachine {
     ///
     /// Left out on purpose:
     /// * what [`EngineMode::Compiled`](crate::EngineMode::Compiled) holds
-    ///   lazily: the `awake` flags, how far each sleeper is credited
-    ///   (every run entry settles it), the lowered plan, and the
-    ///   telemetry hints (token / arb / lookup wait, last switch stall
-    ///   cause), which only refine what a sink is told;
+    ///   lazily: the awake, next-cycle and parked sets, how far each
+    ///   sleeper is credited (every run entry settles it), the lowered
+    ///   plan, and the telemetry hints (token / arb / lookup wait, last
+    ///   switch stall cause), which only refine what a sink is told;
     /// * tile program and edge device state, which the traits do not
     ///   expose: it shows up in the FIFO traffic it causes, or in what a
     ///   test reads back out of the program or device;
@@ -48,39 +48,43 @@ impl RawMachine {
     ///   (as cache-stall cycles), local memory (through its reader), the
     ///   last-progress cycle (through the clock a quiescence run stops at).
     ///
-    /// Never called by a run: it walks every FIFO.
+    /// Never called by a run.
     pub fn digests(&self) -> Vec<(Component, u64)> {
         let trace = self.trace.as_ref();
-        let tiles = self.tiles.iter().enumerate().map(|(t, tile)| {
+        let n = self.tiles.len();
+        let mut tiles = Vec::with_capacity(n);
+        let mut switches = Vec::with_capacity(n * NUM_STATIC_NETS);
+        // One pass over the ring arena, a tile's rings at a time: its
+        // switches' link inputs, then its processor's `$csti` / `$csto`.
+        for (t, rings) in self.rings.chunks_exact(RINGS_PER_TILE).enumerate() {
+            let tile = &self.tiles[t];
+            let id = TileId(t as u16);
+            for net in 0..NUM_STATIC_NETS {
+                let inputs = ring_slot(0, StaticFifo::In { net, dir: 0 });
+                let state = (
+                    &tile.switch_state[net],
+                    tile.switch_stall_cycles[net],
+                    &rings[inputs..inputs + 4],
+                );
+                switches.push((Component::Switch(id, net), digest(state)));
+            }
             let state = (
                 tile.stats.counts,
                 self.last_activity[t],
                 trace.map(|w| w.tile_samples(t)),
-                &tile.csti,
-                &tile.csto,
+                &rings[ring_slot(0, StaticFifo::Csti(0))..],
             );
-            (Component::Tile(TileId(t as u16)), digest(state))
-        });
-        let switches = self.tiles.iter().enumerate().flat_map(|(t, tile)| {
-            (0..NUM_STATIC_NETS).map(move |net| {
-                let state = (
-                    &tile.switch_state[net],
-                    tile.switch_stall_cycles[net],
-                    &self.link_in[t][net],
-                );
-                (Component::Switch(TileId(t as u16), net), digest(state))
-            })
-        });
+            tiles.push((Component::Tile(id), digest(state)));
+        }
         let machine = (
             self.cycle,
             self.routes_fired,
             self.edge_drops,
             &self.dyn_nets,
         );
+        tiles.extend(switches);
+        tiles.push((Component::Machine, digest(machine)));
         tiles
-            .chain(switches)
-            .chain([(Component::Machine, digest(machine))])
-            .collect()
     }
 }
 

@@ -163,10 +163,10 @@ impl DynNet {
     }
 
     /// Advance every router one cycle. Each input channel moves at most one
-    /// word; each output accepts at most one word. `tile_awake[t]` is set
-    /// for every tile whose processor can observe a change: a word
+    /// word; each output accepts at most one word. `wake_tile(t)` is
+    /// called for every tile whose processor can observe a change: a word
     /// delivered into its `$cdni`, or space freed in its inject FIFO.
-    pub fn step(&mut self, cycle: u64, tile_awake: &mut [bool]) {
+    pub fn step(&mut self, cycle: u64, mut wake_tile: impl FnMut(usize)) {
         if self.in_network == 0 {
             // No words in any router input: nothing can move ($cdni words
             // only wait for their consumer). Skip the full-grid scan.
@@ -175,7 +175,7 @@ impl DynNet {
         // One output may be claimed per cycle; destination space is checked
         // against live occupancy, and moved words are timestamped with the
         // current cycle so they travel one hop per cycle.
-        for (t, awake) in tile_awake[..self.dim.tiles()].iter_mut().enumerate() {
+        for t in 0..self.dim.tiles() {
             let tile = TileId(t as u16);
             // Deterministic round-robin over input channels for fairness.
             let start = self.routers[t].rr;
@@ -205,7 +205,7 @@ impl DynNet {
                 }
                 moved_any = true;
                 if i == IN_INJECT || out == Out::Deliver {
-                    *awake = true;
+                    wake_tile(t);
                 }
                 // Update wormhole state.
                 let r = &mut self.routers[t];
@@ -321,7 +321,7 @@ mod tests {
         let mut out = Vec::new();
         let deadline = *cycle + 1000;
         while out.len() < n && *cycle < deadline {
-            net.step(*cycle, &mut [false; 16]);
+            net.step(*cycle, |_| {});
             *cycle += 1;
             while let Some(w) = net.recv(tile, *cycle, 0) {
                 out.push(w);
@@ -375,7 +375,7 @@ mod tests {
         assert!(net.inject(TileId(0), h, 0));
         let mut arrived_at = None;
         for cycle in 1..40u64 {
-            net.step(cycle, &mut [false; 16]);
+            net.step(cycle, |_| {});
             if net.can_recv(TileId(15), cycle + 1, 0) {
                 arrived_at = Some(cycle);
                 break;
@@ -422,7 +422,7 @@ mod tests {
         assert!(net.inject(TileId(0), h, 0));
         let mut delivered = false;
         for cycle in 1..30u64 {
-            net.step(cycle, &mut [false; 16]);
+            net.step(cycle, |_| {});
             // Tile 4 and 8 and 12 are column 0, rows 1..3: the message
             // must never be buffered there.
             for t in [4u16, 8, 12] {
@@ -454,7 +454,7 @@ mod tests {
             if net.inject(TileId(0), h, cycle) {
                 accepted += 1;
             }
-            net.step(cycle, &mut [false; 16]);
+            net.step(cycle, |_| {});
         }
         // Only a couple of words fit in the stalled path.
         assert!(accepted < 10, "backpressure failed: accepted {accepted}");
@@ -469,7 +469,7 @@ mod tests {
         let h = pack_header(0, 200, 0, 0);
         assert!(net.inject(TileId(3), h, 0));
         for cycle in 1..10u64 {
-            net.step(cycle, &mut [false; 16]);
+            net.step(cycle, |_| {});
         }
         assert_eq!(net.dropped_at_edge, 1);
     }

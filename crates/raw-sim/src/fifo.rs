@@ -8,8 +8,104 @@
 //! Figure 3-2 without any global ordering of component updates inside a
 //! cycle.
 
+/// Depth of every static-network FIFO: link inputs, `$csti` and `$csto`
+/// (Raw's network input blocks hold four words).
+pub(crate) const RING_CAPACITY: usize = 4;
+
+/// One static-network FIFO in the machine's ring arena: its words and
+/// their enqueue cycles held inline, the queue being the `len` slots from
+/// `head`, wrapping at [`RING_CAPACITY`]. Visibility is [`TsFifo`]'s: a
+/// word is seen by a consumer with `delay` extra pipeline stages from
+/// cycle `enqueue + delay + 1` on.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Ring {
+    words: [u32; RING_CAPACITY],
+    enq: [u64; RING_CAPACITY],
+    head: u32,
+    len: u32,
+}
+
+impl Ring {
+    /// Position `offset` places behind the head.
+    #[inline]
+    fn at(&self, offset: u32) -> usize {
+        ((self.head + offset) as usize) & (RING_CAPACITY - 1)
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Space for another word right now.
+    #[inline]
+    pub(crate) fn has_space(&self) -> bool {
+        (self.len as usize) < RING_CAPACITY
+    }
+
+    /// Enqueue cycle of the front word, if any.
+    #[inline]
+    pub(crate) fn front_ts(&self) -> Option<u64> {
+        (self.len != 0).then(|| self.enq[self.at(0)])
+    }
+
+    /// A front word exists and is visible at `delay` this cycle.
+    #[inline]
+    pub(crate) fn has_visible(&self, cycle: u64, delay: u64) -> bool {
+        self.len != 0 && self.enq[self.at(0)] + delay < cycle
+    }
+
+    /// True while the front word exists but is not yet visible at `delay`.
+    #[inline]
+    pub(crate) fn is_aging(&self, cycle: u64, delay: u64) -> bool {
+        self.len != 0 && !self.has_visible(cycle, delay)
+    }
+
+    /// Enqueue `word` during `cycle`; `false` (and nothing dropped) when
+    /// full.
+    #[inline]
+    #[must_use]
+    pub(crate) fn push(&mut self, word: u32, cycle: u64) -> bool {
+        if !self.has_space() {
+            return false;
+        }
+        let tail = self.at(self.len);
+        self.words[tail] = word;
+        self.enq[tail] = cycle;
+        self.len += 1;
+        true
+    }
+
+    /// Dequeue the front word, which the caller has seen is visible.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> u32 {
+        debug_assert!(self.len != 0, "pop from an empty ring");
+        let w = self.words[self.at(0)];
+        self.head = self.at(1) as u32;
+        self.len -= 1;
+        w
+    }
+
+    /// Dequeue the front word if visible at `delay`.
+    #[inline]
+    pub(crate) fn pop_visible(&mut self, cycle: u64, delay: u64) -> Option<u32> {
+        self.has_visible(cycle, delay).then(|| self.pop())
+    }
+}
+
+/// Front first, each word with its enqueue cycle, wherever the ring starts
+/// (what [`TsFifo`]'s digest reads too).
+impl std::hash::Hash for Ring {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        h.write_usize(self.len());
+        (0..self.len).for_each(|k| (self.words[self.at(k)], self.enq[self.at(k)]).hash(h));
+    }
+}
+
 /// A bounded FIFO of 32-bit words tagged with their enqueue cycle: a
-/// fixed ring over a slice allocated once at the given capacity.
+/// fixed ring over a slice allocated once at the given capacity. The
+/// dynamic networks' queues; the static network's live in the machine's
+/// [`Ring`] arena.
 #[derive(Clone, Debug)]
 pub struct TsFifo {
     /// `(word, enqueue cycle)` slots; the queue is the `len` slots
@@ -187,6 +283,23 @@ mod tests {
         assert_eq!(f.pop_visible(10, 0), None);
         assert_eq!(f.len(), 1, "an invisible word must not be consumed");
         assert_eq!(f.pop_visible(11, 0), Some(7));
+    }
+
+    /// The arena ring is [`TsFifo`] at depth 4, across wraparounds.
+    #[test]
+    fn ring_matches_tsfifo_at_its_depth() {
+        let (mut ring, mut f) = (Ring::default(), TsFifo::new(RING_CAPACITY));
+        for cycle in 1..200u64 {
+            if cycle % 3 != 0 || cycle % 7 == 0 {
+                assert_eq!(ring.push(cycle as u32, cycle), f.push(cycle as u32, cycle));
+            }
+            if cycle % 2 == 0 {
+                assert_eq!(ring.pop_visible(cycle, 1), f.pop_visible(cycle, 1));
+            }
+            assert_eq!(ring.len(), f.len());
+            assert_eq!(ring.front_ts(), f.front_ts());
+            assert_eq!(ring.is_aging(cycle, 0), f.is_aging(cycle, 0));
+        }
     }
 
     #[test]

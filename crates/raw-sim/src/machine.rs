@@ -14,12 +14,13 @@
 //! tile-to-tile send of Figure 3-2.
 
 use std::any::Any;
+use std::ops::Range;
 
 use crate::cache::DCache;
 use crate::compiled::{CompiledPlan, InjectorSlot};
 use crate::device::{EdgeDevice, EdgePort};
 use crate::dynamic::DynNet;
-use crate::fifo::TsFifo;
+use crate::fifo::{Ring, RING_CAPACITY};
 use crate::geom::{GridDim, TileId};
 use crate::program::{mem_grow_target, IdleProgram, TileIo, TileProgram};
 use crate::switch::{Route, SwPort, SwitchCtrl, SwitchProgram, SwitchState, NUM_STATIC_NETS};
@@ -99,6 +100,12 @@ pub const LINK_FIFO_CAPACITY: usize = 4;
 pub const CSTI_CAPACITY: usize = 4;
 /// Capacity of the shared `$csto` FIFO.
 pub const CSTO_CAPACITY: usize = 4;
+// Every static-network FIFO is one fixed ring of the arena.
+const _: () = assert!(
+    LINK_FIFO_CAPACITY == RING_CAPACITY
+        && CSTI_CAPACITY == RING_CAPACITY
+        && CSTO_CAPACITY == RING_CAPACITY
+);
 /// Capacity of each dynamic-network link input FIFO.
 pub const DYN_FIFO_CAPACITY: usize = 4;
 /// Capacity of each `$cdni` FIFO.
@@ -148,11 +155,98 @@ pub(crate) struct Tile {
     /// machine construction).
     pub(crate) mem: Vec<u32>,
     pub(crate) stall_until: u64,
-    pub(crate) csti: [TsFifo; NUM_STATIC_NETS],
-    pub(crate) csto: TsFifo,
     pub(crate) stats: TileStats,
     /// Cycles each network's switch spent unable to complete an instruction.
     pub(crate) switch_stall_cycles: [u64; NUM_STATIC_NETS],
+}
+
+/// A static-network FIFO at one tile, as [`ring_slot`] places it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum StaticFifo {
+    /// The link input that words from direction `dir` arrive in on static
+    /// network `net`, routed onward by that network's switch.
+    In { net: usize, dir: usize },
+    /// The processor-facing `$csti` of a network.
+    Csti(usize),
+    /// The processor's `$csto`, shared by both networks' switches.
+    Csto,
+}
+
+/// Rings per tile in [`RawMachine::rings`].
+pub(crate) const RINGS_PER_TILE: usize = NUM_STATIC_NETS * 4 + NUM_STATIC_NETS + 1;
+
+/// Where tile `t`'s `fifo` sits in the ring arena: the one slot helper
+/// every reader and writer of a static-network FIFO goes through. A
+/// tile's rings are contiguous — its link inputs by network, then
+/// direction (so each switch's four are one slice), then `$csti` per
+/// network, then `$csto` (so the processor's three are one slice).
+#[inline]
+pub(crate) fn ring_slot(t: usize, fifo: StaticFifo) -> usize {
+    t * RINGS_PER_TILE
+        + match fifo {
+            StaticFifo::In { net, dir } => net * 4 + dir,
+            StaticFifo::Csti(net) => NUM_STATIC_NETS * 4 + net,
+            StaticFifo::Csto => NUM_STATIC_NETS * 5,
+        }
+}
+
+/// The ring a route at tile `t` pops: `$csto`, or the link input its
+/// source port names.
+#[inline]
+pub(crate) fn src_ring(t: usize, r: Route) -> usize {
+    match r.src.dir() {
+        None => ring_slot(t, StaticFifo::Csto),
+        Some(d) => ring_slot(
+            t,
+            StaticFifo::In {
+                net: r.net,
+                dir: d.index(),
+            },
+        ),
+    }
+}
+
+/// `a | b`, out of line: the sweep's rare late wake stays a branch the
+/// next slot does not wait on.
+#[cold]
+#[inline(never)]
+fn joined(a: u64, b: u64) -> u64 {
+    a | b
+}
+
+/// A set of [`RawMachine::awake`] slots, one bit each.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    #[inline]
+    pub(crate) fn contains(&self, s: usize) -> bool {
+        self.0[s / 64] & (1 << (s % 64)) != 0
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, s: usize) {
+        self.0[s / 64] |= 1 << (s % 64);
+    }
+
+    #[inline]
+    pub(crate) fn remove(&mut self, s: usize) {
+        self.0[s / 64] &= !(1 << (s % 64));
+    }
+}
+
+/// The route group the interpreter fires from position `gi` of an
+/// instruction: every route at or after it, not yet `fired`, sharing its
+/// `(net, src)` (a bitmask over `routes`).
+fn route_group(routes: &[Route], fired: u32, gi: usize) -> u32 {
+    let lead = routes[gi];
+    let mut group: u32 = 0;
+    for (j, r) in routes.iter().enumerate().skip(gi) {
+        if fired & (1 << j) == 0 && r.net == lead.net && r.src == lead.src {
+            group |= 1 << j;
+        }
+    }
+    group
 }
 
 /// The simulated Raw chip.
@@ -160,10 +254,11 @@ pub struct RawMachine {
     pub(crate) cfg: RawConfig,
     pub(crate) cycle: u64,
     pub(crate) tiles: Vec<Tile>,
-    /// Static-network link input FIFOs: `link_in[tile][net][dir]` holds
-    /// words that arrived *at* `tile` from direction `dir` and await
-    /// routing by `tile`'s switch.
-    pub(crate) link_in: Vec<[[TsFifo; 4]; NUM_STATIC_NETS]>,
+    /// Every static-network FIFO — link inputs, `$csti`, `$csto` — as
+    /// one arena of fixed rings, addressed by [`ring_slot`]. The
+    /// interpreter, the lowered routes, tile programs and the digests all
+    /// read and write these; there is no other copy.
+    pub(crate) rings: Vec<Ring>,
     pub(crate) dyn_nets: Vec<DynNet>,
     pub(crate) devices: Vec<Box<dyn EdgeDevice>>,
     /// Direct-indexed device lookup: `device_table[(tile * nets + net) * 4
@@ -212,13 +307,22 @@ pub struct RawMachine {
     /// processor, [`RawMachine::switch_slot`] a switch, and one spare
     /// slot at the end takes the wake edges that lead off the chip. Only
     /// [`EngineMode::Compiled`] ever clears a slot (see
-    /// [`RawMachine::tile_may_sleep`] and `step_switch_compiled`); every
-    /// FIFO push and pop sets the slot of the component at its other
-    /// end. The flags are read inside the tile-then-switch sweep, so a
-    /// wake raised by an earlier component is seen the same cycle by a
-    /// later one and the next cycle by an earlier one — exactly when the
-    /// interpreter, which steps everything, lets the change be seen.
-    pub(crate) awake: Vec<bool>,
+    /// [`RawMachine::tile_may_sleep`] and `step_switch_compiled`). Every
+    /// FIFO pop sets the slot of the component at its other end here;
+    /// the set is read inside the tile-then-switch sweep, so the space is
+    /// seen the same cycle by a later component and the next cycle by an
+    /// earlier one — exactly when the interpreter, which steps
+    /// everything, lets it be used.
+    pub(crate) awake: SlotSet,
+    /// Wakes for the next cycle, merged into `awake` at the top of it:
+    /// what a push or a PC load changes cannot be seen before then (a
+    /// word turns visible to a switch the cycle after its push, a PC
+    /// load applies the cycle after it at the earliest).
+    pub(crate) woken_next: SlotSet,
+    /// Switches halted with no PC load pending: out of the sweep, and
+    /// deaf to every wake, until a PC load (or a mutator) brings them
+    /// back. FIFO traffic cannot move a halted switch.
+    pub(crate) parked: SlotSet,
     /// Per slot, the first cycle the component has not recorded yet.
     /// Skipped cycles repeat the last recorded one, and are credited in
     /// bulk (`credit_tile` / `credit_switch`) right before the
@@ -242,25 +346,20 @@ impl RawMachine {
                 cache: DCache::default(),
                 mem: Vec::new(),
                 stall_until: 0,
-                csti: std::array::from_fn(|_| TsFifo::new(CSTI_CAPACITY)),
-                csto: TsFifo::new(CSTO_CAPACITY),
                 stats: TileStats::default(),
                 switch_stall_cycles: [0; NUM_STATIC_NETS],
-            })
-            .collect();
-        let link_in = (0..n)
-            .map(|_| {
-                std::array::from_fn(|_| std::array::from_fn(|_| TsFifo::new(LINK_FIFO_CAPACITY)))
             })
             .collect();
         let dyn_nets = (0..2)
             .map(|_| DynNet::new(cfg.dim, DYN_FIFO_CAPACITY, CDNI_CAPACITY))
             .collect();
+        // A processor and a switch per network at each tile, and the spare.
+        let slot_words = (n * (1 + NUM_STATIC_NETS) + 1).div_ceil(64);
         RawMachine {
             cfg,
             cycle: 0,
             tiles,
-            link_in,
+            rings: vec![Ring::default(); n * RINGS_PER_TILE],
             dyn_nets,
             devices: Vec::new(),
             device_table: vec![NO_DEVICE; n * NUM_STATIC_NETS * 4],
@@ -278,7 +377,9 @@ impl RawMachine {
             routes_fired: 0,
             dyn_moved_before: 0,
             plan: None,
-            awake: vec![true; n * (1 + NUM_STATIC_NETS) + 1],
+            awake: SlotSet(vec![!0; slot_words]),
+            woken_next: SlotSet(vec![0; slot_words]),
+            parked: SlotSet(vec![0; slot_words]),
             recorded: vec![0; n * (1 + NUM_STATIC_NETS)],
         }
     }
@@ -289,22 +390,88 @@ impl RawMachine {
         self.tiles.len() + t * NUM_STATIC_NETS + net
     }
 
+    /// The spare [`RawMachine::awake`] slot: wake edges that lead off the
+    /// chip land here, and nothing steps it.
+    #[inline]
+    pub(crate) fn spare_slot(&self) -> usize {
+        self.tiles.len() * (1 + NUM_STATIC_NETS)
+    }
+
     /// Wake the switches at tile `t` for every network whose bit is set
-    /// in `nets`.
+    /// in `nets`, this cycle.
     #[inline]
     pub(crate) fn wake_switches(&mut self, t: usize, nets: u8) {
         for net in 0..NUM_STATIC_NETS {
             if nets & (1 << net) != 0 {
                 let slot = self.switch_slot(t, net);
-                self.awake[slot] = true;
+                self.awake.insert(slot);
             }
         }
+    }
+
+    /// Step every component in `slots` that is awake and not parked, in
+    /// slot order. A wake a step raises for a later slot of the range is
+    /// honored in the same sweep, one for an earlier slot on the next
+    /// cycle: exactly when the interpreter, which steps everything in
+    /// this order, lets the change be seen. The next slot comes from a
+    /// register copy of the set, re-read after each step only to catch
+    /// such a late wake, so finding it need not wait for the step's
+    /// writes to the set.
+    #[inline(always)]
+    fn sweep(&mut self, slots: Range<usize>, cycle: u64, mut step: impl FnMut(&mut Self, usize)) {
+        let mut from = slots.start;
+        while from < slots.end {
+            let (w, base) = (from / 64, from / 64 * 64);
+            let upto = (slots.end - base).min(64);
+            let in_range = (!0u64 >> (64 - upto)) & (!0u64 << (from - base));
+            let live = |m: &Self| m.awake.0[w] & !m.parked.0[w] & in_range;
+            let mut pending = live(self);
+            while pending != 0 {
+                let slot = base + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                self.skipped(from..slot, cycle);
+                from = slot + 1;
+                step(self, slot);
+                // Slots after this one, woken by it and not yet pending.
+                let woken = live(self) & ((!0u64 << (slot - base)) << 1) & !pending;
+                if woken != 0 {
+                    pending = joined(pending, woken);
+                }
+            }
+            self.skipped(from..base + upto, cycle);
+            from = base + upto;
+        }
+    }
+
+    /// The sweep passes `slots` without stepping them: in builds with
+    /// `debug_assertions`, check each sleeper against what its step
+    /// would have done.
+    fn skipped(&mut self, slots: Range<usize>, cycle: u64) {
+        if cfg!(debug_assertions) {
+            let first_switch = self.switch_slot(0, 0);
+            for slot in slots {
+                if slot < first_switch {
+                    self.assert_sleeper_replays(slot, cycle);
+                } else {
+                    let s = slot - first_switch;
+                    self.assert_switch_may_skip(s / NUM_STATIC_NETS, s % NUM_STATIC_NETS, cycle);
+                }
+            }
+        }
+    }
+
+    /// Take a halted switch with no PC load pending out of the sweep.
+    #[inline]
+    pub(crate) fn park(&mut self, slot: usize) {
+        self.parked.insert(slot);
+        self.awake.remove(slot);
     }
 
     /// Wake every component: what a mutation the sleepers cannot observe
     /// through a FIFO calls before it changes the machine under them.
     fn wake_all(&mut self) {
-        self.awake.fill(true);
+        self.awake.0.fill(!0);
+        self.parked.0.fill(0);
     }
 
     pub fn config(&self) -> &RawConfig {
@@ -471,13 +638,24 @@ impl RawMachine {
 
     /// Diagnostic: occupancy of a static-network link input FIFO.
     pub fn link_occupancy(&self, tile: TileId, net: usize, dir: crate::geom::Dir) -> usize {
-        self.link_in[tile.index()][net][dir.index()].len()
+        let slot = ring_slot(
+            tile.index(),
+            StaticFifo::In {
+                net,
+                dir: dir.index(),
+            },
+        );
+        self.rings[slot].len()
     }
 
     /// Diagnostic: `(csto_len, csti0_len, csti1_len)` at a tile.
     pub fn proc_queue_occupancy(&self, tile: TileId) -> (usize, usize, usize) {
-        let t = &self.tiles[tile.index()];
-        (t.csto.len(), t.csti[0].len(), t.csti[1].len())
+        let len = |fifo| self.rings[ring_slot(tile.index(), fifo)].len();
+        (
+            len(StaticFifo::Csto),
+            len(StaticFifo::Csti(0)),
+            len(StaticFifo::Csti(1)),
+        )
     }
 
     /// Diagnostic: the switch PC and halted flag for `net` at a tile.
@@ -589,6 +767,18 @@ impl RawMachine {
     fn step_cycle(&mut self, plan: Option<&CompiledPlan>) -> bool {
         let cycle = self.cycle;
         let mut progress = false;
+        // The wakes queued for this cycle join the sweep; a switch parked
+        // since they were raised stays out.
+        for ((a, next), parked) in self
+            .awake
+            .0
+            .iter_mut()
+            .zip(&mut self.woken_next.0)
+            .zip(&self.parked.0)
+        {
+            *a |= *next & !parked;
+            *next = 0;
+        }
 
         // 1. Device injection at edge input FIFOs. A plan polls injecting
         // devices only; the sinks it skips statically return `None` from
@@ -601,7 +791,7 @@ impl RawMachine {
             }
             None => {
                 for i in 0..self.devices.len() {
-                    progress |= self.inject(InjectorSlot::new(i, self.device_ports[i]), cycle);
+                    progress |= self.inject(InjectorSlot::new(self, i), cycle);
                 }
             }
         }
@@ -614,9 +804,8 @@ impl RawMachine {
         progress |= sw_progress;
 
         // 4. Dynamic networks.
-        let n = self.tiles.len();
         for d in &mut self.dyn_nets {
-            d.step(cycle, &mut self.awake[..n]);
+            d.step(cycle, |t| self.awake.insert(t));
         }
         let dyn_moved: u64 = self.dyn_nets.iter().map(|d| d.words_moved).sum();
         if dyn_moved != self.dyn_moved_before {
@@ -635,13 +824,12 @@ impl RawMachine {
     /// Returns whether a word went in.
     #[inline]
     fn inject(&mut self, slot: InjectorSlot, cycle: u64) -> bool {
-        let fifo = &mut self.link_in[slot.tile as usize][slot.net as usize][slot.dir as usize];
-        if fifo.has_space() {
+        let ring = &mut self.rings[slot.ring as usize];
+        if ring.has_space() {
             if let Some(w) = self.devices[slot.device as usize].pull_in(cycle) {
-                let ok = fifo.push(w, cycle);
+                let ok = ring.push(w, cycle);
                 debug_assert!(ok);
-                let edge_switch = self.switch_slot(slot.tile as usize, slot.net as usize);
-                self.awake[edge_switch] = true;
+                self.woken_next.insert(slot.consumer as usize);
                 return true;
             }
         }
@@ -655,44 +843,9 @@ impl RawMachine {
     pub(crate) fn step_processors(&mut self, cycle: u64, sleep: bool) -> bool {
         let mut progress = false;
         let n = self.tiles.len();
-        for t in 0..n {
-            if !self.awake[t] {
-                if cfg!(debug_assertions) {
-                    self.assert_sleeper_replays(t, cycle);
-                }
-                continue;
-            }
-            if self.recorded[t] < cycle {
-                self.credit_tile(t, self.recorded[t], cycle - self.recorded[t]);
-            }
-            self.recorded[t] = cycle + 1;
-            while let Some(&(s, e)) = self.stall_windows[t].first() {
-                if cycle < s {
-                    break;
-                }
-                self.stall_windows[t].remove(0);
-                let su = &mut self.tiles[t].stall_until;
-                *su = (*su).max(e);
-            }
-            let (activity, hint, touched) = if cycle < self.tiles[t].stall_until {
-                (Activity::CacheStall, (false, false, false), 0)
-            } else {
-                self.tick_tile(t, cycle)
-            };
-            self.tiles[t].stats.record(activity);
-            self.last_activity[t] = activity;
-            self.token_hint[t] = hint.0;
-            self.arb_hint[t] = hint.1;
-            self.lookup_hint[t] = hint.2;
-            if let Some(tr) = &mut self.trace {
-                tr.record(t, cycle, activity);
-            }
-            progress |= activity == Activity::Busy;
-            self.wake_switches(t, touched);
-            if sleep && touched == 0 && self.tile_may_sleep(t, cycle, activity) {
-                self.awake[t] = false;
-            }
-        }
+        self.sweep(0..n, cycle, |m, t| {
+            progress |= m.step_processor(t, cycle, sleep)
+        });
         if let Some(sink) = self.active_sink() {
             // One lock per cycle for all tiles; programs stamp their own
             // packet events inside `tick`, outside this critical section.
@@ -706,18 +859,62 @@ impl RawMachine {
         progress
     }
 
+    /// Step tile `t`'s processor through `cycle`: whether it did work.
+    fn step_processor(&mut self, t: usize, cycle: u64, sleep: bool) -> bool {
+        if self.recorded[t] < cycle {
+            self.credit_tile(t, self.recorded[t], cycle - self.recorded[t]);
+        }
+        self.recorded[t] = cycle + 1;
+        while let Some(&(s, e)) = self.stall_windows[t].first() {
+            if cycle < s {
+                break;
+            }
+            self.stall_windows[t].remove(0);
+            let su = &mut self.tiles[t].stall_until;
+            *su = (*su).max(e);
+        }
+        let (activity, hint, (wake_now, wake_next)) = if cycle < self.tiles[t].stall_until {
+            (Activity::CacheStall, (false, false, false), (0, 0))
+        } else {
+            self.tick_tile(t, cycle)
+        };
+        self.tiles[t].stats.record(activity);
+        self.last_activity[t] = activity;
+        self.token_hint[t] = hint.0;
+        self.arb_hint[t] = hint.1;
+        self.lookup_hint[t] = hint.2;
+        if let Some(tr) = &mut self.trace {
+            tr.record(t, cycle, activity);
+        }
+        self.wake_switches(t, wake_now);
+        for net in 0..NUM_STATIC_NETS {
+            if wake_next & (1 << net) != 0 {
+                let slot = self.switch_slot(t, net);
+                self.woken_next.insert(slot);
+                if self.tiles[t].switch_state[net].pending_pc.is_some() {
+                    self.parked.remove(slot);
+                }
+            }
+        }
+        if sleep && wake_now | wake_next == 0 && self.tile_may_sleep(t, cycle, activity) {
+            self.awake.remove(t);
+        }
+        activity == Activity::Busy
+    }
+
     /// Tick tile `t`'s program once: the activity it recorded, its
-    /// `(token, arb, lookup)` hints, and the switches it touched.
-    fn tick_tile(&mut self, t: usize, cycle: u64) -> (Activity, (bool, bool, bool), u8) {
+    /// `(token, arb, lookup)` hints, and the switches it wakes this
+    /// cycle and next (see [`TileIo::wake_now`]).
+    fn tick_tile(&mut self, t: usize, cycle: u64) -> (Activity, (bool, bool, bool), (u8, u8)) {
         let Some(mut program) = self.tiles[t].program.take() else {
-            return (Activity::Idle, (false, false, false), 0);
+            return (Activity::Idle, (false, false, false), (0, 0));
         };
         let tile = &mut self.tiles[t];
+        let io_rings = ring_slot(t, StaticFifo::Csti(0))..=ring_slot(t, StaticFifo::Csto);
         let mut io = TileIo::new(
             cycle,
             TileId(t as u16),
-            &mut tile.csti,
-            &mut tile.csto,
+            (&mut self.rings[io_rings]).try_into().unwrap(),
             &mut tile.switch_state,
             &mut tile.cache,
             &mut tile.mem,
@@ -728,7 +925,7 @@ impl RawMachine {
         let outcome = (
             io.activity,
             (io.token_wait_hint, io.arb_wait_hint, io.lookup_stall_hint),
-            io.touched_switches,
+            (io.wake_now, io.wake_next),
         );
         self.tiles[t].program = Some(program);
         outcome
@@ -746,10 +943,9 @@ impl RawMachine {
             activity,
             Activity::Idle | Activity::BlockedRecv | Activity::BlockedSend
         ) && self.stall_windows[t].is_empty()
-            && !self.tiles[t]
-                .csti
-                .iter()
-                .any(|f| f.is_aging(cycle, PROC_RECV_DELAY))
+            && !(0..NUM_STATIC_NETS).any(|net| {
+                self.rings[ring_slot(t, StaticFifo::Csti(net))].is_aging(cycle, PROC_RECV_DELAY)
+            })
             && !self
                 .dyn_nets
                 .iter()
@@ -763,7 +959,7 @@ impl RawMachine {
         let recorded = (
             self.last_activity[t],
             (self.token_hint[t], self.arb_hint[t], self.lookup_hint[t]),
-            0,
+            (0, 0),
         );
         assert_eq!(
             self.tick_tile(t, cycle),
@@ -771,6 +967,56 @@ impl RawMachine {
             "tile {t} asleep since cycle {} would not repeat its last tick at cycle {cycle}",
             self.recorded[t]
         );
+    }
+
+    /// The soundness check behind switch sleep, run only in builds with
+    /// `debug_assertions` on every cycle a switch is not stepped, and
+    /// read-only over the arena: the step skipped would have changed
+    /// nothing but the stall count. Either the switch is halted with no
+    /// PC load it could apply, or every unfired group of its current
+    /// instruction is refused — for a reason time alone cannot lift,
+    /// unless its wake is already queued for the next cycle — with the
+    /// first refusal's cause the one its stalls are credited to.
+    fn assert_switch_may_skip(&self, t: usize, net: usize, cycle: u64) {
+        let slot = self.switch_slot(t, net);
+        let queued = self.woken_next.contains(slot);
+        let st = &self.tiles[t].switch_state[net];
+        let asleep = || {
+            format!(
+                "switch {net} at tile {t} asleep since cycle {}, at cycle {cycle}",
+                self.recorded[slot]
+            )
+        };
+        if st.halted {
+            assert!(
+                st.pending_pc.is_none_or(|(_, at)| at >= cycle && queued),
+                "{} would apply its PC load",
+                asleep()
+            );
+            return;
+        }
+        let routes = match self.tiles[t].switch_prog[net].instrs.get(st.pc) {
+            Some(instr) if !instr.routes.is_empty() => &instr.routes,
+            _ => panic!("{} would halt or advance", asleep()),
+        };
+        let mut first = None;
+        for gi in (0..routes.len()).filter(|&gi| st.fired & (1 << gi) == 0) {
+            let group = route_group(routes, st.fired, gi);
+            let Some(cause) = self.group_refusal(t, routes, group, cycle) else {
+                panic!("{} would fire route {gi}", asleep());
+            };
+            let timed = cause == SwitchStallCause::DeviceBackpressure
+                || self.rings[src_ring(t, routes[gi])].is_aging(cycle, 0);
+            assert!(
+                !timed || queued,
+                "{} is refused route {gi} ({cause:?}) only until time lifts it",
+                asleep()
+            );
+            first.get_or_insert(cause);
+        }
+        if self.active_sink().is_some() {
+            assert_eq!(first, Some(self.last_switch_cause[t][net]), "{}", asleep());
+        }
     }
 
     /// The telemetry state tile `t`'s last recorded cycle refines to.
@@ -846,28 +1092,23 @@ impl RawMachine {
     fn step_switches(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> (bool, bool) {
         let mut progress = false;
         let mut ctrl = false;
-        let n = self.tiles.len();
-        for t in 0..n {
-            for net in 0..NUM_STATIC_NETS {
-                let slot = self.switch_slot(t, net);
-                if !self.awake[slot] {
-                    continue;
-                }
-                if self.recorded[slot] < cycle {
-                    self.credit_switch(t, net, cycle - self.recorded[slot]);
-                }
-                self.recorded[slot] = cycle + 1;
-                let (p, c) = match plan {
-                    Some(plan) => {
-                        let cs = &plan.switches[t * NUM_STATIC_NETS + net];
-                        self.step_switch_compiled(t, net, cs, cycle)
-                    }
-                    None => self.step_switch(t, net, cycle),
-                };
-                progress |= p;
-                ctrl |= c;
+        let first = self.switch_slot(0, 0);
+        self.sweep(first..self.spare_slot(), cycle, |m, slot| {
+            let (t, net) = (
+                (slot - first) / NUM_STATIC_NETS,
+                (slot - first) % NUM_STATIC_NETS,
+            );
+            if m.recorded[slot] < cycle {
+                m.credit_switch(t, net, cycle - m.recorded[slot]);
             }
-        }
+            m.recorded[slot] = cycle + 1;
+            let (p, c) = match plan {
+                Some(plan) => m.step_switch_compiled(t, net, plan, cycle),
+                None => m.step_switch(t, net, cycle),
+            };
+            progress |= p;
+            ctrl |= c;
+        });
         (progress, ctrl)
     }
 
@@ -907,13 +1148,7 @@ impl RawMachine {
                 gi += 1;
                 continue;
             }
-            let lead = routes[gi];
-            let mut group: u32 = 0;
-            for (j, r) in routes.iter().enumerate().skip(gi) {
-                if fired & (1 << j) == 0 && r.net == lead.net && r.src == lead.src {
-                    group |= 1 << j;
-                }
-            }
+            let group = route_group(routes, fired, gi);
             match self.group_refusal(t, routes, group, cycle) {
                 None => {
                     self.fire_group(t, routes, group, cycle);
@@ -975,13 +1210,7 @@ impl RawMachine {
         cycle: u64,
     ) -> Option<SwitchStallCause> {
         let lead = routes[group.trailing_zeros() as usize];
-        let src_ok = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.has_visible(cycle, 0),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()].has_visible(cycle, 0)
-            }
-        };
+        let src_ok = self.rings[src_ring(t, lead)].has_visible(cycle, 0);
         if !src_ok {
             return Some(SwitchStallCause::FifoEmpty);
         }
@@ -992,7 +1221,7 @@ impl RawMachine {
             let r = routes[j];
             match r.dst {
                 SwPort::Proc => {
-                    if !self.tiles[t].csti[r.net].has_space() {
+                    if !self.rings[ring_slot(t, StaticFifo::Csti(r.net))].has_space() {
                         return Some(SwitchStallCause::FifoFull);
                     }
                 }
@@ -1000,7 +1229,11 @@ impl RawMachine {
                     let d = p.dir().unwrap();
                     match self.cfg.dim.neighbor(TileId(t as u16), d) {
                         Some(nb) => {
-                            if !self.link_in[nb.index()][r.net][d.opposite().index()].has_space() {
+                            let into = StaticFifo::In {
+                                net: r.net,
+                                dir: d.opposite().index(),
+                            };
+                            if !self.rings[ring_slot(nb.index(), into)].has_space() {
                                 return Some(SwitchStallCause::FifoFull);
                             }
                         }
@@ -1020,15 +1253,7 @@ impl RawMachine {
 
     fn fire_group(&mut self, t: usize, routes: &[Route], group: u32, cycle: u64) {
         let lead = routes[group.trailing_zeros() as usize];
-        let word = match lead.src {
-            SwPort::Proc => self.tiles[t].csto.pop_visible(cycle, 0).unwrap(),
-            p => {
-                let d = p.dir().unwrap();
-                self.link_in[t][lead.net][d.index()]
-                    .pop_visible(cycle, 0)
-                    .unwrap()
-            }
-        };
+        let word = self.rings[src_ring(t, lead)].pop_visible(cycle, 0).unwrap();
         let mut bits = group;
         while bits != 0 {
             let j = bits.trailing_zeros() as usize;
@@ -1036,15 +1261,18 @@ impl RawMachine {
             let r = routes[j];
             match r.dst {
                 SwPort::Proc => {
-                    let ok = self.tiles[t].csti[r.net].push(word, cycle);
+                    let ok = self.rings[ring_slot(t, StaticFifo::Csti(r.net))].push(word, cycle);
                     debug_assert!(ok);
                 }
                 p => {
                     let d = p.dir().unwrap();
                     match self.cfg.dim.neighbor(TileId(t as u16), d) {
                         Some(nb) => {
-                            let ok = self.link_in[nb.index()][r.net][d.opposite().index()]
-                                .push(word, cycle);
+                            let into = StaticFifo::In {
+                                net: r.net,
+                                dir: d.opposite().index(),
+                            };
+                            let ok = self.rings[ring_slot(nb.index(), into)].push(word, cycle);
                             debug_assert!(ok);
                         }
                         None => match self.device_at(t, r.net, d.index()) {
@@ -1108,16 +1336,18 @@ impl RawMachine {
                         }
                     }
                 }
-                if let Some(ts) = tile.csti[net].front_ts() {
-                    if consider(ts + PROC_RECV_DELAY + 1) {
+            }
+            // Each ring's front word turns visible to its consumer on
+            // cycle `enqueue + delay + 1`: the processor reads `$csti` one
+            // pipeline stage later than a switch reads its inputs.
+            let fronts = (0..NUM_STATIC_NETS)
+                .flat_map(|net| (0..4).map(move |dir| (StaticFifo::In { net, dir }, 0)))
+                .chain((0..NUM_STATIC_NETS).map(|net| (StaticFifo::Csti(net), PROC_RECV_DELAY)))
+                .chain([(StaticFifo::Csto, 0)]);
+            for (fifo, delay) in fronts {
+                if let Some(ts) = self.rings[ring_slot(t, fifo)].front_ts() {
+                    if consider(ts + delay + 1) {
                         return Some(now);
-                    }
-                }
-                for d in 0..4 {
-                    if let Some(ts) = self.link_in[t][net][d].front_ts() {
-                        if consider(ts + 1) {
-                            return Some(now);
-                        }
                     }
                 }
             }
@@ -1128,11 +1358,6 @@ impl RawMachine {
             // or blocked cycles become CacheStall); never skip past it.
             if let Some(&(s, _)) = self.stall_windows[t].first() {
                 if consider(s.max(now)) {
-                    return Some(now);
-                }
-            }
-            if let Some(ts) = tile.csto.front_ts() {
-                if consider(ts + 1) {
                     return Some(now);
                 }
             }
@@ -1149,7 +1374,11 @@ impl RawMachine {
             // Injection only matters while the edge FIFO has space; space
             // cannot appear without routing progress, which is itself an
             // event.
-            if self.link_in[port.tile.index()][port.net][port.dir.index()].has_space() {
+            let edge = StaticFifo::In {
+                net: port.net,
+                dir: port.dir.index(),
+            };
+            if self.rings[ring_slot(port.tile.index(), edge)].has_space() {
                 if let Some(v) = dev.next_inject_event(now) {
                     if consider(v.max(now)) {
                         return Some(now);

@@ -27,7 +27,7 @@ use std::any::Any;
 
 use crate::cache::{Access, DCache};
 use crate::dynamic::DynNet;
-use crate::fifo::TsFifo;
+use crate::fifo::Ring;
 use crate::geom::TileId;
 use crate::machine::{LOCAL_MEM_WORDS, PROC_RECV_DELAY};
 use crate::switch::{NetId, SwitchState, NUM_STATIC_NETS};
@@ -90,8 +90,9 @@ impl TileProgram for IdleProgram {
 pub struct TileIo<'a> {
     pub cycle: u64,
     pub tile: TileId,
-    pub(crate) csti: &'a mut [TsFifo; NUM_STATIC_NETS],
-    pub(crate) csto: &'a mut TsFifo,
+    /// The tile's slice of the machine's ring arena: `$csti` per network,
+    /// then `$csto` (at [`CSTO`]).
+    pub(crate) rings: &'a mut [Ring; NUM_STATIC_NETS + 1],
     pub(crate) switch: &'a mut [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: &'a mut DCache,
     /// Local memory; lazily grows in chunks up to [`LOCAL_MEM_WORDS`]
@@ -110,24 +111,30 @@ pub struct TileIo<'a> {
     /// forwarding-table memory (a modeled level-2 fetch or an injected
     /// miss walk), not ordinary computation.
     pub(crate) lookup_stall_hint: bool,
-    /// Static networks whose switch this tick's retiring actions touched
-    /// (bit `net`): a `$csti` pop or a PC load concerns that network's
-    /// switch, a `$csto` push both. The machine wakes exactly those.
-    pub(crate) touched_switches: u8,
+    /// Static networks whose switch this tick's retiring actions wake
+    /// (bit `net`) on this cycle: a `$csti` pop frees that network's
+    /// switch space it can use at once.
+    pub(crate) wake_now: u8,
+    /// ... and on the next cycle, when the switch can first see what
+    /// changed: a `$csto` push (both networks; the word turns visible
+    /// then) or a PC load (it applies then at the earliest).
+    pub(crate) wake_next: u8,
     acted: bool,
 }
 
-/// [`TileIo::touched_switches`] after a `$csto` push: both networks'
-/// switches read the shared FIFO.
+/// [`TileIo::wake_next`] after a `$csto` push: both networks' switches
+/// read the shared FIFO.
 pub(crate) const BOTH_SWITCHES: u8 = (1 << NUM_STATIC_NETS) - 1;
+
+/// `$csto`'s place in [`TileIo::rings`], after each network's `$csti`.
+const CSTO: usize = NUM_STATIC_NETS;
 
 impl<'a> TileIo<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cycle: u64,
         tile: TileId,
-        csti: &'a mut [TsFifo; NUM_STATIC_NETS],
-        csto: &'a mut TsFifo,
+        rings: &'a mut [Ring; NUM_STATIC_NETS + 1],
         switch: &'a mut [SwitchState; NUM_STATIC_NETS],
         cache: &'a mut DCache,
         mem: &'a mut Vec<u32>,
@@ -137,8 +144,7 @@ impl<'a> TileIo<'a> {
         TileIo {
             cycle,
             tile,
-            csti,
-            csto,
+            rings,
             switch,
             cache,
             mem,
@@ -148,7 +154,8 @@ impl<'a> TileIo<'a> {
             token_wait_hint: false,
             arb_wait_hint: false,
             lookup_stall_hint: false,
-            touched_switches: 0,
+            wake_now: 0,
+            wake_next: 0,
             acted: false,
         }
     }
@@ -167,12 +174,12 @@ impl<'a> TileIo<'a> {
 
     /// True if a static-network word is readable this cycle on `net`.
     pub fn can_recv_static(&self, net: NetId) -> bool {
-        self.csti[net].has_visible(self.cycle, PROC_RECV_DELAY)
+        self.rings[net].has_visible(self.cycle, PROC_RECV_DELAY)
     }
 
     /// True if `$csto` can take another word.
     pub fn can_send_static(&self) -> bool {
-        self.csto.has_space()
+        self.rings[CSTO].has_space()
     }
 
     /// True if the switch processor for static network `net` is halted at
@@ -210,10 +217,10 @@ impl<'a> TileIo<'a> {
     /// `None` means the pipeline stalled on an empty network register.
     pub fn recv_static(&mut self, net: NetId) -> Option<u32> {
         self.begin_action();
-        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
+        match self.rings[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 self.activity = Activity::Busy;
-                self.touched_switches |= 1 << net;
+                self.wake_now |= 1 << net;
                 Some(w)
             }
             None => {
@@ -228,9 +235,9 @@ impl<'a> TileIo<'a> {
     #[must_use]
     pub fn send_static(&mut self, word: u32) -> bool {
         self.begin_action();
-        if self.csto.push(word, self.cycle) {
+        if self.rings[CSTO].push(word, self.cycle) {
             self.activity = Activity::Busy;
-            self.touched_switches = BOTH_SWITCHES;
+            self.wake_next = BOTH_SWITCHES;
             true
         } else {
             self.activity = Activity::BlockedSend;
@@ -297,17 +304,17 @@ impl<'a> TileIo<'a> {
     #[must_use]
     pub fn load_send(&mut self, word_addr: u32) -> bool {
         self.begin_action();
-        if !self.csto.has_space() {
+        if !self.rings[CSTO].has_space() {
             self.activity = Activity::BlockedSend;
             return false;
         }
         match self.cache.access(word_addr, false) {
             Access::Hit => {
                 let w = *self.mem_slot(word_addr);
-                let pushed = self.csto.push(w, self.cycle);
+                let pushed = self.rings[CSTO].push(w, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
-                self.touched_switches = BOTH_SWITCHES;
+                self.wake_next = BOTH_SWITCHES;
                 true
             }
             Access::Miss { latency } => {
@@ -324,17 +331,18 @@ impl<'a> TileIo<'a> {
     /// paper's computation-in-the-switch-fabric proposal (§8.3).
     pub fn recv_op_send(&mut self, net: NetId, f: impl FnOnce(u32) -> u32) -> Option<u32> {
         self.begin_action();
-        if !self.csto.has_space() {
+        if !self.rings[CSTO].has_space() {
             self.activity = Activity::BlockedSend;
             return None;
         }
-        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
+        match self.rings[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
                 let out = f(w);
-                let pushed = self.csto.push(out, self.cycle);
+                let pushed = self.rings[CSTO].push(out, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
-                self.touched_switches = BOTH_SWITCHES;
+                self.wake_now |= 1 << net;
+                self.wake_next = BOTH_SWITCHES;
                 Some(w)
             }
             None => {
@@ -348,16 +356,17 @@ impl<'a> TileIo<'a> {
     /// `net` straight back out through `$csto` in one cycle.
     pub fn recv_send(&mut self, net: NetId) -> Option<u32> {
         self.begin_action();
-        if !self.csto.has_space() {
+        if !self.rings[CSTO].has_space() {
             self.activity = Activity::BlockedSend;
             return None;
         }
-        match self.csti[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
+        match self.rings[net].pop_visible(self.cycle, PROC_RECV_DELAY) {
             Some(w) => {
-                let pushed = self.csto.push(w, self.cycle);
+                let pushed = self.rings[CSTO].push(w, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
-                self.touched_switches = BOTH_SWITCHES;
+                self.wake_now |= 1 << net;
+                self.wake_next = BOTH_SWITCHES;
                 Some(w)
             }
             None => {
@@ -372,7 +381,7 @@ impl<'a> TileIo<'a> {
     pub fn set_switch_pc(&mut self, net: NetId, pc: usize) {
         self.begin_action();
         self.activity = Activity::Busy;
-        self.touched_switches |= 1 << net;
+        self.wake_next |= 1 << net;
         self.switch[net].load_pc(pc, self.cycle);
     }
 

@@ -118,7 +118,7 @@ fn build_machine(seed: u64, engine: EngineMode) -> RawMachine {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// compiled == per-cycle on arbitrary schedules.
     #[test]

@@ -71,7 +71,7 @@ proptest! {
                     to_send.pop_front();
                 }
             }
-            net.step(cycle, &mut [false; 16]);
+            net.step(cycle, |_| {});
             cycle += 1;
             while let Some(w) = net.recv(TileId(dst), cycle, 0) {
                 got.push(w);
