@@ -312,9 +312,9 @@ fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>
             if let Some((_, table)) = built.iter().find(|(routes, _)| *routes == spec.routes) {
                 return Arc::clone(table);
             }
-            // Compact 16-bit DIR split: canonical 2^24-slot level-1
-            // arrays would dwarf the simulation itself, and the fabric
-            // routers run the Patricia engine.
+            // Compact 16-bit DIR split: a canonical 2^24-slot level 1
+            // reserves 64 MiB per table, and the fabric routers run the
+            // Patricia engine.
             let table = Arc::new(raw_lookup::ForwardingTable::build_with_l1_bits(
                 &spec.routes,
                 16,

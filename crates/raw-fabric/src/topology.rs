@@ -538,8 +538,7 @@ mod tests {
     use raw_lookup::{Engine, ForwardingTable};
 
     /// Build every router's table once, with the compact DIR split —
-    /// the canonical 2^24-slot level-1 array is far too heavy to build
-    /// per router inside the per-pair loops below.
+    /// the canonical 2^24-slot level 1 reserves 64 MiB per router.
     fn build_tables(plan: &TopologyPlan) -> Vec<ForwardingTable> {
         plan.routers
             .iter()

@@ -82,7 +82,7 @@ fn cfg(topology: Topology, spray: SprayMode, epoch_cycles: u64) -> FabricConfig 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The tentpole differential: sharded == reference, bit for bit,
     /// across topology x shard count x spray policy x epoch length x

@@ -10,6 +10,9 @@
 //! covering aggregate. Next-hop popularity is Zipf: a core FIB resolves
 //! hundreds of thousands of routes onto a handful of peers.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use raw_lookup::{mask, RouteEntry};
@@ -48,6 +51,34 @@ const LEN_WEIGHTS: [(u8, u32); 25] = [
     (31, 50),
     (32, 50),
 ];
+
+/// Hasher for [`synthesize`]'s set of drawn `(prefix, len)` keys, each
+/// packed into one `u64`: a 64×64→128-bit multiply folded to 64 bits,
+/// so every key bit reaches the low bits that pick a bucket. The set is
+/// only ever asked "seen before?", so the hasher changes the speed of
+/// synthesis, never the draw sequence or the output.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("KeyHasher hashes one u64 key")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let m = (key as u128) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `(prefix, len)` route key as one integer.
+fn route_key(prefix: u32, len: u8) -> u64 {
+    ((prefix as u64) << 8) | len as u64
+}
 
 /// Configuration of one synthesized FIB. Everything is a function of
 /// this struct: the same config yields the identical route set.
@@ -105,8 +136,9 @@ pub fn synthesize(cfg: &FibConfig) -> Vec<RouteEntry> {
     let mut out = Vec::with_capacity(cfg.prefixes);
     let default_hop = draw_hop(&mut rng);
     out.push(RouteEntry::new(0, 0, default_hop));
-    let mut seen = std::collections::HashSet::with_capacity(cfg.prefixes);
-    seen.insert((0u32, 0u8));
+    let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> =
+        HashSet::with_capacity_and_hasher(cfg.prefixes, Default::default());
+    seen.insert(route_key(0, 0));
 
     let total_w: u32 = LEN_WEIGHTS.iter().map(|&(_, w)| w).sum();
     let min_len = cfg.confine.map_or(8, |(_, blen)| blen.max(8));
@@ -146,7 +178,7 @@ pub fn synthesize(cfg: &FibConfig) -> Vec<RouteEntry> {
             Some((base, blen)) => base | (prefix & !mask(u32::MAX, blen)),
             None => prefix,
         };
-        if seen.insert((prefix, len)) {
+        if seen.insert(route_key(prefix, len)) {
             out.push(RouteEntry::new(prefix, len, draw_hop(&mut rng)));
         }
     }

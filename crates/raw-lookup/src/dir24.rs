@@ -9,16 +9,22 @@
 //! (a second access). This trades memory for a constant two-access worst
 //! case — exactly the trade a wire-speed Lookup Processor wants.
 //!
+//! The /0 default route is kept out of band: an empty level-1 slot or
+//! level-2 entry answers it, with the access count a filled one would
+//! have, so a table pays only for the slots its other routes cover. The
+//! level-1 array is allocated zeroed (all empty), and pages no route
+//! reaches are never written.
+//!
 //! The level split is parameterizable ([`DirTable::with_bits`]) so tests
 //! can exercise the identical algorithm without allocating the full
 //! 2^24-entry array; [`Dir24_8`] is the canonical 24/8 instance.
 
-use crate::patricia::{mask, RouteEntry};
+use crate::patricia::{canonical, is_canonical, RouteEntry};
 
 /// Packed first-level entry: `[31:30]` kind (0 empty, 1 hop, 2 pointer),
 /// `[29:24]` owning prefix length, `[23:0]` value (next hop or block
-/// index).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// index). All-zero is empty.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct L1(u32);
 
 const KIND_EMPTY: u32 = 0;
@@ -56,8 +62,12 @@ struct L2 {
 /// managed by the network processor, §2.2.1).
 pub struct DirTable {
     l1_bits: u8,
-    l1: Vec<L1>,
+    /// [`L1`] entries as plain `u32`s, so `vec![0; n]` allocates them
+    /// zeroed.
+    l1: Vec<u32>,
     l2: Vec<Vec<L2>>,
+    /// The /0 route's next hop: what an empty slot answers.
+    default: Option<u32>,
     routes: usize,
 }
 
@@ -72,38 +82,31 @@ impl DirTable {
 
     /// Build with a `l1_bits`-bit first level (16..=24). Prefixes no
     /// longer than `l1_bits` live in level 1; longer ones chain to
-    /// level-2 blocks of `2^(32 - l1_bits)` slots, one per address.
+    /// level-2 blocks of `2^(32 - l1_bits)` slots, one per address. Of
+    /// repeated prefixes the last wins (see [`canonical`]).
     pub fn with_bits(routes: &[RouteEntry], l1_bits: u8) -> DirTable {
+        DirTable::from_canonical(&canonical(routes), l1_bits)
+    }
+
+    /// Build from a [`canonical`] route list. Every covering prefix
+    /// comes before the prefixes it covers, and a slot is only
+    /// overwritten by a route at least as long as its owner, so every
+    /// slot ends up owned by its longest covering route.
+    pub(crate) fn from_canonical(routes: &[RouteEntry], l1_bits: u8) -> DirTable {
         assert!(
             (16..=24).contains(&l1_bits),
             "level-2 blocks index all remaining bits"
         );
+        debug_assert!(is_canonical(routes));
         let mut t = DirTable {
             l1_bits,
-            l1: vec![L1::default(); 1usize << l1_bits],
+            l1: vec![0; 1usize << l1_bits],
             l2: Vec::new(),
+            default: None,
             routes: 0,
         };
-        // Deduplicate exact prefixes: the last occurrence in input order
-        // wins, matching PatriciaTable::insert replacement semantics.
-        // Indexed by a map so BGP-scale builds (~1M routes) stay linear.
-        let mut chosen: Vec<RouteEntry> = Vec::with_capacity(routes.len());
-        let mut index: std::collections::HashMap<(u32, u8), usize> =
-            std::collections::HashMap::with_capacity(routes.len());
         for r in routes {
-            let key = (mask(r.prefix, r.len), r.len);
-            match index.get(&key) {
-                Some(&i) => chosen[i].next_hop = r.next_hop,
-                None => {
-                    index.insert(key, chosen.len());
-                    chosen.push(RouteEntry::new(r.prefix, r.len, r.next_hop));
-                }
-            }
-        }
-        // Insert short prefixes first so longer ones overwrite (stable).
-        chosen.sort_by_key(|r| r.len);
-        for r in chosen {
-            t.insert(r);
+            t.insert(*r);
         }
         t
     }
@@ -115,11 +118,13 @@ impl DirTable {
     fn insert(&mut self, r: RouteEntry) {
         self.routes += 1;
         let l1_bits = self.l1_bits;
-        if r.len <= l1_bits {
-            let start = (mask(r.prefix, r.len) >> (32 - l1_bits as u32)) as usize;
+        if r.len == 0 {
+            self.default = Some(r.next_hop);
+        } else if r.len <= l1_bits {
+            let start = (r.prefix >> (32 - l1_bits as u32)) as usize;
             let count = 1usize << (l1_bits - r.len) as usize;
             for i in start..start + count {
-                let slot = self.l1[i];
+                let slot = L1(self.l1[i]);
                 match slot.kind() {
                     KIND_PTR => {
                         let blk = &mut self.l2[slot.value() as usize];
@@ -135,28 +140,29 @@ impl DirTable {
                     }
                     KIND_HOP if slot.plen() > r.len => {}
                     _ => {
-                        self.l1[i] = L1::new(KIND_HOP, r.len, r.next_hop);
+                        self.l1[i] = L1::new(KIND_HOP, r.len, r.next_hop).0;
                     }
                 }
             }
         } else {
             let idx = (r.prefix >> (32 - l1_bits as u32)) as usize;
             let blk_len = self.l2_block_len();
-            let blk_idx = match self.l1[idx].kind() {
-                KIND_PTR => self.l1[idx].value() as usize,
+            let slot = L1(self.l1[idx]);
+            let blk_idx = match slot.kind() {
+                KIND_PTR => slot.value() as usize,
                 old_kind => {
                     let seed = if old_kind == KIND_HOP {
                         L2 {
-                            plen: self.l1[idx].plen(),
+                            plen: slot.plen(),
                             kind: 1,
-                            hop: self.l1[idx].value(),
+                            hop: slot.value(),
                         }
                     } else {
                         L2::default()
                     };
                     self.l2.push(vec![seed; blk_len]);
                     let bi = self.l2.len() - 1;
-                    self.l1[idx] = L1::new(KIND_PTR, 0, bi as u32);
+                    self.l1[idx] = L1::new(KIND_PTR, 0, bi as u32).0;
                     bi
                 }
             };
@@ -180,9 +186,9 @@ impl DirTable {
 
     /// Lookup: next hop plus the number of memory accesses (1 or 2).
     pub fn lookup_traced(&self, addr: u32) -> (Option<u32>, u32) {
-        let e = self.l1[(addr >> (32 - self.l1_bits as u32)) as usize];
+        let e = L1(self.l1[(addr >> (32 - self.l1_bits as u32)) as usize]);
         match e.kind() {
-            KIND_EMPTY => (None, 1),
+            KIND_EMPTY => (self.default, 1),
             KIND_HOP => (Some(e.value()), 1),
             _ => {
                 let slot = (addr & (u32::MAX >> self.l1_bits)) as usize;
@@ -190,7 +196,7 @@ impl DirTable {
                 if l2.kind == 1 {
                     (Some(l2.hop), 2)
                 } else {
-                    (None, 2)
+                    (self.default, 2)
                 }
             }
         }
@@ -212,7 +218,7 @@ impl DirTable {
     /// at construction). Asserted against a counting allocator in
     /// `tests/memory_accounting.rs`.
     pub fn memory_bytes(&self) -> usize {
-        self.l1.capacity() * std::mem::size_of::<L1>()
+        self.l1.capacity() * std::mem::size_of::<u32>()
             + self.l2.capacity() * std::mem::size_of::<Vec<L2>>()
             + self
                 .l2
@@ -318,6 +324,20 @@ mod tests {
     fn later_duplicate_wins() {
         let t = DirTable::build(&[e(0x0a000000, 8, 1), e(0x0a000000, 8, 2)]);
         assert_eq!(t.lookup(0x0a000001), Some(2));
+    }
+
+    /// The benchmark's port table, `10.<p>.0.0/16 -> p` and a /0, writes
+    /// the level-1 slots of its four /16s and no others (every write is
+    /// non-zero, so the non-zero slots are the written ones).
+    #[test]
+    fn port_table_writes_only_its_own_slots() {
+        let mut routes: Vec<_> = (0..4).map(|p| e(0x0a00_0000 | (p << 16), 16, p)).collect();
+        routes.push(e(0, 0, 0));
+        let t = DirTable::build(&routes);
+        let written = t.l1.iter().filter(|&&s| s != 0).count();
+        assert!(written <= 4 * 256, "{written} level-1 slots written");
+        assert_eq!(t.lookup_traced(0x0a02_0304), (Some(2), 1));
+        assert_eq!(t.lookup_traced(0x0b00_0000), (Some(0), 1));
     }
 
     #[test]

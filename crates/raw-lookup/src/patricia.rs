@@ -36,16 +36,52 @@ impl RouteEntry {
 /// Longest-prefix match by linear scan over a plain route slice: the
 /// executable *specification* of LPM that every engine in this crate
 /// (and the fabric-level static verifier in raw-verify) is measured
-/// against. Ties between entries of equal length and equal prefix
-/// resolve to the first entry, matching the table builders' semantics.
+/// against. Of two entries with equal length and equal prefix the
+/// *last* wins, as in [`PatriciaTable::insert`] (a replace) and every
+/// table built from a route list ([`canonical`]).
 pub fn reference_lpm(routes: &[RouteEntry], addr: u32) -> Option<u32> {
     let mut best: Option<&RouteEntry> = None;
     for r in routes {
-        if r.matches(addr) && best.is_none_or(|b| r.len > b.len) {
+        if r.matches(addr) && best.is_none_or(|b| r.len >= b.len) {
             best = Some(r);
         }
     }
     best.map(|r| r.next_hop)
+}
+
+/// The canonical form of a route list, which both engines of a
+/// [`ForwardingTable`](crate::ForwardingTable) are built from: prefixes
+/// masked, sorted by `(prefix, len)`, one entry per `(prefix, len)` —
+/// the last of any repeats, so a list means what inserting it in order
+/// means. In this order every covering prefix comes before every prefix
+/// it covers: a preorder walk of the trie.
+pub fn canonical(routes: &[RouteEntry]) -> Vec<RouteEntry> {
+    let mut sorted: Vec<RouteEntry> = routes
+        .iter()
+        .map(|r| RouteEntry::new(r.prefix, r.len, r.next_hop))
+        .collect();
+    // Stable: repeats keep their input order, so the last one is last.
+    sorted.sort_by_key(key);
+    let mut out: Vec<RouteEntry> = Vec::with_capacity(sorted.len());
+    for r in sorted {
+        match out.last_mut() {
+            Some(last) if key(last) == key(&r) => *last = r,
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
+/// The sort key of [`canonical`]: `(prefix, len)` in one integer.
+#[inline]
+fn key(r: &RouteEntry) -> u64 {
+    ((r.prefix as u64) << 8) | r.len as u64
+}
+
+/// True if `routes` is already in [`canonical`] form.
+pub(crate) fn is_canonical(routes: &[RouteEntry]) -> bool {
+    routes.iter().all(|r| r.prefix == mask(r.prefix, r.len))
+        && routes.windows(2).all(|w| key(&w[0]) < key(&w[1]))
 }
 
 /// Zero out host bits beyond `len`.
@@ -59,10 +95,16 @@ pub fn mask(addr: u32, len: u8) -> u32 {
 }
 
 #[inline]
-fn bit(addr: u32, pos: u8) -> bool {
+fn bit(addr: u32, pos: u8) -> usize {
     debug_assert!(pos < 32);
-    (addr >> (31 - pos)) & 1 == 1
+    ((addr >> (31 - pos)) & 1) as usize
 }
+
+/// Index of a node in `PatriciaTable::nodes`. The root is node 0 and
+/// never anyone's child, so a child index of [`NONE`] means no child.
+type NodeId = u32;
+const ROOT: NodeId = 0;
+const NONE: NodeId = 0;
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -72,24 +114,30 @@ struct Node {
     /// Route terminating exactly here, if any.
     route: Option<u32>,
     /// Children keyed by the bit at position `plen`.
-    children: [Option<Box<Node>>; 2],
+    children: [NodeId; 2],
 }
 
 impl Node {
-    fn new(prefix: u32, plen: u8) -> Node {
+    fn new(prefix: u32, plen: u8, route: Option<u32>) -> Node {
         Node {
             prefix: mask(prefix, plen),
             plen,
-            route: None,
-            children: [None, None],
+            route,
+            children: [NONE; 2],
         }
+    }
+
+    /// Does this node's prefix cover the prefix `prefix/len`?
+    fn covers(&self, prefix: u32, len: u8) -> bool {
+        self.plen <= len && mask(prefix, self.plen) == self.prefix
     }
 }
 
-/// Longest-prefix-match routing table as a Patricia trie.
+/// Longest-prefix-match routing table as a Patricia trie. Its nodes live
+/// in one arena and name their children by index.
 #[derive(Clone, Debug)]
 pub struct PatriciaTable {
-    root: Node,
+    nodes: Vec<Node>,
     len: usize,
 }
 
@@ -107,9 +155,88 @@ fn common_prefix_len(a: u32, b: u32, max: u8) -> u8 {
 impl PatriciaTable {
     pub fn new() -> PatriciaTable {
         PatriciaTable {
-            root: Node::new(0, 0),
+            nodes: vec![Node::new(0, 0, None)],
             len: 0,
         }
+    }
+
+    /// The table that inserting `routes` in order builds, built in one
+    /// pass over their [`canonical`] form.
+    pub fn from_routes(routes: &[RouteEntry]) -> PatriciaTable {
+        PatriciaTable::from_canonical(&canonical(routes))
+    }
+
+    /// Build from a [`canonical`] route list. A path-compressed trie is
+    /// unique for its key set, so this is the trie repeated
+    /// [`insert`](Self::insert)s build, node for node. The list is a
+    /// preorder walk: `path` holds the nodes from the root to the last
+    /// one placed; each route pops back to its deepest ancestor there,
+    /// then either hangs below it or splits the edge to the subtree
+    /// already in that slot, which cannot cover it (that subtree would
+    /// be on the path).
+    pub(crate) fn from_canonical(routes: &[RouteEntry]) -> PatriciaTable {
+        debug_assert!(is_canonical(routes));
+        let mut t = PatriciaTable::new();
+        // Each route adds at most a leaf and the split above it.
+        t.nodes.reserve_exact(2 * routes.len());
+        let mut path: Vec<NodeId> = vec![ROOT];
+        for r in routes {
+            while !t.nodes[*path.last().unwrap() as usize].covers(r.prefix, r.len) {
+                path.pop();
+            }
+            let parent = *path.last().unwrap();
+            t.len += 1;
+            let p = &t.nodes[parent as usize];
+            if p.plen == r.len {
+                // Only the root: a canonical list has one route per key,
+                // and a split node sits below every route it covers.
+                debug_assert!(parent == ROOT && p.route.is_none());
+                t.nodes[parent as usize].route = Some(r.next_hop);
+                continue;
+            }
+            let top = t.hang(parent, bit(r.prefix, p.plen), r.prefix, r.len, r.next_hop);
+            path.push(top);
+            let top = &t.nodes[top as usize];
+            if top.plen < r.len {
+                path.push(top.children[bit(r.prefix, top.plen)]);
+            }
+        }
+        t
+    }
+
+    fn push(&mut self, node: Node) -> NodeId {
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as NodeId
+    }
+
+    /// Hang the route `prefix/len` in child slot `b` of `parent`, whose
+    /// subtree, if any, does not cover it: as a leaf, or below a new
+    /// split node at the common prefix of the two. Returns the topmost
+    /// new node.
+    fn hang(&mut self, parent: NodeId, b: usize, prefix: u32, len: u8, hop: u32) -> NodeId {
+        let old = self.nodes[parent as usize].children[b];
+        let top = if old == NONE {
+            self.push(Node::new(prefix, len, Some(hop)))
+        } else {
+            let o = &self.nodes[old as usize];
+            let cpl = common_prefix_len(prefix, o.prefix, len.min(o.plen));
+            debug_assert!(cpl < o.plen, "the subtree in the slot covers the route");
+            let ob = bit(o.prefix, cpl);
+            let split = self.push(Node::new(prefix, cpl, None));
+            self.nodes[split as usize].children[ob] = old;
+            if cpl == len {
+                // Our prefix ends at the split point.
+                self.nodes[split as usize].route = Some(hop);
+            } else {
+                let nb = bit(prefix, cpl);
+                debug_assert_ne!(nb, ob, "split bit must differ");
+                let leaf = self.push(Node::new(prefix, len, Some(hop)));
+                self.nodes[split as usize].children[nb] = leaf;
+            }
+            split
+        };
+        self.nodes[parent as usize].children[b] = top;
+        top
     }
 
     /// Number of routes stored.
@@ -124,61 +251,28 @@ impl PatriciaTable {
     /// Insert or replace a route. Returns the previous next hop if the
     /// exact prefix was already present.
     pub fn insert(&mut self, entry: RouteEntry) -> Option<u32> {
-        let RouteEntry {
-            prefix,
-            len,
-            next_hop,
-        } = entry;
-        let mut node: &mut Node = &mut self.root;
+        let len = entry.len;
+        let prefix = mask(entry.prefix, len);
+        let mut n = ROOT;
         loop {
-            debug_assert!(
-                len >= node.plen || common_prefix_len(prefix, node.prefix, len) >= node.plen
-            );
-            if node.plen == len && node.prefix == mask(prefix, len) {
-                let old = node.route.replace(next_hop);
+            let node = &self.nodes[n as usize];
+            debug_assert!(node.covers(prefix, len));
+            if node.plen == len {
+                let old = self.nodes[n as usize].route.replace(entry.next_hop);
                 if old.is_none() {
                     self.len += 1;
                 }
                 return old;
             }
-            let b = bit(prefix, node.plen) as usize;
-            match &mut node.children[b] {
-                slot @ None => {
-                    let mut leaf = Node::new(prefix, len);
-                    leaf.route = Some(next_hop);
-                    *slot = Some(Box::new(leaf));
-                    self.len += 1;
-                    return None;
-                }
-                Some(child) => {
-                    let cpl = common_prefix_len(prefix, child.prefix, len.min(child.plen));
-                    if cpl >= child.plen {
-                        // Descend: the child's prefix covers ours so far.
-                        node = node.children[b].as_mut().unwrap();
-                        continue;
-                    }
-                    // Split the edge at cpl: new internal node.
-                    let old_child = node.children[b].take().unwrap();
-                    let mut split = Node::new(prefix, cpl);
-                    let ob = bit(old_child.prefix, cpl) as usize;
-                    split.children[ob] = Some(old_child);
-                    if cpl == len {
-                        // Our prefix ends at the split point.
-                        split.route = Some(next_hop);
-                        self.len += 1;
-                        node.children[b] = Some(Box::new(split));
-                        return None;
-                    }
-                    let nb = bit(prefix, cpl) as usize;
-                    debug_assert_ne!(nb, ob, "split bit must differ");
-                    let mut leaf = Node::new(prefix, len);
-                    leaf.route = Some(next_hop);
-                    split.children[nb] = Some(Box::new(leaf));
-                    node.children[b] = Some(Box::new(split));
-                    self.len += 1;
-                    return None;
-                }
+            let b = bit(prefix, node.plen);
+            let c = node.children[b];
+            if c != NONE && self.nodes[c as usize].covers(prefix, len) {
+                n = c;
+                continue;
             }
+            self.hang(n, b, prefix, len, entry.next_hop);
+            self.len += 1;
+            return None;
         }
     }
 
@@ -187,7 +281,7 @@ impl PatriciaTable {
     /// (the Lookup Processor's memory-access count).
     pub fn lookup_traced(&self, addr: u32) -> (Option<u32>, u32) {
         let mut best = None;
-        let mut node = &self.root;
+        let mut node = &self.nodes[ROOT as usize];
         let mut visited = 0u32;
         loop {
             visited += 1;
@@ -200,9 +294,9 @@ impl PatriciaTable {
             if node.plen >= 32 {
                 break;
             }
-            match &node.children[bit(addr, node.plen) as usize] {
-                Some(c) => node = c,
-                None => break,
+            match node.children[bit(addr, node.plen)] {
+                NONE => break,
+                c => node = &self.nodes[c as usize],
             }
         }
         (best, visited)
@@ -218,10 +312,11 @@ impl PatriciaTable {
     /// remain correct and insertion reuses the nodes.)
     pub fn remove(&mut self, prefix: u32, len: u8) -> Option<u32> {
         let prefix = mask(prefix, len);
-        let mut node: &mut Node = &mut self.root;
+        let mut n = ROOT;
         loop {
+            let node = &self.nodes[n as usize];
             if node.plen == len && node.prefix == prefix {
-                let old = node.route.take();
+                let old = self.nodes[n as usize].route.take();
                 if old.is_some() {
                     self.len -= 1;
                 }
@@ -230,11 +325,8 @@ impl PatriciaTable {
             if node.plen >= len {
                 return None;
             }
-            let b = bit(prefix, node.plen) as usize;
-            match &mut node.children[b] {
-                Some(c) if common_prefix_len(prefix, c.prefix, len.min(c.plen)) >= c.plen => {
-                    node = node.children[b].as_mut().unwrap();
-                }
+            match node.children[bit(prefix, node.plen)] {
+                c if c != NONE && self.nodes[c as usize].covers(prefix, len) => n = c,
                 _ => return None,
             }
         }
@@ -243,8 +335,9 @@ impl PatriciaTable {
     /// Iterate all stored routes (order unspecified but deterministic).
     pub fn iter(&self) -> Vec<RouteEntry> {
         let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![&self.root];
+        let mut stack = vec![ROOT];
         while let Some(n) = stack.pop() {
+            let n = &self.nodes[n as usize];
             if let Some(h) = n.route {
                 out.push(RouteEntry {
                     prefix: n.prefix,
@@ -252,25 +345,26 @@ impl PatriciaTable {
                     next_hop: h,
                 });
             }
-            for c in n.children.iter().flatten() {
-                stack.push(c);
-            }
+            stack.extend(n.children.iter().filter(|&&c| c != NONE));
         }
         out
     }
 
     /// Maximum node depth (bounds worst-case lookup cost).
     pub fn max_depth(&self) -> u32 {
-        fn depth(n: &Node) -> u32 {
-            1 + n
-                .children
-                .iter()
-                .flatten()
-                .map(|c| depth(c))
-                .max()
-                .unwrap_or(0)
+        let mut deepest = 0;
+        let mut stack = vec![(ROOT, 1u32)];
+        while let Some((n, depth)) = stack.pop() {
+            deepest = deepest.max(depth);
+            let children = self.nodes[n as usize].children;
+            stack.extend(
+                children
+                    .iter()
+                    .filter(|&&c| c != NONE)
+                    .map(|&c| (c, depth + 1)),
+            );
         }
-        depth(&self.root)
+        deepest
     }
 }
 

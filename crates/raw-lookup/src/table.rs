@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dir24::Dir24_8;
-use crate::patricia::{PatriciaTable, RouteEntry};
+use crate::patricia::{canonical, PatriciaTable, RouteEntry};
 
 /// Next-hop values at or above this flag encode a multicast port set in
 /// their low bits (`next_hop = MULTICAST_FLAG | mask`). Class-D prefixes
@@ -186,23 +186,23 @@ impl ForwardingTable {
     }
 
     /// Build with a reduced DIR level-1 split (see [`DirTable::with_bits`]).
-    /// The canonical 24-bit level 1 is a 2^24-slot array — fine for one
-    /// router, prohibitive when a fabric instantiates a dozen tables per
-    /// construction. A 16-bit split runs the identical algorithm in
-    /// 2^16 slots; use it wherever the DIR engine's memory layout is not
+    /// Both engines are built from one [`canonical`] route list, so of
+    /// repeated prefixes the last wins in each. The canonical 24-bit
+    /// level 1 is 2^24 slots, 64 MiB of address space (and of
+    /// `memory_bytes()`, which counts capacity), of which only the pages
+    /// its routes cover are ever written. A 16-bit split runs the
+    /// identical algorithm in 2^16 slots (256 KiB) but chains every
+    /// longer prefix into 2^16-slot (512 KiB) level-2 blocks: smaller
+    /// for tables of /16s and shorter, larger for tables with many
+    /// /17-/24s. Use it wherever the DIR engine's memory layout is not
     /// itself under measurement.
     pub fn build_with_l1_bits(routes: &[RouteEntry], l1_bits: u8) -> ForwardingTable {
-        let mut patricia = PatriciaTable::new();
-        let mut multicast = false;
-        for r in routes {
-            patricia.insert(*r);
-            multicast |= r.next_hop >= MULTICAST_FLAG;
-        }
+        let routes = canonical(routes);
         ForwardingTable {
-            patricia,
-            dir: Dir24_8::with_bits(routes, l1_bits),
+            patricia: PatriciaTable::from_canonical(&routes),
+            dir: Dir24_8::from_canonical(&routes, l1_bits),
             cost: LookupCostModel::default(),
-            multicast,
+            multicast: routes.iter().any(|r| r.next_hop >= MULTICAST_FLAG),
         }
     }
 

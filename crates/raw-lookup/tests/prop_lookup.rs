@@ -1,6 +1,7 @@
 //! Property tests: the two lookup engines implement the same
 //! longest-prefix-match function, and both agree with a naive
-//! linear-scan oracle.
+//! linear-scan oracle; the one-pass bulk trie is the trie repeated
+//! inserts build.
 
 use proptest::prelude::*;
 use raw_lookup::*;
@@ -29,8 +30,93 @@ fn arb_route() -> impl Strategy<Value = RouteEntry> {
     (any::<u32>(), 0u8..=32, 0u32..8).prop_map(|(p, l, h)| RouteEntry::new(p, l, h))
 }
 
+/// Routes clustered inside 10.0.0.0/12 at a few lengths, so a drawn set
+/// repeats `(prefix, len)` keys (with different hops), nests prefixes,
+/// and shares level-1 slots.
+fn clustered_route() -> impl Strategy<Value = RouteEntry> {
+    const LENS: [u8; 9] = [8, 12, 16, 17, 20, 24, 25, 28, 32];
+    (any::<u16>(), 0..LENS.len(), 0u32..8)
+        .prop_map(|(x, l, h)| RouteEntry::new(0x0a00_0000 | ((x as u32) << 4), LENS[l], h))
+}
+
+/// A route set with repeated keys, with (perhaps repeated) or without a
+/// /0 route.
+fn route_set() -> impl Strategy<Value = Vec<RouteEntry>> {
+    (
+        proptest::collection::vec(prop_oneof![arb_route(), clustered_route()], 0..60),
+        any::<bool>(),
+        0u32..8,
+        any::<usize>(),
+    )
+        .prop_map(|(mut routes, default, hop, at)| {
+            if default {
+                routes.insert(at % (routes.len() + 1), RouteEntry::new(0, 0, hop));
+            } else {
+                routes.retain(|r| r.len != 0);
+            }
+            routes
+        })
+}
+
+/// Random addresses plus, for every route, its first and last address,
+/// one inside it, and the one just past it.
+fn probes(routes: &[RouteEntry], random: &[u32]) -> Vec<u32> {
+    let mut out = random.to_vec();
+    for (i, r) in routes.iter().enumerate() {
+        let span = u32::MAX.checked_shr(r.len as u32).unwrap_or(0);
+        let noise = random[i % random.len()];
+        out.extend([
+            r.prefix,
+            r.prefix | (noise & span),
+            r.prefix | span,
+            (r.prefix | span).wrapping_add(1),
+        ]);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn bulk_trie_is_the_inserted_trie(
+        routes in route_set(),
+        random in proptest::collection::vec(any::<u32>(), 1..40),
+    ) {
+        let bulk = PatriciaTable::from_routes(&routes);
+        let mut inserted = PatriciaTable::new();
+        for r in &routes {
+            inserted.insert(*r);
+        }
+        let key = |r: &RouteEntry| (r.prefix, r.len, r.next_hop);
+        let (mut a, mut b) = (bulk.iter(), inserted.iter());
+        a.sort_by_key(key);
+        b.sort_by_key(key);
+        prop_assert_eq!(a, b);
+        prop_assert_eq!(bulk.len(), inserted.len());
+        prop_assert_eq!(bulk.max_depth(), inserted.max_depth());
+        for a in probes(&routes, &random) {
+            prop_assert_eq!(bulk.lookup_traced(a), inserted.lookup_traced(a), "addr {:#x}", a);
+        }
+    }
+
+    /// The DIR answers the reference, in two accesses exactly when a
+    /// route longer than the level-1 split shares the address's slot.
+    #[test]
+    fn dir_meets_its_specification(
+        routes in route_set(),
+        random in proptest::collection::vec(any::<u32>(), 1..40),
+        l1_sel in 0usize..3,
+    ) {
+        let l1_bits = [16u8, 18, 20][l1_sel];
+        let d = DirTable::with_bits(&routes, l1_bits);
+        let slot = |a: u32| a >> (32 - l1_bits as u32);
+        for a in probes(&routes, &random) {
+            let chained = routes.iter().any(|r| r.len > l1_bits && slot(r.prefix) == slot(a));
+            let want = (reference_lpm(&routes, a), if chained { 2 } else { 1 });
+            prop_assert_eq!(d.lookup_traced(a), want, "addr {:#x}", a);
+        }
+    }
 
     #[test]
     fn patricia_matches_oracle(

@@ -244,15 +244,15 @@ fn check_credits(spec: &FabricSpec, diags: &mut Vec<Diag>) -> u64 {
 
 /// Len-bucketed exact-match index over one route table. Semantics are
 /// identical to [`reference_lpm`] — the strictly-longer match wins, and
-/// the *first* entry wins among duplicates of equal length and prefix —
-/// proven by a differential test below. Lookup cost is O(distinct
+/// the *last* entry wins among duplicates of equal length and prefix, as
+/// in both lookup engines — proven by a differential test below. Lookup cost is O(distinct
 /// prefix lengths) instead of O(table size), which is what makes full
 /// address-space coverage of the 16K-entry Clos256 ascending-stage
 /// tables tractable.
 struct LpmIndex {
     /// Distinct prefix lengths, descending.
     lens: Vec<u8>,
-    /// Parallel to `lens`: masked prefix → next hop (first entry wins).
+    /// Parallel to `lens`: masked prefix → next hop (last entry wins).
     buckets: Vec<HashMap<u32, u32>>,
 }
 
@@ -268,7 +268,7 @@ impl LpmIndex {
             // entry (host bits set below its mask) never matches in the
             // reference scan, and a masked address can never equal it
             // here either.
-            buckets[i].entry(r.prefix).or_insert(r.next_hop);
+            buckets[i].insert(r.prefix, r.next_hop);
         }
         LpmIndex { lens, buckets }
     }
@@ -944,7 +944,7 @@ pub fn fabric_reports(verdicts: &[FabricVerdict]) -> Vec<AnalysisReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raw_lookup::reference_lpm;
+    use raw_lookup::{reference_lpm, Engine, ForwardingTable, PatriciaTable};
 
     /// A hand-built 2-router, 2-external-port fabric: router 0 owns ext
     /// port 0, router 1 owns ext port 1, one link each way. Port 0 is
@@ -1073,13 +1073,53 @@ mod tests {
     }
 
     #[test]
-    fn lpm_index_keeps_first_entry_on_equal_len_and_prefix() {
+    fn lpm_index_keeps_last_entry_on_equal_len_and_prefix() {
         let routes = [
             RouteEntry::new(0x0a00_0000, 16, 1),
             RouteEntry::new(0x0a00_0000, 16, 2),
         ];
-        assert_eq!(LpmIndex::build(&routes).lookup(0x0a00_0001), Some(1));
-        assert_eq!(reference_lpm(&routes, 0x0a00_0001), Some(1));
+        assert_eq!(LpmIndex::build(&routes).lookup(0x0a00_0001), Some(2));
+        assert_eq!(reference_lpm(&routes, 0x0a00_0001), Some(2));
+    }
+
+    /// One tie-break everywhere: a table that repeats prefixes with
+    /// different hops means the same function to both oracles (the
+    /// reference scan and the index RV6xx proves with) and to both
+    /// engines the routers forward with — the last entry wins.
+    #[test]
+    fn duplicated_routes_resolve_alike_in_oracles_and_engines() {
+        let routes = [
+            RouteEntry::new(0, 0, 1),
+            RouteEntry::new(0x0a00_0000, 8, 2),
+            RouteEntry::new(0x0a01_0000, 16, 3),
+            RouteEntry::new(0x0a00_0000, 8, 4),
+            RouteEntry::new(0, 0, 5),
+            RouteEntry::new(0x0a01_0280, 25, 6),
+            RouteEntry::new(0x0a01_0000, 16, 7),
+            RouteEntry::new(0x0a01_0280, 25, 8),
+            RouteEntry::new(0x0a01_0000, 16, 9),
+        ];
+        let idx = LpmIndex::build(&routes);
+        let mut inserted = PatriciaTable::new();
+        for r in &routes {
+            inserted.insert(*r);
+        }
+        let table = ForwardingTable::build_with_l1_bits(&routes, 16);
+        for (addr, want) in [
+            (0x0b00_0000, 5),
+            (0x0a02_0000, 4),
+            (0x0a01_0001, 9),
+            (0x0a01_02ff, 8),
+        ] {
+            let all = [
+                reference_lpm(&routes, addr),
+                idx.lookup(addr),
+                inserted.lookup(addr),
+                table.lookup(Engine::Patricia, addr).0,
+                table.lookup(Engine::Dir24_8, addr).0,
+            ];
+            assert_eq!(all, [Some(want); 5], "addr {addr:#010x}");
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn run_case(offers: &[Offer], quantum: usize, cut_through: bool) -> Result<(), T
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn cut_through_router_is_correct_for_any_small_workload(
