@@ -705,7 +705,7 @@ fn run_verify(_: &Args) {
     );
     let mut report = raw_verify::verify_all(&raw_verify::VerifyOptions::default());
 
-    // Whole-fabric analyses (RV5xx–RV7xx) over every shipped topology,
+    // Whole-fabric analyses (RV5xx–RV6xx) over every shipped topology,
     // merged into the same report so results/verify.json carries one
     // unified verdict.
     let verdicts = raw_bench::fabric_verify_verdicts();
@@ -716,7 +716,6 @@ fn run_verify(_: &Args) {
         report.coverage.fabric_cdg_edges += v.cdg_edges;
         report.coverage.fabric_route_walks += v.route_walks;
         report.coverage.fabric_coverage_points += v.coverage_points;
-        report.coverage.fabric_links += v.links_checked;
         report.diagnostics.extend(v.diags.iter().cloned());
     }
     report
@@ -754,25 +753,23 @@ fn run_verify(_: &Args) {
     let cov = &report.coverage;
     println!(
         "coverage: {}/{} unicast and {}/{} multicast global indices, {} body routines, \
-         {} lockstep scenarios (max FIFO high-water {} of 4), {} policies",
+         {} lockstep scenarios (max FIFO high-water {} of 4)",
         cov.unicast_points,
         cov.unicast_space,
         cov.multicast_points,
         cov.multicast_space,
         cov.body_routines,
         cov.lockstep_scenarios,
-        cov.max_fifo_high_water,
-        cov.policies
+        cov.max_fifo_high_water
     );
     println!(
         "fabric coverage: {} topologies, {} CDG nodes / {} edges, {} routing walks, \
-         {} address-coverage points, {} links credit-checked",
+         {} address-coverage points",
         cov.fabric_topologies,
         cov.fabric_cdg_nodes,
         cov.fabric_cdg_edges,
         cov.fabric_route_walks,
-        cov.fabric_coverage_points,
-        cov.fabric_links
+        cov.fabric_coverage_points
     );
     println!(
         "sched coverage: {} matchings validity/routability-checked, {} persistent-demand slots",

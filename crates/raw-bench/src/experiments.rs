@@ -454,7 +454,7 @@ pub fn multicast_demo() -> MulticastResult {
     };
     let (cyc_fan, copies) = run(true);
     let (cyc_rep, _) = run(false);
-    let cs = config::ConfigSpace::enumerate_multicast(config::SchedPolicy::default());
+    let cs = config::ConfigSpace::enumerate_multicast();
     MulticastResult {
         cycles_with_fanout: cyc_fan,
         cycles_with_replication: cyc_rep,

@@ -223,7 +223,7 @@ pub const SHIPPED_TOPOLOGIES: [Topology; 5] = [
 ];
 
 /// Run the whole-fabric static analyses (`RV5xx` deadlock, `RV6xx`
-/// routing, `RV7xx` credit sizing) over every shipped topology under
+/// routing) over every shipped topology under
 /// the default fabric configuration — the verdicts `repro -- verify`
 /// folds into `results/verify.json`. Every verdict must be empty: the
 /// same gate stands before every fabric [`run_fabric`] builds.

@@ -68,10 +68,9 @@ impl SprayMode {
 /// drain step (see [`RawFabric`]'s `boundary`).
 pub const MIN_RECEIVE_WINDOW: usize = 1;
 
-/// Why a [`FabricConfig`] is rejected before any fabric is built. Each
-/// class maps onto the `RV7xx` diagnostic the `raw-verify` fabric
-/// analysis reports for the same defect ([`FabricConfigError::code`]),
-/// so the dynamic gate and the static proof speak one vocabulary.
+/// Why a [`FabricConfig`] is rejected before any fabric is built: the
+/// link-sizing checks, each with its `RV7xx` code
+/// ([`FabricConfigError::code`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FabricConfigError {
     /// `epoch_cycles == 0`: the credit protocol samples once per epoch.
@@ -79,14 +78,19 @@ pub enum FabricConfigError {
     /// Store-and-forward egress has no per-epoch emission bound to size
     /// link credits against.
     StoreAndForwardEgress,
+    /// The link capacity cannot hold the stall threshold plus one slot
+    /// of progress room: the sizing saturated (an epoch so long that one
+    /// epoch's emission bound is `usize::MAX`).
+    UndersizedLink { capacity: usize, threshold: usize },
 }
 
 impl FabricConfigError {
-    /// The `RV7xx` code the static verifier assigns this failure class.
+    /// The `RV7xx` code of this failure class.
     pub fn code(&self) -> &'static str {
         match self {
-            FabricConfigError::ZeroEpoch => "RV705",
+            FabricConfigError::UndersizedLink { .. } => "RV701",
             FabricConfigError::StoreAndForwardEgress => "RV704",
+            FabricConfigError::ZeroEpoch => "RV705",
         }
     }
 }
@@ -100,6 +104,14 @@ impl std::fmt::Display for FabricConfigError {
                 "the fabric composes cut-through routers: store-and-forward egress has no \
                  per-epoch emission bound to size link credits against"
             ),
+            FabricConfigError::UndersizedLink {
+                capacity,
+                threshold,
+            } => write!(
+                f,
+                "link capacity {capacity} cannot hold the stall threshold {threshold} plus \
+                 one slot of progress room"
+            ),
         }
     }
 }
@@ -111,12 +123,14 @@ impl std::error::Error for FabricConfigError {}
 pub enum FabricError {
     /// The scalar config check ([`FabricConfig::validate`]) failed.
     Config(FabricConfigError),
-    /// The whole-fabric static verifier found `RV5xx`–`RV7xx`
-    /// violations: the topology + config combination could deadlock,
-    /// misroute, or overflow a link even though each scalar is sane.
+    /// The whole-fabric static verifier found `RV5xx`–`RV6xx`
+    /// violations: the topology + config combination could deadlock or
+    /// misroute even though each scalar is sane.
     Verify(Vec<raw_verify::Diag>),
     /// A member router rejected the per-router configuration.
     Router(String),
+    /// [`RawFabric::try_offer`] refused a packet.
+    Offer(String),
 }
 
 impl std::fmt::Display for FabricError {
@@ -135,6 +149,7 @@ impl std::fmt::Display for FabricError {
                 Ok(())
             }
             FabricError::Router(e) => write!(f, "router configuration rejected: {e}"),
+            FabricError::Offer(e) => write!(f, "packet refused: {e}"),
         }
     }
 }
@@ -185,33 +200,48 @@ impl Default for FabricConfig {
     }
 }
 
+/// Packets [`FabricConfig::emission_bound`] allows beyond one epoch's
+/// worth, for emissions straddling an epoch boundary.
+pub const STRADDLE_MARGIN: usize = 2;
+
 impl FabricConfig {
     /// Worst-case packets one egress port can complete in one epoch
-    /// (quantum + tag word per packet, plus margin for a packet that
-    /// straddles the boundary). This is the stall threshold the credit
-    /// check compares link credits against, and the declared emission
-    /// bound the static verifier's symbolic occupancy proof re-derives.
-    /// Saturating, so an out-of-range quantum reaches the router's own
-    /// typed check instead of overflowing here.
+    /// (quantum + tag word per packet, plus [`STRADDLE_MARGIN`]). This is
+    /// the stall threshold the credit check compares link credits
+    /// against, and each link's drain rate. Saturating, so an
+    /// out-of-range quantum reaches the router's own typed check instead
+    /// of overflowing here.
     pub fn emission_bound(&self) -> usize {
-        (self.epoch_cycles as usize / self.router.quantum_words.saturating_add(1)).saturating_add(2)
+        (self.epoch_cycles as usize / self.router.quantum_words.saturating_add(1))
+            .saturating_add(STRADDLE_MARGIN)
     }
 
     /// Link queue capacity: three epochs of emission. The no-overflow
     /// invariant needs more than one: if credits >= bound the sender may
     /// emit freely (at most `bound` arrivals next boundary); if credits <
     /// bound it is stalled for the whole next epoch and nothing arrives.
-    /// (The static verifier proves it per link, `RV701`.)
+    /// `validate` rejects a sizing with no slot above the bound, and the
+    /// unit test `occupancy_induction_holds_wherever_validate_accepts`
+    /// states the induction.
     pub fn link_capacity(&self) -> usize {
         self.emission_bound().saturating_mul(3)
     }
 
+    /// The one link-sizing gate, run by [`RawFabric::try_new`] before
+    /// anything is built.
     pub fn validate(&self) -> Result<(), FabricConfigError> {
         if self.epoch_cycles == 0 {
             return Err(FabricConfigError::ZeroEpoch);
         }
         if !self.router.cut_through {
             return Err(FabricConfigError::StoreAndForwardEgress);
+        }
+        let (capacity, threshold) = (self.link_capacity(), self.emission_bound());
+        if capacity <= threshold {
+            return Err(FabricConfigError::UndersizedLink {
+                capacity,
+                threshold,
+            });
         }
         Ok(())
     }
@@ -312,13 +342,7 @@ fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>
             if let Some((_, table)) = built.iter().find(|(routes, _)| *routes == spec.routes) {
                 return Arc::clone(table);
             }
-            // Compact 16-bit DIR split: a canonical 2^24-slot level 1
-            // reserves 64 MiB per table, and the fabric routers run the
-            // Patricia engine.
-            let table = Arc::new(raw_lookup::ForwardingTable::build_with_l1_bits(
-                &spec.routes,
-                16,
-            ));
+            let table = Arc::new(raw_lookup::ForwardingTable::build(&spec.routes));
             built.push((&spec.routes, Arc::clone(&table)));
             table
         })
@@ -353,9 +377,8 @@ impl RawFabric {
     pub fn try_new(cfg: FabricConfig) -> Result<RawFabric, FabricError> {
         cfg.validate()?;
         let plan = topology::plan(cfg.topology);
-        // The whole-fabric static gate: deadlock freedom, routing
-        // soundness, and the symbolic credit-sizing proof must all hold
-        // before a single router is instantiated.
+        // The whole-fabric static gate: deadlock freedom and routing
+        // soundness must hold before a single router is instantiated.
         let verdict = crate::verify::verify_spec(&plan, &cfg);
         if !verdict.diags.is_empty() {
             return Err(FabricError::Verify(verdict.diags));
@@ -412,13 +435,35 @@ impl RawFabric {
     /// destination external port comes from the address second octet
     /// (the [`topology::fabric_addr`] scheme); the middle octet is
     /// stamped at injection, so callers build addresses with any `m`.
+    /// Panics on a packet [`RawFabric::try_offer`] refuses.
     pub fn offer(&mut self, ext: usize, release: u64, pkt: &Packet) {
-        assert!(ext < self.ext_ports(), "external input {ext} out of range");
-        assert!(
-            dst_ext_port(pkt) < self.ext_ports(),
-            "destination external port {} out of range",
-            dst_ext_port(pkt)
-        );
+        if let Err(e) = self.try_offer(ext, release, pkt) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`RawFabric::offer`], refusing with [`FabricError::Offer`] a packet
+    /// at an external input or for a destination the fabric does not
+    /// have, or one longer than the quantum: every router forwards a
+    /// packet whole in one cut-through quantum.
+    pub fn try_offer(&mut self, ext: usize, release: u64, pkt: &Packet) -> Result<(), FabricError> {
+        let (ports, dst) = (self.ext_ports(), dst_ext_port(pkt));
+        let (words, quantum) = (pkt.total_words(), self.cfg.router.quantum_words);
+        if ext >= ports {
+            return Err(FabricError::Offer(format!(
+                "external input {ext} out of range"
+            )));
+        }
+        if dst >= ports {
+            return Err(FabricError::Offer(format!(
+                "destination external port {dst} out of range"
+            )));
+        }
+        if words > quantum {
+            return Err(FabricError::Offer(format!(
+                "a {words}-word packet does not fit the {quantum}-word cut-through quantum"
+            )));
+        }
         let seq = self.pending.len() as u64;
         self.pending.push(PendingOffer {
             release,
@@ -427,6 +472,7 @@ impl RawFabric {
             payload: PendingPayload::Pkt(pkt.clone()),
         });
         self.offered += 1;
+        Ok(())
     }
 
     /// Queue a raw (possibly corrupt) word stream — the fault-injection
@@ -517,11 +563,10 @@ impl RawFabric {
     ///    deadlock when a skewed spray fills one VOQ, VOQ admission
     ///    blocks the ingress line card, and every drain window along
     ///    the cycle pins at zero — the escape slot turns that permanent
-    ///    freeze into a trickle that drains once the skew passes. A
-    ///    zero floor reconstructs that historical deadlock, which the
-    ///    static verifier rejects (RV503) on cyclic topologies. Only
-    ///    injected link faults (stall windows) may freeze a drain
-    ///    outright.
+    ///    freeze into a trickle that drains once the skew passes. The
+    ///    floor is a constant, so that historical deadlock is not
+    ///    configurable. Only injected link faults (stall windows) may
+    ///    freeze a drain outright.
     /// 3. Account external deliveries since the last boundary.
     /// 4. Inject external arrivals released inside this epoch, choosing
     ///    each new flow's middle stage against the shared flow state.
@@ -893,5 +938,101 @@ mod tests {
                 assert_eq!(folded8(a, b), want, "routers {a}, {b}");
             }
         }
+    }
+
+    /// A packet the fabric cannot carry is refused as a typed error when
+    /// it is offered, not by a panic inside a later epoch boundary.
+    #[test]
+    fn try_offer_refuses_what_the_fabric_cannot_carry() {
+        let cfg = FabricConfig {
+            topology: Topology::Single4,
+            ..FabricConfig::default()
+        };
+        let quantum = cfg.router.quantum_words;
+        let mut fab = RawFabric::try_new(cfg).expect("valid config");
+        let pkt = |d: u8, bytes: usize| {
+            Packet::synthetic(0x0b00_0001, topology::fabric_addr(d, 0), bytes, 64, 0)
+        };
+        let fits = pkt(1, 4 * quantum);
+        let refusals = [
+            (9, fits.clone(), "external input 9"),
+            (0, pkt(9, 4 * quantum), "destination external port 9"),
+            (0, pkt(1, 4 * quantum + 4), "cut-through quantum"),
+        ];
+        for (ext, p, want) in refusals {
+            match fab.try_offer(ext, 0, &p) {
+                Err(FabricError::Offer(e)) => assert!(e.contains(want), "{e}"),
+                other => panic!("expected an Offer refusal, got {other:?}"),
+            }
+        }
+        assert_eq!(fab.offered(), 0);
+        fab.try_offer(0, 0, &fits)
+            .expect("a packet of one quantum fits");
+        assert!(fab.run_until_drained_with(64, Executor::Reference));
+        assert_eq!(fab.delivered_count(), 1);
+    }
+
+    /// The link-occupancy induction, over a grid of epoch lengths and
+    /// quanta that takes in 0, 1, the shipped values and the saturation
+    /// edge. Whenever `validate` accepts, with `T` the stall threshold
+    /// (`emission_bound`) and `B` the worst-case packets one egress
+    /// completes in an epoch: a link drains (`T ≥ 1`); a link at or above
+    /// `T` credits holds at least one slot of progress room beyond `T`
+    /// (`capacity > T`); and a link the sender may fill — credits ≥ `T`,
+    /// so occupancy ≤ `capacity − T` — takes at most `B` more by the
+    /// next boundary without overflowing (`capacity − T + B ≤ capacity`).
+    /// Below `T` credits the sender is stalled for the whole epoch and
+    /// nothing arrives.
+    #[test]
+    fn occupancy_induction_holds_wherever_validate_accepts() {
+        let edge = usize::MAX as u64 - STRADDLE_MARGIN as u64;
+        let epochs = [
+            0,
+            1,
+            2,
+            85,
+            128,
+            256,
+            512,
+            2048,
+            edge - 1,
+            edge,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let quanta = [0, 1, 16, 64, 256, usize::MAX - 1, usize::MAX];
+        let (mut accepted, mut saturated) = (0, 0);
+        for epoch_cycles in epochs {
+            for quantum_words in quanta {
+                let mut cfg = FabricConfig {
+                    epoch_cycles,
+                    ..FabricConfig::default()
+                };
+                cfg.router.quantum_words = quantum_words;
+                match cfg.validate() {
+                    Ok(()) => accepted += 1,
+                    Err(FabricConfigError::UndersizedLink { .. }) => {
+                        saturated += 1;
+                        continue;
+                    }
+                    Err(_) => continue,
+                }
+                let at = format!("epoch {epoch_cycles}, quantum {quantum_words}");
+                let t = cfg.emission_bound();
+                let capacity = cfg.link_capacity();
+                assert!(t >= 1, "{at}: the link never drains");
+                assert!(capacity > t, "{at}: no progress room above {t}");
+                // B written out in exact arithmetic: one packet per
+                // quantum plus its tag word, and the straddle margin.
+                let burst = u128::from(epoch_cycles) / (quantum_words as u128 + 1)
+                    + STRADDLE_MARGIN as u128;
+                let worst = (capacity - t) as u128 + burst;
+                assert!(
+                    worst <= capacity as u128,
+                    "{at}: worst occupancy {worst} exceeds capacity {capacity}"
+                );
+            }
+        }
+        assert!(accepted > 0 && saturated > 0, "{accepted} / {saturated}");
     }
 }

@@ -32,8 +32,8 @@
 //!   single-threaded reference, asserted by [`RawFabric::fingerprint`];
 //! * **Scale** ([`Topology::Clos64`], [`Topology::Clos256`]): recursive
 //!   5- and 7-stage folded-Clos fabrics of 80 and 448 radix-4 routers,
-//!   the port counts Tiny Tera targets, still lowered through the same
-//!   RV5xx–RV7xx static gates;
+//!   the port counts Tiny Tera targets, still through the same
+//!   link-sizing gate (RV7xx) and RV5xx–RV6xx static analyses;
 //! * **Audit** ([`audit()`]): every injected stream replayed hop by hop
 //!   through the per-router functional reference
 //!   ([`raw_xbar::reference::forward`]), and the run's deliveries and

@@ -537,12 +537,11 @@ mod tests {
     use super::*;
     use raw_lookup::{Engine, ForwardingTable};
 
-    /// Build every router's table once, with the compact DIR split —
-    /// the canonical 2^24-slot level 1 reserves 64 MiB per router.
+    /// Build every router's table once.
     fn build_tables(plan: &TopologyPlan) -> Vec<ForwardingTable> {
         plan.routers
             .iter()
-            .map(|r| ForwardingTable::build_with_l1_bits(&r.routes, 16))
+            .map(|r| ForwardingTable::build(&r.routes))
             .collect()
     }
 
@@ -692,10 +691,10 @@ mod tests {
         // full src x dst x spray space is covered by the RV6xx static
         // walks, which dedupe shared tables; this model-level check
         // keeps the plan builder honest independently of the verifier).
-        // All routers of a stage share one table, so build 7 tables —
-        // not 448 copies of the compact-DIR split.
+        // All routers of a stage share one table, so build 7 tables, not
+        // 448 copies.
         let stage_tables: Vec<ForwardingTable> = (0..7)
-            .map(|s| ForwardingTable::build_with_l1_bits(&p.routers[s * 64].routes, 16))
+            .map(|s| ForwardingTable::build(&p.routers[s * 64].routes))
             .collect();
         for src in (0..256).step_by(17) {
             for d in 0..=255u8 {

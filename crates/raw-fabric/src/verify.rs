@@ -1,7 +1,8 @@
 //! Bridge from this crate's concrete `TopologyPlan` + [`FabricConfig`]
 //! to `raw-verify`'s abstract [`FabricSpec`], plus the entry points the
 //! rest of the repo uses to run the whole-fabric static analyses
-//! (`RV5xx` deadlock, `RV6xx` routing, `RV7xx` credit sizing).
+//! (`RV5xx` deadlock, `RV6xx` routing). Link sizing is not among them:
+//! [`FabricConfig::validate`] is its one check.
 //!
 //! [`RawFabric::try_new`](crate::RawFabric::try_new) calls
 //! [`verify_spec`] before instantiating any router, so every fabric that
@@ -9,14 +10,10 @@
 //! [`verify_topology`] over the shipped topologies to publish the same
 //! verdicts into `results/verify.json`.
 
-use raw_verify::fabric::{CreditModel, FabricSpec, FabricVerdict, LinkEdge, RouterNode};
+use raw_verify::fabric::{FabricSpec, FabricVerdict, LinkEdge, RouterNode};
 
 use crate::fabric::FabricConfig;
 use crate::topology::{self, fabric_addr, Topology, TopologyPlan};
-
-/// Spray straddle margin baked into [`FabricConfig::emission_bound`]:
-/// the `+2` packets allowed for emissions crossing an epoch boundary.
-pub const STRADDLE_MARGIN: usize = 2;
 
 /// Lower a concrete plan + config into the abstract spec the static
 /// verifier analyzes. Pure translation — no judgment calls live here,
@@ -43,8 +40,6 @@ pub fn build_spec(plan: &TopologyPlan, cfg: &FabricConfig) -> FabricSpec {
             .map(|l| LinkEdge {
                 from: l.from,
                 to: l.to,
-                capacity: cfg.link_capacity(),
-                rate: cfg.emission_bound(),
             })
             .collect(),
         ext_in: plan.ext_in.clone(),
@@ -53,15 +48,7 @@ pub fn build_spec(plan: &TopologyPlan, cfg: &FabricConfig) -> FabricSpec {
         dest_addrs: (0..ext)
             .map(|d| (0..spray).map(|m| fabric_addr(d as u8, m as u8)).collect())
             .collect(),
-        credit: CreditModel {
-            epoch_cycles: cfg.epoch_cycles,
-            quantum_words: cfg.router.quantum_words,
-            cut_through: cfg.router.cut_through,
-            emission_bound: cfg.emission_bound(),
-            straddle_margin: STRADDLE_MARGIN,
-        },
         voq_ingress: cfg.router.queueing.is_voq(),
-        min_receive_window: crate::fabric::MIN_RECEIVE_WINDOW,
     }
 }
 

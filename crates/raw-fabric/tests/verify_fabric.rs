@@ -1,17 +1,17 @@
 //! The whole-fabric static verifier against the real topologies: every
 //! shipped configuration proves clean, and every seeded mutant — most
-//! importantly the two *historical* deadlock configurations this repo
-//! actually hit and fixed — is rejected statically with its specific
-//! diagnostic, before a single router would be built.
+//! importantly the *historical* FIFO-ingress deadlock this repo actually
+//! hit and fixed — is rejected statically with its specific diagnostic,
+//! before a single router would be built. Link sizing is the config
+//! gate's: each `RV7xx` code is reached by a `FabricConfig`.
 
 use proptest::prelude::*;
 
 use raw_chaos::{ChaosFabric, FabricFaultPlan, FaultPlan, LinkStallSpec};
 use raw_fabric::{
-    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricError, RawFabric,
-    SprayMode, Topology,
+    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError,
+    FabricError, RawFabric, SprayMode, Topology,
 };
-use raw_verify::fabric::FabricSpec;
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::IngressQueueing;
 
@@ -31,25 +31,6 @@ fn cfg_for(t: Topology) -> FabricConfig {
 
 fn codes(cfg: &FabricConfig) -> Vec<&'static str> {
     verify_fabric(cfg).diags.iter().map(|d| d.code).collect()
-}
-
-/// The spec `RawFabric::try_new` verifies for `cfg` — the starting point
-/// of every mutant no `FabricConfig` can express.
-fn spec_for(cfg: &FabricConfig) -> FabricSpec {
-    raw_fabric::verify::build_spec(&plan(cfg.topology), cfg)
-}
-
-fn spec_codes(spec: &FabricSpec) -> Vec<&'static str> {
-    let v = raw_verify::fabric::verify_fabric(spec);
-    v.diags.iter().map(|d| d.code).collect()
-}
-
-/// `cfg`'s spec with the receive-window floor at zero instead of the
-/// executor's constant one.
-fn zero_window_spec(cfg: &FabricConfig) -> FabricSpec {
-    let mut spec = spec_for(cfg);
-    spec.min_receive_window = 0;
-    spec
 }
 
 // ---------------------------------------------------------------------
@@ -76,7 +57,7 @@ fn every_shipped_topology_and_spray_verifies_clean() {
                 assert!(v.route_walks > 0);
                 assert!(v.coverage_points > 0);
                 if t != Topology::Single4 {
-                    assert!(v.cdg_nodes > 0 && v.links_checked > 0);
+                    assert!(v.cdg_nodes > 0 && v.cdg_edges > 0);
                 }
             }
         }
@@ -84,7 +65,7 @@ fn every_shipped_topology_and_spray_verifies_clean() {
 }
 
 // ---------------------------------------------------------------------
-// Historical deadlock 1: the pre-VOQ default. FIFO ingress head-of-line
+// Historical deadlock: the pre-VOQ default. FIFO ingress head-of-line
 // coupling closes the folded topology's leaf<->spine channel-dependency
 // cycle — found dynamically back then, caught statically now.
 // ---------------------------------------------------------------------
@@ -119,36 +100,6 @@ fn fifo_ingress_on_feed_forward_clos16_stays_clean() {
     cfg.router.queueing = IngressQueueing::Fifo;
     assert_eq!(codes(&cfg), Vec::<&str>::new());
     assert!(RawFabric::try_new(cfg).is_ok());
-}
-
-// ---------------------------------------------------------------------
-// Historical deadlock 2: the pre-min-1 receive window. A zero floor
-// lets spray skew pin every drain window along the leaf<->spine cycle
-// at zero permanently. The executor's floor is the constant
-// `MIN_RECEIVE_WINDOW`, so the historical fabric exists only as a spec.
-// ---------------------------------------------------------------------
-
-#[test]
-fn zero_receive_window_floor_on_folded8_is_rejected_as_rv503() {
-    let got = spec_codes(&zero_window_spec(&cfg_for(Topology::Folded8)));
-    assert!(got.contains(&"RV503"), "{got:?}");
-    assert!(!got.contains(&"RV501"), "{got:?}");
-}
-
-#[test]
-fn zero_receive_window_floor_on_feed_forward_clos16_stays_clean() {
-    let got = spec_codes(&zero_window_spec(&cfg_for(Topology::Clos16)));
-    assert_eq!(got, Vec::<&str>::new());
-}
-
-/// Both fixes removed at once on the cyclic topology: still caught (the
-/// FIFO coupling alone closes the cycle).
-#[test]
-fn both_escape_fixes_removed_is_still_caught_statically() {
-    let mut cfg = cfg_for(Topology::Folded8);
-    cfg.router.queueing = IngressQueueing::Fifo;
-    let got = spec_codes(&zero_window_spec(&cfg));
-    assert!(got.contains(&"RV502") || got.contains(&"RV503"), "{got:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -198,14 +149,21 @@ fn a_route_out_an_unwired_port_is_a_dangling_egress() {
 fn a_spine_bouncing_traffic_back_down_is_a_routing_loop() {
     let mut p = plan(Topology::Folded8);
     // Spine 4 sends d=0 to leaf 1 instead of leaf 0; leaf 1 sprays it
-    // back up — the walk revisits the spine.
+    // back up — the walk revisits the spine, and the bounced traffic's
+    // waits close a channel-dependency cycle no escape valve breaks.
     for r in &mut p.routers[4].routes {
         if r.len == 16 && (r.prefix >> 16) & 0xff == 0 {
             r.next_hop = 1;
         }
     }
     let v = verify_spec(&p, &cfg_for(Topology::Folded8));
-    assert!(v.diags.iter().any(|d| d.code == "RV602"), "{:?}", v.diags);
+    for code in ["RV602", "RV501"] {
+        assert!(
+            v.diags.iter().any(|d| d.code == code),
+            "{code}: {:?}",
+            v.diags
+        );
+    }
 }
 
 /// The recursive Clos fabrics at full scale: the verifier's exhaustive
@@ -294,11 +252,18 @@ fn swapped_ingress_uplinks_break_spray_agreement() {
 }
 
 // ---------------------------------------------------------------------
-// Credit mutants (RV7xx), and the typed-config-error agreement: the
-// dynamic gate (`FabricConfig::validate`) and the static proof assign
-// the same code to the same defect. Link sizing is derived from the
-// epoch, so an undersized link (RV701) exists only as a spec.
+// Link sizing (RV7xx) is `FabricConfig::validate`'s: every code is
+// reached by a config, through `validate` and through `try_new`.
 // ---------------------------------------------------------------------
+
+/// Link sizing derived from an epoch so long that the stall threshold
+/// saturates (`epoch_cycles: u64::MAX`, `quantum_words: 0`).
+fn saturated_sizing() -> FabricConfig {
+    let mut cfg = cfg_for(Topology::Clos16);
+    cfg.epoch_cycles = u64::MAX;
+    cfg.router.quantum_words = 0;
+    cfg
+}
 
 #[test]
 fn credit_mutants_fail_validate_and_verify_with_the_same_code() {
@@ -308,12 +273,14 @@ fn credit_mutants_fail_validate_and_verify_with_the_same_code() {
         epoch_cycles: 0,
         ..cfg_for(Topology::Clos16)
     };
-    for (cfg, want) in [(store_fwd, "RV704"), (zero_epoch, "RV705")] {
+    for (cfg, want) in [
+        (saturated_sizing(), "RV701"),
+        (store_fwd, "RV704"),
+        (zero_epoch, "RV705"),
+    ] {
         let err = cfg.validate().expect_err("mutant must fail validate");
         assert_eq!(err.code(), want, "{err:?}");
-        let got = codes(&cfg);
-        assert!(got.contains(&want), "verifier said {got:?}, wanted {want}");
-        // try_new rejects it at the (cheaper) scalar gate, typed.
+        // try_new rejects it at the scalar gate, typed.
         match RawFabric::try_new(cfg) {
             Err(FabricError::Config(e)) => assert_eq!(e.code(), want),
             Err(other) => panic!("expected Config rejection, got {other}"),
@@ -336,41 +303,39 @@ fn a_bad_router_machine_config_is_a_typed_router_error() {
     }
 }
 
-/// Every link of a Clos16 spec shrunk to 10 slots: each is an RV701 at
-/// its wire, and the message carries the capacity and the stall
-/// threshold it cannot hold.
+/// The saturated sizing's typed error carries the capacity and the
+/// stall threshold it cannot hold, in its fields and its message.
 #[test]
 fn capacity_error_carries_the_sizing_numbers() {
-    let cfg = cfg_for(Topology::Clos16);
-    let mut spec = spec_for(&cfg);
-    for link in &mut spec.links {
-        link.capacity = 10;
-    }
-    let v = raw_verify::fabric::verify_fabric(&spec);
-    let rv701: Vec<_> = v.diags.iter().filter(|d| d.code == "RV701").collect();
-    assert_eq!(rv701.len(), spec.links.len(), "{:?}", v.diags);
-    let threshold = format!("threshold {}", cfg.emission_bound());
-    for d in rv701 {
-        assert!(
-            d.msg.contains("capacity 10") && d.msg.contains(&threshold),
-            "{d}"
-        );
-        assert!(d.wire.is_some(), "{d}");
-    }
+    let cfg = saturated_sizing();
+    let (capacity, threshold) = (cfg.link_capacity(), cfg.emission_bound());
+    let err = cfg.validate().expect_err("saturated sizing");
+    assert_eq!(
+        err,
+        FabricConfigError::UndersizedLink {
+            capacity,
+            threshold
+        }
+    );
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("capacity {capacity}"))
+            && msg.contains(&format!("threshold {threshold}")),
+        "{msg}"
+    );
 }
 
-/// An understated stall threshold breaks the symbolic occupancy proof
-/// (RV703) even when every scalar check passes — only expressible at
-/// the spec level, since `FabricConfig` derives the threshold from the
-/// epoch. This is the check that would catch a future refactor
-/// decoupling the executor's threshold from the true emission bound.
+/// A saturated link sizing is a typed rejection at `validate`, not a
+/// panic: the capacity check cannot overflow.
 #[test]
-fn understated_stall_threshold_breaks_the_occupancy_proof() {
-    let cfg = cfg_for(Topology::Clos16);
-    let mut spec = spec_for(&cfg);
-    spec.credit.emission_bound = cfg.emission_bound() / 2;
-    let v = raw_verify::fabric::verify_fabric(&spec);
-    assert!(v.diags.iter().any(|d| d.code == "RV703"), "{:?}", v.diags);
+fn a_saturated_link_sizing_is_rejected_not_a_panic() {
+    let cfg = saturated_sizing();
+    assert_eq!(cfg.link_capacity(), cfg.emission_bound(), "saturated");
+    match RawFabric::try_new(cfg) {
+        Err(FabricError::Config(e)) => assert_eq!(e.code(), "RV701", "{e}"),
+        Err(other) => panic!("expected Config rejection, got {other}"),
+        Ok(_) => panic!("expected Config rejection, fabric was built"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -451,23 +416,5 @@ proptest! {
             cf.fabric.offered(),
             (nports * w.packets_per_port) as u64
         );
-    }
-}
-
-/// Link sizing derived from an epoch so long that the stall threshold
-/// saturates (`epoch_cycles: u64::MAX`, `quantum_words: 0`) is a typed
-/// rejection: the capacity check cannot overflow.
-#[test]
-fn a_saturated_link_sizing_is_rejected_not_a_panic() {
-    let mut cfg = cfg_for(Topology::Clos16);
-    cfg.epoch_cycles = u64::MAX;
-    cfg.router.quantum_words = 0;
-    assert_eq!(cfg.link_capacity(), cfg.emission_bound(), "saturated");
-    match RawFabric::try_new(cfg) {
-        Err(FabricError::Verify(diags)) => {
-            assert!(diags.iter().any(|d| d.code == "RV701"), "{diags:?}")
-        }
-        Err(other) => panic!("expected Verify rejection, got {other}"),
-        Ok(_) => panic!("expected Verify rejection, fabric was built"),
     }
 }

@@ -20,5 +20,5 @@ pub use dir24::{Dir24_8, DirTable};
 pub use patricia::{canonical, mask, reference_lpm, PatriciaTable, RouteEntry};
 pub use table::{
     decode_hop, encode_multicast, synth_addresses, synth_table, Engine, ForwardingTable, Hop,
-    LookupCostModel, LookupMemModel, MULTICAST_FLAG,
+    LookupCostModel, LookupMemModel, MAX_ACCESSES, MULTICAST_FLAG,
 };

@@ -108,9 +108,20 @@ impl Default for LookupCostModel {
     }
 }
 
+/// Most table accesses one lookup makes: a Patricia walk visits at most
+/// one node per prefix length, 0 through 32 (a DIR-24-8 lookup makes at
+/// most two).
+pub const MAX_ACCESSES: u32 = 33;
+
 impl LookupCostModel {
     pub fn cost(&self, accesses: u32) -> u32 {
         self.fixed_overhead + self.cycles_per_access * accesses
+    }
+
+    /// [`LookupCostModel::cost`] of a [`MAX_ACCESSES`] lookup, in `u64`
+    /// so that it cannot overflow.
+    pub fn worst_cycles(&self) -> u64 {
+        u64::from(self.fixed_overhead) + u64::from(self.cycles_per_access) * u64::from(MAX_ACCESSES)
     }
 }
 
@@ -160,6 +171,14 @@ impl LookupMemModel {
     /// Total modeled lookup latency for a trace of `accesses` accesses.
     pub fn cost(&self, accesses: u32) -> u32 {
         self.busy_cycles() + self.stall_cycles(accesses)
+    }
+
+    /// [`LookupMemModel::cost`] of a [`MAX_ACCESSES`] lookup, in `u64`
+    /// so that it cannot overflow.
+    pub fn worst_cycles(&self) -> u64 {
+        u64::from(self.overhead_cycles)
+            + u64::from(self.l1_cycles)
+            + u64::from(self.l2_cycles) * u64::from(MAX_ACCESSES - 1)
     }
 }
 

@@ -29,10 +29,6 @@
 //!   state), which keeps the scheduler deployable on the Raw fabric
 //!   where payloads stream ingress→egress without an intermediate copy.
 //!
-//! [`mutants`] holds deliberately broken arbiters (port-conflict
-//! matchings, stuck iSLIP pointers, an unbounded crosspoint buffer) for
-//! the RV8xx verifier's negative battery.
-//!
 //! All schedulers support runtime port counts (the differential tests
 //! run them at 16 ports; the Raw router instantiates them at 4) and are
 //! fully deterministic: the four Crossbar Processors replicate one
@@ -42,7 +38,6 @@
 
 pub mod cq;
 pub mod islip;
-pub mod mutants;
 pub mod token;
 
 pub use cq::CqArb;

@@ -1,11 +1,11 @@
-//! Whole-fabric static verification (`RV5xx`–`RV7xx`): channel-dependency
-//! deadlock proofs, routing soundness, and credit-sizing analysis for a
-//! multi-router fabric, before any simulation runs.
+//! Whole-fabric static verification (`RV5xx`–`RV6xx`): channel-dependency
+//! deadlock proofs and routing soundness for a multi-router fabric,
+//! before any simulation runs.
 //!
 //! The input is a [`FabricSpec`] — an abstract description of a fabric's
-//! wiring, per-router LPM tables, and flow-control constants that
-//! `raw-fabric` derives from its `TopologyPlan` + `FabricConfig`. Three
-//! analyses run over it:
+//! wiring, per-router LPM tables, and ingress queueing that `raw-fabric`
+//! derives from its `TopologyPlan` + `FabricConfig`. Two analyses run
+//! over it:
 //!
 //! 1. **Routing soundness** (`RV6xx`): every per-router table covers the
 //!    full fabric address space (`RV601`), every `(source, destination,
@@ -29,30 +29,19 @@
 //!    stalls a sender whose link cannot absorb one emission burst), a
 //!    link's packets wait on its receiver line card draining, and a line
 //!    card's head waits on the egress its packet targets (a full VOQ
-//!    blocks admission; a FIFO head blocks the whole queue). The two
-//!    historical escape fixes are modeled *explicitly* as edges that
-//!    appear when the fix is absent: without VOQ ingress, a blocked head
-//!    holds its cut-through transfer on the shared crossbar ring, so
-//!    every input of the router transitively waits on every blockable
-//!    egress (`RV502` when that closes a cycle); without the min-1
-//!    receive-window escape slot, a drain window can pin at zero whenever
-//!    the receiver's backlog sits above the window, coupling the link to
-//!    every blockable egress of its receiver (`RV503`). A cycle in the
-//!    base graph alone — one no escape valve can break — is `RV501`.
+//!    blocks admission; a FIFO head blocks the whole queue). The
+//!    historical escape fix is modeled *explicitly* as edges that appear
+//!    when it is absent: without VOQ ingress, a blocked head holds its
+//!    cut-through transfer on the shared crossbar ring, so every input of
+//!    the router transitively waits on every blockable egress (`RV502`
+//!    when that closes a cycle). A cycle in the base graph alone — one
+//!    the escape valve cannot break — is `RV501`. (The other historical
+//!    fix, a receive window that never closes below one packet per
+//!    epoch, is the executor's constant `MIN_RECEIVE_WINDOW`, so no
+//!    configuration can remove it.)
 //!
-//! 3. **Credit sizing** (`RV7xx`): the symbolic generalization of
-//!    `FabricConfig::validate`. From the epoch length and quantum the
-//!    analysis re-derives the worst-case per-epoch emission burst
-//!    `B = epoch/(quantum+1) + straddle` and proves, per link, the
-//!    occupancy invariant `occ ≤ capacity − T + B` where `T` is the
-//!    stall threshold (the declared emission bound): if credits ≥ T the
-//!    sender may emit at most `B` before the next boundary; if credits
-//!    < T the sender is stalled for the whole epoch and nothing arrives.
-//!    The bound must not exceed the capacity (`RV703`), the capacity
-//!    must leave one slot of progress room above the threshold
-//!    (`RV701`), every link must drain (`RV702`), the egress must be
-//!    cut-through so a per-epoch emission bound exists at all (`RV704`),
-//!    and the epoch must be positive (`RV705`).
+//! Link sizing — the credit threshold and queue capacity — is not
+//! re-derived here: `FabricConfig::validate` is its one check.
 
 use std::collections::HashMap;
 
@@ -60,17 +49,13 @@ use raw_lookup::{mask, RouteEntry};
 
 use crate::{Analysis, AnalysisReport, Diag};
 
-/// One unidirectional inter-router link with its flow-control sizing.
+/// One unidirectional inter-router link.
 #[derive(Clone, Copy, Debug)]
 pub struct LinkEdge {
     /// Sending `(router, output port)`.
     pub from: (usize, usize),
     /// Receiving `(router, input port)`.
     pub to: (usize, usize),
-    /// Bounded queue capacity (credits = free slots).
-    pub capacity: usize,
-    /// Maximum packets drained per epoch.
-    pub rate: usize,
 }
 
 /// One router's place in the fabric: pipeline stage and LPM table.
@@ -81,31 +66,7 @@ pub struct RouterNode {
     pub routes: Vec<RouteEntry>,
 }
 
-/// The flow-control constants the credit analysis reasons over.
-#[derive(Clone, Copy, Debug)]
-pub struct CreditModel {
-    pub epoch_cycles: u64,
-    /// Egress quantum in words (one packet costs quantum + tag).
-    pub quantum_words: usize,
-    /// Cut-through egress is what bounds per-epoch emission.
-    pub cut_through: bool,
-    /// The stall threshold the executor compares credits against — the
-    /// declared worst-case packets one egress port emits per epoch.
-    pub emission_bound: usize,
-    /// Extra packets allowed for emissions straddling a boundary.
-    pub straddle_margin: usize,
-}
-
-impl CreditModel {
-    /// Re-derive the worst-case per-epoch emission burst from first
-    /// principles (epoch length, per-packet word cost, straddle).
-    pub fn derived_burst(&self) -> usize {
-        (self.epoch_cycles as usize / self.quantum_words.saturating_add(1))
-            .saturating_add(self.straddle_margin)
-    }
-}
-
-/// Abstract description of a fabric: everything the three static
+/// Abstract description of a fabric: everything the two static
 /// analyses need, and nothing executor-specific.
 #[derive(Clone, Debug)]
 pub struct FabricSpec {
@@ -125,12 +86,8 @@ pub struct FabricSpec {
     /// `dest_addrs[d][m]` is the stamped address for destination `d`
     /// via middle `m` — the full fabric address space.
     pub dest_addrs: Vec<Vec<u32>>,
-    pub credit: CreditModel,
     /// Per-output virtual queues at ingress (the HOL-cycle fix).
     pub voq_ingress: bool,
-    /// Guaranteed receive-window slots per epoch (the livelock escape
-    /// valve); 0 reconstructs the pre-fix behavior.
-    pub min_receive_window: usize,
 }
 
 /// The outcome of verifying one fabric.
@@ -139,103 +96,13 @@ pub struct FabricVerdict {
     pub name: String,
     pub diags: Vec<Diag>,
     /// Channel-dependency graph size (nodes / edges, escape edges
-    /// included when their fix is absent).
+    /// included when the fix is absent).
     pub cdg_nodes: u64,
     pub cdg_edges: u64,
     /// `(source, destination, spray)` routing walks executed.
     pub route_walks: u64,
     /// Router × address coverage points checked for `RV601`.
     pub coverage_points: u64,
-    pub links_checked: u64,
-    /// Max symbolic worst-case occupancy proven over all links (equals
-    /// the capacity when the sizing is tight).
-    pub worst_link_occupancy: u64,
-}
-
-// ---------------------------------------------------------------------
-// RV7xx — credit sizing
-// ---------------------------------------------------------------------
-
-fn check_credits(spec: &FabricSpec, diags: &mut Vec<Diag>) -> u64 {
-    let c = &spec.credit;
-    let name = &spec.name;
-    if c.epoch_cycles == 0 {
-        diags.push(Diag::new(
-            "RV705",
-            Analysis::FabricCredits,
-            name,
-            "epoch_cycles must be positive: the credit protocol samples once per epoch".into(),
-        ));
-    }
-    if !c.cut_through {
-        diags.push(Diag::new(
-            "RV704",
-            Analysis::FabricCredits,
-            name,
-            "store-and-forward egress has no per-epoch emission bound to size link credits \
-             against"
-                .into(),
-        ));
-    }
-    let t = c.emission_bound;
-    let burst = c.derived_burst();
-    let mut worst = 0u64;
-    for (li, l) in spec.links.iter().enumerate() {
-        let wire = format!(
-            "link{li} r{}:p{}->r{}:p{}",
-            l.from.0, l.from.1, l.to.0, l.to.1
-        );
-        if l.rate < 1 {
-            diags.push(
-                Diag::new(
-                    "RV702",
-                    Analysis::FabricCredits,
-                    name,
-                    "link rate must be at least 1 packet/epoch or the queue never drains".into(),
-                )
-                .at_wire(wire.clone()),
-            );
-        }
-        if l.capacity <= t {
-            diags.push(
-                Diag::new(
-                    "RV701",
-                    Analysis::FabricCredits,
-                    name,
-                    format!(
-                        "capacity {} cannot hold the stall threshold {t} plus one slot of \
-                         progress room",
-                        l.capacity
-                    ),
-                )
-                .at_wire(wire.clone()),
-            );
-        }
-        // Occupancy induction: below the threshold the sender is free
-        // and at most `burst` packets arrive at the next boundary; at
-        // or above it the sender is stalled for the whole epoch and
-        // nothing arrives. Worst reachable occupancy is therefore one
-        // burst above the largest free state.
-        let w = l.capacity.saturating_sub(t) + burst;
-        if w > l.capacity {
-            diags.push(
-                Diag::new(
-                    "RV703",
-                    Analysis::FabricCredits,
-                    name,
-                    format!(
-                        "stall threshold {t} cannot absorb the derived worst-case epoch burst \
-                         {burst} (epoch {} / quantum {} + straddle {}): worst-case occupancy \
-                         {w} exceeds capacity {}",
-                        c.epoch_cycles, c.quantum_words, c.straddle_margin, l.capacity
-                    ),
-                )
-                .at_wire(wire),
-            );
-        }
-        worst = worst.max(w.min(l.capacity) as u64);
-    }
-    worst
 }
 
 // ---------------------------------------------------------------------
@@ -674,16 +541,9 @@ impl Cdg {
     }
 }
 
-/// Which escape-dependent edge families to include.
-#[derive(Clone, Copy)]
-struct EdgeSel {
-    /// FIFO crossbar-jam coupling (absent when VOQ ingress is on).
-    fifo_jam: bool,
-    /// Zero-window coupling (absent when the min-1 escape slot is on).
-    window_pin: bool,
-}
-
-fn build_cdg(spec: &FabricSpec, targets: &TargetSets, maps: &PortMaps, sel: EdgeSel) -> Cdg {
+/// Build the channel-dependency graph; `fifo_jam` adds the FIFO
+/// crossbar-jam coupling (absent when VOQ ingress is on).
+fn build_cdg(spec: &FabricSpec, targets: &TargetSets, maps: &PortMaps, fifo_jam: bool) -> Cdg {
     let nlinks = spec.links.len();
     let mut nodes = Vec::new();
     for li in 0..nlinks {
@@ -711,21 +571,12 @@ fn build_cdg(spec: &FabricSpec, targets: &TargetSets, maps: &PortMaps, sel: Edge
         feeding[l.from.0].push(li);
     }
 
-    for (li, l) in spec.links.iter().enumerate() {
+    for li in 0..nlinks {
         // E1 — credit return: emission onto the link waits on credits.
         push(&mut edges, out(li), lnk(li));
         // E2 — drain: the link's packets wait on the receiving line
         // card making progress.
         push(&mut edges, lnk(li), lnk_in(li));
-        // E5 — window pinning (no min-1 escape): the drain window can
-        // sit at zero while the receiver's backlog exceeds it, and that
-        // backlog drains only as fast as the receiver's blockable
-        // egresses; the escape slot statically bounds this wait.
-        if sel.window_pin {
-            for &lj in &feeding[l.to.0] {
-                push(&mut edges, lnk(li), out(lj));
-            }
-        }
     }
     // E3 — admission: an input's head (FIFO) or targeted VOQ waits on
     // the egress its routed traffic targets, when that egress can block
@@ -741,7 +592,7 @@ fn build_cdg(spec: &FabricSpec, targets: &TargetSets, maps: &PortMaps, sel: Edge
         // E4 — crossbar jam (FIFO only): a blocked head's cut-through
         // transfer holds the shared rotating-crossbar ring, so any
         // input of the router can wait on any blockable egress.
-        if sel.fifo_jam {
+        if fifo_jam {
             for &lj in &feeding[r] {
                 push(edges, node, out(lj));
             }
@@ -771,18 +622,9 @@ fn check_deadlock(
             .join(" → ")
     };
 
-    // The base graph models only waits that exist with both escape
-    // fixes in place; a cycle here is structural and unfixable by
-    // either valve.
-    let base = build_cdg(
-        spec,
-        targets,
-        maps,
-        EdgeSel {
-            fifo_jam: false,
-            window_pin: false,
-        },
-    );
+    // The base graph models only waits that exist with the escape fix in
+    // place; a cycle here is structural and unfixable by the valve.
+    let base = build_cdg(spec, targets, maps, false);
     let base_cyclic = if let Some(cycle) = base.find_cycle() {
         diags.push(Diag::new(
             "RV501",
@@ -798,20 +640,17 @@ fn check_deadlock(
         false
     };
 
-    // Escape-edge modeling: each absent fix adds its edge family to the
-    // *base* graph separately, so the diagnostic names the exact fix
-    // whose removal re-arms the deadlock.
+    // Escape-edge modeling: without VOQ ingress the FIFO coupling edges
+    // join the base graph, so a cycle they close names the fix whose
+    // removal re-arms the deadlock. The stats reflect the graph as
+    // configured.
+    let full = if spec.voq_ingress {
+        base
+    } else {
+        build_cdg(spec, targets, maps, true)
+    };
     if !base_cyclic && !spec.voq_ingress {
-        let g = build_cdg(
-            spec,
-            targets,
-            maps,
-            EdgeSel {
-                fifo_jam: true,
-                window_pin: false,
-            },
-        );
-        if let Some(cycle) = g.find_cycle() {
+        if let Some(cycle) = full.find_cycle() {
             diags.push(Diag::new(
                 "RV502",
                 Analysis::FabricDeadlock,
@@ -819,46 +658,11 @@ fn check_deadlock(
                 format!(
                     "FIFO-ingress head-of-line coupling closes a channel-dependency cycle \
                      (VOQ ingress breaks it): {}",
-                    render(&g, &cycle)
+                    render(&full, &cycle)
                 ),
             ));
         }
     }
-    if !base_cyclic && spec.min_receive_window == 0 {
-        let g = build_cdg(
-            spec,
-            targets,
-            maps,
-            EdgeSel {
-                fifo_jam: !spec.voq_ingress,
-                window_pin: true,
-            },
-        );
-        if let Some(cycle) = g.find_cycle() {
-            diags.push(Diag::new(
-                "RV503",
-                Analysis::FabricDeadlock,
-                name,
-                format!(
-                    "receive-window pinning closes a channel-dependency cycle (the min-1 \
-                     escape slot per epoch breaks it): {}",
-                    render(&g, &cycle)
-                ),
-            ));
-        }
-    }
-
-    // Stats reflect the graph as configured (escape edges included
-    // exactly when their fix is absent).
-    let full = build_cdg(
-        spec,
-        targets,
-        maps,
-        EdgeSel {
-            fifo_jam: !spec.voq_ingress,
-            window_pin: spec.min_receive_window == 0,
-        },
-    );
     let nedges: usize = full.edges.iter().map(Vec::len).sum();
     (full.nodes.len() as u64, nedges as u64)
 }
@@ -867,10 +671,9 @@ fn check_deadlock(
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Run all three fabric analyses over one spec.
+/// Run both fabric analyses over one spec.
 pub fn verify_fabric(spec: &FabricSpec) -> FabricVerdict {
     let mut diags = Vec::new();
-    let worst = check_credits(spec, &mut diags);
     let maps = port_maps(spec);
     let (targets, walks, coverage_points) = check_routing(spec, &maps, &mut diags);
     let (cdg_nodes, cdg_edges) = check_deadlock(spec, &targets, &maps, &mut diags);
@@ -881,12 +684,10 @@ pub fn verify_fabric(spec: &FabricSpec) -> FabricVerdict {
         cdg_edges,
         route_walks: walks,
         coverage_points,
-        links_checked: spec.links.len() as u64,
-        worst_link_occupancy: worst,
     }
 }
 
-/// Fold per-fabric verdicts into the three report rows `repro -- verify`
+/// Fold per-fabric verdicts into the two report rows `repro -- verify`
 /// appends to `results/verify.json`.
 pub fn fabric_reports(verdicts: &[FabricVerdict]) -> Vec<AnalysisReport> {
     let count = |prefix: &str| {
@@ -898,14 +699,8 @@ pub fn fabric_reports(verdicts: &[FabricVerdict]) -> Vec<AnalysisReport> {
     };
     let walks: u64 = verdicts.iter().map(|v| v.route_walks).sum();
     let cov: u64 = verdicts.iter().map(|v| v.coverage_points).sum();
-    let links: u64 = verdicts.iter().map(|v| v.links_checked).sum();
     let nodes: u64 = verdicts.iter().map(|v| v.cdg_nodes).sum();
     let edges: u64 = verdicts.iter().map(|v| v.cdg_edges).sum();
-    let worst: u64 = verdicts
-        .iter()
-        .map(|v| v.worst_link_occupancy)
-        .max()
-        .unwrap_or(0);
     vec![
         AnalysisReport {
             name: "fabric-deadlock",
@@ -914,7 +709,7 @@ pub fn fabric_reports(verdicts: &[FabricVerdict]) -> Vec<AnalysisReport> {
             checked: nodes,
             detail: format!(
                 "channel-dependency graphs over {} fabrics ({nodes} nodes, {edges} edges), \
-                 VOQ-ingress and min-1 receive-window escape edges modeled explicitly",
+                 VOQ-ingress escape edges modeled explicitly",
                 verdicts.len()
             ),
         },
@@ -926,16 +721,6 @@ pub fn fabric_reports(verdicts: &[FabricVerdict]) -> Vec<AnalysisReport> {
             detail: format!(
                 "{walks} (src, dst, spray) walks over per-router LPM tables (deduped over \
                  co-located source ports); {cov} address-coverage points over distinct tables"
-            ),
-        },
-        AnalysisReport {
-            name: "fabric-credits",
-            code_prefix: "RV7",
-            pass: count("RV7") == 0,
-            checked: links,
-            detail: format!(
-                "symbolic per-link occupancy bound vs capacity over {links} links; worst-case \
-                 occupancy {worst}"
             ),
         },
     ]
@@ -968,29 +753,17 @@ mod tests {
                 LinkEdge {
                     from: (0, 1),
                     to: (1, 1),
-                    capacity: 8,
-                    rate: 4,
                 },
                 LinkEdge {
                     from: (1, 1),
                     to: (0, 1),
-                    capacity: 8,
-                    rate: 4,
                 },
             ],
             ext_in: vec![(0, 0), (1, 0)],
             ext_out: vec![(0, 0), (1, 0)],
             uplinks: vec![Vec::new(), Vec::new()],
             dest_addrs: vec![vec![0x0a00_0001], vec![0x0a01_0001]],
-            credit: CreditModel {
-                epoch_cycles: 85,
-                quantum_words: 16,
-                cut_through: true,
-                emission_bound: 7,
-                straddle_margin: 2,
-            },
             voq_ingress: true,
-            min_receive_window: 1,
         }
     }
 
@@ -1007,7 +780,6 @@ mod tests {
         assert!(v.diags.is_empty(), "{:?}", v.diags);
         assert_eq!(v.route_walks, 4);
         assert!(v.cdg_nodes > 0 && v.cdg_edges > 0);
-        assert_eq!(v.worst_link_occupancy, 8);
     }
 
     #[test]
@@ -1138,37 +910,5 @@ mod tests {
         let (class_of, reps) = table_classes(&spec);
         assert_eq!(class_of, vec![0, 1]);
         assert_eq!(reps, vec![0, 1]);
-    }
-
-    #[test]
-    fn credit_mutants_map_to_their_codes() {
-        let mut spec = toy(
-            vec![d16(0, 0), d16(1, 1), RouteEntry::new(0, 0, 0)],
-            vec![d16(0, 1), d16(1, 0), RouteEntry::new(0, 0, 0)],
-        );
-        spec.links[0].capacity = 5; // < threshold 7 + 1
-        spec.links[1].rate = 0;
-        spec.credit.cut_through = false;
-        let codes: Vec<&str> = verify_fabric(&spec).diags.iter().map(|d| d.code).collect();
-        for want in ["RV701", "RV702", "RV704"] {
-            assert!(codes.contains(&want), "missing {want} in {codes:?}");
-        }
-
-        let mut spec = toy(
-            vec![d16(0, 0), d16(1, 1), RouteEntry::new(0, 0, 0)],
-            vec![d16(0, 1), d16(1, 0), RouteEntry::new(0, 0, 0)],
-        );
-        // Understating the stall threshold breaks the occupancy proof.
-        spec.credit.emission_bound = 3;
-        let codes: Vec<&str> = verify_fabric(&spec).diags.iter().map(|d| d.code).collect();
-        assert!(codes.contains(&"RV703"), "{codes:?}");
-
-        let mut spec = toy(
-            vec![d16(0, 0), d16(1, 1), RouteEntry::new(0, 0, 0)],
-            vec![d16(0, 1), d16(1, 0), RouteEntry::new(0, 0, 0)],
-        );
-        spec.credit.epoch_cycles = 0;
-        let codes: Vec<&str> = verify_fabric(&spec).diags.iter().map(|d| d.code).collect();
-        assert!(codes.contains(&"RV705"), "{codes:?}");
     }
 }

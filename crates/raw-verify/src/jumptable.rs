@@ -4,8 +4,7 @@
 //! indexes the minimized per-tile jump tables that `ConfigSpace`
 //! enumeration produced at compile time. This analysis closes the loop
 //! by replaying **every** global `(token, headers)` point (2,500 unicast,
-//! 16⁴·4 multicast, under both scheduling policies) against the
-//! `schedule()` oracle and checking:
+//! 16⁴·4 multicast) against the `schedule()` oracle and checking:
 //!
 //! * `RV401` — the local configuration the jump table selects differs
 //!   from what the oracle derives for that tile;
@@ -29,7 +28,7 @@ use raw_sim::{Route, SwPort, SwitchCtrl, NET0};
 use raw_xbar::asm_xbar::{gen_crossbar_asm_source, table_image_pc};
 use raw_xbar::codegen::{gen_crossbar_switch, CrossbarCode};
 use raw_xbar::config::{
-    schedule, Bid, Client, ConfigSpace, SchedPolicy, GLOBAL_SPACE, GLOBAL_SPACE_MCAST, HDR_VALUES,
+    schedule, Bid, Client, ConfigSpace, GLOBAL_SPACE, GLOBAL_SPACE_MCAST, HDR_VALUES,
     HDR_VALUES_MCAST,
 };
 use raw_xbar::layout::{PortTiles, RouterLayout, NPORTS};
@@ -72,12 +71,11 @@ pub struct SpaceCoverage {
     pub space: u64,
 }
 
-fn space_name(cs: &ConfigSpace) -> String {
-    format!(
-        "jump-table-{}-{:?}",
-        if cs.multicast { "multicast" } else { "unicast" },
-        cs.policy
-    )
+/// The space's name in the report: `jump-table-{unicast,multicast}-`
+/// and the one walk, shortest-first.
+pub(crate) fn space_name(cs: &ConfigSpace) -> String {
+    let alphabet = if cs.multicast { "multicast" } else { "unicast" };
+    format!("jump-table-{alphabet}-ShortestFirst")
 }
 
 /// Oracle sanity invariants on one scheduling outcome, with the grant
@@ -140,7 +138,7 @@ pub fn check_space(cs: &ConfigSpace, diags: &mut Vec<Diag>) -> SpaceCoverage {
                     Bid::unicast(hdrs[i])
                 }
             });
-            let sched = schedule(bids, token, cs.policy);
+            let sched = schedule(bids, token);
             let gi = if cs.multicast {
                 raw_xbar::config::global_index_mcast(token, hdrs)
             } else {
@@ -374,7 +372,7 @@ pub fn check_table_image(
 /// generated switch code for every tile, and the generated tile assembly
 /// must assemble with every instruction passing ISA validation.
 pub fn check_asm_crossbar(layout: &RouterLayout, diags: &mut Vec<Diag>) -> u64 {
-    let cs = ConfigSpace::enumerate_multicast(SchedPolicy::ShortestFirst);
+    let cs = ConfigSpace::enumerate_multicast();
     let mut n = 0;
     for (port, p) in layout.ports.iter().enumerate() {
         let code = gen_crossbar_switch(p, &cs, 16);
@@ -479,7 +477,6 @@ pub fn check_ring_walk(ns: &[usize], diags: &mut Vec<Diag>) -> u64 {
                     None => Bid::EMPTY,
                 }),
                 token as u8,
-                SchedPolicy::ShortestFirst,
             );
             if g != sched.granted {
                 capped.push(Diag::new(
@@ -535,13 +532,13 @@ pub fn check_ring_walk(ns: &[usize], diags: &mut Vec<Diag>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raw_xbar::config::SchedPolicy;
 
     fn clone_space(cs: &ConfigSpace) -> ConfigSpace {
         ConfigSpace {
             configs: cs.configs.clone(),
             jump: cs.jump.clone(),
             grant: cs.grant.clone(),
-            policy: cs.policy,
             multicast: cs.multicast,
         }
     }
@@ -590,20 +587,18 @@ mod tests {
         let (code, _) = grant_invariants(&bids, 0, &[false, true, false, false]).expect("caught");
         assert_eq!(code, "RV404");
         // The real oracle outcome passes.
-        let s = schedule(bids, 0, SchedPolicy::ShortestFirst);
+        let s = schedule(bids, 0);
         assert!(grant_invariants(&bids, 0, &s.granted).is_none());
     }
 
     #[test]
     fn generated_body_routines_decode_cleanly() {
         let layout = RouterLayout::canonical();
-        for policy in [SchedPolicy::ShortestFirst, SchedPolicy::CwFirst] {
-            let cs = ConfigSpace::enumerate(policy);
-            let mut diags = Vec::new();
-            let n = check_body_routines(&layout, &cs, 16, &mut diags);
-            assert!(diags.is_empty(), "{policy:?}: {diags:?}");
-            assert_eq!(n, cs.configs.len() as u64);
-        }
+        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
+        let mut diags = Vec::new();
+        let n = check_body_routines(&layout, &cs, 16, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(n, cs.configs.len() as u64);
     }
 
     #[test]
@@ -640,7 +635,7 @@ mod tests {
         assert_eq!(n, 4 * GLOBAL_SPACE_MCAST as u64);
 
         // Corrupt one image entry: RV406.
-        let cs = ConfigSpace::enumerate_multicast(SchedPolicy::ShortestFirst);
+        let cs = ConfigSpace::enumerate_multicast();
         let code = gen_crossbar_switch(&layout.ports[0], &cs, 16);
         let mut img = table_image_pc(&cs, 0, &code);
         img[42] ^= 1;

@@ -21,19 +21,19 @@
 //!    producer of its empty source wire) is extracted; a cycle is the
 //!    static signature of the §5.5 static-network deadlock.
 //! 4. **Jump-table model check** ([`jumptable`], `RV4xx`) — every global
-//!    `(token, hdrs)` index (2,500 unicast, 16⁴·4 multicast, both
-//!    policies) is replayed against the [`raw_xbar::config::schedule`]
-//!    oracle: the minimized per-tile entries must route identically, no
-//!    output may be double-granted, the token holder's bid must win, and
-//!    every minimized body routine must decode back to its local
+//!    `(token, hdrs)` index (2,500 unicast, 16⁴·4 multicast) is replayed
+//!    against the [`raw_xbar::config::schedule`] oracle: the minimized
+//!    per-tile entries must route identically, no output may be
+//!    double-granted, the token holder's bid must win, and every
+//!    minimized body routine must decode back to its local
 //!    configuration.
-//! 5. **Whole-fabric verification** ([`fabric`], `RV5xx`–`RV7xx`) — one
+//! 5. **Whole-fabric verification** ([`fabric`], `RV5xx`–`RV6xx`) — one
 //!    level up from a single router: channel-dependency-graph deadlock
 //!    proofs over a multi-router fabric's links, line cards, and
-//!    credit-return loops (with the VOQ-ingress and min-1 receive-window
-//!    escape fixes modeled explicitly), routing-soundness walks over the
-//!    per-router LPM tables, and a symbolic per-link credit-sizing
-//!    proof. `raw-fabric` gates `RawFabric::try_new` on this analysis.
+//!    credit-return loops (with the VOQ-ingress escape fix modeled
+//!    explicitly), and routing-soundness walks over the per-router LPM
+//!    tables. `raw-fabric` gates `RawFabric::try_new` on this analysis;
+//!    link sizing is `FabricConfig::validate`'s.
 //!
 //! ## Abstract domain
 //!
@@ -71,8 +71,6 @@ pub enum Analysis {
     FabricDeadlock,
     /// Fabric-level routing soundness (`RV6xx`).
     FabricRouting,
-    /// Fabric-level symbolic credit sizing (`RV7xx`).
-    FabricCredits,
     /// Scheduler matching validity & ring routability (`RV801`).
     SchedMatching,
     /// Scheduler starvation freedom / bounded wait (`RV802`).
@@ -107,16 +105,14 @@ impl Serialize for Analysis {
 ///
 /// Fabric-level codes ([`fabric`]): `RV501` structural channel-dependency
 /// cycle (independent of the escape valves), `RV502` FIFO-ingress
-/// head-of-line coupling closes a cycle (VOQ breaks it), `RV503`
-/// receive-window pinning closes a cycle (the min-1 escape slot breaks
-/// it); `RV601` LPM table does not cover the fabric address space,
-/// `RV602` routing loop, `RV603` misdelivery, `RV604` route exits a port
-/// that is neither a link nor a declared external output, `RV605`
-/// ingress table disagrees with the declared spray uplink map; `RV701`
-/// link capacity below the stall threshold plus progress room, `RV702`
-/// non-draining link, `RV703` declared stall threshold cannot absorb the
-/// derived worst-case epoch burst, `RV704` store-and-forward egress has
-/// no emission bound, `RV705` zero-length epoch.
+/// head-of-line coupling closes a cycle (VOQ breaks it); `RV601` LPM
+/// table does not cover the fabric address space, `RV602` routing loop,
+/// `RV603` misdelivery, `RV604` route exits a port that is neither a
+/// link nor a declared external output, `RV605` ingress table disagrees
+/// with the declared spray uplink map. The `RV7xx` link-sizing codes are
+/// `raw_fabric::FabricConfigError::code`'s: `RV701` link capacity below
+/// the stall threshold plus progress room, `RV704` store-and-forward
+/// egress has no emission bound, `RV705` zero-length epoch.
 ///
 /// Scheduler codes ([`sched`]): `RV801` invalid or non-ring-routable
 /// matching (port conflict, unrequested grant), `RV802` a persistently
@@ -289,10 +285,10 @@ pub struct VerifyReport {
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct Coverage {
     /// Unicast global indices model-checked, and the space size (must be
-    /// 2500/2500 per policy).
+    /// 2500/2500).
     pub unicast_points: u64,
     pub unicast_space: u64,
-    /// Multicast global indices model-checked (16⁴·4 per policy).
+    /// Multicast global indices model-checked (16⁴·4).
     pub multicast_points: u64,
     pub multicast_space: u64,
     /// Minimized body routines decoded back to their configurations, and
@@ -304,9 +300,7 @@ pub struct Coverage {
     pub lockstep_scenarios: u64,
     /// Highest abstract FIFO occupancy any verified schedule requires.
     pub max_fifo_high_water: u64,
-    /// Scheduling policies covered.
-    pub policies: u64,
-    /// Fabric topologies statically verified (RV5xx–RV7xx).
+    /// Fabric topologies statically verified (RV5xx–RV6xx).
     pub fabric_topologies: u64,
     /// Channel-dependency-graph nodes across all verified fabrics.
     pub fabric_cdg_nodes: u64,
@@ -316,8 +310,6 @@ pub struct Coverage {
     pub fabric_route_walks: u64,
     /// Router × fabric-address coverage points checked.
     pub fabric_coverage_points: u64,
-    /// Inter-router links credit-checked.
-    pub fabric_links: u64,
     /// Scheduler matchings checked for validity/routability (RV801).
     pub sched_matchings: u64,
     /// Persistent-demand trace slots driven over the arbiters
@@ -351,8 +343,8 @@ impl Default for VerifyOptions {
 
 /// Run every analysis over every program the repo generates: the crossbar
 /// / ingress / egress switch code at each requested quantum, one schedule
-/// period per reachable joint configuration, the full jump-table spaces
-/// under both policies, the generated crossbar tile assembly, and the
+/// period per reachable joint configuration, the full jump-table spaces,
+/// the generated crossbar tile assembly, and the
 /// generalized `scale` ring walk.
 pub fn verify_all(opts: &VerifyOptions) -> VerifyReport {
     let mut diags: Vec<Diag> = Vec::new();
@@ -365,7 +357,8 @@ pub fn verify_all(opts: &VerifyOptions) -> VerifyReport {
     use raw_xbar::layout::RouterLayout;
 
     let layout = RouterLayout::canonical();
-    let policies = [SchedPolicy::ShortestFirst, SchedPolicy::CwFirst];
+    let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
+    let csm = ConfigSpace::enumerate_multicast();
 
     let sweep = |cs: &ConfigSpace,
                  quantum: usize,
@@ -391,60 +384,51 @@ pub fn verify_all(opts: &VerifyOptions) -> VerifyReport {
         cov.max_fifo_high_water = cov.max_fifo_high_water.max(max_hw);
     };
 
-    for policy in policies {
-        let cs = ConfigSpace::enumerate(policy);
-        for &quantum in &opts.quanta {
-            let name = format!("router-fabric-{policy:?}-q{quantum}");
-            programs.push(name.clone());
-            sweep(
-                &cs,
-                quantum,
-                &name,
-                &mut diags,
-                &mut cov,
-                &mut conflict_instrs,
-                &mut lockstep_steps,
-            );
-        }
-        if opts.lockstep_multicast {
-            let quantum = *opts.quanta.iter().min().unwrap_or(&16);
-            let csm = ConfigSpace::enumerate_multicast(policy);
-            let name = format!("router-fabric-mcast-{policy:?}-q{quantum}");
-            programs.push(name.clone());
-            sweep(
-                &csm,
-                quantum,
-                &name,
-                &mut diags,
-                &mut cov,
-                &mut conflict_instrs,
-                &mut lockstep_steps,
-            );
-        }
+    for &quantum in &opts.quanta {
+        let name = format!("router-fabric-ShortestFirst-q{quantum}");
+        programs.push(name.clone());
+        sweep(
+            &cs,
+            quantum,
+            &name,
+            &mut diags,
+            &mut cov,
+            &mut conflict_instrs,
+            &mut lockstep_steps,
+        );
+    }
+    if opts.lockstep_multicast {
+        let quantum = *opts.quanta.iter().min().unwrap_or(&16);
+        let name = format!("router-fabric-mcast-ShortestFirst-q{quantum}");
+        programs.push(name.clone());
+        sweep(
+            &csm,
+            quantum,
+            &name,
+            &mut diags,
+            &mut cov,
+            &mut conflict_instrs,
+            &mut lockstep_steps,
+        );
     }
 
-    // Analysis 4: exhaustive jump-table model check, both policies, both
-    // alphabets, plus body-routine decode and the assembly table image.
-    for policy in [SchedPolicy::ShortestFirst, SchedPolicy::CwFirst] {
-        cov.policies += 1;
-        let cs = ConfigSpace::enumerate(policy);
-        programs.push(format!("jump-table-unicast-{policy:?}"));
-        let c = jumptable::check_space(&cs, &mut diags);
-        cov.unicast_points += c.points;
-        cov.unicast_space += c.space;
+    // Analysis 4: exhaustive jump-table model check over both alphabets,
+    // plus body-routine decode and the assembly table image.
+    programs.push(jumptable::space_name(&cs));
+    let c = jumptable::check_space(&cs, &mut diags);
+    cov.unicast_points = c.points;
+    cov.unicast_space = c.space;
 
-        let csm = ConfigSpace::enumerate_multicast(policy);
-        programs.push(format!("jump-table-multicast-{policy:?}"));
-        let c = jumptable::check_space(&csm, &mut diags);
-        cov.multicast_points += c.points;
-        cov.multicast_space += c.space;
+    programs.push(jumptable::space_name(&csm));
+    let c = jumptable::check_space(&csm, &mut diags);
+    cov.multicast_points = c.points;
+    cov.multicast_space = c.space;
 
-        for &quantum in &opts.quanta {
-            let b = jumptable::check_body_routines(&layout, &cs, quantum, &mut diags);
-            cov.body_routines = cov.body_routines.max(b);
-        }
-        cov.body_routine_space = cov.body_routine_space.max(cs.configs.len() as u64);
+    for &quantum in &opts.quanta {
+        let b = jumptable::check_body_routines(&layout, &cs, quantum, &mut diags);
+        cov.body_routines = cov.body_routines.max(b);
     }
+    cov.body_routine_space = cs.configs.len() as u64;
 
     // The §6.5 generated tile assembly: table image consistent with the
     // config space, program assembles and every instruction validates.
@@ -524,14 +508,14 @@ mod tests {
         let report = verify_all(&opts);
         assert!(report.pass, "{:?}", report.diagnostics);
         assert!(report.diagnostics.is_empty());
-        // Exhaustive coverage per policy: 2,500 unicast and 16^4*4
-        // multicast global indices, both policies.
-        assert_eq!(report.coverage.unicast_points, 5_000);
+        // Exhaustive coverage: 2,500 unicast and 16^4*4 multicast global
+        // indices.
+        assert_eq!(report.coverage.unicast_points, 2_500);
         assert_eq!(
             report.coverage.unicast_points,
             report.coverage.unicast_space
         );
-        assert_eq!(report.coverage.multicast_points, 2 * 4 * 16u64.pow(4));
+        assert_eq!(report.coverage.multicast_points, 4 * 16u64.pow(4));
         assert_eq!(
             report.coverage.multicast_points,
             report.coverage.multicast_space

@@ -1,7 +1,6 @@
-//! Deliberately broken arbiters for the RV8xx negative battery.
-//!
-//! Each mutant violates exactly one scheduler contract, and the
-//! verifier must reject it with the matching code:
+//! The RV8xx negative battery: deliberately broken arbiters, each
+//! violating exactly one scheduler contract, and the verifier must
+//! reject each with the matching code:
 //!
 //! - [`ConflictArb`] → `RV801`: grants one output to several inputs
 //!   (every requesting input takes its lowest requested output with no
@@ -12,18 +11,23 @@
 //! - [`UnboundedCqArb`] → `RV803`: a crosspoint-queued arbiter whose
 //!   ingest ignores the buffer capacity; a hotspot column grows its
 //!   losing crosspoints without bound.
+//!
+//! The arbiters live here, with the tests that use them, and not in
+//! `raw-sched`'s library.
 
-use crate::{Matching, Scheduler};
+use raw_sched::{matching_is_valid, Matching, Scheduler};
+use raw_verify::sched::{sched_reports, verify_arbiter, SchedVerifyOptions};
+use raw_xbar::NPORTS;
 
 /// Grants every requesting input its lowest requested output — no
 /// output-uniqueness, so any shared destination produces a port
 /// conflict (two inputs driving one crossbar output).
-pub struct ConflictArb {
+struct ConflictArb {
     n: usize,
 }
 
 impl ConflictArb {
-    pub fn new(n: usize) -> ConflictArb {
+    fn new(n: usize) -> ConflictArb {
         ConflictArb { n }
     }
 }
@@ -56,13 +60,13 @@ impl Scheduler for ConflictArb {
 /// iSLIP with frozen pointers: grant and accept always scan from port
 /// 0. Input 0 monopolizes every output it requests; persistent
 /// lower-priority pairs are never served.
-pub struct StuckPointerArb {
+struct StuckPointerArb {
     n: usize,
     iters: u32,
 }
 
 impl StuckPointerArb {
-    pub fn new(n: usize, iters: u32) -> StuckPointerArb {
+    fn new(n: usize, iters: u32) -> StuckPointerArb {
         StuckPointerArb { n, iters }
     }
 }
@@ -117,7 +121,7 @@ impl Scheduler for StuckPointerArb {
 /// Crosspoint-queued with no capacity guard on ingest. Reports the
 /// capacity it *should* honor via [`Scheduler::occupancy`], so the
 /// RV803 bound check sees the overflow.
-pub struct UnboundedCqArb {
+struct UnboundedCqArb {
     n: usize,
     claimed_cap: u32,
     occ: Vec<u32>,
@@ -127,7 +131,7 @@ pub struct UnboundedCqArb {
 }
 
 impl UnboundedCqArb {
-    pub fn new(n: usize, claimed_cap: u32) -> UnboundedCqArb {
+    fn new(n: usize, claimed_cap: u32) -> UnboundedCqArb {
         UnboundedCqArb {
             n,
             claimed_cap,
@@ -199,40 +203,81 @@ impl Scheduler for UnboundedCqArb {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::matching_is_valid;
+fn fast() -> SchedVerifyOptions {
+    SchedVerifyOptions {
+        exhaustive: false,
+        trace_slots: 48,
+    }
+}
 
-    #[test]
-    fn conflict_mutant_produces_an_invalid_matching() {
-        let mut s = ConflictArb::new(4);
-        let reqs = vec![1u16, 1, 0, 0]; // both want output 0
+// ---------------------------------------------------------------------
+// Each mutant breaks its contract when driven directly.
+// ---------------------------------------------------------------------
+
+#[test]
+fn conflict_mutant_produces_an_invalid_matching() {
+    let mut s = ConflictArb::new(4);
+    let reqs = vec![1u16, 1, 0, 0]; // both want output 0
+    let m = s.arbitrate(&reqs);
+    assert!(!matching_is_valid(&reqs, &m));
+}
+
+#[test]
+fn stuck_pointer_mutant_starves_a_shadowed_pair() {
+    let mut s = StuckPointerArb::new(4, 4);
+    // Inputs 0 and 1 both persistently request output 0 only.
+    let reqs = vec![1u16, 1, 0, 0];
+    for _ in 0..32 {
         let m = s.arbitrate(&reqs);
-        assert!(!matching_is_valid(&reqs, &m));
+        assert!(matching_is_valid(&reqs, &m), "conflict-free, just unfair");
+        assert_eq!(m[0], Some(0), "the frozen pointer always picks input 0");
+        assert_eq!(m[1], None, "input 1 starves");
     }
+}
 
-    #[test]
-    fn stuck_pointer_mutant_starves_a_shadowed_pair() {
-        let mut s = StuckPointerArb::new(4, 4);
-        // Inputs 0 and 1 both persistently request output 0 only.
-        let reqs = vec![1u16, 1, 0, 0];
-        for _ in 0..32 {
-            let m = s.arbitrate(&reqs);
-            assert!(matching_is_valid(&reqs, &m), "conflict-free, just unfair");
-            assert_eq!(m[0], Some(0), "the frozen pointer always picks input 0");
-            assert_eq!(m[1], None, "input 1 starves");
-        }
+#[test]
+fn unbounded_mutant_overflows_its_claimed_capacity() {
+    let mut s = UnboundedCqArb::new(4, 2);
+    let reqs = vec![1u16; 4]; // hotspot column 0
+    for _ in 0..16 {
+        s.arbitrate(&reqs);
     }
+    let (occ, cap) = s.occupancy().unwrap();
+    assert!(occ.iter().any(|&o| o > cap), "ingest must have overflowed");
+}
 
-    #[test]
-    fn unbounded_mutant_overflows_its_claimed_capacity() {
-        let mut s = UnboundedCqArb::new(4, 2);
-        let reqs = vec![1u16; 4]; // hotspot column 0
-        for _ in 0..16 {
-            s.arbitrate(&reqs);
-        }
-        let (occ, cap) = s.occupancy().unwrap();
-        assert!(occ.iter().any(|&o| o > cap), "ingest must have overflowed");
-    }
+// ---------------------------------------------------------------------
+// The verifier rejects each mutant with its specific code — and no
+// other.
+// ---------------------------------------------------------------------
+
+#[test]
+fn conflict_mutant_is_rejected_with_rv801() {
+    let v = verify_arbiter(&|| Box::new(ConflictArb::new(NPORTS)), &fast());
+    assert!(v.diags.iter().any(|d| d.code == "RV801"), "{:?}", v.diags);
+    assert!(v.diags.iter().all(|d| d.code == "RV801"), "{:?}", v.diags);
+    let reports = sched_reports(&[v]);
+    assert!(!reports[0].pass && reports[1].pass && reports[2].pass);
+}
+
+#[test]
+fn stuck_pointer_mutant_is_rejected_with_rv802() {
+    let v = verify_arbiter(&|| Box::new(StuckPointerArb::new(NPORTS, 4)), &fast());
+    assert!(v.diags.iter().any(|d| d.code == "RV802"), "{:?}", v.diags);
+    assert!(v.diags.iter().all(|d| d.code == "RV802"), "{:?}", v.diags);
+    // The starving scenario is named in the diagnostic.
+    let d = v.diags.iter().find(|d| d.code == "RV802").unwrap();
+    assert!(d.msg.contains("unserved"), "{}", d.msg);
+}
+
+#[test]
+fn unbounded_crosspoint_mutant_is_rejected_with_rv803() {
+    let v = verify_arbiter(&|| Box::new(UnboundedCqArb::new(NPORTS, 4)), &fast());
+    assert!(v.diags.iter().any(|d| d.code == "RV803"), "{:?}", v.diags);
+    assert!(
+        v.diags.iter().all(|d| d.code != "RV801"),
+        "the unbounded mutant's matchings are valid; only the bound breaks: {:?}",
+        v.diags
+    );
+    assert!(v.occupancy_peak > 4);
 }

@@ -117,7 +117,6 @@ pub fn gen_crossbar_asm(port: usize, hdr_pc: usize) -> IsaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SchedPolicy;
     use crate::layout::RouterLayout;
 
     #[test]
@@ -143,7 +142,7 @@ mod tests {
 
     #[test]
     fn pc_table_matches_codegen() {
-        let cs = ConfigSpace::enumerate_multicast(SchedPolicy::ShortestFirst);
+        let cs = ConfigSpace::enumerate_multicast();
         let l = RouterLayout::canonical();
         let code = crate::codegen::gen_crossbar_switch(&l.ports[0], &cs, 16);
         let img = table_image_pc(&cs, 0, &code);

@@ -128,16 +128,16 @@ pub enum RingDir {
     Ccw,
 }
 
-/// How the sequential walk picks a ring direction.
+/// How the sequential walk picks a ring direction: the shorter way
+/// first, clockwise on ties (matches the Figure 5-1 example, where all
+/// distances tie and the clockwise connection is taken first). It is the
+/// only walk; see [`schedule_matching`] for why.
+// kept for benchmark (ROADMAP item 1): `ConfigSpace::enumerate` still
+// takes it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedPolicy {
-    /// Try the shorter way first; clockwise on ties (matches the
-    /// Figure 5-1 example, where all distances tie and the clockwise
-    /// connection is taken first).
     #[default]
     ShortestFirst,
-    /// Always try clockwise first.
-    CwFirst,
 }
 
 /// The outcome of scheduling one quantum.
@@ -169,8 +169,9 @@ fn cw_dist(from: usize, to: usize) -> usize {
 
 /// The compile-time scheduler's sequential walk (§6.4): starting at the
 /// master (token) tile and proceeding downstream, fill in reservations
-/// for inter-crossbar and crossbar-to-output connections.
-pub fn schedule(bids: [Bid; NPORTS], token: Port, policy: SchedPolicy) -> GlobalSchedule {
+/// for inter-crossbar and crossbar-to-output connections. A unicast flow
+/// tries the shorter way round the ring first, clockwise on ties.
+pub fn schedule(bids: [Bid; NPORTS], token: Port) -> GlobalSchedule {
     let mut res = Resources::default();
     let mut granted = [false; NPORTS];
     let mut dirs: [Option<RingDir>; NPORTS] = [None; NPORTS];
@@ -189,15 +190,10 @@ pub fn schedule(bids: [Bid; NPORTS], token: Port, policy: SchedPolicy) -> Global
             }
             let d_cw = cw_dist(i, dst);
             let d_ccw = (NPORTS - d_cw) % NPORTS;
-            let try_order = match policy {
-                SchedPolicy::CwFirst => [RingDir::Cw, RingDir::Ccw],
-                SchedPolicy::ShortestFirst => {
-                    if d_ccw < d_cw {
-                        [RingDir::Ccw, RingDir::Cw]
-                    } else {
-                        [RingDir::Cw, RingDir::Ccw]
-                    }
-                }
+            let try_order = if d_ccw < d_cw {
+                [RingDir::Ccw, RingDir::Cw]
+            } else {
+                [RingDir::Cw, RingDir::Ccw]
             };
             for dir in try_order {
                 if try_reserve_unicast(&mut res, i, dst, dir) {
@@ -234,15 +230,14 @@ pub fn schedule(bids: [Bid; NPORTS], token: Port, policy: SchedPolicy) -> Global
 /// matching[i].unwrap_or(4)`), and no scheduler-specific tables are
 /// needed. Soundness — that the walk grants *every* matched input, i.e.
 /// that any injective matching is simultaneously routable on the ring —
-/// holds only under [`SchedPolicy::ShortestFirst`] (under `CwFirst` the
-/// greedy long clockwise paths exhaust the ring: e.g. `[3,2,0,1]` loses
-/// the `2→0` flow), so the policy is pinned here and the router rejects
-/// scheduler mode with any other policy. The guarantee is checked
-/// exhaustively by `matchings_are_always_routable` below and re-proven
-/// per-arbiter by the RV801 analysis.
+/// is why the walk is shortest-first: a walk that always tried clockwise
+/// first would route `[3,2,0,1]`'s `0→3` and `1→2` the long way and
+/// leave the `2→0` flow no free path in either direction. The guarantee
+/// is checked exhaustively by `matchings_are_always_routable` below and
+/// re-proven per-arbiter by the RV801 analysis.
 pub fn schedule_matching(matching: [Option<Port>; NPORTS]) -> GlobalSchedule {
     let bids: [Bid; NPORTS] = std::array::from_fn(|i| matching[i].map_or(Bid::EMPTY, Bid::unicast));
-    let sched = schedule(bids, 0, SchedPolicy::ShortestFirst);
+    let sched = schedule(bids, 0);
     for i in 0..NPORTS {
         debug_assert_eq!(
             sched.granted[i],
@@ -389,7 +384,6 @@ pub struct ConfigSpace {
     pub jump: [Vec<u16>; NPORTS],
     /// `grant[tile][global_index]` = whether that tile's ingress streams.
     pub grant: [Vec<bool>; NPORTS],
-    pub policy: SchedPolicy,
     /// True if the index covers the multicast alphabet (§8.6).
     pub multicast: bool,
 }
@@ -428,19 +422,21 @@ pub fn global_index_mcast(token: Port, masks: [u8; NPORTS]) -> usize {
 }
 
 impl ConfigSpace {
-    /// Enumerate the whole unicast global space under `policy` (the
-    /// paper's 2,500-point space).
-    pub fn enumerate(policy: SchedPolicy) -> ConfigSpace {
-        Self::enumerate_inner(policy, false)
+    /// Enumerate the whole unicast global space (the paper's 2,500-point
+    /// space).
+    // kept for benchmark (ROADMAP item 1): the argument is its only
+    // caller's, `benchmark/src/layers.rs`.
+    pub fn enumerate(_: SchedPolicy) -> ConfigSpace {
+        Self::enumerate_inner(false)
     }
 
     /// Enumerate the multicast-extended space (§8.6): destination masks
     /// instead of single ports, `16^4 x 4` global points.
-    pub fn enumerate_multicast(policy: SchedPolicy) -> ConfigSpace {
-        Self::enumerate_inner(policy, true)
+    pub fn enumerate_multicast() -> ConfigSpace {
+        Self::enumerate_inner(true)
     }
 
-    fn enumerate_inner(policy: SchedPolicy, multicast: bool) -> ConfigSpace {
+    fn enumerate_inner(multicast: bool) -> ConfigSpace {
         let (hdr_values, space) = if multicast {
             (HDR_VALUES_MCAST, GLOBAL_SPACE_MCAST)
         } else {
@@ -463,7 +459,7 @@ impl ConfigSpace {
                         Bid::unicast(hdrs[i])
                     }
                 });
-                let sched = schedule(bids, token, policy);
+                let sched = schedule(bids, token);
                 let gi = if multicast {
                     global_index_mcast(token, hdrs)
                 } else {
@@ -500,7 +496,6 @@ impl ConfigSpace {
             configs,
             jump,
             grant,
-            policy,
             multicast,
         }
     }
@@ -540,9 +535,6 @@ mod tests {
     /// the token-0 shortest-first walk. This is what lets the
     /// scheduler-mode crossbar reuse the unicast jump table: a
     /// conflict-free grant set never loses a flow to ring contention.
-    /// (`CwFirst` does *not* have this property — see the counterexample
-    /// asserted below — which is why `schedule_matching` pins the
-    /// policy.)
     #[test]
     fn matchings_are_always_routable() {
         let mut count = 0usize;
@@ -570,18 +562,6 @@ mod tests {
             }
         }
         assert_eq!(count, 209); // sum_k C(4,k)^2 * k!
-
-        // The CwFirst counterexample that forces the policy pin: greedy
-        // clockwise routing of 0→3 and 1→2 exhausts the links flow 2→0
-        // needs in either direction.
-        let bids = [
-            Bid::unicast(3),
-            Bid::unicast(2),
-            Bid::unicast(0),
-            Bid::unicast(1),
-        ];
-        let s = schedule(bids, 0, SchedPolicy::CwFirst);
-        assert!(!s.granted.iter().all(|&g| g));
     }
 
     /// The Figure 5-1 worked example: bids [2,3,0,1] with the token at
@@ -589,11 +569,7 @@ mod tests {
     /// and 3 counterclockwise.
     #[test]
     fn figure_5_1_configuration() {
-        let s = schedule(
-            [uni(2), uni(3), uni(0), uni(1)],
-            0,
-            SchedPolicy::ShortestFirst,
-        );
+        let s = schedule([uni(2), uni(3), uni(0), uni(1)], 0);
         assert_eq!(s.granted, [true; 4]);
         assert_eq!(s.dirs[0], Some(RingDir::Cw));
         assert_eq!(s.dirs[1], Some(RingDir::Ccw));
@@ -610,7 +586,7 @@ mod tests {
     fn output_contention_grants_token_order() {
         // Everyone wants port 2; the token holder wins, others blocked.
         for token in 0..4u8 {
-            let s = schedule([uni(2); 4], token, SchedPolicy::default());
+            let s = schedule([uni(2); 4], token);
             let winners: Vec<usize> = (0..4).filter(|&i| s.granted[i]).collect();
             assert_eq!(winners, vec![token as usize], "token {token}");
             for i in 0..4 {
@@ -621,11 +597,7 @@ mod tests {
 
     #[test]
     fn self_destined_flow_uses_no_ring_links() {
-        let s = schedule(
-            [uni(0), Bid::EMPTY, Bid::EMPTY, Bid::EMPTY],
-            0,
-            SchedPolicy::default(),
-        );
+        let s = schedule([uni(0), Bid::EMPTY, Bid::EMPTY, Bid::EMPTY], 0);
         assert!(s.granted[0]);
         let lc = s.locals[0];
         assert_eq!(lc.out, Client::In);
@@ -640,11 +612,7 @@ mod tests {
     #[test]
     fn pass_through_tiles_forward() {
         // Port 0 to port 2 clockwise passes through tile 1.
-        let s = schedule(
-            [uni(2), Bid::EMPTY, Bid::EMPTY, Bid::EMPTY],
-            0,
-            SchedPolicy::CwFirst,
-        );
+        let s = schedule([uni(2), Bid::EMPTY, Bid::EMPTY, Bid::EMPTY], 0);
         assert!(s.granted[0]);
         assert_eq!(s.locals[0].cw, Client::In);
         assert_eq!(s.locals[1].cw, Client::CwPrev, "tile 1 forwards clockwise");
@@ -657,11 +625,7 @@ mod tests {
     #[test]
     fn shortest_first_prefers_one_hop_ccw() {
         // Port 1 -> port 0: ccw distance 1, cw distance 3.
-        let s = schedule(
-            [Bid::EMPTY, uni(0), Bid::EMPTY, Bid::EMPTY],
-            1,
-            SchedPolicy::ShortestFirst,
-        );
+        let s = schedule([Bid::EMPTY, uni(0), Bid::EMPTY, Bid::EMPTY], 1);
         assert_eq!(s.dirs[1], Some(RingDir::Ccw));
         assert_eq!(s.locals[1].ccw, Client::In);
         assert_eq!(s.locals[0].out, Client::CcwPrev);
@@ -672,11 +636,7 @@ mod tests {
     fn downstream_falls_back_to_other_direction() {
         // Token at 0; port 0 takes cw links toward 2; port 1 also wants a
         // cw path (to 3) but link 1->2 is used, so it must go ccw.
-        let s = schedule(
-            [uni(2), uni(3), Bid::EMPTY, Bid::EMPTY],
-            0,
-            SchedPolicy::CwFirst,
-        );
+        let s = schedule([uni(2), uni(3), Bid::EMPTY, Bid::EMPTY], 0);
         assert!(s.granted[0] && s.granted[1]);
         assert_eq!(s.dirs[0], Some(RingDir::Cw));
         assert_eq!(s.dirs[1], Some(RingDir::Ccw));
@@ -686,9 +646,9 @@ mod tests {
     fn token_priority_rotates_grants() {
         // Conflicting bids: 0 and 2 both to port 1.
         let bids = [uni(1), Bid::EMPTY, uni(1), Bid::EMPTY];
-        let s0 = schedule(bids, 0, SchedPolicy::default());
+        let s0 = schedule(bids, 0);
         assert!(s0.granted[0] && !s0.granted[2]);
-        let s2 = schedule(bids, 2, SchedPolicy::default());
+        let s2 = schedule(bids, 2);
         assert!(!s2.granted[0] && s2.granted[2]);
     }
 
@@ -699,7 +659,7 @@ mod tests {
                 for token in 0..4u8 {
                     let mut bids = [Bid::EMPTY; 4];
                     bids[src as usize] = uni(dst);
-                    let s = schedule(bids, token, SchedPolicy::default());
+                    let s = schedule(bids, token);
                     assert!(
                         s.granted[src as usize],
                         "lone flow {src}->{dst} (token {token}) must be granted"
@@ -712,11 +672,7 @@ mod tests {
     #[test]
     fn multicast_taps_multiple_outputs() {
         let bid = Bid::multicast(&[1, 2, 3]);
-        let s = schedule(
-            [bid, Bid::EMPTY, Bid::EMPTY, Bid::EMPTY],
-            0,
-            SchedPolicy::default(),
-        );
+        let s = schedule([bid, Bid::EMPTY, Bid::EMPTY, Bid::EMPTY], 0);
         assert!(s.granted[0]);
         // Tiles 1, 2, 3 all drive their out servers from this one flow.
         for t in 1..4 {
@@ -743,11 +699,7 @@ mod tests {
     fn multicast_is_all_or_nothing() {
         // Port 1 already owns output 2 (token order); port 0's multicast
         // {2,3} must be denied entirely.
-        let s = schedule(
-            [Bid::multicast(&[2, 3]), uni(2), Bid::EMPTY, Bid::EMPTY],
-            1,
-            SchedPolicy::default(),
-        );
+        let s = schedule([Bid::multicast(&[2, 3]), uni(2), Bid::EMPTY, Bid::EMPTY], 1);
         assert!(s.granted[1]);
         assert!(!s.granted[0]);
         assert!(s.locals[0].blocked);
@@ -780,7 +732,7 @@ mod tests {
 
     #[test]
     fn multicast_enumeration_minimizes_too() {
-        let cs = ConfigSpace::enumerate_multicast(SchedPolicy::ShortestFirst);
+        let cs = ConfigSpace::enumerate_multicast();
         assert_eq!(cs.jump[0].len(), GLOBAL_SPACE_MCAST);
         // Fanout configurations (one client feeding several servers)
         // appear, yet the set stays two orders below the global space.
@@ -825,7 +777,7 @@ mod tests {
         let mut sent = [0u32; 4];
         for q in 0..16u32 {
             let token = (q % 4) as u8;
-            let s = schedule(bids, token, SchedPolicy::default());
+            let s = schedule(bids, token);
             #[allow(clippy::needless_range_loop)]
             for i in 0..4 {
                 if s.granted[i] {
@@ -847,41 +799,28 @@ mod more_tests {
         Bid::unicast(d)
     }
 
-    /// A distance-3 flow occupies three consecutive ring links and shows
-    /// the full expansion-number gradient along its path.
+    /// A distance-3 span occupies three consecutive ring links and shows
+    /// the full expansion-number gradient along its path. The
+    /// shortest-first walk never reserves one — the other way round is
+    /// one hop, and an earlier flow holds that hop only if it also holds
+    /// the output (or is itself a three-hop flow) — so the span is
+    /// reserved directly.
     #[test]
     fn three_hop_flow_distances() {
-        // Port 1 -> port 0 forced clockwise (1->2->3->0).
-        let s = schedule(
-            [Bid::EMPTY, uni(0), Bid::EMPTY, Bid::EMPTY],
-            1,
-            SchedPolicy::CwFirst,
-        );
-        assert!(s.granted[1]);
-        assert_eq!(s.locals[1].cw, Client::In);
-        assert_eq!(s.locals[1].cw_dist, 0);
-        assert_eq!(s.locals[2].cw, Client::CwPrev);
-        assert_eq!(s.locals[2].cw_dist, 1);
-        assert_eq!(s.locals[3].cw, Client::CwPrev);
-        assert_eq!(s.locals[3].cw_dist, 2);
-        assert_eq!(s.locals[0].out, Client::CwPrev);
-        assert_eq!(s.locals[0].out_dist, 3);
-        assert_eq!(s.locals[0].expansion(), 3);
-    }
-
-    /// The two policies agree on grants whenever no direction choice is
-    /// contested (single bidder).
-    #[test]
-    fn policies_agree_for_lone_flows() {
-        for src in 0..4u8 {
-            for dst in 0..4u8 {
-                let mut bids = [Bid::EMPTY; 4];
-                bids[src as usize] = uni(dst);
-                let a = schedule(bids, 0, SchedPolicy::CwFirst);
-                let b = schedule(bids, 0, SchedPolicy::ShortestFirst);
-                assert_eq!(a.granted, b.granted, "{src}->{dst}");
-            }
-        }
+        // Port 1 -> port 0 clockwise (1->2->3->0).
+        let mut res = Resources::default();
+        assert!(try_reserve_unicast(&mut res, 1, 0, RingDir::Cw));
+        let bids = [Bid::EMPTY, uni(0), Bid::EMPTY, Bid::EMPTY];
+        let locals = derive_locals(&res, &bids, &[false, true, false, false]);
+        assert_eq!(locals[1].cw, Client::In);
+        assert_eq!(locals[1].cw_dist, 0);
+        assert_eq!(locals[2].cw, Client::CwPrev);
+        assert_eq!(locals[2].cw_dist, 1);
+        assert_eq!(locals[3].cw, Client::CwPrev);
+        assert_eq!(locals[3].cw_dist, 2);
+        assert_eq!(locals[0].out, Client::CwPrev);
+        assert_eq!(locals[0].out_dist, 3);
+        assert_eq!(locals[0].expansion(), 3);
     }
 
     /// Under full backlog the walk always produces a maximal matching:
@@ -894,7 +833,7 @@ mod more_tests {
         for _ in 0..500 {
             let bids: [Bid; 4] = std::array::from_fn(|_| uni(rng.gen_range(0..4)));
             let token = rng.gen_range(0..4u8);
-            let s = schedule(bids, token, SchedPolicy::ShortestFirst);
+            let s = schedule(bids, token);
             // Every denied input's destination must be claimed by a
             // granted input (output contention is the only denial cause
             // with at most 2 ring links needed and shortest-first

@@ -177,6 +177,19 @@ impl RawRouter {
                 raw_net::IPV4_HEADER_WORDS
             ));
         }
+        // A Lookup Processor counts one lookup's cycles, memory stalls
+        // and an injected miss's penalty included, in a u32.
+        let lookup_cycles = cfg
+            .lookup_mem
+            .map_or(table.cost.worst_cycles(), |m| m.worst_cycles())
+            + cfg.lookup_fault.map_or(0, |f| u64::from(f.penalty_cycles));
+        if lookup_cycles > u64::from(u32::MAX) {
+            return Err(format!(
+                "a worst-case lookup ({} table accesses) costs {lookup_cycles} cycles, past \
+                 the Lookup Processor's u32 cycle count",
+                raw_lookup::MAX_ACCESSES
+            ));
+        }
         let mut machine = RawMachine::new(cfg.raw.clone());
         if let Some(sink) = &telemetry {
             machine.set_telemetry(Arc::clone(sink));
@@ -203,15 +216,24 @@ impl RawRouter {
                     cfg.arbiter.name()
                 ));
             }
+            let empty = match cfg.arbiter {
+                raw_sched::SchedKind::Islip { iters: 0 } => Some("an iteration per slot"),
+                raw_sched::SchedKind::CrosspointQueued { capacity: 0 } => {
+                    Some("a cell per crosspoint buffer")
+                }
+                _ => None,
+            };
+            if let Some(what) = empty {
+                return Err(format!(
+                    "the {} arbiter needs at least {what}",
+                    cfg.arbiter.name()
+                ));
+            }
         }
-        // The router walks the ring shortest-first: the only policy under
-        // which a non-token arbiter's every injective matching is
-        // simultaneously routable.
-        let policy = SchedPolicy::ShortestFirst;
         let cs = Arc::new(if table.multicast() || cfg.asm_crossbar {
-            ConfigSpace::enumerate_multicast(policy)
+            ConfigSpace::enumerate_multicast()
         } else {
-            ConfigSpace::enumerate(policy)
+            ConfigSpace::enumerate(SchedPolicy::ShortestFirst)
         });
         let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
@@ -684,8 +706,51 @@ mod tests {
         .expect("scheduler with asm crossbar must be rejected");
         assert!(e.contains("native"), "{e}");
 
+        for arbiter in [
+            raw_sched::SchedKind::Islip { iters: 0 },
+            raw_sched::SchedKind::CrosspointQueued { capacity: 0 },
+        ] {
+            let e = RawRouter::try_new(
+                RouterConfig {
+                    arbiter,
+                    ..voq_base.clone()
+                },
+                table(),
+            )
+            .err()
+            .expect("an arbiter with nothing to iterate or buffer must be rejected");
+            assert!(e.contains("needs at least"), "{e}");
+        }
+
         // And the valid scheduler configuration is accepted.
         assert!(RawRouter::try_new(voq_base, table()).is_ok());
+
+        // A lookup whose worst-case cost overflows the Lookup Processor's
+        // u32 cycle count, through the memory model or a miss penalty.
+        let slow_l2 = raw_lookup::LookupMemModel {
+            l2_cycles: u32::MAX / 8,
+            ..raw_lookup::LookupMemModel::default()
+        };
+        let long_miss = LookupFault {
+            seed: 1,
+            miss_ppm: 1,
+            penalty_cycles: u32::MAX,
+        };
+        for cfg in [
+            RouterConfig {
+                lookup_mem: Some(slow_l2),
+                ..RouterConfig::default()
+            },
+            RouterConfig {
+                lookup_fault: Some(long_miss),
+                ..RouterConfig::default()
+            },
+        ] {
+            let e = RawRouter::try_new(cfg, table())
+                .err()
+                .expect("an overflowing lookup cost must be rejected");
+            assert!(e.contains("u32 cycle count"), "{e}");
+        }
 
         // A grid the router is not laid out on comes back as an error,
         // not as a panic further down.

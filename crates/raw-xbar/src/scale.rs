@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn four_port_walk_matches_config_module() {
-        use crate::config::{schedule, Bid, SchedPolicy};
+        use crate::config::{schedule, Bid};
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..500 {
             let bids4: [Option<usize>; 4] = std::array::from_fn(|_| {
@@ -181,7 +181,6 @@ mod tests {
                     None => Bid::EMPTY,
                 }),
                 token,
-                SchedPolicy::ShortestFirst,
             );
             assert_eq!(
                 generic,
