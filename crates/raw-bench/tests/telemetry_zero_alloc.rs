@@ -1,7 +1,8 @@
-//! The disabled-path guarantee: with no telemetry sink attached (the
-//! path every production run takes), the simulator's steady-state loop
-//! performs **zero heap allocations per cycle** — telemetry off must
-//! cost nothing beyond the branch.
+//! The hot-path guarantee: the simulator's steady-state loop performs
+//! **zero heap allocations per cycle**, with no telemetry sink attached
+//! (the path every production run takes) and with a `Recorder` attached
+//! — the machine keeps its cycle ledger itself and hands a sink only its
+//! totals, once per run call, which must not allocate either.
 //!
 //! This file holds exactly one test so the counting allocator observes
 //! only its own workload (the default test harness runs tests
@@ -12,8 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use raw_sim::{
     EngineMode, RawConfig, RawMachine, Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram,
-    TileId, TileIo, TileProgram, NET0,
+    TileId, TileIo, TileProgram, NET0, NUM_STATIC_NETS,
 };
+use raw_telemetry::{shared, Recorder};
 
 struct CountingAlloc;
 
@@ -89,22 +91,35 @@ fn streaming_machine(engine: EngineMode) -> RawMachine {
     m
 }
 
+/// Allocations made by `run(n)` calls of `10_000` cycles in total, after
+/// a warm-up that fills pipelines and FIFOs and lets any lazy setup (the
+/// compiled engine lowers itself on its first cycle) happen.
+fn steady_state_allocs(m: &mut RawMachine) -> u64 {
+    m.run(2_000);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for n in [1, 999, 9_000] {
+        m.run(n);
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn null_sink_steady_state_allocates_nothing() {
-    // Both engines; the compiled one lowers itself on the first cycle of
-    // the warm-up run.
     for engine in [EngineMode::PerCycle, EngineMode::Compiled] {
         let mut m = streaming_machine(engine);
         assert!(m.take_telemetry().is_none(), "telemetry is off");
-        // Warm up: fill pipelines and FIFOs, let any lazy setup happen.
-        m.run(2_000);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        m.run(10_000);
-        let after = ALLOCS.load(Ordering::Relaxed);
         assert_eq!(
-            after - before,
+            steady_state_allocs(&mut m),
             0,
             "steady-state cycles allocated with telemetry off ({engine:?})"
+        );
+        // Attached, the sink is told the ledger at the end of each call.
+        let mut m = streaming_machine(engine);
+        m.set_telemetry(shared(Recorder::new(m.dim().tiles(), NUM_STATIC_NETS)));
+        assert_eq!(
+            steady_state_allocs(&mut m),
+            0,
+            "steady-state cycles allocated with a recorder attached ({engine:?})"
         );
     }
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use raw_chaos::*;
 use raw_fabric::{Executor, FabricConfig, Topology};
 use raw_net::{CorruptRng, Packet};
-use raw_sim::{EngineMode, RawConfig, NUM_STATIC_NETS};
+use raw_sim::{lockstep, EngineMode, RawConfig, NUM_STATIC_NETS};
 use raw_telemetry::{shared, with_sink, DropReason, Recorder, SharedSink};
 use raw_workloads::{generate, generate_n, Arrivals, Pattern, ScheduledPacket, Workload};
 use raw_xbar::{audit, port_table, IngressQueueing, RawRouter, RouterConfig, NPORTS};
@@ -67,6 +67,21 @@ fn random_plan(seed: u64) -> FaultPlan {
     plan
 }
 
+/// A chaos router under `plan`, a recorder attached, `sched` offered.
+fn offered_router(cfg: RouterConfig, plan: &FaultPlan, sched: &[ScheduledPacket]) -> ChaosRouter {
+    let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
+    let mut cr = ChaosRouter::try_new(cfg, port_table(), plan.clone(), Some(sink)).unwrap();
+    for sp in sched {
+        cr.offer(sp.port, sp.release, &sp.packet);
+    }
+    cr
+}
+
+/// Every output port's delivered stream: arrival cycles and packets.
+fn streams(r: &RawRouter) -> Vec<Vec<(u64, Packet)>> {
+    (0..NPORTS).map(|p| r.delivered(p)).collect()
+}
+
 /// Run a chaos campaign and return the full delivered streams alongside
 /// the fingerprint (for byte-level comparisons).
 fn chaos_streams(
@@ -74,14 +89,9 @@ fn chaos_streams(
     plan: &FaultPlan,
     sched: &[ScheduledPacket],
 ) -> (u64, Vec<Vec<(u64, Packet)>>) {
-    let sink: SharedSink = shared(Recorder::new(16, NUM_STATIC_NETS));
-    let mut cr = ChaosRouter::try_new(cfg, port_table(), plan.clone(), Some(sink)).unwrap();
-    for sp in sched {
-        cr.offer(sp.port, sp.release, &sp.packet);
-    }
+    let mut cr = offered_router(cfg, plan, sched);
     assert!(cr.router.run_until_drained(4_000_000), "wedged");
-    let streams = (0..NPORTS).map(|p| cr.router.delivered(p)).collect();
-    (fingerprint(&cr.router), streams)
+    (fingerprint(&cr.router), streams(&cr.router))
 }
 
 /// The unwrapped baseline with the identical telemetry arrangement.
@@ -125,10 +135,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The same plan and traffic replay bit-identically: the per-cycle
-    /// and compiled engines, and a repeated run, all agree on the exact
-    /// delivered words, arrival cycles, drop counters, and final cycle
-    /// count.
+    /// The same plan and traffic replay bit-identically. The per-cycle
+    /// and compiled engines stay in [`lockstep`] over the machine's
+    /// digests — cycle ledger and stall attribution included — after
+    /// every 256-cycle run call up to where a first compiled run drained,
+    /// so a divergence is reported as `(call, component)`. Then both
+    /// deliver the same words at the same cycles and count the same
+    /// drops (line-card and program state, which digests leave out), and
+    /// the compiled side, a rerun of the first, has its fingerprint
+    /// (deliveries, drop counters, final cycle).
     #[test]
     fn same_seed_reruns_are_bit_identical_in_every_engine_mode(
         seed in any::<u64>(),
@@ -136,12 +151,26 @@ proptest! {
     ) {
         let plan = random_plan(seed);
         let sched = generate(&Workload::average(64, 30, wl_seed));
-        let (co_a, co_streams) = chaos_streams(voq_cfg(EngineMode::Compiled), &plan, &sched);
-        let (co_b, _) = chaos_streams(voq_cfg(EngineMode::Compiled), &plan, &sched);
-        let (pc, pc_streams) = chaos_streams(voq_cfg(EngineMode::PerCycle), &plan, &sched);
-        prop_assert_eq!(co_a, co_b, "compiled rerun diverged (seed {:#x})", seed);
-        prop_assert_eq!(co_a, pc, "engine modes diverged (seed {:#x})", seed);
-        prop_assert_eq!(co_streams, pc_streams);
+        let mut first = offered_router(voq_cfg(EngineMode::Compiled), &plan, &sched);
+        prop_assert!(first.router.run_until_drained(4_000_000), "wedged");
+        let [mut pc, mut co] = [EngineMode::PerCycle, EngineMode::Compiled]
+            .map(|engine| offered_router(voq_cfg(engine), &plan, &sched));
+        let found = lockstep(
+            &mut pc,
+            &mut co,
+            |cr, _| cr.router.run(256),
+            |cr| cr.router.machine.digests(),
+            first.router.machine.cycle() / 256,
+        );
+        prop_assert_eq!(found, None, "(run call, component) where the engines part (seed {:#x})", seed);
+        prop_assert_eq!(
+            (streams(&co.router), co.router.drop_reasons()),
+            (streams(&pc.router), pc.router.drop_reasons())
+        );
+        prop_assert_eq!(
+            fingerprint(&co.router), fingerprint(&first.router),
+            "compiled rerun diverged (seed {:#x})", seed
+        );
     }
 }
 

@@ -36,10 +36,10 @@
 //!   move can change another route's check within the step — the common
 //!   case for generated schedules) are checked in full, then committed;
 //!   the rest replay the interpreter's exact dynamic-subgroup scan.
-//! * Stall accounting (`switch_stall_cycles`, first-refused-group cause
-//!   attribution), control transitions (resolved at lowering to the next
-//!   PC and whether it halts), PC wraparound halts, and pending PC
-//!   application copy the interpreter's logic.
+//! * Stall accounting (the switch's ledger row, credited to the
+//!   first-refused group's cause), control transitions (resolved at
+//!   lowering to the next PC and whether it halts), PC wraparound halts,
+//!   and pending PC application copy the interpreter's logic.
 //! * The injector fast path only skips devices whose `pull_in` is
 //!   statically `None` (`EdgeDevice::is_injector`).
 //! * A switch left out of the sweep is one whose skipped steps would
@@ -339,14 +339,7 @@ impl RawMachine {
             if !refusal.timed {
                 self.awake.remove(slot);
             }
-            self.tiles[t].switch_stall_cycles[net] += 1;
-            // Causes are kept only while a sink is attached.
-            if let Some(sink) = self.active_sink() {
-                sink.lock()
-                    .unwrap()
-                    .switch_stalls(t as u16, net as u8, refusal.cause, 1);
-                self.last_switch_cause[t][net] = refusal.cause;
-            }
+            self.switch_stalled(t, net, refusal.cause);
         }
         (any_fired, false)
     }

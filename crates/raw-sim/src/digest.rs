@@ -11,13 +11,13 @@ use crate::switch::NUM_STATIC_NETS;
 /// One digested piece of a [`RawMachine`], in digest order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Component {
-    /// A tile processor: its activity counts, the activity it recorded
-    /// last, its samples in the open trace window, and its `$csti` /
-    /// `$csto` FIFOs.
+    /// A tile processor: its ledger (cycles by activity and wait), the
+    /// activity and wait it recorded last, its samples in the open trace
+    /// window, and its `$csti` / `$csto` FIFOs.
     Tile(TileId),
     /// The switch for one static network at a tile: PC, fired-route
-    /// mask, halt flag, pending PC load, stall cycles, and the four link
-    /// input FIFOs it routes from.
+    /// mask, halt flag, pending PC load, stall cycles by cause, the cause
+    /// of its last stall, and the four link input FIFOs it routes from.
     Switch(TileId, usize),
     /// The clock, `routes_fired`, `edge_drops` and both dynamic networks.
     Machine,
@@ -38,9 +38,9 @@ impl RawMachine {
     /// Left out on purpose:
     /// * what [`EngineMode::Compiled`](crate::EngineMode::Compiled) holds
     ///   lazily: the awake, next-cycle and parked sets, how far each
-    ///   sleeper is credited (every run entry settles it), the lowered
-    ///   plan, and the telemetry hints (token / arb / lookup wait, last
-    ///   switch stall cause), which only refine what a sink is told;
+    ///   sleeper is credited (every run entry settles it), and the
+    ///   lowered plan;
+    /// * the attached telemetry sink, which is only told the ledger;
     /// * tile program and edge device state, which the traits do not
     ///   expose: it shows up in the FIFO traffic it causes, or in what a
     ///   test reads back out of the program or device;
@@ -63,14 +63,15 @@ impl RawMachine {
                 let inputs = ring_slot(0, StaticFifo::In { net, dir: 0 });
                 let state = (
                     &tile.switch_state[net],
-                    tile.switch_stall_cycles[net],
+                    tile.stalls[net],
+                    tile.last_switch_cause[net],
                     &rings[inputs..inputs + 4],
                 );
                 switches.push((Component::Switch(id, net), digest(state)));
             }
             let state = (
-                tile.stats.counts,
-                self.last_activity[t],
+                tile.ledger,
+                tile.last,
                 trace.map(|w| w.tile_samples(t)),
                 &rings[ring_slot(0, StaticFifo::Csti(0))..],
             );

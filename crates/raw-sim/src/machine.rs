@@ -24,51 +24,11 @@ use crate::fifo::{Ring, RING_CAPACITY};
 use crate::geom::{GridDim, TileId};
 use crate::program::{mem_grow_target, IdleProgram, TileIo, TileProgram};
 use crate::switch::{Route, SwPort, SwitchCtrl, SwitchProgram, SwitchState, NUM_STATIC_NETS};
-use crate::trace::{Activity, TileStats, TraceWindow};
+use crate::trace::{refine_state, Activity, Ledger, TileStats, TraceWindow, Wait};
 use raw_telemetry::{SharedSink, SwitchStallCause, TileState};
 
-/// Refine a coarse [`Activity`] into the telemetry [`TileState`]. The
-/// token-wait and arb-wait hints (set by a program through
-/// [`TileIo::hint_token_wait`][crate::program::TileIo::hint_token_wait] /
-/// [`TileIo::hint_arb_wait`][crate::program::TileIo::hint_arb_wait])
-/// reclassify cycles that would otherwise read as idle or
-/// blocked-receive while waiting on the crossbar grant protocol (the
-/// arb hint wins when a program sets both).
-#[inline]
-pub(crate) fn refine_state(
-    a: Activity,
-    token_hint: bool,
-    arb_hint: bool,
-    lookup_hint: bool,
-) -> TileState {
-    // The lookup-stall hint reclassifies the cycle outright: the lookup
-    // program spends the modeled table-memory latency in `compute`
-    // cycles (so the engine sees ordinary progress) and hints that they
-    // are memory-bound. A blocked-send cycle keeps its FIFO cause — the
-    // hint describes the table chase, not the reply path.
-    if lookup_hint && !matches!(a, Activity::BlockedSend) {
-        return TileState::LookupStall;
-    }
-    let wait = if arb_hint {
-        Some(TileState::ArbWait)
-    } else if token_hint {
-        Some(TileState::TokenWait)
-    } else {
-        None
-    };
-    match (a, wait) {
-        (Activity::Busy, _) => TileState::Busy,
-        (Activity::Idle, Some(w)) => w,
-        (Activity::Idle, None) => TileState::Idle,
-        (Activity::BlockedSend, _) => TileState::FifoFull,
-        (Activity::BlockedRecv, Some(w)) => w,
-        (Activity::BlockedRecv, None) => TileState::FifoEmpty,
-        (Activity::CacheStall, _) => TileState::CacheStall,
-    }
-}
-
 /// How the machine advances simulated time. Both engines produce
-/// bit-identical results — statistics, traces, telemetry, word timing —
+/// bit-identical results — the cycle ledger, traces, word timing —
 /// on every workload; they differ only in how much host work each
 /// simulated cycle costs. The determinism test suite compares them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -155,9 +115,18 @@ pub(crate) struct Tile {
     /// machine construction).
     pub(crate) mem: Vec<u32>,
     pub(crate) stall_until: u64,
-    pub(crate) stats: TileStats,
-    /// Cycles each network's switch spent unable to complete an instruction.
-    pub(crate) switch_stall_cycles: [u64; NUM_STATIC_NETS],
+    /// The processor's cycles by `(Activity, Wait)`: every cycle since
+    /// cycle 0 is counted here once, stepped or credited.
+    pub(crate) ledger: Ledger,
+    /// Per network, the cycles its switch spent unable to complete an
+    /// instruction, by the cause of its first refused route group.
+    pub(crate) stalls: [[u64; SwitchStallCause::COUNT]; NUM_STATIC_NETS],
+    /// The `(Activity, Wait)` of the processor's most recent cycle: what
+    /// a cycle it is not ticked on repeats.
+    pub(crate) last: (Activity, Wait),
+    /// Per network, the cause of the switch's most recent stall: what a
+    /// cycle it is not stepped on is stalled on, unless halted.
+    pub(crate) last_switch_cause: [SwitchStallCause; NUM_STATIC_NETS],
 }
 
 /// A static-network FIFO at one tile, as [`ring_slot`] places it.
@@ -267,26 +236,9 @@ pub struct RawMachine {
     device_table: Vec<u16>,
     device_ports: Vec<EdgePort>,
     pub(crate) trace: Option<TraceWindow>,
-    /// Attached telemetry sink. `None` (the default) costs one branch per
-    /// cycle phase and nothing else — the event-skip fast path and the
-    /// zero-allocation hot path are preserved.
+    /// Attached telemetry sink, told the ledger's totals at the end of
+    /// every run call (`settle`) and never inside one.
     telemetry: Option<SharedSink>,
-    /// Per-tile token-wait hint from the most recent tick (see
-    /// [`refine_state`]).
-    pub(crate) token_hint: Vec<bool>,
-    /// Per-tile arbitration-wait hint from the most recent tick (see
-    /// [`refine_state`]; scheduler mode's analogue of `token_hint`).
-    pub(crate) arb_hint: Vec<bool>,
-    /// Per-tile lookup-memory-stall hint from the most recent tick (see
-    /// [`refine_state`]; set by the lookup program's table-memory model).
-    pub(crate) lookup_hint: Vec<bool>,
-    /// Last switch stall cause per `(tile, net)`, maintained only while a
-    /// telemetry sink is attached; fast-forward credits skipped stall
-    /// cycles to it, mirroring `switch_stall_cycles` bulk crediting.
-    pub(crate) last_switch_cause: Vec<[SwitchStallCause; NUM_STATIC_NETS]>,
-    /// The activity each tile recorded on the most recent cycle (the state
-    /// a skipped quiet cycle would repeat).
-    pub(crate) last_activity: Vec<Activity>,
     /// Scheduled per-tile stall windows `(start, end)`, sorted by start;
     /// `step_processors` folds the front window into `stall_until` once
     /// the cycle reaches it (fault injection: cache-miss storms).
@@ -328,7 +280,7 @@ pub struct RawMachine {
     /// bulk (`credit_tile` / `credit_switch`) right before the
     /// component's next step and by [`RawMachine::settle`], which every
     /// public run entry ends with: between calls, every slot is at
-    /// `cycle` and statistics, trace and telemetry are complete.
+    /// `cycle` and the ledger and the trace are complete.
     recorded: Vec<u64>,
 }
 
@@ -346,8 +298,10 @@ impl RawMachine {
                 cache: DCache::default(),
                 mem: Vec::new(),
                 stall_until: 0,
-                stats: TileStats::default(),
-                switch_stall_cycles: [0; NUM_STATIC_NETS],
+                ledger: Ledger::default(),
+                stalls: [[0; SwitchStallCause::COUNT]; NUM_STATIC_NETS],
+                last: (Activity::Idle, Wait::None),
+                last_switch_cause: [SwitchStallCause::FifoEmpty; NUM_STATIC_NETS],
             })
             .collect();
         let dyn_nets = (0..2)
@@ -366,11 +320,6 @@ impl RawMachine {
             device_ports: Vec::new(),
             trace: None,
             telemetry: None,
-            token_hint: vec![false; n],
-            arb_hint: vec![false; n],
-            lookup_hint: vec![false; n],
-            last_switch_cause: vec![[SwitchStallCause::FifoEmpty; NUM_STATIC_NETS]; n],
-            last_activity: vec![Activity::Idle; n],
             stall_windows: vec![Vec::new(); n],
             last_progress: 0,
             edge_drops: 0,
@@ -585,8 +534,30 @@ impl RawMachine {
         d.downcast_ref::<T>()
     }
 
-    pub fn stats(&self, tile: TileId) -> &TileStats {
-        &self.tiles[tile.index()].stats
+    /// Tile `tile`'s cycles by [`Activity`]: its ledger summed over the
+    /// waits its program hinted.
+    pub fn stats(&self, tile: TileId) -> TileStats {
+        let counts = self.tiles[tile.index()].ledger.map(|row| row.iter().sum());
+        TileStats { counts }
+    }
+
+    /// Tile `tile`'s cycles by telemetry [`TileState`] (indexed by
+    /// [`TileState::index`]): its ledger, each cell refined once.
+    pub fn tile_states(&self, tile: TileId) -> [u64; TileState::COUNT] {
+        let mut states = [0; TileState::COUNT];
+        for a in Activity::ALL {
+            for w in Wait::ALL {
+                states[refine_state(a, w).index()] +=
+                    self.tiles[tile.index()].ledger[a.index()][w.index()];
+            }
+        }
+        states
+    }
+
+    /// Stalled cycles of the switch for `net` at `tile`, by
+    /// [`SwitchStallCause::index`].
+    pub fn switch_stalls(&self, tile: TileId, net: usize) -> [u64; SwitchStallCause::COUNT] {
+        self.tiles[tile.index()].stalls[net]
     }
 
     pub fn cache_stats(&self, tile: TileId) -> (u64, u64) {
@@ -596,7 +567,7 @@ impl RawMachine {
 
     /// Stalled switch cycles at `tile`, both networks together.
     pub fn switch_stall_cycles(&self, tile: TileId) -> u64 {
-        self.tiles[tile.index()].switch_stall_cycles.iter().sum()
+        self.tiles[tile.index()].stalls.iter().flatten().sum()
     }
 
     /// Direct access to a tile's local memory for setup/inspection.
@@ -664,15 +635,14 @@ impl RawMachine {
         (st.pc, st.halted)
     }
 
-    /// Attach a telemetry sink. The machine publishes refined per-tile
-    /// cycle states and per-`(tile, net)` switch stall causes into it;
-    /// tile programs holding a clone of the same handle publish packet
-    /// lifecycle events. Observation only — attaching a sink never
-    /// changes simulation results.
+    /// Attach a telemetry sink. At the end of every run call the machine
+    /// hands it the ledger's totals since cycle 0 — per tile, cycles by
+    /// [`TileState`] and each switch's stalls by cause — so a sink
+    /// attached mid-run reads the machine's totals, not the cycles since
+    /// the attach. Tile programs holding a clone of the same handle
+    /// publish packet lifecycle events. Observation only — attaching a
+    /// sink never changes simulation results.
     pub fn set_telemetry(&mut self, sink: SharedSink) {
-        // Stall causes are only tracked while a sink is attached, so a
-        // sleeping switch has to step again to learn its own.
-        self.wake_all();
         self.telemetry = Some(sink);
     }
 
@@ -681,20 +651,14 @@ impl RawMachine {
         self.telemetry.take()
     }
 
-    /// The sink to publish into, if one is attached.
-    #[inline]
-    pub(crate) fn active_sink(&self) -> Option<&SharedSink> {
-        self.telemetry.as_ref()
-    }
-
     /// Schedule a forced processor stall on `tile` for the half-open
     /// cycle window `[start, start + len)` — fault injection modeling a
     /// cache-miss storm or an external memory hog. The stalled cycles are
-    /// recorded as [`Activity::CacheStall`], so traces, statistics, and
-    /// telemetry conservation all account for them; overlapping windows
-    /// merge through the same `stall_until` mechanism real cache misses
-    /// use, and the event skip treats window starts and ends as
-    /// time events, keeping fast-forward results bit-identical.
+    /// recorded as [`Activity::CacheStall`], so traces and the ledger
+    /// account for them; overlapping windows merge through the same
+    /// `stall_until` mechanism real cache misses use, and the event skip
+    /// treats window starts and ends as time events, keeping
+    /// fast-forward results bit-identical.
     pub fn schedule_stall(&mut self, tile: TileId, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -846,16 +810,6 @@ impl RawMachine {
         self.sweep(0..n, cycle, |m, t| {
             progress |= m.step_processor(t, cycle, sleep)
         });
-        if let Some(sink) = self.active_sink() {
-            // One lock per cycle for all tiles; programs stamp their own
-            // packet events inside `tick`, outside this critical section.
-            let mut g = sink.lock().unwrap();
-            // (Only the tiles stepped this cycle: a sleeper's cycles are
-            // credited in bulk when it wakes.)
-            for t in (0..n).filter(|&t| self.recorded[t] > cycle) {
-                g.tile_cycles(t as u16, self.refined_state(t), 1);
-            }
-        }
         progress
     }
 
@@ -873,16 +827,13 @@ impl RawMachine {
             let su = &mut self.tiles[t].stall_until;
             *su = (*su).max(e);
         }
-        let (activity, hint, (wake_now, wake_next)) = if cycle < self.tiles[t].stall_until {
-            (Activity::CacheStall, (false, false, false), (0, 0))
+        let (activity, wait, (wake_now, wake_next)) = if cycle < self.tiles[t].stall_until {
+            (Activity::CacheStall, Wait::None, (0, 0))
         } else {
             self.tick_tile(t, cycle)
         };
-        self.tiles[t].stats.record(activity);
-        self.last_activity[t] = activity;
-        self.token_hint[t] = hint.0;
-        self.arb_hint[t] = hint.1;
-        self.lookup_hint[t] = hint.2;
+        self.tiles[t].ledger[activity.index()][wait.index()] += 1;
+        self.tiles[t].last = (activity, wait);
         if let Some(tr) = &mut self.trace {
             tr.record(t, cycle, activity);
         }
@@ -902,12 +853,12 @@ impl RawMachine {
         activity == Activity::Busy
     }
 
-    /// Tick tile `t`'s program once: the activity it recorded, its
-    /// `(token, arb, lookup)` hints, and the switches it wakes this
-    /// cycle and next (see [`TileIo::wake_now`]).
-    fn tick_tile(&mut self, t: usize, cycle: u64) -> (Activity, (bool, bool, bool), (u8, u8)) {
+    /// Tick tile `t`'s program once: the activity it recorded, the wait
+    /// it hinted, and the switches it wakes this cycle and next (see
+    /// [`TileIo::wake_now`]).
+    fn tick_tile(&mut self, t: usize, cycle: u64) -> (Activity, Wait, (u8, u8)) {
         let Some(mut program) = self.tiles[t].program.take() else {
-            return (Activity::Idle, (false, false, false), (0, 0));
+            return (Activity::Idle, Wait::None, (0, 0));
         };
         let tile = &mut self.tiles[t];
         let io_rings = ring_slot(t, StaticFifo::Csti(0))..=ring_slot(t, StaticFifo::Csto);
@@ -922,11 +873,7 @@ impl RawMachine {
             &mut tile.stall_until,
         );
         program.tick(&mut io);
-        let outcome = (
-            io.activity,
-            (io.token_wait_hint, io.arb_wait_hint, io.lookup_stall_hint),
-            (io.wake_now, io.wake_next),
-        );
+        let outcome = (io.activity, io.wait, (io.wake_now, io.wake_next));
         self.tiles[t].program = Some(program);
         outcome
     }
@@ -954,13 +901,10 @@ impl RawMachine {
 
     /// The soundness check behind tile sleep, run only in builds with
     /// `debug_assertions`: tick the sleeping tile anyway and require the
-    /// activity and hints it went to sleep on, with nothing retired.
+    /// activity and wait it went to sleep on, with nothing retired.
     fn assert_sleeper_replays(&mut self, t: usize, cycle: u64) {
-        let recorded = (
-            self.last_activity[t],
-            (self.token_hint[t], self.arb_hint[t], self.lookup_hint[t]),
-            (0, 0),
-        );
+        let (activity, wait) = self.tiles[t].last;
+        let recorded = (activity, wait, (0, 0));
         assert_eq!(
             self.tick_tile(t, cycle),
             recorded,
@@ -1014,35 +958,31 @@ impl RawMachine {
             );
             first.get_or_insert(cause);
         }
-        if self.active_sink().is_some() {
-            assert_eq!(first, Some(self.last_switch_cause[t][net]), "{}", asleep());
-        }
-    }
-
-    /// The telemetry state tile `t`'s last recorded cycle refines to.
-    fn refined_state(&self, t: usize) -> TileState {
-        refine_state(
-            self.last_activity[t],
-            self.token_hint[t],
-            self.arb_hint[t],
-            self.lookup_hint[t],
-        )
+        assert_eq!(
+            first,
+            Some(self.tiles[t].last_switch_cause[net]),
+            "{}",
+            asleep()
+        );
     }
 
     /// Record `span` cycles starting at `from` that tile `t` was not
     /// ticked on: each repeats the tile's last recorded cycle, in the
-    /// statistics, the trace window and the telemetry sink.
+    /// ledger and the trace window.
     fn credit_tile(&mut self, t: usize, from: u64, span: u64) {
-        let a = self.last_activity[t];
-        self.tiles[t].stats.counts[a.index()] += span;
+        let (a, w) = self.tiles[t].last;
+        self.tiles[t].ledger[a.index()][w.index()] += span;
         if let Some(tr) = &mut self.trace {
             tr.record_span(t, from, span, a);
         }
-        if let Some(sink) = self.active_sink() {
-            sink.lock()
-                .unwrap()
-                .tile_cycles(t as u16, self.refined_state(t), span);
-        }
+    }
+
+    /// The switch for `net` at tile `t` stalled this cycle, first refused
+    /// for `cause`.
+    #[inline]
+    pub(crate) fn switch_stalled(&mut self, t: usize, net: usize, cause: SwitchStallCause) {
+        self.tiles[t].stalls[net][cause.index()] += 1;
+        self.tiles[t].last_switch_cause[net] = cause;
     }
 
     /// Record `span` cycles the switch for `net` at tile `t` was not
@@ -1052,22 +992,15 @@ impl RawMachine {
         if self.tiles[t].switch_state[net].halted {
             return;
         }
-        self.tiles[t].switch_stall_cycles[net] += span;
-        if let Some(sink) = self.active_sink() {
-            sink.lock().unwrap().switch_stalls(
-                t as u16,
-                net as u8,
-                self.last_switch_cause[t][net],
-                span,
-            );
-        }
+        let cause = self.tiles[t].last_switch_cause[net];
+        self.tiles[t].stalls[net][cause.index()] += span;
     }
 
     /// Credit every component's skipped cycles up to the current one, so
-    /// statistics, trace and telemetry read as if every cycle had been
-    /// stepped. Every public run entry (`step`, `run`, `run_until`,
-    /// `run_until_quiescent`) ends here, so nothing outside one ever
-    /// sees a cycle uncredited.
+    /// the ledger and the trace read as if every cycle had been stepped,
+    /// and hand an attached sink the ledger's totals. Every public run
+    /// entry (`step`, `run`, `run_until`, `run_until_quiescent`) ends
+    /// here, so nothing outside one ever sees a cycle uncredited.
     fn settle(&mut self) {
         let now = self.cycle;
         for t in 0..self.tiles.len() {
@@ -1081,6 +1014,17 @@ impl RawMachine {
                     self.credit_switch(t, net, now - self.recorded[slot]);
                     self.recorded[slot] = now;
                 }
+            }
+            debug_assert_eq!(
+                self.tiles[t].ledger.iter().flatten().sum::<u64>(),
+                now,
+                "tile {t}'s ledger does not sum to the clock"
+            );
+        }
+        if let Some(sink) = self.telemetry.as_ref() {
+            let mut sink = sink.lock().unwrap();
+            for (t, tile) in self.tiles.iter().enumerate() {
+                sink.cycle_totals(t as u16, &self.tile_states(TileId(t as u16)), &tile.stalls);
             }
         }
     }
@@ -1138,9 +1082,7 @@ impl RawMachine {
         // over the instruction's route list, like `fired` itself.
         let mut fired = self.tiles[t].switch_state[net].fired;
         let mut any_fired = false;
-        // First refused group's block cause, for stall attribution —
-        // computed only while a telemetry sink is attached.
-        let attribute = self.active_sink().is_some();
+        // The first refused group's cause, which a stall is credited to.
         let mut block_cause: Option<SwitchStallCause> = None;
         let mut gi = 0;
         while gi < nroutes {
@@ -1156,9 +1098,7 @@ impl RawMachine {
                     any_fired = true;
                 }
                 Some(cause) => {
-                    if attribute && block_cause.is_none() {
-                        block_cause = Some(cause);
-                    }
+                    block_cause.get_or_insert(cause);
                 }
             }
             gi += 1;
@@ -1185,15 +1125,8 @@ impl RawMachine {
             // control transition: switch state changed with no progress.
             ctrl_transition = !any_fired;
         } else if !any_fired {
-            self.tiles[t].switch_stall_cycles[net] += 1;
-            if let Some(cause) = block_cause {
-                self.last_switch_cause[t][net] = cause;
-                if let Some(sink) = self.active_sink() {
-                    sink.lock()
-                        .unwrap()
-                        .switch_stalls(t as u16, net as u8, cause, 1);
-                }
-            }
+            let cause = block_cause.expect("an incomplete instruction has a refused group");
+            self.switch_stalled(t, net, cause);
         }
         (any_fired, ctrl_transition)
     }
@@ -1458,10 +1391,10 @@ impl RawMachine {
         }
         self.settle();
         let blocked_tiles: Vec<TileId> = self
-            .last_activity
+            .tiles
             .iter()
             .enumerate()
-            .filter(|(_, a)| a.is_blocked())
+            .filter(|(_, tile)| tile.last.0.is_blocked())
             .map(|(i, _)| TileId(i as u16))
             .collect();
         QuiescenceReport {

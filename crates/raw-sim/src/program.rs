@@ -31,7 +31,7 @@ use crate::fifo::Ring;
 use crate::geom::TileId;
 use crate::machine::{LOCAL_MEM_WORDS, PROC_RECV_DELAY};
 use crate::switch::{NetId, SwitchState, NUM_STATIC_NETS};
-use crate::trace::Activity;
+use crate::trace::{Activity, Wait};
 
 /// Tile local memory is materialized on demand in chunks of this many
 /// words (64 KB), so the default 4 MB per-tile address space costs nothing
@@ -56,7 +56,7 @@ pub trait TileProgram: Any + Send {
     /// **Contract.** A tick that retires nothing — a stalled action, or
     /// no action at all — must be a pure function of what `io` exposes
     /// other than [`TileIo::cycle`]: called again against the same FIFOs
-    /// and switch state it must stall the same way, set the same hints,
+    /// and switch state it must stall the same way, raise the same wait,
     /// and leave the program where it was. Both of the fast engine's
     /// skips rest on it: the machine-wide fast-forward replays such a
     /// tick's recorded activity over a quiet stretch, and a tile whose
@@ -64,7 +64,7 @@ pub trait TileProgram: Any + Send {
     /// not ticked again until a FIFO it can observe is pushed or popped
     /// or its switch halts. Builds with `debug_assertions` tick the
     /// sleeping tile anyway and assert that it reproduces the recorded
-    /// activity and hints.
+    /// activity and wait.
     fn tick(&mut self, io: &mut TileIo<'_>);
 
     /// Optional human-readable label for traces and utilization plots.
@@ -101,16 +101,9 @@ pub struct TileIo<'a> {
     pub(crate) dyn_nets: &'a mut [DynNet],
     pub(crate) stall_until: &'a mut u64,
     pub(crate) activity: Activity,
-    /// Set by [`TileIo::hint_token_wait`]; read by the machine to refine
-    /// this cycle's activity for telemetry.
-    pub(crate) token_wait_hint: bool,
-    /// Set by [`TileIo::hint_arb_wait`]: like the token hint, but the
-    /// wait is on a per-slot scheduler decision (iSLIP / crosspoint).
-    pub(crate) arb_wait_hint: bool,
-    /// Set by [`TileIo::hint_lookup_stall`]: this cycle is stalled on
-    /// forwarding-table memory (a modeled level-2 fetch or an injected
-    /// miss walk), not ordinary computation.
-    pub(crate) lookup_stall_hint: bool,
+    /// The highest wait this cycle's `hint_*` calls raised; the machine
+    /// ledgers the cycle under `(activity, wait)`.
+    pub(crate) wait: Wait,
     /// Static networks whose switch this tick's retiring actions wake
     /// (bit `net`) on this cycle: a `$csti` pop frees that network's
     /// switch space it can use at once.
@@ -151,9 +144,7 @@ impl<'a> TileIo<'a> {
             dyn_nets,
             stall_until,
             activity: Activity::Idle,
-            token_wait_hint: false,
-            arb_wait_hint: false,
-            lookup_stall_hint: false,
+            wait: Wait::None,
             wake_now: 0,
             wake_next: 0,
             acted: false,
@@ -415,20 +406,20 @@ impl<'a> TileIo<'a> {
 
     /// Mark this cycle as spent waiting on a token/grant protocol rather
     /// than ordinary idleness or an empty FIFO. Does not retire and does
-    /// not change simulation behavior — it only refines how an attached
-    /// telemetry sink classifies the cycle (token-wait instead of idle /
-    /// fifo-empty stall attribution).
+    /// not change simulation behavior — it only refines how the machine's
+    /// cycle ledger classifies the cycle (token-wait instead of idle /
+    /// fifo-empty).
     pub fn hint_token_wait(&mut self) {
-        self.token_wait_hint = true;
+        self.wait = self.wait.max(Wait::Token);
     }
 
     /// Like [`TileIo::hint_token_wait`], but the wait is on a per-slot
     /// *scheduler* decision (iSLIP or crosspoint arbitration rather than
-    /// the rotating token). Telemetry credits the cycle to the
-    /// `arb_wait` bucket so scheduler head-to-heads can attribute
-    /// arbitration stalls separately.
+    /// the rotating token). The ledger credits the cycle to the
+    /// `arb_wait` state so scheduler head-to-heads can attribute
+    /// arbitration stalls separately; it wins over a token hint.
     pub fn hint_arb_wait(&mut self) {
-        self.arb_wait_hint = true;
+        self.wait = self.wait.max(Wait::Arb);
     }
 
     /// Mark this cycle as stalled on forwarding-table *memory* — the
@@ -436,10 +427,10 @@ impl<'a> TileIo<'a> {
     /// fruitless walk of an injected lookup miss. Like the other hints
     /// it never changes simulation behavior: the cycle still advances
     /// (the program typically pairs it with [`TileIo::compute`]), only
-    /// an attached telemetry sink reclassifies it into the
-    /// `lookup_stall` bucket instead of busy.
+    /// the ledger counts it in the `lookup_stall` state instead of busy.
+    /// It wins over both other hints.
     pub fn hint_lookup_stall(&mut self) {
-        self.lookup_stall_hint = true;
+        self.wait = self.wait.max(Wait::Lookup);
     }
 
     /// Permit one more retiring call within this cycle.

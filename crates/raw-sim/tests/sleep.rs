@@ -42,6 +42,18 @@ fn recorded(sink: &raw_telemetry::SharedSink, tiles: usize) -> Vec<u64> {
     })
 }
 
+/// The same, read off the machine's own ledger.
+fn ledger(m: &RawMachine) -> Vec<u64> {
+    let mut v = Vec::new();
+    for t in 0..m.dim().tiles() {
+        v.extend(m.tile_states(TileId(t as u16)));
+        for net in 0..NUM_STATIC_NETS {
+            v.extend(m.switch_stalls(TileId(t as u16), net));
+        }
+    }
+    v
+}
+
 /// Sends `words` into `$csto` as fast as it drains, stamping each send.
 struct Sender {
     words: u32,
@@ -167,11 +179,12 @@ fn run_until_predicates_see_sleepers_credited() {
 }
 
 /// A sink attached and detached mid-run, while tiles and switches are
-/// asleep, is credited from exactly its attach to its detach cycle. Stall
-/// causes are only tracked while a sink is attached, so tile 1's switch
-/// — asleep since cycle 6 on a link nobody drains — has to be stepped
-/// again after the attach to report fifo-full. Step 1 runs 40 cycles and
-/// attaches, step 2 runs 90 and detaches, step 3 runs 30 more.
+/// asleep, changes nothing the engines agree on — the digests carry the
+/// machine's ledger — and, detached, holds the machine's totals since
+/// cycle 0 as of its detach. Tile 1's switch, asleep since cycle 6 on a
+/// link nobody drains, is never woken by the attach: its fifo-full cause
+/// is ledgered without a sink. Step 1 runs 40 cycles and attaches, step
+/// 2 runs 90 and detaches, step 3 runs 30 more.
 #[test]
 fn telemetry_attached_to_a_sleeping_machine_matches_the_interpreter() {
     let build = |engine: EngineMode| {
@@ -195,16 +208,27 @@ fn telemetry_attached_to_a_sleeping_machine_matches_the_interpreter() {
             m.run(cycles);
             match step {
                 0 => m.set_telemetry(sink.clone()),
-                1 => assert!(m.take_telemetry().is_some()),
+                1 => {
+                    assert!(m.take_telemetry().is_some());
+                    assert_eq!(recorded(sink, 16), ledger(m), "the sink holds the ledger");
+                }
                 _ => {}
             }
         }
     };
-    let (_, sink) = assert_engines_agree(build, script, 3, |sink| recorded(sink, 16));
+    let (m, sink) = assert_engines_agree(build, script, 3, |sink| recorded(sink, 16));
+    assert_eq!(m.cycle(), 160);
     with_sink::<Recorder, _>(&sink, |r| {
-        assert_eq!(r.tile_total(4), 90);
-        assert_eq!(r.switch_stall_counts(1, 0), [0, 90, 0]);
+        assert_eq!(r.tile_total(4), 130);
+        // Fifo-empty on cycle 0 (the first word is not yet visible), four
+        // words fired, fifo-full from cycle 5 on.
+        assert_eq!(r.switch_stall_counts(1, 0), [1, 125, 0]);
     });
+    assert_eq!(
+        m.switch_stalls(TileId(1), 0),
+        [1, 155, 0],
+        "the ledger ran on"
+    );
 }
 
 /// `run_until_quiescent` is a run entry like the others: its report and

@@ -1,6 +1,7 @@
 //! Machine-level telemetry tests: refined stall attribution, the
 //! conservation invariant, token-wait hinting, and bit-identical
-//! crediting between the fast and per-cycle engines.
+//! crediting of the machine's cycle ledger between the fast and
+//! per-cycle engines.
 
 use raw_sim::*;
 use raw_telemetry::{shared, with_sink, Recorder, SwitchStallCause, TileState};
@@ -92,11 +93,7 @@ fn stall_states_are_refined() {
 /// * 100 words south: that link FIFO fills and stays full (fifo-full);
 /// * 100 words north, off the chip into a sink taking one word every 4
 ///   cycles (device backpressure).
-fn switch_stall_machine(
-    engine: EngineMode,
-    words: usize,
-    dst: SwPort,
-) -> (RawMachine, raw_telemetry::SharedSink) {
+fn switch_stall_machine(engine: EngineMode, words: usize, dst: SwPort) -> RawMachine {
     let cfg = RawConfig {
         engine,
         ..RawConfig::default()
@@ -117,8 +114,7 @@ fn switch_stall_machine(
             Box::new(WordSink::rate_limited(4).0),
         );
     }
-    let sink = attach_recorder(&mut m);
-    (m, sink)
+    m
 }
 
 const STALL_SHAPES: [(usize, SwPort, SwitchStallCause); 3] = [
@@ -128,36 +124,46 @@ const STALL_SHAPES: [(usize, SwPort, SwitchStallCause); 3] = [
 ];
 
 /// Each stall cause is driven, every stalled switch cycle the machine
-/// counted is attributed to some cause, and both engines credit tile
-/// states, stall causes and the clock identically.
+/// counted is attributed to some cause, and both engines ledger tile
+/// states, stall causes and the clock identically — with no sink
+/// attached: the ledger is the machine's own, and its digests carry it.
 #[test]
 fn every_engine_credits_telemetry_identically() {
     for (words, dst, cause) in STALL_SHAPES {
-        let collect = |engine: EngineMode| {
-            let (mut m, sink) = switch_stall_machine(engine, words, dst);
-            m.run(400);
-            let (cycle, stalls) = (m.cycle(), m.switch_stall_cycles(TileId(0)));
-            with_sink::<Recorder, _>(&sink, |r| {
-                let tiles: Vec<_> = (0..16).map(|t| r.tile_state_counts(t)).collect();
-                let causes: Vec<_> = (0..16).map(|t| r.switch_stall_counts(t, 0)).collect();
-                (tiles, causes, cycle, stalls)
-            })
-        };
-        let reference = collect(EngineMode::PerCycle);
-        let by_cause = reference.1[0];
+        let found = first_divergence(
+            || switch_stall_machine(EngineMode::PerCycle, words, dst),
+            || switch_stall_machine(EngineMode::Compiled, words, dst),
+            |m, n| m.run(n),
+            RawMachine::digests,
+            400,
+        );
+        assert_eq!(
+            found, None,
+            "{cause:?}: (cycle, component) where the engines part"
+        );
+        let mut m = switch_stall_machine(EngineMode::PerCycle, words, dst);
+        assert!(m.take_telemetry().is_none());
+        m.run(400);
+        let by_cause = m.switch_stalls(TileId(0), 0);
         assert!(by_cause[cause.index()] > 0, "{cause:?}: {by_cause:?}");
-        assert_eq!(by_cause.iter().sum::<u64>(), reference.3, "{cause:?}");
-        assert_eq!(collect(EngineMode::Compiled), reference, "{cause:?}");
+        assert_eq!(
+            by_cause.iter().sum::<u64>(),
+            m.switch_stall_cycles(TileId(0)),
+            "{cause:?}"
+        );
+        for t in 0..16 {
+            let states = m.tile_states(TileId(t));
+            assert_eq!(states.iter().sum::<u64>(), 400, "{cause:?}: tile {t}");
+        }
     }
 }
 
 #[test]
 fn attaching_a_sink_never_changes_results() {
     let run = |with_telemetry: bool| -> (u64, Vec<[u64; 5]>) {
-        let (mut m, sink) = switch_stall_machine(EngineMode::Compiled, 3, SwPort::S);
-        if !with_telemetry {
-            m.take_telemetry();
-            drop(sink);
+        let mut m = switch_stall_machine(EngineMode::Compiled, 3, SwPort::S);
+        if with_telemetry {
+            attach_recorder(&mut m);
         }
         m.run(400);
         (

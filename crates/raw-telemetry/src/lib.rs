@@ -12,18 +12,20 @@
 //! * **Latency histograms** — fixed-bucket log-linear [`Histogram`]s
 //!   (HDR style, integer-only, allocation-free after setup) with
 //!   p50/p90/p99/p999 extraction per output port and per stage.
-//! * **Stall attribution** — every tile cycle is classified into a
-//!   refined [`TileState`] (busy, idle, fifo-full, fifo-empty,
-//!   cache-stall, token-wait) and every stalled switch crossing into a
+//! * **Stall attribution** — the simulator's always-on cycle ledger
+//!   classifies every tile cycle into a refined [`TileState`] (busy,
+//!   idle, fifo-full, fifo-empty, cache-stall, token-wait, arb-wait,
+//!   lookup-stall) and every stalled switch crossing into a
 //!   [`SwitchStallCause`] (fifo-empty, fifo-full, device-backpressure),
-//!   with the conservation invariant `sum(states) == cycles`.
+//!   with the conservation invariant `sum(states) == cycles`; a sink is
+//!   handed the totals once per run call.
 //! * **Exporters** — a Chrome `trace_event` writer ([`chrome_trace`])
 //!   for `chrome://tracing`/Perfetto and serializable summaries
 //!   ([`TelemetrySummary`]) for `results/telemetry.json`.
 //!
-//! The simulator publishes into an `Option<`[`SharedSink`]`>`: with no
-//! sink attached instrumentation is a single branch per cycle phase and
-//! the hot path allocates nothing, preserving the event-skip fast path.
+//! The simulator publishes into an `Option<`[`SharedSink`]`>`: the sink
+//! is never told anything per cycle, so attached or not the hot path
+//! allocates nothing and the event-skip fast path is preserved.
 
 pub mod chrome;
 pub mod fabric;

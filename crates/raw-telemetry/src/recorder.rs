@@ -1,5 +1,6 @@
-//! The full recording sink: packet lifecycles, per-tile state counters,
-//! and per-(tile, net) switch stall attribution.
+//! The full recording sink: packet lifecycles, drop counters, and the
+//! machine's last per-tile state and per-(tile, net) switch stall
+//! totals.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -97,6 +98,8 @@ struct OpenPacket {
 pub struct Recorder {
     tiles: usize,
     nets: usize,
+    /// The machine's totals as of its last run call (see
+    /// [`TelemetrySink::cycle_totals`]): overwritten, never accumulated.
     tile_states: Vec<[u64; TileState::COUNT]>,
     switch_stalls: Vec<Vec<[u64; SwitchStallCause::COUNT]>>,
     open: HashMap<(u8, u32), OpenPacket>,
@@ -270,12 +273,16 @@ impl TelemetrySink for Recorder {
         }
     }
 
-    fn tile_cycles(&mut self, tile: u16, state: TileState, span: u64) {
-        self.tile_states[tile as usize][state.index()] += span;
-    }
-
-    fn switch_stalls(&mut self, tile: u16, net: u8, cause: SwitchStallCause, span: u64) {
-        self.switch_stalls[tile as usize][net as usize][cause.index()] += span;
+    fn cycle_totals(
+        &mut self,
+        tile: u16,
+        states: &[u64; TileState::COUNT],
+        stalls: &[[u64; SwitchStallCause::COUNT]],
+    ) {
+        self.tile_states[tile as usize] = *states;
+        for (row, net) in self.switch_stalls[tile as usize].iter_mut().zip(stalls) {
+            *row = *net;
+        }
     }
 
     fn packet_drop(&mut self, _cycle: u64, port: u8, reason: DropReason) {
@@ -360,20 +367,30 @@ mod tests {
         assert!(r.lives().is_empty());
     }
 
+    /// Each snapshot replaces the last: the recorder holds the machine's
+    /// totals, which conserve because the machine's ledger does.
     #[test]
     fn counters_accumulate_and_conserve() {
         let mut r = Recorder::new(4, 2);
-        r.tile_cycles(0, TileState::Busy, 10);
-        r.tile_cycles(0, TileState::Idle, 5);
-        r.tile_cycles(0, TileState::TokenWait, 85);
+        let mut states = [0; TileState::COUNT];
+        states[TileState::Busy.index()] = 4;
+        r.cycle_totals(0, &states, &[[0; SwitchStallCause::COUNT]; 2]);
+        states[TileState::Busy.index()] = 10;
+        states[TileState::Idle.index()] = 5;
+        states[TileState::TokenWait.index()] = 85;
+        r.cycle_totals(0, &states, &[[0; SwitchStallCause::COUNT]; 2]);
         assert_eq!(r.tile_total(0), 100);
         let c = r.tile_state_counts(0);
         assert_eq!(c[TileState::Busy.index()], 10);
-        r.switch_stalls(3, 1, SwitchStallCause::DeviceBackpressure, 7);
+        let mut stalls = [[0; SwitchStallCause::COUNT]; 2];
+        stalls[1][SwitchStallCause::DeviceBackpressure.index()] = 7;
+        r.cycle_totals(3, &[0; TileState::COUNT], &stalls);
+        r.cycle_totals(3, &[0; TileState::COUNT], &stalls);
         assert_eq!(
             r.switch_stall_counts(3, 1)[SwitchStallCause::DeviceBackpressure.index()],
             7
         );
+        assert_eq!(r.switch_stall_counts(3, 0), [0; SwitchStallCause::COUNT]);
     }
 
     #[test]

@@ -269,8 +269,10 @@ mod tests {
             r.egress_event(base + 34, 0, 2, Stage::FirstWordEgress);
             r.egress_event(base + 50, 0, 2, Stage::LastWordEgress);
         }
-        r.tile_cycles(0, TileState::Busy, 900);
-        r.tile_cycles(0, TileState::TokenWait, 100);
+        let mut states = [0; TileState::COUNT];
+        states[TileState::Busy.index()] = 900;
+        states[TileState::TokenWait.index()] = 100;
+        r.cycle_totals(0, &states, &[]);
         let s = r.summary(4);
         assert_eq!(s.packets_completed, 10);
         assert_eq!(s.stages.len(), StageSpan::ALL.len());
@@ -286,8 +288,12 @@ mod tests {
     #[test]
     fn conservation_check_flags_mismatch() {
         let mut r = Recorder::new(2, 2);
-        r.tile_cycles(0, TileState::Busy, 100);
-        r.tile_cycles(1, TileState::Idle, 99);
+        let mut states = [0; TileState::COUNT];
+        states[TileState::Busy.index()] = 100;
+        r.cycle_totals(0, &states, &[]);
+        states = [0; TileState::COUNT];
+        states[TileState::Idle.index()] = 99;
+        r.cycle_totals(1, &states, &[]);
         let v = r.conservation_violations(100);
         assert_eq!(v, vec![(1, 99)]);
     }

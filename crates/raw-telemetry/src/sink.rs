@@ -1,8 +1,10 @@
 //! The telemetry sink trait.
 //!
-//! The simulator and the router programs publish events into a
-//! [`TelemetrySink`] behind `Option<SharedSink>`: when no sink is attached
-//! the instrumentation is a single `None` branch, and the hot path does
+//! The router programs publish packet events into a [`TelemetrySink`]
+//! behind `Option<SharedSink>`, and the simulator hands it its cycle
+//! ledger's totals once at the end of every run call: a tile-cycle and a
+//! switch stall are classified by the machine itself, always, and never
+//! told to a sink one at a time. With no sink attached the hot path does
 //! no allocation and no recording work. [`crate::Recorder`] is the
 //! implementation behind `repro -- telemetry`.
 
@@ -26,10 +28,10 @@ pub enum Stage {
     LastWordEgress,
 }
 
-/// Refined per-cycle state of a tile processor. Exactly one state is
-/// credited per tile per simulated cycle, so per tile
-/// `sum(all states) == cycles simulated` — the conservation invariant the
-/// telemetry report asserts.
+/// Refined per-cycle state of a tile processor. The machine's ledger
+/// counts every simulated cycle of a tile in exactly one state, so per
+/// tile `sum(all states) == cycles simulated` — the conservation
+/// invariant the telemetry report asserts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TileState {
     /// No work issued and no stall hint.
@@ -108,7 +110,7 @@ impl TileState {
 /// The first refusal in the switch's own readiness order wins: source
 /// word not visible, then destination FIFO full, then edge device
 /// refusing the word.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SwitchStallCause {
     /// Source FIFO has no visible word.
     FifoEmpty,
@@ -217,12 +219,19 @@ pub trait TelemetrySink: Send {
     /// FIFO-queued unicast traffic; best-effort under VOQ/multicast).
     fn egress_event(&mut self, _cycle: u64, _src_port: u8, _out_port: u8, _stage: Stage) {}
 
-    /// Credit `span` consecutive processor cycles on `tile` in `state`.
-    fn tile_cycles(&mut self, _tile: u16, _state: TileState, _span: u64) {}
-
-    /// Credit `span` consecutive stalled switch cycles on `(tile, net)`
-    /// to `cause`.
-    fn switch_stalls(&mut self, _tile: u16, _net: u8, _cause: SwitchStallCause, _span: u64) {}
+    /// The machine's cycle ledger for `tile` at the end of a run call,
+    /// counted from cycle 0 (not from the attach): its cycles by state,
+    /// indexed by [`TileState::index`], and per static network its
+    /// switch's stalled cycles by cause, indexed by
+    /// [`SwitchStallCause::index`]. Called for every tile, once per run
+    /// call; each call supersedes the last for that tile.
+    fn cycle_totals(
+        &mut self,
+        _tile: u16,
+        _states: &[u64; TileState::COUNT],
+        _stalls: &[[u64; SwitchStallCause::COUNT]],
+    ) {
+    }
 
     /// A packet was classified as undeliverable and dropped at ingress
     /// `port` for `reason` at `cycle`.
@@ -234,7 +243,7 @@ pub trait TelemetrySink: Send {
 }
 
 /// How sinks are shared between the machine and the tile programs: the
-/// machine locks once per cycle phase, the programs lock only on the rare
+/// machine locks once per run call, the programs only on the rare
 /// per-packet events.
 pub type SharedSink = Arc<Mutex<dyn TelemetrySink>>;
 
@@ -285,9 +294,11 @@ mod tests {
     #[test]
     fn shared_roundtrip() {
         let h = shared(crate::Recorder::new(2, 2));
-        h.lock().unwrap().tile_cycles(0, TileState::Idle, 1);
+        let mut states = [0; TileState::COUNT];
+        states[TileState::Idle.index()] = 1;
+        h.lock().unwrap().cycle_totals(0, &states, &[]);
         with_sink::<crate::Recorder, _>(&h, |s| {
-            s.tile_cycles(1, TileState::Busy, 1);
+            s.cycle_totals(1, &states, &[]);
             assert_eq!(s.tile_total(0) + s.tile_total(1), 2);
         });
     }

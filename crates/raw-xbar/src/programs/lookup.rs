@@ -27,7 +27,7 @@ enum LkSt {
     WaitHdr,
     WaitAddr,
     /// Charge `busy` instruction cycles, then `stall` table-memory
-    /// cycles (hinted to telemetry as lookup stalls), then reply.
+    /// cycles (hinted to the cycle ledger as lookup stalls), then reply.
     Compute {
         busy: u32,
         stall: u32,
@@ -148,7 +148,7 @@ impl TileProgram for LookupProgram {
             LkSt::Compute { busy, stall, port } => {
                 // Both phases advance the engine identically (a compute
                 // retire per cycle — the hint never perturbs timing);
-                // only telemetry sees the stall share reclassified.
+                // only the ledger's refined states see the stall share.
                 io.compute();
                 if *busy > 0 {
                     *busy -= 1;
