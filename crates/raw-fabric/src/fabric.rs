@@ -591,10 +591,10 @@ impl RawFabric {
             let (r, p) = link.spec.to;
             // The drain records the traversal of the *sending* stage.
             let stage = self.plan.routers[link.spec.from.0].stage;
-            let receiver = &mut self.routers[r];
             let allowed = window
-                .saturating_sub(receiver.input_backlog(p))
+                .saturating_sub(self.routers[r].input_backlog(p))
                 .max(MIN_RECEIVE_WINDOW);
+            let receiver = &mut self.routers[r];
             for pkt in link.drain(epoch, allowed) {
                 if let Some(life) = self.life.get_mut(&(pkt.header.src, pkt.header.id)) {
                     self.stage_hist[stage].record(t - life.stage_entry);
@@ -907,6 +907,7 @@ impl RawFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raw_xbar::raw_sim::{NET0, NET1};
 
     /// Routers share a forwarding table exactly when they route alike:
     /// Clos16's 12 routers hold one table per stage, while Folded8's
@@ -936,6 +937,40 @@ mod tests {
             for b in 0..6 {
                 let want = a == b || (a >= 4 && b >= 4);
                 assert_eq!(folded8(a, b), want, "routers {a}, {b}");
+            }
+        }
+    }
+
+    /// Every router of a fabric runs one router image: Clos64's 80
+    /// routers hold the same configuration space and the same program
+    /// on every switch the router programs, not 80 copies of each.
+    #[test]
+    fn every_router_of_a_fabric_shares_one_image() {
+        let cfg = FabricConfig {
+            topology: Topology::Clos64,
+            ..FabricConfig::default()
+        };
+        let fab = RawFabric::try_new(cfg).expect("clos64 builds");
+        assert_eq!(fab.routers.len(), 80);
+        let first = &fab.routers[0];
+        let programmed: Vec<_> = (first.layout.ports.iter())
+            .flat_map(|p| {
+                [
+                    (p.ingress, NET0),
+                    (p.crossbar, NET0),
+                    (p.egress, NET0),
+                    (p.egress, NET1),
+                ]
+            })
+            .collect();
+        for r in &fab.routers[1..] {
+            assert!(Arc::ptr_eq(&r.image, &first.image));
+            assert!(Arc::ptr_eq(&r.image.cs, &first.image.cs));
+            for &(t, net) in &programmed {
+                assert!(Arc::ptr_eq(
+                    r.machine.switch_program(t, net),
+                    first.machine.switch_program(t, net),
+                ));
             }
         }
     }

@@ -15,6 +15,7 @@
 
 use std::any::Any;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::cache::DCache;
 use crate::compiled::{CompiledPlan, InjectorSlot};
@@ -106,7 +107,9 @@ impl Default for RawConfig {
 
 pub(crate) struct Tile {
     pub(crate) program: Option<Box<dyn TileProgram>>,
-    pub(crate) switch_prog: [SwitchProgram; NUM_STATIC_NETS],
+    /// Switch code is never written once installed, so machines running
+    /// the same code share one program rather than each copying it.
+    pub(crate) switch_prog: [Arc<SwitchProgram>; NUM_STATIC_NETS],
     pub(crate) switch_state: [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: DCache,
     /// Local memory backing store, materialized lazily in chunks up to
@@ -293,7 +296,7 @@ impl RawMachine {
         let tiles = (0..n)
             .map(|_| Tile {
                 program: Some(Box::new(IdleProgram)),
-                switch_prog: std::array::from_fn(|_| SwitchProgram::idle()),
+                switch_prog: std::array::from_fn(|_| Arc::new(SwitchProgram::idle())),
                 switch_state: std::array::from_fn(|_| SwitchState::new()),
                 cache: DCache::default(),
                 mem: Vec::new(),
@@ -451,7 +454,16 @@ impl RawMachine {
     /// deadlock) a processor-steered schedule on the other. The paper's
     /// Rotating Crossbar algorithm uses a single network (§5.3), so its
     /// fidelity is unaffected.
-    pub fn set_switch_program(&mut self, tile: TileId, net: usize, prog: SwitchProgram) {
+    ///
+    /// The machine never writes the program: pass an
+    /// `Arc<SwitchProgram>` to share one copy among machines.
+    pub fn set_switch_program(
+        &mut self,
+        tile: TileId,
+        net: usize,
+        prog: impl Into<Arc<SwitchProgram>>,
+    ) {
+        let prog = prog.into();
         for i in &prog.instrs {
             for r in &i.routes {
                 assert_eq!(
@@ -627,6 +639,11 @@ impl RawMachine {
             len(StaticFifo::Csti(0)),
             len(StaticFifo::Csti(1)),
         )
+    }
+
+    /// The switch program installed for `net` at a tile.
+    pub fn switch_program(&self, tile: TileId, net: usize) -> &Arc<SwitchProgram> {
+        &self.tiles[tile.index()].switch_prog[net]
     }
 
     /// Diagnostic: the switch PC and halted flag for `net` at a tile.
@@ -1067,11 +1084,9 @@ impl RawMachine {
             self.tiles[t].switch_state[net].halted = true;
             return (false, true);
         }
-        // Borrow the program out of the tile for the duration of the tick
-        // so routes can be read in place — the old per-cycle
-        // `instrs.get(pc).cloned()` allocated a fresh route Vec for every
-        // switch every cycle.
-        let prog = std::mem::take(&mut self.tiles[t].switch_prog[net]);
+        // Hold a second handle on the (immutable) program for the tick so
+        // routes are read in place while the machine is borrowed mutably.
+        let prog = Arc::clone(&self.tiles[t].switch_prog[net]);
         let instr = &prog.instrs[pc];
         let routes = instr.routes.as_slice();
         let nroutes = routes.len();
@@ -1103,7 +1118,6 @@ impl RawMachine {
             }
             gi += 1;
         }
-        self.tiles[t].switch_prog[net] = prog;
         self.tiles[t].switch_state[net].fired = fired;
         let complete = fired == ((1u64 << nroutes) - 1) as u32;
         let mut ctrl_transition = false;

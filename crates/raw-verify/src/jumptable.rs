@@ -533,6 +533,7 @@ pub fn check_ring_walk(ns: &[usize], diags: &mut Vec<Diag>) -> u64 {
 mod tests {
     use super::*;
     use raw_xbar::config::SchedPolicy;
+    use std::sync::Arc;
 
     fn clone_space(cs: &ConfigSpace) -> ConfigSpace {
         ConfigSpace {
@@ -612,10 +613,11 @@ mod tests {
             .find(|&i| !cs.configs[i].is_idle())
             .unwrap();
         let pc = code.cfg_pc[id];
-        let routed = (pc..code.program.len())
-            .find(|&i| !code.program.instrs[i].routes.is_empty())
+        let prog = Arc::make_mut(&mut code.program);
+        let routed = (pc..prog.len())
+            .find(|&i| !prog.instrs[i].routes.is_empty())
             .unwrap();
-        let r = &mut code.program.instrs[routed].routes[0];
+        let r = &mut prog.instrs[routed].routes[0];
         r.src = if r.src == SwPort::Proc {
             SwPort::N
         } else {

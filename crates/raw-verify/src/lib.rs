@@ -56,6 +56,8 @@ pub mod jumptable;
 pub mod lockstep;
 pub mod sched;
 
+use std::sync::Arc;
+
 use serde::Serialize;
 
 use raw_sim::{Dir, GridDim, SwitchProgram, TileId};
@@ -205,7 +207,7 @@ impl std::fmt::Display for Diag {
 pub struct SwitchSlot {
     pub tile: TileId,
     pub net: usize,
-    pub program: SwitchProgram,
+    pub program: Arc<SwitchProgram>,
     /// Routine start PCs the tile processor steers the switch through
     /// during one schedule period (§6.5 `swpc`), in order. Empty means the
     /// switch free-runs from PC 0 until it halts.
@@ -220,11 +222,16 @@ pub struct SwitchSlot {
 }
 
 impl SwitchSlot {
-    pub fn new(tile: TileId, net: usize, program: SwitchProgram, script: Vec<usize>) -> SwitchSlot {
+    pub fn new(
+        tile: TileId,
+        net: usize,
+        program: impl Into<Arc<SwitchProgram>>,
+        script: Vec<usize>,
+    ) -> SwitchSlot {
         SwitchSlot {
             tile,
             net,
-            program,
+            program: program.into(),
             script,
             proc_words: None,
             free_running: false,

@@ -611,6 +611,7 @@ mod tests {
     use super::*;
     use crate::FabricModel;
     use raw_sim::{GridDim, Route, SwitchInstr, SwitchProgram};
+    use std::sync::Arc;
 
     fn relay_pair(t0: Vec<SwitchInstr>, t1: Vec<SwitchInstr>) -> FabricModel {
         let mut m = FabricModel::new("pair", GridDim::new(1, 2));
@@ -803,7 +804,7 @@ mod tests {
             .expect("a non-idle crossbar scenario");
         let pc = sc.slots[1].script[1];
         // Drop the body routine's first routed instruction.
-        let prog = &mut sc.slots[1].program;
+        let prog = Arc::make_mut(&mut sc.slots[1].program);
         let routed = (pc..prog.len())
             .find(|&i| !prog.instrs[i].routes.is_empty())
             .unwrap();

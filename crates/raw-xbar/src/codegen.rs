@@ -19,6 +19,8 @@
 //! them) would overflow it by two orders of magnitude
 //! ([`unminimized_instr_count`]).
 
+use std::sync::Arc;
+
 use raw_sim::{Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, NET0, NET1};
 
 use crate::config::{Client, ConfigSpace, LocalConfig};
@@ -32,7 +34,7 @@ pub fn switch_code_key(c: &LocalConfig) -> (Client, Client, Client, u8, u8, u8) 
 
 /// Generated crossbar switch code for one tile.
 pub struct CrossbarCode {
-    pub program: SwitchProgram,
+    pub program: Arc<SwitchProgram>,
     /// PC of the header-exchange routine.
     pub hdr_pc: usize,
     /// PC of each local configuration's body routine, indexed by the
@@ -76,11 +78,11 @@ fn body_instrs(p: &PortTiles, lc: &LocalConfig, quantum: usize) -> Vec<SwitchIns
     let depth = servers.iter().map(|&(_, d)| d).max().unwrap_or(0);
     let mut instrs = Vec::with_capacity(frag_len + depth);
     for i in 0..frag_len + depth {
-        let routes: Vec<Route> = servers
-            .iter()
-            .filter(|&&(_, d)| i >= d && i < d + frag_len)
-            .map(|&(r, _)| r)
-            .collect();
+        // Sized exactly: the program keeps every route list for as long
+        // as any router runs it.
+        let live = |&&(_, d): &&(Route, usize)| i >= d && i < d + frag_len;
+        let mut routes = Vec::with_capacity(servers.iter().filter(live).count());
+        routes.extend(servers.iter().filter(live).map(|&(r, _)| r));
         // A far-source-only configuration has route-less prologue slots;
         // they become switch nops, preserving the pipeline alignment.
         instrs.push(SwitchInstr::new(routes, SwitchCtrl::Next));
@@ -137,7 +139,7 @@ pub fn gen_crossbar_switch(p: &PortTiles, cs: &ConfigSpace, quantum: usize) -> C
     }
 
     CrossbarCode {
-        program: SwitchProgram::new(instrs),
+        program: Arc::new(SwitchProgram::new(instrs)),
         hdr_pc,
         cfg_pc,
     }
@@ -168,7 +170,7 @@ pub fn unminimized_instr_count(quantum: usize) -> usize {
 /// * `stream_proc_pc` — everything from the processor (buffered tails,
 ///   padding).
 pub struct IngressCode {
-    pub program: SwitchProgram,
+    pub program: Arc<SwitchProgram>,
     /// PCs of the 1/2/4/8-word ingest routines (index = log2 of count).
     pub ingest_pc: [usize; 4],
     pub bid_pc: usize,
@@ -284,7 +286,7 @@ pub fn gen_ingress_switch(p: &PortTiles, quantum: usize) -> IngressCode {
     let stream_proc_nc_pc = stream_routine(1 + quantum, 0, false);
 
     IngressCode {
-        program: SwitchProgram::new(instrs),
+        program: Arc::new(SwitchProgram::new(instrs)),
         ingest_pc,
         bid_pc,
         bid_send_pc,
@@ -308,7 +310,7 @@ pub fn gen_ingress_switch(p: &PortTiles, quantum: usize) -> IngressCode {
 ///   which buffers and reassembles (§4.2) and later streams the finished
 ///   packet out over network 1.
 pub struct EgressCode {
-    pub program: SwitchProgram,
+    pub program: Arc<SwitchProgram>,
     pub cut_pc: usize,
     pub store_pc: usize,
 }
@@ -342,7 +344,7 @@ pub fn gen_egress_switch(p: &PortTiles, quantum: usize) -> EgressCode {
     }
     instrs.push(SwitchInstr::wait_pc());
     EgressCode {
-        program: SwitchProgram::new(instrs),
+        program: Arc::new(SwitchProgram::new(instrs)),
         cut_pc,
         store_pc,
     }

@@ -13,6 +13,9 @@
 //!   (header-exchange routine + one unrolled body routine per local
 //!   configuration) that fit the 8K-entry switch instruction memory —
 //!   and provably would not without the minimization;
+//! * [`image`] — the one router image: the configuration space, switch
+//!   programs and jump tables every router with the same quantum and
+//!   crossbar shares;
 //! * [`programs`] — the four tile programs, including the distributed
 //!   token algorithm of Chapter 5 (fair, deadlock-free by the counting
 //!   discipline of the generated schedules);
@@ -29,6 +32,7 @@ pub mod codegen;
 pub mod config;
 pub mod costs;
 pub mod devices;
+pub mod image;
 pub mod layout;
 pub mod programs;
 pub mod reference;
@@ -39,6 +43,7 @@ pub use config::{
     schedule_matching, Bid, Client, ConfigSpace, GlobalSchedule, LocalConfig, RingDir, SchedPolicy,
 };
 pub use devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
+pub use image::RouterImage;
 pub use layout::{PortTiles, RouterLayout, NPORTS};
 pub use programs::{
     EgressMode, EgressStats, IngressQueueing, IngressStats, LookupStats, XbarStats,

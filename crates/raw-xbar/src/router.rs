@@ -8,9 +8,9 @@ use raw_lookup::{Engine, ForwardingTable};
 use raw_net::Packet;
 use raw_sim::{cycles_to_seconds, EdgePort, RawConfig, RawMachine, TraceWindow, NET0, NET1};
 
-use crate::codegen;
-use crate::config::{ConfigSpace, SchedPolicy};
+use crate::asm_xbar::ASM_TABLE_BASE;
 use crate::devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
+use crate::image::{ImageKey, RouterImage};
 use crate::layout::{RouterLayout, NPORTS};
 use crate::programs::{
     CrossbarProgram, EgressMode, EgressProgram, EgressStats, IngressProgram, IngressStats,
@@ -123,7 +123,10 @@ pub struct RawRouter {
     pub cfg: RouterConfig,
     /// The forwarding table all four Lookup Processors share.
     pub table: Arc<ForwardingTable>,
-    pub cs: Arc<ConfigSpace>,
+    /// The configuration space, switch programs and jump tables this
+    /// router shares with every other built from the same quantum and
+    /// crossbar.
+    pub image: Arc<RouterImage>,
     in_ports: [EdgePort; NPORTS],
     out_ports: [EdgePort; NPORTS],
     // kept for benchmark/src/workloads.rs:666, which iterates and locks
@@ -140,9 +143,12 @@ impl RawRouter {
         }
     }
 
-    /// Build the router, validating the configuration and every generated
-    /// switch program ([`raw_sim::SwitchProgram::validate`]) at the
-    /// codegen boundary instead of relying on downstream assertions.
+    /// Build the router, validating the configuration, on the
+    /// [`RouterImage`] its quantum and crossbar share (whose build
+    /// validates every generated switch program at the codegen boundary
+    /// instead of relying on downstream assertions). Only the router's
+    /// mutable state is built here: the machine, the tile programs, the
+    /// line cards and the crossbar tiles' copies of the jump table.
     pub fn try_new(cfg: RouterConfig, table: Arc<ForwardingTable>) -> Result<RawRouter, String> {
         RawRouter::try_new_with_telemetry(cfg, table, None)
     }
@@ -163,20 +169,6 @@ impl RawRouter {
                 layout.dim.rows, layout.dim.cols, cfg.raw.dim.rows, cfg.raw.dim.cols
             ));
         }
-        if !(1..=raw_net::MAX_FRAG_WORDS).contains(&cfg.quantum_words) {
-            return Err(format!(
-                "quantum of {} words must fit the fragment tag's word-count field (1..={})",
-                cfg.quantum_words,
-                raw_net::MAX_FRAG_WORDS
-            ));
-        }
-        if cfg.quantum_words <= raw_net::IPV4_HEADER_WORDS {
-            return Err(format!(
-                "quantum of {} words must exceed the {}-word IP header",
-                cfg.quantum_words,
-                raw_net::IPV4_HEADER_WORDS
-            ));
-        }
         // A Lookup Processor counts one lookup's cycles, memory stalls
         // and an injected miss's penalty included, in a u32.
         let lookup_cycles = cfg
@@ -189,10 +181,6 @@ impl RawRouter {
                  the Lookup Processor's u32 cycle count",
                 raw_lookup::MAX_ACCESSES
             ));
-        }
-        let mut machine = RawMachine::new(cfg.raw.clone());
-        if let Some(sink) = &telemetry {
-            machine.set_telemetry(Arc::clone(sink));
         }
         if cfg.asm_crossbar && !cfg.weights.iter().all(|&w| w == 1) {
             return Err("the assembly crossbar uses a plain modulo-4 token".into());
@@ -230,11 +218,15 @@ impl RawRouter {
                 ));
             }
         }
-        let cs = Arc::new(if table.multicast() || cfg.asm_crossbar {
-            ConfigSpace::enumerate_multicast()
-        } else {
-            ConfigSpace::enumerate(SchedPolicy::ShortestFirst)
-        });
+        let image = RouterImage::shared(ImageKey::new(
+            cfg.quantum_words,
+            table.multicast(),
+            cfg.asm_crossbar,
+        ))?;
+        let mut machine = RawMachine::new(cfg.raw.clone());
+        if let Some(sink) = &telemetry {
+            machine.set_telemetry(Arc::clone(sink));
+        }
         let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
 
@@ -242,18 +234,13 @@ impl RawRouter {
         let mut out_ports = Vec::with_capacity(NPORTS);
         let mut lk_stats = Vec::with_capacity(NPORTS);
 
-        for (i, p) in layout.ports.iter().enumerate() {
+        for (i, (p, code)) in layout.ports.iter().zip(&image.ports).enumerate() {
             let port = i as u8;
             // --- Ingress ---
-            let ig_code = codegen::gen_ingress_switch(p, cfg.quantum_words);
-            ig_code
-                .program
-                .validate()
-                .map_err(|e| format!("port {i} ingress switch program: {e}"))?;
-            machine.set_switch_program(p.ingress, NET0, ig_code.program.clone());
+            machine.set_switch_program(p.ingress, NET0, Arc::clone(&code.ingress.program));
             let mut ig = IngressProgram::new(
                 port,
-                &ig_code,
+                &code.ingress,
                 cfg.quantum_words,
                 dim.coords(p.lookup),
                 cfg.queueing,
@@ -280,22 +267,16 @@ impl RawRouter {
             machine.set_program(p.lookup, Box::new(lk));
 
             // --- Crossbar ---
-            let xb_code = codegen::gen_crossbar_switch(p, &cs, cfg.quantum_words);
-            xb_code
-                .program
-                .validate()
-                .map_err(|e| format!("port {i} crossbar switch program: {e}"))?;
-            machine.set_switch_program(p.crossbar, NET0, xb_code.program.clone());
+            let xb_code = &code.crossbar;
+            machine.set_switch_program(p.crossbar, NET0, Arc::clone(&xb_code.program));
             if cfg.asm_crossbar {
                 // The §6.5 path: generated Raw assembly with a
                 // PC-carrying jump table, interpreted cycle-accurately.
-                let image = crate::asm_xbar::table_image_pc(&cs, i, &xb_code);
-                machine.write_tile_mem(p.crossbar, 0, &image);
+                machine.write_tile_mem(p.crossbar, ASM_TABLE_BASE as usize, &code.table);
                 let core = crate::asm_xbar::gen_crossbar_asm(i, xb_code.hdr_pc);
                 machine.set_program(p.crossbar, Box::new(core));
             } else {
-                let image = CrossbarProgram::table_image(&cs, i);
-                machine.write_tile_mem(p.crossbar, XBAR_TABLE_BASE as usize, &image);
+                machine.write_tile_mem(p.crossbar, XBAR_TABLE_BASE as usize, &code.table);
                 // Each crossbar tile runs its own replica of the arbiter;
                 // identical bid vectors keep the replicas in lockstep
                 // (the raw-sched lockstep test), mirroring how the token
@@ -303,7 +284,7 @@ impl RawRouter {
                 let sched = (!cfg.arbiter.is_token()).then(|| cfg.arbiter.build(NPORTS));
                 let xb = CrossbarProgram::new(
                     port,
-                    &xb_code,
+                    xb_code,
                     token_seq.clone(),
                     table.multicast(),
                     sched,
@@ -312,23 +293,14 @@ impl RawRouter {
             }
 
             // --- Egress ---
-            let eg_code = codegen::gen_egress_switch(p, cfg.quantum_words);
-            eg_code
-                .program
-                .validate()
-                .map_err(|e| format!("port {i} egress switch program: {e}"))?;
-            machine.set_switch_program(p.egress, NET0, eg_code.program.clone());
-            let eg_net1 = codegen::gen_egress_net1(p);
-            eg_net1
-                .validate()
-                .map_err(|e| format!("port {i} egress net-1 switch program: {e}"))?;
-            machine.set_switch_program(p.egress, NET1, eg_net1);
+            machine.set_switch_program(p.egress, NET0, Arc::clone(&code.egress.program));
+            machine.set_switch_program(p.egress, NET1, Arc::clone(&code.egress_net1));
             let mode = if cfg.cut_through {
                 EgressMode::CutThrough
             } else {
                 EgressMode::StoreForward
             };
-            let mut eg = EgressProgram::new(port, &eg_code, cfg.quantum_words, mode);
+            let mut eg = EgressProgram::new(port, &code.egress, cfg.quantum_words, mode);
             eg.telemetry = telemetry.clone();
             machine.set_program(p.egress, Box::new(eg));
             let (framing, out_port) = if cfg.cut_through {
@@ -353,7 +325,7 @@ impl RawRouter {
             layout,
             cfg,
             table,
-            cs,
+            image,
             in_ports: in_ports.try_into().map_err(|_| ()).unwrap(),
             out_ports: out_ports.try_into().map_err(|_| ()).unwrap(),
             lk_stats: lk_stats.try_into().map_err(|_| ()).unwrap(),
@@ -423,9 +395,9 @@ impl RawRouter {
     /// multi-router fabric reads this to decide whether the upstream
     /// link may hand over more packets — receiver congestion becomes
     /// link occupancy becomes sender backpressure.
-    pub fn input_backlog(&mut self, port: usize) -> usize {
+    pub fn input_backlog(&self, port: usize) -> usize {
         self.machine
-            .device_mut::<LineCardIn>(self.in_ports[port])
+            .device_ref::<LineCardIn>(self.in_ports[port])
             .expect("line card bound")
             .backlog()
     }
