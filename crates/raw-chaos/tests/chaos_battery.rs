@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use raw_chaos::*;
 use raw_fabric::{Executor, FabricConfig, Topology};
 use raw_net::{CorruptRng, Packet};
-use raw_sim::{lockstep, EngineMode, RawConfig, NUM_STATIC_NETS};
+use raw_sim::{first_divergence, lockstep, EngineMode, RawConfig, NUM_STATIC_NETS};
 use raw_telemetry::{shared, with_sink, DropReason, Recorder, SharedSink};
 use raw_workloads::{generate, generate_n, Arrivals, Pattern, ScheduledPacket, Workload};
 use raw_xbar::{audit, port_table, IngressQueueing, RawRouter, RouterConfig, NPORTS};
@@ -415,9 +415,11 @@ fn random_fabric_plan(seed: u64) -> FabricFaultPlan {
     plan
 }
 
-/// One full fabric chaos campaign, drained and audited; returns the
-/// fabric for inspection.
-fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> ChaosFabric {
+/// Epochs any fabric drain here may take before it counts as wedged.
+const FABRIC_BUDGET: u64 = 50_000;
+
+/// A fabric chaos campaign, built and offered its workload.
+fn chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64) -> ChaosFabric {
     let cfg = FabricConfig {
         topology: Topology::Clos16,
         epoch_cycles: 256,
@@ -439,9 +441,29 @@ fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> Cha
     for sp in generate_n(&w, 16) {
         cf.offer(sp.port, sp.release, &sp.packet);
     }
-    assert!(cf.fabric.run_until_drained_with(50_000, exec), "wedged");
-    let errs = raw_fabric::audit(&cf.fabric, true);
-    assert!(errs.is_empty(), "{errs:#?}");
+    cf
+}
+
+/// Run a fresh campaign `n` epochs on `exec`, one epoch a call,
+/// stopping early once it drains; a drained run is audited (the
+/// per-router reference hop by hop; the count planes when lookup faults
+/// are armed), and a run the full budget did not drain is wedged.
+fn drain_chaos(cf: &mut ChaosFabric, n: u64, exec: Executor) {
+    while cf.fabric.epochs_run() < n {
+        let e = cf.fabric.epochs_run();
+        if cf.fabric.run_until_drained_with(e + 1, exec) {
+            let errs = raw_fabric::audit(&cf.fabric, true);
+            assert!(errs.is_empty(), "{errs:#?}");
+            return;
+        }
+    }
+    assert!(n < FABRIC_BUDGET, "wedged");
+}
+
+/// One full fabric chaos campaign on `exec`, drained and audited.
+fn run_chaos_fabric(plan: &FabricFaultPlan, wl_seed: u64, exec: Executor) -> ChaosFabric {
+    let mut cf = chaos_fabric(plan, wl_seed);
+    drain_chaos(&mut cf, FABRIC_BUDGET, exec);
     cf
 }
 
@@ -450,22 +472,33 @@ proptest! {
 
     /// Graceful degradation scales to the fabric: any random fault
     /// campaign against the 16-port Clos never wedges, passes the audit
-    /// (the per-router reference hop by hop; the count planes when
-    /// lookup faults are armed) and replays bit-identically on both
-    /// executors.
+    /// and replays bit-identically on both executors —
+    /// [`first_divergence`] over [`RawFabric::digests`](raw_fabric::RawFabric::digests),
+    /// an epoch being a step, finds no epoch and no component where the
+    /// sharded run leaves the reference — with the same faults injected,
+    /// the same drops and the same packets delivered at every output.
     #[test]
     fn random_fabric_fault_plans_degrade_gracefully(
         seed in any::<u64>(),
         wl_seed in any::<u64>(),
     ) {
         let plan = random_fabric_plan(seed);
+        let sharded = Executor::Sharded { shards: 4 };
+        let found = first_divergence(
+            || (chaos_fabric(&plan, wl_seed), Executor::Reference),
+            || (chaos_fabric(&plan, wl_seed), sharded),
+            |(cf, exec), n| drain_chaos(cf, n, *exec),
+            |(cf, _)| cf.fabric.digests(),
+            FABRIC_BUDGET,
+        );
+        prop_assert_eq!(found, None, "plan seed {:#x} diverged between executors", seed);
         let cf = run_chaos_fabric(&plan, wl_seed, Executor::Reference);
         prop_assert_eq!(cf.fabric.offered(), 160);
-        let replay = run_chaos_fabric(&plan, wl_seed, Executor::Sharded { shards: 4 });
+        let replay = run_chaos_fabric(&plan, wl_seed, sharded);
         prop_assert_eq!(replay.injected, cf.injected);
-        prop_assert_eq!(
-            replay.fabric.fingerprint(), cf.fabric.fingerprint(),
-            "plan seed {:#x} diverged between executors", seed
-        );
+        prop_assert_eq!(replay.fabric.drop_reasons(), cf.fabric.drop_reasons());
+        for p in 0..16 {
+            prop_assert_eq!(replay.fabric.delivered(p), cf.fabric.delivered(p), "output {}", p);
+        }
     }
 }

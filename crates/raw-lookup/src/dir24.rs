@@ -15,57 +15,35 @@
 //! level-1 array is allocated zeroed (all empty), and pages no route
 //! reaches are never written.
 //!
+//! Both levels hold one packed `u32` per slot, and every level-2 block
+//! lives in one flat arena that a counting pass sizes exactly before
+//! the fill.
+//!
 //! The level split is parameterizable ([`DirTable::with_bits`]) so tests
 //! can exercise the identical algorithm without allocating the full
 //! 2^24-entry array; [`Dir24_8`] is the canonical 24/8 instance.
 
 use crate::patricia::{canonical, is_canonical, RouteEntry};
 
-/// Packed first-level entry: `[31:30]` kind (0 empty, 1 hop, 2 pointer),
-/// `[29:24]` owning prefix length, `[23:0]` value (next hop or block
-/// index). All-zero is empty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct L1(u32);
-
-const KIND_EMPTY: u32 = 0;
+/// A slot, in either level: `[31:30]` kind, `[29:0]` value (a next hop,
+/// or in level 1 a block index). All-zero is empty.
+const KIND_SHIFT: u32 = 30;
 const KIND_HOP: u32 = 1;
 const KIND_PTR: u32 = 2;
 
-impl L1 {
-    fn new(kind: u32, plen: u8, value: u32) -> L1 {
-        debug_assert!(value < (1 << 24), "DIR table values are 24-bit");
-        L1((kind << 30) | ((plen as u32) << 24) | value)
-    }
-
-    fn kind(self) -> u32 {
-        self.0 >> 30
-    }
-
-    fn plen(self) -> u8 {
-        ((self.0 >> 24) & 0x3f) as u8
-    }
-
-    fn value(self) -> u32 {
-        self.0 & 0xff_ffff
-    }
-}
-
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct L2 {
-    plen: u8,
-    kind: u8,
-    hop: u32,
-}
+/// Widest value a slot holds: the largest next hop a [`DirTable`]
+/// stores, and the most level-2 blocks it can index.
+pub const DIR_MAX_VALUE: u32 = (1 << KIND_SHIFT) - 1;
 
 /// The two-level table, split at `l1_bits`. Built once from a route
 /// list; rebuilt on change (routing-table updates are off the fast path,
 /// managed by the network processor, §2.2.1).
 pub struct DirTable {
     l1_bits: u8,
-    /// [`L1`] entries as plain `u32`s, so `vec![0; n]` allocates them
-    /// zeroed.
     l1: Vec<u32>,
-    l2: Vec<Vec<L2>>,
+    /// Every level-2 block, `2^(32 - l1_bits)` slots each, block `b` at
+    /// `b << (32 - l1_bits)`.
+    l2: Vec<u32>,
     /// The /0 route's next hop: what an empty slot answers.
     default: Option<u32>,
     routes: usize,
@@ -88,117 +66,92 @@ impl DirTable {
         DirTable::from_canonical(&canonical(routes), l1_bits)
     }
 
-    /// Build from a [`canonical`] route list. Every covering prefix
-    /// comes before the prefixes it covers, and a slot is only
-    /// overwritten by a route at least as long as its owner, so every
-    /// slot ends up owned by its longest covering route.
+    /// Build from a [`canonical`] route list, the one place a table is
+    /// built. Panics if a next hop exceeds [`DIR_MAX_VALUE`].
+    ///
+    /// A counting pass sizes the level-2 arena: the routes longer than
+    /// `l1_bits` come in slot order, so each new level-1 slot among them
+    /// is one block. The fill then writes every route's slots in list
+    /// order, with no guard. Two routes that share a slot nest, and the
+    /// covering one comes first, so the last write to a slot is its
+    /// longest match. For the same reason a route no longer than
+    /// `l1_bits` never meets a pointer: the routes that chain its slot
+    /// are all inside it, so all come after it. A block starts as a copy
+    /// of the level-1 slot it replaces.
     pub(crate) fn from_canonical(routes: &[RouteEntry], l1_bits: u8) -> DirTable {
         assert!(
             (16..=24).contains(&l1_bits),
             "level-2 blocks index all remaining bits"
         );
         debug_assert!(is_canonical(routes));
+        let shift = 32 - l1_bits as u32;
+        let mut blocks = 0usize;
+        let mut last_chained = None;
+        for r in routes {
+            assert!(
+                r.next_hop <= DIR_MAX_VALUE,
+                "next hop {} of {:#010x}/{} exceeds the DIR's 30-bit value field (max {DIR_MAX_VALUE})",
+                r.next_hop,
+                r.prefix,
+                r.len
+            );
+            let slot = r.prefix >> shift;
+            if r.len > l1_bits && last_chained != Some(slot) {
+                blocks += 1;
+                last_chained = Some(slot);
+            }
+        }
+        assert!(
+            blocks <= DIR_MAX_VALUE as usize + 1,
+            "{blocks} level-2 blocks exceed the DIR's 30-bit value field"
+        );
         let mut t = DirTable {
             l1_bits,
-            l1: vec![0; 1usize << l1_bits],
-            l2: Vec::new(),
+            l1: vec![0; 1 << l1_bits],
+            l2: vec![0; blocks << shift],
             default: None,
-            routes: 0,
+            routes: routes.len(),
         };
+        let mut next_block = 0u32;
         for r in routes {
-            t.insert(*r);
+            let word = (KIND_HOP << KIND_SHIFT) | r.next_hop;
+            if r.len == 0 {
+                t.default = Some(r.next_hop);
+            } else if r.len <= l1_bits {
+                let start = (r.prefix >> shift) as usize;
+                let slots = &mut t.l1[start..start + (1 << (l1_bits - r.len))];
+                debug_assert!(slots.iter().all(|&s| s >> KIND_SHIFT != KIND_PTR));
+                slots.fill(word);
+            } else {
+                let i = (r.prefix >> shift) as usize;
+                if t.l1[i] >> KIND_SHIFT != KIND_PTR {
+                    let b = next_block as usize;
+                    t.l2[b << shift..(b + 1) << shift].fill(t.l1[i]);
+                    t.l1[i] = (KIND_PTR << KIND_SHIFT) | next_block;
+                    next_block += 1;
+                }
+                let base = ((t.l1[i] & DIR_MAX_VALUE) as usize) << shift;
+                let lo = base + (r.prefix & (u32::MAX >> l1_bits)) as usize;
+                t.l2[lo..lo + (1 << (32 - r.len as u32))].fill(word);
+            }
         }
+        debug_assert_eq!(next_block as usize, blocks);
         t
-    }
-
-    fn l2_block_len(&self) -> usize {
-        1usize << (32 - self.l1_bits as u32)
-    }
-
-    fn insert(&mut self, r: RouteEntry) {
-        self.routes += 1;
-        let l1_bits = self.l1_bits;
-        if r.len == 0 {
-            self.default = Some(r.next_hop);
-        } else if r.len <= l1_bits {
-            let start = (r.prefix >> (32 - l1_bits as u32)) as usize;
-            let count = 1usize << (l1_bits - r.len) as usize;
-            for i in start..start + count {
-                let slot = L1(self.l1[i]);
-                match slot.kind() {
-                    KIND_PTR => {
-                        let blk = &mut self.l2[slot.value() as usize];
-                        for e in blk.iter_mut() {
-                            if e.kind == 0 || e.plen <= r.len {
-                                *e = L2 {
-                                    plen: r.len,
-                                    kind: 1,
-                                    hop: r.next_hop,
-                                };
-                            }
-                        }
-                    }
-                    KIND_HOP if slot.plen() > r.len => {}
-                    _ => {
-                        self.l1[i] = L1::new(KIND_HOP, r.len, r.next_hop).0;
-                    }
-                }
-            }
-        } else {
-            let idx = (r.prefix >> (32 - l1_bits as u32)) as usize;
-            let blk_len = self.l2_block_len();
-            let slot = L1(self.l1[idx]);
-            let blk_idx = match slot.kind() {
-                KIND_PTR => slot.value() as usize,
-                old_kind => {
-                    let seed = if old_kind == KIND_HOP {
-                        L2 {
-                            plen: slot.plen(),
-                            kind: 1,
-                            hop: slot.value(),
-                        }
-                    } else {
-                        L2::default()
-                    };
-                    self.l2.push(vec![seed; blk_len]);
-                    let bi = self.l2.len() - 1;
-                    self.l1[idx] = L1::new(KIND_PTR, 0, bi as u32).0;
-                    bi
-                }
-            };
-            // Slot range within the block covered by this prefix (one
-            // slot per address below the first level).
-            let within = r.prefix & (u32::MAX >> l1_bits); // low bits
-            let lo = within as usize;
-            let count = 1usize << (32 - r.len as u32);
-            let blk = &mut self.l2[blk_idx];
-            for e in &mut blk[lo..lo + count] {
-                if e.kind == 0 || e.plen <= r.len {
-                    *e = L2 {
-                        plen: r.len,
-                        kind: 1,
-                        hop: r.next_hop,
-                    };
-                }
-            }
-        }
     }
 
     /// Lookup: next hop plus the number of memory accesses (1 or 2).
     pub fn lookup_traced(&self, addr: u32) -> (Option<u32>, u32) {
-        let e = L1(self.l1[(addr >> (32 - self.l1_bits as u32)) as usize]);
-        match e.kind() {
-            KIND_EMPTY => (self.default, 1),
-            KIND_HOP => (Some(e.value()), 1),
-            _ => {
-                let slot = (addr & (u32::MAX >> self.l1_bits)) as usize;
-                let l2 = self.l2[e.value() as usize][slot];
-                if l2.kind == 1 {
-                    (Some(l2.hop), 2)
-                } else {
-                    (self.default, 2)
-                }
-            }
+        let shift = 32 - self.l1_bits as u32;
+        let mut slot = self.l1[(addr >> shift) as usize];
+        let mut accesses = 1;
+        if slot >> KIND_SHIFT == KIND_PTR {
+            let base = ((slot & DIR_MAX_VALUE) as usize) << shift;
+            slot = self.l2[base + (addr & (u32::MAX >> self.l1_bits)) as usize];
+            accesses = 2;
+        }
+        match slot {
+            0 => (self.default, accesses),
+            _ => (Some(slot & DIR_MAX_VALUE), accesses),
         }
     }
 
@@ -206,25 +159,17 @@ impl DirTable {
         self.lookup_traced(addr).0
     }
 
-    /// Number of level-2 blocks allocated (memory footprint metric).
+    /// Number of level-2 blocks (memory footprint metric).
     pub fn l2_blocks(&self) -> usize {
-        self.l2.len()
+        self.l2.len() >> (32 - self.l1_bits as u32)
     }
 
-    /// Heap footprint in bytes of the built table — the level-1 array,
-    /// the level-2 block spine, and every block buffer, all accounted at
-    /// their *allocated* capacity (the spine grows by push, so its
-    /// capacity can exceed its length; block buffers are sized exactly
-    /// at construction). Asserted against a counting allocator in
-    /// `tests/memory_accounting.rs`.
+    /// Heap footprint in bytes of the built table: the level-1 array and
+    /// the level-2 arena, both sized exactly at construction, so this is
+    /// `4 × (2^l1_bits + l2_blocks() × 2^(32 - l1_bits))`. Asserted
+    /// against a counting allocator in `tests/memory_accounting.rs`.
     pub fn memory_bytes(&self) -> usize {
-        self.l1.capacity() * std::mem::size_of::<u32>()
-            + self.l2.capacity() * std::mem::size_of::<Vec<L2>>()
-            + self
-                .l2
-                .iter()
-                .map(|b| b.capacity() * std::mem::size_of::<L2>())
-                .sum::<usize>()
+        (self.l1.capacity() + self.l2.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// [`DirTable::memory_bytes`] per installed route.
@@ -236,7 +181,7 @@ impl DirTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patricia::PatriciaTable;
+    use crate::patricia::{reference_lpm, PatriciaTable};
 
     fn e(prefix: u32, len: u8, hop: u32) -> RouteEntry {
         RouteEntry::new(prefix, len, hop)
@@ -338,6 +283,33 @@ mod tests {
         assert!(written <= 4 * 256, "{written} level-1 slots written");
         assert_eq!(t.lookup_traced(0x0a02_0304), (Some(2), 1));
         assert_eq!(t.lookup_traced(0x0b00_0000), (Some(0), 1));
+    }
+
+    /// Next hops past 24 bits come back whole, from level 1 and from a
+    /// level-2 block.
+    #[test]
+    fn wide_next_hops_survive_both_levels() {
+        let routes = [
+            e(0, 0, 1),
+            e(0x0a00_0000, 8, (1 << 24) + 3),
+            e(0x0b00_0080, 25, (1 << 24) + 5),
+        ];
+        let d = DirTable::build(&routes);
+        let p = PatriciaTable::from_routes(&routes);
+        for addr in [0x0a01_0203u32, 0x0b00_00c8, 0x0b00_0005, 0x0c00_0000] {
+            let want = reference_lpm(&routes, addr);
+            assert_eq!(d.lookup(addr), want, "DIR at {addr:#x}");
+            assert_eq!(p.lookup(addr), want, "Patricia at {addr:#x}");
+        }
+        assert_eq!(d.lookup(0x0a01_0203), Some(16_777_219));
+        let top = DirTable::build(&[e(0x0a00_0080, 25, DIR_MAX_VALUE)]);
+        assert_eq!(top.lookup_traced(0x0a00_0081), (Some(DIR_MAX_VALUE), 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    fn a_hop_past_the_value_field_fails_the_build() {
+        DirTable::build(&[e(0x0a00_0000, 8, DIR_MAX_VALUE + 1)]);
     }
 
     #[test]

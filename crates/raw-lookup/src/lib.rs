@@ -16,7 +16,7 @@ pub mod dir24;
 pub mod patricia;
 pub mod table;
 
-pub use dir24::{Dir24_8, DirTable};
+pub use dir24::{Dir24_8, DirTable, DIR_MAX_VALUE};
 pub use patricia::{canonical, mask, reference_lpm, PatriciaTable, RouteEntry};
 pub use table::{
     decode_hop, encode_multicast, synth_addresses, synth_table, Engine, ForwardingTable, Hop,

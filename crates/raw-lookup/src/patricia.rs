@@ -55,20 +55,45 @@ pub fn reference_lpm(routes: &[RouteEntry], addr: u32) -> Option<u32> {
 /// the last of any repeats, so a list means what inserting it in order
 /// means. In this order every covering prefix comes before every prefix
 /// it covers: a preorder walk of the trie.
+///
+/// The sort is a stable counting scatter on the masked prefix's top
+/// bits, then a stable sort inside each bucket. The bucket count grows
+/// with the list, about 16 routes a bucket and at most 2^16 buckets, so
+/// a short list pays for a short count array.
 pub fn canonical(routes: &[RouteEntry]) -> Vec<RouteEntry> {
-    let mut sorted: Vec<RouteEntry> = routes
-        .iter()
-        .map(|r| RouteEntry::new(r.prefix, r.len, r.next_hop))
-        .collect();
-    // Stable: repeats keep their input order, so the last one is last.
-    sorted.sort_by_key(key);
-    let mut out: Vec<RouteEntry> = Vec::with_capacity(sorted.len());
-    for r in sorted {
-        match out.last_mut() {
-            Some(last) if key(last) == key(&r) => *last = r,
-            _ => out.push(r),
-        }
+    let bits = (usize::BITS - routes.len().leading_zeros())
+        .saturating_sub(4)
+        .min(16);
+    let bucket = |prefix: u32| (u64::from(prefix) >> (32 - bits)) as usize;
+    // `ends[b]` counts the routes in buckets up to `b`; the scatter,
+    // walking the input backwards, moves it down to bucket `b`'s start.
+    let mut ends = vec![0usize; (1 << bits) + 1];
+    for r in routes {
+        ends[bucket(mask(r.prefix, r.len))] += 1;
     }
+    let mut total = 0;
+    for e in &mut ends {
+        total += *e;
+        *e = total;
+    }
+    let mut out = vec![RouteEntry::new(0, 0, 0); routes.len()];
+    for r in routes.iter().rev() {
+        let r = RouteEntry::new(r.prefix, r.len, r.next_hop);
+        let end = &mut ends[bucket(r.prefix)];
+        *end -= 1;
+        out[*end] = r;
+    }
+    for w in ends.windows(2) {
+        // Stable: repeats keep their input order, so the last one is last.
+        out[w[0]..w[1]].sort_by_key(key);
+    }
+    out.dedup_by(|later, kept| {
+        let repeat = key(later) == key(kept);
+        if repeat {
+            *kept = *later;
+        }
+        repeat
+    });
     out
 }
 

@@ -1,8 +1,9 @@
 //! `DirTable::memory_bytes` must report the table's *actual* heap
-//! footprint, not an idealized one: the level-2 spine grows by push (so
-//! its capacity can exceed its length) and every `Vec` buffer is charged
-//! at capacity. This file asserts the accounting against a counting
-//! allocator at a BGP-sized 1M-prefix build.
+//! footprint, not an idealized one: every `Vec` buffer is charged at
+//! capacity. The level-1 array and the level-2 arena are both sized
+//! exactly at construction, so the figure is also the exact formula of
+//! the two levels. This file asserts both, the accounting against a
+//! counting allocator, at a BGP-sized 1M-prefix build.
 //!
 //! One test per file: the counting allocator must observe only its own
 //! workload (the default harness runs tests in one process).
@@ -41,16 +42,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Build at 1M prefixes and compare `memory_bytes` to the live-byte
 /// delta the allocator observed across the build. The build's
-/// temporaries (dedup map, sorted route list) are freed before it
-/// returns, so the net delta is the table itself. The reported figure
-/// must cover everything the allocator saw and overshoot by at most the
-/// `Vec` control words the capacity arithmetic cannot see (three usize
-/// per vec, negligible at this scale).
+/// temporaries (the canonical route list and its bucket counts) are
+/// freed before it returns, so the net delta is the table itself. The
+/// reported figure must cover everything the allocator saw and
+/// overshoot it by at most allocator slack.
 #[test]
 fn memory_bytes_matches_allocator_at_1m_prefixes() {
     // The synthesized mix includes /25–/32 prefixes, so level-2 blocks
-    // (the part the old length-based accounting got wrong) are
-    // exercised at scale.
+    // are exercised at scale.
     let routes = synth_table(1_000_000, 4, 20260810);
 
     let before = LIVE_BYTES.load(Ordering::Relaxed);
@@ -64,14 +63,16 @@ fn memory_bytes_matches_allocator_at_1m_prefixes() {
         "1M synthesized prefixes should chain thousands of L2 blocks, got {}",
         t.l2_blocks()
     );
+    // Exactly the two levels: 2^24 level-1 slots and 2^8 slots a block,
+    // four bytes each. An arena grown by doubling would overshoot this.
+    assert_eq!(reported, 4 * ((1 << 24) + t.l2_blocks() * (1 << 8)));
     // Everything the allocator saw is accounted for...
     assert!(
         reported >= live,
         "memory_bytes {reported} under-reports live allocation {live}"
     );
     // ...and the overshoot is bounded (1% covers allocator slack and
-    // rounding; the old length-based accounting missed the spine's
-    // excess capacity and failed this bound).
+    // rounding).
     assert!(
         reported as f64 <= live as f64 * 1.01,
         "memory_bytes {reported} overshoots live allocation {live} by more than 1%"

@@ -26,8 +26,14 @@ fn oracle(routes: &[RouteEntry], addr: u32) -> Option<u32> {
         .map(|r| r.next_hop)
 }
 
+/// A next hop: mostly a port number, sometimes one past 24 bits, up to
+/// the widest the DIR stores.
+fn arb_hop() -> impl Strategy<Value = u32> {
+    prop_oneof![3 => 0u32..8, 1 => 0u32..=DIR_MAX_VALUE]
+}
+
 fn arb_route() -> impl Strategy<Value = RouteEntry> {
-    (any::<u32>(), 0u8..=32, 0u32..8).prop_map(|(p, l, h)| RouteEntry::new(p, l, h))
+    (any::<u32>(), 0u8..=32, arb_hop()).prop_map(|(p, l, h)| RouteEntry::new(p, l, h))
 }
 
 /// Routes clustered inside 10.0.0.0/12 at a few lengths, so a drawn set
@@ -35,7 +41,7 @@ fn arb_route() -> impl Strategy<Value = RouteEntry> {
 /// and shares level-1 slots.
 fn clustered_route() -> impl Strategy<Value = RouteEntry> {
     const LENS: [u8; 9] = [8, 12, 16, 17, 20, 24, 25, 28, 32];
-    (any::<u16>(), 0..LENS.len(), 0u32..8)
+    (any::<u16>(), 0..LENS.len(), arb_hop())
         .prop_map(|(x, l, h)| RouteEntry::new(0x0a00_0000 | ((x as u32) << 4), LENS[l], h))
 }
 
@@ -45,7 +51,7 @@ fn route_set() -> impl Strategy<Value = Vec<RouteEntry>> {
     (
         proptest::collection::vec(prop_oneof![arb_route(), clustered_route()], 0..60),
         any::<bool>(),
-        0u32..8,
+        arb_hop(),
         any::<usize>(),
     )
         .prop_map(|(mut routes, default, hop, at)| {
