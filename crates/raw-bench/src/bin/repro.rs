@@ -66,13 +66,15 @@ impl Args<'_> {
         }
     }
 
-    /// An optional number (`default` when absent).
-    fn num<T: std::str::FromStr>(&self, default: T, what: &str) -> T {
+    /// An optional count of at least 1 (`default` when absent).
+    fn num<T: std::str::FromStr + PartialOrd + From<u8>>(&self, default: T, what: &str) -> T {
         match self.arg {
             None => default,
-            Some(s) => s
-                .parse()
-                .unwrap_or_else(|_| usage_exit(&format!("'{s}' is not a {what}"), self.usage)),
+            Some(s) => match s.parse() {
+                Ok(n) if n >= T::from(1) => n,
+                Ok(_) => usage_exit(&format!("a {what} must be at least 1"), self.usage),
+                Err(_) => usage_exit(&format!("'{s}' is not a {what}"), self.usage),
+            },
         }
     }
 }
@@ -720,7 +722,7 @@ fn run_verify(_: &Args) {
     }
     report
         .analyses
-        .extend(raw_verify::fabric::fabric_reports(&verdicts));
+        .extend(raw_fabric::fabric_reports(&verdicts));
 
     // Scheduler analyses (RV8xx): drive the executable arbiters over the
     // exhaustive request space and persistent-demand traces.

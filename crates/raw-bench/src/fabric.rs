@@ -227,7 +227,7 @@ pub const SHIPPED_TOPOLOGIES: [Topology; 5] = [
 /// the default fabric configuration — the verdicts `repro -- verify`
 /// folds into `results/verify.json`. Every verdict must be empty: the
 /// same gate stands before every fabric [`run_fabric`] builds.
-pub fn fabric_verify_verdicts() -> Vec<raw_verify::fabric::FabricVerdict> {
+pub fn fabric_verify_verdicts() -> Vec<raw_fabric::FabricVerdict> {
     SHIPPED_TOPOLOGIES
         .into_iter()
         .map(|t| {

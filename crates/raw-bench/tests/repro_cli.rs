@@ -20,11 +20,16 @@ fn rejected(args: &[&str]) -> String {
 
 #[test]
 fn malformed_arguments_print_usage_and_exit_2() {
-    let cases: [&[&str]; 4] = [
+    // A count below 1 is refused too: it would run an empty experiment
+    // into its own gate.
+    let cases: [&[&str]; 7] = [
         &["telemetry", "notanumber"],
         &["sched", "--bogus"],
         &["fib", "bogus"],
         &["fig3-2", "junk"],
+        &["fabric", "0"],
+        &["chaos", "0"],
+        &["fabric", "--smoke", "x"],
     ];
     for args in cases {
         let stderr = rejected(args);

@@ -333,8 +333,9 @@ fn fnv_flow(src: u32, dst_ext: u8) -> u64 {
 
 /// Each router's forwarding table, built once per distinct route list:
 /// every router of a Clos stage routes alike (5 lists for Clos64's 80
-/// routers, 7 for Clos256's 448) and shares one table.
-fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>> {
+/// routers, 7 for Clos256's 448) and shares one table. The static gate
+/// verifies these very tables before the routers are built on them.
+pub(crate) fn router_tables(routers: &[RouterSpec]) -> Vec<Arc<raw_lookup::ForwardingTable>> {
     let mut built: Vec<(&[raw_lookup::RouteEntry], Arc<raw_lookup::ForwardingTable>)> = Vec::new();
     routers
         .iter()
@@ -377,13 +378,15 @@ impl RawFabric {
     pub fn try_new(cfg: FabricConfig) -> Result<RawFabric, FabricError> {
         cfg.validate()?;
         let plan = topology::plan(cfg.topology);
+        let tables = router_tables(&plan.routers);
         // The whole-fabric static gate: deadlock freedom and routing
-        // soundness must hold before a single router is instantiated.
-        let verdict = crate::verify::verify_spec(&plan, &cfg);
+        // soundness, over the tables the routers will forward with, must
+        // hold before a single router is instantiated.
+        let verdict = crate::verify::verify_tables(&plan, &tables, &cfg);
         if !verdict.diags.is_empty() {
             return Err(FabricError::Verify(verdict.diags));
         }
-        let routers = router_tables(&plan.routers)
+        let routers = tables
             .into_iter()
             .map(|table| {
                 RawRouter::try_new_with_telemetry(cfg.router.clone(), table, None)
@@ -511,17 +514,10 @@ impl RawFabric {
         self.routers[r].stall_output(p, start, len);
     }
 
-    fn is_local(&self, ingress_router: usize, dst_ext: usize) -> bool {
-        match self.plan.topology {
-            Topology::Folded8 => dst_ext / 2 == ingress_router,
-            _ => false,
-        }
-    }
-
     fn choose_middle(&mut self, ingress_router: usize, pkt: &Packet) -> u8 {
         let w = self.plan.topology.spray_width();
         let d = dst_ext_port(pkt);
-        if w <= 1 || self.is_local(ingress_router, d) {
+        if self.plan.is_local(ingress_router, d) {
             return 0;
         }
         let key = (pkt.header.src, d as u8);
@@ -628,7 +624,7 @@ impl RawFabric {
                     let m = self.choose_middle(r, p);
                     stamp_middle(p, m);
                     let d = dst_ext_port(p);
-                    if self.plan.topology.spray_width() > 1 && !self.is_local(r, d) {
+                    if !self.plan.is_local(r, d) {
                         let li = self.plan.uplinks[r][m as usize];
                         self.links[li].inflight_sprayed += 1;
                     }

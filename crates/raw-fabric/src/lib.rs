@@ -7,12 +7,14 @@
 //! crate is that composition, in the lineage of Tiny Tera and every
 //! multi-stage switch since:
 //!
-//! * **Topologies** ([`topology`]): a 3-stage 16-port Clos from 12
-//!   four-port routers, a folded 8-port leaf-spine from 6, and the
-//!   single router as the baseline degenerate case — all built from
-//!   *unmodified* [`raw_xbar::RawRouter`] instances, with fabric
-//!   forwarding expressed purely through per-router LPM tables over a
-//!   `10.<dst>.<middle>.x` address scheme;
+//! * **Topologies** ([`topology`]): one Clos builder at depth `k` gives
+//!   the single router (`k = 1`), the 3-stage 16-port Clos from 12
+//!   routers (`k = 2`) and the recursive 64- and 256-port fabrics; a
+//!   folded 8-port leaf-spine from 6 is the one hand-wired plan. All are
+//!   built from *unmodified* [`raw_xbar::RawRouter`] instances, with
+//!   fabric forwarding expressed purely through per-router LPM tables
+//!   over a `10.<dst>.<middle>.x` address scheme, and one
+//!   [`TopologyPlan`] is the only description of a fabric;
 //! * **Links** ([`link`]): bounded inter-router FIFOs with per-epoch
 //!   drain rates and credit-based backpressure onto the sender's egress
 //!   port — links never drop, so fabric-wide
@@ -34,6 +36,10 @@
 //!   5- and 7-stage folded-Clos fabrics of 80 and 448 radix-4 routers,
 //!   the port counts Tiny Tera targets, still through the same
 //!   link-sizing gate (RV7xx) and RV5xx–RV6xx static analyses;
+//! * **Static verification** ([`verify`]): channel-dependency deadlock
+//!   proofs and routing-soundness walks over the plan and the tables
+//!   the routers forward with — the gate [`RawFabric::try_new`] passes
+//!   before it builds a router;
 //! * **Audit** ([`audit()`]): every injected stream replayed hop by hop
 //!   through the per-router functional reference
 //!   ([`raw_xbar::reference::forward`]), and the run's deliveries and
@@ -56,4 +62,4 @@ pub use shard::{partition_routers, Executor};
 pub use topology::{
     dst_ext_port, fabric_addr, plan, stamp_middle, LinkSpec, RouterSpec, Topology, TopologyPlan,
 };
-pub use verify::{verify_fabric, verify_spec, verify_topology};
+pub use verify::{fabric_reports, verify_fabric, verify_plan, FabricVerdict};

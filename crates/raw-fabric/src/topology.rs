@@ -22,61 +22,51 @@ use raw_lookup::RouteEntry;
 use raw_net::Packet;
 use raw_xbar::NPORTS;
 
-/// The fabric shapes the experiments compare.
+/// The fabric shapes the experiments compare. Every Clos is the one
+/// builder's output at recursion depth `k`, its discriminant: `4^k`
+/// external ports from `2k-1` stages of `4^(k-1)` routers. Folded8 is
+/// the one hand-wired plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
-    /// One 4-port router, no links: the paper's baseline, run through
-    /// the same harness so comparisons share every code path.
-    Single4,
     /// 8 external ports from 6 routers: 4 leaves (2 external ports + 2
     /// uplinks each) over 2 spines — the folded-Clos (leaf-spine)
     /// variant. Same-leaf traffic switches locally in one hop.
-    Folded8,
-    /// 16 external ports from 12 routers: the full 3-stage Clos with 4
-    /// ingress, 4 middle, and 4 egress routers (§8.5's "larger router
-    /// out of multiple of these small 4-port routers").
-    Clos16,
-    /// 64 external ports from 80 routers: the 5-stage recursive Clos
-    /// (folded fat-tree) built by replacing each middle router of a
-    /// 3-stage Clos with a full 16-port Clos plane. Radix-4 routers
-    /// force `2k-1` stages for `4^k` ports; `k = 3` here.
-    Clos64,
-    /// 256 external ports from 448 routers: the 7-stage (`k = 4`)
-    /// recursion of the same builder — the largest fabric the
-    /// `10.<d>.<m>.x` address octets can label.
-    Clos256,
+    Folded8 = 0,
+    /// One 4-port router, no links (`k = 1`): the paper's baseline, run
+    /// through the same harness so comparisons share every code path.
+    Single4 = 1,
+    /// 16 external ports from 12 routers (`k = 2`): the full 3-stage
+    /// Clos with 4 ingress, 4 middle, and 4 egress routers (§8.5's
+    /// "larger router out of multiple of these small 4-port routers").
+    Clos16 = 2,
+    /// 64 external ports from 80 routers (`k = 3`): the 5-stage
+    /// recursive Clos (folded fat-tree) built by replacing each middle
+    /// router of a 3-stage Clos with a full 16-port Clos plane.
+    Clos64 = 3,
+    /// 256 external ports from 448 routers (`k = 4`): the 7-stage
+    /// recursion — the largest fabric the `10.<d>.<m>.x` address octets
+    /// can label.
+    Clos256 = 4,
 }
 
 impl Topology {
     pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Single4 => "single4",
-            Topology::Folded8 => "folded8",
-            Topology::Clos16 => "clos16",
-            Topology::Clos64 => "clos64",
-            Topology::Clos256 => "clos256",
-        }
+        ["folded8", "single4", "clos16", "clos64", "clos256"][*self as usize]
+    }
+
+    /// Recursion depth `k` of the Clos builder; `None` for Folded8.
+    fn clos_levels(&self) -> Option<u32> {
+        (*self != Topology::Folded8).then_some(*self as u32)
     }
 
     /// External (fabric-facing) port count.
     pub fn ext_ports(&self) -> usize {
-        match self {
-            Topology::Single4 => 4,
-            Topology::Folded8 => 8,
-            Topology::Clos16 => 16,
-            Topology::Clos64 => 64,
-            Topology::Clos256 => 256,
-        }
+        self.clos_levels().map_or(8, |k| 4usize.pow(k))
     }
 
     pub fn routers(&self) -> usize {
-        match self {
-            Topology::Single4 => 1,
-            Topology::Folded8 => 6,
-            Topology::Clos16 => 12,
-            Topology::Clos64 => 80,
-            Topology::Clos256 => 448,
-        }
+        self.clos_levels()
+            .map_or(6, |k| self.stages() * 4usize.pow(k - 1))
     }
 
     /// Number of middle-stage (spray) choices at injection. For the
@@ -84,13 +74,7 @@ impl Topology {
     /// and sub-plane — so it exceeds the router radix and groups of
     /// `spray_width / 4` consecutive values share one ingress uplink.
     pub fn spray_width(&self) -> usize {
-        match self {
-            Topology::Single4 => 1,
-            Topology::Folded8 => 2,
-            Topology::Clos16 => 4,
-            Topology::Clos64 => 16,
-            Topology::Clos256 => 64,
-        }
+        self.clos_levels().map_or(2, |k| 4usize.pow(k - 1))
     }
 
     /// Distinct pipeline stage levels (`RouterSpec::stage` values).
@@ -98,24 +82,7 @@ impl Topology {
     /// family; the folded leaf-spine fabric revisits stage 0, so its
     /// longest path is 3 routers over 2 levels.
     pub fn stages(&self) -> usize {
-        match self {
-            Topology::Single4 => 1,
-            Topology::Folded8 => 2,
-            Topology::Clos16 => 3,
-            Topology::Clos64 => 5,
-            Topology::Clos256 => 7,
-        }
-    }
-
-    /// Recursion depth `k` of the generic Clos builder (`4^k` ports,
-    /// `2k-1` stages), when this topology is one of the recursive
-    /// family.
-    pub(crate) fn clos_levels(&self) -> Option<u32> {
-        match self {
-            Topology::Clos64 => Some(3),
-            Topology::Clos256 => Some(4),
-            _ => None,
-        }
+        self.clos_levels().map_or(2, |k| 2 * k as usize - 1)
     }
 }
 
@@ -130,9 +97,8 @@ pub struct LinkSpec {
 /// One router's place in the fabric.
 #[derive(Clone, Debug)]
 pub struct RouterSpec {
-    /// Pipeline stage, 0 = ingress/leaf. Three-stage fabrics use
-    /// 0/1/2 = ingress/middle/egress; the recursive Clos fabrics number
-    /// stages 0..`Topology::stages()` left to right.
+    /// Pipeline stage, 0 = ingress/leaf. A Clos numbers its stages
+    /// 0..`Topology::stages()` left to right; Folded8's spines are 1.
     pub stage: usize,
     /// The router's forwarding table (always ends with a default route).
     pub routes: Vec<RouteEntry>,
@@ -256,7 +222,7 @@ fn clos_wire(kk: usize, so: usize, x0: usize, w_stage: usize, links: &mut Vec<Li
     }
 }
 
-/// Build a recursive `2k-1`-stage Clos plan (`Clos64`, `Clos256`).
+/// Build the `2k-1`-stage Clos plan of depth `k`.
 fn clos_plan(t: Topology, k: u32) -> TopologyPlan {
     let w = 4usize.pow(k - 1);
     let stages = 2 * k as usize - 1;
@@ -276,14 +242,15 @@ fn clos_plan(t: Topology, k: u32) -> TopologyPlan {
     // Spray `m` leaves ingress router `x` through output `m / (spray/4)`
     // (the high base-4 digit of `m`): groups of `spray/4` consecutive
     // spray values share one physical uplink, diverging at later stages.
+    // A single router (`spray == 1`) has no uplinks.
     let mut out_of = vec![[usize::MAX; NPORTS]; stages * w];
     for (li, l) in links.iter().enumerate() {
         out_of[l.from.0][l.from.1] = li;
     }
     let mut uplinks = vec![Vec::new(); stages * w];
-    for (x, up) in uplinks.iter_mut().enumerate().take(w) {
-        for m in 0..spray {
-            up.push(out_of[x][m / (spray / 4)]);
+    if spray > 1 {
+        for (x, up) in uplinks.iter_mut().enumerate().take(w) {
+            up.extend((0..spray).map(|m| out_of[x][m / (spray / 4)]));
         }
     }
     let ext_in = (0..t.ext_ports()).map(|e| (e / 4, e % 4)).collect();
@@ -293,114 +260,60 @@ fn clos_plan(t: Topology, k: u32) -> TopologyPlan {
     TopologyPlan::new(t, routers, links, ext_in, ext_out, uplinks)
 }
 
+/// The folded leaf-spine plan: routers 0-3 leaves, 4-5 spines. Leaf `l`
+/// owns external ports `{2l, 2l+1}` on its ports 0-1; ports 2-3 are
+/// uplinks.
+fn folded8_plan() -> TopologyPlan {
+    let mut routers = Vec::new();
+    for l in 0..4u8 {
+        let mut routes = Vec::new();
+        for d in 0..8u8 {
+            if d / 2 == l {
+                routes.push(route16(d, (d % 2) as u32));
+            } else {
+                for m in 0..2u8 {
+                    routes.push(route24(d, m, 2 + m as u32));
+                }
+            }
+        }
+        routes.push(default_route(0));
+        routers.push(RouterSpec { stage: 0, routes });
+    }
+    for _s in 0..2 {
+        let mut routes: Vec<RouteEntry> = (0..8u8).map(|d| route16(d, (d / 2) as u32)).collect();
+        routes.push(default_route(0));
+        routers.push(RouterSpec { stage: 1, routes });
+    }
+    let mut links = Vec::new();
+    let mut uplinks = vec![Vec::new(); 6];
+    for (l, up) in uplinks.iter_mut().enumerate().take(4) {
+        for s in 0..2usize {
+            up.push(links.len());
+            links.push(LinkSpec {
+                from: (l, 2 + s),
+                to: (4 + s, l),
+            });
+        }
+    }
+    for s in 0..2usize {
+        for l in 0..4usize {
+            links.push(LinkSpec {
+                from: (4 + s, l),
+                to: (l, 2 + s),
+            });
+        }
+    }
+    let ext_in = (0..8).map(|e| (e / 2, e % 2)).collect();
+    let ext_out = (0..8).map(|d| (d / 2, d % 2)).collect();
+    TopologyPlan::new(Topology::Folded8, routers, links, ext_in, ext_out, uplinks)
+}
+
 /// Build the full wiring and per-router tables for a topology.
 pub fn plan(t: Topology) -> TopologyPlan {
-    if let Some(k) = t.clos_levels() {
-        return clos_plan(t, k);
+    match t.clos_levels() {
+        Some(k) => clos_plan(t, k),
+        None => folded8_plan(),
     }
-    let mut routers = Vec::new();
-    let mut links = Vec::new();
-    let mut uplinks = vec![Vec::new(); t.routers()];
-    let (ext_in, ext_out);
-    match t {
-        Topology::Single4 => {
-            let mut routes: Vec<RouteEntry> =
-                (0..NPORTS as u8).map(|d| route16(d, d as u32)).collect();
-            routes.push(default_route(0));
-            routers.push(RouterSpec { stage: 2, routes });
-            ext_in = (0..NPORTS).map(|p| (0, p)).collect();
-            ext_out = (0..NPORTS).map(|p| (0, p)).collect();
-        }
-        Topology::Clos16 => {
-            // Routers 0-3 ingress, 4-7 middle, 8-11 egress.
-            for (i, up) in uplinks.iter_mut().enumerate().take(4) {
-                let mut routes = Vec::new();
-                for d in 0..16u8 {
-                    for m in 0..4u8 {
-                        routes.push(route24(d, m, m as u32));
-                    }
-                }
-                routes.push(default_route(0));
-                routers.push(RouterSpec { stage: 0, routes });
-                // Ingress i's output m feeds middle m's input i.
-                for m in 0..4 {
-                    up.push(links.len());
-                    links.push(LinkSpec {
-                        from: (i, m),
-                        to: (4 + m, i),
-                    });
-                }
-            }
-            for _m in 0..4 {
-                let mut routes: Vec<RouteEntry> =
-                    (0..16u8).map(|d| route16(d, (d / 4) as u32)).collect();
-                routes.push(default_route(0));
-                routers.push(RouterSpec { stage: 1, routes });
-            }
-            // Middle m's output e feeds egress e's input m.
-            for m in 0..4 {
-                for e in 0..4 {
-                    links.push(LinkSpec {
-                        from: (4 + m, e),
-                        to: (8 + e, m),
-                    });
-                }
-            }
-            for _e in 0..4 {
-                let mut routes: Vec<RouteEntry> =
-                    (0..16u8).map(|d| route16(d, (d % 4) as u32)).collect();
-                routes.push(default_route(0));
-                routers.push(RouterSpec { stage: 2, routes });
-            }
-            ext_in = (0..16).map(|e| (e / 4, e % 4)).collect();
-            ext_out = (0..16).map(|d| (8 + d / 4, d % 4)).collect();
-        }
-        Topology::Folded8 => {
-            // Routers 0-3 leaves, 4-5 spines. Leaf l owns external
-            // ports {2l, 2l+1} on its ports 0-1; ports 2-3 are uplinks.
-            for l in 0..4u8 {
-                let mut routes = Vec::new();
-                for d in 0..8u8 {
-                    if d / 2 == l {
-                        routes.push(route16(d, (d % 2) as u32));
-                    } else {
-                        for m in 0..2u8 {
-                            routes.push(route24(d, m, 2 + m as u32));
-                        }
-                    }
-                }
-                routes.push(default_route(0));
-                routers.push(RouterSpec { stage: 0, routes });
-            }
-            for _s in 0..2 {
-                let mut routes: Vec<RouteEntry> =
-                    (0..8u8).map(|d| route16(d, (d / 2) as u32)).collect();
-                routes.push(default_route(0));
-                routers.push(RouterSpec { stage: 1, routes });
-            }
-            for (l, up) in uplinks.iter_mut().enumerate().take(4) {
-                for s in 0..2usize {
-                    up.push(links.len());
-                    links.push(LinkSpec {
-                        from: (l, 2 + s),
-                        to: (4 + s, l),
-                    });
-                }
-            }
-            for s in 0..2usize {
-                for l in 0..4usize {
-                    links.push(LinkSpec {
-                        from: (4 + s, l),
-                        to: (l, 2 + s),
-                    });
-                }
-            }
-            ext_in = (0..8).map(|e| (e / 2, e % 2)).collect();
-            ext_out = (0..8).map(|d| (d / 2, d % 2)).collect();
-        }
-        Topology::Clos64 | Topology::Clos256 => unreachable!("recursive Clos handled above"),
-    }
-    TopologyPlan::new(t, routers, links, ext_in, ext_out, uplinks)
 }
 
 impl TopologyPlan {
@@ -482,31 +395,20 @@ impl TopologyPlan {
             };
             assert_eq!(self.uplinks[r].len(), expect, "router {r} uplink count");
             for (m, &li) in self.uplinks[r].iter().enumerate() {
-                assert_eq!(self.links[li].from.0, r);
-                assert_eq!(self.routers[self.links[li].to.0].stage, 1);
-                if self.topology.clos_levels().is_some() {
-                    // Recursive Clos: groups of `spray/4` consecutive
-                    // spray values share the uplink at the port named
-                    // by the high base-4 digit of `m`; the RV605 walk
-                    // proves the tables agree with this map.
-                    assert_eq!(self.links[li].from.1, m / (spray / 4));
-                } else {
-                    // Three-stage fabrics: uplink m lands on
-                    // middle/spine router m exactly.
-                    assert_eq!(self.links[li].to.0, self.stage1_router(m));
+                let l = self.links[li];
+                assert_eq!(l.from.0, r);
+                assert_eq!(self.routers[l.to.0].stage, 1);
+                match self.topology.clos_levels() {
+                    // A Clos: groups of `spray/4` consecutive spray values
+                    // share the uplink at the port named by the high
+                    // base-4 digit of `m`; the RV605 walk proves the
+                    // tables agree with this map.
+                    Some(_) => assert_eq!(l.from.1, m / (spray / 4)),
+                    // Folded8: uplink m lands on spine m.
+                    None => assert_eq!(l.to.0, 4 + m),
                 }
             }
         }
-    }
-
-    fn stage1_router(&self, m: usize) -> usize {
-        self.routers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.stage == 1)
-            .map(|(i, _)| i)
-            .nth(m)
-            .expect("middle router m exists")
     }
 
     /// The link arriving at router input `(r, port)`, if any.
@@ -517,6 +419,12 @@ impl TopologyPlan {
     /// The link leaving router output `(r, port)`, if any.
     pub fn link_out_of(&self, r: usize, port: usize) -> Option<usize> {
         *self.out_map.get(r).and_then(|m| m.get(port))?
+    }
+
+    /// Does router `r` drain external output `d` itself? Such traffic
+    /// is not sprayed: injection stamps middle 0 and it takes one path.
+    pub fn is_local(&self, r: usize, d: usize) -> bool {
+        self.ext_out[d].0 == r
     }
 
     /// The scan `link_into` replaced — kept as the oracle the index
@@ -596,7 +504,6 @@ mod tests {
                         let (ext, hops) = model_route(&p, &tables, src, d, m);
                         assert_eq!(ext, d as usize, "{t:?}: {src}->{d} via {m} misrouted");
                         let max_hops = match t {
-                            Topology::Single4 => 1,
                             Topology::Folded8 => 3,
                             _ => t.stages(),
                         };
@@ -752,6 +659,53 @@ mod tests {
             }
             assert_eq!(p.link_into(p.routers.len(), 0), None);
             assert_eq!(p.link_out_of(p.routers.len(), 0), None);
+        }
+    }
+
+    /// FNV-1a over everything a plan states: each router's stage and
+    /// routes, then the links, `ext_in`, `ext_out` and uplinks, each list
+    /// led by its length.
+    fn plan_digest(p: &TopologyPlan) -> u64 {
+        let mut h = raw_net::Fnv1a::default();
+        let mut mix = |xs: &[usize]| xs.iter().for_each(|&x| h.mix(x as u64));
+        mix(&[p.routers.len()]);
+        for r in &p.routers {
+            mix(&[r.stage, r.routes.len()]);
+            for e in &r.routes {
+                mix(&[e.prefix as usize, e.len.into(), e.next_hop as usize]);
+            }
+        }
+        mix(&[p.links.len()]);
+        for l in &p.links {
+            mix(&[l.from.0, l.from.1, l.to.0, l.to.1]);
+        }
+        for ends in [&p.ext_in, &p.ext_out] {
+            mix(&[ends.len()]);
+            for &(r, port) in ends {
+                mix(&[r, port]);
+            }
+        }
+        mix(&[p.uplinks.len()]);
+        for up in &p.uplinks {
+            mix(&[up.len()]);
+            mix(up);
+        }
+        h.finish()
+    }
+
+    /// Every shipped plan, pinned: the one Clos builder wires Single4
+    /// and Clos16 as the hand-built plans did (Single4's router moved
+    /// from stage 2 to stage 0, the only stage of a k = 1 Clos).
+    #[test]
+    fn every_shipped_plan_is_pinned() {
+        for (t, want) in [
+            (Topology::Single4, 0x174f_8cff_e2ad_0156),
+            (Topology::Folded8, 0xd2f7_c31f_2cea_f2b3),
+            (Topology::Clos16, 0x4909_0a30_3627_7537),
+            (Topology::Clos64, 0x5345_ff7b_11a4_dfef),
+            (Topology::Clos256, 0xd683_01a3_46e1_5e2f),
+        ] {
+            assert_eq!(plan_digest(&plan(t)), want, "{t:?}");
         }
     }
 

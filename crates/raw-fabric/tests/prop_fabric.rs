@@ -8,8 +8,8 @@ use std::panic::{self, AssertUnwindSafe};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-use raw_fabric::{audit, Executor, FabricConfig, RawFabric, SprayMode, Topology};
-use raw_lookup::LookupMemModel;
+use raw_fabric::{audit, verify_fabric, Executor, FabricConfig, RawFabric, SprayMode, Topology};
+use raw_lookup::{Engine, LookupMemModel};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
 use raw_xbar::{IngressQueueing, SchedKind};
 
@@ -106,6 +106,11 @@ fn pick_arbiter(sel: u8, param: u32) -> SchedKind {
     }
 }
 
+/// A token weight: `0..=4` (0 counts as 1), or now and then the largest.
+fn weight() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..=4, 0u32..=4, 0u32..=4, Just(u32::MAX)]
+}
+
 /// True one time in `n`.
 fn one_in(n: u8) -> impl Strategy<Value = bool> {
     (0..n).prop_map(|x| x == 0)
@@ -120,7 +125,10 @@ proptest! {
     /// longer than its quantum are refused, typed), and if it drains,
     /// the audit is clean. (A longer epoch — up to `u64::MAX` cycles — is
     /// still built, but one epoch of it is past any budget.) The draws
-    /// lean toward values that build: about one case in six runs.
+    /// lean toward values that build: about one case in six runs. The
+    /// lookup engine and the token weights are drawn too, and every
+    /// config that builds gets the same static verdict under both
+    /// engines.
     #[test]
     fn any_config_builds_or_is_a_typed_error(
         seed in any::<u64>(),
@@ -161,6 +169,8 @@ proptest! {
                 Some(LookupMemModel { overhead_cycles: o, l1_cycles: l1, l2_cycles: l2 })
             }),
         ],
+        dir_engine in any::<bool>(),
+        weights in (weight(), weight(), weight(), weight()),
     ) {
         let topology = [Topology::Single4, Topology::Folded8, Topology::Clos16][topo_sel];
         let mut cfg = FabricConfig {
@@ -175,7 +185,13 @@ proptest! {
         cfg.router.arbiter = arbiter;
         cfg.router.asm_crossbar = asm_crossbar;
         cfg.router.lookup_mem = lookup_mem;
+        cfg.router.engine = if dir_engine { Engine::Dir24_8 } else { Engine::Patricia };
+        cfg.router.weights = [weights.0, weights.1, weights.2, weights.3];
         let what = format!("{cfg:?}");
+        // The static gate resolves addresses with the configured engine;
+        // both engines must reach the same verdict on the same tables.
+        let mut other = cfg.clone();
+        other.router.engine = if dir_engine { Engine::Patricia } else { Engine::Dir24_8 };
 
         let built = panic::catch_unwind(AssertUnwindSafe(|| RawFabric::try_new(cfg)));
         let Ok(built) = built else {
@@ -184,6 +200,7 @@ proptest! {
         let Ok(mut fab) = built else {
             return Ok(()); // a typed rejection
         };
+        prop_assert_eq!(verify_fabric(&fab.cfg), verify_fabric(&other), "{}", what);
         if epoch_cycles > CYCLE_BUDGET {
             return Ok(());
         }

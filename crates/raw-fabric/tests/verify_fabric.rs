@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use raw_chaos::{ChaosFabric, FabricFaultPlan, FaultPlan, LinkStallSpec};
 use raw_fabric::{
-    audit, plan, verify_fabric, verify_spec, Executor, FabricConfig, FabricConfigError,
+    audit, plan, verify_fabric, verify_plan, Executor, FabricConfig, FabricConfigError,
     FabricError, RawFabric, SprayMode, Topology,
 };
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
@@ -115,7 +115,7 @@ fn truncating_a_middle_router_table_is_a_coverage_hole() {
     p.routers[4]
         .routes
         .retain(|r| r.len == 16 && (r.prefix >> 16) & 0xff != 15);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos16));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos16));
     assert!(v.diags.iter().any(|d| d.code == "RV601"), "{:?}", v.diags);
 }
 
@@ -129,7 +129,7 @@ fn a_misrouting_middle_stage_is_a_misdelivery() {
             r.next_hop = 3;
         }
     }
-    let v = verify_spec(&p, &cfg_for(Topology::Clos16));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos16));
     assert!(v.diags.iter().any(|d| d.code == "RV603"), "{:?}", v.diags);
 }
 
@@ -141,7 +141,7 @@ fn a_route_out_an_unwired_port_is_a_dangling_egress() {
             r.next_hop = 7; // no such port on a 4-port router
         }
     }
-    let v = verify_spec(&p, &cfg_for(Topology::Clos16));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos16));
     assert!(v.diags.iter().any(|d| d.code == "RV604"), "{:?}", v.diags);
 }
 
@@ -156,7 +156,7 @@ fn a_spine_bouncing_traffic_back_down_is_a_routing_loop() {
             r.next_hop = 1;
         }
     }
-    let v = verify_spec(&p, &cfg_for(Topology::Folded8));
+    let v = verify_plan(&p, &cfg_for(Topology::Folded8));
     for code in ["RV602", "RV501"] {
         assert!(
             v.diags.iter().any(|d| d.code == code),
@@ -194,7 +194,7 @@ fn truncating_a_clos64_middle_table_is_a_coverage_hole() {
     p.routers[2 * 16]
         .routes
         .retain(|r| r.len == 16 && (r.prefix >> 16) & 0xff != 63);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos64));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos64));
     assert!(v.diags.iter().any(|d| d.code == "RV601"), "{:?}", v.diags);
 }
 
@@ -205,7 +205,7 @@ fn truncating_a_clos256_middle_table_is_a_coverage_hole() {
     p.routers[3 * 64]
         .routes
         .retain(|r| r.len == 16 && (r.prefix >> 16) & 0xff != 255);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos256));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos256));
     assert!(v.diags.iter().any(|d| d.code == "RV601"), "{:?}", v.diags);
 }
 
@@ -223,7 +223,7 @@ fn a_clos64_link_bent_back_on_its_sender_is_a_routing_loop() {
         .expect("middle-stage link");
     let from_r = p.links[li].from.0;
     p.links[li].to = (from_r, 0);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos64));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos64));
     assert!(v.diags.iter().any(|d| d.code == "RV602"), "{:?}", v.diags);
 }
 
@@ -237,7 +237,7 @@ fn a_clos256_link_bent_back_on_its_sender_is_a_routing_loop() {
         .expect("middle-stage link");
     let from_r = p.links[li].from.0;
     p.links[li].to = (from_r, 0);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos256));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos256));
     assert!(v.diags.iter().any(|d| d.code == "RV602"), "{:?}", v.diags);
 }
 
@@ -247,7 +247,7 @@ fn swapped_ingress_uplinks_break_spray_agreement() {
     // The table still routes (d, m) out port m, but the declared uplink
     // map now claims spray 0 rides what is physically uplink 1.
     p.uplinks[0].swap(0, 1);
-    let v = verify_spec(&p, &cfg_for(Topology::Clos16));
+    let v = verify_plan(&p, &cfg_for(Topology::Clos16));
     assert!(v.diags.iter().any(|d| d.code == "RV605"), "{:?}", v.diags);
 }
 

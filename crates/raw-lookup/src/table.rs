@@ -255,6 +255,7 @@ impl ForwardingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patricia::reference_lpm;
 
     #[test]
     fn synth_table_has_default_and_size() {
@@ -312,6 +313,44 @@ mod tests {
         assert_eq!(decode_hop(hop.unwrap()), Hop::Multicast(0b0110));
         let (hop, _) = ft.lookup(Engine::Dir24_8, 0xe000_0001);
         assert_eq!(decode_hop(hop.unwrap()), Hop::Multicast(0b0110));
+    }
+
+    /// One tie-break everywhere: a table that repeats prefixes with
+    /// different hops means the same function to the reference scan, to
+    /// a trie built by insertion and to both engines of a built table —
+    /// the last entry wins.
+    #[test]
+    fn duplicated_routes_resolve_alike_in_oracles_and_engines() {
+        let routes = [
+            RouteEntry::new(0, 0, 1),
+            RouteEntry::new(0x0a00_0000, 8, 2),
+            RouteEntry::new(0x0a01_0000, 16, 3),
+            RouteEntry::new(0x0a00_0000, 8, 4),
+            RouteEntry::new(0, 0, 5),
+            RouteEntry::new(0x0a01_0280, 25, 6),
+            RouteEntry::new(0x0a01_0000, 16, 7),
+            RouteEntry::new(0x0a01_0280, 25, 8),
+            RouteEntry::new(0x0a01_0000, 16, 9),
+        ];
+        let mut inserted = PatriciaTable::new();
+        for r in &routes {
+            inserted.insert(*r);
+        }
+        let table = ForwardingTable::build_with_l1_bits(&routes, 16);
+        for (addr, want) in [
+            (0x0b00_0000, 5),
+            (0x0a02_0000, 4),
+            (0x0a01_0001, 9),
+            (0x0a01_02ff, 8),
+        ] {
+            let all = [
+                reference_lpm(&routes, addr),
+                inserted.lookup(addr),
+                table.lookup(Engine::Patricia, addr).0,
+                table.lookup(Engine::Dir24_8, addr).0,
+            ];
+            assert_eq!(all, [Some(want); 4], "addr {addr:#010x}");
+        }
     }
 
     #[test]

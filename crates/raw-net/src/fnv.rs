@@ -1,7 +1,6 @@
 //! The 64-bit FNV-1a fold over `u64` words behind every published run
-//! fingerprint (`results/chaos.json`, `results/fabric.json`) and the
-//! verifier's route-table classes. One xor and one multiply per word, in
-//! the order the caller mixes them.
+//! fingerprint (`results/chaos.json`, `results/fabric.json`). One xor
+//! and one multiply per word, in the order the caller mixes them.
 
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);

@@ -27,13 +27,12 @@
 //!    double-granted, the token holder's bid must win, and every
 //!    minimized body routine must decode back to its local
 //!    configuration.
-//! 5. **Whole-fabric verification** ([`fabric`], `RV5xx`–`RV6xx`) — one
-//!    level up from a single router: channel-dependency-graph deadlock
-//!    proofs over a multi-router fabric's links, line cards, and
-//!    credit-return loops (with the VOQ-ingress escape fix modeled
-//!    explicitly), and routing-soundness walks over the per-router LPM
-//!    tables. `raw-fabric` gates `RawFabric::try_new` on this analysis;
-//!    link sizing is `FabricConfig::validate`'s.
+//!
+//! One level up, the whole-fabric analyses (`RV5xx` channel-dependency
+//! deadlock, `RV6xx` routing soundness) live with the fabric they read,
+//! in `raw_fabric::verify`: they walk the `TopologyPlan` the executor
+//! runs and the forwarding tables its routers hold, and report through
+//! this crate's [`Diag`], [`Analysis`] and [`AnalysisReport`].
 //!
 //! ## Abstract domain
 //!
@@ -51,7 +50,6 @@
 //! external ports are always-ready.
 
 pub mod conflict;
-pub mod fabric;
 pub mod jumptable;
 pub mod lockstep;
 pub mod sched;
@@ -105,7 +103,7 @@ impl Serialize for Analysis {
 /// does not implement its local configuration, `RV406` assembly jump
 /// table / generated tile program inconsistent.
 ///
-/// Fabric-level codes ([`fabric`]): `RV501` structural channel-dependency
+/// Fabric-level codes (`raw_fabric::verify`): `RV501` structural channel-dependency
 /// cycle (independent of the escape valves), `RV502` FIFO-ingress
 /// head-of-line coupling closes a cycle (VOQ breaks it); `RV601` LPM
 /// table does not cover the fabric address space, `RV602` routing loop,
@@ -120,7 +118,7 @@ impl Serialize for Analysis {
 /// matching (port conflict, unrequested grant), `RV802` a persistently
 /// requesting input starves past the wait bound, `RV803` a crosspoint
 /// buffer exceeds its declared capacity.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Diag {
     pub code: &'static str,
     pub analysis: Analysis,

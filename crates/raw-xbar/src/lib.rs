@@ -53,7 +53,7 @@ pub use raw_sched::SchedKind;
 /// reach the machine only through a router.
 pub use raw_sim;
 pub use reference::{audit, port_table};
-pub use router::{token_schedule, LookupFault, RawRouter, RouterConfig};
+pub use router::{LookupFault, RawRouter, RouterConfig};
 pub use scale::{
     mesh_scaling_throughput, ring_saturation_throughput, ring_walk, ScalingCurve, ScalingPoint,
 };

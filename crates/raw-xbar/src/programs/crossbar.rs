@@ -64,8 +64,8 @@ pub struct CrossbarProgram {
     /// 0..=3 dest + 4 empty; multicast alphabet: the destination mask;
     /// scheduler mode: the raw VOQ request mask, 0 = nothing queued).
     hdrs: [u8; NPORTS],
-    /// The token schedule (weighted round robin, §8.7) and position.
-    token_seq: Vec<u8>,
+    /// Token weights (weighted round robin, §8.7) and the quantum count.
+    weights: [u32; NPORTS],
     q: usize,
     cfg_pcs: Vec<usize>,
     st: XbSt,
@@ -79,11 +79,10 @@ impl CrossbarProgram {
     pub fn new(
         port: u8,
         code: &CrossbarCode,
-        token_seq: Vec<u8>,
+        weights: [u32; NPORTS],
         multicast: bool,
         sched: Option<Box<dyn raw_sched::Scheduler>>,
     ) -> CrossbarProgram {
-        assert!(!token_seq.is_empty());
         assert!(
             sched.is_none() || !multicast,
             "scheduler arbitration is unicast-only"
@@ -99,7 +98,7 @@ impl CrossbarProgram {
             sched,
             matching: [None; NPORTS],
             hdrs: [empty_code; NPORTS],
-            token_seq,
+            weights,
             q: 0,
             cfg_pcs: code.cfg_pc.clone(),
             st: XbSt::WaitHalt,
@@ -152,8 +151,23 @@ impl CrossbarProgram {
     }
 
     fn token(&self) -> u8 {
-        self.token_seq[self.q % self.token_seq.len()]
+        weighted_token(&self.weights, self.q as u64)
     }
+}
+
+/// The token holder in quantum `q`: each rotation gives port `i` the
+/// token for `max(weights[i], 1)` consecutive quanta, in port order, so
+/// `q` modulo the rotation falls in exactly one port's range.
+fn weighted_token(weights: &[u32; NPORTS], q: u64) -> u8 {
+    let quanta = weights.map(|w| u64::from(w.max(1)));
+    let mut at = q % quanta.iter().sum::<u64>();
+    for (port, &n) in quanta.iter().enumerate() {
+        if at < n {
+            return port as u8;
+        }
+        at -= n;
+    }
+    unreachable!("q modulo the rotation lies inside it")
 }
 
 impl TileProgram for CrossbarProgram {
@@ -284,5 +298,32 @@ impl TileProgram for CrossbarProgram {
 
     fn label(&self) -> &str {
         &self.label
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The token is the expanded schedule's entry without the expansion:
+    /// every weight vector in `0..=3` per port, over two full rotations.
+    #[test]
+    fn weighted_token_matches_the_expanded_schedule() {
+        for code in 0..4u32.pow(NPORTS as u32) {
+            let weights: [u32; NPORTS] = std::array::from_fn(|i| (code >> (2 * i)) & 3);
+            let mut schedule = Vec::new();
+            for (i, &w) in weights.iter().enumerate() {
+                for _ in 0..w.max(1) {
+                    schedule.push(i as u8);
+                }
+            }
+            for q in 0..2 * schedule.len() {
+                assert_eq!(
+                    weighted_token(&weights, q as u64),
+                    schedule[q % schedule.len()],
+                    "{weights:?} q {q}"
+                );
+            }
+        }
     }
 }

@@ -103,17 +103,6 @@ impl RouterConfig {
     }
 }
 
-/// Expand token weights into the cyclic token schedule.
-pub fn token_schedule(weights: [u32; NPORTS]) -> Vec<u8> {
-    let mut seq = Vec::new();
-    for (i, &w) in weights.iter().enumerate() {
-        for _ in 0..w.max(1) {
-            seq.push(i as u8);
-        }
-    }
-    seq
-}
-
 /// The assembled router. The tile programs and line cards own their
 /// counters; the accessors below read them back out of `machine` by type
 /// ([`RawMachine::program_ref`] / [`RawMachine::device_ref`]).
@@ -227,7 +216,6 @@ impl RawRouter {
         if let Some(sink) = &telemetry {
             machine.set_telemetry(Arc::clone(sink));
         }
-        let token_seq = token_schedule(cfg.weights);
         let dim = layout.dim;
 
         let mut in_ports = Vec::with_capacity(NPORTS);
@@ -282,13 +270,7 @@ impl RawRouter {
                 // (the raw-sched lockstep test), mirroring how the token
                 // counter is replicated rather than transmitted.
                 let sched = (!cfg.arbiter.is_token()).then(|| cfg.arbiter.build(NPORTS));
-                let xb = CrossbarProgram::new(
-                    port,
-                    xb_code,
-                    token_seq.clone(),
-                    table.multicast(),
-                    sched,
-                );
+                let xb = CrossbarProgram::new(port, xb_code, cfg.weights, table.multicast(), sched);
                 machine.set_program(p.crossbar, Box::new(xb));
             }
 
@@ -744,5 +726,18 @@ mod tests {
     #[test]
     fn try_new_accepts_the_default_configuration() {
         assert!(RawRouter::try_new(RouterConfig::default(), table()).is_ok());
+    }
+
+    /// A weight is a count of quanta, not a length of anything: the
+    /// largest one builds a router that runs.
+    #[test]
+    fn a_maximal_token_weight_builds_and_runs() {
+        let cfg = RouterConfig {
+            weights: [u32::MAX, 1, 1, 1],
+            ..RouterConfig::default()
+        };
+        let mut r = RawRouter::try_new(cfg, table()).expect("maximal weight builds");
+        r.run(10_000);
+        assert_eq!(r.machine.cycle(), 10_000);
     }
 }
