@@ -66,13 +66,18 @@ impl Args<'_> {
         }
     }
 
-    /// An optional count of at least 1 (`default` when absent).
-    fn num<T: std::str::FromStr + PartialOrd + From<u8>>(&self, default: T, what: &str) -> T {
+    /// An optional count of at least `min` (`default` when absent).
+    fn num<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+        &self,
+        default: T,
+        min: T,
+        what: &str,
+    ) -> T {
         match self.arg {
             None => default,
             Some(s) => match s.parse() {
-                Ok(n) if n >= T::from(1) => n,
-                Ok(_) => usage_exit(&format!("a {what} must be at least 1"), self.usage),
+                Ok(n) if n >= min => n,
+                Ok(_) => usage_exit(&format!("a {what} must be at least {min}"), self.usage),
                 Err(_) => usage_exit(&format!("'{s}' is not a {what}"), self.usage),
             },
         }
@@ -394,7 +399,7 @@ fn run_lookup(_: &Args) {
 fn run_telemetry(args: &Args) {
     // A smaller span makes a smoke test (CI); the default matches the
     // Figure 7-1 measurement span.
-    let cycles: u64 = args.num(220_000, "cycle count");
+    let cycles: u64 = args.num(220_000, 1, "cycle count");
     println!("== telemetry: per-stage latency breakdown & stall attribution ({cycles} cycles) ==");
     let (rep, trace) = telemetry_report(cycles);
     for run in &rep.runs {
@@ -455,7 +460,7 @@ fn run_telemetry(args: &Args) {
 fn run_chaos(args: &Args) {
     // A smaller span makes a smoke test (CI); the default matches the
     // Figure 7-1 measurement span.
-    let cycles: u64 = args.num(220_000, "cycle count");
+    let cycles: u64 = args.num(220_000, 1, "cycle count");
     println!("== chaos: reference fault plan, graceful degradation soak ({cycles} cycles) ==");
     let rep = chaos_report(cycles);
     println!(
@@ -516,6 +521,14 @@ fn run_chaos(args: &Args) {
     println!("wrote results/chaos.json (two runs per scenario, fingerprints verified equal)");
 }
 
+/// Fewest packets per port a full `fabric` run takes. Below it the
+/// boundary pipeline's fill is not amortized and the Clos16-over-single
+/// gate (3x) fails on the run length, not on the fabric: 1 to 100
+/// packets read 1.00x to 3.07x, passing and failing by turns (48
+/// passes, 80 fails); every count tried from 110 to 1,000 read 3.11x or
+/// more.
+const FABRIC_MIN_PACKETS: usize = 120;
+
 fn run_fabric(args: &Args) {
     // The smoke run shrinks the per-cell run length for CI; the default
     // is long enough to amortize the epoch-boundary pipeline fill that
@@ -524,7 +537,7 @@ fn run_fabric(args: &Args) {
     let ppp: usize = if smoke {
         120
     } else {
-        args.num(1_000, "packet count")
+        args.num(1_000, FABRIC_MIN_PACKETS, "packet count")
     };
     let fp = |ok: bool| if ok { "ok" } else { "DIVERGED" }.to_string();
     println!(

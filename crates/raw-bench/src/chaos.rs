@@ -101,19 +101,30 @@ fn zero_plan_differential(cycles: u64) -> bool {
     let w = Workload::peak(64, packets_for(64, cycles).min(400));
     let sched = generate(&w);
     let cfg = RouterConfig::for_packet_bytes(64);
+    let budget = drain_budget(&w, cycles, 8);
     let chaos = run_chaos(
         cfg.clone(),
         port_table(),
         &FaultPlan::zero(0xC4A0),
         &sched,
-        cycles * 8,
+        budget,
     )
     .expect("zero plan is valid");
     assert!(chaos.errors.is_empty(), "{:?}", chaos.errors);
     let sink: SharedSink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-    let until = Until::Drained(cycles * 8);
+    let until = Until::Drained(budget);
     let plain = run_router(cfg, port_table(), &sched, until, Some(sink));
     chaos.fingerprint == fingerprint(&plain)
+}
+
+/// The drain deadline of a run of `w`: `factor` times the longer of
+/// `cycles` and the span its packets fill at one word a cycle per port.
+/// A count shorter than that span still offers `packets_for`'s floor of
+/// packets, so the deadline follows what is offered and every count
+/// drains.
+fn drain_budget(w: &Workload, cycles: u64, factor: u64) -> u64 {
+    let span = (w.packets_per_port * (w.packet_bytes / 4)) as u64;
+    cycles.max(span) * factor
 }
 
 /// The `repro -- chaos` payload: the reference plan (seed 0xC4A0, 1%
@@ -124,24 +135,21 @@ pub fn chaos_report(cycles: u64) -> ChaosReport {
     let plan = FaultPlan::reference();
     let mut runs = Vec::new();
     for &bytes in &[64usize, 1024] {
-        let n = packets_for(bytes, cycles);
+        let w = Workload::peak(bytes, packets_for(bytes, cycles));
+        let budget = drain_budget(&w, cycles, 8);
         runs.push(soak_scenario(
             &format!("fig7-1-peak-{bytes}B"),
-            &Workload::peak(bytes, n),
+            &w,
             &plan,
-            cycles * 8,
+            budget,
         ));
     }
     // Uniform traffic runs at ~69% of peak throughput and its releases
     // are spread across the schedule, so it needs a much longer drain
     // deadline than the permutation scenarios.
-    let n = packets_for(64, cycles);
-    runs.push(soak_scenario(
-        "fig7-1-avg-64B",
-        &Workload::average(64, n, 42),
-        &plan,
-        cycles * 24,
-    ));
+    let w = Workload::average(64, packets_for(64, cycles), 42);
+    let budget = drain_budget(&w, cycles, 24);
+    runs.push(soak_scenario("fig7-1-avg-64B", &w, &plan, budget));
     ChaosReport {
         plan,
         runs,

@@ -39,6 +39,16 @@ fn malformed_arguments_print_usage_and_exit_2() {
         );
     }
 
+    // A fabric run shorter than its throughput gate needs is refused
+    // by name, with the minimum.
+    for n in ["1", "119"] {
+        let stderr = rejected(&["fabric", n]);
+        assert!(
+            stderr.contains("a packet count must be at least 120"),
+            "fabric {n}: {stderr}"
+        );
+    }
+
     // An unknown experiment lists the experiment table; every name it
     // lists is a real entry that rejects arguments it does not take.
     let stderr = rejected(&["simspeed"]);
@@ -76,5 +86,23 @@ fn an_unwritable_results_directory_exits_1_without_a_panic() {
             "{exp}: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The smallest count `chaos` takes is a whole run: every scenario
+/// drains inside a deadline sized from the packets it offered, so its
+/// accounting closes and `repro` exits 0.
+#[test]
+fn the_smallest_chaos_count_closes_its_accounting() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-chaos-1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["chaos", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(dir.join("results/chaos.json").is_file());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -85,6 +85,17 @@ fn differential_1m_prefixes() {
     differential(&routes, &addrs, 64);
 }
 
+/// A 16-bit split chains every route longer than /16 into a 2^16-slot
+/// block: 35,180 blocks here, about 9.2 GB. The counting pass refuses
+/// it by the arena limit before level 1 or the arena is allocated.
+#[test]
+#[should_panic(
+    expected = "35180 level-2 blocks of 2^16 slots exceed the DIR's level-2 arena (max 268435456 slots, 1 GiB)"
+)]
+fn an_oversized_level_2_arena_fails_before_it_allocates() {
+    ForwardingTable::build_with_l1_bits(&synthesize(&FibConfig::new(64_000, 4, 9)), 16);
+}
+
 #[test]
 fn exhaustive_slash24_grid_over_confined_table() {
     // Confine the whole table inside 10.0.0.0/8; then the 65 536 /24

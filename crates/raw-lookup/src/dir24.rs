@@ -32,8 +32,28 @@ const KIND_HOP: u32 = 1;
 const KIND_PTR: u32 = 2;
 
 /// Widest value a slot holds: the largest next hop a [`DirTable`]
-/// stores, and the most level-2 blocks it can index.
+/// stores, and the most level-2 blocks it can index. The Patricia trie
+/// holds the DIR to it too, so both engines take the same route lists.
 pub const DIR_MAX_VALUE: u32 = (1 << KIND_SHIFT) - 1;
+
+/// Most level-2 slots a [`DirTable`] allocates: 2^28 `u32`s, 1 GiB. A
+/// route list that would chain more fails its build before anything is
+/// allocated. Even at the smallest block (2^8 slots, a 24-bit level 1)
+/// that is 2^20 blocks, so every block index fits a slot.
+const DIR_MAX_L2_SLOTS: usize = 1 << 28;
+const _: () = assert!(DIR_MAX_L2_SLOTS >> 8 <= DIR_MAX_VALUE as usize + 1);
+
+/// Panics unless `r`'s next hop fits a slot's value field: the one
+/// next-hop limit of both engines.
+pub(crate) fn check_next_hop(r: &RouteEntry) {
+    assert!(
+        r.next_hop <= DIR_MAX_VALUE,
+        "next hop {} of {:#010x}/{} exceeds the DIR's 30-bit value field (max {DIR_MAX_VALUE})",
+        r.next_hop,
+        r.prefix,
+        r.len
+    );
+}
 
 /// The two-level table, split at `l1_bits`. Built once from a route
 /// list; rebuilt on change (routing-table updates are off the fast path,
@@ -67,7 +87,9 @@ impl DirTable {
     }
 
     /// Build from a [`canonical`] route list, the one place a table is
-    /// built. Panics if a next hop exceeds [`DIR_MAX_VALUE`].
+    /// built. Panics, before it allocates, if a next hop exceeds
+    /// [`DIR_MAX_VALUE`] or the level-2 arena would exceed
+    /// [`DIR_MAX_L2_SLOTS`].
     ///
     /// A counting pass sizes the level-2 arena: the routes longer than
     /// `l1_bits` come in slot order, so each new level-1 slot among them
@@ -88,13 +110,7 @@ impl DirTable {
         let mut blocks = 0usize;
         let mut last_chained = None;
         for r in routes {
-            assert!(
-                r.next_hop <= DIR_MAX_VALUE,
-                "next hop {} of {:#010x}/{} exceeds the DIR's 30-bit value field (max {DIR_MAX_VALUE})",
-                r.next_hop,
-                r.prefix,
-                r.len
-            );
+            check_next_hop(r);
             let slot = r.prefix >> shift;
             if r.len > l1_bits && last_chained != Some(slot) {
                 blocks += 1;
@@ -102,8 +118,9 @@ impl DirTable {
             }
         }
         assert!(
-            blocks <= DIR_MAX_VALUE as usize + 1,
-            "{blocks} level-2 blocks exceed the DIR's 30-bit value field"
+            blocks << shift <= DIR_MAX_L2_SLOTS,
+            "{blocks} level-2 blocks of 2^{shift} slots exceed the DIR's level-2 arena (max {DIR_MAX_L2_SLOTS} slots, {} GiB)",
+            (DIR_MAX_L2_SLOTS * 4) >> 30
         );
         let mut t = DirTable {
             l1_bits,
@@ -286,7 +303,7 @@ mod tests {
     }
 
     /// Next hops past 24 bits come back whole, from level 1 and from a
-    /// level-2 block.
+    /// level-2 block, and from the trie.
     #[test]
     fn wide_next_hops_survive_both_levels() {
         let routes = [
@@ -302,8 +319,10 @@ mod tests {
             assert_eq!(p.lookup(addr), want, "Patricia at {addr:#x}");
         }
         assert_eq!(d.lookup(0x0a01_0203), Some(16_777_219));
-        let top = DirTable::build(&[e(0x0a00_0080, 25, DIR_MAX_VALUE)]);
-        assert_eq!(top.lookup_traced(0x0a00_0081), (Some(DIR_MAX_VALUE), 2));
+        let top = [e(0x0a00_0080, 25, DIR_MAX_VALUE)];
+        let (d, p) = (DirTable::build(&top), PatriciaTable::from_routes(&top));
+        assert_eq!(d.lookup_traced(0x0a00_0081), (Some(DIR_MAX_VALUE), 2));
+        assert_eq!(p.lookup(0x0a00_0081), Some(DIR_MAX_VALUE));
     }
 
     #[test]

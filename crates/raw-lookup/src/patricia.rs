@@ -8,6 +8,8 @@
 //! prefix ends there. Lookup walks at most 32 bit tests and remembers the
 //! deepest matching route.
 
+use crate::dir24::{check_next_hop, DIR_MAX_VALUE};
+
 /// A route entry: `addr/len -> next_hop`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RouteEntry {
@@ -131,31 +133,84 @@ type NodeId = u32;
 const ROOT: NodeId = 0;
 const NONE: NodeId = 0;
 
+/// Width of a node id: a node's `child[0]` keeps its `plen` in the top
+/// six bits.
+const ID_BITS: u32 = 26;
+const ID_MASK: u32 = (1 << ID_BITS) - 1;
+/// Most nodes a trie holds, the root included.
+const MAX_NODES: usize = 1 << ID_BITS;
+/// Longest route list a trie is built from: each route adds at most a
+/// leaf and the split above it.
+const TRIE_MAX_ROUTES: usize = (MAX_NODES - 1) / 2;
+/// The hop of a node no route ends at: past every next hop a route may
+/// carry (the DIR's value field, the one limit both engines share).
+const NO_ROUTE: u32 = u32::MAX;
+const _: () = assert!(NO_ROUTE > DIR_MAX_VALUE);
+
+/// A trie node in 16 bytes. A node holds a 32-bit prefix, two child
+/// ids, a 6-bit `plen` and a next hop of up to 30 bits or none, which
+/// does not fit in 12.
 #[derive(Clone, Debug)]
 struct Node {
     /// The prefix this node represents (its first `plen` bits).
     prefix: u32,
-    plen: u8,
-    /// Route terminating exactly here, if any.
-    route: Option<u32>,
-    /// Children keyed by the bit at position `plen`.
-    children: [NodeId; 2],
+    /// Next hop of the route terminating exactly here, or [`NO_ROUTE`].
+    hop: u32,
+    /// Children keyed by the bit at position `plen`, [`ID_BITS`] wide;
+    /// the top bits of `child[0]` hold `plen`.
+    child: [u32; 2],
 }
 
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
 impl Node {
-    fn new(prefix: u32, plen: u8, route: Option<u32>) -> Node {
+    fn new(prefix: u32, plen: u8, hop: u32) -> Node {
         Node {
             prefix: mask(prefix, plen),
-            plen,
-            route,
-            children: [NONE; 2],
+            hop,
+            child: [u32::from(plen) << ID_BITS, NONE],
         }
+    }
+
+    #[inline]
+    fn plen(&self) -> u8 {
+        (self.child[0] >> ID_BITS) as u8
+    }
+
+    #[inline]
+    fn child(&self, b: usize) -> NodeId {
+        self.child[b] & ID_MASK
+    }
+
+    fn set_child(&mut self, b: usize, id: NodeId) {
+        self.child[b] = (self.child[b] & !ID_MASK) | id;
+    }
+
+    fn route(&self) -> Option<u32> {
+        (self.hop != NO_ROUTE).then_some(self.hop)
+    }
+
+    /// Set the next hop ([`NO_ROUTE`] for none); returns the old route.
+    fn set_route(&mut self, hop: u32) -> Option<u32> {
+        let old = self.route();
+        self.hop = hop;
+        old
     }
 
     /// Does this node's prefix cover the prefix `prefix/len`?
     fn covers(&self, prefix: u32, len: u8) -> bool {
-        self.plen <= len && mask(prefix, self.plen) == self.prefix
+        self.plen() <= len && mask(prefix, self.plen()) == self.prefix
     }
+}
+
+/// The nodes a trie of `routes` routes may need beyond the root; panics
+/// if their ids would not fit in [`ID_BITS`].
+fn node_budget(routes: usize) -> usize {
+    assert!(
+        routes <= TRIE_MAX_ROUTES,
+        "{routes} routes exceed the trie's 26-bit node ids (max {TRIE_MAX_ROUTES} routes)"
+    );
+    2 * routes
 }
 
 /// Longest-prefix-match routing table as a Patricia trie. Its nodes live
@@ -180,7 +235,7 @@ fn common_prefix_len(a: u32, b: u32, max: u8) -> u8 {
 impl PatriciaTable {
     pub fn new() -> PatriciaTable {
         PatriciaTable {
-            nodes: vec![Node::new(0, 0, None)],
+            nodes: vec![Node::new(0, 0, NO_ROUTE)],
             len: 0,
         }
     }
@@ -199,11 +254,17 @@ impl PatriciaTable {
     /// then either hangs below it or splits the edge to the subtree
     /// already in that slot, which cannot cover it (that subtree would
     /// be on the path).
+    ///
+    /// Panics, before it allocates, on a list longer than
+    /// [`TRIE_MAX_ROUTES`] or a next hop past [`DIR_MAX_VALUE`]. The
+    /// arena is trimmed to the nodes placed, so
+    /// [`memory_bytes`](Self::memory_bytes) is 16 bytes a node.
     pub(crate) fn from_canonical(routes: &[RouteEntry]) -> PatriciaTable {
         debug_assert!(is_canonical(routes));
+        let budget = node_budget(routes.len());
+        routes.iter().for_each(check_next_hop);
         let mut t = PatriciaTable::new();
-        // Each route adds at most a leaf and the split above it.
-        t.nodes.reserve_exact(2 * routes.len());
+        t.nodes.reserve_exact(budget);
         let mut path: Vec<NodeId> = vec![ROOT];
         for r in routes {
             while !t.nodes[*path.last().unwrap() as usize].covers(r.prefix, r.len) {
@@ -212,26 +273,32 @@ impl PatriciaTable {
             let parent = *path.last().unwrap();
             t.len += 1;
             let p = &t.nodes[parent as usize];
-            if p.plen == r.len {
+            if p.plen() == r.len {
                 // Only the root: a canonical list has one route per key,
                 // and a split node sits below every route it covers.
-                debug_assert!(parent == ROOT && p.route.is_none());
-                t.nodes[parent as usize].route = Some(r.next_hop);
+                debug_assert!(parent == ROOT && p.route().is_none());
+                t.nodes[parent as usize].hop = r.next_hop;
                 continue;
             }
-            let top = t.hang(parent, bit(r.prefix, p.plen), r.prefix, r.len, r.next_hop);
+            let top = t.hang(parent, bit(r.prefix, p.plen()), r.prefix, r.len, r.next_hop);
             path.push(top);
             let top = &t.nodes[top as usize];
-            if top.plen < r.len {
-                path.push(top.children[bit(r.prefix, top.plen)]);
+            if top.plen() < r.len {
+                path.push(top.child(bit(r.prefix, top.plen())));
             }
         }
+        t.nodes.shrink_to_fit();
         t
     }
 
     fn push(&mut self, node: Node) -> NodeId {
+        let id = self.nodes.len();
+        assert!(
+            id < MAX_NODES,
+            "the trie is full: node ids are 26 bits (max {MAX_NODES} nodes)"
+        );
         self.nodes.push(node);
-        (self.nodes.len() - 1) as NodeId
+        id as NodeId
     }
 
     /// Hang the route `prefix/len` in child slot `b` of `parent`, whose
@@ -239,28 +306,28 @@ impl PatriciaTable {
     /// split node at the common prefix of the two. Returns the topmost
     /// new node.
     fn hang(&mut self, parent: NodeId, b: usize, prefix: u32, len: u8, hop: u32) -> NodeId {
-        let old = self.nodes[parent as usize].children[b];
+        let old = self.nodes[parent as usize].child(b);
         let top = if old == NONE {
-            self.push(Node::new(prefix, len, Some(hop)))
+            self.push(Node::new(prefix, len, hop))
         } else {
             let o = &self.nodes[old as usize];
-            let cpl = common_prefix_len(prefix, o.prefix, len.min(o.plen));
-            debug_assert!(cpl < o.plen, "the subtree in the slot covers the route");
+            let cpl = common_prefix_len(prefix, o.prefix, len.min(o.plen()));
+            debug_assert!(cpl < o.plen(), "the subtree in the slot covers the route");
             let ob = bit(o.prefix, cpl);
-            let split = self.push(Node::new(prefix, cpl, None));
-            self.nodes[split as usize].children[ob] = old;
+            let split = self.push(Node::new(prefix, cpl, NO_ROUTE));
+            self.nodes[split as usize].set_child(ob, old);
             if cpl == len {
                 // Our prefix ends at the split point.
-                self.nodes[split as usize].route = Some(hop);
+                self.nodes[split as usize].hop = hop;
             } else {
                 let nb = bit(prefix, cpl);
                 debug_assert_ne!(nb, ob, "split bit must differ");
-                let leaf = self.push(Node::new(prefix, len, Some(hop)));
-                self.nodes[split as usize].children[nb] = leaf;
+                let leaf = self.push(Node::new(prefix, len, hop));
+                self.nodes[split as usize].set_child(nb, leaf);
             }
             split
         };
-        self.nodes[parent as usize].children[b] = top;
+        self.nodes[parent as usize].set_child(b, top);
         top
     }
 
@@ -273,24 +340,41 @@ impl PatriciaTable {
         self.len == 0
     }
 
+    /// Number of trie nodes, the root and every split node included.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Heap footprint in bytes: the node arena at capacity, 16 bytes a
+    /// node. A table built from a route list holds exactly
+    /// [`node_count`](Self::node_count) nodes; one grown by
+    /// [`insert`](Self::insert) is charged its spare capacity too.
+    /// Asserted against a counting allocator in
+    /// `tests/trie_memory_accounting.rs`.
+    pub fn memory_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+    }
+
     /// Insert or replace a route. Returns the previous next hop if the
-    /// exact prefix was already present.
+    /// exact prefix was already present. Panics on a next hop past
+    /// [`DIR_MAX_VALUE`].
     pub fn insert(&mut self, entry: RouteEntry) -> Option<u32> {
+        check_next_hop(&entry);
         let len = entry.len;
         let prefix = mask(entry.prefix, len);
         let mut n = ROOT;
         loop {
             let node = &self.nodes[n as usize];
             debug_assert!(node.covers(prefix, len));
-            if node.plen == len {
-                let old = self.nodes[n as usize].route.replace(entry.next_hop);
+            if node.plen() == len {
+                let old = self.nodes[n as usize].set_route(entry.next_hop);
                 if old.is_none() {
                     self.len += 1;
                 }
                 return old;
             }
-            let b = bit(prefix, node.plen);
-            let c = node.children[b];
+            let b = bit(prefix, node.plen());
+            let c = node.child(b);
             if c != NONE && self.nodes[c as usize].covers(prefix, len) {
                 n = c;
                 continue;
@@ -310,16 +394,17 @@ impl PatriciaTable {
         let mut visited = 0u32;
         loop {
             visited += 1;
-            if mask(addr, node.plen) != node.prefix {
+            let plen = node.plen();
+            if mask(addr, plen) != node.prefix {
                 break;
             }
-            if let Some(h) = node.route {
-                best = Some(h);
+            if node.hop != NO_ROUTE {
+                best = Some(node.hop);
             }
-            if node.plen >= 32 {
+            if plen >= 32 {
                 break;
             }
-            match node.children[bit(addr, node.plen)] {
+            match node.child(bit(addr, plen)) {
                 NONE => break,
                 c => node = &self.nodes[c as usize],
             }
@@ -340,21 +425,27 @@ impl PatriciaTable {
         let mut n = ROOT;
         loop {
             let node = &self.nodes[n as usize];
-            if node.plen == len && node.prefix == prefix {
-                let old = self.nodes[n as usize].route.take();
+            if node.plen() == len && node.prefix == prefix {
+                let old = self.nodes[n as usize].set_route(NO_ROUTE);
                 if old.is_some() {
                     self.len -= 1;
                 }
                 return old;
             }
-            if node.plen >= len {
+            if node.plen() >= len {
                 return None;
             }
-            match node.children[bit(prefix, node.plen)] {
+            match node.child(bit(prefix, node.plen())) {
                 c if c != NONE && self.nodes[c as usize].covers(prefix, len) => n = c,
                 _ => return None,
             }
         }
+    }
+
+    /// The ids of `n`'s children, slot 0 first.
+    fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let n = &self.nodes[n as usize];
+        [n.child(0), n.child(1)].into_iter().filter(|&c| c != NONE)
     }
 
     /// Iterate all stored routes (order unspecified but deterministic).
@@ -362,15 +453,15 @@ impl PatriciaTable {
         let mut out = Vec::with_capacity(self.len);
         let mut stack = vec![ROOT];
         while let Some(n) = stack.pop() {
-            let n = &self.nodes[n as usize];
-            if let Some(h) = n.route {
+            let node = &self.nodes[n as usize];
+            if let Some(h) = node.route() {
                 out.push(RouteEntry {
-                    prefix: n.prefix,
-                    len: n.plen,
+                    prefix: node.prefix,
+                    len: node.plen(),
                     next_hop: h,
                 });
             }
-            stack.extend(n.children.iter().filter(|&&c| c != NONE));
+            stack.extend(self.children(n));
         }
         out
     }
@@ -381,13 +472,7 @@ impl PatriciaTable {
         let mut stack = vec![(ROOT, 1u32)];
         while let Some((n, depth)) = stack.pop() {
             deepest = deepest.max(depth);
-            let children = self.nodes[n as usize].children;
-            stack.extend(
-                children
-                    .iter()
-                    .filter(|&&c| c != NONE)
-                    .map(|&c| (c, depth + 1)),
-            );
+            stack.extend(self.children(n).map(|c| (c, depth + 1)));
         }
         deepest
     }
@@ -508,6 +593,55 @@ mod tests {
         got.sort_by_key(|r| (r.len, r.prefix));
         assert_eq!(got.len(), 4);
         assert!(got.iter().any(|r| r.len == 12 && r.next_hop == 3));
+    }
+
+    /// The trie takes the DIR's next-hop limit: the widest hop comes
+    /// back whole through a leaf, a split node and the root, one past it
+    /// fails a build and an insert alike.
+    #[test]
+    fn the_widest_hop_survives_every_kind_of_node() {
+        let routes = [
+            e("0.0.0.0", 0, DIR_MAX_VALUE),
+            e("10.0.0.0", 8, DIR_MAX_VALUE - 1),
+            e("10.1.0.0", 16, DIR_MAX_VALUE),
+            e("10.128.0.0", 9, 7),
+        ];
+        let t = PatriciaTable::from_routes(&routes);
+        for addr in [0x0a01_0203, 0x0a02_0000, 0x0a80_0001, 0x0b00_0000] {
+            assert_eq!(t.lookup(addr), reference_lpm(&routes, addr), "{addr:#x}");
+        }
+        assert_eq!(t.lookup(0x0a01_0203), Some(DIR_MAX_VALUE));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    fn a_hop_past_the_limit_fails_the_trie_build() {
+        PatriciaTable::from_routes(&[e("10.0.0.0", 8, DIR_MAX_VALUE + 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    fn a_hop_past_the_limit_fails_an_insert() {
+        PatriciaTable::new().insert(e("10.0.0.0", 8, DIR_MAX_VALUE + 1));
+    }
+
+    /// A list too long for 26-bit node ids fails on its length, before
+    /// the arena is reserved; the longest list that fits needs ids up
+    /// to 2^26 - 1.
+    #[test]
+    #[should_panic(
+        expected = "33554432 routes exceed the trie's 26-bit node ids (max 33554431 routes)"
+    )]
+    fn a_list_past_the_node_ids_fails_before_it_allocates() {
+        assert_eq!(node_budget(TRIE_MAX_ROUTES) + 1, MAX_NODES - 1);
+        node_budget(TRIE_MAX_ROUTES + 1);
+    }
+
+    #[test]
+    fn memory_is_sixteen_bytes_a_node() {
+        let t = PatriciaTable::from_routes(&[e("10.0.0.0", 8, 1), e("11.0.0.0", 8, 2)]);
+        assert_eq!(t.node_count(), 4, "root, split at 10/7, two leaves");
+        assert_eq!(t.memory_bytes(), 16 * 4);
     }
 
     #[test]
