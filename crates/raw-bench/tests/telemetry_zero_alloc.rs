@@ -4,11 +4,13 @@
 //! — the machine keeps its cycle ledger itself and hands a sink only its
 //! totals, once per run call, which must not allocate either.
 //!
-//! This file holds exactly one test so the counting allocator observes
-//! only its own workload (the default test harness runs tests
-//! concurrently, and any neighbor would pollute the counter).
+//! This file holds exactly one test, and the counting allocator counts
+//! only on the thread that arms it, around the measured window: the
+//! machine runs on that thread, and the harness's own threads (its main
+//! thread waits on the test's result) allocate when they please.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use raw_sim::{
@@ -21,17 +23,30 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the measuring thread for the window it measures. Const
+    /// initialised and without a destructor, so reading it from the
+    /// allocator never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -93,13 +108,16 @@ fn streaming_machine(engine: EngineMode) -> RawMachine {
 
 /// Allocations made by `run(n)` calls of `10_000` cycles in total, after
 /// a warm-up that fills pipelines and FIFOs and lets any lazy setup (the
-/// compiled engine lowers itself on its first cycle) happen.
+/// compiled engine lowers itself on its first cycle) happen. Counted on
+/// this thread only, where the machine runs.
 fn steady_state_allocs(m: &mut RawMachine) -> u64 {
     m.run(2_000);
     let before = ALLOCS.load(Ordering::Relaxed);
+    ARMED.set(true);
     for n in [1, 999, 9_000] {
         m.run(n);
     }
+    ARMED.set(false);
     ALLOCS.load(Ordering::Relaxed) - before
 }
 

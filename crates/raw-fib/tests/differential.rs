@@ -86,11 +86,11 @@ fn differential_1m_prefixes() {
 }
 
 /// A 16-bit split chains every route longer than /16 into a 2^16-slot
-/// block: 35,180 blocks here, about 9.2 GB. The counting pass refuses
+/// block: 35,180 blocks here, about 4.6 GB. The counting pass refuses
 /// it by the arena limit before level 1 or the arena is allocated.
 #[test]
 #[should_panic(
-    expected = "35180 level-2 blocks of 2^16 slots exceed the DIR's level-2 arena (max 268435456 slots, 1 GiB)"
+    expected = "35180 level-2 blocks of 2^16 slots exceed the DIR's level-2 arena (max 268435456 slots, 512 MiB)"
 )]
 fn an_oversized_level_2_arena_fails_before_it_allocates() {
     ForwardingTable::build_with_l1_bits(&synthesize(&FibConfig::new(64_000, 4, 9)), 16);

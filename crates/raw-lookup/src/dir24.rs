@@ -15,9 +15,12 @@
 //! level-1 array is allocated zeroed (all empty), and pages no route
 //! reaches are never written.
 //!
-//! Both levels hold one packed `u32` per slot, and every level-2 block
-//! lives in one flat arena that a counting pass sizes exactly before
-//! the fill.
+//! Both levels hold one `u16` per slot, an index: `0` is empty, `1..=H`
+//! names one of the table's `H` distinct next hops (kept once each, in
+//! a small `hops` table, as in DIR-24-8-BASIC's two-byte TBL24), and
+//! `H+1..=65535` names a level-2 block, so hops and blocks together are
+//! at most 65,535. Every level-2 block lives in one flat arena that a
+//! counting pass sizes exactly before the fill.
 //!
 //! The level split is parameterizable ([`DirTable::with_bits`]) so tests
 //! can exercise the identical algorithm without allocating the full
@@ -25,30 +28,30 @@
 
 use crate::patricia::{canonical, is_canonical, RouteEntry};
 
-/// A slot, in either level: `[31:30]` kind, `[29:0]` value (a next hop,
-/// or in level 1 a block index). All-zero is empty.
-const KIND_SHIFT: u32 = 30;
-const KIND_HOP: u32 = 1;
-const KIND_PTR: u32 = 2;
+/// Largest next hop a [`DirTable`] stores. The Patricia trie holds the
+/// DIR to it too, so both engines take the same route lists.
+pub const DIR_MAX_VALUE: u32 = (1 << 30) - 1;
 
-/// Widest value a slot holds: the largest next hop a [`DirTable`]
-/// stores, and the most level-2 blocks it can index. The Patricia trie
-/// holds the DIR to it too, so both engines take the same route lists.
-pub const DIR_MAX_VALUE: u32 = (1 << KIND_SHIFT) - 1;
+/// Most slot values a [`DirTable`] names: its distinct next hops and its
+/// level-2 blocks share the non-zero values of a `u16` slot.
+const DIR_MAX_INDEX: usize = u16::MAX as usize;
 
-/// Most level-2 slots a [`DirTable`] allocates: 2^28 `u32`s, 1 GiB. A
+/// Most level-2 slots a [`DirTable`] allocates: 2^28 `u16`s, 512 MiB. A
 /// route list that would chain more fails its build before anything is
-/// allocated. Even at the smallest block (2^8 slots, a 24-bit level 1)
-/// that is 2^20 blocks, so every block index fits a slot.
+/// allocated.
 const DIR_MAX_L2_SLOTS: usize = 1 << 28;
-const _: () = assert!(DIR_MAX_L2_SLOTS >> 8 <= DIR_MAX_VALUE as usize + 1);
 
-/// Panics unless `r`'s next hop fits a slot's value field: the one
+/// A slot, in either level: `0` empty, then a next-hop index, then a
+/// level-2 block index (level 1 only).
+type Slot = u16;
+const _: () = assert!(std::mem::size_of::<Slot>() == 2);
+
+/// Panics unless `r`'s next hop is at most [`DIR_MAX_VALUE`]: the one
 /// next-hop limit of both engines.
 pub(crate) fn check_next_hop(r: &RouteEntry) {
     assert!(
         r.next_hop <= DIR_MAX_VALUE,
-        "next hop {} of {:#010x}/{} exceeds the DIR's 30-bit value field (max {DIR_MAX_VALUE})",
+        "next hop {} of {:#010x}/{} exceeds the DIR's next-hop limit (max {DIR_MAX_VALUE})",
         r.next_hop,
         r.prefix,
         r.len
@@ -60,10 +63,13 @@ pub(crate) fn check_next_hop(r: &RouteEntry) {
 /// managed by the network processor, §2.2.1).
 pub struct DirTable {
     l1_bits: u8,
-    l1: Vec<u32>,
+    l1: Vec<Slot>,
     /// Every level-2 block, `2^(32 - l1_bits)` slots each, block `b` at
-    /// `b << (32 - l1_bits)`.
-    l2: Vec<u32>,
+    /// `b << (32 - l1_bits)`; level-1 value `hops.len() + 1 + b` names it.
+    l2: Vec<Slot>,
+    /// The distinct next hops of the routes in the slots, ascending;
+    /// slot value `i` answers `hops[i - 1]`.
+    hops: Vec<u32>,
     /// The /0 route's next hop: what an empty slot answers.
     default: Option<u32>,
     routes: usize,
@@ -87,19 +93,20 @@ impl DirTable {
     }
 
     /// Build from a [`canonical`] route list, the one place a table is
-    /// built. Panics, before it allocates, if a next hop exceeds
-    /// [`DIR_MAX_VALUE`] or the level-2 arena would exceed
-    /// [`DIR_MAX_L2_SLOTS`].
+    /// built. Panics, before either level is allocated, if a next hop
+    /// exceeds [`DIR_MAX_VALUE`], the distinct next hops and the level-2
+    /// blocks together exceed [`DIR_MAX_INDEX`], or the level-2 arena
+    /// would exceed [`DIR_MAX_L2_SLOTS`].
     ///
-    /// A counting pass sizes the level-2 arena: the routes longer than
-    /// `l1_bits` come in slot order, so each new level-1 slot among them
-    /// is one block. The fill then writes every route's slots in list
-    /// order, with no guard. Two routes that share a slot nest, and the
-    /// covering one comes first, so the last write to a slot is its
-    /// longest match. For the same reason a route no longer than
-    /// `l1_bits` never meets a pointer: the routes that chain its slot
-    /// are all inside it, so all come after it. A block starts as a copy
-    /// of the level-1 slot it replaces.
+    /// A counting pass collects the distinct next hops and sizes the
+    /// level-2 arena: the routes longer than `l1_bits` come in slot
+    /// order, so each new level-1 slot among them is one block. The fill
+    /// then writes every route's slots in list order, with no guard. Two
+    /// routes that share a slot nest, and the covering one comes first,
+    /// so the last write to a slot is its longest match. For the same
+    /// reason a route no longer than `l1_bits` never meets a pointer: the
+    /// routes that chain its slot are all inside it, so all come after
+    /// it. A block starts as a copy of the level-1 slot it replaces.
     pub(crate) fn from_canonical(routes: &[RouteEntry], l1_bits: u8) -> DirTable {
         assert!(
             (16..=24).contains(&l1_bits),
@@ -109,66 +116,92 @@ impl DirTable {
         let shift = 32 - l1_bits as u32;
         let mut blocks = 0usize;
         let mut last_chained = None;
+        let mut hops = Vec::new();
         for r in routes {
             check_next_hop(r);
+            if r.len == 0 {
+                continue;
+            }
+            if hops.last() != Some(&r.next_hop) {
+                hops.push(r.next_hop);
+            }
             let slot = r.prefix >> shift;
             if r.len > l1_bits && last_chained != Some(slot) {
                 blocks += 1;
                 last_chained = Some(slot);
             }
         }
+        hops.sort_unstable();
+        hops.dedup();
+        hops.shrink_to_fit();
+        assert!(
+            hops.len() + blocks <= DIR_MAX_INDEX,
+            "{} distinct next hops and {blocks} level-2 blocks exceed the DIR's 16-bit slot (max {DIR_MAX_INDEX} together)",
+            hops.len()
+        );
         assert!(
             blocks << shift <= DIR_MAX_L2_SLOTS,
-            "{blocks} level-2 blocks of 2^{shift} slots exceed the DIR's level-2 arena (max {DIR_MAX_L2_SLOTS} slots, {} GiB)",
-            (DIR_MAX_L2_SLOTS * 4) >> 30
+            "{blocks} level-2 blocks of 2^{shift} slots exceed the DIR's level-2 arena (max {DIR_MAX_L2_SLOTS} slots, {} MiB)",
+            (DIR_MAX_L2_SLOTS * std::mem::size_of::<Slot>()) >> 20
         );
+        let first_block = hops.len() + 1;
         let mut t = DirTable {
             l1_bits,
             l1: vec![0; 1 << l1_bits],
             l2: vec![0; blocks << shift],
+            hops,
             default: None,
             routes: routes.len(),
         };
-        let mut next_block = 0u32;
+        // `u32::MAX` is past `DIR_MAX_VALUE`, so no route's hop.
+        let (mut last_hop, mut word) = (u32::MAX, 0);
+        let mut next_block = 0;
         for r in routes {
-            let word = (KIND_HOP << KIND_SHIFT) | r.next_hop;
             if r.len == 0 {
                 t.default = Some(r.next_hop);
-            } else if r.len <= l1_bits {
+                continue;
+            }
+            if r.next_hop != last_hop {
+                let i = t.hops.binary_search(&r.next_hop).expect("counted");
+                (last_hop, word) = (r.next_hop, (i + 1) as Slot);
+            }
+            if r.len <= l1_bits {
                 let start = (r.prefix >> shift) as usize;
                 let slots = &mut t.l1[start..start + (1 << (l1_bits - r.len))];
-                debug_assert!(slots.iter().all(|&s| s >> KIND_SHIFT != KIND_PTR));
+                debug_assert!(slots.iter().all(|&s| (s as usize) < first_block));
                 slots.fill(word);
             } else {
                 let i = (r.prefix >> shift) as usize;
-                if t.l1[i] >> KIND_SHIFT != KIND_PTR {
-                    let b = next_block as usize;
+                if (t.l1[i] as usize) < first_block {
+                    let b = next_block;
                     t.l2[b << shift..(b + 1) << shift].fill(t.l1[i]);
-                    t.l1[i] = (KIND_PTR << KIND_SHIFT) | next_block;
+                    t.l1[i] = (first_block + b) as Slot;
                     next_block += 1;
                 }
-                let base = ((t.l1[i] & DIR_MAX_VALUE) as usize) << shift;
+                let base = (t.l1[i] as usize - first_block) << shift;
                 let lo = base + (r.prefix & (u32::MAX >> l1_bits)) as usize;
                 t.l2[lo..lo + (1 << (32 - r.len as u32))].fill(word);
             }
         }
-        debug_assert_eq!(next_block as usize, blocks);
+        debug_assert_eq!(next_block, blocks);
         t
     }
 
     /// Lookup: next hop plus the number of memory accesses (1 or 2).
+    /// The slot value is the next hop's index, so the `hops` read is not
+    /// an access of its own.
     pub fn lookup_traced(&self, addr: u32) -> (Option<u32>, u32) {
         let shift = 32 - self.l1_bits as u32;
-        let mut slot = self.l1[(addr >> shift) as usize];
+        let mut slot = self.l1[(addr >> shift) as usize] as usize;
         let mut accesses = 1;
-        if slot >> KIND_SHIFT == KIND_PTR {
-            let base = ((slot & DIR_MAX_VALUE) as usize) << shift;
-            slot = self.l2[base + (addr & (u32::MAX >> self.l1_bits)) as usize];
+        if slot > self.hops.len() {
+            let base = (slot - self.hops.len() - 1) << shift;
+            slot = self.l2[base + (addr & (u32::MAX >> self.l1_bits)) as usize] as usize;
             accesses = 2;
         }
         match slot {
             0 => (self.default, accesses),
-            _ => (Some(slot & DIR_MAX_VALUE), accesses),
+            _ => (Some(self.hops[slot - 1]), accesses),
         }
     }
 
@@ -181,12 +214,19 @@ impl DirTable {
         self.l2.len() >> (32 - self.l1_bits as u32)
     }
 
-    /// Heap footprint in bytes of the built table: the level-1 array and
-    /// the level-2 arena, both sized exactly at construction, so this is
-    /// `4 × (2^l1_bits + l2_blocks() × 2^(32 - l1_bits))`. Asserted
-    /// against a counting allocator in `tests/memory_accounting.rs`.
+    /// Number of distinct next hops the slots index.
+    pub fn hop_count(&self) -> usize {
+        self.hops.len()
+    }
+
+    /// Heap footprint in bytes of the built table: the level-1 array,
+    /// the level-2 arena and the next-hop table, all sized exactly at
+    /// construction, so this is `2 × (2^l1_bits + l2_blocks() ×
+    /// 2^(32 - l1_bits)) + 4 × hop_count()`. Asserted against a counting
+    /// allocator in `tests/memory_accounting.rs`.
     pub fn memory_bytes(&self) -> usize {
-        (self.l1.capacity() + self.l2.capacity()) * std::mem::size_of::<u32>()
+        (self.l1.capacity() + self.l2.capacity()) * std::mem::size_of::<Slot>()
+            + self.hops.capacity() * std::mem::size_of::<u32>()
     }
 
     /// [`DirTable::memory_bytes`] per installed route.
@@ -326,15 +366,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    #[should_panic(expected = "exceeds the DIR's next-hop limit (max 1073741823)")]
     fn a_hop_past_the_value_field_fails_the_build() {
         DirTable::build(&[e(0x0a00_0000, 8, DIR_MAX_VALUE + 1)]);
     }
 
+    /// `hops` /24s with next hops `0..hops`, then `blocks` /25s with hop
+    /// 0, each in a /24 of its own.
+    fn hops_and_blocks(hops: u32, blocks: u32) -> Vec<RouteEntry> {
+        let short = (0..hops).map(|h| e(h << 8, 24, h));
+        let long = (hops..hops + blocks).map(|s| e((s << 8) | 0x80, 25, 0));
+        short.chain(long).collect()
+    }
+
+    /// 65,000 hops and 535 blocks fill every value of a slot: the widest
+    /// hop index and the last block both answer.
+    #[test]
+    fn hops_and_blocks_fill_the_slot_exactly() {
+        let t = DirTable::build(&hops_and_blocks(65_000, 535));
+        assert_eq!((t.hop_count(), t.l2_blocks()), (65_000, 535));
+        assert_eq!(t.lookup_traced(64_999 << 8), (Some(64_999), 1));
+        assert_eq!(t.lookup_traced((65_534 << 8) | 0x81), (Some(0), 2));
+        assert_eq!(t.lookup_traced(65_534 << 8), (None, 2));
+        assert_eq!(t.lookup_traced(65_535 << 8), (None, 1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "65000 distinct next hops and 536 level-2 blocks exceed the DIR's 16-bit slot (max 65535 together)"
+    )]
+    fn one_past_the_slot_fails_the_build() {
+        DirTable::build(&hops_and_blocks(65_000, 536));
+    }
+
     #[test]
     fn memory_accounting() {
-        let t = DirTable::with_bits(&[e(0x0a000080, 25, 9)], 20);
-        assert!(t.memory_bytes() > (1 << 20) * 4);
-        assert_eq!(t.l2_blocks(), 1);
+        let t = DirTable::with_bits(&[e(0, 0, 3), e(0x0a000080, 25, 9), e(0x0b000000, 8, 9)], 20);
+        assert_eq!((t.l2_blocks(), t.hop_count()), (1, 1));
+        assert_eq!(t.memory_bytes(), 2 * ((1 << 20) + (1 << 12)) + 4);
     }
 }

@@ -143,7 +143,8 @@ const MAX_NODES: usize = 1 << ID_BITS;
 /// leaf and the split above it.
 const TRIE_MAX_ROUTES: usize = (MAX_NODES - 1) / 2;
 /// The hop of a node no route ends at: past every next hop a route may
-/// carry (the DIR's value field, the one limit both engines share).
+/// carry (past `DIR_MAX_VALUE`, the one next-hop limit both engines
+/// share).
 const NO_ROUTE: u32 = u32::MAX;
 const _: () = assert!(NO_ROUTE > DIR_MAX_VALUE);
 
@@ -614,13 +615,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    #[should_panic(expected = "exceeds the DIR's next-hop limit (max 1073741823)")]
     fn a_hop_past_the_limit_fails_the_trie_build() {
         PatriciaTable::from_routes(&[e("10.0.0.0", 8, DIR_MAX_VALUE + 1)]);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the DIR's 30-bit value field (max 1073741823)")]
+    #[should_panic(expected = "exceeds the DIR's next-hop limit (max 1073741823)")]
     fn a_hop_past_the_limit_fails_an_insert() {
         PatriciaTable::new().insert(e("10.0.0.0", 8, DIR_MAX_VALUE + 1));
     }

@@ -208,15 +208,16 @@ impl ForwardingTable {
     /// Both engines are built from one [`canonical`] route list, so of
     /// repeated prefixes the last wins in each; the DIR panics on a next
     /// hop past [`DIR_MAX_VALUE`](crate::DIR_MAX_VALUE). Every DIR slot
-    /// is one `u32`. The canonical 24-bit level 1 is 2^24 slots, 64 MiB
-    /// of address space (and of `memory_bytes()`, which counts
-    /// capacity), of which only the pages its routes cover are ever
-    /// written; each level-2 block is 2^8 slots (1 KiB) of one arena. A
-    /// 16-bit split runs the identical algorithm in 2^16 slots (256 KiB)
-    /// but chains every longer prefix into 2^16-slot (256 KiB) level-2
-    /// blocks: smaller for tables of /16s and shorter, larger for tables
-    /// with many /17-/24s. Use it wherever the DIR engine's memory
-    /// layout is not itself under measurement.
+    /// is one `u16` (a next-hop index or a block index). The canonical
+    /// 24-bit level 1 is 2^24 slots, 32 MiB of address space (and of
+    /// `memory_bytes()`, which counts capacity), of which only the pages
+    /// its routes cover are ever written; each level-2 block is 2^8
+    /// slots (512 B) of one arena. A 16-bit split runs the identical
+    /// algorithm in 2^16 slots (128 KiB) but chains every longer prefix
+    /// into 2^16-slot (128 KiB) level-2 blocks: smaller for tables of
+    /// /16s and shorter, larger for tables with many /17-/24s. Use it
+    /// wherever the DIR engine's memory layout is not itself under
+    /// measurement.
     pub fn build_with_l1_bits(routes: &[RouteEntry], l1_bits: u8) -> ForwardingTable {
         let routes = canonical(routes);
         ForwardingTable {

@@ -1,9 +1,10 @@
 //! `DirTable::memory_bytes` must report the table's *actual* heap
 //! footprint, not an idealized one: every `Vec` buffer is charged at
-//! capacity. The level-1 array and the level-2 arena are both sized
-//! exactly at construction, so the figure is also the exact formula of
-//! the two levels. This file asserts both, the accounting against a
-//! counting allocator, at a BGP-sized 1M-prefix build.
+//! capacity. The level-1 array, the level-2 arena and the next-hop table
+//! are all sized exactly at construction, so the figure is also the
+//! exact formula of the two levels and the hops. This file asserts both,
+//! the accounting against a counting allocator, at a BGP-sized 1M-prefix
+//! build.
 //!
 //! One test per file: the counting allocator must observe only its own
 //! workload (the default harness runs tests in one process).
@@ -63,9 +64,14 @@ fn memory_bytes_matches_allocator_at_1m_prefixes() {
         "1M synthesized prefixes should chain thousands of L2 blocks, got {}",
         t.l2_blocks()
     );
-    // Exactly the two levels: 2^24 level-1 slots and 2^8 slots a block,
-    // four bytes each. An arena grown by doubling would overshoot this.
-    assert_eq!(reported, 4 * ((1 << 24) + t.l2_blocks() * (1 << 8)));
+    // Exactly the two levels, 2^24 level-1 slots and 2^8 slots a block,
+    // two bytes each, and four bytes a distinct next hop. An arena or a
+    // hop table grown by doubling would overshoot this.
+    assert_eq!(t.hop_count(), 4);
+    assert_eq!(
+        reported,
+        2 * ((1 << 24) + t.l2_blocks() * (1 << 8)) + 4 * t.hop_count()
+    );
     // Everything the allocator saw is accounted for...
     assert!(
         reported >= live,
