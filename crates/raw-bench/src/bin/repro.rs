@@ -718,7 +718,7 @@ fn run_verify(_: &Args) {
     println!(
         "== static verification: conflict / lockstep / deadlock / jump-table / fabric / sched =="
     );
-    let mut report = raw_verify::verify_all(&raw_verify::VerifyOptions::default());
+    let mut report = raw_verify::verify_all();
 
     // Whole-fabric analyses (RV5xx–RV6xx) over every shipped topology,
     // merged into the same report so results/verify.json carries one

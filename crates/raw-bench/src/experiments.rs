@@ -157,15 +157,14 @@ pub struct ConfigSpaceStats {
 }
 
 pub fn table6_1() -> ConfigSpaceStats {
-    use raw_xbar::codegen::{gen_crossbar_switch, switch_code_key, unminimized_instr_count};
-    use raw_xbar::layout::RouterLayout;
-    let cs = config::ConfigSpace::enumerate(config::SchedPolicy::ShortestFirst);
+    use raw_xbar::codegen::{switch_code_key, unminimized_instr_count};
+    let image = raw_xbar::RouterImage::of(64, false, false).expect("quantum 64 builds");
+    let cs = &image.cs;
     let switch_code: std::collections::BTreeSet<_> =
         cs.configs.iter().map(switch_code_key).collect();
     let clients: std::collections::BTreeSet<_> =
         cs.configs.iter().map(|c| (c.out, c.cw, c.ccw)).collect();
-    let l = RouterLayout::canonical();
-    let prog = gen_crossbar_switch(&l.ports[0], &cs, 64);
+    let prog = &image.ports[0].crossbar;
     ConfigSpaceStats {
         global_space: config::GLOBAL_SPACE,
         switch_code_configs: switch_code.len(),
@@ -429,7 +428,7 @@ pub fn multicast_demo() -> MulticastResult {
     use raw_lookup::encode_multicast;
     let n = 24u32;
     let bytes = 256usize;
-    let run = |fanout: bool| -> (u64, u64) {
+    let run = |fanout: bool| -> (u64, u64, usize) {
         let mut routes = port_routes();
         routes.push(RouteEntry::new(0xe000_0000, 4, encode_multicast(0b1110)));
         let cfg = RouterConfig::for_packet_bytes(bytes);
@@ -450,17 +449,17 @@ pub fn multicast_demo() -> MulticastResult {
         }
         let table = Arc::new(ForwardingTable::build(&routes));
         let r = run_router(cfg, table, &sched, Until::Drained(6_000_000), None);
-        (last_completion(&r), r.delivered_count())
+        let minimized = r.image.cs.minimized_len();
+        (last_completion(&r), r.delivered_count(), minimized)
     };
-    let (cyc_fan, copies) = run(true);
-    let (cyc_rep, _) = run(false);
-    let cs = config::ConfigSpace::enumerate_multicast();
+    let (cyc_fan, copies, mcast_minimized) = run(true);
+    let (cyc_rep, _, _) = run(false);
     MulticastResult {
         cycles_with_fanout: cyc_fan,
         cycles_with_replication: cyc_rep,
         copies,
         mcast_global_space: config::GLOBAL_SPACE_MCAST,
-        mcast_minimized: cs.minimized_len(),
+        mcast_minimized,
     }
 }
 
@@ -500,14 +499,16 @@ pub struct AsmXbarResult {
 }
 
 pub fn asm_crossbar_study() -> AsmXbarResult {
-    let run = |asm: bool| -> f64 {
+    let cfg = RouterConfig::for_packet_bytes(512);
+    let run = |asm_crossbar: bool| -> f64 {
         let cfg = RouterConfig {
-            asm_crossbar: asm,
-            ..RouterConfig::for_packet_bytes(512)
+            asm_crossbar,
+            ..cfg.clone()
         };
         saturated(cfg, &Workload::peak(512, 2500)).throughput_gbps(WARM, WARM + WINDOW)
     };
-    let src = raw_xbar::asm_xbar::gen_crossbar_asm_source(0, 1);
+    let image = raw_xbar::RouterImage::of(cfg.quantum_words, false, true).expect("builds");
+    let src = raw_xbar::asm_xbar::gen_crossbar_asm_source(0, image.ports[0].crossbar.hdr_pc);
     let instrs = raw_isa::assemble(&src).expect("assembles").len();
     AsmXbarResult {
         native_gbps_512: run(false),

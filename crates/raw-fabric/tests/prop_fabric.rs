@@ -11,7 +11,7 @@ use proptest::TestCaseError;
 use raw_fabric::{audit, verify_fabric, Executor, FabricConfig, RawFabric, SprayMode, Topology};
 use raw_lookup::{Engine, LookupMemModel};
 use raw_workloads::{generate_n, Arrivals, Pattern, Workload};
-use raw_xbar::{IngressQueueing, SchedKind};
+use raw_xbar::{IngressQueueing, LookupFault, SchedKind};
 
 fn pick_topology(sel: u8) -> Topology {
     if sel.is_multiple_of(2) {
@@ -111,6 +111,25 @@ fn weight() -> impl Strategy<Value = u32> {
     prop_oneof![0u32..=4, 0u32..=4, 0u32..=4, Just(u32::MAX)]
 }
 
+/// Forced lookup misses: none half the time, otherwise a plausible plan
+/// or arbitrary `u32`s, now and then with the largest penalty (past the
+/// Lookup Processor's u32 cycle count, which `try_new` refuses).
+fn lookup_fault() -> impl Strategy<Value = Option<LookupFault>> {
+    let fault = |(seed, miss_ppm, penalty_cycles): (u64, u32, u32)| {
+        Some(LookupFault {
+            seed,
+            miss_ppm,
+            penalty_cycles,
+        })
+    };
+    let penalty = prop_oneof![any::<u32>(), Just(u32::MAX)];
+    prop_oneof![
+        2 => Just(None),
+        1 => (any::<u64>(), 0u32..=1_000_000, 0u32..=64).prop_map(fault),
+        1 => (any::<u64>(), any::<u32>(), penalty).prop_map(fault),
+    ]
+}
+
 /// True one time in `n`.
 fn one_in(n: u8) -> impl Strategy<Value = bool> {
     (0..n).prop_map(|x| x == 0)
@@ -126,9 +145,10 @@ proptest! {
     /// the audit is clean. (A longer epoch — up to `u64::MAX` cycles — is
     /// still built, but one epoch of it is past any budget.) The draws
     /// lean toward values that build: about one case in six runs. The
-    /// lookup engine and the token weights are drawn too, and every
-    /// config that builds gets the same static verdict under both
-    /// engines.
+    /// lookup engine, the token weights and forced lookup misses (now
+    /// and then with a penalty past the Lookup Processor's u32 cycle
+    /// count) are drawn too, and every config that builds gets the same
+    /// static verdict under both engines.
     #[test]
     fn any_config_builds_or_is_a_typed_error(
         seed in any::<u64>(),
@@ -171,6 +191,7 @@ proptest! {
         ],
         dir_engine in any::<bool>(),
         weights in (weight(), weight(), weight(), weight()),
+        lookup_fault in lookup_fault(),
     ) {
         let topology = [Topology::Single4, Topology::Folded8, Topology::Clos16][topo_sel];
         let mut cfg = FabricConfig {
@@ -187,6 +208,7 @@ proptest! {
         cfg.router.lookup_mem = lookup_mem;
         cfg.router.engine = if dir_engine { Engine::Dir24_8 } else { Engine::Patricia };
         cfg.router.weights = [weights.0, weights.1, weights.2, weights.3];
+        cfg.router.lookup_fault = lookup_fault;
         let what = format!("{cfg:?}");
         // The static gate resolves addresses with the configured engine;
         // both engines must reach the same verdict on the same tables.

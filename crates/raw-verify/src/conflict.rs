@@ -266,11 +266,8 @@ mod tests {
 
     #[test]
     fn generated_router_programs_are_clean() {
-        use raw_xbar::config::{ConfigSpace, SchedPolicy};
-        use raw_xbar::layout::RouterLayout;
-        let layout = RouterLayout::canonical();
-        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
-        let model = crate::lockstep::router_fabric_model(&layout, &cs, 16, "router-q16");
+        let image = raw_xbar::RouterImage::of(16, false, false).unwrap();
+        let model = crate::lockstep::router_model(&image, "router-q16");
         let mut diags = Vec::new();
         let n = check_fabric(&model, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");

@@ -25,13 +25,14 @@
 //! oracle.
 
 use raw_sim::{Route, SwPort, SwitchCtrl, NET0};
-use raw_xbar::asm_xbar::{gen_crossbar_asm_source, table_image_pc};
-use raw_xbar::codegen::{gen_crossbar_switch, CrossbarCode};
+use raw_xbar::asm_xbar::gen_crossbar_asm_source;
+use raw_xbar::codegen::CrossbarCode;
 use raw_xbar::config::{
     schedule, Bid, Client, ConfigSpace, GLOBAL_SPACE, GLOBAL_SPACE_MCAST, HDR_VALUES,
     HDR_VALUES_MCAST,
 };
 use raw_xbar::layout::{PortTiles, RouterLayout, NPORTS};
+use raw_xbar::RouterImage;
 
 use crate::{Analysis, Diag};
 
@@ -313,17 +314,12 @@ pub fn check_body_routines_code(
     cs.configs.len() as u64
 }
 
-/// Generate and decode the body routines of every crossbar tile.
-pub fn check_body_routines(
-    layout: &RouterLayout,
-    cs: &ConfigSpace,
-    quantum: usize,
-    diags: &mut Vec<Diag>,
-) -> u64 {
+/// Decode the body routines of every crossbar tile of `image`, whose
+/// quantum is `quantum` words.
+pub fn check_body_routines(image: &RouterImage, quantum: usize, diags: &mut Vec<Diag>) -> u64 {
     let mut n = 0;
-    for p in &layout.ports {
-        let code = gen_crossbar_switch(p, cs, quantum);
-        n = check_body_routines_code(p, cs, &code, quantum, diags);
+    for (p, code) in RouterLayout::canonical().ports.iter().zip(&image.ports) {
+        n = check_body_routines_code(p, &image.cs, &code.crossbar, quantum, diags);
     }
     n
 }
@@ -368,17 +364,15 @@ pub fn check_table_image(
     img.len() as u64
 }
 
-/// The §6.5 assembly crossbar: the jump-table image must agree with the
-/// generated switch code for every tile, and the generated tile assembly
-/// must assemble with every instruction passing ISA validation.
-pub fn check_asm_crossbar(layout: &RouterLayout, diags: &mut Vec<Diag>) -> u64 {
-    let cs = ConfigSpace::enumerate_multicast();
+/// The §6.5 assembly crossbar of `image` (an assembly-crossbar image):
+/// the jump table each crossbar tile loads must agree with its switch
+/// code, and the generated tile assembly must assemble with every
+/// instruction passing ISA validation.
+pub fn check_asm_crossbar(image: &RouterImage, diags: &mut Vec<Diag>) -> u64 {
     let mut n = 0;
-    for (port, p) in layout.ports.iter().enumerate() {
-        let code = gen_crossbar_switch(p, &cs, 16);
-        let img = table_image_pc(&cs, port, &code);
-        n += check_table_image(&cs, port, &code, &img, diags);
-        let src = gen_crossbar_asm_source(port, code.hdr_pc);
+    for (port, code) in image.ports.iter().enumerate() {
+        n += check_table_image(&image.cs, port, &code.crossbar, &code.table, diags);
+        let src = gen_crossbar_asm_source(port, code.crossbar.hdr_pc);
         if let Err(e) = raw_isa::assemble(&src) {
             diags.push(Diag::new(
                 "RV406",
@@ -594,20 +588,25 @@ mod tests {
 
     #[test]
     fn generated_body_routines_decode_cleanly() {
-        let layout = RouterLayout::canonical();
-        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
+        let image = RouterImage::of(16, false, false).unwrap();
         let mut diags = Vec::new();
-        let n = check_body_routines(&layout, &cs, 16, &mut diags);
+        let n = check_body_routines(&image, 16, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(n, cs.configs.len() as u64);
+        assert_eq!(n, image.cs.configs.len() as u64);
     }
 
     #[test]
     fn mutated_body_routine_is_rv405() {
-        let layout = RouterLayout::canonical();
-        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
-        let p = &layout.ports[0];
-        let mut code = gen_crossbar_switch(p, &cs, 16);
+        let image = RouterImage::of(16, false, false).unwrap();
+        let cs = &image.cs;
+        let p = &RouterLayout::canonical().ports[0];
+        let xb = &image.ports[0].crossbar;
+        // A copy of port 0's crossbar code; the image is left as it is.
+        let mut code = CrossbarCode {
+            program: Arc::clone(&xb.program),
+            hdr_pc: xb.hdr_pc,
+            cfg_pc: xb.cfg_pc.clone(),
+        };
         // Reroute one instruction of the first non-idle routine.
         let id = (0..cs.configs.len())
             .find(|&i| !cs.configs[i].is_idle())
@@ -624,25 +623,24 @@ mod tests {
             SwPort::Proc
         };
         let mut diags = Vec::new();
-        check_body_routines_code(p, &cs, &code, 16, &mut diags);
+        check_body_routines_code(p, cs, &code, 16, &mut diags);
         assert!(diags.iter().any(|d| d.code == "RV405"), "{diags:?}");
     }
 
     #[test]
     fn asm_table_checks_pass_and_catch_corruption() {
-        let layout = RouterLayout::canonical();
+        let image = RouterImage::of(16, true, true).unwrap();
         let mut diags = Vec::new();
-        let n = check_asm_crossbar(&layout, &mut diags);
+        let n = check_asm_crossbar(&image, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
         assert_eq!(n, 4 * GLOBAL_SPACE_MCAST as u64);
 
-        // Corrupt one image entry: RV406.
-        let cs = ConfigSpace::enumerate_multicast();
-        let code = gen_crossbar_switch(&layout.ports[0], &cs, 16);
-        let mut img = table_image_pc(&cs, 0, &code);
+        // Corrupt one entry of a copy of the table tile 0 loads: RV406.
+        let code = &image.ports[0];
+        let mut img = code.table.clone();
         img[42] ^= 1;
         let mut diags = Vec::new();
-        check_table_image(&cs, 0, &code, &img, &mut diags);
+        check_table_image(&image.cs, 0, &code.crossbar, &img, &mut diags);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "RV406");
     }

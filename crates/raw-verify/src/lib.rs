@@ -28,6 +28,14 @@
 //!    minimized body routine must decode back to its local
 //!    configuration.
 //!
+//! The analyses read the [`raw_xbar::RouterImage`] a router holds
+//! ([`raw_xbar::RouterImage::of`]): the switch programs are the very
+//! `Arc`s the routers install ([`lockstep::router_model`]), the scenarios
+//! come from the image's configuration space, and the assembly crossbar's
+//! jump tables are the ones its tiles load. [`verify_all`] takes no
+//! options: it checks the unicast images at quanta 16 and 64, and the
+//! multicast and assembly-crossbar images at 16.
+//!
 //! One level up, the whole-fabric analyses (`RV5xx` channel-dependency
 //! deadlock, `RV6xx` routing soundness) live with the fabric they read,
 //! in `raw_fabric::verify`: they walk the `TopologyPlan` the executor
@@ -59,6 +67,7 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use raw_sim::{Dir, GridDim, SwitchProgram, TileId};
+use raw_xbar::RouterImage;
 
 /// Which analysis produced a diagnostic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -322,128 +331,84 @@ pub struct Coverage {
     pub sched_trace_slots: u64,
 }
 
-/// Options for [`verify_all`].
-#[derive(Clone, Debug)]
-pub struct VerifyOptions {
-    /// Quanta to verify the generated router fabrics at.
-    pub quanta: Vec<usize>,
-    /// Also lockstep-verify the multicast configuration space (the model
-    /// check always covers it; lockstep scenario extraction over 16⁴·4
-    /// points costs a scan).
-    pub lockstep_multicast: bool,
-    /// Ring sizes beyond 4 to check `scale::ring_walk` invariants on
-    /// (sampled; n=4 is always exhaustive).
-    pub scale_ns: Vec<usize>,
+/// Unicast quanta whose router images are verified: 16 words (64-byte
+/// packets, the peak point) and 64 (the default).
+const QUANTA: [usize; 2] = [16, 64];
+
+/// Ring sizes beyond 4 whose `scale::ring_walk` invariants are sampled
+/// (n = 4 is always exhaustive).
+const SCALE_NS: [usize; 2] = [6, 8];
+
+/// The router image of a quantum and alphabet, as a router holds it.
+fn image(quantum: usize, multicast: bool, asm_crossbar: bool) -> Arc<RouterImage> {
+    RouterImage::of(quantum, multicast, asm_crossbar).expect("a verified quantum builds")
 }
 
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            quanta: vec![16, 64],
-            lockstep_multicast: true,
-            scale_ns: vec![6, 8],
-        }
-    }
-}
-
-/// Run every analysis over every program the repo generates: the crossbar
-/// / ingress / egress switch code at each requested quantum, one schedule
+/// Run every analysis over the router images the routers run: the
+/// crossbar / ingress / egress switch code of the unicast image at each
+/// of [`QUANTA`] and of the multicast image at the smallest, one schedule
 /// period per reachable joint configuration, the full jump-table spaces,
-/// the generated crossbar tile assembly, and the
-/// generalized `scale` ring walk.
-pub fn verify_all(opts: &VerifyOptions) -> VerifyReport {
+/// the assembly crossbar's jump tables and generated tile assembly, and
+/// the generalized `scale` ring walk.
+pub fn verify_all() -> VerifyReport {
     let mut diags: Vec<Diag> = Vec::new();
     let mut programs: Vec<String> = Vec::new();
     let mut cov = Coverage::default();
     let mut conflict_instrs = 0u64;
     let mut lockstep_steps = 0u64;
 
-    use raw_xbar::config::{ConfigSpace, SchedPolicy};
-    use raw_xbar::layout::RouterLayout;
-
-    let layout = RouterLayout::canonical();
-    let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
-    let csm = ConfigSpace::enumerate_multicast();
-
-    let sweep = |cs: &ConfigSpace,
-                 quantum: usize,
-                 name: &str,
-                 diags: &mut Vec<Diag>,
-                 cov: &mut Coverage,
-                 conflict_instrs: &mut u64,
-                 lockstep_steps: &mut u64| {
+    let unicast = QUANTA.map(|q| image(q, false, false));
+    let multicast = image(QUANTA[0], true, false);
+    let sweeps = (QUANTA.iter().zip(&unicast))
+        .map(|(q, img)| (format!("router-fabric-ShortestFirst-q{q}"), img))
+        .chain([(
+            format!("router-fabric-mcast-ShortestFirst-q{}", QUANTA[0]),
+            &multicast,
+        )]);
+    for (name, img) in sweeps {
+        programs.push(name.clone());
         // Conflict/geometry checks over the full installed programs
         // (scenario scripts reference only routine subsets; this pass
         // walks every instruction of every program once, including the
         // free-running egress network-1 loop).
-        let model = lockstep::router_fabric_model(&layout, cs, quantum, name);
-        *conflict_instrs += conflict::check_fabric(&model, diags);
+        conflict_instrs += conflict::check_fabric(&lockstep::router_model(img, &name), &mut diags);
         // Lockstep + deadlock over each reachable joint configuration.
-        let mut max_hw = 0u64;
-        let n = lockstep::for_each_router_scenario(&layout, cs, quantum, name, |scenario| {
-            let out = lockstep::run(scenario, diags);
-            max_hw = max_hw.max(out.max_high_water);
-            *lockstep_steps += out.steps;
+        cov.lockstep_scenarios += lockstep::for_each_router_scenario(img, &name, |scenario| {
+            let out = lockstep::run(scenario, &mut diags);
+            cov.max_fifo_high_water = cov.max_fifo_high_water.max(out.max_high_water);
+            lockstep_steps += out.steps;
         });
-        cov.lockstep_scenarios += n;
-        cov.max_fifo_high_water = cov.max_fifo_high_water.max(max_hw);
-    };
-
-    for &quantum in &opts.quanta {
-        let name = format!("router-fabric-ShortestFirst-q{quantum}");
-        programs.push(name.clone());
-        sweep(
-            &cs,
-            quantum,
-            &name,
-            &mut diags,
-            &mut cov,
-            &mut conflict_instrs,
-            &mut lockstep_steps,
-        );
     }
-    if opts.lockstep_multicast {
-        let quantum = *opts.quanta.iter().min().unwrap_or(&16);
-        let name = format!("router-fabric-mcast-ShortestFirst-q{quantum}");
-        programs.push(name.clone());
-        sweep(
-            &csm,
-            quantum,
-            &name,
-            &mut diags,
-            &mut cov,
-            &mut conflict_instrs,
-            &mut lockstep_steps,
-        );
-    }
+    let (cs, csm) = (&unicast[0].cs, &multicast.cs);
 
     // Analysis 4: exhaustive jump-table model check over both alphabets,
     // plus body-routine decode and the assembly table image.
-    programs.push(jumptable::space_name(&cs));
-    let c = jumptable::check_space(&cs, &mut diags);
+    programs.push(jumptable::space_name(cs));
+    let c = jumptable::check_space(cs, &mut diags);
     cov.unicast_points = c.points;
     cov.unicast_space = c.space;
 
-    programs.push(jumptable::space_name(&csm));
-    let c = jumptable::check_space(&csm, &mut diags);
+    programs.push(jumptable::space_name(csm));
+    let c = jumptable::check_space(csm, &mut diags);
     cov.multicast_points = c.points;
     cov.multicast_space = c.space;
 
-    for &quantum in &opts.quanta {
-        let b = jumptable::check_body_routines(&layout, &cs, quantum, &mut diags);
+    for (&quantum, img) in QUANTA.iter().zip(&unicast) {
+        let b = jumptable::check_body_routines(img, quantum, &mut diags);
         cov.body_routines = cov.body_routines.max(b);
     }
     cov.body_routine_space = cs.configs.len() as u64;
 
-    // The §6.5 generated tile assembly: table image consistent with the
-    // config space, program assembles and every instruction validates.
+    // The §6.5 generated tile assembly: the jump tables its tiles load
+    // agree with the switch code, and the program assembles with every
+    // instruction validating.
     programs.push("asm-crossbar".into());
-    jumptable::check_asm_crossbar(&layout, &mut diags);
+    jumptable::check_asm_crossbar(&image(QUANTA[0], true, true), &mut diags);
 
     // The generalized scale.rs ring walk: oracle invariants, n=4
     // exhaustive, larger rings sampled.
     programs.push("scale-ring-walk".into());
-    jumptable::check_ring_walk(&opts.scale_ns, &mut diags);
+    jumptable::check_ring_walk(&SCALE_NS, &mut diags);
 
     let fail = |a: Analysis| diags.iter().filter(|d| d.analysis == a).count();
     let analyses = vec![
@@ -502,15 +467,7 @@ mod tests {
 
     #[test]
     fn full_verification_passes_end_to_end() {
-        // Reduced options keep the debug-mode run fast; `repro -- verify`
-        // exercises the release defaults (both quanta, multicast
-        // lockstep, larger rings).
-        let opts = VerifyOptions {
-            quanta: vec![16],
-            lockstep_multicast: false,
-            scale_ns: vec![6],
-        };
-        let report = verify_all(&opts);
+        let report = verify_all();
         assert!(report.pass, "{:?}", report.diagnostics);
         assert!(report.diagnostics.is_empty());
         // Exhaustive coverage: 2,500 unicast and 16^4*4 multicast global

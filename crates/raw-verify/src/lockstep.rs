@@ -40,11 +40,9 @@
 use std::collections::BTreeMap;
 
 use raw_sim::{Dir, SwPort, SwitchCtrl, TileId, NET0, NET1};
-use raw_xbar::codegen::{
-    gen_crossbar_switch, gen_egress_net1, gen_egress_switch, gen_ingress_switch,
-};
-use raw_xbar::config::{Client, ConfigSpace};
+use raw_xbar::config::Client;
 use raw_xbar::layout::RouterLayout;
+use raw_xbar::RouterImage;
 
 use crate::{Analysis, Diag, FabricModel, SwitchSlot};
 
@@ -464,29 +462,24 @@ fn find_cycle(edges: &BTreeMap<usize, Vec<usize>>) -> Option<Vec<usize>> {
     None
 }
 
-/// The full router fabric — every generated switch program installed at
-/// its Figure 7-2 tile — with no steering scripts. Input to the conflict
-/// and geometry analysis.
-pub fn router_fabric_model(
-    layout: &RouterLayout,
-    cs: &ConfigSpace,
-    quantum: usize,
-    name: &str,
-) -> FabricModel {
+/// The router a [`RouterImage`] describes: every switch program the
+/// image holds — the very `Arc`s a router built on it runs — at its
+/// Figure 7-2 tile, with no steering scripts. Slot `4p + k` is port `p`'s
+/// ingress, crossbar, egress and (free-running) egress network-1
+/// program, for `k` = 0, 1, 2, 3.
+pub fn router_model(image: &RouterImage, name: &str) -> FabricModel {
+    let layout = RouterLayout::canonical();
     let mut m = FabricModel::new(name, layout.dim);
-    for p in &layout.ports {
-        let ig = gen_ingress_switch(p, quantum);
-        let xb = gen_crossbar_switch(p, cs, quantum);
-        let eg = gen_egress_switch(p, quantum);
-        m.slots
-            .push(SwitchSlot::new(p.ingress, NET0, ig.program, vec![]));
-        m.slots
-            .push(SwitchSlot::new(p.crossbar, NET0, xb.program, vec![]));
-        m.slots
-            .push(SwitchSlot::new(p.egress, NET0, eg.program, vec![]));
-        let mut net1 = SwitchSlot::new(p.egress, NET1, gen_egress_net1(p), vec![]);
-        net1.free_running = true;
-        m.slots.push(net1);
+    for (p, code) in layout.ports.iter().zip(&image.ports) {
+        m.slots.extend([
+            SwitchSlot::new(p.ingress, NET0, code.ingress.program.clone(), vec![]),
+            SwitchSlot::new(p.crossbar, NET0, code.crossbar.program.clone(), vec![]),
+            SwitchSlot::new(p.egress, NET0, code.egress.program.clone(), vec![]),
+            SwitchSlot {
+                free_running: true,
+                ..SwitchSlot::new(p.egress, NET1, code.egress_net1.clone(), vec![])
+            },
+        ]);
         m.ext_in.push((p.ingress, NET0, p.in_edge));
         m.ext_out.push((p.egress, NET0, p.out_edge));
         m.ext_out.push((p.egress, NET1, p.out_edge));
@@ -495,68 +488,28 @@ pub fn router_fabric_model(
 }
 
 /// Visit one lockstep scenario per *reachable joint configuration* of
-/// the fabric: scan the jump table for distinct signatures (the four
-/// tiles' local-config ids plus the four grant flags) and script one
-/// schedule period for each — every ingress runs the bid/grant exchange
-/// (granted ports then stream one fragment), every crossbar runs the
-/// header exchange (non-idle tiles then run their body routine), and
-/// every egress whose output is driven runs the cut-through routine.
-/// Returns the number of distinct joint configurations visited.
+/// the image's router: scan the jump table for distinct signatures (the
+/// four tiles' local-config ids plus the four grant flags) and script
+/// one schedule period for each — every ingress runs the bid/grant
+/// exchange (granted ports then stream one fragment), every crossbar
+/// runs the header exchange (non-idle tiles then run their body
+/// routine), and every egress whose output is driven runs the
+/// cut-through routine. Returns the number of distinct joint
+/// configurations visited.
 ///
-/// The callback form reuses one model (programs are shared across
-/// scenarios; only the steering scripts differ), so sweeping the
+/// The callback form reuses one [`router_model`] (programs are shared
+/// across scenarios; only the steering scripts differ), so sweeping the
 /// multicast space does not materialize thousands of program copies.
 pub fn for_each_router_scenario(
-    layout: &RouterLayout,
-    cs: &ConfigSpace,
-    quantum: usize,
+    image: &RouterImage,
     name: &str,
     mut f: impl FnMut(&FabricModel),
 ) -> u64 {
-    let igs: Vec<_> = layout
-        .ports
-        .iter()
-        .map(|p| gen_ingress_switch(p, quantum))
-        .collect();
-    let xbs: Vec<_> = layout
-        .ports
-        .iter()
-        .map(|p| gen_crossbar_switch(p, cs, quantum))
-        .collect();
-    let egs: Vec<_> = layout
-        .ports
-        .iter()
-        .map(|p| gen_egress_switch(p, quantum))
-        .collect();
-
-    let mut m = FabricModel::new(name, layout.dim);
-    for (t, p) in layout.ports.iter().enumerate() {
-        m.slots.push(SwitchSlot::new(
-            p.ingress,
-            NET0,
-            igs[t].program.clone(),
-            vec![],
-        ));
-        m.slots.push(SwitchSlot::new(
-            p.crossbar,
-            NET0,
-            xbs[t].program.clone(),
-            vec![],
-        ));
-        m.slots.push(SwitchSlot::new(
-            p.egress,
-            NET0,
-            egs[t].program.clone(),
-            vec![],
-        ));
-        m.ext_in.push((p.ingress, NET0, p.in_edge));
-        m.ext_out.push((p.egress, NET0, p.out_edge));
-    }
-
+    let cs = &image.cs;
+    let mut m = router_model(image, name);
     let mut seen = std::collections::BTreeSet::new();
     let mut count = 0u64;
-    let space = cs.jump[0].len();
-    for gi in 0..space {
+    for gi in 0..cs.jump[0].len() {
         let sig: ([u16; 4], [bool; 4]) = (
             std::array::from_fn(|t| cs.jump[t][gi]),
             std::array::from_fn(|t| cs.grant[t][gi]),
@@ -566,22 +519,20 @@ pub fn for_each_router_scenario(
         }
         let (ids, grants) = sig;
         m.name = format!("{name}/joint{count}");
-        for t in 0..layout.ports.len() {
+        for (t, code) in image.ports.iter().enumerate() {
             let lc = cs.configs[ids[t] as usize];
-            let ig = &igs[t];
-            let mut ig_script = vec![ig.bid_send_pc, ig.grant_recv_pc];
+            let ig = &code.ingress;
+            m.slots[4 * t].script = vec![ig.bid_send_pc, ig.grant_recv_pc];
             if grants[t] {
-                ig_script.push(ig.stream_wc_more_pc);
+                m.slots[4 * t].script.push(ig.stream_wc_more_pc);
             }
-            m.slots[3 * t].script = ig_script;
-            let xb = &xbs[t];
-            let mut xb_script = vec![xb.hdr_pc];
+            let xb = &code.crossbar;
+            m.slots[4 * t + 1].script = vec![xb.hdr_pc];
             if !lc.is_idle() {
-                xb_script.push(xb.cfg_pc[ids[t] as usize]);
+                m.slots[4 * t + 1].script.push(xb.cfg_pc[ids[t] as usize]);
             }
-            m.slots[3 * t + 1].script = xb_script;
-            m.slots[3 * t + 2].script = if lc.out != Client::None {
-                vec![egs[t].cut_pc]
+            m.slots[4 * t + 2].script = if lc.out != Client::None {
+                vec![code.egress.cut_pc]
             } else {
                 vec![]
             };
@@ -590,20 +541,6 @@ pub fn for_each_router_scenario(
         count += 1;
     }
     count
-}
-
-/// Collect the scenarios of [`for_each_router_scenario`] into a `Vec`
-/// (fine for the unicast space; the multicast sweep should use the
-/// callback form).
-pub fn router_scenarios(
-    layout: &RouterLayout,
-    cs: &ConfigSpace,
-    quantum: usize,
-    name: &str,
-) -> Vec<FabricModel> {
-    let mut out = Vec::new();
-    for_each_router_scenario(layout, cs, quantum, name, |m| out.push(m.clone()));
-    out
 }
 
 #[cfg(test)]
@@ -774,18 +711,15 @@ mod tests {
     /// dataflow inside the hardware FIFO bound.
     #[test]
     fn all_router_joint_configs_verify() {
-        use raw_xbar::config::SchedPolicy;
-        let layout = RouterLayout::canonical();
-        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
-        let scenarios = router_scenarios(&layout, &cs, 16, "router-q16");
-        assert!(scenarios.len() > 10, "only {} scenarios", scenarios.len());
+        let image = RouterImage::of(16, false, false).unwrap();
         let mut max_hw = 0;
-        for sc in &scenarios {
+        let n = for_each_router_scenario(&image, "router-q16", |sc| {
             let mut diags = Vec::new();
             let out = run(sc, &mut diags);
             assert!(diags.is_empty(), "{}: {diags:?}", sc.name);
             max_hw = max_hw.max(out.max_high_water);
-        }
+        });
+        assert!(n > 10, "only {n} scenarios");
         assert!(max_hw <= LINK_FIFO_DEPTH, "hw {max_hw}");
     }
 
@@ -793,24 +727,25 @@ mod tests {
     /// body-routine instruction of one crossbar tile must be caught.
     #[test]
     fn mutated_crossbar_body_is_flagged() {
-        use raw_xbar::config::SchedPolicy;
-        let layout = RouterLayout::canonical();
-        let cs = ConfigSpace::enumerate(SchedPolicy::ShortestFirst);
-        let mut scenarios = router_scenarios(&layout, &cs, 16, "router-q16");
+        let image = RouterImage::of(16, false, false).unwrap();
         // Pick a scenario where tile 0 forwards (non-trivial script).
-        let sc = scenarios
-            .iter_mut()
-            .find(|sc| sc.slots[1].script.len() == 2)
-            .expect("a non-idle crossbar scenario");
+        let mut found = None;
+        for_each_router_scenario(&image, "router-q16", |sc| {
+            if found.is_none() && sc.slots[1].script.len() == 2 {
+                found = Some(sc.clone());
+            }
+        });
+        let mut sc = found.expect("a non-idle crossbar scenario");
         let pc = sc.slots[1].script[1];
-        // Drop the body routine's first routed instruction.
+        // Drop the body routine's first routed instruction (a copy: the
+        // image's program is left as it is).
         let prog = Arc::make_mut(&mut sc.slots[1].program);
         let routed = (pc..prog.len())
             .find(|&i| !prog.instrs[i].routes.is_empty())
             .unwrap();
         prog.instrs[routed].routes.clear();
         let mut diags = Vec::new();
-        run(sc, &mut diags);
+        run(&sc, &mut diags);
         assert!(
             !diags.is_empty(),
             "dropping a body route must break matched dataflow"

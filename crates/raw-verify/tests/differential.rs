@@ -10,12 +10,15 @@
 //! blocked processor). A mutant the verifier passes but the simulator
 //! chokes on would be a verifier soundness hole.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use raw_sim::{
     Dir, EdgePort, GridDim, RawConfig, RawMachine, Route, SwPort, SwitchCtrl, SwitchInstr,
     SwitchProgram, TileId, WordSink, WordSource, NET0,
 };
 use raw_verify::{conflict, lockstep, FabricModel, SwitchSlot};
+use raw_xbar::{port_table, RawRouter, RouterConfig, RouterImage};
 
 /// Words the relay forwards per period. Small enough that a mutant
 /// rerouting words into an unread `$csti` queue cannot fill it and
@@ -129,6 +132,33 @@ fn pristine_relay_verifies_and_delivers() {
     assert!(rep.quiescent && rep.blocked_tiles.is_empty());
     let got = handle.lock().unwrap().len();
     assert_eq!(got, K, "sink must receive every relayed word");
+}
+
+/// The verifier proves properties of the switch code a router runs, not
+/// of a copy: the image it reads is the one a router holds, and every
+/// program of its router model is the program the router's machine has
+/// installed at that tile and network.
+#[test]
+fn the_verified_programs_are_the_ones_a_router_runs() {
+    for q in [16, 64] {
+        let cfg = RouterConfig {
+            quantum_words: q,
+            ..RouterConfig::default()
+        };
+        let r = RawRouter::new(cfg, port_table());
+        let image = RouterImage::of(q, false, false).unwrap();
+        assert!(Arc::ptr_eq(&image, &r.image), "q{q}: one image");
+        let model = lockstep::router_model(&image, "router");
+        assert_eq!(model.slots.len(), 16);
+        for slot in &model.slots {
+            assert!(
+                Arc::ptr_eq(&slot.program, r.machine.switch_program(slot.tile, slot.net)),
+                "q{q}: {} net {} verifies a program the router does not run",
+                slot.tile,
+                slot.net
+            );
+        }
+    }
 }
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {

@@ -14,6 +14,11 @@
 //! and a router copies the jump table into its crossbar tile's own
 //! memory, which the tile may then read and write as it likes.
 //!
+//! The static verifier (`raw-verify`) reads the same images: the switch
+//! programs it proves deadlock-free and FIFO-bounded, and the jump tables
+//! it model-checks, are the `Arc`s a router installs, reached through
+//! [`RouterImage::of`].
+//!
 //! The memo holds images weakly: an image lives as long as a router
 //! holds it, so a process that builds routers of many quanta one after
 //! another (a sweep, a property test) does not keep them all. The two
@@ -36,18 +41,17 @@ use crate::programs::CrossbarProgram;
 
 /// Everything a [`RouterImage`] is derived from.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct ImageKey {
+struct ImageKey {
     quantum_words: usize,
     multicast: bool,
     asm_crossbar: bool,
 }
 
 impl ImageKey {
-    /// The key of a router with a `quantum_words`-word quantum, routing
-    /// a `multicast` table or not, on the native or the assembly
-    /// crossbar. The assembly crossbar indexes the destination-mask
-    /// alphabet (§6.5) whatever the table, as a multicast table does.
-    pub(crate) fn new(quantum_words: usize, multicast: bool, asm_crossbar: bool) -> ImageKey {
+    /// The key of [`RouterImage::of`]'s arguments. The assembly crossbar
+    /// indexes the destination-mask alphabet (§6.5) whatever the table,
+    /// as a multicast table does.
+    fn new(quantum_words: usize, multicast: bool, asm_crossbar: bool) -> ImageKey {
         ImageKey {
             quantum_words,
             multicast: multicast || asm_crossbar,
@@ -57,16 +61,16 @@ impl ImageKey {
 }
 
 /// One port's share of a [`RouterImage`].
-pub(crate) struct PortImage {
-    pub(crate) ingress: IngressCode,
-    pub(crate) crossbar: CrossbarCode,
-    pub(crate) egress: EgressCode,
-    pub(crate) egress_net1: Arc<SwitchProgram>,
+pub struct PortImage {
+    pub ingress: IngressCode,
+    pub crossbar: CrossbarCode,
+    pub egress: EgressCode,
+    pub egress_net1: Arc<SwitchProgram>,
     /// The crossbar tile's jump table as it is written into the tile's
     /// local memory: entries carry the grant in bit 31 over a
     /// local-configuration id (native core) or a switch PC (assembly
     /// core).
-    pub(crate) table: Vec<u32>,
+    pub table: Vec<u32>,
 }
 
 /// The immutable part of a router: see the module documentation.
@@ -74,7 +78,7 @@ pub struct RouterImage {
     /// The configuration space the crossbar jump tables index.
     pub cs: Arc<ConfigSpace>,
     /// One per port, in [`RouterLayout::canonical`] order.
-    pub(crate) ports: Vec<PortImage>,
+    pub ports: Vec<PortImage>,
 }
 
 impl RouterImage {
@@ -102,11 +106,18 @@ impl RouterImage {
         Ok(RouterImage { cs, ports })
     }
 
-    /// The image for `key`, shared with every router that holds one for
-    /// the same key; built only when none is held. A failed build is not
+    /// The image of a router with a `quantum_words`-word quantum, routing
+    /// a `multicast` table or not, on the native or the assembly
+    /// crossbar, shared with every router that holds one for the same
+    /// key; built only when none is held. A failed build is not
     /// remembered.
-    pub(crate) fn shared(key: ImageKey) -> Result<Arc<RouterImage>, String> {
+    pub fn of(
+        quantum_words: usize,
+        multicast: bool,
+        asm_crossbar: bool,
+    ) -> Result<Arc<RouterImage>, String> {
         static IMAGES: OnceLock<Mutex<HashMap<ImageKey, Weak<RouterImage>>>> = OnceLock::new();
+        let key = ImageKey::new(quantum_words, multicast, asm_crossbar);
         // The map is written only after a build succeeds, so a lock that
         // a panicking build poisoned still guards a sound map.
         let mut images = IMAGES

@@ -43,7 +43,7 @@ pub use config::{
     schedule_matching, Bid, Client, ConfigSpace, GlobalSchedule, LocalConfig, RingDir, SchedPolicy,
 };
 pub use devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
-pub use image::RouterImage;
+pub use image::{PortImage, RouterImage};
 pub use layout::{PortTiles, RouterLayout, NPORTS};
 pub use programs::{
     EgressMode, EgressStats, IngressQueueing, IngressStats, LookupStats, XbarStats,

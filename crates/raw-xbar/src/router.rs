@@ -10,7 +10,7 @@ use raw_sim::{cycles_to_seconds, EdgePort, RawConfig, RawMachine, TraceWindow, N
 
 use crate::asm_xbar::ASM_TABLE_BASE;
 use crate::devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
-use crate::image::{ImageKey, RouterImage};
+use crate::image::RouterImage;
 use crate::layout::{RouterLayout, NPORTS};
 use crate::programs::{
     CrossbarProgram, EgressMode, EgressProgram, EgressStats, IngressProgram, IngressStats,
@@ -207,11 +207,7 @@ impl RawRouter {
                 ));
             }
         }
-        let image = RouterImage::shared(ImageKey::new(
-            cfg.quantum_words,
-            table.multicast(),
-            cfg.asm_crossbar,
-        ))?;
+        let image = RouterImage::of(cfg.quantum_words, table.multicast(), cfg.asm_crossbar)?;
         let mut machine = RawMachine::new(cfg.raw.clone());
         if let Some(sink) = &telemetry {
             machine.set_telemetry(Arc::clone(sink));

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use raw_router::baselines::{saturation_throughput, ClickRouter, Queueing};
 use raw_router::lookup::{ForwardingTable, RouteEntry};
 use raw_router::net::Packet;
-use raw_router::xbar::{RawRouter, RouterConfig};
+use raw_router::xbar::{audit, RawRouter, RouterConfig};
 
 fn raw_router_peak(bytes: usize) -> f64 {
     let routes: Vec<RouteEntry> = (0..4)
@@ -25,14 +25,20 @@ fn raw_router_peak(bytes: usize) -> f64 {
     };
     let mut r = RawRouter::new(cfg, table);
     let n = (300_000 / (bytes / 4)).min(6000);
+    let mut offered = Vec::new();
     for k in 0..n as u32 {
         for src in 0..4u32 {
             let dst = (src + 2) % 4;
             let p = Packet::synthetic(0x0a0a_0000 + src, 0x0a00_0001 | (dst << 16), bytes, 64, k);
             r.offer(src as usize, 0, &p);
+            offered.push((src as usize, p.to_words()));
         }
     }
     r.run(180_000);
+    // The saturated run is cut off, so packets may still be owed: the
+    // audit checks what came out, not that everything did.
+    let errs = audit(&r, offered, false);
+    assert!(errs.is_empty(), "{errs:#?}");
     r.throughput_gbps(20_000, 180_000)
 }
 

@@ -6,7 +6,8 @@
 //! cross-plane). This example builds a small constellation where every
 //! satellite is a `RawRouter`, computes next-hop tables from the torus
 //! geometry, and routes ground traffic across several satellite hops —
-//! checking TTL decrements per hop and end-to-end delivery.
+//! auditing each hop against the reference datapath and checking TTL
+//! decrements and end-to-end delivery.
 //!
 //! ```text
 //! cargo run --release --example leo_satellite
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use raw_router::lookup::{ForwardingTable, RouteEntry};
 use raw_router::net::Packet;
-use raw_router::xbar::{RawRouter, RouterConfig};
+use raw_router::xbar::{audit, RawRouter, RouterConfig};
 
 /// Constellation dimensions: `PLANES` orbital planes of `PER_PLANE`
 /// satellites (a tiny Iridium-like torus).
@@ -103,6 +104,8 @@ fn main() {
         let in_port = (port + 2) % 4;
         sat.offer(in_port, 0, &pkt);
         assert!(sat.run_until_drained(300_000), "satellite {here} wedged");
+        let errs = audit(&sat, [(in_port, pkt.to_words())], true);
+        assert!(errs.is_empty(), "satellite {here}: {errs:#?}");
         let out = sat.delivered(port);
         assert_eq!(out.len(), 1, "satellite {here} misrouted the packet");
         pkt = out[0].1.clone();

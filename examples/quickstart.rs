@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use raw_router::lookup::{ForwardingTable, RouteEntry};
 use raw_router::net::Packet;
-use raw_router::xbar::{RawRouter, RouterConfig};
+use raw_router::xbar::{audit, RawRouter, RouterConfig};
 
 fn main() {
     // Forwarding table: 10.<p>.0.0/16 -> output port p.
@@ -22,7 +22,9 @@ fn main() {
     // 64-word routing quantum and cut-through egress.
     let mut router = RawRouter::new(RouterConfig::default(), table);
 
-    // Offer one packet per input, each to a different output.
+    // Offer one packet per input, each to a different output, keeping
+    // what was offered for the audit.
+    let mut offered = Vec::new();
     for src in 0..4u32 {
         let dst = (src + 1) % 4;
         let pkt = Packet::synthetic(
@@ -33,6 +35,7 @@ fn main() {
             src,                       // payload seed
         );
         router.offer(src as usize, 0, &pkt);
+        offered.push((src as usize, pkt.to_words()));
         println!("offered: port {src} -> 10.{dst}.0.1 (256 B)");
     }
 
@@ -61,4 +64,10 @@ fn main() {
             s.packets_completed, s.grants, s.words_cut_through
         );
     }
+
+    // Every delivery checked against the functional reference datapath:
+    // right output, right bytes, in order, nothing lost.
+    let errs = audit(&router, offered, true);
+    assert!(errs.is_empty(), "{errs:#?}");
+    println!("\naudit: every packet forwarded as the reference datapath says");
 }

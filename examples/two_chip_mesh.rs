@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use raw_router::lookup::{ForwardingTable, RouteEntry};
 use raw_router::net::Packet;
-use raw_router::xbar::{RawRouter, RouterConfig};
+use raw_router::xbar::{audit, RawRouter, RouterConfig};
 
 /// External address plan: `10.<chip*4 + port>.0.0/16`.
 fn prefix(chip: usize, port: usize) -> u32 {
@@ -49,7 +49,9 @@ fn main() {
     ];
 
     // Traffic: every external port sends to every other external port,
-    // including cross-chip flows that must transit the trunk.
+    // including cross-chip flows that must transit the trunk. Each chip
+    // keeps what it was handed, in offer order, for its audit.
+    let mut handed: [Vec<(usize, Vec<u32>)>; 2] = [Vec::new(), Vec::new()];
     let mut offered = 0usize;
     let mut cross = 0usize;
     for (sc, sp) in (0..2).flat_map(|c| (0..3).map(move |p| (c, p))) {
@@ -65,6 +67,7 @@ fn main() {
                 offered as u32,
             );
             chips[sc].offer(sp, 0, &pkt);
+            handed[sc].push((sp, pkt.to_words()));
             offered += 1;
             if sc != dc {
                 cross += 1;
@@ -91,6 +94,7 @@ fn main() {
             let release = chips[1 - c].machine.cycle();
             for pkt in out.iter().skip(relayed_per_chip[c]) {
                 chips[1 - c].offer(TRUNK, release, pkt);
+                handed[1 - c].push((TRUNK, pkt.to_words()));
                 relayed_per_chip[c] += 1;
                 relayed += 1;
             }
@@ -122,6 +126,12 @@ fn main() {
         }
     }
     assert_eq!(delivered, offered, "all flows must arrive");
+    // Each chip against the reference datapath, over everything it was
+    // handed: its external flows and the trunk packets relayed to it.
+    for (c, (chip, handed)) in chips.iter().zip(handed).enumerate() {
+        let errs = audit(chip, handed, true);
+        assert!(errs.is_empty(), "chip {c}: {errs:#?}");
+    }
     println!(
         "delivered {delivered}/{offered}; {relayed} packets transited the trunk; \
          cross-chip packets show two TTL decrements"
