@@ -173,10 +173,11 @@ pub fn sched_cell(
         }
     }
 
+    let drops: [_; NPORTS] = std::array::from_fn(|p| r.ingress_stats(p).drops);
     let (p50, p99, p999, arb_wait, token_wait) = with_sink::<Recorder, _>(&sink, |rec| {
         let h = rec.stage_histogram(StageSpan::Total);
         let (p50, _, p99, p999) = h.percentiles();
-        let s = rec.summary(NPORTS);
+        let s = rec.summary(&drops);
         let arb: u64 = s.tiles.iter().map(|t| t.arb_wait).sum();
         let tok: u64 = s.tiles.iter().map(|t| t.token_wait).sum();
         (p50, p99, p999, arb, tok)

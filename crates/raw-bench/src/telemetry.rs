@@ -55,6 +55,7 @@ pub fn telemetry_run(name: &str, w: &Workload, cycles: u64) -> (TelemetryRun, St
     let gbps = r.throughput_gbps(warm, cycles);
     let total_cycles = r.machine.cycle();
     let delivered = r.delivered_count();
+    let drops: [_; raw_xbar::NPORTS] = std::array::from_fn(|p| r.ingress_stats(p).drops);
     with_sink::<Recorder, _>(&sink, |rec| {
         let errs = raw_chaos::conservation_errors(&r, rec);
         assert!(errs.is_empty(), "{name}: {errs:?}");
@@ -64,7 +65,7 @@ pub fn telemetry_run(name: &str, w: &Workload, cycles: u64) -> (TelemetryRun, St
             cycles: total_cycles,
             delivered,
             gbps,
-            summary: rec.summary(raw_xbar::NPORTS),
+            summary: rec.summary(&drops),
         };
         let trace = chrome_trace(rec.lives(), TRACE_PACKETS);
         (run, trace)

@@ -7,39 +7,8 @@
 //! Processor". A packet crossing the Rotating Crossbar is cut into
 //! fragments of at most one routing quantum; each fragment is prefixed by
 //! a one-word tag so the Egress Processor can stitch packets back
-//! together. §8.3's computation-in-the-fabric extension rides on spare
-//! bits of the same tag.
-
-/// What the switch fabric should compute on a fragment's payload as it
-/// streams through (§8.3: "special bits in the headers that are exchanged
-/// around the routing ring").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ComputeOp {
-    #[default]
-    None,
-    /// XOR-stream "encryption" — the demonstration payload transform.
-    XorStream,
-    /// Running one's-complement sum (payload checksumming offload).
-    Checksum,
-}
-
-impl ComputeOp {
-    fn to_bits(self) -> u32 {
-        match self {
-            ComputeOp::None => 0,
-            ComputeOp::XorStream => 1,
-            ComputeOp::Checksum => 2,
-        }
-    }
-
-    fn from_bits(b: u32) -> ComputeOp {
-        match b & 0x3 {
-            1 => ComputeOp::XorStream,
-            2 => ComputeOp::Checksum,
-            _ => ComputeOp::None,
-        }
-    }
-}
+//! together. The cutting and the stitching are the `raw-xbar` ingress and
+//! egress tile programs; this module holds only the tag they exchange.
 
 /// The one-word fragment tag.
 ///
@@ -47,9 +16,9 @@ impl ComputeOp {
 /// bit for unicast, several for the §8.6 multicast extension), `[6:4]`
 /// source port, `[16:7]` payload words in this fragment, `[26:17]`
 /// packet sequence number (per source port, wrapping), `[27]` first
-/// fragment, `[28]` last fragment, `[30:29]` compute op, `[31]` reserved
-/// zero (so a packed tag can never collide with the all-ones control
-/// words).
+/// fragment, `[28]` last fragment, `[31:29]` reserved zero (so a packed
+/// tag can never collide with the all-ones control words; `unpack`
+/// ignores them).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FragTag {
     /// Destination ports as a bit set (bit `p` = output port `p`).
@@ -59,7 +28,6 @@ pub struct FragTag {
     pub seq: u16,
     pub first: bool,
     pub last: bool,
-    pub op: ComputeOp,
 }
 
 /// Maximum payload words one fragment can carry (10-bit field).
@@ -92,7 +60,6 @@ impl FragTag {
             | (u32::from(self.seq) << 17)
             | ((self.first as u32) << 27)
             | ((self.last as u32) << 28)
-            | (self.op.to_bits() << 29)
     }
 
     pub fn unpack(w: u32) -> FragTag {
@@ -103,151 +70,7 @@ impl FragTag {
             seq: ((w >> 17) & 0x3ff) as u16,
             first: (w >> 27) & 1 == 1,
             last: (w >> 28) & 1 == 1,
-            op: ComputeOp::from_bits(w >> 29),
         }
-    }
-}
-
-/// One fragment: its tag plus payload words.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Fragment {
-    pub tag: FragTag,
-    pub words: Vec<u32>,
-}
-
-/// Split a packet's word stream into fragments of at most `quantum`
-/// payload words. `seq` identifies the packet (per source port).
-pub fn fragment(
-    packet_words: &[u32],
-    src_port: u8,
-    dst_mask: u8,
-    seq: u16,
-    quantum: usize,
-    op: ComputeOp,
-) -> Vec<Fragment> {
-    assert!(
-        (1..=MAX_FRAG_WORDS).contains(&quantum),
-        "bad quantum {quantum}"
-    );
-    assert!(!packet_words.is_empty(), "cannot fragment an empty packet");
-    let n = packet_words.len().div_ceil(quantum);
-    let mut out = Vec::with_capacity(n);
-    for (i, chunk) in packet_words.chunks(quantum).enumerate() {
-        out.push(Fragment {
-            tag: FragTag {
-                dst_mask,
-                src_port,
-                words: chunk.len() as u16,
-                seq: seq % SEQ_MODULUS,
-                first: i == 0,
-                last: i == n - 1,
-                op,
-            },
-            words: chunk.to_vec(),
-        });
-    }
-    out
-}
-
-/// Reassembly error.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReasmError {
-    /// A non-first fragment arrived with no packet in progress.
-    NoPacketInProgress,
-    /// A fragment's sequence number did not match the packet in progress.
-    SeqMismatch { expected: u16, got: u16 },
-    /// A first fragment arrived while another packet was still open.
-    UnexpectedFirst,
-    /// The fragment's declared word count disagrees with its payload.
-    LengthMismatch,
-    /// The accumulated payload disagrees with the total length the IP
-    /// header in the first fragment claimed — a duplicated, missing, or
-    /// mis-sized fragment. The partial packet is discarded.
-    PayloadLengthMismatch { expected: usize, got: usize },
-}
-
-/// Expected whole-packet word count, derived from the IPv4 header at the
-/// front of a first fragment's payload. `None` when the payload does not
-/// start with a plausible option-less IPv4 header (the reassembler also
-/// carries opaque word streams in unit tests).
-fn expected_packet_words(first_words: &[u32]) -> Option<usize> {
-    let w0 = *first_words.first()?;
-    if w0 >> 24 != 0x45 {
-        return None;
-    }
-    let total_len = (w0 & 0xffff) as usize;
-    if total_len < 20 {
-        return None;
-    }
-    Some(5 + (total_len - 20).div_ceil(4))
-}
-
-/// Per-(egress, source-port) reassembler: fragments from one source
-/// arrive in order over the crossbar (the fabric preserves per-flow
-/// order), so reassembly is a simple accumulation. When the first
-/// fragment carries an IPv4 header, the header's total length bounds the
-/// accumulation — duplicated or missing fragments surface as
-/// [`ReasmError::PayloadLengthMismatch`] instead of a corrupt packet.
-#[derive(Clone, Debug, Default)]
-pub struct Reassembler {
-    in_progress: Option<(u16, Vec<u32>)>,
-    /// Word count the in-progress packet must reach, when known.
-    expected: Option<usize>,
-    /// Completed packets count (for statistics).
-    pub completed: u64,
-}
-
-impl Reassembler {
-    pub fn new() -> Reassembler {
-        Reassembler::default()
-    }
-
-    /// Feed one fragment; returns the full packet word stream when its
-    /// last fragment arrives.
-    pub fn push(&mut self, frag: &Fragment) -> Result<Option<Vec<u32>>, ReasmError> {
-        if frag.words.len() != frag.tag.words as usize {
-            return Err(ReasmError::LengthMismatch);
-        }
-        match (&mut self.in_progress, frag.tag.first) {
-            (Some(_), true) => return Err(ReasmError::UnexpectedFirst),
-            (None, false) => return Err(ReasmError::NoPacketInProgress),
-            (None, true) => {
-                self.expected = expected_packet_words(&frag.words);
-                self.in_progress = Some((frag.tag.seq, frag.words.clone()));
-            }
-            (Some((seq, buf)), false) => {
-                if *seq != frag.tag.seq {
-                    return Err(ReasmError::SeqMismatch {
-                        expected: *seq,
-                        got: frag.tag.seq,
-                    });
-                }
-                buf.extend_from_slice(&frag.words);
-            }
-        }
-        let got = self.in_progress.as_ref().map_or(0, |(_, buf)| buf.len());
-        if let Some(expected) = self.expected {
-            // Overshoot (duplicated fragment) is detectable immediately;
-            // undershoot (missing fragment) only once `last` arrives.
-            if got > expected || (frag.tag.last && got != expected) {
-                self.in_progress = None;
-                self.expected = None;
-                return Err(ReasmError::PayloadLengthMismatch { expected, got });
-            }
-        }
-        if frag.tag.last {
-            let (_, words) = self.in_progress.take().expect("just inserted");
-            self.expected = None;
-            self.completed += 1;
-            Ok(Some(words))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// True if a packet is partially assembled.
-    pub fn is_mid_packet(&self) -> bool {
-        self.in_progress.is_some()
     }
 }
 
@@ -264,9 +87,9 @@ mod tests {
             seq: 0x2bc,
             first: true,
             last: false,
-            op: ComputeOp::Checksum,
         };
-        assert_eq!(FragTag::unpack(t.pack()), t);
+        let w = t.pack();
+        assert_eq!(FragTag::unpack(w), t);
         assert!(t.is_multicast());
         assert_eq!(t.unicast_dst(), None);
         let u = FragTag {
@@ -274,122 +97,9 @@ mod tests {
             ..t
         };
         assert_eq!(u.unicast_dst(), Some(2));
-        // Bit 31 stays clear: tags never collide with all-ones controls.
-        assert_eq!(t.pack() >> 31, 0);
-    }
-
-    #[test]
-    fn fragment_covers_all_words() {
-        let words: Vec<u32> = (0..256).collect();
-        let frags = fragment(&words, 1, 2, 7, 64, ComputeOp::None);
-        assert_eq!(frags.len(), 4);
-        assert!(frags[0].tag.first && !frags[0].tag.last);
-        assert!(!frags[3].tag.first && frags[3].tag.last);
-        let total: usize = frags.iter().map(|f| f.words.len()).sum();
-        assert_eq!(total, 256);
-    }
-
-    #[test]
-    fn small_packet_is_single_fragment() {
-        let words: Vec<u32> = (0..16).collect();
-        let frags = fragment(&words, 0, 3, 1, 64, ComputeOp::None);
-        assert_eq!(frags.len(), 1);
-        assert!(frags[0].tag.first && frags[0].tag.last);
-        assert_eq!(frags[0].tag.words, 16);
-    }
-
-    #[test]
-    fn uneven_tail_fragment() {
-        let words: Vec<u32> = (0..100).collect();
-        let frags = fragment(&words, 0, 0, 0, 64, ComputeOp::None);
-        assert_eq!(frags.len(), 2);
-        assert_eq!(frags[0].tag.words, 64);
-        assert_eq!(frags[1].tag.words, 36);
-    }
-
-    #[test]
-    fn reassembly_roundtrip() {
-        let words: Vec<u32> = (0..500).map(|i| i * 3).collect();
-        let frags = fragment(&words, 2, 1, 42, 64, ComputeOp::None);
-        let mut r = Reassembler::new();
-        let mut out = None;
-        for f in &frags {
-            out = r.push(f).unwrap();
-        }
-        assert_eq!(out.unwrap(), words);
-        assert_eq!(r.completed, 1);
-        assert!(!r.is_mid_packet());
-    }
-
-    #[test]
-    fn reassembly_detects_protocol_violations() {
-        let words: Vec<u32> = (0..128).collect();
-        let frags = fragment(&words, 0, 0, 9, 64, ComputeOp::None);
-        let mut r = Reassembler::new();
-        // Non-first fragment with nothing open.
-        assert_eq!(r.push(&frags[1]), Err(ReasmError::NoPacketInProgress));
-        // Open a packet, then feed a wrong-seq continuation.
-        assert_eq!(r.push(&frags[0]), Ok(None));
-        let mut bad = frags[1].clone();
-        bad.tag.seq = 10;
-        assert_eq!(
-            r.push(&bad),
-            Err(ReasmError::SeqMismatch {
-                expected: 9,
-                got: 10
-            })
-        );
-        // Another first while mid-packet.
-        assert_eq!(r.push(&frags[0]), Err(ReasmError::UnexpectedFirst));
-        // Length mismatch.
-        let mut short = frags[1].clone();
-        short.words.pop();
-        assert_eq!(r.push(&short), Err(ReasmError::LengthMismatch));
-    }
-
-    #[test]
-    fn header_length_check_catches_duplicate_and_missing_fragments() {
-        use crate::packet::Packet;
-        let p = Packet::synthetic(1, 2, 512, 64, 11);
-        let frags = fragment(&p.to_words(), 0, 1, 3, 32, ComputeOp::None);
-        assert!(frags.len() >= 4, "want a multi-fragment packet");
-
-        // Duplicated middle fragment: the stream overshoots the header's
-        // claimed length by the time `last` arrives, never yielding a
-        // corrupt packet.
-        let mut r = Reassembler::new();
-        let mut caught = false;
-        for f in frags[..2].iter().chain(&frags[1..]) {
-            match r.push(f) {
-                Ok(done) => assert!(done.is_none(), "corrupt packet delivered"),
-                Err(e) => {
-                    assert!(matches!(e, ReasmError::PayloadLengthMismatch { .. }));
-                    caught = true;
-                    break;
-                }
-            }
-        }
-        assert!(caught, "duplicate fragment went unnoticed");
-        assert!(!r.is_mid_packet(), "bad accumulation must be discarded");
-
-        // Missing middle fragment: caught when `last` arrives short.
-        let mut r = Reassembler::new();
-        assert_eq!(r.push(&frags[0]), Ok(None));
-        for f in &frags[2..] {
-            let got = r.push(f);
-            if f.tag.last {
-                assert!(matches!(got, Err(ReasmError::PayloadLengthMismatch { .. })));
-            } else {
-                assert_eq!(got, Ok(None));
-            }
-        }
-        assert!(!r.is_mid_packet());
-    }
-
-    #[test]
-    fn seq_wraps_at_modulus() {
-        let words: Vec<u32> = (0..8).collect();
-        let frags = fragment(&words, 0, 0, SEQ_MODULUS + 5, 64, ComputeOp::None);
-        assert_eq!(frags[0].tag.seq, 5);
+        // Bits [31:29] stay clear (tags never collide with all-ones
+        // controls), and unpacking ignores them.
+        assert_eq!(w >> 29, 0);
+        assert_eq!(FragTag::unpack(w | 0xE000_0000), FragTag::unpack(w));
     }
 }

@@ -8,10 +8,10 @@
 //!   mutation performed by the Ingress Processor;
 //! * [`packet`] — whole packets as 32-bit word streams (the form in which
 //!   line cards feed the Raw static network);
-//! * [`frag`] — the router's internal fragmentation framing: packets
-//!   larger than one routing quantum cross the Rotating Crossbar as
-//!   tagged fragments and are reassembled by the Egress Processor (§4.2),
-//!   with spare tag bits carrying the §8.3 compute-in-fabric opcode;
+//! * [`frag`] — the one-word tag of the router's internal fragmentation
+//!   framing: packets larger than one routing quantum cross the Rotating
+//!   Crossbar as tagged fragments (§4.2), cut by the `raw-xbar` ingress
+//!   tile program and stitched back by the egress one;
 //! * [`corrupt`] — deterministic, length-preserving packet mutators for
 //!   the `raw-chaos` fault-injection campaigns;
 //! * [`fnv`] — the FNV-1a word fold behind every run fingerprint.
@@ -25,6 +25,6 @@ pub mod packet;
 
 pub use corrupt::CorruptRng;
 pub use fnv::Fnv1a;
-pub use frag::{fragment, ComputeOp, FragTag, Fragment, ReasmError, Reassembler, MAX_FRAG_WORDS};
+pub use frag::{FragTag, MAX_FRAG_WORDS};
 pub use ipv4::{fmt_addr, parse_addr, IpError, Ipv4Header, IPV4_HEADER_BYTES, IPV4_HEADER_WORDS};
 pub use packet::Packet;

@@ -144,19 +144,6 @@ impl Histogram {
             self.value_at_quantile(0.999),
         )
     }
-
-    /// Merge another histogram with the same shape into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.sub_bits, other.sub_bits, "histogram shape mismatch");
-        assert_eq!(self.max_value, other.max_value, "histogram shape mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -218,11 +205,9 @@ mod tests {
     #[test]
     fn mean_and_merge() {
         let mut a = Histogram::new(1 << 10, 4);
-        let mut b = Histogram::new(1 << 10, 4);
         a.record(10);
         a.record(20);
-        b.record(30);
-        a.merge(&b);
+        a.record(30);
         assert_eq!(a.count(), 3);
         assert!((a.mean() - 20.0).abs() < 1e-12);
         assert_eq!(a.max(), 30);

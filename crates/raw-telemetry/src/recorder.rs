@@ -1,10 +1,11 @@
-//! The full recording sink: packet lifecycles, drop counters, and the
-//! machine's last per-tile state and per-(tile, net) switch stall
-//! totals.
+//! The full recording sink: packet lifecycles and the machine's last
+//! per-tile state and per-(tile, net) switch stall totals. Drop counts
+//! are the router's own (`IngressStats::drops`), handed to
+//! [`Recorder::summary`].
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::sink::{DropReason, Stage, SwitchStallCause, TelemetrySink, TileState};
+use crate::sink::{Stage, SwitchStallCause, TelemetrySink, TileState};
 
 /// A completed packet's lifecycle stamps (cycle numbers).
 #[derive(Clone, Copy, Debug)]
@@ -105,8 +106,6 @@ pub struct Recorder {
     open: HashMap<(u8, u32), OpenPacket>,
     egress_fifo: HashMap<(u8, u8), VecDeque<(u8, u32)>>,
     lives: Vec<PacketLife>,
-    /// Per-ingress-port drop counters, indexed by [`DropReason::index`].
-    drops: Vec<[u64; DropReason::COUNT]>,
     /// Egress stamps that found no granted packet to match (sink attached
     /// mid-run, or reordering the FIFO model cannot express).
     pub unmatched_egress: u64,
@@ -122,7 +121,6 @@ impl Recorder {
             open: HashMap::new(),
             egress_fifo: HashMap::new(),
             lives: Vec::new(),
-            drops: Vec::new(),
             unmatched_egress: 0,
         }
     }
@@ -159,20 +157,6 @@ impl Recorder {
     /// [`SwitchStallCause::index`].
     pub fn switch_stall_counts(&self, tile: usize, net: usize) -> [u64; SwitchStallCause::COUNT] {
         self.switch_stalls[tile][net]
-    }
-
-    /// Drop counters for ingress `port`, indexed by [`DropReason::index`]
-    /// (all zero if the port never dropped).
-    pub fn drop_counts(&self, port: usize) -> [u64; DropReason::COUNT] {
-        self.drops
-            .get(port)
-            .copied()
-            .unwrap_or([0; DropReason::COUNT])
-    }
-
-    /// Total drops recorded across all ports and reasons.
-    pub fn drops_total(&self) -> u64 {
-        self.drops.iter().flatten().sum()
     }
 }
 
@@ -285,13 +269,6 @@ impl TelemetrySink for Recorder {
         }
     }
 
-    fn packet_drop(&mut self, _cycle: u64, port: u8, reason: DropReason) {
-        if self.drops.len() <= port as usize {
-            self.drops.resize(port as usize + 1, [0; DropReason::COUNT]);
-        }
-        self.drops[port as usize][reason.index()] += 1;
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
@@ -391,17 +368,5 @@ mod tests {
             7
         );
         assert_eq!(r.switch_stall_counts(3, 0), [0; SwitchStallCause::COUNT]);
-    }
-
-    #[test]
-    fn drops_accumulate_per_port_and_reason() {
-        let mut r = Recorder::new(16, 2);
-        assert_eq!(r.drop_counts(3), [0; DropReason::COUNT]);
-        r.packet_drop(10, 1, DropReason::BadChecksum);
-        r.packet_drop(20, 1, DropReason::BadChecksum);
-        r.packet_drop(30, 3, DropReason::Truncated);
-        assert_eq!(r.drop_counts(1)[DropReason::BadChecksum.index()], 2);
-        assert_eq!(r.drop_counts(3)[DropReason::Truncated.index()], 1);
-        assert_eq!(r.drops_total(), 3);
     }
 }

@@ -131,9 +131,12 @@ impl Recorder {
         h
     }
 
-    /// Build the serializable summary. `ports` bounds the per-output
-    /// table; tiles and nets come from the recorder's own shape.
-    pub fn summary(&self, ports: usize) -> TelemetrySummary {
+    /// Build the serializable summary. `drops` is the router's own
+    /// per-ingress-port drop table (`IngressStats::drops`, indexed by
+    /// [`DropReason::index`]); its length bounds the per-output table.
+    /// Tiles and nets come from the recorder's own shape.
+    pub fn summary(&self, drops: &[[u64; DropReason::COUNT]]) -> TelemetrySummary {
+        let ports = drops.len();
         let stages = StageSpan::ALL
             .iter()
             .map(|&s| {
@@ -209,13 +212,12 @@ impl Recorder {
             }
         }
 
-        let mut drops = Vec::new();
-        for p in 0..ports {
-            let c = self.drop_counts(p);
+        let mut drop_rows = Vec::new();
+        for (p, c) in drops.iter().enumerate() {
             if c.iter().all(|&x| x == 0) {
                 continue;
             }
-            drops.push(PortDropStats {
+            drop_rows.push(PortDropStats {
                 port: p as u8,
                 bad_checksum: c[DropReason::BadChecksum.index()],
                 bad_version: c[DropReason::BadVersion.index()],
@@ -231,12 +233,12 @@ impl Recorder {
             packets_completed: self.lives().len() as u64,
             packets_open: self.open_packets() as u64,
             unmatched_egress: self.unmatched_egress,
-            packets_dropped: self.drops_total(),
+            packets_dropped: drops.iter().flatten().sum(),
             stages,
             per_output,
             tiles,
             switch_links,
-            drops,
+            drops: drop_rows,
         }
     }
 
@@ -273,7 +275,7 @@ mod tests {
         states[TileState::Busy.index()] = 900;
         states[TileState::TokenWait.index()] = 100;
         r.cycle_totals(0, &states, &[]);
-        let s = r.summary(4);
+        let s = r.summary(&[[0; DropReason::COUNT]; 4]);
         assert_eq!(s.packets_completed, 10);
         assert_eq!(s.stages.len(), StageSpan::ALL.len());
         let total = s.stages.iter().find(|x| x.stage == "total").unwrap();

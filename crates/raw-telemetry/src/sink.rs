@@ -233,10 +233,6 @@ pub trait TelemetrySink: Send {
     ) {
     }
 
-    /// A packet was classified as undeliverable and dropped at ingress
-    /// `port` for `reason` at `cycle`.
-    fn packet_drop(&mut self, _cycle: u64, _port: u8, _reason: DropReason) {}
-
     /// Downcast support so a caller can recover its concrete sink after a
     /// run (e.g. a [`crate::Recorder`] to build a report from).
     fn as_any_mut(&mut self) -> &mut dyn Any;

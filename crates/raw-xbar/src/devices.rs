@@ -355,7 +355,6 @@ mod tests {
             seq: 0,
             first: true,
             last: true,
-            op: raw_net::ComputeOp::None,
         };
         lc.push_out(tag.pack(), 100);
         for (i, w) in words.iter().enumerate() {
@@ -401,7 +400,6 @@ mod tests {
             seq: 0,
             first: true,
             last: true,
-            op: raw_net::ComputeOp::None,
         };
         lc.push_out(tag.pack(), 0);
         for i in 0..8 {

@@ -1,6 +1,6 @@
 //! The Ingress Processor (see the [module docs](super)).
 
-use raw_net::{ComputeOp, FragTag, IpError, Ipv4Header, IPV4_HEADER_WORDS};
+use raw_net::{FragTag, IpError, Ipv4Header, IPV4_HEADER_WORDS};
 use raw_sim::TileIo;
 use raw_telemetry::{DropReason, SharedSink, Stage};
 
@@ -228,17 +228,12 @@ impl IngressProgram {
     }
 
     /// Count a classified drop (graceful degradation: malformed input is
-    /// counted and discarded, never panicked on) and stamp it into
-    /// telemetry. Keeps `packets_dropped` equal to the sum of the
-    /// per-reason counters.
+    /// counted and discarded, never panicked on). Keeps `packets_dropped`
+    /// equal to the sum of the per-reason counters; these are the only
+    /// drop counts (telemetry reads them from `IngressStats`).
     fn record_drop(&mut self, reason: DropReason) {
         self.stats.packets_dropped += 1;
         self.stats.drops[reason.index()] += 1;
-        if let Some(sink) = &self.telemetry {
-            sink.lock()
-                .unwrap()
-                .packet_drop(self.now, self.port, reason);
-        }
     }
 
     /// Plan the next fragment of a head-of-queue packet, if any. In VOQ
@@ -287,7 +282,6 @@ impl IngressProgram {
                 seq: self.seq % raw_net::frag::SEQ_MODULUS,
                 first: c.streamed == 0,
                 last: remaining <= self.quantum,
-                op: ComputeOp::None,
             },
             mode,
             None,
@@ -320,7 +314,6 @@ impl IngressProgram {
             seq: p.seq,
             first: p.streamed == 0,
             last: remaining <= self.quantum,
-            op: ComputeOp::None,
         }
     }
 

@@ -124,10 +124,4 @@ impl VoqState {
         self.head[dst] -= reserved;
         self.used[dst] -= reserved;
     }
-
-    /// Packets waiting across all queues (diagnostics).
-    #[allow(dead_code)]
-    pub(super) fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
 }
