@@ -1,5 +1,6 @@
 //! Experiment runners, one per table/figure (DESIGN.md index E1–E12).
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -9,6 +10,7 @@ use raw_baselines::{
     Granularity, Queueing,
 };
 use raw_lookup::{ForwardingTable, RouteEntry};
+use raw_sim::{Activity, RawMachine};
 use raw_workloads::{generate, Pattern, ScheduledPacket, Workload};
 use raw_xbar::reference::{port_routes, port_table};
 use raw_xbar::{config, RouterConfig};
@@ -132,11 +134,81 @@ pub fn fig7_3(bytes: usize) -> (String, String) {
     ));
     // Warm into steady state, then record 800 cycles as the paper does.
     let mut r = run_router(cfg, port_table(), &sched, Until::Cycles(20_000), None);
-    r.start_trace(20_000, 800);
-    r.run(800 + 16);
+    let start = r.machine.cycle();
+    let samples = activity_window(&mut r.machine, 800);
+    r.run(16);
     assert_audit(&r, &sched);
-    let trace = r.take_trace().expect("trace recorded");
-    (trace.render_ascii(8), trace.to_csv())
+    (render_ascii(&samples, 8), to_csv(start, &samples))
+}
+
+/// Each tile's [`Activity`] on each of the next `len` cycles,
+/// `[tile][cycle]`, read off the machine's cycle ledger: every run call
+/// ends with every tile credited up to the clock, so one cycle raises
+/// exactly one of each tile's counts.
+fn activity_window(m: &mut RawMachine, len: usize) -> Vec<Vec<Activity>> {
+    let counts = |m: &RawMachine| {
+        m.dim()
+            .iter()
+            .map(|t| m.stats(t).counts)
+            .collect::<Vec<_>>()
+    };
+    let mut before = counts(m);
+    let mut samples = vec![Vec::with_capacity(len); before.len()];
+    for _ in 0..len {
+        m.run(1);
+        let after = counts(m);
+        for ((row, old), new) in samples.iter_mut().zip(&before).zip(&after) {
+            let rose = Activity::ALL
+                .into_iter()
+                .find(|a| new[a.index()] > old[a.index()]);
+            row.push(rose.expect("every cycle is counted once per tile"));
+        }
+        before = after;
+    }
+    samples
+}
+
+/// CSV rows `tile,cycle,state` for external plotting — the stable
+/// `fig7_3_*.csv` format; `samples[tile][i]` is cycle `start + i`.
+fn to_csv(start: u64, samples: &[Vec<Activity>]) -> String {
+    let mut out = String::from("tile,cycle,state\n");
+    for (t, row) in samples.iter().enumerate() {
+        for (i, a) in row.iter().enumerate() {
+            let name = match a {
+                Activity::Idle => "idle",
+                Activity::Busy => "busy",
+                Activity::BlockedSend => "blocked_send",
+                Activity::BlockedRecv => "blocked_recv",
+                Activity::CacheStall => "cache_stall",
+            };
+            let _ = writeln!(out, "{t},{},{name}", start + i as u64);
+        }
+    }
+    out
+}
+
+/// Render in the style of Figure 7-3: one row per tile, buckets of
+/// `bucket` cycles; `#` mostly busy, `.` mostly blocked (gray in the
+/// paper), ` ` mostly idle — ties favor busy over blocked over idle.
+fn render_ascii(samples: &[Vec<Activity>], bucket: usize) -> String {
+    let mut out = String::new();
+    for (t, row) in samples.iter().enumerate() {
+        let _ = write!(out, "{t:>2} |");
+        for chunk in row.chunks(bucket.max(1)) {
+            let busy = chunk.iter().filter(|&&a| a == Activity::Busy).count();
+            let blocked = chunk.iter().filter(|a| a.is_blocked()).count();
+            let idle = chunk.len() - busy - blocked;
+            out.push(if busy >= blocked && busy >= idle {
+                '#'
+            } else if blocked >= idle {
+                '.'
+            } else {
+                ' '
+            });
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// E4 / §6.1–6.2 + Table 6.1: configuration-space minimization.
@@ -714,6 +786,56 @@ mod tests {
             m.cycles_with_replication
         );
         assert_eq!(m.copies, 72);
+    }
+
+    /// Two tiles over four cycles from cycle 10: tile 0 busy, busy,
+    /// blocked on send, idle; tile 1 idle throughout.
+    fn sample_window() -> Vec<Vec<Activity>> {
+        use Activity::*;
+        vec![vec![Busy, Busy, BlockedSend, Idle], vec![Idle; 4]]
+    }
+
+    #[test]
+    fn csv_format_is_stable() {
+        let csv = to_csv(10, &sample_window());
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "tile,cycle,state");
+        assert_eq!(lines[1], "0,10,busy");
+        assert_eq!(lines[3], "0,12,blocked_send");
+        assert_eq!(lines[5], "1,10,idle");
+    }
+
+    #[test]
+    fn ascii_majority_rule() {
+        let s = render_ascii(&sample_window(), 2);
+        let lines: Vec<&str> = s.lines().collect();
+        // Tile 0: [busy, busy] -> '#', [blocked, idle] -> '.' (ties favor
+        // busy over blocked over idle); tile 1 is idle throughout.
+        assert_eq!(lines, [" 0 |#.", " 1 |  "]);
+    }
+
+    /// A forced stall on one tile reads as cache-stall samples on exactly
+    /// its cycles, and idle everywhere else, on every tile's full row.
+    #[test]
+    fn activity_window_reads_one_cycle_per_tile() {
+        use raw_sim::{RawConfig, TileId};
+        let mut m = RawMachine::new(RawConfig::default());
+        m.run(5);
+        m.schedule_stall(TileId(2), 8, 4);
+        let samples = activity_window(&mut m, 12);
+        assert_eq!(samples.len(), m.dim().tiles());
+        for (t, row) in samples.iter().enumerate() {
+            assert_eq!(row.len(), 12, "tile {t}");
+            for (i, &a) in row.iter().enumerate() {
+                let stalled = t == 2 && (8..12).contains(&(5 + i));
+                let want = if stalled {
+                    Activity::CacheStall
+                } else {
+                    Activity::Idle
+                };
+                assert_eq!(a, want, "tile {t} at cycle {}", 5 + i);
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   matchers keep the distinct outputs streaming from backlogged
 //!   queues — the acceptance floor is 2x the token's throughput.
 //!
-//! (A pure rotating all-to-one pattern —
-//! [`Pattern::RotatingPermutation`] at `1 + skew ≡ 0 (mod N)` — does
+//! (A pure rotating all-to-one pattern — a permutation rotated one
+//! position per phase, with every source aimed at the same output — does
 //! *not* separate the policies: FIFO backpressure desynchronizes the
 //! sources' packet indices, which spreads the phases apart and hands
 //! the token conflict-free heads. The interleave keeps the conflict

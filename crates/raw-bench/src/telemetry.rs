@@ -35,7 +35,7 @@ pub struct TelemetryReport {
 const TRACE_PACKETS: usize = 256;
 
 /// Run one fig7-1-style workload with the recorder attached. Returns the
-/// run summary and the Chrome trace of the first [`TRACE_PACKETS`]
+/// run summary and the Chrome trace of the first `TRACE_PACKETS`
 /// packet lifecycles.
 ///
 /// Panics if the stall-conservation invariant fails — that would be a

@@ -2,16 +2,17 @@
 //!
 //! Two guarantees, both load-bearing for every number in `results/`:
 //! 1. Reproducibility — the same experiment run twice produces
-//!    byte-identical metrics and traces (no hidden host-dependent state).
+//!    byte-identical metrics and Figure 7-3 plots (no hidden
+//!    host-dependent state).
 //! 2. Engine equivalence — the compiled engine produces results
 //!    bit-identical to per-cycle stepping, on the Figure 7-1 corners and
 //!    under an active chaos fault plan.
 //!
 //! Every router comparison is [`first_divergence`] (or, per run call,
-//! [`lockstep`]) over the machine's digests — activity counts, switch
-//! state, every FIFO and the open Figure 7-3 trace window — so a failure
-//! names the first cycle and the component where the two runs part; what
-//! the line cards hold, which the digests leave out, is compared besides.
+//! [`lockstep`]) over the machine's digests — the cycle ledger, switch
+//! state and every FIFO — so a failure names the first cycle and the
+//! component where the two runs part; what the line cards hold, which the
+//! digests leave out, is compared besides.
 
 use raw_chaos::{run_chaos, ChaosRouter, FaultPlan};
 use raw_sim::{first_divergence, lockstep, EngineMode};
@@ -21,9 +22,8 @@ use raw_xbar::{RawRouter, RouterConfig};
 
 const ALL_ENGINES: [EngineMode; 2] = [EngineMode::PerCycle, EngineMode::Compiled];
 
-/// A fig7-1-peak-style router offered `w`, with a fig7-3-style trace
-/// window over cycles `[10_000, 10_800)`.
-fn traced_router(w: &Workload, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
+/// A fig7-1-peak-style router offered `w`.
+fn offered_router(w: &Workload, engine: EngineMode, telemetry: Option<SharedSink>) -> RawRouter {
     let mut cfg = RouterConfig {
         quantum_words: w.packet_bytes / 4,
         cut_through: true,
@@ -35,7 +35,6 @@ fn traced_router(w: &Workload, engine: EngineMode, telemetry: Option<SharedSink>
     for sp in generate(w) {
         r.offer(sp.port, sp.release, &sp.packet);
     }
-    r.start_trace(10_000, 800);
     r
 }
 
@@ -71,7 +70,7 @@ fn assert_routers_agree(
 #[test]
 fn peak_run_is_reproducible() {
     let w = Workload::peak(256, 800);
-    let run = || traced_router(&w, EngineMode::Compiled, None);
+    let run = || offered_router(&w, EngineMode::Compiled, None);
     assert_routers_agree(run, run, 40_000, "identical runs");
 }
 
@@ -87,8 +86,8 @@ fn compiled_engine_matches_per_cycle_reference() {
         Workload::average(1024, 400, 7),
     ] {
         assert_routers_agree(
-            || traced_router(&w, EngineMode::PerCycle, None),
-            || traced_router(&w, EngineMode::Compiled, None),
+            || offered_router(&w, EngineMode::PerCycle, None),
+            || offered_router(&w, EngineMode::Compiled, None),
             40_000,
             &format!("compiled vs per-cycle, {w:?}"),
         );
@@ -104,16 +103,38 @@ fn compiled_engine_matches_per_cycle_reference() {
 #[test]
 fn engines_stay_in_lockstep_after_every_run_chunk() {
     let w = Workload::peak(64, 300);
-    let mut reference = traced_router(&w, EngineMode::PerCycle, None);
+    let mut reference = offered_router(&w, EngineMode::PerCycle, None);
     let found = lockstep(
         &mut reference,
-        &mut traced_router(&w, EngineMode::Compiled, None),
+        &mut offered_router(&w, EngineMode::Compiled, None),
         |r, i| r.run([1, 7, 13][i as usize % 3]),
         |r| r.machine.digests(),
         900,
     );
     assert_eq!(found, None, "(run call, component) where the engines part");
     assert!(reference.delivered_count() > 100);
+}
+
+/// Figure 7-3 reads each tile's ledger one cycle at a time over 800
+/// cycles, so the engines must agree on it after every one of them, not
+/// only at the end of a run: [`lockstep`] compares the machines after a
+/// 10,000-cycle warm-up (step 1) and after each of 800 single-cycle run
+/// calls, at the smallest and the largest packet size.
+#[test]
+fn engines_agree_on_every_cycle_of_the_figure_7_3_window() {
+    for w in [Workload::peak(64, 800), Workload::peak(1024, 800)] {
+        let found = lockstep(
+            &mut offered_router(&w, EngineMode::PerCycle, None),
+            &mut offered_router(&w, EngineMode::Compiled, None),
+            |r, i| r.run(if i == 0 { 10_000 } else { 1 }),
+            |r| r.machine.digests(),
+            801,
+        );
+        assert_eq!(
+            found, None,
+            "{w:?}: (run call, component) where the engines part"
+        );
+    }
 }
 
 #[test]
@@ -123,10 +144,10 @@ fn telemetry_sink_never_changes_the_golden_run() {
     let w = Workload::peak(256, 800);
     for engine in ALL_ENGINES {
         assert_routers_agree(
-            || traced_router(&w, engine, None),
+            || offered_router(&w, engine, None),
             || {
                 let sink = shared(Recorder::new(16, raw_sim::NUM_STATIC_NETS));
-                traced_router(&w, engine, Some(sink))
+                offered_router(&w, engine, Some(sink))
             },
             40_000,
             &format!("Recorder perturbed the run ({engine:?})"),

@@ -204,10 +204,11 @@ impl ForwardingTable {
         ForwardingTable::build_with_l1_bits(routes, 24)
     }
 
-    /// Build with a reduced DIR level-1 split (see [`DirTable::with_bits`]).
-    /// Both engines are built from one [`canonical`] route list, so of
-    /// repeated prefixes the last wins in each; the DIR panics on a next
-    /// hop past [`DIR_MAX_VALUE`](crate::DIR_MAX_VALUE). Every DIR slot
+    /// Build with a reduced DIR level-1 split (see
+    /// [`DirTable::with_bits`](crate::DirTable::with_bits)). Both engines
+    /// are built from one [`canonical`] route list, so of repeated
+    /// prefixes the last wins in each; the DIR panics on a next hop past
+    /// [`DIR_MAX_VALUE`](crate::DIR_MAX_VALUE). Every DIR slot
     /// is one `u16` (a next-hop index or a block index). The canonical
     /// 24-bit level 1 is 2^24 slots, 32 MiB of address space (and of
     /// `memory_bytes()`, which counts capacity), of which only the pages

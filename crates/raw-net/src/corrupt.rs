@@ -39,10 +39,6 @@ impl CorruptRng {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `0..n` (`n > 0`).
     pub fn below(&mut self, n: u32) -> u32 {
         assert!(n > 0);

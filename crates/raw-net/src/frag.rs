@@ -45,11 +45,6 @@ impl FragTag {
         }
     }
 
-    /// True if the tag fans out to more than one output.
-    pub fn is_multicast(&self) -> bool {
-        self.dst_mask.count_ones() > 1
-    }
-
     pub fn pack(&self) -> u32 {
         debug_assert!(self.dst_mask < 16 && self.src_port < 8);
         debug_assert!((self.words as usize) <= MAX_FRAG_WORDS);
@@ -90,7 +85,6 @@ mod tests {
         };
         let w = t.pack();
         assert_eq!(FragTag::unpack(w), t);
-        assert!(t.is_multicast());
         assert_eq!(t.unicast_dst(), None);
         let u = FragTag {
             dst_mask: 0b0100,

@@ -114,16 +114,6 @@ impl DCache {
         self.lines.fill(Line::default());
         self.lru.fill(0);
     }
-
-    /// Fraction of accesses that hit (1.0 when no accesses yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,6 +173,5 @@ mod tests {
         let _ = c.access(3, false);
         assert_eq!(c.misses, 1);
         assert_eq!(c.hits, 3);
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

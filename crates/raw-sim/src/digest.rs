@@ -12,8 +12,8 @@ use crate::switch::NUM_STATIC_NETS;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Component {
     /// A tile processor: its ledger (cycles by activity and wait), the
-    /// activity and wait it recorded last, its samples in the open trace
-    /// window, and its `$csti` / `$csto` FIFOs.
+    /// activity and wait it recorded last, and its `$csti` / `$csto`
+    /// FIFOs.
     Tile(TileId),
     /// The switch for one static network at a tile: PC, fired-route
     /// mask, halt flag, pending PC load, stall cycles by cause, the cause
@@ -50,7 +50,6 @@ impl RawMachine {
     ///
     /// Never called by a run.
     pub fn digests(&self) -> Vec<(Component, u64)> {
-        let trace = self.trace.as_ref();
         let n = self.tiles.len();
         let mut tiles = Vec::with_capacity(n);
         let mut switches = Vec::with_capacity(n * NUM_STATIC_NETS);
@@ -72,7 +71,6 @@ impl RawMachine {
             let state = (
                 tile.ledger,
                 tile.last,
-                trace.map(|w| w.tile_samples(t)),
                 &rings[ring_slot(0, StaticFifo::Csti(0))..],
             );
             tiles.push((Component::Tile(id), digest(state)));

@@ -105,7 +105,7 @@ impl std::hash::Hash for Ring {
 /// A bounded FIFO of 32-bit words tagged with their enqueue cycle: a
 /// fixed ring over a slice allocated once at the given capacity. The
 /// dynamic networks' queues; the static network's live in the machine's
-/// [`Ring`] arena.
+/// `Ring` arena.
 #[derive(Clone, Debug)]
 pub struct TsFifo {
     /// `(word, enqueue cycle)` slots; the queue is the `len` slots

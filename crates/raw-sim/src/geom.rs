@@ -69,12 +69,6 @@ impl Dir {
             Dir::West => 3,
         }
     }
-
-    /// Inverse of [`Dir::index`].
-    #[inline]
-    pub fn from_index(i: usize) -> Dir {
-        Dir::ALL[i]
-    }
 }
 
 impl fmt::Display for Dir {
@@ -205,7 +199,6 @@ mod tests {
     fn opposite_is_involution() {
         for d in Dir::ALL {
             assert_eq!(d.opposite().opposite(), d);
-            assert_eq!(Dir::from_index(d.index()), d);
         }
     }
 

@@ -22,7 +22,9 @@
 //! * [`program`] — cycle-stepped tile programs with the paper's cost
 //!   model (2 cycles to buffer a network word to memory, 1 cycle for
 //!   load-and-forward, blocking network registers).
-//! * [`trace`] — per-tile utilization accounting (Figure 7-3's data).
+//! * [`trace`] — what a tile cycle is spent on ([`Activity`]) and its
+//!   cumulative counts ([`TileStats`]), read off the machine's ledger
+//!   (Figure 7-3's data).
 //! * [`device`] — off-chip line cards / sources / sinks on edge ports.
 //! * [`first_divergence`] / [`lockstep`] over [`RawMachine::digests`] — the
 //!   one differential: where two runs first diverge, by step and component.
@@ -43,7 +45,6 @@ mod compiled;
 pub mod device;
 mod digest;
 pub mod dynamic;
-mod export;
 pub mod fifo;
 pub mod geom;
 pub mod machine;
@@ -67,4 +68,4 @@ pub use switch::{
     NetId, Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, SwitchState,
     MAX_ROUTES_PER_INSTR, NET0, NET1, NUM_STATIC_NETS, SWITCH_IMEM_INSTRS,
 };
-pub use trace::{Activity, TileStats, TraceWindow};
+pub use trace::{Activity, TileStats};

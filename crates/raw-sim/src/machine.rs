@@ -25,11 +25,11 @@ use crate::fifo::{Ring, RING_CAPACITY};
 use crate::geom::{GridDim, TileId};
 use crate::program::{mem_grow_target, IdleProgram, TileIo, TileProgram};
 use crate::switch::{Route, SwPort, SwitchCtrl, SwitchProgram, SwitchState, NUM_STATIC_NETS};
-use crate::trace::{refine_state, Activity, Ledger, TileStats, TraceWindow, Wait};
+use crate::trace::{refine_state, Activity, Ledger, TileStats, Wait};
 use raw_telemetry::{SharedSink, SwitchStallCause, TileState};
 
 /// How the machine advances simulated time. Both engines produce
-/// bit-identical results — the cycle ledger, traces, word timing —
+/// bit-identical results — the cycle ledger, word timing —
 /// on every workload; they differ only in how much host work each
 /// simulated cycle costs. The determinism test suite compares them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -238,7 +238,6 @@ pub struct RawMachine {
     /// `BTreeMap<EdgePort, usize>` that sat on the per-route hot path.
     device_table: Vec<u16>,
     device_ports: Vec<EdgePort>,
-    pub(crate) trace: Option<TraceWindow>,
     /// Attached telemetry sink, told the ledger's totals at the end of
     /// every run call (`settle`) and never inside one.
     telemetry: Option<SharedSink>,
@@ -283,7 +282,7 @@ pub struct RawMachine {
     /// bulk (`credit_tile` / `credit_switch`) right before the
     /// component's next step and by [`RawMachine::settle`], which every
     /// public run entry ends with: between calls, every slot is at
-    /// `cycle` and the ledger and the trace are complete.
+    /// `cycle` and the ledger is complete.
     recorded: Vec<u64>,
 }
 
@@ -321,7 +320,6 @@ impl RawMachine {
             devices: Vec::new(),
             device_table: vec![NO_DEVICE; n * NUM_STATIC_NETS * 4],
             device_ports: Vec::new(),
-            trace: None,
             telemetry: None,
             stall_windows: vec![Vec::new(); n],
             last_progress: 0,
@@ -671,11 +669,11 @@ impl RawMachine {
     /// Schedule a forced processor stall on `tile` for the half-open
     /// cycle window `[start, start + len)` — fault injection modeling a
     /// cache-miss storm or an external memory hog. The stalled cycles are
-    /// recorded as [`Activity::CacheStall`], so traces and the ledger
-    /// account for them; overlapping windows merge through the same
-    /// `stall_until` mechanism real cache misses use, and the event skip
-    /// treats window starts and ends as time events, keeping
-    /// fast-forward results bit-identical.
+    /// recorded as [`Activity::CacheStall`], so the ledger accounts for
+    /// them; overlapping windows merge through the same `stall_until`
+    /// mechanism real cache misses use, and the event skip treats window
+    /// starts and ends as time events, keeping fast-forward results
+    /// bit-identical.
     pub fn schedule_stall(&mut self, tile: TileId, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -689,20 +687,6 @@ impl RawMachine {
     /// Stall windows not yet folded into `stall_until` for `tile`.
     pub fn pending_stall_windows(&self, tile: TileId) -> usize {
         self.stall_windows[tile.index()].len()
-    }
-
-    /// Begin recording a per-tile activity trace window.
-    pub fn start_trace(&mut self, start_cycle: u64, len: usize) {
-        assert!(
-            start_cycle >= self.cycle,
-            "trace window must start in the future"
-        );
-        self.trace = Some(TraceWindow::new(self.cfg.dim.tiles(), start_cycle, len));
-    }
-
-    /// Take the recorded trace window, if any.
-    pub fn take_trace(&mut self) -> Option<TraceWindow> {
-        self.trace.take()
     }
 
     /// Cycles since anything in the machine made forward progress.
@@ -833,7 +817,7 @@ impl RawMachine {
     /// Step tile `t`'s processor through `cycle`: whether it did work.
     fn step_processor(&mut self, t: usize, cycle: u64, sleep: bool) -> bool {
         if self.recorded[t] < cycle {
-            self.credit_tile(t, self.recorded[t], cycle - self.recorded[t]);
+            self.credit_tile(t, cycle - self.recorded[t]);
         }
         self.recorded[t] = cycle + 1;
         while let Some(&(s, e)) = self.stall_windows[t].first() {
@@ -851,9 +835,6 @@ impl RawMachine {
         };
         self.tiles[t].ledger[activity.index()][wait.index()] += 1;
         self.tiles[t].last = (activity, wait);
-        if let Some(tr) = &mut self.trace {
-            tr.record(t, cycle, activity);
-        }
         self.wake_switches(t, wake_now);
         for net in 0..NUM_STATIC_NETS {
             if wake_next & (1 << net) != 0 {
@@ -983,15 +964,11 @@ impl RawMachine {
         );
     }
 
-    /// Record `span` cycles starting at `from` that tile `t` was not
-    /// ticked on: each repeats the tile's last recorded cycle, in the
-    /// ledger and the trace window.
-    fn credit_tile(&mut self, t: usize, from: u64, span: u64) {
+    /// Record `span` cycles that tile `t` was not ticked on: each repeats
+    /// the tile's last recorded cycle in the ledger.
+    fn credit_tile(&mut self, t: usize, span: u64) {
         let (a, w) = self.tiles[t].last;
         self.tiles[t].ledger[a.index()][w.index()] += span;
-        if let Some(tr) = &mut self.trace {
-            tr.record_span(t, from, span, a);
-        }
     }
 
     /// The switch for `net` at tile `t` stalled this cycle, first refused
@@ -1014,15 +991,15 @@ impl RawMachine {
     }
 
     /// Credit every component's skipped cycles up to the current one, so
-    /// the ledger and the trace read as if every cycle had been stepped,
-    /// and hand an attached sink the ledger's totals. Every public run
+    /// the ledger reads as if every cycle had been stepped, and hand an
+    /// attached sink the ledger's totals. Every public run
     /// entry (`step`, `run`, `run_until`, `run_until_quiescent`) ends
     /// here, so nothing outside one ever sees a cycle uncredited.
     fn settle(&mut self) {
         let now = self.cycle;
         for t in 0..self.tiles.len() {
             if self.recorded[t] < now {
-                self.credit_tile(t, self.recorded[t], now - self.recorded[t]);
+                self.credit_tile(t, now - self.recorded[t]);
                 self.recorded[t] = now;
             }
             for net in 0..NUM_STATIC_NETS {

@@ -19,9 +19,10 @@
 //!   call, callers loop for multi-cycle work).
 //!
 //! Actions either complete (the program advances its state) or report a
-//! stall (the program retries on the next tick). The [`crate::trace`]
-//! module records which of the two happened each cycle, which is exactly
-//! the data behind the per-tile utilization plots of Figure 7-3.
+//! stall (the program retries on the next tick). The machine's cycle
+//! ledger counts which of the two happened each cycle, by
+//! [`crate::trace::Activity`], which is exactly the data behind the
+//! per-tile utilization plots of Figure 7-3.
 
 use std::any::Any;
 

@@ -1,13 +1,13 @@
-//! Per-tile utilization tracing — the data behind Figure 7-3.
+//! Per-tile cycle accounting — the data behind Figure 7-3.
 //!
 //! Every cycle each tile processor is in exactly one [`Activity`] state,
 //! and waits on at most one `Wait` its program hinted. The paper's
 //! utilization plots color a tile gray when it is "blocked on transmit,
-//! receive, or cache miss"; we keep the four blocked/busy states separate
-//! and can render either the paper's two-tone view or a richer one. The
-//! machine counts every tile-cycle once, by `(Activity, Wait)`
+//! receive, or cache miss"; we keep the four blocked/busy states separate.
+//! The machine counts every tile-cycle once, by `(Activity, Wait)`
 //! (`Ledger`); [`TileStats`] and the telemetry [`TileState`] counts are
-//! both sums over that one ledger.
+//! both sums over that one ledger, and Figure 7-3's per-cycle samples are
+//! read off it one cycle at a time.
 
 use raw_telemetry::TileState;
 
@@ -142,88 +142,6 @@ impl TileStats {
     }
 }
 
-/// A bounded window of per-tile activity samples, recorded on demand.
-#[derive(Clone, Debug)]
-pub struct TraceWindow {
-    pub start_cycle: u64,
-    pub len: usize,
-    tiles: usize,
-    /// `samples[tile][cycle - start_cycle]`
-    samples: Vec<Vec<Activity>>,
-}
-
-impl TraceWindow {
-    pub fn new(tiles: usize, start_cycle: u64, len: usize) -> TraceWindow {
-        TraceWindow {
-            start_cycle,
-            len,
-            tiles,
-            samples: vec![Vec::with_capacity(len); tiles],
-        }
-    }
-
-    /// Number of tile rows in the window.
-    pub fn tiles(&self) -> usize {
-        self.tiles
-    }
-
-    /// True while the window still wants samples at `cycle`.
-    pub fn wants(&self, cycle: u64) -> bool {
-        cycle >= self.start_cycle && (cycle - self.start_cycle) < self.len as u64
-    }
-
-    pub fn record(&mut self, tile: usize, cycle: u64, a: Activity) {
-        if self.wants(cycle) {
-            debug_assert_eq!(
-                self.samples[tile].len() as u64,
-                cycle - self.start_cycle,
-                "trace samples must be recorded densely"
-            );
-            self.samples[tile].push(a);
-        }
-    }
-
-    /// Record `len` consecutive cycles of the same activity for `tile`,
-    /// starting at `from_cycle` — the bulk equivalent of calling
-    /// [`TraceWindow::record`] once per cycle. The machine's event-skip
-    /// fast-forward uses this to credit skipped cycles without visiting
-    /// each one; the dense-recording invariant is preserved.
-    pub fn record_span(&mut self, tile: usize, from_cycle: u64, len: u64, a: Activity) {
-        let lo = from_cycle.max(self.start_cycle);
-        let hi = (from_cycle + len).min(self.start_cycle + self.len as u64);
-        if lo >= hi {
-            return;
-        }
-        debug_assert_eq!(
-            self.samples[tile].len() as u64,
-            lo - self.start_cycle,
-            "trace samples must be recorded densely"
-        );
-        let cur = self.samples[tile].len();
-        self.samples[tile].resize(cur + (hi - lo) as usize, a);
-    }
-
-    pub fn is_complete(&self) -> bool {
-        self.samples.iter().all(|s| s.len() == self.len)
-    }
-
-    pub fn tile_samples(&self, tile: usize) -> &[Activity] {
-        &self.samples[tile]
-    }
-
-    /// Per-tile `(busy, blocked, idle)` fractions over the window.
-    pub fn tile_fractions(&self, tile: usize) -> (f64, f64, f64) {
-        let row = &self.samples[tile];
-        if row.is_empty() {
-            return (0.0, 0.0, 0.0);
-        }
-        let n = row.len() as f64;
-        let busy = row.iter().filter(|a| **a == Activity::Busy).count() as f64;
-        let blocked = row.iter().filter(|a| a.is_blocked()).count() as f64;
-        (busy / n, blocked / n, (n - busy - blocked) / n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,51 +210,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn window_records_densely_and_completes() {
-        let mut w = TraceWindow::new(2, 10, 3);
-        assert!(!w.wants(9));
-        assert!(w.wants(10));
-        assert!(!w.wants(13));
-        for cycle in 10..13 {
-            w.record(0, cycle, Activity::Busy);
-            w.record(1, cycle, Activity::BlockedRecv);
-        }
-        assert!(w.is_complete());
-        let (busy, blocked, idle) = w.tile_fractions(1);
-        assert_eq!((busy, blocked, idle), (0.0, 1.0, 0.0));
-        let _ = w.tile_fractions(0);
-    }
-
-    #[test]
-    fn ascii_render_shapes() {
-        let mut w = TraceWindow::new(1, 0, 4);
-        for (c, a) in [
-            Activity::Busy,
-            Activity::Busy,
-            Activity::BlockedSend,
-            Activity::Idle,
-        ]
-        .iter()
-        .enumerate()
-        {
-            w.record(0, c as u64, *a);
-        }
-        let s = w.render_ascii(2);
-        assert!(s.contains('#'));
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 1);
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut w = TraceWindow::new(1, 0, 2);
-        w.record(0, 0, Activity::Busy);
-        w.record(0, 1, Activity::CacheStall);
-        let csv = w.to_csv();
-        assert!(csv.contains("0,0,busy"));
-        assert!(csv.contains("0,1,cache_stall"));
     }
 }

@@ -552,17 +552,6 @@ fn stats_classify_blocked_and_busy() {
     assert_eq!(m.stats(TileId(2)).counts[Activity::Idle.index()], 40);
 }
 
-/// The trace window captures a dense per-tile record.
-#[test]
-fn trace_window_records() {
-    let mut m = RawMachine::new(RawConfig::default());
-    m.start_trace(5, 10);
-    m.run(20);
-    let tr = m.take_trace().unwrap();
-    assert!(tr.is_complete());
-    assert_eq!(tr.tile_samples(0).len(), 10);
-}
-
 /// Cache misses stall the processor for the miss latency and show up as
 /// CacheStall cycles.
 #[test]

@@ -346,7 +346,7 @@ fn image(quantum: usize, multicast: bool, asm_crossbar: bool) -> Arc<RouterImage
 
 /// Run every analysis over the router images the routers run: the
 /// crossbar / ingress / egress switch code of the unicast image at each
-/// of [`QUANTA`] and of the multicast image at the smallest, one schedule
+/// of `QUANTA` and of the multicast image at the smallest, one schedule
 /// period per reachable joint configuration, the full jump-table spaces,
 /// the assembly crossbar's jump tables and generated tile assembly, and
 /// the generalized `scale` ring walk.

@@ -45,20 +45,6 @@ pub enum Pattern {
     /// egress-stage router of a fabric while its siblings idle (the
     /// cross-stage analogue of [`Pattern::Hotspot`]).
     CrossStageHotspot { group: u8, group_size: u8 },
-    /// Slot-rotating (a)symmetric permutation:
-    /// `dst = ((1+skew)*src + shift + k/period) % N` for source `src`'s
-    /// `k`-th packet. With `skew = 0` this is [`Pattern::Permutation`]
-    /// rotated one position every `period` packets — still conflict-free
-    /// within each phase, but the destination map never settles, which
-    /// punishes arbiters that converge on a fixed matching (iSLIP's
-    /// desynchronized pointers must re-slip each phase). With
-    /// `1 + skew ≡ 0 (mod N)` (`skew = 3` at 4 ports) the source term
-    /// vanishes and *all* sources target the same rotating output — an
-    /// aligned transient hotspot. Note that a FIFO router under
-    /// backpressure *desynchronizes* the sources' packet indices, which
-    /// spreads the phases back out; the sustained head-of-line adversary
-    /// of the scheduler head-to-head is [`Pattern::HotInterleave`].
-    RotatingPermutation { shift: u8, period: u32, skew: u8 },
     /// The head-of-line-blocking adversary of the scheduler
     /// head-to-head: source `src`'s `k`-th packet targets the shared
     /// `hot` output when `k % m < h`, and otherwise a distinct non-hot
@@ -407,14 +393,6 @@ pub fn generate_n(w: &Workload, nports: usize) -> Vec<ScheduledPacket> {
                 Pattern::CrossStageHotspot { group, group_size } => {
                     group * group_size + rng.gen_range(0..group_size)
                 }
-                Pattern::RotatingPermutation {
-                    shift,
-                    period,
-                    skew,
-                } => {
-                    let phase = k as u64 / u64::from(period.max(1));
-                    (((1 + skew as u64) * src as u64 + shift as u64 + phase) % nports as u64) as u8
-                }
                 Pattern::HotInterleave { hot, h, m, period } => {
                     if (k % m as usize) < h as usize {
                         hot
@@ -519,94 +497,6 @@ mod tests {
         }
         let per = per_output(&sched);
         assert_eq!(per, [10, 10, 10, 10]);
-    }
-
-    #[test]
-    fn rotating_permutation_shapes() {
-        // skew = 0: per-phase conflict-free permutation rotating every
-        // `period` packets.
-        let w = Workload {
-            pattern: Pattern::RotatingPermutation {
-                shift: 1,
-                period: 5,
-                skew: 0,
-            },
-            arrivals: Arrivals::Saturation,
-            packet_bytes: 64,
-            packets_per_port: 20,
-            seed: 9,
-            ttl: 64,
-        };
-        let sched = generate(&w);
-        assert_eq!(sched.len(), 80);
-        let mut k_per_src = [0u32; 4];
-        for s in &sched {
-            let src = s.port;
-            let k = k_per_src[src];
-            k_per_src[src] += 1;
-            let dst = ((s.packet.header.dst >> 16) & 0xff) as u8;
-            assert_eq!(dst, ((src as u32 + 1 + k / 5) % 4) as u8, "src {src} k {k}");
-        }
-        // Within any phase the four sources hit four distinct outputs.
-        let phase0: Vec<u8> = (0..4)
-            .map(|src| {
-                let s = sched.iter().find(|s| s.port == src).unwrap();
-                ((s.packet.header.dst >> 16) & 0xff) as u8
-            })
-            .collect();
-        let mut sorted = phase0.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3], "phase 0 not a permutation");
-
-        // skew = 3 at 4 ports: the source term vanishes — every source
-        // targets the *same* output, rotating each phase (the
-        // head-to-head adversary).
-        let adv = Workload {
-            pattern: Pattern::RotatingPermutation {
-                shift: 0,
-                period: 3,
-                skew: 3,
-            },
-            ..w
-        };
-        let sched = generate(&adv);
-        let mut k_per_src = [0u32; 4];
-        for s in &sched {
-            let k = k_per_src[s.port];
-            k_per_src[s.port] += 1;
-            let dst = ((s.packet.header.dst >> 16) & 0xff) as u8;
-            assert_eq!(dst, ((k / 3) % 4) as u8, "src {} k {k}", s.port);
-        }
-    }
-
-    #[test]
-    fn rotating_permutation_is_deterministic() {
-        let w = Workload {
-            pattern: Pattern::RotatingPermutation {
-                shift: 2,
-                period: 7,
-                skew: 3,
-            },
-            arrivals: Arrivals::Saturation,
-            packet_bytes: 64,
-            packets_per_port: 30,
-            seed: 11,
-            ttl: 64,
-        };
-        let a = generate(&w);
-        let b = generate(&w);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.packet, y.packet);
-            assert_eq!(x.release, y.release);
-            assert_eq!(x.port, y.port);
-        }
-        // And at a wider port count the modulus follows nports.
-        let s8 = generate_n(&w, 8);
-        for s in s8.iter().filter(|s| s.port == 1) {
-            let dst = ((s.packet.header.dst >> 16) & 0xff) as u8;
-            assert!(dst < 8);
-        }
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl LocalConfig {
     pub fn expansion(&self) -> u8 {
         self.out_dist.max(self.cw_dist).max(self.ccw_dist)
     }
-
-    /// True if this tile's own ingress streams this quantum.
-    pub fn in_active(&self) -> bool {
-        self.out == Client::In || self.cw == Client::In || self.ccw == Client::In
-    }
 }
 
 /// Direction a granted flow travels around the ring.
@@ -684,9 +679,7 @@ mod tests {
             let lc = s.locals[t];
             (lc.out == Client::CwPrev && lc.cw == Client::CwPrev)
                 || (lc.out == Client::CcwPrev && lc.ccw == Client::CcwPrev)
-                || (lc.out == Client::In
-                    && lc.in_active()
-                    && (lc.cw == Client::In || lc.ccw == Client::In))
+                || (lc.out == Client::In && (lc.cw == Client::In || lc.ccw == Client::In))
         });
         assert!(
             dup,

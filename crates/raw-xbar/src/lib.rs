@@ -24,7 +24,7 @@
 //! * [`devices`] — input/output line cards with external buffering;
 //! * [`router`] — the assembled 4-port router with throughput, latency,
 //!   and utilization measurement;
-//! * [`reference`] — the functional reference of the datapath and the one
+//! * [`mod@reference`] — the functional reference of the datapath and the one
 //!   audit every run is held to.
 
 pub mod asm_xbar;

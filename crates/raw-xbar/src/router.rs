@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use raw_lookup::{Engine, ForwardingTable};
 use raw_net::Packet;
-use raw_sim::{cycles_to_seconds, EdgePort, RawConfig, RawMachine, TraceWindow, NET0, NET1};
+use raw_sim::{cycles_to_seconds, EdgePort, RawConfig, RawMachine, NET0, NET1};
 
 use crate::asm_xbar::ASM_TABLE_BASE;
 use crate::devices::{LineCardIn, LineCardOut, OutCollector, OutFraming};
@@ -545,15 +545,6 @@ impl RawRouter {
     pub fn pps(&self, from_cycle: u64, to_cycle: u64) -> f64 {
         let pkts = self.delivered_packets_between(from_cycle, to_cycle) as f64;
         pkts / cycles_to_seconds(to_cycle - from_cycle)
-    }
-
-    /// Start a Figure 7-3 style utilization trace.
-    pub fn start_trace(&mut self, start_cycle: u64, len: usize) {
-        self.machine.start_trace(start_cycle, len);
-    }
-
-    pub fn take_trace(&mut self) -> Option<TraceWindow> {
-        self.machine.take_trace()
     }
 
     /// The synchronous token counters of all four crossbar tiles must
