@@ -116,8 +116,7 @@ mod tests {
         use raw_sim::{Route, SwPort, SwitchCtrl, SwitchInstr, SwitchProgram, NET0};
         core.set_reg(A0, base);
         let mut m = RawMachine::new(RawConfig::default());
-        let mem = m.tile_mem_mut(TileId(0));
-        mem[base as usize..base as usize + data.len()].copy_from_slice(data);
+        m.write_tile_mem(TileId(0), base as usize, data);
         m.set_program(TileId(0), Box::new(core));
         // Drain $csto off the north chip edge so streaming kernels never
         // back up (the unbound edge counts and drops).
@@ -210,10 +209,9 @@ mod tests {
         let w = m.program_ref::<IsaCore>(TileId(0)).unwrap().watch.clone();
         assert!(w.halted);
         // Words landed in memory.
-        let mem = m.tile_mem_mut(TileId(0));
         assert_eq!(
-            &mem[0x200..0x200 + n],
-            &(0..n as u32).map(|i| 100 + i).collect::<Vec<_>>()[..]
+            m.read_tile_mem(TileId(0), 0x200, n),
+            (0..n as u32).map(|i| 100 + i).collect::<Vec<_>>()
         );
         // Steady state (away from the cold miss): move+sw pairs retire 2
         // cycles apart.

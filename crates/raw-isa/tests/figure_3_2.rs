@@ -109,9 +109,7 @@ fn unrolled_load_send_streams_one_word_per_cycle() {
         assemble_switch("loop: route $cWi->$cEo ; j loop").unwrap(),
     );
 
-    for (i, w) in m.tile_mem_mut(TileId(4)).iter_mut().take(8).enumerate() {
-        *w = 100 + i as u32;
-    }
+    m.write_tile_mem(TileId(4), 0, &[100, 101, 102, 103, 104, 105, 106, 107]);
 
     m.run(200);
     let w = watch(&m, 4);
@@ -166,8 +164,7 @@ fn receive_and_buffer_costs_two_cycles_per_word() {
         assert_eq!(pr[1] - pr[0], 2, "buffering must cost 2 cycles/word");
     }
     // The words landed in memory.
-    let mem = m.tile_mem_mut(TileId(4));
-    assert_eq!(&mem[0..4], &[1, 2, 3, 4]);
+    assert_eq!(m.read_tile_mem(TileId(4), 0, 4), [1, 2, 3, 4]);
 }
 
 #[test]

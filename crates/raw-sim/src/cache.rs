@@ -37,15 +37,43 @@ pub enum Access {
     },
 }
 
+/// One cache line's tag state in a word: the tag in the low bits, then
+/// the valid and dirty bits. A zero word is an invalid line.
 #[derive(Clone, Copy, Debug, Default)]
-struct Line {
-    tag: u32,
-    valid: bool,
-    dirty: bool,
+struct Line(u32);
+
+const _: () = assert!(size_of::<Line>() == 4);
+
+impl Line {
+    const VALID: u32 = 1 << 31;
+    const DIRTY: u32 = 1 << 30;
+
+    /// A valid line holding `tag`. A tag is a word address over one
+    /// way's 4,096 words, so even a 32-bit address's fits below the two
+    /// flag bits.
+    fn new(tag: u32, dirty: bool) -> Line {
+        debug_assert!(tag < Line::DIRTY);
+        Line(Line::VALID | if dirty { Line::DIRTY } else { 0 } | tag)
+    }
+
+    /// Valid and holding `tag`.
+    fn holds(self, tag: u32) -> bool {
+        self.0 & !Line::DIRTY == Line::VALID | tag
+    }
+
+    fn valid(self) -> bool {
+        self.0 & Line::VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.0 & Line::DIRTY != 0
+    }
 }
 
-/// Tag-and-timing model of one tile's data cache.
-#[derive(Clone, Debug)]
+/// Tag-and-timing model of one tile's data cache. Its tag store is
+/// allocated on the first access, so a tile that never loads or stores
+/// holds none.
+#[derive(Clone, Debug, Default)]
 pub struct DCache {
     lines: Vec<Line>,
     /// Per-set LRU: index of the least-recently-used way (2-way only needs
@@ -56,18 +84,6 @@ pub struct DCache {
     pub writebacks: u64,
 }
 
-impl Default for DCache {
-    fn default() -> Self {
-        DCache {
-            lines: vec![Line::default(); CACHE_SETS * CACHE_WAYS],
-            lru: vec![0; CACHE_SETS],
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
-        }
-    }
-}
-
 impl DCache {
     fn set_and_tag(&self, word_addr: u32) -> (usize, u32) {
         let line = word_addr as usize / CACHE_LINE_WORDS;
@@ -76,15 +92,27 @@ impl DCache {
         (set, tag)
     }
 
+    /// Allocate the tag store, every line invalid.
+    #[cold]
+    fn allocate(&mut self) {
+        self.lines = vec![Line::default(); CACHE_SETS * CACHE_WAYS];
+        self.lru = vec![0; CACHE_SETS];
+    }
+
     /// Access `word_addr`.
     pub fn access(&mut self, word_addr: u32, is_write: bool) -> Access {
+        if self.lines.is_empty() {
+            self.allocate();
+        }
         let (set, tag) = self.set_and_tag(word_addr);
         let base = set * CACHE_WAYS;
         // Hit path.
         for way in 0..CACHE_WAYS {
             let l = &mut self.lines[base + way];
-            if l.valid && l.tag == tag {
-                l.dirty |= is_write;
+            if l.holds(tag) {
+                if is_write {
+                    l.0 |= Line::DIRTY;
+                }
                 self.hits += 1;
                 self.lru[set] = ((way + 1) % CACHE_WAYS) as u8;
                 return Access::Hit;
@@ -93,26 +121,16 @@ impl DCache {
         // Miss: fill into an invalid way if possible, else evict LRU.
         self.misses += 1;
         let victim = (0..CACHE_WAYS)
-            .find(|&w| !self.lines[base + w].valid)
+            .find(|&w| !self.lines[base + w].valid())
             .unwrap_or(self.lru[set] as usize);
         let mut latency = MISS_LATENCY;
-        if self.lines[base + victim].valid && self.lines[base + victim].dirty {
+        if self.lines[base + victim].dirty() {
             latency += DIRTY_EVICT_PENALTY;
             self.writebacks += 1;
         }
-        self.lines[base + victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-        };
+        self.lines[base + victim] = Line::new(tag, is_write);
         self.lru[set] = ((victim + 1) % CACHE_WAYS) as u8;
         Access::Miss { latency }
-    }
-
-    /// Invalidate everything (machine reset).
-    pub fn clear(&mut self) {
-        self.lines.fill(Line::default());
-        self.lru.fill(0);
     }
 }
 
@@ -124,6 +142,15 @@ mod tests {
     fn prototype_geometry() {
         assert_eq!(CACHE_SETS, 512);
         assert_eq!(CACHE_WORDS * 4, 32 * 1024, "8K words = 32 KB");
+    }
+
+    #[test]
+    fn tag_store_is_allocated_on_first_access() {
+        let mut c = DCache::default();
+        assert!(c.lines.is_empty() && c.lru.is_empty());
+        assert_eq!(c.access(0, false), Access::Miss { latency: 30 });
+        assert_eq!(c.lines.len(), CACHE_SETS * CACHE_WAYS);
+        assert_eq!(c.lru.len(), CACHE_SETS);
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! cycle stepped under `EngineMode::Compiled` rebuilds it, so the fast
 //! engine is never in a state without it.
 //!
+//! It is also a pure function of what it is lowered from (`PlanKey`):
+//! the grid, the bound ports in bind order with whether each injects,
+//! and which `Arc<SwitchProgram>` every switch runs. Nothing writes a plan
+//! once it is built, so machines alike in all three — a fabric's routers,
+//! every bare machine — share one through a process-wide weak memo, on
+//! the pattern of `raw_xbar::RouterImage::of`. A plan holds the programs
+//! whose addresses key it, so no address in a live key can be reused.
+//!
 //! ## Why bit-identity holds
 //!
 //! The lowered switch step performs the *same state transitions in the
@@ -64,11 +72,14 @@
 //! switch on every cycle against the interpreter's own refusals
 //! (`assert_switch_may_skip`). The mutants below show both have teeth.
 
-use crate::device::EdgeDevice;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+
+use crate::device::{EdgeDevice, EdgePort};
 use crate::fifo::Ring;
-use crate::geom::TileId;
+use crate::geom::{GridDim, TileId};
 use crate::machine::{ring_slot, src_ring, RawMachine, SlotSet, StaticFifo};
-use crate::switch::{Route, SwitchCtrl, NUM_STATIC_NETS};
+use crate::switch::{Route, SwitchCtrl, SwitchProgram, NUM_STATIC_NETS};
 use raw_telemetry::SwitchStallCause;
 
 /// One switch route lowered to integers: pop ring `src` of the arena,
@@ -165,6 +176,47 @@ pub(crate) struct CompiledPlan {
     /// Devices polled for injection each cycle, in device-index order
     /// (the interpreter's poll order). Pure sinks are omitted.
     pub injectors: Vec<InjectorSlot>,
+    /// The switch programs lowered, held so that the addresses in the
+    /// plan's memo key stay theirs while the plan lives.
+    _lowered: Vec<Arc<SwitchProgram>>,
+}
+
+/// Everything a [`CompiledPlan`] is lowered from.
+#[derive(PartialEq, Eq, Hash)]
+struct PlanKey {
+    dim: GridDim,
+    /// Every bound port in bind order (a port's device index), and
+    /// whether its device injects.
+    devices: Vec<(EdgePort, bool)>,
+    /// The address of the program each switch runs, by
+    /// `tile * NUM_STATIC_NETS + net`.
+    programs: Vec<usize>,
+}
+
+impl PlanKey {
+    fn of(m: &RawMachine) -> PlanKey {
+        PlanKey {
+            dim: m.dim(),
+            devices: (m.bound_device_ports().iter().zip(&m.devices))
+                .map(|(&port, dev)| (port, dev.is_injector()))
+                .collect(),
+            programs: (m.tiles.iter().flat_map(|t| &t.switch_prog))
+                .map(|p| Arc::as_ptr(p) as usize)
+                .collect(),
+        }
+    }
+}
+
+/// The live plans by what they were lowered from. Entries are weak: a
+/// plan lives as long as a machine steps it.
+fn plans() -> MutexGuard<'static, HashMap<PlanKey, Weak<CompiledPlan>>> {
+    static PLANS: OnceLock<Mutex<HashMap<PlanKey, Weak<CompiledPlan>>>> = OnceLock::new();
+    // The map is written only after a plan is built, so a lock that a
+    // panicking build poisoned still guards a sound map.
+    PLANS
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 impl CompiledPlan {
@@ -221,15 +273,34 @@ fn lower_route(m: &RawMachine, t: usize, r: Route) -> CompiledRoute {
 
 impl RawMachine {
     /// Lower every installed switch program and the injecting-device
-    /// poll list into the form `EngineMode::Compiled` steps. Stepping
-    /// calls this itself whenever a structural mutation has dropped the
-    /// lowered form; it is public only so a harness can time a lowering.
+    /// poll list into the form `EngineMode::Compiled` steps, or take the
+    /// plan a live machine alike in what it is lowered from already
+    /// holds. Stepping calls this itself whenever a structural mutation
+    /// has dropped the lowered form; it is public only so a harness can
+    /// time a lowering.
     pub fn lower(&mut self) {
+        let key = PlanKey::of(self);
+        // Built under the lock, so machines lowering alike at once (a
+        // sharded fabric's routers) build one plan between them.
+        let mut plans = plans();
+        if let Some(plan) = plans.get(&key).and_then(Weak::upgrade) {
+            self.plan = Some(plan);
+            return;
+        }
+        let plan = Arc::new(self.lower_plan());
+        plans.retain(|_, held| held.strong_count() > 0);
+        plans.insert(key, Arc::downgrade(&plan));
+        self.plan = Some(plan);
+    }
+
+    /// The lowered form of this machine, built afresh.
+    fn lower_plan(&self) -> CompiledPlan {
         let mut plan = CompiledPlan {
             programs: Vec::with_capacity(self.tiles.len() * NUM_STATIC_NETS),
             instrs: Vec::new(),
             routes: Vec::new(),
             injectors: Vec::new(),
+            _lowered: Vec::with_capacity(self.tiles.len() * NUM_STATIC_NETS),
         };
         for (t, tile) in self.tiles.iter().enumerate() {
             for (net, prog) in tile.switch_prog.iter().enumerate() {
@@ -267,13 +338,14 @@ impl RawMachine {
                     plan.routes.extend(routes);
                 }
                 plan.programs.push((start, prog.instrs.len() as u32));
+                plan._lowered.push(Arc::clone(prog));
             }
         }
         plan.injectors = (0..self.devices.len())
             .filter(|&i| self.devices[i].is_injector())
             .map(|i| InjectorSlot::new(self, i))
             .collect();
-        self.plan = Some(Box::new(plan));
+        plan
     }
 
     /// One lowered switch tick. Mirrors `step_switch` exactly:
@@ -531,7 +603,7 @@ impl Wires<'_> {
 mod tests {
     use super::*;
     use crate::device::{EdgePort, WordSink, WordSource};
-    use crate::digest::{first_divergence, Component};
+    use crate::digest::{first_divergence, lockstep, Component};
     use crate::geom::{Dir, GridDim};
     use crate::machine::EngineMode;
     use crate::machine::RawConfig;
@@ -549,22 +621,28 @@ mod tests {
         )
     }
 
+    /// A switch program forwarding west to east forever.
+    fn pass_through() -> Arc<SwitchProgram> {
+        Arc::new(SwitchProgram::new(vec![SwitchInstr::new(
+            vec![Route::new(NET0, SwPort::W, SwPort::E)],
+            SwitchCtrl::Jump(0),
+        )]))
+    }
+
     /// West-to-east pass-through on the top row, fed by a source and
     /// drained by a throttled sink (exercises device backpressure).
     fn build(engine: EngineMode) -> RawMachine {
+        build_running(engine, &pass_through())
+    }
+
+    /// [`build`]'s machine, its two switches running `prog`.
+    fn build_running(engine: EngineMode, prog: &Arc<SwitchProgram>) -> RawMachine {
         let mut m = RawMachine::new(RawConfig {
             dim: GridDim { rows: 2, cols: 2 },
             engine,
         });
         for t in [0usize, 1] {
-            m.set_switch_program(
-                TileId(t as u16),
-                NET0,
-                SwitchProgram::new(vec![SwitchInstr::new(
-                    vec![Route::new(NET0, SwPort::W, SwPort::E)],
-                    SwitchCtrl::Jump(0),
-                )]),
-            );
+            m.set_switch_program(TileId(t as u16), NET0, Arc::clone(prog));
         }
         let words: Vec<u32> = (0..64).collect();
         m.bind_device(
@@ -599,10 +677,10 @@ mod tests {
     fn caught(mutate: fn(&mut CompiledRoute, u32)) -> bool {
         let mutant = || {
             let mut m = build(EngineMode::Compiled);
-            m.lower();
+            let mut plan = m.lower_plan();
             let spare = m.spare_slot() as u32;
-            let plan = m.plan.as_mut().unwrap();
             plan.routes.iter_mut().for_each(|r| mutate(r, spare));
+            m.plan = Some(Arc::new(plan));
             m
         };
         let found = std::panic::catch_unwind(|| {
@@ -648,6 +726,90 @@ mod tests {
         assert!(m.plan.is_none());
         m.step();
         assert!(m.plan.is_some());
+    }
+
+    /// The plan `m` steps.
+    fn plan_of(m: &RawMachine) -> &Arc<CompiledPlan> {
+        m.plan.as_ref().expect("the machine has lowered")
+    }
+
+    #[test]
+    fn machines_running_the_same_programs_share_one_plan() {
+        let prog = pass_through();
+        let mut a = build_running(EngineMode::Compiled, &prog);
+        let mut b = build_running(EngineMode::Compiled, &prog);
+        a.step();
+        b.step();
+        assert!(Arc::ptr_eq(plan_of(&a), plan_of(&b)));
+        // Other programs alike in every route are another key.
+        let mut c = build(EngineMode::Compiled);
+        c.step();
+        assert!(!Arc::ptr_eq(plan_of(&a), plan_of(&c)));
+    }
+
+    #[test]
+    fn a_new_switch_program_lowers_that_machine_alone_again() {
+        let prog = pass_through();
+        let mut a = build_running(EngineMode::Compiled, &prog);
+        let mut b = build_running(EngineMode::Compiled, &prog);
+        a.step();
+        b.step();
+        let shared = Arc::clone(plan_of(&b));
+        a.set_switch_program(TileId(3), NET0, SwitchProgram::idle());
+        a.step();
+        assert!(!Arc::ptr_eq(plan_of(&a), &shared));
+        assert!(Arc::ptr_eq(plan_of(&b), &shared));
+    }
+
+    #[test]
+    fn dropping_every_machine_empties_the_memo_entry() {
+        let prog = pass_through();
+        let mut a = build_running(EngineMode::Compiled, &prog);
+        let mut b = build_running(EngineMode::Compiled, &prog);
+        a.step();
+        b.step();
+        let key = PlanKey::of(&a);
+        let memoized = || plans().get(&key).and_then(Weak::upgrade);
+        assert!(Arc::ptr_eq(&memoized().unwrap(), plan_of(&a)));
+        drop(a);
+        assert!(memoized().is_some(), "b still holds the plan");
+        drop(b);
+        assert!(memoized().is_none());
+    }
+
+    /// A machine stepping the memo's plan keeps digest for digest in step
+    /// with one stepping a plan it lowered alone, and with the
+    /// interpreter, over run calls of 1, 7 and 13 cycles.
+    #[test]
+    fn a_memoized_plan_steps_as_a_plan_lowered_alone() {
+        let prog = pass_through();
+        let mut twin = build_running(EngineMode::Compiled, &prog);
+        twin.lower();
+        let mut memo = build_running(EngineMode::Compiled, &prog);
+        memo.lower();
+        assert!(Arc::ptr_eq(plan_of(&memo), plan_of(&twin)));
+        let mut alone = build_running(EngineMode::Compiled, &prog);
+        alone.plan = Some(Arc::new(alone.lower_plan()));
+        let chunked = |m: &mut RawMachine, i: u64| m.run([1, 7, 13][i as usize % 3]);
+        assert_eq!(
+            lockstep(&mut memo, &mut alone, chunked, RawMachine::digests, 60),
+            None
+        );
+        assert!(memo.routes_fired > 0);
+        let mut memo = build_running(EngineMode::Compiled, &prog);
+        memo.lower();
+        assert!(Arc::ptr_eq(plan_of(&memo), plan_of(&twin)));
+        let mut interpreter = build_running(EngineMode::PerCycle, &prog);
+        assert_eq!(
+            lockstep(
+                &mut memo,
+                &mut interpreter,
+                chunked,
+                RawMachine::digests,
+                60
+            ),
+            None
+        );
     }
 
     /// Multicast with one destination backpressured: the interpreter

@@ -52,7 +52,7 @@ pub mod program;
 pub mod switch;
 pub mod trace;
 
-pub use cache::{Access, DCache};
+pub use cache::Access;
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
 pub use digest::{first_divergence, lockstep, Component};
 pub use dynamic::{pack_header, unpack_header, DynNet};

@@ -15,7 +15,7 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use crate::cache::DCache;
 use crate::compiled::{CompiledPlan, InjectorSlot};
@@ -23,7 +23,7 @@ use crate::device::{EdgeDevice, EdgePort};
 use crate::dynamic::DynNet;
 use crate::fifo::{Ring, RING_CAPACITY};
 use crate::geom::{GridDim, TileId};
-use crate::program::{mem_grow_target, IdleProgram, TileIo, TileProgram};
+use crate::program::{IdleProgram, TileIo, TileMem, TileProgram};
 use crate::switch::{Route, SwPort, SwitchCtrl, SwitchProgram, SwitchState, NUM_STATIC_NETS};
 use crate::trace::{refine_state, Activity, Ledger, TileStats, Wait};
 use raw_telemetry::{SharedSink, SwitchStallCause, TileState};
@@ -112,11 +112,10 @@ pub(crate) struct Tile {
     pub(crate) switch_prog: [Arc<SwitchProgram>; NUM_STATIC_NETS],
     pub(crate) switch_state: [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: DCache,
-    /// Local memory backing store, materialized lazily in chunks up to
-    /// [`LOCAL_MEM_WORDS`] as addresses are touched (a 4 MB
-    /// address space per tile would otherwise be zeroed eagerly on every
-    /// machine construction).
-    pub(crate) mem: Vec<u32>,
+    /// Local memory, in pages made as addresses are written (a 4 MB
+    /// address space per tile would otherwise be zeroed on every machine
+    /// construction).
+    pub(crate) mem: TileMem,
     pub(crate) stall_until: u64,
     /// The processor's cycles by `(Activity, Wait)`: every cycle since
     /// cycle 0 is counted here once, stepped or credited.
@@ -253,10 +252,11 @@ pub struct RawMachine {
     pub routes_fired: u64,
     pub(crate) dyn_moved_before: u64,
     /// The lowered form [`EngineMode::Compiled`] steps, derived from the
-    /// installed switch programs and devices. A new switch program or
-    /// device binding drops it, and `step_cycle_engine` rebuilds it
-    /// before the next compiled cycle.
-    pub(crate) plan: Option<Box<CompiledPlan>>,
+    /// installed switch programs and devices and shared with every live
+    /// machine alike in those (see [`RawMachine::lower`]). A new switch
+    /// program or device binding drops it, and `step_cycle_engine`
+    /// lowers again before the next compiled cycle.
+    pub(crate) plan: Option<Arc<CompiledPlan>>,
     /// Which components the sweep steps: slot `t` is tile `t`'s
     /// processor, [`RawMachine::switch_slot`] a switch, and one spare
     /// slot at the end takes the wake edges that lead off the chip. Only
@@ -289,16 +289,21 @@ pub struct RawMachine {
 /// Sentinel for an unbound slot in `RawMachine::device_table`.
 const NO_DEVICE: u16 = u16::MAX;
 
+/// The program of every switch nobody programmed: one for the process,
+/// so that machines alike in what they program lower to one plan.
+static IDLE_SWITCH: LazyLock<Arc<SwitchProgram>> =
+    LazyLock::new(|| Arc::new(SwitchProgram::idle()));
+
 impl RawMachine {
     pub fn new(cfg: RawConfig) -> RawMachine {
         let n = cfg.dim.tiles();
         let tiles = (0..n)
             .map(|_| Tile {
                 program: Some(Box::new(IdleProgram)),
-                switch_prog: std::array::from_fn(|_| Arc::new(SwitchProgram::idle())),
+                switch_prog: std::array::from_fn(|_| Arc::clone(&IDLE_SWITCH)),
                 switch_state: std::array::from_fn(|_| SwitchState::new()),
                 cache: DCache::default(),
-                mem: Vec::new(),
+                mem: TileMem::default(),
                 stall_until: 0,
                 ledger: Ledger::default(),
                 stalls: [[0; SwitchStallCause::COUNT]; NUM_STATIC_NETS],
@@ -580,21 +585,8 @@ impl RawMachine {
         self.tiles[tile.index()].stalls.iter().flatten().sum()
     }
 
-    /// Direct access to a tile's local memory for setup/inspection.
-    /// Materializes the tile's full backing store; for large setup writes
-    /// prefer [`RawMachine::write_tile_mem`], which only materializes the
-    /// chunks it touches.
-    pub fn tile_mem_mut(&mut self, tile: TileId) -> &mut Vec<u32> {
-        let t = &mut self.tiles[tile.index()];
-        if t.mem.len() < LOCAL_MEM_WORDS {
-            t.mem.resize(LOCAL_MEM_WORDS, 0);
-        }
-        &mut t.mem
-    }
-
     /// Write `words` into a tile's local memory starting at word address
-    /// `base`, growing the lazily-allocated backing store only as far as
-    /// the write reaches.
+    /// `base`, making only the pages the write reaches.
     pub fn write_tile_mem(&mut self, tile: TileId, base: usize, words: &[u32]) {
         let end = base + words.len();
         assert!(
@@ -602,11 +594,20 @@ impl RawMachine {
             "write [{base}, {end}) exceeds local memory ({} words)",
             LOCAL_MEM_WORDS
         );
-        let t = &mut self.tiles[tile.index()];
-        if t.mem.len() < end {
-            t.mem.resize(mem_grow_target(end, LOCAL_MEM_WORDS), 0);
-        }
-        t.mem[base..end].copy_from_slice(words);
+        self.tiles[tile.index()].mem.write(base, words);
+    }
+
+    /// The `len` words of a tile's local memory from word address `base`
+    /// on; a word never written reads 0. Makes no page.
+    pub fn read_tile_mem(&self, tile: TileId, base: usize, len: usize) -> Vec<u32> {
+        let end = base + len;
+        assert!(
+            end <= LOCAL_MEM_WORDS,
+            "read [{base}, {end}) exceeds local memory ({} words)",
+            LOCAL_MEM_WORDS
+        );
+        let mem = &self.tiles[tile.index()].mem;
+        (base..end).map(|i| mem.read(i)).collect()
     }
 
     /// Read-only introspection: every edge port with a bound device — the

@@ -34,17 +34,68 @@ use crate::machine::{LOCAL_MEM_WORDS, PROC_RECV_DELAY};
 use crate::switch::{NetId, SwitchState, NUM_STATIC_NETS};
 use crate::trace::{Activity, Wait};
 
-/// Tile local memory is materialized on demand in chunks of this many
-/// words (64 KB), so the default 4 MB per-tile address space costs nothing
-/// until a program actually touches it.
-pub(crate) const MEM_CHUNK_WORDS: usize = 1 << 14;
+/// Words in one page of tile local memory (4 KB).
+pub(crate) const PAGE_WORDS: usize = 1 << 10;
 
-/// Backing-store length to allocate so that word `needed - 1` exists:
-/// `needed` rounded up to a chunk boundary, capped at the configured
-/// per-tile memory size.
-pub(crate) fn mem_grow_target(needed: usize, limit: usize) -> usize {
-    debug_assert!(needed <= limit);
-    (needed.div_ceil(MEM_CHUNK_WORDS) * MEM_CHUNK_WORDS).min(limit)
+/// One tile's local memory: [`LOCAL_MEM_WORDS`] words held in pages of
+/// [`PAGE_WORDS`], each made, zeroed, on its first write. The 4 MB
+/// address space costs only the pages a program or a setup write
+/// touches (a crossbar tile's jump table is three), and a word nobody
+/// wrote reads 0 without making its page. Callers bound addresses to
+/// [`LOCAL_MEM_WORDS`] first, with a message naming what overran.
+#[derive(Default)]
+pub(crate) struct TileMem {
+    /// Page `p` holds words `p * PAGE_WORDS ..`. The table reaches only
+    /// as far as the highest page made.
+    pages: Vec<Option<Box<[u32; PAGE_WORDS]>>>,
+}
+
+impl TileMem {
+    /// Word `i`.
+    #[inline]
+    pub(crate) fn read(&self, i: usize) -> u32 {
+        match self.pages.get(i / PAGE_WORDS) {
+            Some(Some(page)) => page[i % PAGE_WORDS],
+            _ => 0,
+        }
+    }
+
+    /// Word `i`, for writing: its page is made if it is not yet.
+    #[inline]
+    pub(crate) fn slot(&mut self, i: usize) -> &mut u32 {
+        &mut self.page(i / PAGE_WORDS)[i % PAGE_WORDS]
+    }
+
+    /// Page `p`, made on first touch.
+    #[inline]
+    fn page(&mut self, p: usize) -> &mut [u32; PAGE_WORDS] {
+        debug_assert!(p < LOCAL_MEM_WORDS / PAGE_WORDS);
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || None);
+        }
+        self.pages[p].get_or_insert_with(|| {
+            let page = vec![0; PAGE_WORDS].into_boxed_slice();
+            page.try_into().expect("a page is PAGE_WORDS long")
+        })
+    }
+
+    /// Write `words` from word `base` on, page by page.
+    pub(crate) fn write(&mut self, base: usize, mut words: &[u32]) {
+        let mut at = base;
+        while !words.is_empty() {
+            let off = at % PAGE_WORDS;
+            let (now, rest) = words.split_at((PAGE_WORDS - off).min(words.len()));
+            self.page(at / PAGE_WORDS)[off..off + now.len()].copy_from_slice(now);
+            at += now.len();
+            words = rest;
+        }
+    }
+
+    /// Pages made so far.
+    #[cfg(test)]
+    pub(crate) fn pages(&self) -> usize {
+        self.pages.iter().flatten().count()
+    }
 }
 
 /// A program running on one tile processor. `Any` lets a caller read
@@ -96,9 +147,7 @@ pub struct TileIo<'a> {
     pub(crate) rings: &'a mut [Ring; NUM_STATIC_NETS + 1],
     pub(crate) switch: &'a mut [SwitchState; NUM_STATIC_NETS],
     pub(crate) cache: &'a mut DCache,
-    /// Local memory; lazily grows in chunks up to [`LOCAL_MEM_WORDS`]
-    /// as addresses are touched.
-    pub(crate) mem: &'a mut Vec<u32>,
+    pub(crate) mem: &'a mut TileMem,
     pub(crate) dyn_nets: &'a mut [DynNet],
     pub(crate) stall_until: &'a mut u64,
     pub(crate) activity: Activity,
@@ -131,7 +180,7 @@ impl<'a> TileIo<'a> {
         rings: &'a mut [Ring; NUM_STATIC_NETS + 1],
         switch: &'a mut [SwitchState; NUM_STATIC_NETS],
         cache: &'a mut DCache,
-        mem: &'a mut Vec<u32>,
+        mem: &'a mut TileMem,
         dyn_nets: &'a mut [DynNet],
         stall_until: &'a mut u64,
     ) -> TileIo<'a> {
@@ -237,7 +286,8 @@ impl<'a> TileIo<'a> {
         }
     }
 
-    fn mem_slot(&mut self, word_addr: u32) -> &mut u32 {
+    /// `word_addr` as an index into local memory, which it must lie in.
+    fn mem_index(&self, word_addr: u32) -> usize {
         let i = word_addr as usize;
         assert!(
             i < LOCAL_MEM_WORDS,
@@ -246,11 +296,7 @@ impl<'a> TileIo<'a> {
             word_addr,
             LOCAL_MEM_WORDS
         );
-        if i >= self.mem.len() {
-            let target = mem_grow_target(i + 1, LOCAL_MEM_WORDS);
-            self.mem.resize(target, 0);
-        }
-        &mut self.mem[i]
+        i
     }
 
     /// Load a word from local data memory through the cache. `None` means
@@ -261,7 +307,7 @@ impl<'a> TileIo<'a> {
         match self.cache.access(word_addr, false) {
             Access::Hit => {
                 self.activity = Activity::Busy;
-                Some(*self.mem_slot(word_addr))
+                Some(self.mem.read(self.mem_index(word_addr)))
             }
             Access::Miss { latency } => {
                 self.activity = Activity::CacheStall;
@@ -279,7 +325,8 @@ impl<'a> TileIo<'a> {
         match self.cache.access(word_addr, true) {
             Access::Hit => {
                 self.activity = Activity::Busy;
-                *self.mem_slot(word_addr) = word;
+                let i = self.mem_index(word_addr);
+                *self.mem.slot(i) = word;
                 true
             }
             Access::Miss { latency } => {
@@ -302,7 +349,7 @@ impl<'a> TileIo<'a> {
         }
         match self.cache.access(word_addr, false) {
             Access::Hit => {
-                let w = *self.mem_slot(word_addr);
+                let w = self.mem.read(self.mem_index(word_addr));
                 let pushed = self.rings[CSTO].push(w, self.cycle);
                 debug_assert!(pushed);
                 self.activity = Activity::Busy;
@@ -445,5 +492,116 @@ impl<'a> TileIo<'a> {
     /// exactly one cycle (plus stalls).
     pub fn allow_compound(&mut self) {
         self.acted = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::{RawConfig, RawMachine};
+
+    /// Stores `words` from word `base` on, then loads `loads` words from
+    /// `base` on into `loaded`, one action a tick, retrying each through
+    /// its miss.
+    struct StoreThenLoad {
+        base: u32,
+        words: Vec<u32>,
+        loads: usize,
+        done: usize,
+        loaded: Vec<u32>,
+    }
+
+    impl TileProgram for StoreThenLoad {
+        fn tick(&mut self, io: &mut TileIo<'_>) {
+            let stores = self.words.len();
+            if self.done < stores {
+                if io.store(self.base + self.done as u32, self.words[self.done]) {
+                    self.done += 1;
+                }
+            } else if self.done < stores + self.loads {
+                if let Some(w) = io.load(self.base + (self.done - stores) as u32) {
+                    self.loaded.push(w);
+                    self.done += 1;
+                }
+            }
+        }
+    }
+
+    /// A machine whose tile 0 ran a [`StoreThenLoad`] for 500 cycles.
+    fn store_then_load(base: u32, words: &[u32], loads: usize) -> RawMachine {
+        let mut m = RawMachine::new(RawConfig::default());
+        let program = StoreThenLoad {
+            base,
+            words: words.to_vec(),
+            loads,
+            done: 0,
+            loaded: Vec::new(),
+        };
+        m.set_program(TileId(0), Box::new(program));
+        m.run(500);
+        m
+    }
+
+    fn loaded(m: &RawMachine) -> &[u32] {
+        &m.program_ref::<StoreThenLoad>(TileId(0)).unwrap().loaded
+    }
+
+    #[test]
+    fn stores_and_loads_cross_a_page_boundary() {
+        let base = PAGE_WORDS as u32 - 2;
+        let m = store_then_load(base, &[1, 2, 3, 4], 4);
+        assert_eq!(loaded(&m), [1, 2, 3, 4]);
+        assert_eq!(m.read_tile_mem(TileId(0), base as usize, 4), [1, 2, 3, 4]);
+        assert_eq!(m.tiles[0].mem.pages(), 2);
+    }
+
+    #[test]
+    fn setup_writes_read_back_across_a_page_boundary() {
+        let mut m = RawMachine::new(RawConfig::default());
+        let words: Vec<u32> = (1..=PAGE_WORDS as u32 + 4).collect();
+        m.write_tile_mem(TileId(2), PAGE_WORDS / 2, &words);
+        assert_eq!(
+            m.read_tile_mem(TileId(2), PAGE_WORDS / 2, words.len()),
+            words
+        );
+        assert_eq!(m.tiles[2].mem.pages(), 2);
+    }
+
+    #[test]
+    fn an_untouched_word_reads_zero_and_makes_no_page() {
+        let m = store_then_load(3 * PAGE_WORDS as u32, &[], 2);
+        assert_eq!(loaded(&m), [0, 0]);
+        assert_eq!(m.read_tile_mem(TileId(0), LOCAL_MEM_WORDS - 8, 8), [0; 8]);
+        assert_eq!(m.tiles[0].mem.pages(), 0);
+    }
+
+    #[test]
+    fn a_2500_word_table_makes_3_pages() {
+        let mut m = RawMachine::new(RawConfig::default());
+        m.write_tile_mem(TileId(5), 0, &[7; 2500]);
+        assert_eq!(m.tiles[5].mem.pages(), 3);
+        assert_eq!(m.tiles.iter().map(|t| t.mem.pages()).sum::<usize>(), 3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "tile 0 accessed word address 0x100000 beyond local memory (1048576 words)"
+    )]
+    fn a_store_beyond_local_memory_panics() {
+        store_then_load(LOCAL_MEM_WORDS as u32, &[1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "write [1048575, 1048577) exceeds local memory (1048576 words)")]
+    fn a_setup_write_beyond_local_memory_panics() {
+        let mut m = RawMachine::new(RawConfig::default());
+        m.write_tile_mem(TileId(0), LOCAL_MEM_WORDS - 1, &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read [1048575, 1048577) exceeds local memory (1048576 words)")]
+    fn a_read_beyond_local_memory_panics() {
+        let m = RawMachine::new(RawConfig::default());
+        m.read_tile_mem(TileId(0), LOCAL_MEM_WORDS - 1, 2);
     }
 }
