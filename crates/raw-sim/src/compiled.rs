@@ -348,9 +348,9 @@ impl RawMachine {
         plan
     }
 
-    /// One lowered switch tick. Mirrors `step_switch` exactly:
-    /// pending-PC application, halt handling, PC-overflow halt as a
-    /// control transition, firing, completion, control flow, stall
+    /// One lowered switch tick: whether any route fired. Mirrors
+    /// `step_switch` exactly: pending-PC application, halt handling,
+    /// PC-overflow halt, firing, completion, control flow, stall
     /// accounting, and first-refused-group cause attribution.
     ///
     /// On top of that it takes the switch out of the sweep when nothing
@@ -365,7 +365,7 @@ impl RawMachine {
         net: usize,
         plan: &CompiledPlan,
         cycle: u64,
-    ) -> (bool, bool) {
+    ) -> bool {
         let slot = self.switch_slot(t, net);
         let tiles = self.tiles.len();
         let st = &mut self.tiles[t].switch_state[net];
@@ -374,13 +374,13 @@ impl RawMachine {
             if st.pending_pc.is_none() {
                 self.park(slot);
             }
-            return (false, false);
+            return false;
         }
         let program = plan.program(t * NUM_STATIC_NETS + net);
         let Some(instr) = program.get(st.pc) else {
             st.halted = true;
             self.halted(t, net);
-            return (false, true);
+            return false;
         };
         let mut wires = Wires {
             rings: &mut self.rings,
@@ -404,7 +404,7 @@ impl RawMachine {
                 st.halted = true;
                 self.halted(t, net);
             }
-            return (any_fired, !any_fired);
+            return any_fired;
         }
         if !any_fired {
             let refusal = stall.expect("an incomplete instruction has a refused group");
@@ -413,7 +413,7 @@ impl RawMachine {
             }
             self.switch_stalled(t, net, refusal.cause);
         }
-        (any_fired, false)
+        any_fired
     }
 
     /// The switch for `net` at tile `t` just halted: wake its tile (its

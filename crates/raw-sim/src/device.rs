@@ -46,23 +46,6 @@ pub trait EdgeDevice: Any + Send {
     /// Accept a word leaving the chip. Called only after `can_push`.
     fn push_out(&mut self, _word: u32, _cycle: u64) {}
 
-    /// The earliest cycle `>= now` on which [`EdgeDevice::pull_in`] might
-    /// return a word, or `None` if it cannot until some other state in the
-    /// machine changes. The machine's event-skip fast-forward consults this
-    /// on quiet cycles; the default is conservatively "this cycle", which
-    /// keeps custom devices correct (they are simply never skipped past) at
-    /// the cost of disabling the skip while one is injectable.
-    fn next_inject_event(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
-    /// The earliest cycle `>= now` on which [`EdgeDevice::can_push`] might
-    /// newly become true, or `None` if its answer cannot change on its own.
-    /// Same conservative contract as [`EdgeDevice::next_inject_event`].
-    fn next_accept_event(&self, now: u64) -> Option<u64> {
-        Some(now)
-    }
-
     /// May [`EdgeDevice::pull_in`] ever return a word or have a side
     /// effect? Pure output-side devices (sinks) return false, letting
     /// the compiled engine drop them from the per-cycle injection poll
@@ -99,18 +82,6 @@ impl EdgeDevice for WordSource {
             self.injected += 1;
         }
         w
-    }
-
-    fn next_inject_event(&self, now: u64) -> Option<u64> {
-        if self.words.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn next_accept_event(&self, _now: u64) -> Option<u64> {
-        None // can_push is constantly true
     }
 }
 
@@ -167,20 +138,6 @@ impl EdgeDevice for WordSink {
         self.last_accept = Some(cycle);
         self.collected.lock().unwrap().push((cycle, word));
     }
-
-    fn next_inject_event(&self, _now: u64) -> Option<u64> {
-        None // never sources words
-    }
-
-    fn next_accept_event(&self, now: u64) -> Option<u64> {
-        match self.last_accept {
-            // `can_push` flips back to true at `last + interval`; before
-            // the first accept (and once the flip is in the past) the
-            // answer cannot change on its own.
-            Some(last) if last + self.interval >= now => Some(last + self.interval),
-            _ => None,
-        }
-    }
 }
 
 /// A sink that drops everything (a disconnected port that still accepts).
@@ -207,14 +164,6 @@ impl EdgeDevice for NullSink {
 
     fn push_out(&mut self, _word: u32, _cycle: u64) {
         self.dropped += 1;
-    }
-
-    fn next_inject_event(&self, _now: u64) -> Option<u64> {
-        None
-    }
-
-    fn next_accept_event(&self, _now: u64) -> Option<u64> {
-        None
     }
 }
 

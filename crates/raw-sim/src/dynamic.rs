@@ -12,8 +12,9 @@
 //! (§6.5); they are modeled for completeness, for the cache-miss path, and
 //! for the non-blocking-memory future-work experiments (§8.2).
 
-use crate::fifo::TsFifo;
+use crate::fifo::Ring;
 use crate::geom::{Dir, GridDim, TileId};
+use crate::machine::{CDNI_CAPACITY, DYN_FIFO_CAPACITY};
 
 /// Payload length limit: "messages on this network can vary in length from
 /// only the header up to 32 words including the header".
@@ -61,13 +62,13 @@ struct InputAlloc {
 #[derive(Hash)]
 struct TileRouter {
     /// Input FIFOs: N, E, S, W, inject.
-    inputs: [TsFifo; IN_PORTS],
+    inputs: [Ring<DYN_FIFO_CAPACITY>; IN_PORTS],
     /// Wormhole allocation per input channel.
     alloc: [Option<InputAlloc>; IN_PORTS],
     /// Which input currently owns each output (N, E, S, W, deliver).
     out_owner: [Option<usize>; 5],
     /// Delivery queue to the tile processor (`$cdni`).
-    cdni: TsFifo,
+    cdni: Ring<CDNI_CAPACITY>,
     /// Round-robin arbitration pointer over inputs.
     rr: usize,
 }
@@ -89,13 +90,15 @@ pub struct DynNet {
 }
 
 impl DynNet {
-    pub fn new(dim: GridDim, fifo_capacity: usize, cdni_capacity: usize) -> DynNet {
+    /// Every router's link and inject inputs hold [`DYN_FIFO_CAPACITY`]
+    /// words, its `$cdni` [`CDNI_CAPACITY`].
+    pub fn new(dim: GridDim) -> DynNet {
         let routers = (0..dim.tiles())
             .map(|_| TileRouter {
-                inputs: std::array::from_fn(|_| TsFifo::new(fifo_capacity)),
+                inputs: Default::default(),
                 alloc: [None; IN_PORTS],
                 out_owner: [None; 5],
-                cdni: TsFifo::new(cdni_capacity),
+                cdni: Ring::default(),
                 rr: 0,
             })
             .collect();
@@ -272,33 +275,6 @@ impl DynNet {
         }
         ok
     }
-
-    /// Earliest cycle `>= now` at which a currently queued word first
-    /// becomes visible to its consumer (router inputs at delay 0, `$cdni`
-    /// at the processor's `proc_delay`), or `None` when every queued word
-    /// is already visible — a stable configuration that only an external
-    /// action can change. Used by the machine's event-skip fast-forward.
-    pub fn next_visibility_event(&self, now: u64, proc_delay: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut consider = |v: u64| {
-            if v >= now && best.is_none_or(|b| v < b) {
-                best = Some(v);
-            }
-        };
-        for r in &self.routers {
-            if self.in_network > 0 {
-                for f in &r.inputs {
-                    if let Some(ts) = f.front_ts() {
-                        consider(ts + 1);
-                    }
-                }
-            }
-            if let Some(ts) = r.cdni.front_ts() {
-                consider(ts + proc_delay + 1);
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -306,7 +282,7 @@ mod tests {
     use super::*;
 
     fn net() -> DynNet {
-        DynNet::new(GridDim::RAW_PROTOTYPE, 4, 8)
+        DynNet::new(GridDim::RAW_PROTOTYPE)
     }
 
     fn drain(net: &mut DynNet, tile: TileId, cycle: &mut u64, n: usize) -> Vec<u32> {
@@ -438,9 +414,9 @@ mod tests {
 
     #[test]
     fn backpressure_fills_inject_queue() {
-        let mut net = DynNet::new(GridDim::RAW_PROTOTYPE, 1, 1);
-        // cdni capacity 1 and no consumer: flood tile 1 from tile 0.
-        let mut accepted = 0u32;
+        let mut net = net();
+        // No consumer at tile 1: flood it from tile 0.
+        let mut accepted = 0usize;
         for cycle in 0..50u64 {
             let h = pack_header(0, 1, 0, 0);
             if net.inject(TileId(0), h, cycle) {
@@ -448,10 +424,13 @@ mod tests {
             }
             net.step(cycle, |_| {});
         }
-        // Only a couple of words fit in the stalled path, and it holds at
-        // least one.
-        assert!(accepted < 10, "backpressure failed: accepted {accepted}");
-        assert!(accepted > 0);
+        // The stalled path holds exactly what its FIFOs do: tile 0's
+        // inject queue, tile 1's west input and tile 1's `$cdni`.
+        assert_eq!(
+            accepted,
+            2 * DYN_FIFO_CAPACITY + CDNI_CAPACITY,
+            "backpressure failed"
+        );
     }
 
     #[test]

@@ -6,30 +6,44 @@
 //! hops of pipeline), which is what limits words to one network hop per
 //! cycle and gives the static network the 3-cycle send-to-use latency of
 //! Figure 3-2 without any global ordering of component updates inside a
-//! cycle.
+//! cycle. One type serves every queue: the static network's rings in the
+//! machine's arena and the dynamic networks' router inputs and `$cdni`.
 
 /// Depth of every static-network FIFO: link inputs, `$csti` and `$csto`
 /// (Raw's network input blocks hold four words).
 pub(crate) const RING_CAPACITY: usize = 4;
 
-/// One static-network FIFO in the machine's ring arena: its words and
-/// their enqueue cycles held inline, the queue being the `len` slots from
-/// `head`, wrapping at [`RING_CAPACITY`]. Visibility is [`TsFifo`]'s: a
-/// word is seen by a consumer with `delay` extra pipeline stages from
-/// cycle `enqueue + delay + 1` on.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Ring {
-    words: [u32; RING_CAPACITY],
-    enq: [u64; RING_CAPACITY],
+/// A FIFO of at most `N` words (a power of two), each held inline with
+/// its enqueue cycle, the queue being the `len` slots from `head`,
+/// wrapping at `N`. A word is seen by a consumer with `delay` extra
+/// pipeline stages from cycle `enqueue + delay + 1` on: network switches
+/// read at `delay == 0`, the tile processor's decode stage adds
+/// `delay == 1`. `Ring` alone is the static network's depth.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ring<const N: usize = RING_CAPACITY> {
+    words: [u32; N],
+    enq: [u64; N],
     head: u32,
     len: u32,
 }
 
-impl Ring {
+impl<const N: usize> Default for Ring<N> {
+    fn default() -> Self {
+        const { assert!(N.is_power_of_two(), "a ring's depth is a power of two") };
+        Ring {
+            words: [0; N],
+            enq: [0; N],
+            head: 0,
+            len: 0,
+        }
+    }
+}
+
+impl<const N: usize> Ring<N> {
     /// Position `offset` places behind the head.
     #[inline]
     fn at(&self, offset: u32) -> usize {
-        ((self.head + offset) as usize) & (RING_CAPACITY - 1)
+        ((self.head + offset) as usize) & (N - 1)
     }
 
     #[inline]
@@ -40,13 +54,14 @@ impl Ring {
     /// Space for another word right now.
     #[inline]
     pub(crate) fn has_space(&self) -> bool {
-        (self.len as usize) < RING_CAPACITY
+        (self.len as usize) < N
     }
 
-    /// Enqueue cycle of the front word, if any.
+    /// The front word, if it is visible at `delay` this cycle.
     #[inline]
-    pub(crate) fn front_ts(&self) -> Option<u64> {
-        (self.len != 0).then(|| self.enq[self.at(0)])
+    pub(crate) fn peek_visible(&self, cycle: u64, delay: u64) -> Option<u32> {
+        self.has_visible(cycle, delay)
+            .then(|| self.words[self.at(0)])
     }
 
     /// A front word exists and is visible at `delay` this cycle.
@@ -55,14 +70,16 @@ impl Ring {
         self.len != 0 && self.enq[self.at(0)] + delay < cycle
     }
 
-    /// True while the front word exists but is not yet visible at `delay`.
+    /// True while the front word exists but is not yet visible at
+    /// `delay`: it becomes so by the passage of time alone, with no push
+    /// or pop to announce it.
     #[inline]
     pub(crate) fn is_aging(&self, cycle: u64, delay: u64) -> bool {
         self.len != 0 && !self.has_visible(cycle, delay)
     }
 
     /// Enqueue `word` during `cycle`; `false` (and nothing dropped) when
-    /// full.
+    /// full — callers model backpressure by retrying on a later cycle.
     #[inline]
     #[must_use]
     pub(crate) fn push(&mut self, word: u32, cycle: u64) -> bool {
@@ -93,159 +110,25 @@ impl Ring {
     }
 }
 
-/// Front first, each word with its enqueue cycle, wherever the ring starts
-/// (what [`TsFifo`]'s digest reads too).
-impl std::hash::Hash for Ring {
+/// `len`, then each word with its enqueue cycle, front first, wherever the
+/// ring starts.
+impl<const N: usize> std::hash::Hash for Ring<N> {
     fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
         h.write_usize(self.len());
         (0..self.len).for_each(|k| (self.words[self.at(k)], self.enq[self.at(k)]).hash(h));
     }
 }
 
-/// A bounded FIFO of 32-bit words tagged with their enqueue cycle: a
-/// fixed ring over a slice allocated once at the given capacity. The
-/// dynamic networks' queues; the static network's live in the machine's
-/// `Ring` arena.
-#[derive(Clone, Debug)]
-pub struct TsFifo {
-    /// `(word, enqueue cycle)` slots; the queue is the `len` slots
-    /// starting at `head`, wrapping at the end of the slice.
-    slots: Box<[(u32, u64)]>,
-    head: usize,
-    len: usize,
-}
-
-impl TsFifo {
-    /// A FIFO holding at most `capacity` words. Raw's network input blocks
-    /// hold four elements; the simulator default follows that.
-    pub fn new(capacity: usize) -> TsFifo {
-        assert!(capacity >= 1, "a FIFO must hold at least one word");
-        TsFifo {
-            slots: vec![(0, 0); capacity].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Space for another word right now.
-    #[inline]
-    pub fn has_space(&self) -> bool {
-        self.len < self.slots.len()
-    }
-
-    /// Slot index `offset` places behind the head (`offset <= capacity`).
-    #[inline]
-    fn slot(&self, offset: usize) -> usize {
-        let i = self.head + offset;
-        if i >= self.slots.len() {
-            i - self.slots.len()
-        } else {
-            i
-        }
-    }
-
-    /// Enqueue `word` during `cycle`. Returns `false` (and drops nothing)
-    /// if the FIFO is full — callers model backpressure by retrying on a
-    /// later cycle.
-    #[inline]
-    #[must_use]
-    pub fn push(&mut self, word: u32, cycle: u64) -> bool {
-        if self.has_space() {
-            let tail = self.slot(self.len);
-            self.slots[tail] = (word, cycle);
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The front word, if one was enqueued at least `delay + 1` cycles
-    /// before `cycle` (i.e. is visible to a consumer with `delay` extra
-    /// pipeline stages; network switches use `delay == 0`, the tile
-    /// processor's decode stage adds `delay == 1`).
-    #[inline]
-    pub fn peek_visible(&self, cycle: u64, delay: u64) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let (w, ts) = self.slots[self.head];
-        (ts + delay < cycle).then_some(w)
-    }
-
-    /// True if [`TsFifo::peek_visible`] would return a word.
-    #[inline]
-    pub fn has_visible(&self, cycle: u64, delay: u64) -> bool {
-        self.peek_visible(cycle, delay).is_some()
-    }
-
-    /// True while the front word exists but is not yet visible at
-    /// `delay`: it becomes so by the passage of time alone, with no push
-    /// or pop to announce it.
-    #[inline]
-    pub(crate) fn is_aging(&self, cycle: u64, delay: u64) -> bool {
-        !self.is_empty() && !self.has_visible(cycle, delay)
-    }
-
-    /// Enqueue cycle of the front word, if any. The front word first
-    /// becomes visible to a consumer with `delay` extra pipeline stages on
-    /// cycle `front_ts() + delay + 1`; the machine's event-skip fast-forward
-    /// uses this to find the next cycle on which anything can change.
-    #[inline]
-    pub fn front_ts(&self) -> Option<u64> {
-        (self.len != 0).then(|| self.slots[self.head].1)
-    }
-
-    /// Dequeue the front word if visible.
-    #[inline]
-    pub fn pop_visible(&mut self, cycle: u64, delay: u64) -> Option<u32> {
-        let w = self.peek_visible(cycle, delay)?;
-        self.head = self.slot(1);
-        self.len -= 1;
-        Some(w)
-    }
-
-    /// Remove every queued word (used when resetting a machine).
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Iterate over queued words front-to-back (diagnostics only).
-    pub fn iter_words(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len).map(|k| self.slots[self.slot(k)].0)
-    }
-}
-
-/// Front first, each word with its enqueue cycle, wherever the ring starts.
-impl std::hash::Hash for TsFifo {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        h.write_usize(self.len);
-        (0..self.len).for_each(|k| self.slots[self.slot(k)].hash(h));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     #[test]
     fn respects_capacity() {
-        let mut f = TsFifo::new(2);
+        let mut f = Ring::<2>::default();
         assert!(f.push(1, 0));
         assert!(f.push(2, 0));
         assert!(!f.push(3, 0));
@@ -254,7 +137,7 @@ mod tests {
 
     #[test]
     fn same_cycle_entries_are_invisible() {
-        let mut f = TsFifo::new(4);
+        let mut f = Ring::<4>::default();
         assert!(f.push(42, 5));
         // A switch (delay 0) cannot consume a word the same cycle it arrived.
         assert_eq!(f.peek_visible(5, 0), None);
@@ -266,7 +149,7 @@ mod tests {
 
     #[test]
     fn pop_preserves_order() {
-        let mut f = TsFifo::new(4);
+        let mut f = Ring::<4>::default();
         for (i, w) in [10u32, 11, 12].iter().enumerate() {
             assert!(f.push(*w, i as u64));
         }
@@ -278,36 +161,53 @@ mod tests {
 
     #[test]
     fn pop_respects_visibility() {
-        let mut f = TsFifo::new(4);
+        let mut f = Ring::<4>::default();
         assert!(f.push(7, 10));
         assert_eq!(f.pop_visible(10, 0), None);
         assert_eq!(f.len(), 1, "an invisible word must not be consumed");
         assert_eq!(f.pop_visible(11, 0), Some(7));
     }
 
-    /// The arena ring is [`TsFifo`] at depth 4, across wraparounds.
-    #[test]
-    fn ring_matches_tsfifo_at_its_depth() {
-        let (mut ring, mut f) = (Ring::default(), TsFifo::new(RING_CAPACITY));
-        for cycle in 1..200u64 {
-            if cycle % 3 != 0 || cycle % 7 == 0 {
-                assert_eq!(ring.push(cycle as u32, cycle), f.push(cycle as u32, cycle));
+    /// Drive a `Ring<N>` and a `VecDeque` model through `ops` (push on
+    /// `true`, pop on `false`, one per cycle): pushes are refused exactly
+    /// when full, pops and peeks return the model's word, and the ring
+    /// hashes as the model's `len` then `(word, enqueue cycle)` pairs,
+    /// front first — what a digest reads.
+    fn matches_model<const N: usize>(ops: &[bool]) -> Result<(), TestCaseError> {
+        let (mut f, mut model) = (Ring::<N>::default(), VecDeque::new());
+        let mut next = 0u32;
+        for (cycle, &push) in (1u64..).zip(ops) {
+            if push {
+                prop_assert_eq!(f.push(next, cycle), model.len() < N);
+                if model.len() < N {
+                    model.push_back((next, cycle));
+                    next += 1;
+                }
+            } else {
+                // Pushed on an earlier cycle, so visible at delay 0.
+                prop_assert_eq!(f.pop_visible(cycle, 0), model.pop_front().map(|(w, _)| w));
             }
-            if cycle % 2 == 0 {
-                assert_eq!(ring.pop_visible(cycle, 1), f.pop_visible(cycle, 1));
-            }
-            assert_eq!(ring.len(), f.len());
-            assert_eq!(ring.front_ts(), f.front_ts());
-            assert_eq!(ring.is_aging(cycle, 0), f.is_aging(cycle, 0));
+            prop_assert_eq!(f.len(), model.len());
+            prop_assert_eq!(f.peek_visible(cycle + 1, 0), model.front().map(|&(w, _)| w));
+            let (mut hr, mut hm) = (DefaultHasher::new(), DefaultHasher::new());
+            f.hash(&mut hr);
+            hm.write_usize(model.len());
+            model.iter().for_each(|e| e.hash(&mut hm));
+            prop_assert_eq!(hr.finish(), hm.finish());
         }
+        Ok(())
     }
 
-    #[test]
-    fn clear_empties() {
-        let mut f = TsFifo::new(4);
-        assert!(f.push(1, 0));
-        f.clear();
-        assert!(f.is_empty());
-        assert!(f.has_space());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ring is a FIFO at both depths the machine uses (4: the
+        /// static network and the dynamic routers' inputs; 8: `$cdni`),
+        /// across any number of wraparounds.
+        #[test]
+        fn fifo_never_overflows(ops in proptest::collection::vec(any::<bool>(), 0..200)) {
+            matches_model::<4>(&ops)?;
+            matches_model::<8>(&ops)?;
+        }
     }
 }

@@ -13,7 +13,11 @@
 //! ## Model summary
 //!
 //! * [`machine::RawMachine`] — an `R x C` grid of tiles stepped one cycle
-//!   at a time, deterministically.
+//!   at a time, deterministically, by one of two engines
+//!   ([`EngineMode`]): the per-cycle interpreter, the reference, or the
+//!   fast engine, which steps every cycle too but through lowered switch
+//!   programs, leaving stalled tiles and switches asleep until a FIFO
+//!   event wakes them.
 //! * [`switch`] — the static switch processor: per-cycle routes with
 //!   flow control, multicast duplication, all-routes-complete instruction
 //!   semantics, jumps, and processor-loaded program counters.
@@ -45,7 +49,7 @@ mod compiled;
 pub mod device;
 mod digest;
 pub mod dynamic;
-pub mod fifo;
+mod fifo;
 pub mod geom;
 pub mod machine;
 pub mod program;
@@ -56,7 +60,6 @@ pub use cache::Access;
 pub use device::{EdgeDevice, EdgePort, NullSink, SinkHandle, WordSink, WordSource};
 pub use digest::{first_divergence, lockstep, Component};
 pub use dynamic::{pack_header, unpack_header, DynNet};
-pub use fifo::TsFifo;
 pub use geom::{Dir, GridDim, TileId};
 pub use machine::{
     cycles_to_seconds, EngineMode, QuiescenceReport, RawConfig, RawMachine, CDNI_CAPACITY,

@@ -36,23 +36,15 @@ use raw_telemetry::{SharedSink, SwitchStallCause, TileState};
 pub enum EngineMode {
     /// Step every cycle through the interpreter. The reference engine.
     PerCycle,
-    /// The fast engine and the default. Skips what cannot move: a tile or
-    /// switch stalled on an empty or full FIFO sleeps until a push, a pop
-    /// or a PC load wakes it, and a machine with nothing left but time
-    /// jumps to its next event in bulk. What it does step goes through
-    /// the lowered switch programs, with decode, endpoint resolution,
-    /// and device lookups resolved once per installed program rather
-    /// than per cycle. The machine lowers itself (see
-    /// [`RawMachine::lower`]): there is nothing to compile or install.
+    /// The fast engine and the default: the lowered plan plus sleep.
+    /// Every cycle is stepped, but a tile or switch stalled on an empty
+    /// or full FIFO sleeps until a push, a pop or a PC load wakes it, and
+    /// what is stepped goes through the lowered switch programs, with
+    /// decode, endpoint resolution, and device lookups resolved once per
+    /// installed program rather than per cycle. The machine lowers itself
+    /// (see [`RawMachine::lower`]): there is nothing to compile or
+    /// install.
     Compiled,
-}
-
-impl EngineMode {
-    /// May `run` jump over provably quiet stretches of cycles?
-    #[inline]
-    pub fn skips(self) -> bool {
-        !matches!(self, EngineMode::PerCycle)
-    }
 }
 
 /// Capacity of each static-network link input FIFO (Raw: 4 words).
@@ -311,9 +303,7 @@ impl RawMachine {
                 last_switch_cause: [SwitchStallCause::FifoEmpty; NUM_STATIC_NETS],
             })
             .collect();
-        let dyn_nets = (0..2)
-            .map(|_| DynNet::new(cfg.dim, DYN_FIFO_CAPACITY, CDNI_CAPACITY))
-            .collect();
+        let dyn_nets = (0..2).map(|_| DynNet::new(cfg.dim)).collect();
         // A processor and a switch per network at each tile, and the spare.
         let slot_words = (n * (1 + NUM_STATIC_NETS) + 1).div_ceil(64);
         RawMachine {
@@ -672,9 +662,9 @@ impl RawMachine {
     /// cache-miss storm or an external memory hog. The stalled cycles are
     /// recorded as [`Activity::CacheStall`], so the ledger accounts for
     /// them; overlapping windows merge through the same `stall_until`
-    /// mechanism real cache misses use, and the event skip treats window
-    /// starts and ends as time events, keeping fast-forward results
-    /// bit-identical.
+    /// mechanism real cache misses use, and a tile with a window pending
+    /// never sleeps (see `RawMachine::tile_may_sleep`), so the window
+    /// starts on the cycle it names under either engine.
     pub fn schedule_stall(&mut self, tile: TileId, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -706,7 +696,7 @@ impl RawMachine {
     /// `EngineMode::Compiled` — rebuilt here, the one choke point every
     /// run loop steps through, if a mutator dropped it. Bit-identical
     /// either way.
-    pub(crate) fn step_cycle_engine(&mut self) -> bool {
+    pub(crate) fn step_cycle_engine(&mut self) {
         if self.cfg.engine == EngineMode::PerCycle {
             return self.step_cycle(None);
         }
@@ -716,21 +706,13 @@ impl RawMachine {
         // The plan is borrowed out of the machine for the cycle so the
         // step functions can read it while mutating everything else.
         let plan = self.plan.take();
-        let quiet = self.step_cycle(plan.as_deref());
+        self.step_cycle(plan.as_deref());
         self.plan = plan;
-        quiet
     }
 
     /// Advance one cycle: through `plan` under the compiled engine,
     /// through the interpreter (`None`) under the per-cycle one.
-    /// Returns true when the cycle was *quiet*: nothing made forward
-    /// progress and no switch performed a control-only transition
-    /// (nop/`WaitPc` advance). After a quiet cycle the machine is in a
-    /// fixed point that only the passage of time can disturb — FIFO
-    /// entries aging into visibility, a cache stall expiring, a device
-    /// becoming ready — which is exactly the condition under which
-    /// `next_event_cycle` / `fast_forward_to` may skip ahead.
-    fn step_cycle(&mut self, plan: Option<&CompiledPlan>) -> bool {
+    fn step_cycle(&mut self, plan: Option<&CompiledPlan>) {
         let cycle = self.cycle;
         let mut progress = false;
         // The wakes queued for this cycle join the sweep; a switch parked
@@ -766,8 +748,7 @@ impl RawMachine {
         progress |= self.step_processors(cycle, plan.is_some());
 
         // 3. Switch processors.
-        let (sw_progress, sw_ctrl) = self.step_switches(cycle, plan);
-        progress |= sw_progress;
+        progress |= self.step_switches(cycle, plan);
 
         // 4. Dynamic networks.
         for d in &mut self.dyn_nets {
@@ -783,7 +764,6 @@ impl RawMachine {
             self.last_progress = cycle;
         }
         self.cycle += 1;
-        !progress && !sw_ctrl
     }
 
     /// Poll one device for a word to inject into its edge input FIFO.
@@ -1024,13 +1004,9 @@ impl RawMachine {
         }
     }
 
-    /// Returns `(progress, control_transition)`: whether any route fired,
-    /// and whether any switch advanced through a route-less instruction
-    /// (which changes switch state without counting as progress — a cycle
-    /// containing one must not be skipped over).
-    fn step_switches(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> (bool, bool) {
+    /// The switch phase: whether any route fired.
+    fn step_switches(&mut self, cycle: u64, plan: Option<&CompiledPlan>) -> bool {
         let mut progress = false;
-        let mut ctrl = false;
         let first = self.switch_slot(0, 0);
         self.sweep(first..self.spare_slot(), cycle, |m, slot| {
             let (t, net) = (
@@ -1041,26 +1017,24 @@ impl RawMachine {
                 m.credit_switch(t, net, cycle - m.recorded[slot]);
             }
             m.recorded[slot] = cycle + 1;
-            let (p, c) = match plan {
+            progress |= match plan {
                 Some(plan) => m.step_switch_compiled(t, net, plan, cycle),
                 None => m.step_switch(t, net, cycle),
             };
-            progress |= p;
-            ctrl |= c;
         });
-        (progress, ctrl)
+        progress
     }
 
-    /// Returns `(progress, control_transition)` for one switch.
-    pub(crate) fn step_switch(&mut self, t: usize, net: usize, cycle: u64) -> (bool, bool) {
+    /// Step one switch: whether any of its routes fired.
+    pub(crate) fn step_switch(&mut self, t: usize, net: usize, cycle: u64) -> bool {
         self.tiles[t].switch_state[net].apply_pending_pc(cycle);
         if self.tiles[t].switch_state[net].halted {
-            return (false, false);
+            return false;
         }
         let pc = self.tiles[t].switch_state[net].pc;
         if pc >= self.tiles[t].switch_prog[net].instrs.len() {
             self.tiles[t].switch_state[net].halted = true;
-            return (false, true);
+            return false;
         }
         // Hold a second handle on the (immutable) program for the tick so
         // routes are read in place while the machine is borrowed mutably.
@@ -1098,7 +1072,6 @@ impl RawMachine {
         }
         self.tiles[t].switch_state[net].fired = fired;
         let complete = fired == ((1u64 << nroutes) - 1) as u32;
-        let mut ctrl_transition = false;
         if complete {
             let prog_len = self.tiles[t].switch_prog[net].len();
             let st = &mut self.tiles[t].switch_state[net];
@@ -1113,14 +1086,11 @@ impl RawMachine {
                 SwitchCtrl::Jump(pc) => st.pc = pc,
                 SwitchCtrl::WaitPc => st.halted = true,
             }
-            // A route-less instruction (nop / WaitPc) completing is a pure
-            // control transition: switch state changed with no progress.
-            ctrl_transition = !any_fired;
         } else if !any_fired {
             let cause = block_cause.expect("an incomplete instruction has a refused group");
             self.switch_stalled(t, net, cause);
         }
-        (any_fired, ctrl_transition)
+        any_fired
     }
 
     /// Why the route group (a bitmask over `routes`, all sharing
@@ -1211,139 +1181,11 @@ impl RawMachine {
         }
     }
 
-    /// The earliest cycle `>= self.cycle` on which any component might do
-    /// something it could not do on the cycle just stepped, or `None` if
-    /// no such cycle exists (a true deadlock / fully drained machine).
-    ///
-    /// Only meaningful immediately after a *quiet* cycle (see
-    /// `step_cycle`): in that state every enabled transition has already
-    /// been tried and refused, every refusal depends only on FIFO
-    /// visibility ages, cache-stall deadlines, and device readiness — all
-    /// pure functions of time — and FIFO *space* cannot change without
-    /// some transition firing first. The minimum over every such time
-    /// threshold is therefore a sound skip target: every cycle strictly
-    /// before it would replay the quiet cycle exactly.
-    pub(crate) fn next_event_cycle(&self) -> Option<u64> {
-        let now = self.cycle;
-        let mut best = u64::MAX;
-        // Returns true when the event is this very cycle: `now` cannot be
-        // beaten, so the caller stops scanning immediately (the common
-        // case on a busy machine, where a just-enqueued word becomes
-        // visible next cycle). Candidates in the past are stale — an
-        // unconsumed word whose visibility came and went — and waiting on
-        // them changes nothing, so they are ignored.
-        let mut consider = |v: u64| -> bool {
-            if v == now {
-                return true;
-            }
-            if v > now && v < best {
-                best = v;
-            }
-            false
-        };
-        for (t, tile) in self.tiles.iter().enumerate() {
-            for net in 0..NUM_STATIC_NETS {
-                let st = &tile.switch_state[net];
-                // A pending PC load applies (to a halted switch) on a later
-                // cycle without any progress marker; never skip past one.
-                if st.pending_pc.is_some() {
-                    return Some(now);
-                }
-                // Defense in depth: a non-halted switch sitting at a
-                // route-less instruction advances every cycle. After a
-                // quiet cycle this cannot happen (the advance is a control
-                // transition, which vetoes quietness), but refuse to skip
-                // if it somehow does.
-                if !st.halted {
-                    if let Some(instr) = tile.switch_prog[net].instrs.get(st.pc) {
-                        if instr.routes.is_empty() {
-                            return Some(now);
-                        }
-                    }
-                }
-            }
-            // Each ring's front word turns visible to its consumer on
-            // cycle `enqueue + delay + 1`: the processor reads `$csti` one
-            // pipeline stage later than a switch reads its inputs.
-            let fronts = (0..NUM_STATIC_NETS)
-                .flat_map(|net| (0..4).map(move |dir| (StaticFifo::In { net, dir }, 0)))
-                .chain((0..NUM_STATIC_NETS).map(|net| (StaticFifo::Csti(net), PROC_RECV_DELAY)))
-                .chain([(StaticFifo::Csto, 0)]);
-            for (fifo, delay) in fronts {
-                if let Some(ts) = self.rings[ring_slot(t, fifo)].front_ts() {
-                    if consider(ts + delay + 1) {
-                        return Some(now);
-                    }
-                }
-            }
-            if tile.stall_until >= now && consider(tile.stall_until) {
-                return Some(now);
-            }
-            // A scheduled stall window beginning is a state change (idle
-            // or blocked cycles become CacheStall); never skip past it.
-            if let Some(&(s, _)) = self.stall_windows[t].first() {
-                if consider(s.max(now)) {
-                    return Some(now);
-                }
-            }
-        }
-        for d in &self.dyn_nets {
-            if let Some(v) = d.next_visibility_event(now, PROC_RECV_DELAY) {
-                if consider(v) {
-                    return Some(now);
-                }
-            }
-        }
-        for (i, dev) in self.devices.iter().enumerate() {
-            let port = self.device_ports[i];
-            // Injection only matters while the edge FIFO has space; space
-            // cannot appear without routing progress, which is itself an
-            // event.
-            let edge = StaticFifo::In {
-                net: port.net,
-                dir: port.dir.index(),
-            };
-            if self.rings[ring_slot(port.tile.index(), edge)].has_space() {
-                if let Some(v) = dev.next_inject_event(now) {
-                    if consider(v.max(now)) {
-                        return Some(now);
-                    }
-                }
-            }
-            if let Some(v) = dev.next_accept_event(now) {
-                if consider(v.max(now)) {
-                    return Some(now);
-                }
-            }
-        }
-        if best == u64::MAX {
-            None
-        } else {
-            Some(best)
-        }
-    }
-
-    /// Jump straight from `self.cycle` to `target`. Nothing is stepped on
-    /// the skipped cycles, so every component credits them like any other
-    /// cycle it was not stepped on — its last recorded cycle repeated,
-    /// which a skipped quiet cycle by construction is — before its next
-    /// step or in [`RawMachine::settle`]. `last_progress` is untouched:
-    /// skipped cycles made no progress.
-    pub(crate) fn fast_forward_to(&mut self, target: u64) {
-        self.cycle = self.cycle.max(target);
-    }
-
-    /// Run exactly `n` cycles through the configured engine. With the
-    /// default engine quiet stretches are jumped in bulk; the observable
-    /// end state is identical to stepping each cycle.
+    /// Run exactly `n` cycles through the configured engine.
     pub fn run(&mut self, n: u64) {
         let deadline = self.cycle + n;
         while self.cycle < deadline {
-            let quiet = self.step_cycle_engine();
-            if quiet && self.cfg.engine.skips() {
-                let target = self.next_event_cycle().unwrap_or(deadline).min(deadline);
-                self.fast_forward_to(target);
-            }
+            self.step_cycle_engine();
         }
         self.settle();
     }
@@ -1372,14 +1214,7 @@ impl RawMachine {
     pub fn run_until_quiescent(&mut self, window: u64, max_cycles: u64) -> QuiescenceReport {
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline && self.idle_cycles() < window {
-            let quiet = self.step_cycle_engine();
-            if quiet && self.cfg.engine.skips() {
-                // Stop exactly where per-cycle stepping would declare
-                // quiescence, so the reported cycle matches.
-                let cap = (self.last_progress + window).min(deadline);
-                let target = self.next_event_cycle().unwrap_or(cap).min(cap);
-                self.fast_forward_to(target);
-            }
+            self.step_cycle_engine();
         }
         self.settle();
         let blocked_tiles: Vec<TileId> = self

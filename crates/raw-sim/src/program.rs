@@ -109,12 +109,11 @@ pub trait TileProgram: Any + Send {
     /// no action at all — must be a pure function of what `io` exposes
     /// other than [`TileIo::cycle`]: called again against the same FIFOs
     /// and switch state it must stall the same way, raise the same wait,
-    /// and leave the program where it was. Both of the fast engine's
-    /// skips rest on it: the machine-wide fast-forward replays such a
-    /// tick's recorded activity over a quiet stretch, and a tile whose
-    /// tick retired nothing with no input word still aging toward it is
-    /// not ticked again until a FIFO it can observe is pushed or popped
-    /// or its switch halts. Builds with `debug_assertions` tick the
+    /// and leave the program where it was. The fast engine's sleep rests
+    /// on it: a tile whose tick retired nothing with no input word still
+    /// aging toward it is not ticked again until a FIFO it can observe
+    /// is pushed or popped or its switch halts, and the cycles between
+    /// are credited as repeats of that tick. Builds with `debug_assertions` tick the
     /// sleeping tile anyway and assert that it reproduces the recorded
     /// activity and wait.
     fn tick(&mut self, io: &mut TileIo<'_>);

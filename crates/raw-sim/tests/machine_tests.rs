@@ -858,10 +858,13 @@ fn stall_windows_and_mid_run_mutations_never_diverge() {
     }
 }
 
-/// The fast engine on a throttled drip-feed pipe (quiet most cycles) and
-/// a fully idle chip (quiet every cycle) in the default configuration
-/// skips its way to exactly the per-cycle result: delivery cycle stamps,
-/// and every digest.
+/// The quiet-machine row of the engine differential: the fast engine on a
+/// throttled drip-feed pipe (quiet most cycles) and a fully idle chip
+/// (quiet every cycle) in the default configuration reaches exactly the
+/// per-cycle result: delivery cycle stamps, and every digest. Every cycle
+/// is stepped; sleep, not a skip, covers the quiet ones — the stalled
+/// switches and idle tiles leave the sweep and their cycles are credited
+/// in bulk.
 #[test]
 fn default_engine_matches_per_cycle_on_quiet_machines() {
     assert_eq!(RawConfig::default().engine, EngineMode::Compiled);

@@ -25,7 +25,7 @@
 //!
 //! The simulator publishes into an `Option<`[`SharedSink`]`>`: the sink
 //! is never told anything per cycle, so attached or not the hot path
-//! allocates nothing and the event-skip fast path is preserved.
+//! allocates nothing and sleeping tiles and switches stay asleep.
 
 pub mod chrome;
 pub mod fabric;

@@ -24,13 +24,10 @@ pub const WIRE_IDLE: u32 = 0xFFFF_FFFE;
 /// [`WIRE_IDLE`] words, like a synchronous link's idle frames. The line
 /// never goes silent: the ingress bid/grant protocol relies on ingest
 /// routines completing promptly, so an injectable word must exist every
-/// cycle. (This is also why the default conservative
-/// `EdgeDevice::next_inject_event` — "this cycle" — is exact here. The
-/// machine-wide fast-forward therefore never engages while a line card
-/// is attached — the card is polled every cycle — but that costs only
-/// the poll: the tiles and switches behind a line whose idle frames
-/// nobody is ingesting sleep on their full and empty FIFOs, and are
-/// woken by the push or pop that changes them.)
+/// cycle. The card is polled every cycle, but that costs only the poll:
+/// the tiles and switches behind a line whose idle frames nobody is
+/// ingesting sleep on their full and empty FIFOs, and are woken by the
+/// push or pop that changes them.
 pub struct LineCardIn {
     queue: VecDeque<(u64, Vec<u32>)>,
     cur: Option<(Vec<u32>, usize)>,
@@ -121,13 +118,6 @@ impl EdgeDevice for LineCardIn {
         }
         self.words_offered += 1;
         Some(w)
-    }
-
-    // `next_inject_event` keeps its conservative default (`Some(now)`):
-    // the line offers a word — real or idle — every single cycle.
-
-    fn next_accept_event(&self, _now: u64) -> Option<u64> {
-        None // can_push is constantly true (default impl)
     }
 }
 
@@ -277,28 +267,6 @@ impl EdgeDevice for LineCardOut {
             (OutState::WaitTag, OutFraming::RawPackets) => unreachable!(),
         }
     }
-
-    fn next_inject_event(&self, _now: u64) -> Option<u64> {
-        None // never sources words
-    }
-
-    fn next_accept_event(&self, now: u64) -> Option<u64> {
-        // Inside a stall window `can_push` flips back on at its end;
-        // outside one, report the next window start so the event-skip
-        // fast-forward never jumps over a backpressure transition.
-        self.stall
-            .iter()
-            .filter_map(|&(s, e)| {
-                if (s..e).contains(&now) {
-                    Some(e)
-                } else if s >= now {
-                    Some(s)
-                } else {
-                    None
-                }
-            })
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -327,11 +295,9 @@ mod tests {
     #[test]
     fn line_card_in_always_carries_words() {
         // The bid/grant protocol depends on the line never going silent:
-        // an exhausted card still emits idle frames, and its inject event
-        // is always "this cycle".
+        // an exhausted card still emits idle frames.
         let mut lc = LineCardIn::new();
         assert_eq!(lc.pull_in(0), Some(WIRE_IDLE), "idles before any offer");
-        assert_eq!(lc.next_inject_event(7), Some(7));
         let p = Packet::synthetic(1, 2, 64, 64, 0);
         lc.offer(10, &p);
         for c in 0..p.to_words().len() as u64 {
@@ -339,7 +305,6 @@ mod tests {
         }
         assert_eq!(lc.backlog(), 0);
         assert_eq!(lc.pull_in(60), Some(WIRE_IDLE), "idles after exhaustion");
-        assert_eq!(lc.next_inject_event(60), Some(60));
     }
 
     #[test]

@@ -302,10 +302,10 @@ impl TileProgram for IngressProgram {
                     self.drive = Drive::Idle;
                     // Re-enter Idle in the same tick (the WaitHalt idiom):
                     // ending the turn here would record no io action, and
-                    // the event skip would park the tile waiting
-                    // for an external event — which never comes when the
-                    // wire FIFO is already full and every peer is blocked
-                    // on this tile's next bid.
+                    // the fast engine would put the tile to sleep until a
+                    // push or pop — which never comes when the wire FIFO
+                    // is already full and every peer is blocked on this
+                    // tile's next bid.
                     self.tick(io);
                 } else if !self.proc_step(io) {
                     io.idle();
