@@ -302,14 +302,10 @@ fn run_multicast(_: &Args) {
 }
 
 fn run_scaling(_: &Args) {
-    println!("== §8.5: scalability (ring vs mesh-of-4-port-routers) ==");
+    println!("== §8.5: scalability of the token ring ==");
     let rows = scaling_study();
-    print_table(&["ports", "ring tput", "mesh tput"], &rows, |r| {
-        vec![
-            r.ports.to_string(),
-            format!("{:.3}", r.ring_throughput),
-            format!("{:.3}", r.mesh_throughput),
-        ]
+    print_table(&["ports", "ring tput"], &rows, |r| {
+        vec![r.ports.to_string(), format!("{:.3}", r.ring_throughput)]
     });
     save("scaling", &rows);
 }

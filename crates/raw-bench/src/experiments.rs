@@ -535,12 +535,12 @@ pub fn multicast_demo() -> MulticastResult {
     }
 }
 
-/// E12 / §8.5: ring versus mesh scaling.
+/// E12 / §8.5: how the token ring scales with its port count (the
+/// composed side is the fabric experiment's measured ring-vs-Clos rows).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScalingRow {
     pub ports: usize,
     pub ring_throughput: f64,
-    pub mesh_throughput: f64,
 }
 
 pub fn scaling_study() -> Vec<ScalingRow> {
@@ -553,7 +553,6 @@ pub fn scaling_study() -> Vec<ScalingRow> {
         .map(|p| ScalingRow {
             ports: p.ports,
             ring_throughput: p.ring_throughput,
-            mesh_throughput: p.mesh_throughput,
         })
         .collect()
 }
@@ -839,9 +838,8 @@ mod tests {
     }
 
     #[test]
-    fn scaling_shows_ring_decay_and_mesh_flat() {
+    fn scaling_shows_ring_decay() {
         let rows = scaling_study();
         assert!(rows[0].ring_throughput > rows.last().unwrap().ring_throughput);
-        assert!(rows.iter().all(|r| (r.mesh_throughput - 1.0).abs() < 1e-9));
     }
 }

@@ -10,7 +10,8 @@
 //! * **Topologies** ([`topology`]): one Clos builder at depth `k` gives
 //!   the single router (`k = 1`), the 3-stage 16-port Clos from 12
 //!   routers (`k = 2`) and the recursive 64- and 256-port fabrics; a
-//!   folded 8-port leaf-spine from 6 is the one hand-wired plan. All are
+//!   folded 8-port leaf-spine from 6 and a 6-port pair of chips joined
+//!   by a trunk are the two hand-wired plans. All are
 //!   built from *unmodified* [`raw_xbar::RawRouter`] instances, with
 //!   fabric forwarding expressed purely through per-router LPM tables
 //!   over a `10.<dst>.<middle>.x` address scheme, and one

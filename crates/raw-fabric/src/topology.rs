@@ -15,8 +15,11 @@
 //! packet is self-routing: ingress routers match `/24` prefixes `(d, m)`
 //! to pick the uplink, middle and egress routers match `/16` on `d`
 //! alone. A lookup miss (forced by raw-chaos) falls back to the default
-//! route — uplink 0 at the ingress stage, which still reaches the
-//! correct egress router, so misrouting self-heals within the fabric.
+//! route, port 0. At a Clos ingress that is uplink 0, which still
+//! reaches the correct egress router, and at a Folded8 spine it is leaf
+//! 0, whose table sends the packet on: both self-heal. At any other
+//! router (a later Clos stage, a Folded8 leaf, a TwoChip6 chip) the
+//! packet leaves by port 0, a misroute unless that is its way out.
 
 use raw_lookup::RouteEntry;
 use raw_net::Packet;
@@ -24,8 +27,8 @@ use raw_xbar::NPORTS;
 
 /// The fabric shapes the experiments compare. Every Clos is the one
 /// builder's output at recursion depth `k`, its discriminant: `4^k`
-/// external ports from `2k-1` stages of `4^(k-1)` routers. Folded8 is
-/// the one hand-wired plan.
+/// external ports from `2k-1` stages of `4^(k-1)` routers. Folded8 and
+/// TwoChip6 are the two hand-wired plans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
     /// 8 external ports from 6 routers: 4 leaves (2 external ports + 2
@@ -47,26 +50,41 @@ pub enum Topology {
     /// recursion — the largest fabric the `10.<d>.<m>.x` address octets
     /// can label.
     Clos256 = 4,
+    /// 6 external ports from 2 routers (§8.5's two-chip composition):
+    /// each chip keeps 3 external ports and cables its port 3 to the
+    /// other chip's port 3, an inter-chip trunk in each direction. Local
+    /// traffic takes one hop, cross-chip traffic two.
+    TwoChip6 = 5,
 }
 
 impl Topology {
     pub fn name(&self) -> &'static str {
-        ["folded8", "single4", "clos16", "clos64", "clos256"][*self as usize]
+        [
+            "folded8", "single4", "clos16", "clos64", "clos256", "twochip6",
+        ][*self as usize]
     }
 
-    /// Recursion depth `k` of the Clos builder; `None` for Folded8.
-    fn clos_levels(&self) -> Option<u32> {
-        (*self != Topology::Folded8).then_some(*self as u32)
+    /// `[external ports, routers, spray width, stages]`: stated for each
+    /// hand-wired plan, derived for a Clos from its depth `k`.
+    fn shape(&self) -> [usize; 4] {
+        match self {
+            Topology::Folded8 => [8, 6, 2, 2],
+            Topology::TwoChip6 => [6, 2, 1, 1],
+            clos => {
+                let (k, stages) = (*clos as u32, 2 * *clos as usize - 1);
+                let width = 4usize.pow(k - 1);
+                [4 * width, stages * width, width, stages]
+            }
+        }
     }
 
     /// External (fabric-facing) port count.
     pub fn ext_ports(&self) -> usize {
-        self.clos_levels().map_or(8, |k| 4usize.pow(k))
+        self.shape()[0]
     }
 
     pub fn routers(&self) -> usize {
-        self.clos_levels()
-            .map_or(6, |k| self.stages() * 4usize.pow(k - 1))
+        self.shape()[1]
     }
 
     /// Number of middle-stage (spray) choices at injection. For the
@@ -74,15 +92,16 @@ impl Topology {
     /// and sub-plane — so it exceeds the router radix and groups of
     /// `spray_width / 4` consecutive values share one ingress uplink.
     pub fn spray_width(&self) -> usize {
-        self.clos_levels().map_or(2, |k| 4usize.pow(k - 1))
+        self.shape()[2]
     }
 
     /// Distinct pipeline stage levels (`RouterSpec::stage` values).
     /// Cross-fabric hop counts equal this for the feed-forward Clos
     /// family; the folded leaf-spine fabric revisits stage 0, so its
-    /// longest path is 3 routers over 2 levels.
+    /// longest path is 3 routers over 2 levels, and both chips of
+    /// TwoChip6 are ingress routers (stage 0).
     pub fn stages(&self) -> usize {
-        self.clos_levels().map_or(2, |k| 2 * k as usize - 1)
+        self.shape()[3]
     }
 }
 
@@ -98,7 +117,8 @@ pub struct LinkSpec {
 #[derive(Clone, Debug)]
 pub struct RouterSpec {
     /// Pipeline stage, 0 = ingress/leaf. A Clos numbers its stages
-    /// 0..`Topology::stages()` left to right; Folded8's spines are 1.
+    /// 0..`Topology::stages()` left to right; Folded8's spines are 1 and
+    /// both of TwoChip6's chips are 0.
     pub stage: usize,
     /// The router's forwarding table (always ends with a default route).
     pub routes: Vec<RouteEntry>,
@@ -242,7 +262,8 @@ fn clos_plan(t: Topology, k: u32) -> TopologyPlan {
     // Spray `m` leaves ingress router `x` through output `m / (spray/4)`
     // (the high base-4 digit of `m`): groups of `spray/4` consecutive
     // spray values share one physical uplink, diverging at later stages.
-    // A single router (`spray == 1`) has no uplinks.
+    // A single router (`spray == 1`) drains every output itself, so it
+    // has no uplinks.
     let mut out_of = vec![[usize::MAX; NPORTS]; stages * w];
     for (li, l) in links.iter().enumerate() {
         out_of[l.from.0][l.from.1] = li;
@@ -308,11 +329,42 @@ fn folded8_plan() -> TopologyPlan {
     TopologyPlan::new(Topology::Folded8, routers, links, ext_in, ext_out, uplinks)
 }
 
+/// The two-chip plan: chip `c` (router `c`) owns external ports
+/// `3c..3c+3` on its ports 0-2 and cables its port 3 to the other
+/// chip's port 3. Its `/16` table sends its own destinations out their
+/// port and the other chip's down the trunk, which is its one uplink.
+fn two_chip6_plan() -> TopologyPlan {
+    const TRUNK: usize = 3;
+    let routers = (0..2u8)
+        .map(|c| {
+            let port = |d: u8| if d / 3 == c { d % 3 } else { TRUNK as u8 };
+            let mut routes: Vec<_> = (0..6).map(|d| route16(d, port(d).into())).collect();
+            routes.push(default_route(0));
+            RouterSpec { stage: 0, routes }
+        })
+        .collect();
+    let trunk = |c| LinkSpec {
+        from: (c, TRUNK),
+        to: (1 - c, TRUNK),
+    };
+    let ends: Vec<_> = (0..6).map(|e| (e / 3, e % 3)).collect();
+    let (links, uplinks) = (vec![trunk(0), trunk(1)], vec![vec![0], vec![1]]);
+    TopologyPlan::new(
+        Topology::TwoChip6,
+        routers,
+        links,
+        ends.clone(),
+        ends,
+        uplinks,
+    )
+}
+
 /// Build the full wiring and per-router tables for a topology.
 pub fn plan(t: Topology) -> TopologyPlan {
-    match t.clos_levels() {
-        Some(k) => clos_plan(t, k),
-        None => folded8_plan(),
+    match t {
+        Topology::Folded8 => folded8_plan(),
+        Topology::TwoChip6 => two_chip6_plan(),
+        clos => clos_plan(clos, clos as u32),
     }
 }
 
@@ -353,8 +405,11 @@ impl TopologyPlan {
         p
     }
     /// Structural sanity: every router port is used at most once on
-    /// each side, external attachments never collide with links, and
-    /// stage-0 routers expose exactly `spray_width` uplinks.
+    /// each side, external attachments never collide with links, and a
+    /// stage-0 router that does not drain every external output itself
+    /// exposes exactly `spray_width` uplinks (the boundary sends each
+    /// non-local injection through `uplinks[r][m]`); every other router
+    /// exposes none.
     fn validate(&self) {
         let n = self.routers.len();
         assert_eq!(n, self.topology.routers());
@@ -386,26 +441,27 @@ impl TopologyPlan {
             assert!(!out_used[r][p], "external output collides with a link");
             out_used[r][p] = true;
         }
-        let spray = self.topology.spray_width();
+        let (spray, n_ext) = (self.topology.spray_width(), self.ext_out.len());
         for (r, spec) in self.routers.iter().enumerate() {
-            let expect = if spec.stage == 0 && spray > 1 {
-                spray
-            } else {
-                0
-            };
+            let sends_on = spec.stage == 0 && (0..n_ext).any(|d| !self.is_local(r, d));
+            let expect = if sends_on { spray } else { 0 };
             assert_eq!(self.uplinks[r].len(), expect, "router {r} uplink count");
             for (m, &li) in self.uplinks[r].iter().enumerate() {
                 let l = self.links[li];
                 assert_eq!(l.from.0, r);
-                assert_eq!(self.routers[l.to.0].stage, 1);
-                match self.topology.clos_levels() {
+                match self.topology {
+                    // Folded8: uplink m lands on spine m.
+                    Topology::Folded8 => assert_eq!(l.to.0, 4 + m),
+                    // TwoChip6: the trunk lands on the other chip.
+                    Topology::TwoChip6 => assert_eq!(l.to.0, 1 - r),
                     // A Clos: groups of `spray/4` consecutive spray values
                     // share the uplink at the port named by the high
-                    // base-4 digit of `m`; the RV605 walk proves the
-                    // tables agree with this map.
-                    Some(_) => assert_eq!(l.from.1, m / (spray / 4)),
-                    // Folded8: uplink m lands on spine m.
-                    None => assert_eq!(l.to.0, 4 + m),
+                    // base-4 digit of `m`, into stage 1; the RV605 walk
+                    // proves the tables agree with this map.
+                    _ => {
+                        assert_eq!(self.routers[l.to.0].stage, 1);
+                        assert_eq!(l.from.1, m / (spray / 4));
+                    }
                 }
             }
         }
@@ -527,6 +583,37 @@ mod tests {
         assert_eq!(hops, 3);
     }
 
+    /// The two-chip composition: a destination on the source's own chip
+    /// is one hop, one on the other chip two (out the trunk, then out
+    /// the other chip's local port).
+    #[test]
+    fn two_chips_switch_local_traffic_in_one_hop_and_cross_chip_in_two() {
+        let p = plan(Topology::TwoChip6);
+        assert_eq!((p.routers.len(), p.links.len()), (2, 2));
+        let tables = build_tables(&p);
+        for src in 0..6 {
+            for d in 0..6u8 {
+                let (ext, hops) = model_route(&p, &tables, src, d, 0);
+                assert_eq!(ext, d as usize, "{src}->{d} misrouted");
+                let want = if src / 3 == d as usize / 3 { 1 } else { 2 };
+                assert_eq!(hops, want, "{src}->{d}");
+            }
+        }
+    }
+
+    /// A stage-0 router with a destination it does not drain must name
+    /// its uplink, or the boundary would index `uplinks[r][m]` out of
+    /// range mid-run: the plan is refused when it is built.
+    #[test]
+    #[should_panic(expected = "router 0 uplink count")]
+    fn a_plan_without_the_uplink_its_non_local_traffic_needs_is_refused() {
+        let p = plan(Topology::TwoChip6);
+        let no_uplinks = vec![Vec::new(); 2];
+        TopologyPlan::new(
+            p.topology, p.routers, p.links, p.ext_in, p.ext_out, no_uplinks,
+        );
+    }
+
     #[test]
     fn clos16_has_the_paper_shape() {
         let p = plan(Topology::Clos16);
@@ -640,6 +727,7 @@ mod tests {
             Topology::Folded8,
             Topology::Clos16,
             Topology::Clos64,
+            Topology::TwoChip6,
         ] {
             let p = plan(t);
             // One past NPORTS probes the out-of-range path too.

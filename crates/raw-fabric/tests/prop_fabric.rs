@@ -152,7 +152,7 @@ proptest! {
     #[test]
     fn any_config_builds_or_is_a_typed_error(
         seed in any::<u64>(),
-        topo_sel in 0usize..3,
+        topo_sel in 0usize..4,
         epoch_cycles in prop_oneof![
             Just(0u64),
             Just(1u64),
@@ -193,7 +193,12 @@ proptest! {
         weights in (weight(), weight(), weight(), weight()),
         lookup_fault in lookup_fault(),
     ) {
-        let topology = [Topology::Single4, Topology::Folded8, Topology::Clos16][topo_sel];
+        let topology = [
+            Topology::Single4,
+            Topology::Folded8,
+            Topology::Clos16,
+            Topology::TwoChip6,
+        ][topo_sel];
         let mut cfg = FabricConfig {
             topology,
             epoch_cycles,

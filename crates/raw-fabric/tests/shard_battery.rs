@@ -156,6 +156,19 @@ fn threaded_is_one_shard_per_router() {
     }
 }
 
+/// The two-chip composition (§8.5) on two shards, one chip each: its
+/// trunks cross between the shards at every boundary, in both
+/// directions, on both spray modes.
+#[test]
+fn two_chips_on_two_shards_match_the_reference() {
+    for spray in [SprayMode::Hash, SprayMode::LeastOccupancy] {
+        let c = cfg(Topology::TwoChip6, spray, 256);
+        let w = workload(Pattern::FabricUniform, 19, 12);
+        let found = divergence(&c, &w, |_| Executor::Sharded { shards: 2 });
+        assert_eq!(found, None, "spray {}", spray.name());
+    }
+}
+
 #[test]
 fn shards_zero_uses_available_parallelism_and_still_matches() {
     let c = cfg(Topology::Clos16, SprayMode::Hash, 256);

@@ -388,6 +388,71 @@ fn switch_multicast_duplicates_words() {
     );
 }
 
+/// One switch instruction holds two independent routes that cross at a
+/// tile, and each sustains one word per cycle, on both engines. Tile 5's
+/// one instruction routes W->E and S->N: edge words enter west of tile 4
+/// and leave east of tile 7 (4 -> 5 -> 6 -> 7), and enter west of tile 8
+/// and leave north of tile 1 (8 -> 9, turned north, -> 5 -> 1).
+#[test]
+fn one_instruction_streams_two_crossing_routes_at_line_rate() {
+    let build = |engine: EngineMode| {
+        let mut m = RawMachine::new(RawConfig {
+            engine,
+            ..RawConfig::default()
+        });
+        m.set_switch_program(
+            TileId(5),
+            NET0,
+            SwitchProgram::new(vec![SwitchInstr::new(
+                vec![
+                    Route::new(NET0, SwPort::W, SwPort::E),
+                    Route::new(NET0, SwPort::S, SwPort::N),
+                ],
+                SwitchCtrl::Jump(0),
+            )]),
+        );
+        for (t, src, dst) in [
+            (4, SwPort::W, SwPort::E),
+            (6, SwPort::W, SwPort::E),
+            (7, SwPort::W, SwPort::E),
+            (8, SwPort::W, SwPort::E),
+            (9, SwPort::W, SwPort::N),
+            (1, SwPort::S, SwPort::N),
+        ] {
+            m.set_switch_program(
+                TileId(t),
+                NET0,
+                SwitchProgram::new(vec![route(NET0, src, dst)]),
+            );
+        }
+        for (t, words) in [(4, 0..200u32), (8, 1000..1200u32)] {
+            m.bind_device(
+                EdgePort::new(TileId(t), Dir::West, NET0),
+                Box::new(WordSource::new(words)),
+            );
+        }
+        let (east, got_east) = WordSink::new();
+        m.bind_device(EdgePort::new(TileId(7), Dir::East, NET0), Box::new(east));
+        let (north, got_north) = WordSink::new();
+        m.bind_device(EdgePort::new(TileId(1), Dir::North, NET0), Box::new(north));
+        (m, [got_east, got_north])
+    };
+    let read = |got: &[SinkHandle; 2]| got.each_ref().map(|h| h.lock().unwrap().clone());
+    let (_, got) = assert_engines_agree(build, cycles, 400, read);
+    for (got, words) in read(&got).into_iter().zip([0..200u32, 1000..1200u32]) {
+        assert_eq!(
+            got.iter().map(|&(_, w)| w).collect::<Vec<_>>(),
+            words.collect::<Vec<_>>()
+        );
+        // Past the first word: the instruction retires once both its
+        // routes have fired, and the first north word, one hop further
+        // out, comes a cycle after the first east word.
+        for pair in got[1..].windows(2) {
+            assert_eq!(pair[1].0 - pair[0].0, 1, "each route sustains 1 word/cycle");
+        }
+    }
+}
+
 /// The tile processor can steer its switch through `WaitPc`, the jump-table
 /// mechanism of §6.5.
 #[test]

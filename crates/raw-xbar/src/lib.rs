@@ -54,6 +54,4 @@ pub use raw_sched::SchedKind;
 pub use raw_sim;
 pub use reference::{audit, port_table};
 pub use router::{LookupFault, RawRouter, RouterConfig};
-pub use scale::{
-    mesh_scaling_throughput, ring_saturation_throughput, ring_walk, ScalingCurve, ScalingPoint,
-};
+pub use scale::{ring_saturation_throughput, ring_walk, ScalingCurve, ScalingPoint};

@@ -79,32 +79,17 @@ pub fn ring_saturation_throughput(n: usize, slots: u64, seed: u64) -> f64 {
     grants as f64 / (slots as f64 * n as f64)
 }
 
-/// The multi-chip alternative (§8.5): a two-dimensional mesh of 4-port
-/// routers. With `k^2` chips each contributing its external ports at the
-/// mesh perimeter, per-port throughput stays flat because fabric capacity
-/// grows with the chip count. Modeled analytically: the mesh bisection is
-/// `2k` chip-to-chip links versus uniform cross-traffic of `P/2` ports'
-/// worth, with `P = 4k` perimeter ports.
-pub fn mesh_scaling_throughput(k: usize) -> f64 {
-    let ports = 4.0 * k as f64;
-    let bisection = 2.0 * k as f64;
-    // Uniform traffic: half the port load crosses the bisection.
-    (bisection / (ports / 2.0)).min(1.0)
-}
-
 /// One port count of the §8.5 scaling comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScalingPoint {
     pub ports: usize,
     /// Grants per port per slot of the single `n`-port token ring.
     pub ring_throughput: f64,
-    /// The analytic mesh-of-4-port-routers model at the same port count.
-    pub mesh_throughput: f64,
 }
 
-/// The ring-vs-composition scaling curve, reusable by any experiment
-/// that wants the §8.5 baseline on its own table (the fabric study
-/// plots measured Clos throughput against these modeled points).
+/// The ring scaling curve, reusable by any experiment that wants the
+/// §8.5 baseline on its own table (the fabric study sets measured Clos
+/// throughput, the composition side, against these points).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScalingCurve {
     pub slots: u64,
@@ -113,8 +98,8 @@ pub struct ScalingCurve {
 }
 
 impl ScalingCurve {
-    /// Measure the ring walk at each port count (and evaluate the mesh
-    /// model alongside). Deterministic in `(port_counts, slots, seed)`.
+    /// Measure the ring walk at each port count. Deterministic in
+    /// `(port_counts, slots, seed)`.
     pub fn measure(port_counts: &[usize], slots: u64, seed: u64) -> ScalingCurve {
         ScalingCurve {
             slots,
@@ -124,7 +109,6 @@ impl ScalingCurve {
                 .map(|&n| ScalingPoint {
                     ports: n,
                     ring_throughput: ring_saturation_throughput(n, slots, seed),
-                    mesh_throughput: mesh_scaling_throughput(n / 4),
                 })
                 .collect(),
         }
@@ -155,7 +139,6 @@ mod tests {
                 p.ring_throughput,
                 ring_saturation_throughput(p.ports, 5_000, 5)
             );
-            assert_eq!(p.mesh_throughput, mesh_scaling_throughput(p.ports / 4));
         }
         assert_eq!(a.ring_at(8), Some(a.points[1].ring_throughput));
         assert_eq!(a.ring_at(12), None);
@@ -205,14 +188,6 @@ mod tests {
         // Ring bisection is constant: throughput per port falls roughly
         // like 1/N for large N.
         assert!(t16 < 0.5 * t4, "ring must degrade markedly by 16 ports");
-    }
-
-    #[test]
-    fn mesh_of_small_routers_scales_flat() {
-        // The §8.5 recommendation: mesh capacity keeps pace with ports.
-        for k in 1..8 {
-            assert!((mesh_scaling_throughput(k) - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! auditing each hop against the reference datapath and checking TTL
 //! decrements and end-to-end delivery.
 //!
+//! It stays a hop-by-hop walk rather than a `RawFabric`: a 4-port torus
+//! spends every port on an inter-satellite link, so no port is left for
+//! the ground attachment a `TopologyPlan` needs as an external port.
+//!
 //! ```text
 //! cargo run --release --example leo_satellite
 //! ```

@@ -1,140 +1,89 @@
 //! Scaling by composition (§8.5): "One solution is simply to build a
 //! larger router out of multiple of these small 4-port routers."
 //!
-//! This example glues two 4-port Raw routers into a 6-external-port
-//! system: port 3 of chip A is cabled to port 3 of chip B (an
-//! inter-chip trunk), giving external ports A0–A2 and B0–B2. Forwarding
-//! tables are hierarchical: each chip sends traffic for the other chip's
-//! prefixes down the trunk. The harness relays delivered trunk packets
-//! between the chips — the glueless-mesh composition, at line-card
-//! granularity.
+//! Two 4-port Raw routers make a 6-external-port system: port 3 of each
+//! chip is cabled to port 3 of the other (an inter-chip trunk in each
+//! direction), leaving external ports A0–A2 and B0–B2. Each chip's
+//! table sends the other chip's prefixes down the trunk. The plan is
+//! `Topology::TwoChip6`, run as a `RawFabric` like every other
+//! composition: statically verified when it is built, advanced in
+//! epochs, and audited hop by hop against the reference datapath.
 //!
 //! ```text
 //! cargo run --release --example two_chip_mesh
 //! ```
 
-use std::sync::Arc;
-
-use raw_router::lookup::{ForwardingTable, RouteEntry};
+use raw_router::fabric::{
+    audit, dst_ext_port, fabric_addr, Executor, FabricConfig, RawFabric, Topology,
+};
 use raw_router::net::Packet;
-use raw_router::xbar::{audit, RawRouter, RouterConfig};
+use raw_router::xbar::RouterConfig;
 
-/// External address plan: `10.<chip*4 + port>.0.0/16`.
-fn prefix(chip: usize, port: usize) -> u32 {
-    0x0a00_0000 | (((chip * 4 + port) as u32) << 16)
-}
-
-const TRUNK: usize = 3; // local port wired to the other chip
-
-fn chip_table(chip: usize) -> Arc<ForwardingTable> {
-    let mut routes = Vec::new();
-    for p in 0..3 {
-        // Local external ports.
-        routes.push(RouteEntry::new(prefix(chip, p), 16, p as u32));
-        // The other chip's ports go down the trunk.
-        routes.push(RouteEntry::new(prefix(1 - chip, p), 16, TRUNK as u32));
-    }
-    Arc::new(ForwardingTable::build(&routes))
+/// External port `e` sits on chip `e / 3`.
+fn chip(e: usize) -> usize {
+    e / 3
 }
 
 fn main() {
-    let cfg = || RouterConfig {
-        quantum_words: 32,
-        cut_through: true,
-        ..RouterConfig::default()
-    };
-    let mut chips = [
-        RawRouter::new(cfg(), chip_table(0)),
-        RawRouter::new(cfg(), chip_table(1)),
-    ];
+    let base = FabricConfig::default();
+    let mut fab = RawFabric::try_new(FabricConfig {
+        topology: Topology::TwoChip6,
+        // A 128-byte packet crosses each chip in one cut-through quantum.
+        router: RouterConfig {
+            quantum_words: 32,
+            ..base.router.clone()
+        },
+        ..base
+    })
+    .expect("the two-chip plan verifies");
 
     // Traffic: every external port sends to every other external port,
-    // including cross-chip flows that must transit the trunk. Each chip
-    // keeps what it was handed, in offer order, for its audit.
-    let mut handed: [Vec<(usize, Vec<u32>)>; 2] = [Vec::new(), Vec::new()];
+    // including cross-chip flows that must transit the trunk. The source
+    // address names the sending port: 10.100.<src>.0.
     let mut offered = 0usize;
     let mut cross = 0usize;
-    for (sc, sp) in (0..2).flat_map(|c| (0..3).map(move |p| (c, p))) {
-        for (dc, dp) in (0..2).flat_map(|c| (0..3).map(move |p| (c, p))) {
-            if (sc, sp) == (dc, dp) {
-                continue;
-            }
-            let pkt = Packet::synthetic(
-                prefix(sc, sp) | (0xf000 + offered as u32),
-                prefix(dc, dp) | 1,
-                128,
-                64,
-                offered as u32,
-            );
-            chips[sc].offer(sp, 0, &pkt);
-            handed[sc].push((sp, pkt.to_words()));
+    for src in 0..6 {
+        for dst in (0..6).filter(|&d| d != src) {
+            let from = 0x0a64_0000 | ((src as u32) << 8);
+            let pkt = Packet::synthetic(from, fabric_addr(dst as u8, 0), 128, 64, offered as u32);
+            fab.offer(src, 0, &pkt);
             offered += 1;
-            if sc != dc {
-                cross += 1;
-            }
+            cross += usize::from(chip(src) != chip(dst));
         }
     }
     println!("offered {offered} flows across 6 external ports ({cross} cross-chip)");
 
-    // Co-simulate: run both chips in slices; relay trunk deliveries to
-    // the peer chip (the inter-chip cable, at line-card granularity).
-    let mut relayed = 0usize;
-    let mut relayed_per_chip = [0usize; 2];
-    for _slice in 0..400 {
-        for chip in &mut chips {
-            chip.run(500);
-        }
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..2 {
-            let out: Vec<Packet> = chips[c]
-                .delivered(TRUNK)
-                .into_iter()
-                .map(|(_, p)| p)
-                .collect();
-            let release = chips[1 - c].machine.cycle();
-            for pkt in out.iter().skip(relayed_per_chip[c]) {
-                chips[1 - c].offer(TRUNK, release, pkt);
-                handed[1 - c].push((TRUNK, pkt.to_words()));
-                relayed_per_chip[c] += 1;
-                relayed += 1;
-            }
-        }
-        let done: usize = (0..2)
-            .map(|c| (0..3).map(|p| chips[c].delivered(p).len()).sum::<usize>())
-            .sum();
-        if done == offered {
-            break;
-        }
-    }
+    assert!(
+        fab.run_until_drained_with(1_000, Executor::Reference),
+        "the two chips must drain"
+    );
 
-    // Validate: every flow delivered at the right external port, TTL
-    // decremented once per chip traversed.
+    // Every flow at the right external port, TTL decremented once per
+    // chip traversed.
     let mut delivered = 0usize;
-    for (c, chip) in chips.iter().enumerate() {
-        for p in 0..3 {
-            for (_, pkt) in chip.delivered(p) {
-                assert!(pkt.header.checksum_ok());
-                let hops = 64 - pkt.header.ttl;
-                let src_chip = ((pkt.header.src >> 16) & 0xff) / 4;
-                let expected_hops = if src_chip as usize == c { 1 } else { 2 };
-                assert_eq!(
-                    hops as usize, expected_hops,
-                    "TTL must drop once per chip traversed"
-                );
-                delivered += 1;
-            }
+    for ext in 0..6 {
+        for (_, pkt) in fab.delivered(ext) {
+            assert_eq!(dst_ext_port(&pkt), ext);
+            let src = ((pkt.header.src >> 8) & 0xff) as usize;
+            let hops = 64 - pkt.header.ttl as usize;
+            let expected_hops = if chip(src) == chip(ext) { 1 } else { 2 };
+            assert_eq!(hops, expected_hops, "TTL must drop once per chip traversed");
+            delivered += 1;
         }
     }
     assert_eq!(delivered, offered, "all flows must arrive");
-    // Each chip against the reference datapath, over everything it was
-    // handed: its external flows and the trunk packets relayed to it.
-    for (c, (chip, handed)) in chips.iter().zip(handed).enumerate() {
-        let errs = audit(chip, handed, true);
-        assert!(errs.is_empty(), "chip {c}: {errs:#?}");
-    }
+    let trunked: u64 = fab.summary().links.iter().map(|l| l.packets).sum();
+    assert_eq!(
+        trunked as usize, cross,
+        "every cross-chip flow takes the trunk"
+    );
+    // Both chips, hop by hop, against the reference datapath.
+    let errs = audit(&fab, true);
+    assert!(errs.is_empty(), "{errs:#?}");
     println!(
-        "delivered {delivered}/{offered}; {relayed} packets transited the trunk; \
-         cross-chip packets show two TTL decrements"
+        "delivered {delivered}/{offered} in {} epochs; {trunked} packets transited the trunk; \
+         cross-chip packets show two TTL decrements",
+        fab.epochs_run()
     );
     println!("a 6-port router from two 4-port chips — the §8.5 composition");
 }

@@ -45,12 +45,14 @@
 //! | [`xbar`] | `raw-xbar` | the Rotating Crossbar and the assembled router |
 //! | [`baselines`] | `raw-baselines` | Click model, FIFO/VOQ+iSLIP crossbar, cells study |
 //! | [`workloads`] | `raw-workloads` | seeded traffic generation |
+//! | [`fabric`] | `raw-fabric` | multi-router fabrics (§8.5): Clos, leaf-spine, two chips |
 //!
 //! Reproduction entry point: `cargo run --release -p raw-bench --bin
 //! repro -- all`. See DESIGN.md for the system inventory and
 //! EXPERIMENTS.md for paper-vs-measured results.
 
 pub use raw_baselines as baselines;
+pub use raw_fabric as fabric;
 pub use raw_isa as isa;
 pub use raw_lookup as lookup;
 pub use raw_net as net;
